@@ -12,13 +12,14 @@ BENCH_PATTERN ?= BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm
 
 # Packages with concurrency worth racing: the pipelined scheduler, the
 # async transport wrappers, the simulated-WAN transport (including the
-# 100-platform scale-out soak), the parameter-server baselines (sync
-# SGD and FedAvg), the parallel tensor kernels, the replication tier's
-# write-ahead log, the multi-tenant serving tier (scheduler + batchers
-# + shared gate) and the experiment runners that drive real
-# goroutine-per-party sessions (including the relaxed-consistency
-# differential suite).
-RACE_PKGS = ./internal/core/... ./internal/transport/... ./internal/simnet/... ./internal/syncsgd/... ./internal/fedavg/... ./internal/tensor/... ./internal/wal/... ./internal/serve/... ./internal/experiment/...
+# 100-platform scale-out soak), the parameter-exchange baselines (sync
+# SGD and FedAvg, one stack in internal/paramserver, whose suite holds
+# the reference-differential test), the parallel tensor kernels, the
+# replication tier's write-ahead log, the multi-tenant serving tier
+# (scheduler + batchers + shared gate) and the experiment runners that
+# drive real goroutine-per-party sessions (including the
+# relaxed-consistency differential suite).
+RACE_PKGS = ./internal/core/... ./internal/transport/... ./internal/simnet/... ./internal/paramserver/... ./internal/tensor/... ./internal/wal/... ./internal/serve/... ./internal/experiment/...
 
 # Minimum statement coverage the cover target enforces for the engine's
 # load-bearing packages. The scenario-matrix, simnet and WAL suites
@@ -29,7 +30,7 @@ COVER_MIN_transport  = 87
 COVER_MIN_simnet     = 90
 COVER_MIN_wal        = 85
 COVER_MIN_serve      = 80
-COVER_MIN_fedavg     = 82
+COVER_MIN_paramserver = 82
 
 .PHONY: test bench bench-save bench-save-tensor bench-smoke bench-compare bench-save-serve bench-save-consistency load-test chaos-test fuzz-smoke cover vuln race vet fmt-check purego-test cross-arm64 ci
 
@@ -83,7 +84,7 @@ fuzz-smoke:
 # a hard minimum-coverage gate on the packages the scenario matrix
 # protects (runs in CI's cover job).
 cover:
-	$(GO) test -coverprofile=cover.out ./internal/core/ ./internal/wire/ ./internal/transport/ ./internal/simnet/ ./internal/wal/ ./internal/serve/ ./internal/fedavg/ | tee cover-packages.txt
+	$(GO) test -coverprofile=cover.out ./internal/core/ ./internal/wire/ ./internal/transport/ ./internal/simnet/ ./internal/wal/ ./internal/serve/ ./internal/paramserver/ | tee cover-packages.txt
 	@if grep -q '^FAIL' cover-packages.txt; then \
 		echo "cover: test failures (tee hides the pipeline status; see above)"; exit 1; \
 	fi
@@ -95,7 +96,7 @@ cover:
 		"medsplit/internal/simnet:$(COVER_MIN_simnet)" \
 		"medsplit/internal/wal:$(COVER_MIN_wal)" \
 		"medsplit/internal/serve:$(COVER_MIN_serve)" \
-		"medsplit/internal/fedavg:$(COVER_MIN_fedavg)"; do \
+		"medsplit/internal/paramserver:$(COVER_MIN_paramserver)"; do \
 		pkg=$${spec%%:*}; min=$${spec##*:}; \
 		pct=$$(awk -v pkg="$$pkg" '$$1 == "ok" && $$2 == pkg { for (i = 3; i <= NF; i++) if ($$i == "coverage:") { sub(/%$$/, "", $$(i+1)); print $$(i+1) } }' cover-packages.txt); \
 		if [ -z "$$pct" ]; then echo "cover gate: no coverage reported for $$pkg"; exit 1; fi; \

@@ -55,7 +55,8 @@ type RoundMode int
 // entirely within an averaging period: platforms train local-parallel
 // against per-arrival server updates and their L1 halves are averaged
 // every L1SyncEvery rounds through the session state machine's sync
-// phase (which reuses internal/fedavg's aggregation math).
+// phase (which reuses the FedAvg baseline's aggregation kernel,
+// nn.AverageInto).
 const (
 	RoundModeSequential RoundMode = iota + 1
 	RoundModeConcat

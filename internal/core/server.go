@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"medsplit/internal/fedavg"
 	"medsplit/internal/nn"
 	"medsplit/internal/tensor"
 	"medsplit/internal/transport"
@@ -1069,7 +1068,7 @@ func (s *Server) l1Sync(r int) error {
 	for i := range avg {
 		avg[i] = tensor.New(lists[0][i].Shape()...)
 	}
-	if err := fedavg.AverageInto(avg, lists, weights); err != nil {
+	if err := nn.AverageInto(avg, lists, weights); err != nil {
 		return fmt.Errorf("%w: L1 sync: %v", ErrProtocol, err)
 	}
 	payload := wire.EncodeTensors(avg...)

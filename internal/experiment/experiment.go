@@ -456,9 +456,9 @@ type Result struct {
 	SimElapsed time.Duration
 	// WeightDigest is a 64-bit FNV-1a digest over every final model
 	// parameter's raw float bits (platform fronts in id order, then the
-	// server back). Two runs that trained bit-identically share it;
-	// the differential scenario tests compare digests across
-	// transports, codecs and fault scripts. Split scheme only.
+	// server back; for the baselines, the global model). Two runs that
+	// trained bit-identically share it; the differential scenario tests
+	// compare digests across transports, codecs and fault scripts.
 	WeightDigest uint64
 	// ModelParams is the trainable scalar count, for context in reports.
 	ModelParams int

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -117,21 +118,52 @@ func TestImbalanceAblationRuns(t *testing.T) {
 	}
 }
 
+// Every scheme's runner annotates its curve from the same meters, so a
+// wall-clock comparison across the three never reads 0s for one of them.
 func TestSimulatedWallClockAnnotated(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Topology = geonet.DefaultHospitalTopology()
-	cfg.Regions = []geonet.Region{"snuh-seoul", "ucf-orlando"}
-	res, err := RunSplit(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for name, run := range map[string]Runner{"split": RunSplit, "syncsgd": RunSyncSGD, "fedavg": RunFedAvg} {
+		t.Run(name, func(t *testing.T) {
+			cfg := fastCfg()
+			cfg.Topology = geonet.DefaultHospitalTopology()
+			cfg.Regions = []geonet.Region{"snuh-seoul", "ucf-orlando"}
+			res, err := run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.RoundTime <= 0 {
+				t.Fatal("no round-time estimate")
+			}
+			for _, p := range res.Curve.Points {
+				if p.SimTime <= 0 {
+					t.Fatalf("point %d missing sim time", p.Round)
+				}
+			}
+		})
 	}
-	if res.RoundTime <= 0 {
-		t.Fatal("no round-time estimate")
-	}
-	for _, p := range res.Curve.Points {
-		if p.SimTime <= 0 {
-			t.Fatalf("point %d missing sim time", p.Round)
-		}
+}
+
+// The baselines are as reproducible as the split runner: one config,
+// run twice, gives the same final weights and the same curve.
+func TestBaselinesDeterministicAcrossRuns(t *testing.T) {
+	for name, run := range map[string]Runner{"syncsgd": RunSyncSGD, "fedavg": RunFedAvg} {
+		t.Run(name, func(t *testing.T) {
+			cfg := fastCfg()
+			cfg.LocalSteps = 2
+			a, err := run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.WeightDigest == 0 || a.WeightDigest != b.WeightDigest {
+				t.Fatalf("weight digests %016x / %016x, want equal and non-zero", a.WeightDigest, b.WeightDigest)
+			}
+			if !reflect.DeepEqual(a.Curve, b.Curve) {
+				t.Fatalf("curves differ:\n%v\n%v", a.Curve.Points, b.Curve.Points)
+			}
+		})
 	}
 }
 

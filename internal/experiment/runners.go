@@ -11,14 +11,13 @@ import (
 	"medsplit/internal/compress"
 	"medsplit/internal/core"
 	"medsplit/internal/dataset"
-	"medsplit/internal/fedavg"
 	"medsplit/internal/geonet"
 	"medsplit/internal/metrics"
 	"medsplit/internal/models"
 	"medsplit/internal/nn"
+	"medsplit/internal/paramserver"
 	"medsplit/internal/rng"
 	"medsplit/internal/simnet"
-	"medsplit/internal/syncsgd"
 	"medsplit/internal/transport"
 	"medsplit/internal/wire"
 )
@@ -486,6 +485,19 @@ func splitShape(meters []*transport.Meter, rounds int) geonet.SplitRoundShape {
 // RunSyncSGD trains the config with the paper's baseline (Large-Scale
 // Synchronous SGD).
 func RunSyncSGD(cfg Config) (*Result, error) {
+	return runParamExchange(cfg, paramserver.SyncSGD, "large-scale sync SGD", "sync-sgd")
+}
+
+// RunFedAvg trains the config with Federated Averaging (the related-work
+// de facto standard).
+func RunFedAvg(cfg Config) (*Result, error) {
+	return runParamExchange(cfg, paramserver.FedAvg, "fedavg", "fedavg")
+}
+
+// runParamExchange trains the config with one of the parameter-exchange
+// baselines: a global model on the server, one full replica per
+// platform, and the scheme deciding what is pushed and how it is folded.
+func runParamExchange(cfg Config, scheme *paramserver.Scheme, name, label string) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -494,14 +506,18 @@ func RunSyncSGD(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	globalM, err := BuildModel(cfg)
+	// One identically initialized replica per platform plus the server's
+	// global model.
+	built, err := buildModels(cfg, cfg.Platforms+1)
 	if err != nil {
 		return nil, err
 	}
-	srv, err := syncsgd.NewServer(syncsgd.ServerConfig{
+	globalM, replicas := built[cfg.Platforms], built[:cfg.Platforms]
+	srv, err := paramserver.NewServer(paramserver.ServerConfig{
+		Scheme:    scheme,
 		Model:     globalM.Net,
 		Opt:       &nn.SGD{LR: cfg.LR},
-		Workers:   cfg.Platforms,
+		Clients:   cfg.Platforms,
 		Rounds:    cfg.Rounds,
 		ClipGrads: 5,
 		EvalEvery: cfg.EvalEvery,
@@ -510,51 +526,46 @@ func RunSyncSGD(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	replicas, err := buildModels(cfg, cfg.Platforms)
-	if err != nil {
-		return nil, err
-	}
 	meters := make([]*transport.Meter, cfg.Platforms)
-	workers := make([]*syncsgd.Worker, cfg.Platforms)
-	for k := 0; k < cfg.Platforms; k++ {
+	clients := make([]*paramserver.Client, cfg.Platforms)
+	for k := range clients {
 		meters[k] = &transport.Meter{}
-		replica := replicas[k]
-		w, err := syncsgd.NewWorker(syncsgd.WorkerConfig{
-			ID:        k,
-			Model:     replica.Net,
-			Loss:      newLoss(),
-			Shard:     shards[k],
-			Batch:     batches[k],
-			Rounds:    cfg.Rounds,
-			EvalEvery: cfg.EvalEvery,
-			Seed:      cfg.Seed + uint64(1000+k),
-			Meter:     meters[k],
+		clients[k], err = paramserver.NewClient(paramserver.ClientConfig{
+			Scheme:     scheme,
+			ID:         k,
+			Model:      replicas[k].Net,
+			Opt:        &nn.SGD{LR: cfg.LR},
+			Loss:       newLoss(),
+			Shard:      shards[k],
+			Batch:      batches[k],
+			LocalSteps: cfg.LocalSteps,
+			Rounds:     cfg.Rounds,
+			EvalEvery:  cfg.EvalEvery,
+			Seed:       cfg.Seed + uint64(1000+k),
+			Meter:      meters[k],
 		})
 		if err != nil {
 			return nil, err
 		}
-		workers[k] = w
 	}
-	serverStats, workerStats, err := syncsgd.RunLocal(srv, workers)
+	serverStats, clientStats, err := paramserver.RunLocal(srv, clients)
 	if err != nil {
 		return nil, err
 	}
 
 	res := &Result{
-		Scheme:      "large-scale sync SGD",
-		Curve:       metrics.Curve{Label: "sync-sgd"},
-		ModelParams: globalM.ParamCount(),
+		Scheme:       name,
+		Curve:        metrics.Curve{Label: label},
+		ModelParams:  globalM.ParamCount(),
+		WeightDigest: weightDigest(nil, globalM.Net),
 	}
+	// The handshake pinned rounds and eval cadence on every party, so
+	// each client holds one loss per round and one byte snapshot per
+	// evaluation.
 	for i, ev := range serverStats.Evals {
-		var bytes int64
-		for k := range workerStats {
-			if i < len(workerStats[k].Bytes) {
-				bytes += workerStats[k].Bytes[i].TrainingBytes
-			}
-		}
-		pt := metrics.Round{Round: ev.Round, Accuracy: ev.Accuracy, Bytes: bytes}
-		if len(workerStats[0].Rounds) > ev.Round {
-			pt.Loss = workerStats[0].Rounds[ev.Round].Loss
+		pt := metrics.Round{Round: ev.Round, Accuracy: ev.Accuracy, Loss: clientStats[0].Rounds[ev.Round].Loss}
+		for _, cs := range clientStats {
+			pt.Bytes += cs.Bytes[i].TrainingBytes
 		}
 		res.Curve.Append(pt)
 	}
@@ -578,85 +589,6 @@ func RunSyncSGD(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// RunFedAvg trains the config with Federated Averaging (the related-work
-// de facto standard).
-func RunFedAvg(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	shards, test, batches, err := BuildData(cfg)
-	if err != nil {
-		return nil, err
-	}
-	globalM, err := BuildModel(cfg)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := fedavg.NewServer(fedavg.ServerConfig{
-		Model:     globalM.Net,
-		Clients:   cfg.Platforms,
-		Rounds:    cfg.Rounds,
-		EvalEvery: cfg.EvalEvery,
-		EvalData:  test,
-	})
-	if err != nil {
-		return nil, err
-	}
-	replicas, err := buildModels(cfg, cfg.Platforms)
-	if err != nil {
-		return nil, err
-	}
-	meters := make([]*transport.Meter, cfg.Platforms)
-	clients := make([]*fedavg.Client, cfg.Platforms)
-	for k := 0; k < cfg.Platforms; k++ {
-		meters[k] = &transport.Meter{}
-		replica := replicas[k]
-		c, err := fedavg.NewClient(fedavg.ClientConfig{
-			ID:         k,
-			Model:      replica.Net,
-			Opt:        &nn.SGD{LR: cfg.LR},
-			Loss:       newLoss(),
-			Shard:      shards[k],
-			Batch:      batches[k],
-			LocalSteps: cfg.LocalSteps,
-			Rounds:     cfg.Rounds,
-			EvalEvery:  cfg.EvalEvery,
-			Seed:       cfg.Seed + uint64(1000+k),
-			Meter:      meters[k],
-		})
-		if err != nil {
-			return nil, err
-		}
-		clients[k] = c
-	}
-	serverStats, clientStats, err := fedavg.RunLocal(srv, clients)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Scheme:      "fedavg",
-		Curve:       metrics.Curve{Label: "fedavg"},
-		ModelParams: globalM.ParamCount(),
-	}
-	for i, ev := range serverStats.Evals {
-		var bytes int64
-		for k := range clientStats {
-			if i < len(clientStats[k].Bytes) {
-				bytes += clientStats[k].Bytes[i].TrainingBytes
-			}
-		}
-		pt := metrics.Round{Round: ev.Round, Accuracy: ev.Accuracy, Bytes: bytes}
-		if len(clientStats[0].Rounds) > ev.Round {
-			pt.Loss = clientStats[0].Rounds[ev.Round].Loss
-		}
-		res.Curve.Append(pt)
-	}
-	res.FinalAccuracy = res.Curve.Final().Accuracy
-	res.TrainingBytes = res.Curve.Final().Bytes
-	return res, nil
-}
-
 // annotateSimTime stamps cumulative simulated wall-clock onto curve
 // points given a constant per-round duration.
 func annotateSimTime(c *metrics.Curve, perRound time.Duration) {
@@ -665,12 +597,15 @@ func annotateSimTime(c *metrics.Curve, perRound time.Duration) {
 	}
 }
 
+// trainTypes are the message types that carry training traffic.
+var trainTypes = []wire.MsgType{
+	wire.MsgActivations, wire.MsgLogits, wire.MsgLossGrad, wire.MsgCutGrad,
+	wire.MsgLabels, wire.MsgModelPull, wire.MsgModelPush, wire.MsgGradPush,
+}
+
 func trainTx(m *transport.Meter) int64 {
 	var total int64
-	for _, t := range []wire.MsgType{
-		wire.MsgActivations, wire.MsgLogits, wire.MsgLossGrad, wire.MsgCutGrad,
-		wire.MsgLabels, wire.MsgModelPull, wire.MsgModelPush, wire.MsgGradPush,
-	} {
+	for _, t := range trainTypes {
 		total += m.TxBytesByType(t)
 	}
 	return total
@@ -678,10 +613,7 @@ func trainTx(m *transport.Meter) int64 {
 
 func trainRx(m *transport.Meter) int64 {
 	var total int64
-	for _, t := range []wire.MsgType{
-		wire.MsgActivations, wire.MsgLogits, wire.MsgLossGrad, wire.MsgCutGrad,
-		wire.MsgLabels, wire.MsgModelPull, wire.MsgModelPush, wire.MsgGradPush,
-	} {
+	for _, t := range trainTypes {
 		total += m.RxBytesByType(t)
 	}
 	return total

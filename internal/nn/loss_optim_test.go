@@ -187,37 +187,71 @@ func TestCopyParams(t *testing.T) {
 	}
 }
 
-func TestAverageParams(t *testing.T) {
-	mk := func(v float32) []*Param {
-		return []*Param{NewParam("w", tensor.Full(v, 2))}
+func TestAverageInto(t *testing.T) {
+	mk := func(vals ...float32) []*tensor.Tensor {
+		ts := make([]*tensor.Tensor, len(vals))
+		for i, v := range vals {
+			ts[i] = tensor.New(2)
+			ts[i].Data()[0] = v
+			ts[i].Data()[1] = 2 * v
+		}
+		return ts
 	}
-	dst := mk(0)
-	if err := AverageParams(dst, [][]*Param{mk(1), mk(3)}, []float64{1, 1}); err != nil {
+	dst := mk(0, 0)
+	srcs := [][]*tensor.Tensor{mk(1, 10), mk(3, 30)}
+	if err := AverageInto(dst, srcs, []float64{1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if dst[0].W.At(0) != 2 {
-		t.Fatalf("uniform average = %v, want 2", dst[0].W.At(0))
+	if got := dst[0].Data()[0]; got != 2 {
+		t.Fatalf("uniform average = %v, want 2", got)
 	}
-	if err := AverageParams(dst, [][]*Param{mk(1), mk(3)}, []float64{3, 1}); err != nil {
+	if err := AverageInto(dst, srcs, []float64{3, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if dst[0].W.At(0) != 1.5 {
-		t.Fatalf("weighted average = %v, want 1.5", dst[0].W.At(0))
+	// (3·1 + 1·3)/4 = 1.5 and (3·10 + 1·30)/4 = 15.
+	if got := dst[0].Data()[0]; got != 1.5 {
+		t.Fatalf("dst[0] = %v, want 1.5", got)
 	}
-	if err := AverageParams(dst, nil, nil); err == nil {
-		t.Fatal("no sources must error")
+	if got := dst[1].Data()[1]; got != 30 {
+		t.Fatalf("dst[1][1] = %v, want 30", got)
 	}
-	if err := AverageParams(dst, [][]*Param{mk(1)}, []float64{0}); err == nil {
-		t.Fatal("zero total weight must error")
+	// Weights need not be normalized, and a zero weight drops a source.
+	if err := AverageInto(dst, srcs, []float64{0, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if got := dst[1].Data()[0]; got != 30 {
+		t.Fatalf("zero-weight source leaked: %v, want 30", got)
+	}
+
+	if err := AverageInto(dst, nil, nil); err == nil {
+		t.Fatal("no sources accepted")
+	}
+	if err := AverageInto(dst, srcs, []float64{1}); err == nil {
+		t.Fatal("weight count mismatch accepted")
+	}
+	if err := AverageInto(dst, srcs, []float64{-1, 2}); err == nil {
+		t.Fatal("negative weight accepted")
+	}
+	if err := AverageInto(dst, srcs, []float64{0, 0}); err == nil {
+		t.Fatal("zero total weight accepted")
+	}
+	if err := AverageInto(dst, [][]*tensor.Tensor{mk(1)}, []float64{1}); err == nil {
+		t.Fatal("source length mismatch accepted")
+	}
+	short := mk(1, 2)
+	short[1] = tensor.New(3)
+	if err := AverageInto(dst, [][]*tensor.Tensor{short}, []float64{1}); err == nil {
+		t.Fatal("shape mismatch accepted")
 	}
 }
 
-func TestEncodeDecodeParamsRoundTrip(t *testing.T) {
+func TestEncodeDecodeModelRoundTrip(t *testing.T) {
 	r := rng.New(5)
 	src := NewSequential("m", NewDense("fc1", 4, 3, r), NewDense("fc2", 3, 2, r))
 	dst := NewSequential("m", NewDense("fc1", 4, 3, r), NewDense("fc2", 3, 2, r))
-	buf := EncodeParams(src.Params())
-	if err := DecodeParamsInto(dst.Params(), buf); err != nil {
+	buf := EncodeModelInto(nil, src.Params(), nil)
+	scratch, err := DecodeModelScratch(nil, dst.Params(), nil, buf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range src.Params() {
@@ -225,25 +259,18 @@ func TestEncodeDecodeParamsRoundTrip(t *testing.T) {
 			t.Fatalf("param %d differs after round trip", i)
 		}
 	}
-	// Gradients round-trip too.
-	for _, p := range src.Params() {
-		p.G.FillNormal(r, 0, 1)
-	}
-	if err := DecodeGradsInto(dst.Params(), EncodeGrads(src.Params())); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range src.Params() {
-		if !tensor.AllClose(p.G, dst.Params()[i].G, 0) {
-			t.Fatalf("grad %d differs after round trip", i)
-		}
-	}
 	// Corrupt payload errors.
-	if err := DecodeParamsInto(dst.Params(), buf[:10]); err == nil {
+	if _, err := DecodeModelScratch(scratch, dst.Params(), nil, buf[:10]); err == nil {
 		t.Fatal("truncated buffer must error")
 	}
 	// Trailing junk errors.
-	if err := DecodeParamsInto(dst.Params(), append(buf, 0)); err == nil {
+	if _, err := DecodeModelScratch(scratch, dst.Params(), nil, append(buf, 0)); err == nil {
 		t.Fatal("trailing bytes must error")
+	}
+	// A structurally different model is rejected, not mis-installed.
+	other := NewSequential("m", NewDense("fc1", 4, 2, r), NewDense("fc2", 2, 2, r))
+	if _, err := DecodeModelScratch(nil, other.Params(), nil, buf); err == nil {
+		t.Fatal("shape mismatch must error")
 	}
 }
 

@@ -83,96 +83,50 @@ func CopyParams(dst, src []*Param) error {
 	return nil
 }
 
-// AverageParams overwrites dst's weights with the weighted average of the
-// source parameter lists. weights need not be normalized; they are scaled
-// to sum to 1. Used by FedAvg and by the split framework's L1
-// synchronization policy.
-func AverageParams(dst []*Param, srcs [][]*Param, weights []float64) error {
-	if len(srcs) == 0 {
-		return fmt.Errorf("nn: AverageParams with no sources")
-	}
-	if len(weights) != len(srcs) {
-		return fmt.Errorf("nn: AverageParams %d weights for %d sources", len(weights), len(srcs))
+// AverageInto overwrites dst with the weighted average of the source
+// tensor lists: dst[i] = Σ_k (weights[k]/Σweights) · srcs[k][i]. It is
+// the one aggregation kernel in the repo — FedAvg's weight fold, both
+// baselines' normalization-state fold and the split engine's L1 sync
+// all call it — so every aggregation site applies the same arithmetic
+// (same operation order, same float32 rounding).
+//
+// Every source list must have one tensor per dst entry with a matching
+// shape; weights must be non-negative with a positive sum.
+func AverageInto(dst []*tensor.Tensor, srcs [][]*tensor.Tensor, weights []float64) error {
+	if len(srcs) == 0 || len(weights) != len(srcs) {
+		return fmt.Errorf("nn: AverageInto %d sources, %d weights", len(srcs), len(weights))
 	}
 	var total float64
 	for _, w := range weights {
 		if w < 0 {
-			return fmt.Errorf("nn: AverageParams negative weight %v", w)
+			return fmt.Errorf("nn: negative aggregation weight %v", w)
 		}
 		total += w
 	}
 	if total == 0 {
-		return fmt.Errorf("nn: AverageParams weights sum to zero")
+		return fmt.Errorf("nn: aggregation weights sum to zero")
 	}
-	for i := range dst {
-		acc := dst[i].W.Data()
+	for s, src := range srcs {
+		if len(src) != len(dst) {
+			return fmt.Errorf("nn: source %d has %d tensors, want %d", s, len(src), len(dst))
+		}
+	}
+	for i, d := range dst {
+		acc := d.Data()
 		for j := range acc {
 			acc[j] = 0
 		}
 		for s, src := range srcs {
-			if len(src) != len(dst) {
-				return fmt.Errorf("nn: AverageParams source %d has %d params, want %d", s, len(src), len(dst))
-			}
-			if !tensor.SameShape(dst[i].W, src[i].W) {
-				return fmt.Errorf("nn: AverageParams shape mismatch at %q (source %d)", dst[i].Name, s)
+			if !tensor.SameShape(d, src[i]) {
+				return fmt.Errorf("nn: tensor %d shape mismatch at source %d: %v, want %v",
+					i, s, src[i].Shape(), d.Shape())
 			}
 			scale := float32(weights[s] / total)
-			sd := src[i].W.Data()
+			sd := src[i].Data()
 			for j := range acc {
 				acc[j] += scale * sd[j]
 			}
 		}
-	}
-	return nil
-}
-
-// EncodeParams serializes the weights of params into a byte slice — the
-// payload a parameter-exchange scheme (FedAvg, synchronous SGD) puts on
-// the wire. EncodeGrads does the same for gradients.
-func EncodeParams(params []*Param) []byte {
-	var buf []byte
-	for _, p := range params {
-		buf = p.W.AppendTo(buf)
-	}
-	return buf
-}
-
-// EncodeGrads serializes the gradient accumulators of params.
-func EncodeGrads(params []*Param) []byte {
-	var buf []byte
-	for _, p := range params {
-		buf = p.G.AppendTo(buf)
-	}
-	return buf
-}
-
-// DecodeParamsInto decodes a buffer produced by EncodeParams into the
-// weights of params, validating shapes.
-func DecodeParamsInto(params []*Param, buf []byte) error {
-	return decodeInto(params, buf, func(p *Param) *tensor.Tensor { return p.W })
-}
-
-// DecodeGradsInto decodes a buffer produced by EncodeGrads into the
-// gradient accumulators of params.
-func DecodeGradsInto(params []*Param, buf []byte) error {
-	return decodeInto(params, buf, func(p *Param) *tensor.Tensor { return p.G })
-}
-
-func decodeInto(params []*Param, buf []byte, pick func(*Param) *tensor.Tensor) error {
-	for _, p := range params {
-		t, rest, err := tensor.Decode(buf)
-		if err != nil {
-			return fmt.Errorf("nn: decoding %q: %w", p.Name, err)
-		}
-		dst := pick(p)
-		if !tensor.SameShape(dst, t) {
-			return fmt.Errorf("nn: decoded shape %v for %q, want %v", t.Shape(), p.Name, dst.Shape())
-		}
-		dst.CopyFrom(t)
-		buf = rest
-	}
-	if len(buf) != 0 {
-		return fmt.Errorf("nn: %d trailing bytes after decoding %d params", len(buf), len(params))
 	}
 	return nil
 }
@@ -242,87 +196,10 @@ func ReplaySafe(l Layer) bool {
 	}
 }
 
-// EncodeState serializes stateful tensors for transmission alongside
-// weights.
-func EncodeState(state []*tensor.Tensor) []byte {
-	var buf []byte
-	for _, t := range state {
-		buf = t.AppendTo(buf)
-	}
-	return buf
-}
-
-// DecodeStateInto decodes a buffer produced by EncodeState into the
-// given state tensors, validating shapes.
-func DecodeStateInto(state []*tensor.Tensor, buf []byte) error {
-	for i, dst := range state {
-		t, rest, err := tensor.Decode(buf)
-		if err != nil {
-			return fmt.Errorf("nn: decoding state %d: %w", i, err)
-		}
-		if !tensor.SameShape(dst, t) {
-			return fmt.Errorf("nn: state %d shape %v, want %v", i, t.Shape(), dst.Shape())
-		}
-		dst.CopyFrom(t)
-		buf = rest
-	}
-	if len(buf) != 0 {
-		return fmt.Errorf("nn: %d trailing bytes after decoding %d state tensors", len(buf), len(state))
-	}
-	return nil
-}
-
-// AverageStateInto overwrites dst with the weighted average of the
-// source state lists — how BatchNorm buffers aggregate across workers.
-func AverageStateInto(dst []*tensor.Tensor, srcs [][]*tensor.Tensor, weights []float64) error {
-	if len(srcs) == 0 || len(weights) != len(srcs) {
-		return fmt.Errorf("nn: AverageStateInto %d sources, %d weights", len(srcs), len(weights))
-	}
-	var total float64
-	for _, w := range weights {
-		if w < 0 {
-			return fmt.Errorf("nn: negative state weight %v", w)
-		}
-		total += w
-	}
-	if total == 0 {
-		return fmt.Errorf("nn: state weights sum to zero")
-	}
-	for i, d := range dst {
-		acc := d.Data()
-		for j := range acc {
-			acc[j] = 0
-		}
-		for s, src := range srcs {
-			if len(src) != len(dst) {
-				return fmt.Errorf("nn: state source %d has %d tensors, want %d", s, len(src), len(dst))
-			}
-			if !tensor.SameShape(d, src[i]) {
-				return fmt.Errorf("nn: state %d shape mismatch at source %d", i, s)
-			}
-			scale := float32(weights[s] / total)
-			sd := src[i].Data()
-			for j := range acc {
-				acc[j] += scale * sd[j]
-			}
-		}
-	}
-	return nil
-}
-
-// EncodeModel serializes weights followed by stateful tensors — the
-// full replication payload for parameter-exchange schemes.
-func EncodeModel(params []*Param, state []*tensor.Tensor) []byte {
-	buf := EncodeParams(params)
-	for _, t := range state {
-		buf = t.AppendTo(buf)
-	}
-	return buf
-}
-
-// EncodeModelInto is EncodeModel appending into a caller-owned buffer
-// (typically drawn from a wire.BufferPool), so steady-state broadcast
-// loops encode without allocating.
+// EncodeModelInto appends weights followed by stateful tensors — the
+// full replication payload of the parameter-exchange schemes — to a
+// caller-owned buffer (typically drawn from a wire.BufferPool), so
+// steady-state broadcast loops encode without allocating.
 func EncodeModelInto(buf []byte, params []*Param, state []*tensor.Tensor) []byte {
 	for _, p := range params {
 		buf = p.W.AppendTo(buf)
@@ -333,16 +210,10 @@ func EncodeModelInto(buf []byte, params []*Param, state []*tensor.Tensor) []byte
 	return buf
 }
 
-// DecodeModelInto decodes a buffer produced by EncodeModel into the
-// given weights and state tensors.
-func DecodeModelInto(params []*Param, state []*tensor.Tensor, buf []byte) error {
-	_, err := DecodeModelScratch(nil, params, state, buf)
-	return err
-}
-
-// DecodeModelScratch is DecodeModelInto through caller-owned scratch
-// tensors: each wire tensor decodes into the corresponding scratch
-// entry (allocated on first use, reused afterwards) before its shape is
+// DecodeModelScratch decodes a buffer produced by EncodeModelInto into
+// the given weights and state tensors through caller-owned scratch:
+// each wire tensor decodes into the corresponding scratch entry
+// (allocated on first use, reused afterwards) before its shape is
 // validated and its data copied into the model, so steady-state rounds
 // of a parameter-exchange loop decode without allocating. It returns
 // the (possibly grown) scratch slice; pass nil on the first call.

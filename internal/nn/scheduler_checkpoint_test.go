@@ -194,40 +194,15 @@ func TestEncodeDecodeModelWithState(t *testing.T) {
 	src.Forward(x, true) // move BN stats
 
 	dst := buildBNModel(11)
-	buf := EncodeModel(src.Params(), CollectState(src))
-	if err := DecodeModelInto(dst.Params(), CollectState(dst), buf); err != nil {
+	buf := EncodeModelInto(nil, src.Params(), CollectState(src))
+	if _, err := DecodeModelScratch(nil, dst.Params(), CollectState(dst), buf); err != nil {
 		t.Fatal(err)
 	}
 	if !tensor.AllClose(src.Forward(x, false), dst.Forward(x, false), 0) {
 		t.Fatal("model+state decode diverges")
 	}
-	if err := DecodeModelInto(dst.Params(), CollectState(dst), buf[:9]); err == nil {
+	if _, err := DecodeModelScratch(nil, dst.Params(), CollectState(dst), buf[:9]); err == nil {
 		t.Fatal("truncated model accepted")
-	}
-}
-
-func TestAverageStateInto(t *testing.T) {
-	mk := func(v float32) []*tensor.Tensor {
-		return []*tensor.Tensor{tensor.Full(v, 3)}
-	}
-	dst := mk(0)
-	if err := AverageStateInto(dst, [][]*tensor.Tensor{mk(2), mk(6)}, []float64{1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if dst[0].At(0) != 4 {
-		t.Fatalf("uniform average %v", dst[0].At(0))
-	}
-	if err := AverageStateInto(dst, [][]*tensor.Tensor{mk(2), mk(6)}, []float64{3, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if dst[0].At(0) != 3 {
-		t.Fatalf("weighted average %v", dst[0].At(0))
-	}
-	if err := AverageStateInto(dst, nil, nil); err == nil {
-		t.Fatal("no sources accepted")
-	}
-	if err := AverageStateInto(dst, [][]*tensor.Tensor{mk(1)}, []float64{0}); err == nil {
-		t.Fatal("zero weights accepted")
 	}
 }
 

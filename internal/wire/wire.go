@@ -145,9 +145,9 @@ const (
 
 	// FrameVersion is the exported frame version, for protocols that
 	// negotiate it explicitly in their application-level handshakes
-	// (fedavg/syncsgd embed it in their hello strings and fail fast
-	// with a FrameSkewError on mismatch). It always equals the framing
-	// layer's own version byte.
+	// (internal/paramserver embeds it in its hello string and fails
+	// fast with a FrameSkewError on mismatch). It always equals the
+	// framing layer's own version byte.
 	FrameVersion = int(version)
 
 	// headerSize: magic(2) + version(1) + type(1) + platform(4) +
