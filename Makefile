@@ -7,8 +7,10 @@ GO ?= go
 # Benchmarks that feed the committed baselines (BENCH_tensor.json,
 # BENCH_wire.json). BenchmarkKernel* covers the microkernel layer
 # (internal/tensor/kernels), whose dispatch and generic arms both land
-# in the baseline with their GFLOPS/GB-per-s custom metrics.
-BENCH_PATTERN ?= BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkCodec|BenchmarkKernel
+# in the baseline with their GFLOPS/GB-per-s custom metrics. The last
+# three time the platform's per-round weight update (input-layer
+# backward, clip, SGD step) at the repository benchmark's MLP size.
+BENCH_PATTERN ?= BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkCodec|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkClipGrads|BenchmarkSGDStep
 
 # Packages with concurrency worth racing: the pipelined scheduler, the
 # async transport wrappers, the simulated-WAN transport (including the
@@ -32,12 +34,28 @@ COVER_MIN_wal        = 85
 COVER_MIN_serve      = 80
 COVER_MIN_paramserver = 82
 
-.PHONY: test bench bench-save bench-save-tensor bench-smoke bench-compare bench-save-serve bench-save-consistency load-test chaos-test fuzz-smoke cover vuln race vet fmt-check purego-test cross-arm64 ci
+.PHONY: test bench-check benchmark bench bench-save bench-save-tensor bench-smoke bench-compare bench-save-serve bench-save-consistency load-test chaos-test fuzz-smoke cover vuln race vet fmt-check purego-test cross-arm64 ci
 
 test:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+
+# The repository benchmark (BENCHMARK.json) is a Go module of its own
+# under bench/ (`replace medsplit => ../`), so `go build ./...` and
+# `go test ./...` from the root neither compile nor run it. bench-check
+# does both — its tests include a short smoke run of all seven
+# workloads with the weight-digest and response checks on — and is the
+# gate that catches a change the benchmark would reject as incorrect.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
+
+# The repository benchmark itself, as the driver calls it. ARGS goes
+# through to the program, e.g.
+# `make benchmark ARGS='--workload train_mlp_tcp --seed 1 --seconds 10 --trace 0'`;
+# with none it prints the human report for every workload.
+benchmark:
+	bash bench/run.sh $(ARGS)
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -113,10 +131,11 @@ cover:
 vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-# The CI gate, job for job: lint, build+test, race, the purego and
-# arm64 kernel-dispatch legs, bench smoke plus the allocation-regression
-# compare, fuzz smoke. govulncheck is CI-only (network).
-ci: fmt-check test race purego-test cross-arm64 bench-smoke bench-compare fuzz-smoke
+# The CI gate, job for job: lint, build+test, the benchmark module's
+# vet+test, race, the purego and arm64 kernel-dispatch legs, bench smoke
+# plus the allocation-regression compare, fuzz smoke. govulncheck is
+# CI-only (network).
+ci: fmt-check test bench-check race purego-test cross-arm64 bench-smoke bench-compare fuzz-smoke
 
 # Human-readable benchmark sweep of the tensor engine, codecs and
 # training path.
@@ -140,7 +159,7 @@ bench-smoke:
 # and the multi-iteration benchtime amortizes one-time pool warm-up
 # allocations that would otherwise inflate allocs/op vs the baselines.
 bench-compare:
-	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkKernel' -benchmem -benchtime 10x -run NONE \
+	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkClipGrads|BenchmarkSGDStep' -benchmem -benchtime 10x -run NONE \
 		./internal/tensor/ ./internal/tensor/kernels/ ./internal/nn/ . | $(GO) run ./cmd/benchjson -compare BENCH_tensor.json -skip-ns
 	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkCodec|BenchmarkSplitRound' -benchmem -benchtime 10x -run NONE \
 		./internal/compress/ . | $(GO) run ./cmd/benchjson -compare BENCH_wire.json -skip-ns

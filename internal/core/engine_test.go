@@ -507,3 +507,54 @@ func TestPlatformAugmentationInProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// models.Split tells the input layer to stop computing its input
+// gradient. Nothing reads that gradient, so a session must leave every
+// weight where it would have been with the gradient computed — on the
+// dense input layer and on the convolutional one.
+func TestInputGradSkipLeavesWeightsBitIdentical(t *testing.T) {
+	train, _ := testData(t, 3, 96, 8, 91)
+	const rounds, K = 20, 2
+	cases := []struct {
+		name  string
+		shard *dataset.Dataset
+		build func() *models.Model
+	}{
+		{"mlp", flatten(train), func() *models.Model {
+			return models.MLP(train.X.Size()/train.Len(), []int{32}, 3, rng.New(17))
+		}},
+		{"vgg-lite", train, func() *models.Model { return models.VGGLite(3, 2, rng.New(17)) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			runOnce := func(skip bool) uint64 {
+				fronts := make([]*nn.Sequential, K)
+				var back *nn.Sequential
+				for k := range fronts {
+					m := tc.build()
+					f, b, err := models.Split(m.Net, m.DefaultCut)
+					if err != nil {
+						t.Fatal(err)
+					}
+					f.Layers()[0].(interface{ SkipInputGrad(bool) }).SkipInputGrad(skip)
+					fronts[k], back = f, b
+				}
+				srv := defaultServer(t, back, K, rounds, func(c *ServerConfig) { c.ClipGrads = 0.5 })
+				platforms := make([]*Platform, K)
+				for k := range platforms {
+					platforms[k] = defaultPlatform(t, k, fronts[k], tc.shard, rounds, func(c *PlatformConfig) {
+						c.Batch = 4
+						c.ClipGrads = 0.5
+					})
+				}
+				if _, err := RunLocal(srv, platforms); err != nil {
+					t.Fatal(err)
+				}
+				return digestNets(fronts, back)
+			}
+			if on, off := runOnce(true), runOnce(false); on != off {
+				t.Fatalf("weight digest %#x with the input gradient skipped, %#x with it computed", on, off)
+			}
+		})
+	}
+}

@@ -547,6 +547,11 @@ func (p *Platform) trainStep(conn transport.Conn, r int) (loss float64, batch in
 				Payload:  p.encActs.encode(p.cfg.Codec, a),
 			})
 			if err == nil {
+				// Clear last round's gradients now, while the server
+				// runs its forward, not when the cut gradient is back
+				// and the server is waiting on this platform. A rejoin
+				// that replays this stage zeroes again, harmlessly.
+				nn.ZeroGrads(p.cfg.Front.Params())
 				if p.cfg.LabelSharing {
 					pos = posLabels
 				} else {
@@ -605,7 +610,6 @@ func (p *Platform) trainStep(conn transport.Conn, r int) (loss float64, batch in
 		return 0, 0, fmt.Errorf("%w: cut-grad shape %v, activations %v", ErrProtocol, da.Shape(), a.Shape())
 	}
 
-	nn.ZeroGrads(p.cfg.Front.Params())
 	p.cfg.Front.Backward(da)
 	if p.cfg.ClipGrads > 0 {
 		nn.ClipGrads(p.cfg.Front.Params(), p.cfg.ClipGrads)

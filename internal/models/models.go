@@ -40,14 +40,27 @@ type Model struct {
 // ParamCount returns the total number of trainable scalars.
 func (m *Model) ParamCount() int { return nn.ParamCount(m.Net.Params()) }
 
+// inputGradSkipper is what nn.Dense and nn.Conv2D offer a network's
+// first layer: a Backward that does not compute the input gradient.
+type inputGradSkipper interface{ SkipInputGrad(skip bool) }
+
 // Split cuts a Sequential at the given layer index: layers [0, cut) form
 // the front (platform side), layers [cut, n) the back (server side). The
 // halves share the original layer instances, so training the halves
 // trains the original network.
+//
+// Split also tells a Dense or Conv2D input layer to stop computing its
+// input gradient: below it there is only the platform's data, and on a
+// wide input that product is most of the platform's backward pass. The
+// choice lives in the layer, so it holds however the front is wrapped;
+// front.Backward (and net.Backward) return nil from then on.
 func Split(net *nn.Sequential, cut int) (front, back *nn.Sequential, err error) {
 	layers := net.Layers()
 	if cut <= 0 || cut >= len(layers) {
 		return nil, nil, fmt.Errorf("models: cut %d outside (0, %d)", cut, len(layers))
+	}
+	if in, ok := layers[0].(inputGradSkipper); ok {
+		in.SkipInputGrad(true)
 	}
 	front = nn.NewSequential(net.Name()+".front", layers[:cut]...)
 	back = nn.NewSequential(net.Name()+".back", layers[cut:]...)

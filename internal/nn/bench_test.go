@@ -75,3 +75,71 @@ func BenchmarkDenseTrainStep(b *testing.B) {
 		})
 	}
 }
+
+// inputLayerBench builds the train_mlp_tcp platform's whole front — the
+// 3072→64 dense input layer — with one input row driven through it, so
+// the three benchmarks below time the passes a platform runs between
+// the cut gradient's arrival and its next activations at the size the
+// repository benchmark runs them.
+func inputLayerBench() (layer *Dense, cot *tensor.Tensor) {
+	r := rng.New(1)
+	layer = NewDense("fc1", 3072, 64, r)
+	x := tensor.New(1, 3072)
+	x.FillNormal(r, 0, 1)
+	layer.Forward(x, true)
+	cot = tensor.New(1, 64)
+	cot.FillNormal(r, 0, 1)
+	return layer, cot
+}
+
+// BenchmarkDenseBackwardInputLayer compares the input layer's backward
+// with the input gradient skipped (what models.Split arranges) and
+// computed (the default every other layer keeps).
+func BenchmarkDenseBackwardInputLayer(b *testing.B) {
+	for _, skip := range []bool{true, false} {
+		name := "dx-computed"
+		if skip {
+			name = "dx-skipped"
+		}
+		b.Run(name, func(b *testing.B) {
+			layer, cot := inputLayerBench()
+			layer.SkipInputGrad(skip)
+			layer.Backward(cot) // sizes the dx scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				layer.Backward(cot)
+			}
+		})
+	}
+}
+
+func BenchmarkClipGrads(b *testing.B) {
+	layer, cot := inputLayerBench()
+	layer.Backward(cot)
+	params := layer.Params()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ClipGrads(params, 5)
+	}
+}
+
+func BenchmarkSGDStep(b *testing.B) {
+	for _, opt := range []*SGD{{LR: 1e-4}, {LR: 1e-4, WeightDecay: 1e-4}} {
+		name := "plain"
+		if opt.WeightDecay != 0 {
+			name = "weight-decay"
+		}
+		b.Run(name, func(b *testing.B) {
+			layer, cot := inputLayerBench()
+			layer.Backward(cot)
+			params := layer.Params()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opt.Step(params)
+			}
+		})
+	}
+}

@@ -32,6 +32,8 @@ type Conv2D struct {
 	dx          *tensor.Tensor // backward input-gradient scratch
 	n, inH, inW int
 	outH, outW  int
+
+	skipDX bool // Backward returns nil for dx (SkipInputGrad)
 }
 
 var _ Layer = (*Conv2D)(nil)
@@ -82,9 +84,16 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward consumes grad [n, outC, oh, ow]. Weight and bias gradients
-// accumulate in place (no temporary product tensors) and the two large
-// intermediates reuse layer-owned scratch across rounds.
+// SkipInputGrad tells Backward whether to leave out the input gradient
+// (see Dense.SkipInputGrad): for a network's first layer that drops the
+// column-gradient GEMM and the col2im scatter.
+func (c *Conv2D) SkipInputGrad(skip bool) { c.skipDX = skip }
+
+// Backward consumes grad [n, outC, oh, ow] and returns the input
+// gradient [n, inC, h, w] — or nil, not computed, after
+// SkipInputGrad(true). Weight and bias gradients accumulate in place
+// (no temporary product tensors) and the two large intermediates reuse
+// layer-owned scratch across rounds.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.cols == nil || c.n == 0 {
 		panic(fmt.Sprintf("nn: %s: Backward before train-mode Forward", c.name))
@@ -94,6 +103,9 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	tensor.NCHWToRowsInto(c.gRows, grad) // [n*oh*ow, outC]
 	tensor.MatMulTAAcc(c.w.G, c.gRows, c.cols)
 	tensor.SumRowsAcc(c.b.G, c.gRows)
+	if c.skipDX {
+		return nil
+	}
 	c.dCols = tensor.EnsureShape(c.dCols, rows, c.inC*c.kh*c.kw)
 	tensor.MatMulInto(c.dCols, c.gRows, c.w.W) // [n*oh*ow, inC*kh*kw]
 	// Col2ImInto zeroes dst before accumulating, so dirty scratch is fine.

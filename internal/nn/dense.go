@@ -24,6 +24,8 @@ type Dense struct {
 	y  *tensor.Tensor // forward output scratch
 	dx *tensor.Tensor // backward input-gradient scratch
 
+	skipDX bool // Backward returns nil for dx (SkipInputGrad)
+
 	// wf16 is a half-precision pack of W used by eval-mode Forward when
 	// set (see EnableF16). It is a snapshot: training steps do not
 	// refresh it, so it belongs only on frozen inference instances.
@@ -82,15 +84,27 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return d.y
 }
 
-// Backward accumulates dW = xᵀ·dy and db = Σ rows(dy), returning
-// dx = dy·Wᵀ. Both parameter gradients accumulate in place through the
-// fused Acc kernels, so no temporary product tensors are allocated.
+// SkipInputGrad tells Backward whether to leave out the input gradient.
+// A network's first layer sets it: dx there is the gradient with
+// respect to the data, which training never reads, and for a wide input
+// (3072 columns on the CIFAR-shaped MLP) it is most of the layer's
+// backward. Parameter gradients are unaffected.
+func (d *Dense) SkipInputGrad(skip bool) { d.skipDX = skip }
+
+// Backward accumulates dW = xᵀ·dy and db = Σ rows(dy) and returns
+// dx = dy·Wᵀ — or nil, with the product not computed, after
+// SkipInputGrad(true). Both parameter gradients accumulate in place
+// through the fused Acc kernels, so no temporary product tensors are
+// allocated.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.x == nil {
 		panic(fmt.Sprintf("nn: %s: Backward before train-mode Forward", d.name))
 	}
 	tensor.MatMulTAAcc(d.w.G, d.x, grad)
 	tensor.SumRowsAcc(d.b.G, grad)
+	if d.skipDX {
+		return nil
+	}
 	d.dx = tensor.EnsureShape(d.dx, grad.Dim(0), d.w.W.Dim(0))
 	return tensor.MatMulTBInto(d.dx, grad, d.w.W)
 }

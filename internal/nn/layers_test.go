@@ -59,6 +59,50 @@ func TestDenseBackwardAccumulates(t *testing.T) {
 	}
 }
 
+// SkipInputGrad(true) must drop only dx: Backward returns nil and the
+// parameter gradients match a twin layer's bit for bit; cleared again,
+// the layer returns the twin's dx. The twin runs the default path the
+// gradient checks above cover.
+func TestSkipInputGrad(t *testing.T) {
+	type skipper interface {
+		Layer
+		SkipInputGrad(bool)
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() skipper
+		x, g  *tensor.Tensor
+	}{
+		{"dense", func() skipper { return NewDense("fc", 7, 5, rng.New(21)) },
+			randInput(22, 3, 7), randInput(23, 3, 5)},
+		{"conv2d", func() skipper { return NewConv2D("conv", 3, 4, 3, 3, 1, 1, rng.New(24)) },
+			randInput(25, 2, 3, 6, 6), randInput(26, 2, 4, 6, 6)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, twin := tc.build(), tc.build()
+			twin.Forward(tc.x, true)
+			want := twin.Backward(tc.g)
+
+			l.SkipInputGrad(true)
+			l.Forward(tc.x, true)
+			if dx := l.Backward(tc.g); dx != nil {
+				t.Fatalf("Backward returned %v with the input gradient skipped, want nil", dx.Shape())
+			}
+			for i, p := range l.Params() {
+				if !tensor.AllClose(p.G, twin.Params()[i].G, 0) {
+					t.Fatalf("%s gradient differs with the input gradient skipped", p.Name)
+				}
+			}
+
+			l.SkipInputGrad(false)
+			l.Forward(tc.x, true)
+			if dx := l.Backward(tc.g); dx == nil || !tensor.AllClose(dx, want, 0) {
+				t.Fatal("Backward with the flag cleared does not return the default path's dx")
+			}
+		})
+	}
+}
+
 func TestDensePanicsWithoutForward(t *testing.T) {
 	d := NewDense("fc", 2, 2, rng.New(1))
 	defer func() {

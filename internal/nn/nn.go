@@ -28,8 +28,9 @@ type Layer interface {
 
 	// Backward consumes the gradient of the loss with respect to the
 	// layer's output, accumulates parameter gradients, and returns the
-	// gradient with respect to the layer's input. It must follow a
-	// train-mode Forward.
+	// gradient with respect to the layer's input — nil from a layer
+	// told to skip it (Dense.SkipInputGrad, Conv2D.SkipInputGrad). It
+	// must follow a train-mode Forward.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 
 	// Params returns the layer's trainable parameters, or nil.

@@ -26,15 +26,18 @@ var _ Optimizer = (*SGD)(nil)
 // Name returns "sgd".
 func (s *SGD) Name() string { return "sgd" }
 
-// Step applies w ← w − lr·(g + wd·w).
+// Step applies w ← w − lr·(g + wd·w). Without weight decay that is the
+// vector kernel's w += (−lr)·g, which rounds exactly as w −= lr·g does
+// (negating a factor negates the product exactly, fused or not).
 func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
+		if s.WeightDecay == 0 {
+			p.W.AxpyInPlace(-s.LR, p.G)
+			continue
+		}
 		w, g := p.W.Data(), p.G.Data()
 		for i := range w {
-			grad := g[i]
-			if s.WeightDecay != 0 {
-				grad += s.WeightDecay * w[i]
-			}
+			grad := g[i] + s.WeightDecay*w[i]
 			w[i] -= s.LR * grad
 		}
 	}
@@ -251,9 +254,10 @@ func RestoreOptimizerState(opt Optimizer, params []*Param, st OptimizerState) er
 	return nil
 }
 
-// ClipGrads clamps every gradient entry into [-limit, limit]. The
-// training loops call it before the optimizer step to keep early rounds
-// stable at the small batch sizes the simulations use.
+// ClipGrads clamps every gradient entry into [-limit, limit] at vector
+// kernel speed (kernels.Clamp under tensor.ClipInPlace; NaN entries stay
+// NaN). The training loops call it before the optimizer step to keep
+// early rounds stable at the small batch sizes the simulations use.
 func ClipGrads(params []*Param, limit float32) {
 	if limit <= 0 {
 		panic(fmt.Sprintf("nn: ClipGrads limit %v must be positive", limit))

@@ -75,6 +75,24 @@ func BenchmarkKernelAxpy(b *testing.B) {
 	})
 }
 
+// BenchmarkKernelClamp runs at the size of the MLP input layer's weight
+// gradient (3072×64), the tensor the platform clips every round. One
+// element in 64 lies outside the limit; after the first pass none do,
+// which is the steady state of a clipped gradient too.
+func BenchmarkKernelClamp(b *testing.B) {
+	const n = 3072 * 64
+	benchArms(b, func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		x := randSlice(rng, n)
+		b.SetBytes(8 * n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			Clamp(x, 2.15)
+		}
+	})
+}
+
 func BenchmarkKernelDotI8(b *testing.B) {
 	const n = 4096
 	benchArms(b, func(b *testing.B) {

@@ -4,8 +4,8 @@ package kernels
 
 // AVX2 dispatch: feature bits are probed once at init with raw
 // CPUID/XGETBV (no external cpu-feature dependency). The GEMM, dot,
-// axpy, int8 and dequantize kernels need AVX2 plus OS-enabled YMM
-// state; the f16 converters additionally need F16C. Every assembly
+// axpy, clamp, int8 and dequantize kernels need AVX2 plus OS-enabled
+// YMM state; the f16 converters additionally need F16C. Every assembly
 // routine ends in VZEROUPPER so mixed SSE code pays no transition
 // penalty.
 
@@ -15,19 +15,21 @@ const asmName = "avx2"
 // of elements per loop iteration, callers pass nv rounded down to a
 // multiple and handle the tail in Go.
 const (
-	gemmJ      = 8  // gemm kernels vectorize 8 output columns
-	dotStride  = 32 // dotVec: four 8-lane accumulators per iteration
-	axpyStride = 8
-	i8Stride   = 32
-	f16Stride  = 8
-	dq8Stride  = 8
+	gemmJ       = 8  // gemm kernels vectorize 8 output columns
+	dotStride   = 32 // dotVec: four 8-lane accumulators per iteration
+	axpyStride  = 8
+	i8Stride    = 32
+	f16Stride   = 8
+	dq8Stride   = 8
+	clampStride = 8
 )
 
 var (
-	hasASM    bool
-	hasF16ASM bool
-	hasI8ASM  bool
-	hasDQ8ASM bool
+	hasASM      bool
+	hasF16ASM   bool
+	hasI8ASM    bool
+	hasDQ8ASM   bool
+	hasClampASM bool
 )
 
 func init() {
@@ -52,6 +54,7 @@ func init() {
 	hasF16ASM = hasASM && c1&f16c != 0
 	hasI8ASM = hasASM
 	hasDQ8ASM = hasASM
+	hasClampASM = hasASM
 }
 
 // cpuid and xgetbv are implemented in cpu_amd64.s.
@@ -72,6 +75,9 @@ func dotVec(a, b *float32, nv int) float32
 
 //go:noescape
 func axpyVec(alpha float32, x, y *float32, nv int)
+
+//go:noescape
+func clampVec(x *float32, limit float32, nv int)
 
 //go:noescape
 func dotI8Vec(a, b *int8, nv int) int32

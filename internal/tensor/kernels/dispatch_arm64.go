@@ -4,8 +4,8 @@ package kernels
 
 // NEON dispatch: AdvSIMD is an architectural requirement of AArch64,
 // so there is nothing to probe — the GEMM, dot and axpy kernels are
-// always available. The int8-dot, dequantize and f16 conversions stay
-// on the generic scalar paths for now: the Go assembler has no
+// always available. The clamp, int8-dot, dequantize and f16 conversions
+// stay on the generic scalar paths for now: the Go assembler has no
 // mnemonics for the signed-widen (SSHLL), int→float (UCVTF) and f16
 // (FCVTL/FCVTN) vector conversions they would need, and hand-encoded
 // instruction words cannot be differentially tested on amd64-only CI.
@@ -19,22 +19,24 @@ package kernels
 const asmName = "neon"
 
 // Vector granularities (128-bit NEON vectors = 4 float32 lanes). The
-// f16/i8/dq8 strides are never consulted — their has*ASM gates are
+// f16/i8/dq8/clamp strides are never consulted — their has*ASM gates are
 // compile-time false — but must exist for kernels.go to build.
 const (
-	gemmJ      = 4  // gemm kernels vectorize 4 output columns
-	dotStride  = 16 // dotVec: four 4-lane accumulators per iteration
-	axpyStride = 4
-	i8Stride   = 1
-	f16Stride  = 1
-	dq8Stride  = 1
+	gemmJ       = 4  // gemm kernels vectorize 4 output columns
+	dotStride   = 16 // dotVec: four 4-lane accumulators per iteration
+	axpyStride  = 4
+	i8Stride    = 1
+	f16Stride   = 1
+	dq8Stride   = 1
+	clampStride = 1
 )
 
 const (
-	hasASM    = true
-	hasF16ASM = false
-	hasI8ASM  = false
-	hasDQ8ASM = false
+	hasASM      = true
+	hasF16ASM   = false
+	hasI8ASM    = false
+	hasDQ8ASM   = false
+	hasClampASM = false
 )
 
 // Assembly microkernels (kernels_arm64.s). All take counts that are
@@ -54,6 +56,8 @@ func axpyVec(alpha float32, x, y *float32, nv int)
 
 // Unreachable on arm64 (their has*ASM gates are compile-time false);
 // present only to satisfy the shared call sites.
+
+func clampVec(x *float32, limit float32, nv int) { panic("kernels: no clamp assembly on arm64") }
 
 func dotI8Vec(a, b *int8, nv int) int32 { panic("kernels: no int8 assembly on arm64") }
 

@@ -10,19 +10,21 @@ package kernels
 const asmName = "generic"
 
 const (
-	gemmJ      = 1
-	dotStride  = 1
-	axpyStride = 1
-	i8Stride   = 1
-	f16Stride  = 1
-	dq8Stride  = 1
+	gemmJ       = 1
+	dotStride   = 1
+	axpyStride  = 1
+	i8Stride    = 1
+	f16Stride   = 1
+	dq8Stride   = 1
+	clampStride = 1
 )
 
 const (
-	hasASM    = false
-	hasF16ASM = false
-	hasI8ASM  = false
-	hasDQ8ASM = false
+	hasASM      = false
+	hasF16ASM   = false
+	hasI8ASM    = false
+	hasDQ8ASM   = false
+	hasClampASM = false
 )
 
 func gemmPanelKASM(out, arows, b []float32, r0, r1, k, n, lda, aoff int, acc bool) {
@@ -32,6 +34,8 @@ func gemmPanelKASM(out, arows, b []float32, r0, r1, k, n, lda, aoff int, acc boo
 func dotVec(a, b *float32, nv int) float32 { panic("kernels: no assembly in this build") }
 
 func axpyVec(alpha float32, x, y *float32, nv int) { panic("kernels: no assembly in this build") }
+
+func clampVec(x *float32, limit float32, nv int) { panic("kernels: no assembly in this build") }
 
 func dotI8Vec(a, b *int8, nv int) int32 { panic("kernels: no assembly in this build") }
 

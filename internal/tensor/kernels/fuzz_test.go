@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -132,5 +133,30 @@ func FuzzElementwiseKernels(f *testing.F) {
 				t.Fatalf("F32ToF16 n=%d [%s]: dispatch %#04x generic %#04x at %d", n, Name(), h[i], hg[i], i)
 			}
 		}
+	})
+}
+
+// FuzzClamp feeds raw bit patterns — so NaN payloads, infinities,
+// signed zeros and subnormals turn up unprompted — at an arbitrary
+// length, start offset and limit through the dispatched Clamp and the
+// forced generic one, and holds both to the reference loop bit for bit.
+func FuzzClamp(f *testing.F) {
+	f.Add([]byte{}, uint32(0x3F800000), uint8(0))
+	f.Add([]byte{0, 0, 0xC0, 0x7F, 0, 0, 0x80, 0xFF, 0, 0, 0, 0x80, 1, 0, 0, 0}, uint32(0x3F000000), uint8(1))
+	f.Add(make([]byte, 4*19), uint32(0x00000001), uint8(3))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over the lazy dog"), uint32(0x7F7FFFFF), uint8(7))
+
+	f.Fuzz(func(t *testing.T, raw []byte, limitBits uint32, off8 uint8) {
+		limit := math.Float32frombits(limitBits)
+		if !(limit > 0) {
+			return
+		}
+		off := int(off8) % 8
+		back := make([]float32, off+len(raw)/4)
+		x := back[off:]
+		for i := range x {
+			x[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		checkClamp(t, x, limit)
 	})
 }

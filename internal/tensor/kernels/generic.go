@@ -93,6 +93,19 @@ func gemmPanelKGeneric(out, arows, b []float32, r0, r1, k, n, lda, aoff int, acc
 	}
 }
 
+// clampGeneric is the scalar clamp: two compares per element, stores
+// only where a bound is exceeded. NaN fails both compares and is left
+// alone.
+func clampGeneric(x []float32, limit float32) {
+	for i, v := range x {
+		if v > limit {
+			x[i] = limit
+		} else if v < -limit {
+			x[i] = -limit
+		}
+	}
+}
+
 // quantize8Generic maps src to uint8 codes against the [lo, lo+1/scale·255]
 // range: half-up rounding after clamping, matching the historical
 // internal/compress encoder exactly.

@@ -1,15 +1,17 @@
 // Package kernels is the architecture-dispatched microkernel layer
 // under internal/tensor and internal/compress. It exposes the small set
 // of dense primitives every hot loop in the repo reduces to — GEMM
-// inner panels, dot/axpy, f16↔f32 conversion, int8 dot with i32
-// accumulation, uint8 dequantize — each with
+// inner panels, dot/axpy, symmetric clamp, f16↔f32 conversion, int8 dot
+// with i32 accumulation, uint8 dequantize — each with
 //
 //   - a pure-Go reference implementation (always compiled, used on
 //     unsupported architectures, under the `purego` build tag, and when
 //     tests call ForceGeneric), and
 //   - a Go-assembly implementation per supported architecture (AVX2 on
 //     amd64, NEON on arm64), selected at init by runtime CPU-feature
-//     detection.
+//     detection. amd64 has assembly for every kernel but Quantize8;
+//     arm64 has it for GemmPanel/GemmPanelK, Dot and Axpy and runs
+//     Clamp, DotI8, Dequantize8 and the f16 converters generic.
 //
 // # Numerical contract
 //
@@ -31,6 +33,8 @@
 //     to the scalar reference (conversions follow IEEE round-to-nearest-
 //     even, matching F16C/NEON hardware on finite values; NaN payloads
 //     are implementation-defined).
+//   - Clamp: elementwise, bit-identical to the two-compare reference on
+//     every input — NaN (payload included), ±Inf, ±0 and subnormals.
 //   - DotI8: exact — integer arithmetic is associative, so lane
 //     splitting cannot change the result. Inputs must satisfy
 //     len ≤ 2¹⁶ to keep the i32 accumulator overflow-free at the
@@ -87,6 +91,10 @@ func activeF16() bool { return hasF16ASM && !genericForced() }
 func activeI8() bool { return hasI8ASM && !genericForced() }
 
 func activeDQ8() bool { return hasDQ8ASM && !genericForced() }
+
+// activeClamp gates the clamp assembly: amd64 only, arm64 stays on the
+// reference loop like the int8 and dequantize kernels.
+func activeClamp() bool { return hasClampASM && !genericForced() }
 
 // Name reports which implementation dispatch selects right now:
 // "avx2", "neon" or "generic".
@@ -195,6 +203,24 @@ func Axpy(alpha float32, x, y []float32) {
 	for ; i < len(x); i++ {
 		y[i] += alpha * x[i]
 	}
+}
+
+// Clamp clamps every element of x into [-limit, limit] in place (panics
+// unless limit > 0). Bit-identical to the two-compare reference loop:
+// an element inside the range — or NaN, which compares false against
+// both bounds — keeps its exact bits; the assembly orders the min/max
+// operands so the hardware forwards x, not the bound, in those cases.
+func Clamp(x []float32, limit float32) {
+	if !(limit > 0) {
+		panic("kernels: Clamp with non-positive limit")
+	}
+	i := 0
+	if activeClamp() && len(x) >= clampStride {
+		nv := len(x) &^ (clampStride - 1)
+		clampVec(&x[0], limit, nv)
+		i = nv
+	}
+	clampGeneric(x[i:], limit)
 }
 
 // DotI8 returns the int32 inner product of two int8 vectors (panics

@@ -190,6 +190,33 @@ axpy_loop:
 	VZEROUPPER
 	RET
 
+// func clampVec(x *float32, limit float32, nv int)
+//
+// x[i] = max(-limit, min(limit, x[i])) in place. MINPS/MAXPS return
+// their second source whenever the compare is false, so x rides in the
+// second source of both: an in-range lane and a NaN lane (signaling
+// ones included) come back with the bits they went in with, exactly
+// what the two-compare reference leaves behind. nv is a positive
+// multiple of 8.
+TEXT ·clampVec(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), DI
+	VBROADCASTSS limit+8(FP), Y0
+	MOVQ nv+16(FP), CX
+	VPCMPEQD Y2, Y2, Y2
+	VPSLLD $31, Y2, Y2  // sign-bit mask
+	VXORPS Y2, Y0, Y1   // -limit
+
+clamp_loop:
+	VMINPS (DI), Y0, Y3 // limit < x ? limit : x
+	VMAXPS Y3, Y1, Y3   // -limit > r ? -limit : r
+	VMOVUPS Y3, (DI)
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JNZ  clamp_loop
+
+	VZEROUPPER
+	RET
+
 // func dotI8Vec(a, b *int8, nv int) int32
 //
 // Widen 16 int8 lanes to int16, multiply-accumulate adjacent pairs

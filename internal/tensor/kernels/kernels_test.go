@@ -370,3 +370,104 @@ func TestAxpyMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// clampSpecials are the inputs the Clamp bit-contract names: NaNs of
+// both signs (quiet, signaling, with payload), infinities, signed
+// zeros, subnormals and the float32 extremes.
+var clampSpecials = []uint32{
+	0x7FC00000, 0xFFC00000, 0x7F800001, 0xFFA5A5A5, 0x7FFFFFFF, // NaNs
+	0x7F800000, 0xFF800000, // ±Inf
+	0x00000000, 0x80000000, // ±0
+	0x00000001, 0x80000001, 0x007FFFFF, 0x807FFFFF, // subnormals
+	0x00800000, 0x80800000, 0x7F7FFFFF, 0xFF7FFFFF, // smallest/largest normals
+}
+
+// checkClamp runs Clamp on a copy of x under the current dispatch and
+// under ForceGeneric and holds both to the retained reference loop,
+// bit for bit.
+func checkClamp(t *testing.T, x []float32, limit float32) {
+	t.Helper()
+	want := append([]float32(nil), x...)
+	clampGeneric(want, limit)
+	for _, generic := range []bool{false, true} {
+		got := append([]float32(nil), x...)
+		ForceGeneric(generic)
+		label := Name()
+		Clamp(got, limit)
+		ForceGeneric(false)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("Clamp n=%d limit=%v [%s]: x[%d]=%#08x -> %#08x, reference %#08x",
+					len(x), limit, label, i, math.Float32bits(x[i]),
+					math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
+}
+
+func TestClampMatchesReference(t *testing.T) {
+	t.Logf("dispatch: %s", Name())
+	rng := rand.New(rand.NewSource(11))
+	// Lengths 0..40 cover empty, sub-vector, exactly one and two
+	// vectors and every tail length (2·clampStride+1 is 17 at most);
+	// start offsets 0..7 put the vector body at every 4-byte
+	// misalignment of a 32-byte line.
+	for n := 0; n <= 40; n++ {
+		for off := 0; off < 8; off++ {
+			back := make([]float32, off+n)
+			x := back[off:]
+			for i := range x {
+				switch rng.Intn(3) {
+				case 0:
+					x[i] = float32(rng.NormFloat64())
+				case 1:
+					x[i] = math.Float32frombits(clampSpecials[rng.Intn(len(clampSpecials))])
+				default:
+					x[i] = math.Float32frombits(rng.Uint32())
+				}
+			}
+			checkClamp(t, x, 0.75)
+		}
+	}
+
+	// Every special in every lane position (a prefix of 0..7 zeros
+	// shifts the list across the lanes), at several limits — one of
+	// them subnormal, one the largest finite value, one +Inf.
+	for _, limit := range []float32{1, 1e-3, math.Float32frombits(0x00000003), math.MaxFloat32, float32(math.Inf(1))} {
+		for shift := 0; shift < 8; shift++ {
+			x := make([]float32, shift, shift+len(clampSpecials))
+			for _, b := range clampSpecials {
+				x = append(x, math.Float32frombits(b))
+			}
+			checkClamp(t, x, limit)
+		}
+	}
+
+	// A limit at a value's exact magnitude: ±limit and the neighbours
+	// one ULP either side must land where the strict compares put them.
+	// Three copies of the six values reach past two vectors, so each
+	// meets the vector body and the scalar tail.
+	for _, limit := range []float32{1, 0.1, 3.1415927, 1e-38} {
+		lb := math.Float32bits(limit)
+		var x []float32
+		for i := 0; i < 3; i++ {
+			for _, b := range []uint32{lb - 1, lb, lb + 1} {
+				x = append(x, math.Float32frombits(b), math.Float32frombits(b|0x80000000))
+			}
+		}
+		checkClamp(t, x, limit)
+	}
+}
+
+func TestClampRejectsNonPositiveLimit(t *testing.T) {
+	for _, limit := range []float32{0, -1, float32(math.NaN())} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Clamp(limit=%v) did not panic", limit)
+				}
+			}()
+			Clamp(make([]float32, 9), limit)
+		}()
+	}
+}

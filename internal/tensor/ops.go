@@ -270,19 +270,13 @@ func ArgmaxRows(t *Tensor) []int {
 	return out
 }
 
-// ClipInPlace clamps every element into [-limit, limit]. Gradient
-// clipping keeps half-trained models from blowing up in long experiments.
+// ClipInPlace clamps every element into [-limit, limit] (panics unless
+// limit > 0). Gradient clipping keeps half-trained models from blowing
+// up in long experiments. It dispatches to the vector kernel layer,
+// which leaves NaN and every in-range value bit-for-bit as the scalar
+// two-compare loop does.
 func (t *Tensor) ClipInPlace(limit float32) {
-	if limit <= 0 {
-		panic("tensor: ClipInPlace with non-positive limit")
-	}
-	for i, v := range t.data {
-		if v > limit {
-			t.data[i] = limit
-		} else if v < -limit {
-			t.data[i] = -limit
-		}
-	}
+	kernels.Clamp(t.data, limit)
 }
 
 // ConcatRows stacks rank-2 tensors with identical column counts on top of

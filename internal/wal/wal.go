@@ -25,11 +25,13 @@
 //
 // # Durability
 //
-// Options.SyncEvery is the fsync policy knob: 1 (the default) fsyncs
-// after every append — a record handed back from Append survives a
-// crash, which is what lets the leader ack a training step; n > 1
-// amortizes the fsync over n appends (bounded loss window); 0 leaves
-// syncing to the OS (benchmarks and tests). Sealing a finished segment
+// Options.SyncEvery is the fsync policy knob: 1 fsyncs after every
+// append — a record handed back from Append survives a crash, which is
+// what lets the leader ack a training step; n > 1 amortizes the fsync
+// over n appends (bounded loss window); 0, the zero value and so what
+// Options{} gets, never fsyncs and leaves syncing to the OS (benchmarks
+// and tests). A leader that must not lose an acked step passes
+// SyncEvery: 1 explicitly. Sealing a finished segment
 // goes through the shared fsync-then-rename helper
 // (internal/atomicfile), so a sealed name never points at unsynced
 // bytes.
@@ -89,9 +91,10 @@ type Options struct {
 	// SegmentBytes rolls the active segment once it exceeds this many
 	// bytes. Defaults to 4 MiB.
 	SegmentBytes int
-	// SyncEvery is the fsync policy: 1 (default) syncs every append,
-	// n > 1 every n appends, 0 never (OS-buffered; tests/benchmarks).
-	// Negative is invalid.
+	// SyncEvery is the fsync policy: 1 syncs every append, n > 1 every
+	// n appends, 0 — the zero value, so the default — never
+	// (OS-buffered; tests/benchmarks). A durable leader must pass
+	// SyncEvery: 1. Negative is invalid.
 	SyncEvery int
 }
 
