@@ -12,8 +12,9 @@ GO ?= go
 # backward, clip, SGD step) at the repository benchmark's MLP size.
 BENCH_PATTERN ?= BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkCodec|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkClipGrads|BenchmarkSGDStep
 
-# Packages with concurrency worth racing: the pipelined scheduler, the
-# async transport wrappers, the simulated-WAN transport (including the
+# Packages with concurrency worth racing: the session engine (one
+# goroutine per party, plus replication streams and rejoin brokers), the
+# transports, the simulated-WAN transport (including the
 # 100-platform scale-out soak), the parameter-exchange baselines (sync
 # SGD and FedAvg, one stack in internal/paramserver, whose suite holds
 # the reference-differential test), the parallel tensor kernels, the
@@ -249,7 +250,7 @@ bench-save-consistency:
 	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkConsistencyModes' -benchmem -benchtime 2x -run NONE . \
 		| $(GO) run ./cmd/benchjson \
 		-note '25 synthetic clinics (seed 23), 10% compute stragglers at 8x the 5ms base, 2ms server compute; sim-ms/round is virtual wall-clock per round' \
-		-note 'pipelined arm reports the analytic estimate (its async stamps make measured elapsed noisy); all other arms are measured and deterministic' \
+		-note 'every arm reports measured virtual elapsed from the simnet clock and is deterministic (the pipelined arm and its analytic estimate were removed with the pipelined mode)' \
 		> BENCH_consistency.json
 	@echo wrote BENCH_consistency.json
 

@@ -14,9 +14,7 @@ import (
 // the base. ns/op is the real wall cost of simulating the session;
 // sim-ms/round is the virtual wall-clock per round on that scenario —
 // the quantity the consistency spectrum trades accuracy against (see
-// experiment.RunConsistencyFrontier for the full sweep). The pipelined
-// arm reports the analytic estimate instead of the measured elapsed:
-// its engine's async stamps make the measurement run-to-run noisy.
+// experiment.RunConsistencyFrontier for the full sweep).
 func BenchmarkConsistencyModes(b *testing.B) {
 	const rounds, n = 4, 25
 	topo, regions := geonet.SyntheticClinics(n, 23)
@@ -26,7 +24,6 @@ func BenchmarkConsistencyModes(b *testing.B) {
 		mutate func(*experiment.Config)
 	}{
 		{"sequential", func(c *experiment.Config) {}},
-		{"pipelined", func(c *experiment.Config) { c.Pipelined = true; c.PipelineDepth = 2 }},
 		{"stale-k1", func(c *experiment.Config) { c.BoundedStaleness = true; c.Staleness = 1 }},
 		{"stale-k4", func(c *experiment.Config) { c.BoundedStaleness = true; c.Staleness = 4 }},
 		{"splitfed", func(c *experiment.Config) { c.SplitFed = true; c.L1SyncEvery = 2 }},
@@ -59,11 +56,7 @@ func BenchmarkConsistencyModes(b *testing.B) {
 				}
 				last = res
 			}
-			simPerRound := float64(last.SimElapsed.Milliseconds()) / rounds
-			if cfg.Pipelined {
-				simPerRound = float64(last.RoundTime.Milliseconds())
-			}
-			b.ReportMetric(simPerRound, "sim-ms/round")
+			b.ReportMetric(float64(last.SimElapsed.Milliseconds())/rounds, "sim-ms/round")
 			b.ReportMetric(last.FinalAccuracy, "accuracy")
 		})
 	}

@@ -183,24 +183,20 @@ func BenchmarkLabelSharing(b *testing.B) {
 	}
 }
 
-// BenchmarkRoundModes compares the server's three schedules:
-// sequential (one optimizer step per platform per round), concat (one
-// step on the fused union batch) and pipelined (sequential semantics
-// with WAN I/O overlapped against server compute).
+// BenchmarkRoundModes compares the server's two lockstep schedules:
+// sequential (one optimizer step per platform per round) and concat
+// (one step on the fused union batch).
 func BenchmarkRoundModes(b *testing.B) {
 	for _, arm := range []struct {
-		name      string
-		concat    bool
-		pipelined bool
+		name   string
+		concat bool
 	}{
-		{"sequential", false, false},
-		{"concat", true, false},
-		{"pipelined", false, true},
+		{"sequential", false},
+		{"concat", true},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			cfg := figCfg(experiment.ArchVGG, 10)
 			cfg.ConcatRounds = arm.concat
-			cfg.Pipelined = arm.pipelined
 			var last *experiment.Result
 			for i := 0; i < b.N; i++ {
 				res, err := experiment.RunSplit(cfg)
@@ -222,24 +218,17 @@ func BenchmarkRoundModes(b *testing.B) {
 // halves of the engine.
 func BenchmarkSplitRound(b *testing.B) {
 	for _, arch := range []experiment.Arch{experiment.ArchMLP, experiment.ArchVGG} {
-		for _, pipelined := range []bool{false, true} {
-			name := string(arch)
-			if pipelined {
-				name += "/pipelined"
-			}
-			b.Run(name, func(b *testing.B) {
-				cfg := figCfg(arch, 10)
-				cfg.Rounds = 8
-				cfg.EvalEvery = cfg.Rounds
-				cfg.Pipelined = pipelined
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := experiment.RunSplit(cfg); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(string(arch), func(b *testing.B) {
+			cfg := figCfg(arch, 10)
+			cfg.Rounds = 8
+			cfg.EvalEvery = cfg.Rounds
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := experiment.RunSplit(cfg); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -9,11 +9,10 @@
 // every process independently computes the same shards. Exactly one
 // platform should pass -evaluator when -evalevery is non-zero.
 //
-// The server's round mode (-concat, -pipeline, -stale, -splitfed on
-// splitserver) needs no matching flag here: the platform always walks
-// its session in order and blocks on the server's replies, so the
-// server's processing order alone decides the consistency model. The
-// handshake ack tells the platform which mode it landed in.
+// The server's round mode (-concat, -stale, -splitfed on splitserver)
+// needs no matching flag here: the platform always walks its session in
+// order and blocks on the server's replies, so the server's processing
+// order alone decides the consistency model.
 //
 // Long runs survive interruptions: -checkpoint-dir/-checkpoint-every
 // write session snapshots at round boundaries (plus a last-boundary
@@ -154,25 +153,11 @@ func run(cfg experiment.Config, o platformOpts) error {
 		startRound = snap.NextRound
 		fmt.Printf("splitplatform %d: resuming at round %d from %s\n", o.id, startRound, o.resumeDir)
 	}
-	// A second front instance lets the platform overlap its L1 backward
-	// with the next batch's forward when the server advertises pipelined
-	// scheduling at depth >= 2 (splitserver -pipeline N). Inert in every
-	// other mode, and NewPlatform re-copies weights/state from Front, so
-	// providing it unconditionally is safe.
-	m2, err := experiment.BuildModel(cfg)
-	if err != nil {
-		return err
-	}
-	shadow, _, err := models.Split(m2.Net, m2.DefaultCut)
-	if err != nil {
-		return err
-	}
 
 	meter := &transport.Meter{}
 	pc := core.PlatformConfig{
 		ID:              o.id,
 		Front:           front,
-		ShadowFront:     shadow,
 		Opt:             &nn.SGD{LR: o.lr},
 		Loss:            nn.SoftmaxCrossEntropy{},
 		Shard:           shards[o.id],

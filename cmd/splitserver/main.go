@@ -13,13 +13,15 @@
 //	splitplatform -addr 127.0.0.1:7700 -id 1 -platforms 2 -rounds 40
 //
 // Scheduling sits on a consistency spectrum (README "Consistency
-// spectrum"). The default sequential mode, -concat and -pipeline N all
-// train bit-identically to sequential; -stale K relaxes that to
-// bounded staleness (each exchange may miss at most K rounds of the
-// other platforms' updates; K=0 keeps the sequential schedule), and
-// -splitfed runs platforms local-parallel between -l1sync averaging
-// boundaries. The relaxed modes need no platform-side flags: the
-// server's processing order alone decides the consistency model.
+// spectrum"). The default sequential mode and -concat finish every
+// platform's exchange for a round before the next round starts; -stale
+// K relaxes that to bounded staleness (each exchange may miss at most K
+// rounds of the other platforms' updates; K=0 keeps the sequential
+// schedule), and -splitfed runs platforms local-parallel between
+// -l1sync averaging boundaries. No mode needs a platform-side flag: the
+// server's processing order alone decides the consistency model. A
+// -standby only joins sequential sessions, because promotion always
+// resumes sequentially.
 //
 // Long runs survive interruptions: -checkpoint-dir/-checkpoint-every
 // write session snapshots at round boundaries, SIGINT/SIGTERM triggers
@@ -86,7 +88,6 @@ func main() {
 		lr         = flag.Float64("lr", 0.05, "server-side learning rate")
 		seed       = flag.Uint64("seed", 1, "shared model seed")
 		concat     = flag.Bool("concat", false, "concatenated round mode instead of sequential")
-		pipeline   = flag.Int("pipeline", 0, "pipelined round mode with the given in-flight depth (0 = off)")
 		stale      = flag.Int("stale", -1, "bounded-staleness round mode with cap K (-1 = off; 0 = sequential schedule)")
 		splitfed   = flag.Bool("splitfed", false, "splitfed local-parallel round mode (requires -l1sync >= 1)")
 		l1sync     = flag.Int("l1sync", 0, "average platform L1 weights every N rounds (0 = off)")
@@ -132,7 +133,7 @@ func main() {
 	opts := serverOpts{
 		addr: *addr, platforms: *platforms, rounds: *rounds, arch: *arch,
 		classes: *classes, width: *width, lr: float32(*lr), seed: *seed,
-		concat: *concat, pipeline: *pipeline, stale: *stale, splitfed: *splitfed,
+		concat: *concat, stale: *stale, splitfed: *splitfed,
 		l1sync: *l1sync, evalEvery: *evalEvery,
 		codec: *codec, loadPath: *loadPath, savePath: *savePath,
 		ckptDir: *ckptDir, ckptEvery: *ckptEvery, resumeDir: *resumeDir,
@@ -163,7 +164,6 @@ type serverOpts struct {
 	lr                 float32
 	seed               uint64
 	concat             bool
-	pipeline           int
 	stale              int
 	splitfed           bool
 	l1sync, evalEvery  int
@@ -195,7 +195,53 @@ func buildBack(o serverOpts) (*models.Model, *nn.Sequential, error) {
 	return m, back, nil
 }
 
+// roundMode maps the scheduling flags onto a core.RoundMode and its
+// staleness cap. At most one of -concat, -stale and -splitfed may be
+// set, and -splitfed needs -l1sync >= 1.
+func roundMode(o serverOpts) (core.RoundMode, int, error) {
+	mode := core.RoundModeSequential
+	picked := 0
+	if o.concat {
+		mode = core.RoundModeConcat
+		picked++
+	}
+	if o.stale >= 0 {
+		mode = core.RoundModeBoundedStaleness
+		picked++
+	}
+	if o.splitfed {
+		if o.l1sync < 1 {
+			return 0, 0, fmt.Errorf("-splitfed requires -l1sync >= 1 (the averaging period is the staleness cap)")
+		}
+		mode = core.RoundModeSplitFed
+		picked++
+	}
+	if picked > 1 {
+		return 0, 0, fmt.Errorf("-concat, -stale and -splitfed are mutually exclusive")
+	}
+	return mode, max(o.stale, 0), nil
+}
+
+// standbyMode accepts only the sessions a promoted standby can finish
+// faithfully: promotion always builds a sequential server, so any other
+// mode would change silently at failover. -stale 0 is scheduled
+// sequentially and counts as sequential.
+func standbyMode(o serverOpts) error {
+	mode, staleness, err := roundMode(o)
+	if err != nil {
+		return err
+	}
+	if mode == core.RoundModeSequential || (mode == core.RoundModeBoundedStaleness && staleness == 0) {
+		return nil
+	}
+	return fmt.Errorf("-standby supports sequential sessions only, got %v", mode)
+}
+
 func run(o serverOpts) error {
+	mode, staleness, err := roundMode(o)
+	if err != nil {
+		return err
+	}
 	m, back, err := buildBack(o)
 	if err != nil {
 		return err
@@ -220,34 +266,6 @@ func run(o serverOpts) error {
 		startRound = snap.NextRound
 		fmt.Printf("splitserver: resuming at round %d from %s\n", startRound, o.resumeDir)
 	}
-	mode := core.RoundModeSequential
-	picked := 0
-	if o.concat {
-		mode = core.RoundModeConcat
-		picked++
-	}
-	if o.pipeline > 0 {
-		mode = core.RoundModePipelined
-		picked++
-	}
-	if o.stale >= 0 {
-		mode = core.RoundModeBoundedStaleness
-		picked++
-	}
-	if o.splitfed {
-		if o.l1sync < 1 {
-			return fmt.Errorf("-splitfed requires -l1sync >= 1 (the averaging period is the staleness cap)")
-		}
-		mode = core.RoundModeSplitFed
-		picked++
-	}
-	if picked > 1 {
-		return fmt.Errorf("-concat, -pipeline, -stale and -splitfed are mutually exclusive")
-	}
-	staleness := 0
-	if o.stale > 0 {
-		staleness = o.stale
-	}
 	scfg := core.ServerConfig{
 		Back:            back,
 		Opt:             &nn.SGD{LR: o.lr},
@@ -255,7 +273,6 @@ func run(o serverOpts) error {
 		Rounds:          o.rounds,
 		StartRound:      startRound,
 		Mode:            mode,
-		PipelineDepth:   o.pipeline,
 		Staleness:       staleness,
 		ClipGrads:       5,
 		L1SyncEvery:     o.l1sync,
@@ -382,8 +399,8 @@ func runStandby(o serverOpts) error {
 	if o.walDir == "" {
 		return fmt.Errorf("-standby requires -wal-dir")
 	}
-	if o.concat || o.pipeline > 1 {
-		return fmt.Errorf("-standby supports sequential or depth-1 pipelined sessions")
+	if err := standbyMode(o); err != nil {
+		return err
 	}
 	_, back, err := buildBack(o)
 	if err != nil {

@@ -8,12 +8,12 @@
 //	go run ./examples/simwan                      # paper's 5 hospitals
 //	go run ./examples/simwan -preset clinics      # 100 synthetic clinics
 //	go run ./examples/simwan -clinics 25          # scale the clinic count
-//	go run ./examples/simwan -mode pipelined      # overlap WAN I/O with compute
+//	go run ./examples/simwan -mode concat         # one fused step per round
 //	go run ./examples/simwan -drop-round 8        # drop a clinic mid-round, rejoin (wait policy)
 //
 // Runs are reproducible: the same flags print the same digest, bytes
-// and (in the lockstep modes) the same virtual timeline, because link
-// jitter is seeded and the clock is causal, not wall-time.
+// and virtual timeline, because link jitter is seeded and the clock is
+// causal, not wall-time.
 package main
 
 import (
@@ -32,7 +32,7 @@ func main() {
 	preset := flag.String("preset", "hospitals", "topology preset: hospitals (paper's 5 sites) or clinics (synthetic scale-out)")
 	clinics := flag.Int("clinics", 100, "clinic count for -preset clinics")
 	rounds := flag.Int("rounds", 12, "training rounds")
-	mode := flag.String("mode", "sequential", "server scheduling: sequential, concat or pipelined")
+	mode := flag.String("mode", "sequential", "server scheduling: sequential or concat")
 	codec := flag.String("codec", "raw", "activation codec: raw, f16, int8, topk-<frac>")
 	jitter := flag.Float64("jitter", 0.1, "seeded per-message jitter fraction in [0,1)")
 	seed := flag.Uint64("seed", 42, "run seed (data, weights, jitter)")
@@ -73,8 +73,6 @@ func main() {
 	case "sequential":
 	case "concat":
 		cfg.ConcatRounds = true
-	case "pipelined":
-		cfg.Pipelined = true
 	default:
 		log.Fatalf("unknown mode %q", *mode)
 	}

@@ -486,8 +486,7 @@ func (p *Platform) Snapshot(nextRound int) *Snapshot {
 // RestoreSnapshot installs a platform snapshot. The platform must have
 // been constructed with PlatformConfig.StartRound equal to the
 // snapshot's NextRound and over the same shard (the sampler validates
-// the index-set size). The shadow front, when configured, is
-// re-mirrored from the restored weights.
+// the index-set size).
 func (p *Platform) RestoreSnapshot(snap *Snapshot) error {
 	if snap.Role != RolePlatform {
 		return fmt.Errorf("%w: restoring a %s snapshot into a platform", ErrBadSnapshot, snap.Role)
@@ -549,19 +548,7 @@ func (p *Platform) RestoreSnapshot(snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	if err := restoreOptimizer(cur, ts, p.cfg.Opt, p.cfg.Front.Params()); err != nil {
-		return err
-	}
-	if p.cfg.ShadowFront != nil {
-		if err := nn.CopyParams(p.cfg.ShadowFront.Params(), p.cfg.Front.Params()); err != nil {
-			return fmt.Errorf("%w: re-mirroring shadow front: %v", ErrBadSnapshot, err)
-		}
-		if err := copyState(p.shadowState, p.frontState); err != nil {
-			return fmt.Errorf("%w: re-mirroring shadow state: %v", ErrBadSnapshot, err)
-		}
-		p.stateOwner = 0
-	}
-	return nil
+	return restoreOptimizer(cur, ts, p.cfg.Opt, p.cfg.Front.Params())
 }
 
 // maybeWriteCheckpoint writes a snapshot when the schedule says a

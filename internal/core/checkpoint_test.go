@@ -208,7 +208,6 @@ func TestRestoreSnapshotValidation(t *testing.T) {
 
 type diffOpts struct {
 	mode        RoundMode
-	depth       int
 	momentum    bool
 	l1SyncEvery int
 }
@@ -234,7 +233,7 @@ func diffRun(t *testing.T, o diffOpts, rounds, start int, dir string, ckptEvery 
 	}
 	srv, err := NewServer(ServerConfig{
 		Back: back, Opt: mkOpt(), Platforms: K, Rounds: rounds, StartRound: start,
-		Mode: o.mode, PipelineDepth: o.depth, L1SyncEvery: o.l1SyncEvery,
+		Mode: o.mode, L1SyncEvery: o.l1SyncEvery,
 		CheckpointEvery: ckptEvery, CheckpointDir: ckptDirFor(dir, ckptEvery, resume),
 	})
 	if err != nil {
@@ -292,9 +291,9 @@ func ckptDirFor(dir string, every int, resume bool) string {
 }
 
 // A run checkpointed at round r and resumed must produce bit-identical
-// weights to an uninterrupted run — for sequential, concat and
-// pipelined (depth 1) scheduling, with both stateless (SGD) and
-// stateful (momentum) optimizers, across L1-sync boundaries.
+// weights to an uninterrupted run — for sequential and concat
+// scheduling, with both stateless (SGD) and stateful (momentum)
+// optimizers, across L1-sync boundaries.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	const total, cut = 12, 7
 	cases := []struct {
@@ -303,7 +302,6 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}{
 		{"sequential", diffOpts{mode: RoundModeSequential}},
 		{"concat", diffOpts{mode: RoundModeConcat}},
-		{"pipelined-depth1", diffOpts{mode: RoundModePipelined, depth: 1}},
 		{"sequential-momentum-l1sync", diffOpts{mode: RoundModeSequential, momentum: true, l1SyncEvery: 4}},
 	}
 	for _, tc := range cases {

@@ -15,7 +15,7 @@
 // (per-platform minibatch sizes proportional to local data volume, via
 // package dataset), an optional label-sharing ablation that halves the
 // message count at the cost of label privacy, an optional periodic L1
-// weight synchronization, and two server scheduling modes.
+// weight synchronization, and four server scheduling modes.
 package core
 
 import (
@@ -35,20 +35,12 @@ type RoundMode int
 // own forward/backward/step (k optimizer steps per round, the reading
 // most consistent with the paper's flowchart). Concat fuses all
 // platforms' minibatches into one batch and takes a single step per
-// round on the union gradient. Pipelined keeps Sequential's optimizer
-// semantics (one step per platform, deterministic platform order) but
-// overlaps WAN I/O with server compute: per-connection reader/writer
-// goroutines (transport.AsyncConn) receive platform k+1's activations
-// and ship platform k-1's cut gradients while the server computes
-// platform k's forward/backward. At PipelineDepth 1 the training
-// trajectory is bit-identical to Sequential; at depth >= 2 platforms
-// with a ShadowFront additionally overlap their local L1 backward with
-// the next batch's forward (one-step-stale L1 weights, same final
-// accuracy — see README "Scheduling modes").
-// BoundedStaleness and SplitFed relax that bit-identical contract in
-// exchange for wall-clock (see README "Consistency spectrum").
-// BoundedStaleness applies each platform's updates as they arrive, but
-// caps how far any platform may run ahead of the slowest one at
+// round on the union gradient. Both finish every platform's exchange
+// for round r before any exchange of round r+1 starts.
+// BoundedStaleness and SplitFed relax that lockstep in exchange for
+// wall-clock (see README "Consistency spectrum"). BoundedStaleness
+// applies each platform's updates as they arrive, but caps how far any
+// platform may run ahead of the slowest one at
 // ServerConfig.Staleness rounds; a cap of 0 degenerates to — and is
 // scheduled by — the sequential scheduler, so it is bit-identical to
 // RoundModeSequential by construction. SplitFed removes the cap
@@ -60,7 +52,6 @@ type RoundMode int
 const (
 	RoundModeSequential RoundMode = iota + 1
 	RoundModeConcat
-	RoundModePipelined
 	RoundModeBoundedStaleness
 	RoundModeSplitFed
 )
@@ -72,8 +63,6 @@ func (m RoundMode) String() string {
 		return "sequential"
 	case RoundModeConcat:
 		return "concat"
-	case RoundModePipelined:
-		return "pipelined"
 	case RoundModeBoundedStaleness:
 		return "bounded-staleness"
 	case RoundModeSplitFed:

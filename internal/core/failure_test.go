@@ -3,14 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 
-	"medsplit/internal/dataset"
 	"medsplit/internal/nn"
-	"medsplit/internal/rng"
 	"medsplit/internal/tensor"
 	"medsplit/internal/transport"
 	"medsplit/internal/wire"
@@ -189,220 +184,6 @@ func TestRunLocalSurvivesPlatformConfigError(t *testing.T) {
 	if _, err := RunLocal(srv, []*Platform{plat}); err == nil {
 		t.Fatal("expected error")
 	}
-}
-
-// waitGoroutines polls until the live goroutine count drops back to at
-// most base — the manual leak assertion for the pipelined mode's
-// reader/writer goroutines (this repo deliberately has no external
-// goleak dependency). Tests here never run in parallel, so the global
-// count is meaningful.
-func waitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	for i := 0; i < 200; i++ {
-		if runtime.NumGoroutine() <= base {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<20)
-	n := runtime.Stack(buf, true)
-	t.Fatalf("goroutine leak: %d live, want <= %d\n%s", runtime.NumGoroutine(), base, buf[:n])
-}
-
-// A platform that dies mid-pipeline (after shipping its first
-// activations) must surface as a server error, not a hang, and the
-// async wrapper goroutines must all exit once the caller closes the
-// connection — exactly what RunLocal and the TCP commands do.
-func TestPipelinedPlatformDiesMidPipeline(t *testing.T) {
-	base := runtime.NumGoroutine()
-	conn, errCh := serveOne(t, func(c *ServerConfig) {
-		c.Mode = RoundModePipelined
-		c.PipelineDepth = 2
-	})
-	if err := conn.Send(hello(2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Recv(); err != nil { // hello-ack
-		t.Fatal(err)
-	}
-	a := tensor.New(4, 32)
-	if err := conn.Send(&wire.Message{Type: wire.MsgActivations, Round: 0, Payload: wire.EncodeTensors(a)}); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close() // die before answering the logits
-	if err := <-errCh; err == nil {
-		t.Fatal("server survived a platform dying mid-pipeline")
-	}
-	waitGoroutines(t, base)
-}
-
-// slowConn delays every send, simulating a platform behind a congested
-// WAN link. The pipelined scheduler may stall on its bounded queues but
-// must never corrupt or reorder the protocol.
-type slowConn struct {
-	transport.Conn
-	delay time.Duration
-}
-
-func (s slowConn) Send(m *wire.Message) error {
-	time.Sleep(s.delay)
-	return s.Conn.Send(m)
-}
-
-// A slow platform fills the server's receive queue for its connection
-// and stalls its own slot, but training still completes correctly for
-// every platform — backpressure, not breakage.
-func TestPipelinedSlowPlatformStallsQueueNotCorrectness(t *testing.T) {
-	base := runtime.NumGoroutine()
-	train, _ := testData(t, 3, 120, 8, 201)
-	flat := flatten(train)
-	in := flat.X.Dim(1)
-	const rounds, K = 5, 2
-
-	fronts, back := buildFronts(t, 401, K, in, 3)
-	shards := dataset.ShardIID(flat.Len(), K, rng.New(202))
-	srv := defaultServer(t, back, K, rounds, func(c *ServerConfig) {
-		c.Mode = RoundModePipelined
-		c.PipelineDepth = 2
-	})
-	platforms := make([]*Platform, K)
-	for k := 0; k < K; k++ {
-		platforms[k] = defaultPlatform(t, k, fronts[k], flat.Subset(shards[k]), rounds, func(c *PlatformConfig) {
-			shadow, _ := buildSplitMLP(t, 401, in, 3)
-			c.ShadowFront = shadow
-		})
-	}
-	sConns := make([]transport.Conn, K)
-	pConns := make([]transport.Conn, K)
-	for k := 0; k < K; k++ {
-		s, c := transport.Pipe()
-		sConns[k] = s
-		if k == 1 {
-			c = slowConn{Conn: c, delay: 2 * time.Millisecond}
-		}
-		pConns[k] = c
-	}
-	defer func() {
-		for k := 0; k < K; k++ {
-			sConns[k].Close()
-			pConns[k].Close()
-		}
-	}()
-	errs := make([]error, K+1)
-	stats := make([]*PlatformStats, K)
-	var wg sync.WaitGroup
-	wg.Add(K + 1)
-	go func() {
-		defer wg.Done()
-		if err := srv.Serve(sConns); err != nil {
-			errs[0] = err
-			for _, c := range sConns {
-				c.Close()
-			}
-		}
-	}()
-	for k := 0; k < K; k++ {
-		k := k
-		go func() {
-			defer wg.Done()
-			st, err := platforms[k].Run(pConns[k])
-			if err != nil {
-				errs[k+1] = err
-				pConns[k].Close()
-				return
-			}
-			stats[k] = st
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < K; k++ {
-		if len(stats[k].Rounds) != rounds {
-			t.Fatalf("platform %d finished %d rounds, want %d", k, len(stats[k].Rounds), rounds)
-		}
-	}
-	for k := 0; k < K; k++ {
-		sConns[k].Close()
-		pConns[k].Close()
-	}
-	waitGoroutines(t, base)
-}
-
-// A protocol violation by one platform mid-round must error the server,
-// propagate to the healthy platform (which is blocked on the dead
-// server), and leave no goroutines behind once connections close.
-func TestPipelinedServerErrorPropagatesToAllPlatforms(t *testing.T) {
-	base := runtime.NumGoroutine()
-	train, _ := testData(t, 3, 120, 8, 203)
-	flat := flatten(train)
-	in := flat.X.Dim(1)
-	const rounds, K = 4, 2
-
-	fronts, back := buildFronts(t, 411, K, in, 3)
-	srv := defaultServer(t, back, K, rounds, func(c *ServerConfig) {
-		c.Mode = RoundModePipelined
-		c.PipelineDepth = 2
-	})
-	healthy := defaultPlatform(t, 1, fronts[1], flat, rounds, func(c *PlatformConfig) {
-		c.ID = 1
-		shadow, _ := buildSplitMLP(t, 411, in, 3)
-		c.ShadowFront = shadow
-	})
-
-	sConns := make([]transport.Conn, K)
-	pConns := make([]transport.Conn, K)
-	for k := 0; k < K; k++ {
-		sConns[k], pConns[k] = transport.Pipe()
-	}
-	defer func() {
-		for k := 0; k < K; k++ {
-			sConns[k].Close()
-			pConns[k].Close()
-		}
-	}()
-
-	serverErr := make(chan error, 1)
-	go func() {
-		err := srv.Serve(sConns)
-		if err != nil {
-			for _, c := range sConns {
-				c.Close()
-			}
-		}
-		serverErr <- err
-	}()
-	healthyErr := make(chan error, 1)
-	go func() {
-		_, err := healthy.Run(pConns[1])
-		healthyErr <- err
-	}()
-
-	// Platform 0 handshakes correctly, then violates the protocol with a
-	// garbage activations payload.
-	hostile := pConns[0]
-	if err := hostile.Send(hello(rounds)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hostile.Recv(); err != nil { // hello-ack
-		t.Fatal(err)
-	}
-	if err := hostile.Send(&wire.Message{Type: wire.MsgActivations, Round: 0, Payload: []byte{0xbe, 0xef}}); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := <-serverErr; !errors.Is(err, ErrProtocol) {
-		t.Fatalf("server err = %v, want ErrProtocol", err)
-	}
-	if err := <-healthyErr; err == nil {
-		t.Fatal("healthy platform did not observe the server failure")
-	}
-	for k := 0; k < K; k++ {
-		sConns[k].Close()
-		pConns[k].Close()
-	}
-	waitGoroutines(t, base)
 }
 
 // Label-sharing handshakes must agree on both ends.

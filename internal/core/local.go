@@ -46,9 +46,7 @@ func RunLocal(server *Server, platforms []*Platform) ([]*PlatformStats, error) {
 // passing them in; RunConnected owns the connections from here on and
 // closes them all before returning, so a failing party always unblocks
 // the others. One goroutine drives the server session and one drives
-// each platform — the per-connection I/O goroutine budget beyond that
-// belongs to the server's scheduling mode (see
-// ServerConfig.IOGoroutineBudget).
+// each platform, in every scheduling mode.
 func RunConnected(server *Server, platforms []*Platform, serverConns, platformConns []transport.Conn) ([]*PlatformStats, error) {
 	// Close everything on exit — including the validation-error exits
 	// below — so a failing party (or a misconfigured harness) always

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -25,20 +23,6 @@ type PlatformConfig struct {
 	// Front is the platform-side half of the model (L1, from
 	// models.Split).
 	Front *nn.Sequential
-	// ShadowFront, when set, is a second instance of the same front
-	// architecture. When the server runs RoundModePipelined with
-	// PipelineDepth >= 2, the platform alternates forward passes between
-	// Front and ShadowFront so the L1 backward of round r can overlap
-	// the forward of round r+1 (layer instances cache activations for
-	// backward, so one instance cannot hold two rounds in flight). The
-	// forward of round r+1 then runs one optimizer step stale. Weights
-	// and stateful buffers are copied from Front at construction;
-	// weights are re-mirrored after every step, and stateful buffers
-	// (BatchNorm running statistics) are handed to the instance about
-	// to run a forward so they follow the sequential per-batch chain.
-	// Optimizer state always lives on Front. Ignored unless the
-	// handshake selects pipelining at depth >= 2.
-	ShadowFront *nn.Sequential
 	// Opt updates Front's parameters.
 	Opt nn.Optimizer
 	// Loss computes the task loss from logits and local labels. Unused
@@ -200,40 +184,21 @@ type Platform struct {
 	// written to disk if the session dies mid-round.
 	stash *Snapshot
 
-	// pend is the overlapped scheduler's in-flight round (nil in the
-	// plain scheduler, and at every drained boundary). While non-nil,
-	// weights lag one step behind the round counter, so snapshots and
-	// stashes are skipped.
-	pend *inflight
-
-	// Stateful buffers of the two front instances (BatchNorm running
-	// statistics), collected once so pipelined rounds can mirror them.
-	// stateOwner names the instance holding the newest statistics
-	// (0 = Front, 1 = ShadowFront): each training forward updates only
-	// the instance it ran on, so the stream of updates is handed from
-	// instance to instance just before the next forward.
-	frontState  []*tensor.Tensor
-	shadowState []*tensor.Tensor
-	stateOwner  int
-
 	// Wire-path scratch (see wirebuf.go): decode targets for the two
 	// inbound training messages, reused round after round, and pooled
 	// encode buffers for the two outbound ones. Each message type is in
-	// flight at most once per platform, in both the plain and the
-	// pipelined loop, so one slot per type suffices.
+	// flight at most once per platform, so one slot per type suffices.
 	logitsDec []*tensor.Tensor
 	cutDec    []*tensor.Tensor
 	encActs   payloadSizer
 	encGrad   payloadSizer
 	encLabels payloadSizer
 
-	// Minibatch gather scratch. Two slots because the pipelined loop
-	// keeps one round in flight: the front instance for round r caches
-	// its input batch until finishRound's backward, which runs after
-	// round r+1's batch has already been gathered. Slot r%2 tracks the
-	// front instance the round runs on; the plain loop only uses slot 0.
-	batchX      [2]*tensor.Tensor
-	batchLabels [2][]int
+	// Minibatch gather scratch, reused round after round. Front caches
+	// its input batch until the round's backward, which always runs
+	// before the next round gathers.
+	batchX      *tensor.Tensor
+	batchLabels []int
 }
 
 // NewPlatform validates cfg and builds a platform.
@@ -245,28 +210,10 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	for i := range indices {
 		indices[i] = i
 	}
-	p := &Platform{
+	return &Platform{
 		cfg:     cfg,
 		sampler: dataset.NewBatchSampler(indices, cfg.Batch, rng.New(cfg.Seed^0x9e3779b97f4a7c15)),
-	}
-	if cfg.ShadowFront != nil {
-		// The shadow starts as an exact mirror of Front: weights and
-		// stateful buffers are copied here, so the caller only has to
-		// provide a structurally identical instance.
-		if err := nn.CopyParams(cfg.ShadowFront.Params(), cfg.Front.Params()); err != nil {
-			return nil, fmt.Errorf("%w: shadow front: %v", ErrConfig, err)
-		}
-		p.frontState = nn.CollectState(cfg.Front)
-		p.shadowState = nn.CollectState(cfg.ShadowFront)
-		if len(p.frontState) != len(p.shadowState) {
-			return nil, fmt.Errorf("%w: shadow front has %d state tensors, front %d",
-				ErrConfig, len(p.shadowState), len(p.frontState))
-		}
-		if err := copyState(p.shadowState, p.frontState); err != nil {
-			return nil, fmt.Errorf("%w: shadow front: %v", ErrConfig, err)
-		}
-	}
-	return p, nil
+	}, nil
 }
 
 // Stop requests a graceful shutdown: the platform finishes the round
@@ -274,17 +221,6 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 // notifies the server, and Run returns ErrStopped. Safe to call from
 // any goroutine (the signal handlers in cmd/splitplatform do).
 func (p *Platform) Stop() { p.stop.Store(true) }
-
-// copyState copies each stateful tensor from src into dst.
-func copyState(dst, src []*tensor.Tensor) error {
-	for i := range dst {
-		if !tensor.SameShape(dst[i], src[i]) {
-			return fmt.Errorf("state tensor %d shape %v, want %v", i, dst[i].Shape(), src[i].Shape())
-		}
-		dst[i].CopyFrom(src[i])
-	}
-	return nil
-}
 
 // plan derives the deterministic session schedule from the config.
 // It must equal the server's (the handshake validates the inputs).
@@ -302,38 +238,28 @@ func (p *Platform) plan() sessionPlan {
 // scheduled), and shutdown. It returns the platform's measurements.
 // The connection is not closed.
 //
-// The server's HelloAck names its scheduling mode; when it advertises
-// pipelining at depth >= 2 and a ShadowFront is configured, the
-// platform switches to the overlapped scheduler (runOverlapped). In
-// every other case — including pipelined mode at depth 1, where the
-// platform schedule is identical to sequential — the plain scheduler
-// runs. Both drive the same session state machine.
+// The platform's walk is the same in every server scheduling mode: the
+// modes differ only in how the server orders its side of the exchange.
 func (p *Platform) Run(conn transport.Conn) (*PlatformStats, error) {
 	if p.cfg.Redial != nil {
 		rc := transport.NewReconnectable(conn)
 		conn = rc
 	}
 	sess := newSession(p.plan())
-	mode, depth, err := p.handshake(conn)
-	if err != nil {
+	if err := p.handshake(conn); err != nil {
 		return nil, err
 	}
-	stats := &PlatformStats{}
 	p.refreshStash(sess.Round())
-	if mode == RoundModePipelined.String() && depth >= 2 && p.cfg.ShadowFront != nil {
-		stats, err = p.runOverlapped(conn, sess, stats)
-	} else {
-		stats, err = p.runPlain(conn, sess, stats)
-	}
+	stats, err := p.run(conn, sess)
 	if err != nil && !errors.Is(err, ErrStopped) {
 		p.writeStashOnAbort()
 	}
 	return stats, err
 }
 
-// runPlain walks the session state machine with the plain (one round
-// in flight) scheduler.
-func (p *Platform) runPlain(conn transport.Conn, sess *Session, stats *PlatformStats) (*PlatformStats, error) {
+// run walks the session state machine, one round in flight at a time.
+func (p *Platform) run(conn transport.Conn, sess *Session) (*PlatformStats, error) {
+	stats := &PlatformStats{}
 	for {
 		switch sess.State() {
 		case StateTrain:
@@ -358,7 +284,7 @@ func (p *Platform) runPlain(conn transport.Conn, sess *Session, stats *PlatformS
 				return nil, fmt.Errorf("core: platform %d L1 sync round %d: %w", p.cfg.ID, sess.Round(), err)
 			}
 		case StateEval:
-			if err := p.evalPoint(conn, sess.Round(), stats, nil); err != nil {
+			if err := p.evalPoint(conn, sess.Round(), stats); err != nil {
 				return nil, err
 			}
 		case StateDone:
@@ -403,12 +329,7 @@ func (p *Platform) atBoundary(sess *Session, conn transport.Conn, completed int)
 	}
 	if stopping {
 		// The stop snapshot goes to the stash file (never the scheduled
-		// checkpoint, which must stay a matched set across parties), and
-		// it persists the in-memory stash rather than live state: in the
-		// overlapped scheduler a Stop() can land after drainAfter already
-		// decided not to drain, leaving an in-flight round whose step has
-		// not been applied — the stash is the last state that is
-		// guaranteed boundary-consistent.
+		// checkpoint, which must stay a matched set across parties).
 		if p.cfg.CheckpointDir != "" && p.stash != nil {
 			path := PlatformStashPath(p.cfg.CheckpointDir, p.cfg.ID)
 			if err := SaveSnapshotFile(path, p.stash); err != nil {
@@ -432,11 +353,9 @@ func (p *Platform) atBoundary(sess *Session, conn transport.Conn, completed int)
 }
 
 // refreshStash captures the boundary snapshot kept in memory for
-// abort-time persistence. Only active in CheckpointDir mode, and only
-// at drained boundaries (the overlapped scheduler's in-flight round
-// would otherwise be captured with its step missing).
+// abort-time persistence. Only active in CheckpointDir mode.
 func (p *Platform) refreshStash(nextRound int) {
-	if p.cfg.CheckpointDir == "" || p.pend != nil {
+	if p.cfg.CheckpointDir == "" {
 		return
 	}
 	p.stash = p.Snapshot(nextRound)
@@ -456,20 +375,13 @@ func (p *Platform) writeStashOnAbort() {
 }
 
 // evalPoint records one evaluation point (and, on the evaluator, runs
-// the accuracy exchange). syncState, when non-nil, is called before an
-// evaluator exchange to make Front hold the newest BatchNorm state
-// (overlapped scheduler only).
-func (p *Platform) evalPoint(conn transport.Conn, r int, stats *PlatformStats, syncState func() error) error {
+// the accuracy exchange).
+func (p *Platform) evalPoint(conn transport.Conn, r int, stats *PlatformStats) error {
 	ev := EvalStat{Round: r, Accuracy: -1}
 	if p.cfg.Meter != nil {
 		ev.TrainingBytes = TrainingBytes(p.cfg.Meter)
 	}
 	if p.cfg.EvalData != nil {
-		if syncState != nil {
-			if err := syncState(); err != nil {
-				return fmt.Errorf("core: platform %d eval round %d: %w", p.cfg.ID, r, err)
-			}
-		}
 		acc, err := p.evalExchange(conn, r)
 		if err != nil {
 			return fmt.Errorf("core: platform %d eval round %d: %w", p.cfg.ID, r, err)
@@ -480,7 +392,10 @@ func (p *Platform) evalPoint(conn transport.Conn, r int, stats *PlatformStats, s
 	return nil
 }
 
-func (p *Platform) handshake(conn transport.Conn) (mode string, depth int, err error) {
+// handshake declares the platform's configuration and waits for the
+// server's HelloAck. The ack's payload names the server's mode for
+// information only; the platform's walk does not depend on it.
+func (p *Platform) handshake(conn transport.Conn) error {
 	meta := helloBase(p.cfg.Rounds, p.cfg.LabelSharing, p.cfg.L1SyncEvery, p.cfg.EvalEvery, p.cfg.Codec.Name(), p.cfg.StartRound)
 	meta = fmt.Sprintf("%s;evaluator=%t", meta, p.cfg.EvalData != nil)
 	if err := p.send(conn, &wire.Message{
@@ -488,36 +403,12 @@ func (p *Platform) handshake(conn transport.Conn) (mode string, depth int, err e
 		Platform: uint32(p.cfg.ID),
 		Payload:  wire.EncodeText(meta),
 	}); err != nil {
-		return "", 0, err
+		return err
 	}
-	m, err := p.recv(conn, wire.MsgHelloAck, -1)
-	if err != nil {
-		return "", 0, fmt.Errorf("core: platform %d handshake: %w", p.cfg.ID, err)
+	if _, err := p.recv(conn, wire.MsgHelloAck, -1); err != nil {
+		return fmt.Errorf("core: platform %d handshake: %w", p.cfg.ID, err)
 	}
-	ack, err := wire.DecodeText(m.Payload)
-	if err != nil {
-		return "", 0, fmt.Errorf("core: platform %d handshake ack: %w", p.cfg.ID, err)
-	}
-	mode, depth = parseAck(ack)
-	return mode, depth, nil
-}
-
-// parseAck extracts the server's scheduling mode and pipeline depth
-// from the HelloAck payload ("mode=pipelined;depth=2"). Depth defaults
-// to 1 when absent, matching non-pipelined servers.
-func parseAck(meta string) (mode string, depth int) {
-	depth = 1
-	for _, f := range strings.Split(meta, ";") {
-		if v, ok := strings.CutPrefix(f, "mode="); ok {
-			mode = v
-		}
-		if v, ok := strings.CutPrefix(f, "depth="); ok {
-			if n, aerr := strconv.Atoi(v); aerr == nil && n > 0 {
-				depth = n
-			}
-		}
-	}
-	return mode, depth
+	return nil
 }
 
 // trainStep performs one local minibatch through the split protocol as
@@ -527,8 +418,8 @@ func parseAck(meta string) (mode string, depth int) {
 // recomputes; the L1 step applies exactly once per round.
 func (p *Platform) trainStep(conn transport.Conn, r int) (loss float64, batch int, err error) {
 	idx := p.sampler.Next()
-	x, labels := p.cfg.Shard.BatchInto(p.batchX[0], p.batchLabels[0], idx)
-	p.batchX[0], p.batchLabels[0] = x, labels
+	x, labels := p.cfg.Shard.BatchInto(p.batchX, p.batchLabels, idx)
+	p.batchX, p.batchLabels = x, labels
 	if p.cfg.Augment != nil && x.Rank() == 4 {
 		p.cfg.Augment.Apply(x)
 	}

@@ -499,12 +499,6 @@ func TestRecoveryConfigValidation(t *testing.T) {
 	if err := mk(func(c *ServerConfig) { c.Mode = RoundModeConcat }); err == nil {
 		t.Fatal("recovery with concat mode accepted")
 	}
-	if err := mk(func(c *ServerConfig) {
-		c.Mode = RoundModePipelined
-		c.PipelineDepth = 1
-	}); err == nil {
-		t.Fatal("recovery with pipelined mode accepted")
-	}
 	if err := mk(func(c *ServerConfig) { c.Recovery = &RecoveryConfig{Policy: WaitForRejoin, Window: time.Second} }); err == nil {
 		t.Fatal("recovery without a broker accepted")
 	}

@@ -7,10 +7,9 @@ import (
 )
 
 // This file is the relaxed-consistency side of the scheduler spectrum
-// (README "Consistency spectrum"). Sequential, concat and pipelined
-// scheduling are all held bit-identical to the sequential trajectory,
-// which serializes every platform's logits → loss-grad turnaround on
-// the server's clock: each exchange is atomic, so a round costs the
+// (README "Consistency spectrum"). Sequential scheduling serializes
+// every platform's logits → loss-grad turnaround on the server's
+// clock: each exchange is atomic, so a round costs the
 // *sum* over platforms of their WAN round trips and compute, and a
 // straggler's slow turnaround stalls everyone behind it. The staggered
 // scheduler below trades the bit-identity away for overlap: exchanges

@@ -68,6 +68,32 @@ func TestBoundedStalenessK0WithSyncBitIdentical(t *testing.T) {
 	assertParamsBitIdentical(t, "bounded-staleness K=0 + L1 sync vs sequential", seq, bs)
 }
 
+// assertParamsBitIdentical compares two parameter sets down to the
+// float bit pattern — no tolerance.
+func assertParamsBitIdentical(t *testing.T, label string, a, b [][]*nn.Param) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d param sets vs %d", label, len(a), len(b))
+	}
+	for s := range a {
+		if len(a[s]) != len(b[s]) {
+			t.Fatalf("%s: set %d has %d vs %d params", label, s, len(a[s]), len(b[s]))
+		}
+		for i := range a[s] {
+			x, y := a[s][i].W.Data(), b[s][i].W.Data()
+			if len(x) != len(y) {
+				t.Fatalf("%s: set %d param %d size %d vs %d", label, s, i, len(x), len(y))
+			}
+			for j := range x {
+				if math.Float32bits(x[j]) != math.Float32bits(y[j]) {
+					t.Fatalf("%s: set %d param %d (%s) differs at scalar %d: %v vs %v",
+						label, s, i, a[s][i].Name, j, x[j], y[j])
+				}
+			}
+		}
+	}
+}
+
 // paramsDiffer reports whether any scalar differs between the two
 // parameter sets.
 func paramsDiffer(a, b [][]*nn.Param) bool {

@@ -53,8 +53,7 @@ import (
 // handshake, an L1-sync or an eval phase remains fatal, mirroring the
 // dropout-recovery scope and for the same reason: partial
 // weight-average replay semantics are genuinely ambiguous. Promoted
-// servers always run sequentially (bit-identical to pipelined depth 1,
-// the only pipelined shape replication admits).
+// servers always run sequentially, the only mode replication admits.
 
 // ErrReplica reports a malformed replication record or stream.
 var ErrReplica = errors.New("core: bad replication record")
@@ -86,7 +85,7 @@ func (rc *ReplicationConfig) validate(cfg *ServerConfig) error {
 		// Concat fuses all platforms into one step; the per-(round,
 		// platform) record grammar — and the per-platform failover
 		// reconciliation built on it — does not describe it.
-		return fmt.Errorf("%w: replication requires sequential or pipelined mode", ErrConfig)
+		return fmt.Errorf("%w: replication requires sequential mode", ErrConfig)
 	}
 	if cfg.Recovery != nil && cfg.Recovery.Policy != WaitForRejoin {
 		// ProceedWithout lets the round structure diverge per platform;
@@ -654,8 +653,6 @@ func (f *Follower) Promote(pc PromoteConfig) (*Server, []transport.Conn, error) 
 	scfg := pc.Server
 	scfg.StartRound = round
 	scfg.Mode = RoundModeSequential
-	scfg.PipelineDepth = 0
-	scfg.IOGoroutineBudget = 0
 	srv, err := NewServer(scfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: promoted server: %w", err)

@@ -264,7 +264,6 @@ func (c *leaderKiller) Send(m *wire.Message) error {
 // failoverOpts configures one replicated session (optionally killed).
 type failoverOpts struct {
 	rounds      int
-	pipelined   bool // leader runs RoundModePipelined at depth 1
 	l1SyncEvery int
 	ckptEvery   int // exercises checkpoint-boundary WAL compaction
 	// kill, when non-nil, names the leader's outbound message that
@@ -323,10 +322,6 @@ func failoverRun(t *testing.T, o failoverOpts) failoverResult {
 	if o.ckptEvery > 0 {
 		scfg.CheckpointEvery = o.ckptEvery
 		scfg.CheckpointDir = t.TempDir()
-	}
-	if o.pipelined {
-		scfg.Mode = RoundModePipelined
-		scfg.PipelineDepth = 1
 	}
 	srv, err := NewServer(scfg)
 	if err != nil {
@@ -509,8 +504,6 @@ func TestFailoverBitIdentical(t *testing.T) {
 			failoverOpts{rounds: rounds, kill: killOn(1, wire.MsgCutGrad, 5)}},
 		{"die sending logits to platform 0 (no step recorded, both re-enter)",
 			failoverOpts{rounds: rounds, kill: killOn(0, wire.MsgLogits, 5)}},
-		{"pipelined depth-1 leader dies on cut-grad",
-			failoverOpts{rounds: rounds, pipelined: true, kill: killOn(1, wire.MsgCutGrad, 5)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

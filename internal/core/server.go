@@ -28,8 +28,8 @@ type ServerConfig struct {
 	// checkpoint's NextRound when resuming (see RestoreSnapshot). All
 	// parties must agree; the handshake validates it.
 	StartRound int
-	// Mode selects Sequential (default), Concat, Pipelined,
-	// BoundedStaleness or SplitFed scheduling.
+	// Mode selects Sequential (default), Concat, BoundedStaleness or
+	// SplitFed scheduling.
 	Mode RoundMode
 	// Staleness is the bounded-staleness cap K: a platform's exchange
 	// may train against server state missing at most K rounds of the
@@ -37,22 +37,6 @@ type ServerConfig struct {
 	// sequential scheduler and therefore bit-identical to
 	// RoundModeSequential. Only valid with RoundModeBoundedStaleness.
 	Staleness int
-	// PipelineDepth bounds how many rounds of platform messages the
-	// pipelined mode's per-connection readers may buffer ahead of the
-	// compute loop (and is advertised to platforms at the handshake so
-	// they can overlap their own L1 backward with the next forward when
-	// depth >= 2). Defaults to 1, which is bit-identical to Sequential.
-	// Only valid with RoundModePipelined.
-	PipelineDepth int
-	// IOGoroutineBudget caps the dedicated I/O goroutines the pipelined
-	// server spawns (each overlapped connection costs two: a reader and
-	// a writer). Connections beyond the budget run synchronously inside
-	// the compute loop — final weights are identical either way, the
-	// budget only bounds how much WAN I/O overlaps compute. This is the
-	// knob that keeps a 100-platform session from minting 200 goroutines
-	// when a few dozen already hide the latency. 0 means no cap. Only
-	// valid with RoundModePipelined.
-	IOGoroutineBudget int
 	// LabelSharing enables the 2-message ablation where platforms ship
 	// labels and the server computes the loss. Requires Loss.
 	LabelSharing bool
@@ -82,8 +66,8 @@ type ServerConfig struct {
 	// Replication, when set, enables the replicated aggregation tier:
 	// every training step is appended to a WAL before its cut gradient
 	// is acked, and streamed to warm followers that can promote on
-	// leader death (see Follower). Sequential and pipelined modes only;
-	// off by default and free when off.
+	// leader death (see Follower). Sequential mode only; off by default
+	// and free when off.
 	Replication *ReplicationConfig
 	// Recovery, when set, enables platform-dropout recovery: a platform
 	// whose connection dies mid-round can rejoin through the broker and
@@ -132,8 +116,7 @@ func (cfg *ServerConfig) validate() error {
 		cfg.Mode = RoundModeSequential
 	}
 	switch cfg.Mode {
-	case RoundModeSequential, RoundModeConcat, RoundModePipelined,
-		RoundModeBoundedStaleness, RoundModeSplitFed:
+	case RoundModeSequential, RoundModeConcat, RoundModeBoundedStaleness, RoundModeSplitFed:
 	default:
 		return fmt.Errorf("%w: round mode %v", ErrConfig, cfg.Mode)
 	}
@@ -171,21 +154,6 @@ func (cfg *ServerConfig) validate() error {
 	}
 	if cfg.Mode == RoundModeSplitFed && cfg.L1SyncEvery <= 0 {
 		return fmt.Errorf("%w: RoundModeSplitFed requires L1SyncEvery >= 1 (the averaging period)", ErrConfig)
-	}
-	if cfg.PipelineDepth < 0 {
-		return fmt.Errorf("%w: pipeline depth %d", ErrConfig, cfg.PipelineDepth)
-	}
-	if cfg.PipelineDepth > 0 && cfg.Mode != RoundModePipelined {
-		return fmt.Errorf("%w: pipeline depth %d requires RoundModePipelined", ErrConfig, cfg.PipelineDepth)
-	}
-	if cfg.Mode == RoundModePipelined && cfg.PipelineDepth == 0 {
-		cfg.PipelineDepth = 1
-	}
-	if cfg.IOGoroutineBudget < 0 {
-		return fmt.Errorf("%w: I/O goroutine budget %d", ErrConfig, cfg.IOGoroutineBudget)
-	}
-	if cfg.IOGoroutineBudget > 0 && cfg.Mode != RoundModePipelined {
-		return fmt.Errorf("%w: I/O goroutine budget %d requires RoundModePipelined", ErrConfig, cfg.IOGoroutineBudget)
 	}
 	if cfg.LabelSharing && cfg.Loss == nil {
 		return fmt.Errorf("%w: label sharing requires a server-side loss", ErrConfig)
@@ -302,9 +270,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	case cfg.Mode == RoundModeSplitFed:
 		s.sched = &windowScheduler{} // unbounded within an averaging period
 	default:
-		// Sequential, pipelined, and bounded-staleness at K=0: the
-		// K=0 bit-identity guarantee holds by construction because it
-		// runs the very same scheduler as RoundModeSequential.
+		// Sequential and bounded-staleness at K=0: the K=0 bit-identity
+		// guarantee holds by construction because it runs the very same
+		// scheduler as RoundModeSequential.
 		s.sched = sequentialScheduler{}
 	}
 	if cfg.Replication != nil {
@@ -342,22 +310,11 @@ type roundScheduler interface {
 // handshake, the training rounds with the scheduled L1-sync and
 // evaluation phases, and the shutdown, then returns. Connections are
 // not closed.
-//
-// In pipelined mode each connection is wrapped in a transport.AsyncConn
-// so WAN I/O overlaps server compute; the wrappers are flushed and
-// joined before Serve returns (on errors, the caller unblocks any
-// remaining wrapper goroutine by closing the connections, which every
-// caller in this repo does).
 func (s *Server) Serve(conns []transport.Conn) error {
 	if len(conns) != s.cfg.Platforms {
 		return fmt.Errorf("%w: %d connections for %d platforms", ErrConfig, len(conns), s.cfg.Platforms)
 	}
-	var err error
-	if s.cfg.Mode == RoundModePipelined {
-		err = s.servePipelined(conns)
-	} else {
-		err = s.serve(conns)
-	}
+	err := s.serve(conns)
 	if err != nil && !errors.Is(err, ErrStopped) {
 		// Mid-round failure: persist the last consistent boundary so the
 		// session can resume from it (graceful stops already wrote it).
@@ -384,56 +341,6 @@ func (s *Server) writeStashOnAbort() {
 		return
 	}
 	_ = SaveSnapshotFile(ServerStashPath(s.cfg.CheckpointDir), s.stash)
-}
-
-// servePipelined runs serve over async connection wrappers. The
-// compute loop is byte-for-byte the sequential one — the overlap comes
-// entirely from the transport layer, which is why PipelineDepth=1 is
-// bit-identical to RoundModeSequential: reader goroutines prefetch
-// platform k+1's activations while the server computes platform k, and
-// writer goroutines ship platform k-1's cut gradients in the
-// background.
-func (s *Server) servePipelined(conns []transport.Conn) error {
-	// Queue depths in messages: a platform sends at most 3 training
-	// messages per round (activations, labels, loss-grad), plus sync and
-	// eval control; 4 per in-flight round plus slack covers every mode.
-	depth := 4*s.cfg.PipelineDepth + 4
-	// The goroutine budget decides how many connections get dedicated
-	// reader/writer goroutines (2 each); the rest stay synchronous.
-	overlapped := len(conns)
-	if b := s.cfg.IOGoroutineBudget; b > 0 && b/2 < overlapped {
-		overlapped = b / 2
-	}
-	async := make([]*transport.AsyncConn, overlapped)
-	wrapped := make([]transport.Conn, len(conns))
-	copy(wrapped, conns)
-	for k := 0; k < overlapped; k++ {
-		async[k] = transport.NewAsync(conns[k], transport.AsyncOptions{
-			SendQueue: depth,
-			RecvQueue: depth,
-			// Bye is the last message a platform ever sends, so the reader
-			// can exit after delivering it and Stop below joins cleanly.
-			StopRead: func(m *wire.Message) bool { return m.Type == wire.MsgBye },
-		})
-		wrapped[k] = async[k]
-	}
-	if err := s.serve(wrapped); err != nil {
-		for _, a := range async {
-			a.Abort()
-		}
-		return err
-	}
-	// Stop every wrapper even when one fails to flush: returning early
-	// would leave the remaining writer goroutines parked on their
-	// queues forever (closing the inner connection only unblocks
-	// goroutines inside inner I/O, not channel waits).
-	var flushErr error
-	for k, a := range async {
-		if err := a.Stop(); err != nil && flushErr == nil {
-			flushErr = fmt.Errorf("core: server flushing platform %d: %w", k, err)
-		}
-	}
-	return flushErr
 }
 
 // serve walks the session state machine. The scheduler executes Train
@@ -583,15 +490,11 @@ func (s *Server) handshake() error {
 			}
 			s.evaluator = k
 		}
+		// Informational: platforms run the same session walk in every
+		// mode; the mode (and the staleness cap) only changes server
+		// scheduling.
 		ack := "mode=" + s.cfg.Mode.String()
-		if s.cfg.Mode == RoundModePipelined {
-			// Platforms use the advertised depth to decide whether to
-			// overlap their local L1 backward with the next forward.
-			ack = fmt.Sprintf("%s;depth=%d", ack, s.cfg.PipelineDepth)
-		}
 		if s.cfg.Mode == RoundModeBoundedStaleness {
-			// Informational: platforms run the plain session walk in
-			// every relaxed mode; the cap only changes server scheduling.
 			ack = fmt.Sprintf("%s;k=%d", ack, s.cfg.Staleness)
 		}
 		return s.send(conn, &wire.Message{

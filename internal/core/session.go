@@ -5,7 +5,7 @@ import "fmt"
 // This file is the session layer: one explicit state machine for the
 // split-learning protocol that both parties — and every scheduling
 // mode — drive. Before the refactor each party had a monolithic round
-// loop (and the pipelined variant a third), with the schedule logic
+// loop, with the schedule logic
 // (when to train, sync L1, evaluate, stop) duplicated and interleaved
 // with wire I/O. Now the schedule is a value (sessionPlan), the
 // protocol position is a value (Session), and the round modes are
@@ -80,9 +80,9 @@ func (p sessionPlan) evalRound(r int) bool {
 
 // Session tracks a party's position in the protocol: the current
 // state and the current round. Both the server and each platform hold
-// one; the schedulers (sequential, concat, pipelined; plain and
-// overlapped platform loops) advance it identically, which is the
-// lockstep invariant the handshake establishes.
+// one; the server's schedulers (sequential, concat, windowed) and the
+// platform loop advance it identically, which is the lockstep
+// invariant the handshake establishes.
 type Session struct {
 	plan  sessionPlan
 	state SessionState

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -44,10 +42,11 @@ func simConnector(link geonet.Link, opts simnet.Options) connector {
 	}
 }
 
-// splitRunOver executes the fixed-seed 2-platform MLP workload from
-// splitRun over caller-provided connections and returns the final
-// parameters (fronts then back).
-func splitRunOver(t *testing.T, mode RoundMode, depth, rounds int, shadows bool, connect connector) [][]*nn.Param {
+// splitRunOver executes a fixed-seed 2-platform MLP workload over
+// caller-provided connections and returns the final parameters (fronts
+// then back). All randomness is pinned, so two runs with the same
+// arguments are bit-identical.
+func splitRunOver(t *testing.T, mode RoundMode, rounds int, connect connector) [][]*nn.Param {
 	t.Helper()
 	testutil.VerifyNoLeaks(t)
 	const K = 2
@@ -59,16 +58,10 @@ func splitRunOver(t *testing.T, mode RoundMode, depth, rounds int, shadows bool,
 	shards := dataset.ShardIID(flat.Len(), K, rng.New(92))
 	srv := defaultServer(t, back, K, rounds, func(c *ServerConfig) {
 		c.Mode = mode
-		c.PipelineDepth = depth
 	})
 	platforms := make([]*Platform, K)
 	for k := 0; k < K; k++ {
-		platforms[k] = defaultPlatform(t, k, fronts[k], flat.Subset(shards[k]), rounds, func(c *PlatformConfig) {
-			if shadows {
-				shadow, _ := buildSplitMLP(t, 311, in, 4)
-				c.ShadowFront = shadow
-			}
-		})
+		platforms[k] = defaultPlatform(t, k, fronts[k], flat.Subset(shards[k]), rounds, nil)
 	}
 	serverConns, platformConns := connect(K)
 	if _, err := RunConnected(srv, platforms, serverConns, platformConns); err != nil {
@@ -83,25 +76,21 @@ func splitRunOver(t *testing.T, mode RoundMode, depth, rounds int, shadows bool,
 
 // The acceptance differential: a full training run over the simulated
 // WAN with ideal links is bit-identical to the same run over
-// transport.Pipe, for all three round modes — the simnet transport
+// transport.Pipe, for both lockstep round modes — the simnet transport
 // moves bytes without ever touching what is computed.
 func TestSimnetZeroLatencyBitIdenticalToPipe(t *testing.T) {
 	const rounds = 10
 	cases := []struct {
-		name    string
-		mode    RoundMode
-		depth   int
-		shadows bool
+		name string
+		mode RoundMode
 	}{
-		{"sequential", RoundModeSequential, 0, false},
-		{"concat", RoundModeConcat, 0, false},
-		{"pipelined-depth2", RoundModePipelined, 2, true},
+		{"sequential", RoundModeSequential},
+		{"concat", RoundModeConcat},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := splitRunOver(t, tc.mode, tc.depth, rounds, tc.shadows, pipeConnector)
-			sim := splitRunOver(t, tc.mode, tc.depth, rounds, tc.shadows,
-				simConnector(geonet.Link{}, simnet.Options{Seed: 5}))
+			ref := splitRunOver(t, tc.mode, rounds, pipeConnector)
+			sim := splitRunOver(t, tc.mode, rounds, simConnector(geonet.Link{}, simnet.Options{Seed: 5}))
 			assertParamsBitIdentical(t, tc.name+" simnet-ideal vs pipe", ref, sim)
 		})
 	}
@@ -112,8 +101,8 @@ func TestSimnetZeroLatencyBitIdenticalToPipe(t *testing.T) {
 // stays bit-identical to the pipe reference.
 func TestSimnetWANParametersDoNotAffectWeights(t *testing.T) {
 	const rounds = 8
-	ref := splitRunOver(t, RoundModeSequential, 0, rounds, false, pipeConnector)
-	sim := splitRunOver(t, RoundModeSequential, 0, rounds, false,
+	ref := splitRunOver(t, RoundModeSequential, rounds, pipeConnector)
+	sim := splitRunOver(t, RoundModeSequential, rounds,
 		simConnector(geonet.Link{LatencyMs: 95, Mbps: 50}, simnet.Options{Seed: 9, Jitter: 0.4}))
 	assertParamsBitIdentical(t, "simnet-wan vs pipe", ref, sim)
 }
@@ -315,70 +304,4 @@ func simnetProceedRun(t *testing.T, rounds int) ([][]*nn.Param, []*PlatformStats
 		params = append(params, fronts[k].Params())
 	}
 	return append(params, back.Params()), stats
-}
-
-// A pipelined session under a tight I/O goroutine budget (only some
-// connections get dedicated reader/writer goroutines) must remain
-// bit-identical to sequential at depth 1 — the budget only trades
-// overlap, never semantics — and must leak nothing.
-func TestPipelinedIOGoroutineBudgetBitIdentical(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	const K, rounds = 5, 8
-	run := func(mode RoundMode, budget int) [][]*nn.Param {
-		train, _ := testData(t, 4, 300, 60, 91)
-		flat := flatten(train)
-		in := flat.X.Dim(1)
-		fronts, back := buildFronts(t, 311, K, in, 4)
-		shards := dataset.ShardIID(flat.Len(), K, rng.New(92))
-		srv := defaultServer(t, back, K, rounds, func(c *ServerConfig) {
-			c.Mode = mode
-			if mode == RoundModePipelined {
-				c.PipelineDepth = 1
-				c.IOGoroutineBudget = budget
-			}
-		})
-		platforms := make([]*Platform, K)
-		for k := 0; k < K; k++ {
-			platforms[k] = defaultPlatform(t, k, fronts[k], flat.Subset(shards[k]), rounds, nil)
-		}
-		if _, err := RunLocal(srv, platforms); err != nil {
-			t.Fatal(err)
-		}
-		params := make([][]*nn.Param, 0, K+1)
-		for k := 0; k < K; k++ {
-			params = append(params, fronts[k].Params())
-		}
-		return append(params, back.Params())
-	}
-	ref := run(RoundModeSequential, 0)
-	for _, budget := range []int{1, 4, 6, 2 * K} {
-		got := run(RoundModePipelined, budget)
-		assertParamsBitIdentical(t, fmt.Sprintf("pipelined budget=%d vs sequential", budget), ref, got)
-	}
-}
-
-// The budget knob is validated: negative values and non-pipelined use
-// are rejected.
-func TestIOGoroutineBudgetValidation(t *testing.T) {
-	train, _ := testData(t, 2, 16, 4, 174)
-	flat := flatten(train)
-	_, back := buildSplitMLP(t, 731, flat.X.Dim(1), 2)
-	mk := func(mut func(*ServerConfig)) error {
-		cfg := ServerConfig{Back: back, Opt: &nn.SGD{}, Platforms: 1, Rounds: 1}
-		mut(&cfg)
-		_, err := NewServer(cfg)
-		return err
-	}
-	if err := mk(func(c *ServerConfig) { c.IOGoroutineBudget = -1 }); !errors.Is(err, ErrConfig) {
-		t.Fatalf("negative budget: %v, want ErrConfig", err)
-	}
-	if err := mk(func(c *ServerConfig) { c.IOGoroutineBudget = 4 }); !errors.Is(err, ErrConfig) {
-		t.Fatalf("budget without pipelined mode: %v, want ErrConfig", err)
-	}
-	if err := mk(func(c *ServerConfig) {
-		c.Mode = RoundModePipelined
-		c.IOGoroutineBudget = 4
-	}); err != nil {
-		t.Fatalf("valid budget rejected: %v", err)
-	}
 }

@@ -37,17 +37,6 @@ func TestServerConfigValidationTable(t *testing.T) {
 		{"start round past end", func(c *ServerConfig) { c.StartRound = 4 }, false},
 		{"start round in range", func(c *ServerConfig) { c.StartRound = 3 }, true},
 		{"unknown mode", func(c *ServerConfig) { c.Mode = RoundMode(9) }, false},
-		{"negative pipeline depth", func(c *ServerConfig) { c.PipelineDepth = -1 }, false},
-		{"pipeline depth 1 without pipelined mode", func(c *ServerConfig) { c.PipelineDepth = 1 }, false},
-		{"pipeline depth 2 with sequential mode", func(c *ServerConfig) {
-			c.Mode = RoundModeSequential
-			c.PipelineDepth = 2
-		}, false},
-		{"pipeline depth 2 with concat mode", func(c *ServerConfig) {
-			c.Mode = RoundModeConcat
-			c.PipelineDepth = 2
-		}, false},
-		{"pipelined depth defaults", func(c *ServerConfig) { c.Mode = RoundModePipelined }, true},
 		{"label sharing without loss", func(c *ServerConfig) { c.LabelSharing = true }, false},
 		{"label sharing with loss", func(c *ServerConfig) {
 			c.LabelSharing = true

@@ -85,23 +85,10 @@ type Config struct {
 	// ConcatRounds uses the server's concatenated round mode instead of
 	// sequential per-platform steps.
 	ConcatRounds bool
-	// Pipelined uses the server's pipelined round mode: sequential
-	// optimizer semantics with WAN I/O overlapped against server
-	// compute. Mutually exclusive with ConcatRounds. Split scheme only.
-	Pipelined bool
-	// PipelineDepth bounds the in-flight rounds in pipelined mode
-	// (default 2, which also enables the platforms' shadow-front
-	// overlap; 1 is bit-identical to sequential scheduling).
-	PipelineDepth int
-	// PipelineIOBudget caps the pipelined server's dedicated I/O
-	// goroutines (two per overlapped connection); connections beyond
-	// the budget run synchronously with identical results. 0 = no cap.
-	// Requires Pipelined. See core.ServerConfig.IOGoroutineBudget.
-	PipelineIOBudget int
 	// BoundedStaleness uses the server's bounded-staleness round mode:
 	// per-platform updates apply as each platform's exchange arrives, in
 	// platform-major windows of Staleness+1 rounds. Mutually exclusive
-	// with ConcatRounds, Pipelined and SplitFed; incompatible with
+	// with ConcatRounds and SplitFed; incompatible with
 	// checkpoints, resume, dropout recovery and replication (the relaxed
 	// scheduler runs ahead of synchronized round boundaries). Split
 	// scheme only.
@@ -130,8 +117,8 @@ type Config struct {
 	// every platform — from the snapshots in the given directory (a
 	// previous run's CheckpointDir) and continues training from the
 	// checkpointed round. The resumed trajectory is bit-identical to an
-	// uninterrupted run for sequential, concat and depth-1 pipelined
-	// scheduling. Split scheme only.
+	// uninterrupted run for sequential and concat scheduling. Split
+	// scheme only.
 	ResumeFrom string
 	// Augment enables platform-local random crop (pad 4) and horizontal
 	// flip on training minibatches. Split scheme, image models only.
@@ -180,7 +167,7 @@ type Config struct {
 	// split server: every training step is appended to a write-ahead
 	// log and streamed to the followers before its cut gradient is
 	// acked, so the aggregation tier survives a leader crash. Split
-	// scheme only; requires sequential or depth-1 pipelined scheduling.
+	// scheme only; requires sequential scheduling.
 	Replicas int
 	// WALDir is where the replication tier keeps its write-ahead logs
 	// (a subdirectory for the leader and one per follower). Empty with
@@ -244,9 +231,6 @@ func (c Config) withDefaults() Config {
 			c.EvalEvery = 1
 		}
 	}
-	if c.Pipelined && c.PipelineDepth == 0 {
-		c.PipelineDepth = 2
-	}
 	return c
 }
 
@@ -255,13 +239,13 @@ func (c Config) withDefaults() Config {
 // withDefaults.
 func (c Config) validate() error {
 	modes := 0
-	for _, on := range []bool{c.ConcatRounds, c.Pipelined, c.BoundedStaleness, c.SplitFed} {
+	for _, on := range []bool{c.ConcatRounds, c.BoundedStaleness, c.SplitFed} {
 		if on {
 			modes++
 		}
 	}
 	if modes > 1 {
-		return fmt.Errorf("experiment: ConcatRounds, Pipelined, BoundedStaleness and SplitFed are mutually exclusive")
+		return fmt.Errorf("experiment: ConcatRounds, BoundedStaleness and SplitFed are mutually exclusive")
 	}
 	if c.Staleness != 0 && !c.BoundedStaleness {
 		return fmt.Errorf("experiment: Staleness %d without BoundedStaleness", c.Staleness)
@@ -282,12 +266,6 @@ func (c Config) validate() error {
 		if c.Replicas > 0 {
 			return fmt.Errorf("experiment: relaxed round modes do not support replication")
 		}
-	}
-	if c.PipelineDepth > 0 && !c.Pipelined {
-		return fmt.Errorf("experiment: PipelineDepth %d without Pipelined", c.PipelineDepth)
-	}
-	if c.PipelineIOBudget != 0 && !c.Pipelined {
-		return fmt.Errorf("experiment: PipelineIOBudget %d without Pipelined", c.PipelineIOBudget)
 	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("experiment: negative CheckpointEvery %d", c.CheckpointEvery)
@@ -338,19 +316,14 @@ func (c Config) validate() error {
 	default:
 		return fmt.Errorf("experiment: SimRejoin %q (want \"wait\" or \"proceed\")", c.SimRejoin)
 	}
-	if c.SimRejoin != "" && (c.ConcatRounds || c.Pipelined) {
+	if c.SimRejoin != "" && c.ConcatRounds {
 		return fmt.Errorf("experiment: SimRejoin requires sequential scheduling")
 	}
 	if c.Replicas < 0 {
 		return fmt.Errorf("experiment: negative Replicas %d", c.Replicas)
 	}
-	if c.Replicas > 0 {
-		if c.ConcatRounds {
-			return fmt.Errorf("experiment: Replicas with ConcatRounds (replication needs per-step records)")
-		}
-		if c.Pipelined && c.PipelineDepth >= 2 {
-			return fmt.Errorf("experiment: Replicas with PipelineDepth %d (failover needs sequential or depth-1 scheduling)", c.PipelineDepth)
-		}
+	if c.Replicas > 0 && c.ConcatRounds {
+		return fmt.Errorf("experiment: Replicas with ConcatRounds (replication needs per-step records)")
 	}
 	if c.WALDir != "" && c.Replicas == 0 {
 		return fmt.Errorf("experiment: WALDir without Replicas")
@@ -494,8 +467,7 @@ func (c Config) simTime(up, down []int64) (time.Duration, error) {
 // platformComputeMean is the analytic estimators' scalar stand-in for
 // the per-platform compute profile. The sequential estimator sums
 // PlatformCompute once per platform, so the mean reproduces the
-// heterogeneous sum exactly; the pipelined schedule walk treats it as
-// an approximation.
+// heterogeneous sum exactly.
 func (c Config) platformComputeMean() time.Duration {
 	if len(c.SimCompute) == 0 {
 		return 0

@@ -167,74 +167,6 @@ func TestBaselinesDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// The pipelined split runner: trains to a sane curve, annotates
-// simulated wall-clock from the overlapped-schedule estimator, and
-// rejects nonsensical combinations.
-func TestRunSplitPipelined(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Pipelined = true // depth defaults to 2: shadow fronts engaged
-	cfg.Topology = geonet.DefaultHospitalTopology()
-	cfg.Regions = []geonet.Region{"snuh-seoul", "ucf-orlando"}
-	res, err := RunSplit(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Curve.Points) == 0 || res.TrainingBytes == 0 {
-		t.Fatalf("curve %v bytes %d", res.Curve.Points, res.TrainingBytes)
-	}
-	if res.FinalAccuracy < 0 || res.FinalAccuracy > 1 {
-		t.Fatalf("accuracy %v", res.FinalAccuracy)
-	}
-	if res.RoundTime <= 0 {
-		t.Fatal("no round-time estimate")
-	}
-	// The overlapped schedule must beat the strictly serial one on the
-	// same measured message sizes — both arms now use the same
-	// schedule-aware geonet model, so the comparison is direct.
-	seq := fastCfg()
-	seq.Topology = cfg.Topology
-	seq.Regions = cfg.Regions
-	seqRes, err := RunSplit(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TrainingBytes != seqRes.TrainingBytes {
-		t.Fatalf("pipelining changed wire bytes: %d vs %d", res.TrainingBytes, seqRes.TrainingBytes)
-	}
-	if res.RoundTime >= seqRes.RoundTime {
-		t.Fatalf("pipelined round time %v not below sequential %v", res.RoundTime, seqRes.RoundTime)
-	}
-}
-
-func TestPipelinedDepth1MatchesSequentialResult(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Pipelined = true
-	cfg.PipelineDepth = 1
-	pipe, err := RunSplit(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqRes, err := RunSplit(fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pipe.FinalAccuracy != seqRes.FinalAccuracy {
-		t.Fatalf("depth-1 pipelined accuracy %v != sequential %v", pipe.FinalAccuracy, seqRes.FinalAccuracy)
-	}
-	if pipe.TrainingBytes != seqRes.TrainingBytes {
-		t.Fatalf("depth-1 pipelined bytes %d != sequential %d", pipe.TrainingBytes, seqRes.TrainingBytes)
-	}
-}
-
-func TestPipelinedConcatMutuallyExclusive(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Pipelined = true
-	cfg.ConcatRounds = true
-	if _, err := RunSplit(cfg); err == nil {
-		t.Fatal("ConcatRounds+Pipelined accepted")
-	}
-}
-
 func TestRegionCountValidated(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Topology = geonet.DefaultHospitalTopology()

@@ -58,13 +58,9 @@ type FrontierCell struct {
 	Fault     string
 	// FinalAccuracy is the session's last evaluation.
 	FinalAccuracy float64
-	// WallClock is the simulated wall-clock of the whole session:
-	// measured virtual elapsed for the deterministic schedules, or
-	// Rounds × the analytic pipelined estimate when Analytic is set
-	// (the pipelined engine's async stamps make its measured elapsed
-	// run-to-run noisy; weights never are).
+	// WallClock is the measured virtual elapsed time of the whole
+	// session on the simulated WAN.
 	WallClock time.Duration
-	Analytic  bool
 	// WeightDigest fingerprints the trained weights (see
 	// Result.WeightDigest) so frontier runs can be diffed bit for bit.
 	WeightDigest uint64
@@ -81,7 +77,6 @@ func frontierModes() []struct {
 		mutate func(*Config)
 	}{
 		{"sequential", func(c *Config) {}},
-		{"pipelined", func(c *Config) { c.Pipelined = true; c.PipelineDepth = 2 }},
 		{"stale-1", func(c *Config) { c.BoundedStaleness = true; c.Staleness = 1 }},
 		{"stale-4", func(c *Config) { c.BoundedStaleness = true; c.Staleness = 4 }},
 		{"stale-16", func(c *Config) { c.BoundedStaleness = true; c.Staleness = 16 }},
@@ -118,7 +113,7 @@ func frontierFaults(fc FrontierConfig, scale int) []struct {
 }
 
 // RunConsistencyFrontier sweeps the consistency spectrum — sequential,
-// pipelined, bounded staleness at several caps, splitfed — across
+// bounded staleness at several caps, splitfed — across
 // platform scales and fault scenarios over the SyntheticClinics WAN
 // with the heterogeneous compute model, and returns one cell per
 // combination: the accuracy-vs-wall-clock frontier the relaxed modes
@@ -154,19 +149,14 @@ func RunConsistencyFrontier(fc FrontierConfig) ([]FrontierCell, error) {
 				if err != nil {
 					return nil, fmt.Errorf("frontier %s/%d/%s: %w", mode.name, scale, fault.name, err)
 				}
-				cell := FrontierCell{
+				cells = append(cells, FrontierCell{
 					Mode:          mode.name,
 					Platforms:     scale,
 					Fault:         fault.name,
 					FinalAccuracy: res.FinalAccuracy,
 					WallClock:     res.SimElapsed,
 					WeightDigest:  res.WeightDigest,
-				}
-				if cfg.Pipelined {
-					cell.WallClock = time.Duration(cfg.Rounds) * res.RoundTime
-					cell.Analytic = true
-				}
-				cells = append(cells, cell)
+				})
 			}
 		}
 	}
@@ -179,12 +169,8 @@ func FrontierTable(cells []FrontierCell) string {
 	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "mode\tplatforms\tfault\taccuracy\twall-clock\tdigest")
 	for _, c := range cells {
-		clock := c.WallClock.Round(time.Millisecond).String()
-		if c.Analytic {
-			clock += " (analytic)"
-		}
 		fmt.Fprintf(w, "%s\t%d\t%s\t%.3f\t%s\t%#x\n",
-			c.Mode, c.Platforms, c.Fault, c.FinalAccuracy, clock, c.WeightDigest)
+			c.Mode, c.Platforms, c.Fault, c.FinalAccuracy, c.WallClock.Round(time.Millisecond), c.WeightDigest)
 	}
 	w.Flush()
 	return sb.String()

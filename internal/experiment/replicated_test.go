@@ -44,7 +44,7 @@ func TestReplicatedTransparent(t *testing.T) {
 // layer: the leader is killed mid-round over the simulated WAN, a warm
 // follower promotes and finishes the session, and the final weights
 // are bit-identical to an undisturbed pipe-transport run. Swept over
-// kill round, replica count, scheduling mode and label sharing.
+// kill round, replica count, label sharing and L1 sync.
 func TestReplicatedFailoverDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("failover sweep is slow")
@@ -58,11 +58,6 @@ func TestReplicatedFailoverDigest(t *testing.T) {
 	}{
 		{"kill-r2", func(c *Config) { c.KillLeaderAt = 2 }},
 		{"kill-r4-two-replicas", func(c *Config) { c.KillLeaderAt = 4; c.Replicas = 2 }},
-		{"kill-r3-pipelined-depth1", func(c *Config) {
-			c.KillLeaderAt = 3
-			c.Pipelined = true
-			c.PipelineDepth = 1
-		}},
 		{"kill-r3-label-sharing", func(c *Config) { c.KillLeaderAt = 3; c.LabelSharing = true }},
 		{"kill-r2-l1sync", func(c *Config) { c.KillLeaderAt = 2; c.L1SyncEvery = 2 }},
 	}
@@ -134,11 +129,6 @@ func TestReplicatedConfigValidation(t *testing.T) {
 	}{
 		{"negative replicas", func(c *Config) { c.Replicas = -1 }},
 		{"replicas with concat", func(c *Config) { c.Replicas = 1; c.ConcatRounds = true }},
-		{"replicas with deep pipeline", func(c *Config) {
-			c.Replicas = 1
-			c.Pipelined = true
-			c.PipelineDepth = 2
-		}},
 		{"waldir without replicas", func(c *Config) { c.WALDir = "somewhere" }},
 		{"kill without replicas", func(c *Config) { c.SimWAN = true; c.KillLeaderAt = 2 }},
 		{"kill without simwan", func(c *Config) { c.Replicas = 1; c.KillLeaderAt = 2 }},

@@ -52,36 +52,6 @@ func TestRunSplitResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// Resume also composes with the pipelined scheduler at depth 1, where
-// the trajectory is defined to match sequential bit for bit.
-func TestRunSplitResumePipelinedDepth1(t *testing.T) {
-	base := fastCfg()
-	base.Pipelined = true
-	base.PipelineDepth = 1
-
-	full, err := RunSplit(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	seg1 := base
-	seg1.Rounds = 11
-	seg1.CheckpointDir = dir
-	seg1.CheckpointEvery = 11
-	if _, err := RunSplit(seg1); err != nil {
-		t.Fatal(err)
-	}
-	seg2 := base
-	seg2.ResumeFrom = dir
-	res, err := RunSplit(seg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalAccuracy != full.FinalAccuracy {
-		t.Fatalf("resumed accuracy %v, uninterrupted %v", res.FinalAccuracy, full.FinalAccuracy)
-	}
-}
-
 // Config.validate catches the cross-field mistakes table-driven.
 func TestConfigValidationTable(t *testing.T) {
 	cases := []struct {
@@ -90,8 +60,7 @@ func TestConfigValidationTable(t *testing.T) {
 		ok   bool
 	}{
 		{"valid", nil, true},
-		{"concat and pipelined", func(c *Config) { c.ConcatRounds = true; c.Pipelined = true }, false},
-		{"pipeline depth without pipelined", func(c *Config) { c.PipelineDepth = 2 }, false},
+		{"concat and bounded staleness", func(c *Config) { c.ConcatRounds = true; c.BoundedStaleness = true }, false},
 		{"negative checkpoint every", func(c *Config) { c.CheckpointEvery = -3 }, false},
 		{"checkpoint every without dir", func(c *Config) { c.CheckpointEvery = 4 }, false},
 		{"checkpoint every with dir", func(c *Config) { c.CheckpointEvery = 4; c.CheckpointDir = t.TempDir() }, true},

@@ -124,39 +124,11 @@ func RunSplit(cfg Config) (*Result, error) {
 	if cfg.ConcatRounds {
 		mode = core.RoundModeConcat
 	}
-	if cfg.Pipelined {
-		mode = core.RoundModePipelined
-	}
 	if cfg.BoundedStaleness {
 		mode = core.RoundModeBoundedStaleness
 	}
 	if cfg.SplitFed {
 		mode = core.RoundModeSplitFed
-	}
-	// Shadow fronts let platforms overlap their L1 backward with the
-	// next batch's forward at depth >= 2. Each shadow comes from a full
-	// BuildModel whose back half is discarded — wasteful in principle,
-	// but it is one-time startup work, the builds run concurrently, and
-	// there is no front-only constructor; NewPlatform re-copies weights
-	// and state from Front, so only the structure matters.
-	var shadows []*nn.Sequential
-	if cfg.Pipelined && cfg.PipelineDepth >= 2 {
-		extra, err := buildModels(cfg, cfg.Platforms)
-		if err != nil {
-			return nil, err
-		}
-		shadows = make([]*nn.Sequential, cfg.Platforms)
-		for k, m := range extra {
-			cut := m.DefaultCut
-			if cfg.Cut > 0 {
-				cut = cfg.Cut
-			}
-			f, _, err := models.Split(m.Net, cut)
-			if err != nil {
-				return nil, err
-			}
-			shadows[k] = f
-		}
 	}
 	codec := wire.Codec(wire.RawCodec{})
 	if cfg.Codec != "" {
@@ -207,21 +179,19 @@ func RunSplit(cfg Config) (*Result, error) {
 		}
 	}
 	scfg := core.ServerConfig{
-		Back:              back,
-		Opt:               &nn.SGD{LR: cfg.LR},
-		Platforms:         cfg.Platforms,
-		Rounds:            cfg.Rounds,
-		StartRound:        startRound,
-		Mode:              mode,
-		Staleness:         cfg.Staleness,
-		PipelineDepth:     cfg.PipelineDepth,
-		IOGoroutineBudget: cfg.PipelineIOBudget,
-		ClipGrads:         5,
-		L1SyncEvery:       cfg.L1SyncEvery,
-		EvalEvery:         cfg.EvalEvery,
-		CheckpointEvery:   cfg.CheckpointEvery,
-		CheckpointDir:     cfg.CheckpointDir,
-		Codec:             codec,
+		Back:            back,
+		Opt:             &nn.SGD{LR: cfg.LR},
+		Platforms:       cfg.Platforms,
+		Rounds:          cfg.Rounds,
+		StartRound:      startRound,
+		Mode:            mode,
+		Staleness:       cfg.Staleness,
+		ClipGrads:       5,
+		L1SyncEvery:     cfg.L1SyncEvery,
+		EvalEvery:       cfg.EvalEvery,
+		CheckpointEvery: cfg.CheckpointEvery,
+		CheckpointDir:   cfg.CheckpointDir,
+		Codec:           codec,
 	}
 	if cfg.LabelSharing {
 		scfg.LabelSharing = true
@@ -277,9 +247,6 @@ func RunSplit(cfg Config) (*Result, error) {
 			Seed:            cfg.Seed + uint64(1000+k),
 			Codec:           codec,
 			Meter:           meters[k],
-		}
-		if shadows != nil {
-			pc.ShadowFront = shadows[k]
 		}
 		if cfg.LabelSharing {
 			pc.Loss = nil
@@ -389,19 +356,17 @@ func RunSplit(cfg Config) (*Result, error) {
 	res.TrainingBytes = res.Curve.Final().Bytes
 
 	// Meter reads below are exact, not racy snapshots: RunLocal joined
-	// the server and every platform goroutine (including the pipelined
-	// mode's async reader/writer goroutines, which Serve/Run flush
-	// before returning), so all CountTx/CountRx calls happen-before
-	// this point. See the contract on transport.Meter.
+	// the server and every platform goroutine, so all CountTx/CountRx
+	// calls happen-before this point. See the contract on
+	// transport.Meter.
 	// A topology without regions skips the wall-clock annotation, the
 	// behavior the legacy simTime path had.
 	if cfg.Topology != nil && len(cfg.Regions) > 0 {
-		// Sequential and pipelined estimates come from the same
-		// schedule-aware model (geonet.SplitRoundShape walks), so their
-		// Result.RoundTime values are directly comparable. Concat mode
-		// is a genuine barrier round — every platform's exchange
-		// overlaps around one fused step — so it keeps the
-		// slowest-platform model, like the sync-SGD baseline.
+		// Sequential rounds are walked by the schedule-aware model
+		// (geonet.SequentialSplitRoundTime). Concat mode is a genuine
+		// barrier round — every platform's exchange overlaps around one
+		// fused step — so it keeps the slowest-platform model, like the
+		// sync-SGD baseline.
 		// Meters only saw the rounds this process executed, which on a
 		// resumed run is fewer than cfg.Rounds. The shape carries the
 		// configured compute model, so the analytic estimate and the
@@ -416,8 +381,6 @@ func RunSplit(cfg Config) (*Result, error) {
 		var rt time.Duration
 		var err error
 		switch {
-		case cfg.Pipelined:
-			rt, err = cfg.Topology.PipelinedSplitRoundTime(cfg.Regions, shape, cfg.PipelineDepth)
 		case cfg.ConcatRounds:
 			up := make([]int64, cfg.Platforms)
 			down := make([]int64, cfg.Platforms)
@@ -462,7 +425,7 @@ func weightDigest(fronts []*nn.Sequential, back *nn.Sequential) uint64 {
 }
 
 // splitShape derives the per-message, per-platform round payloads the
-// schedule-aware geonet estimators need from the platforms' meters.
+// schedule-aware geonet estimator needs from the platforms' meters.
 // Totals divide evenly because every round moves the same message
 // set; L1-sync and eval traffic use different message types and stay
 // excluded.

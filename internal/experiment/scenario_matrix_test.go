@@ -46,8 +46,8 @@ func matrixTopology() (*geonet.Topology, []geonet.Region) {
 }
 
 // TestScenarioMatrix is the end-to-end scenario sweep the simulated
-// WAN exists for: {sequential, concat, pipelined, bounded-staleness,
-// splitfed} × {raw, f16, int8, top-k} × {no fault, mid-round dropout +
+// WAN exists for: {sequential, concat, bounded-staleness, splitfed} ×
+// {raw, f16, int8, top-k} × {no fault, mid-round dropout +
 // rejoin}, each simnet run compared against its pipe-transport
 // reference by weight digest — bit-identical training, regardless of
 // link parameters, codec quantization or a recovered dropout. The
@@ -67,7 +67,6 @@ func TestScenarioMatrix(t *testing.T) {
 	}{
 		{"sequential", func(c *Config) {}, true},
 		{"concat", func(c *Config) { c.ConcatRounds = true }, false},
-		{"pipelined", func(c *Config) { c.Pipelined = true; c.PipelineDepth = 2 }, false},
 		{"stale-2", func(c *Config) { c.BoundedStaleness = true; c.Staleness = 2 }, false},
 		{"splitfed", func(c *Config) { c.SplitFed = true; c.L1SyncEvery = 2 }, false},
 	}
@@ -184,7 +183,6 @@ func TestSimWANConfigValidation(t *testing.T) {
 		}},
 		{"unknown rejoin policy", func(c *Config) { c.SimRejoin = "retry" }},
 		{"rejoin with concat", func(c *Config) { c.SimRejoin = "wait"; c.ConcatRounds = true }},
-		{"rejoin with pipelined", func(c *Config) { c.SimRejoin = "wait"; c.Pipelined = true }},
 		{"rejoin with bounded staleness", func(c *Config) {
 			c.SimRejoin = "wait"
 			c.BoundedStaleness = true

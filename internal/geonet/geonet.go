@@ -80,10 +80,10 @@ func (t *Topology) RoundTime(regions []Region, up, down []int64, serverCompute t
 }
 
 // SplitRoundShape describes one training round of the split protocol
-// in enough detail for the schedule-aware estimators: the per-platform
+// in enough detail for SequentialSplitRoundTime: the per-platform
 // payload of each of the paper's four messages, plus per-platform
 // compute times. Byte slices are indexed by platform, matching the
-// regions slice passed to the estimators.
+// regions slice passed to the estimator.
 type SplitRoundShape struct {
 	// ActsBytes / LogitsBytes / LossGradBytes / CutGradBytes are the
 	// per-platform payloads of the four-message exchange (message 1
@@ -125,57 +125,6 @@ func (t *Topology) SequentialSplitRoundTime(regions []Region, s SplitRoundShape)
 			l.TransferTime(s.LossGradBytes[i]) + l.TransferTime(s.CutGradBytes[i])
 	}
 	return total, nil
-}
-
-// PipelinedSplitRoundTime estimates one steady-state round of
-// RoundModePipelined: activation uploads overlap the server's work on
-// earlier platforms and cut-gradient downloads overlap its work on
-// later platforms, so only the interactive logits -> loss-grad exchange
-// (plus compute) stays on the per-platform critical path.
-//
-// At depth 1 a platform's activations start uploading when the round
-// starts (all links in parallel); at depth >= 2 platforms additionally
-// overlap the upload with the previous round (one-step-stale L1
-// forward), which the model treats as activations already buffered at
-// the server. The estimate is deliberately simple — a closed-form
-// schedule walk, not a packet simulation — but it is deterministic and
-// ranks schedules correctly: pipelined <= sequential for any topology.
-func (t *Topology) PipelinedSplitRoundTime(regions []Region, s SplitRoundShape, depth int) (time.Duration, error) {
-	if err := s.validate(len(regions)); err != nil {
-		return 0, err
-	}
-	if depth < 1 {
-		return 0, fmt.Errorf("geonet: pipeline depth %d", depth)
-	}
-	var serverFree, lastDone time.Duration
-	for i, r := range regions {
-		l, err := t.Link(r)
-		if err != nil {
-			return 0, err
-		}
-		// When the server is ready for platform i, its activations are
-		// either already buffered (depth >= 2: prefetched during the
-		// previous round) or have been uploading since round start.
-		var actsReady time.Duration
-		if depth < 2 {
-			actsReady = l.TransferTime(s.ActsBytes[i])
-		}
-		start := serverFree
-		if actsReady > start {
-			start = actsReady
-		}
-		serverFree = start + s.ServerCompute +
-			l.TransferTime(s.LogitsBytes[i]) + s.PlatformCompute + l.TransferTime(s.LossGradBytes[i])
-		// The cut gradient ships from a writer goroutine while the
-		// server moves on to the next platform.
-		if done := serverFree + l.TransferTime(s.CutGradBytes[i]); done > lastDone {
-			lastDone = done
-		}
-	}
-	if lastDone > serverFree {
-		return lastDone, nil
-	}
-	return serverFree, nil
 }
 
 // DefaultHospitalTopology returns the running example used throughout

@@ -88,42 +88,9 @@ func defaultRegions() []Region {
 	return []Region{"snuh-seoul", "pusan-nat-univ", "chungang-univ", "korea-univ", "ucf-orlando"}
 }
 
-// The overlapped schedule can only help: for any depth, pipelined must
-// be no slower than sequential, and depth >= 2 (activations prefetched
-// a round ahead) no slower than depth 1.
-func TestPipelinedRoundTimeBeatsSequential(t *testing.T) {
-	topo := DefaultHospitalTopology()
-	regions := defaultRegions()
-	shape := fiveHospitalShape(len(regions))
-
-	seq, err := topo.SequentialSplitRoundTime(regions, shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, err := topo.PipelinedSplitRoundTime(regions, shape, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := topo.PipelinedSplitRoundTime(regions, shape, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 > seq {
-		t.Fatalf("pipelined depth 1 (%v) slower than sequential (%v)", d1, seq)
-	}
-	if d2 > d1 {
-		t.Fatalf("pipelined depth 2 (%v) slower than depth 1 (%v)", d2, d1)
-	}
-	// On this WAN-heavy shape the overlap must be substantial, not a
-	// rounding artifact: the big transfers leave the critical path.
-	if d2 >= seq*3/4 {
-		t.Fatalf("pipelined depth 2 (%v) saves < 25%% of sequential (%v)", d2, seq)
-	}
-}
-
-// With zero-byte transfers the three estimators agree: only compute
-// remains, and nothing overlaps with anything.
-func TestPipelinedRoundTimeComputeOnly(t *testing.T) {
+// With zero-byte transfers only compute remains: the round is the
+// server's and the platform's compute, back to back.
+func TestSequentialRoundTimeComputeOnly(t *testing.T) {
 	topo := &Topology{Server: "dc", Links: map[Region]Link{"a": {LatencyMs: 0, Mbps: 1000}}}
 	shape := SplitRoundShape{
 		ActsBytes: []int64{0}, LogitsBytes: []int64{0}, LossGradBytes: []int64{0}, CutGradBytes: []int64{0},
@@ -133,12 +100,8 @@ func TestPipelinedRoundTimeComputeOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := topo.PipelinedSplitRoundTime([]Region{"a"}, shape, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 10*time.Millisecond || pipe != 10*time.Millisecond {
-		t.Fatalf("compute-only round: seq %v, pipe %v, want 10ms both", seq, pipe)
+	if seq != 10*time.Millisecond {
+		t.Fatalf("compute-only round: %v, want 10ms", seq)
 	}
 }
 
@@ -149,14 +112,7 @@ func TestSplitRoundTimeValidation(t *testing.T) {
 	if _, err := topo.SequentialSplitRoundTime(regions, bad); err == nil {
 		t.Fatal("length mismatch must error")
 	}
-	if _, err := topo.PipelinedSplitRoundTime(regions, bad, 1); err == nil {
-		t.Fatal("length mismatch must error")
-	}
-	good := fiveHospitalShape(len(regions))
-	if _, err := topo.PipelinedSplitRoundTime(regions, good, 0); err == nil {
-		t.Fatal("zero depth must error")
-	}
-	if _, err := topo.PipelinedSplitRoundTime([]Region{"nowhere"}, fiveHospitalShape(1), 1); err == nil {
+	if _, err := topo.SequentialSplitRoundTime([]Region{"nowhere"}, fiveHospitalShape(1)); err == nil {
 		t.Fatal("unknown region must error")
 	}
 }

@@ -3,12 +3,10 @@ package serve
 import "sync"
 
 // computeScheduler shares a fixed budget of compute slots across every
-// training session and inference batcher in the process. It is the
-// serving-tier analogue of core's IOGoroutineBudget: where that knob
-// bounds how many connections overlap WAN I/O inside one session, this
-// one bounds how many sessions run back-half math at once across the
-// whole process — and hands freed slots out round-robin so a hot
-// tenant cannot starve a quiet one.
+// training session and inference batcher in the process. It bounds how
+// many sessions run back-half math at once across the whole process —
+// and hands freed slots out round-robin so a hot tenant cannot starve a
+// quiet one.
 //
 // Each session (or batcher) registers once and receives a gate that
 // plugs into core.ServerConfig.Compute. The gate's Acquire is called

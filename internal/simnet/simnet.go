@@ -30,12 +30,11 @@
 //
 // Determinism: a link's per-direction message sequence is fixed by the
 // protocol, and its jitter stream is seeded from Options.Seed, so every
-// per-message transfer time is reproducible. In the lockstep round
-// modes (sequential, concat) each node is driven by a single protocol
-// goroutine, which makes the full virtual timeline — and Elapsed —
-// bit-for-bit reproducible across runs. In pipelined mode the async
-// transport wrappers stamp sends from worker goroutines, so Elapsed may
-// vary within the prefetch window; trained weights are transport-timing
+// per-message transfer time is reproducible. In every round mode each
+// node is driven by a single protocol goroutine, which makes the full
+// virtual timeline — and Elapsed — bit-for-bit reproducible across runs
+// (experiment's TestAllModesTwiceRunIdenticalUnderFaults enforces it
+// under jitter and churn). Trained weights are transport-timing
 // independent in every mode (the scenario matrix tests enforce it).
 //
 // # Faults

@@ -28,15 +28,6 @@ func TestSoak100PlatformSession(t *testing.T) {
 		mutate func(*experiment.Config)
 	}{
 		{"sequential", func(c *experiment.Config) {}},
-		// The pipelined arm runs with a deliberately tight I/O budget:
-		// only 32 of the 100 connections get dedicated reader/writer
-		// goroutines, so the mixed async/synchronous fan-in path is
-		// raced at scale too.
-		{"pipelined-depth1-budget64", func(c *experiment.Config) {
-			c.Pipelined = true
-			c.PipelineDepth = 1
-			c.PipelineIOBudget = 64
-		}},
 	}
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {

@@ -12,8 +12,8 @@ import (
 // (WAN drop, platform restart) the recovery logic establishes a fresh
 // transport (a new TCP dial, a new accepted connection, a new pipe) and
 // Swaps it in. Send/Recv simply delegate to the current transport, so
-// every other layer — metering, async wrappers, the protocol loops —
-// stays oblivious to reconnection.
+// every other layer — metering, the protocol loops — stays oblivious
+// to reconnection.
 //
 // Reconnectable does not retry by itself: a Send or Recv that hits a
 // dead transport still returns the error. Retrying is a protocol

@@ -16,9 +16,9 @@ import (
 // VerifyNoLeaks snapshots the goroutines currently executing medsplit
 // code and registers a cleanup that fails the test if new ones outlive
 // it. Call it at the top of any end-to-end test that spawns session
-// goroutines (servers, platforms, async transport wrappers, simnet
-// sessions): a leaked pipeline reader, an unjoined writer or a parked
-// stop-notification goroutine shows up as a failure with its stack.
+// goroutines (servers, platforms, followers, simnet sessions): an
+// unjoined party, a leaked link goroutine or a parked stop-notification
+// goroutine shows up as a failure with its stack.
 //
 // The cleanup polls for a grace period before failing, because clean
 // shutdown paths may still be draining (e.g. best-effort notification

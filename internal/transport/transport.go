@@ -23,9 +23,9 @@ var ErrClosed = errors.New("transport: connection closed")
 //
 // Payload ownership: a message handed to Send belongs to the connection
 // (and, transitively, to the peer — the in-process pipe transport
-// delivers the same bytes by reference, and an async wrapper may still
-// be queueing them) from the moment Send is called; the caller must not
-// mutate, reuse or pool the payload afterwards. A message returned by
+// delivers the same bytes by reference) from the moment Send is
+// called; the caller must not mutate, reuse or pool the payload
+// afterwards. A message returned by
 // Recv belongs to the caller, which may recycle the payload through
 // wire.Buffers once decoded. This is what lets both transports run the
 // steady-state round loop without payload allocations: senders draw
@@ -48,13 +48,12 @@ type Listener interface {
 //
 // Happens-before contract: the counters are lock-free atomics, so a
 // concurrent read is never a data race — but it may observe a total
-// that is mid-round, because an AsyncConn writer goroutine counts a
-// message only when it actually reaches the inner connection. A reader
-// that needs a *final* total must establish happens-before with every
-// goroutine that touched the meter: in this repo, core.RunLocal joins
-// the server and all platform goroutines before returning (and the
-// pipelined mode flushes its async writers before Serve/Run return), so
-// experiment's trainTx/trainRx reads after RunLocal are exact.
+// that is mid-round, because another party's goroutine may be counting
+// at the same moment. A reader that needs a *final* total must
+// establish happens-before with every goroutine that touched the
+// meter: in this repo, core.RunLocal joins the server and all platform
+// goroutines before returning, so experiment's trainTx/trainRx reads
+// after RunLocal are exact.
 // Mid-session snapshots (the platform's per-eval TrainingBytes) are
 // exact for a different reason: the protocol's request/response
 // causality guarantees every training message of the finished round was
