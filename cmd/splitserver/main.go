@@ -108,7 +108,7 @@ func main() {
 		serveMode    = flag.Bool("serve", false, "run as a multi-tenant split-inference server instead of training (see -tenants)")
 		tenants      = flag.String("tenants", "", "with -serve: comma-separated name:seed[:checkpoint-dir[:precision]] tenant specs (precision: f32, f16 or int8)")
 		batchMax     = flag.Int("batch-max", 8, "with -serve: flush a tenant's batch at this many accumulated rows")
-		flushEvery   = flag.Duration("flush-every", 2*time.Millisecond, "with -serve: flush a partial batch after this long")
+		flushEvery   = flag.Duration("flush-every", 2*time.Millisecond, "with -serve: while every compute slot is busy, hold a partial batch at most this long (a request that finds a slot free runs at once)")
 		computeSlots = flag.Int("compute-slots", 1, "with -serve: concurrent back-half forwards across all tenants")
 		maxSessions  = flag.Int("max-sessions", 0, "with -serve: admission cap on concurrent training sessions (0 = default)")
 		maxMemory    = flag.Int64("max-memory", 0, "with -serve: admission cap on estimated session bytes (0 = unlimited)")

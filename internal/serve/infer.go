@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"medsplit/internal/nn"
 	"medsplit/internal/tensor"
 	"medsplit/internal/transport"
 	"medsplit/internal/wire"
@@ -19,12 +20,16 @@ type InferConfig struct {
 	// BatchMax flushes a tenant's pending batch once its accumulated
 	// row count (samples, not requests) reaches this. Defaults to 8.
 	BatchMax int
-	// FlushEvery is the batching deadline: the clock starts when a
-	// request arrives at an empty batch, and whatever has accumulated
-	// when it fires is flushed. A request therefore waits at most
-	// FlushEvery before its compute starts, no matter how quiet the
-	// tenant is — the tail-latency bound that makes batching safe to
-	// leave on. Defaults to 2ms.
+	// FlushEvery is how long a batch waits for more requests while
+	// compute is busy. A request that finds a compute slot free and
+	// nothing else queued for its tenant is flushed at once and never
+	// starts the clock. Otherwise the clock starts when the batch is
+	// first held, and whatever has accumulated when it fires is
+	// flushed. The bound is on the flush, not on compute: a flushed
+	// batch still waits for a slot in the compute scheduler (round
+	// robin over every registered session and batcher, at most one lap
+	// of the ring), so a request's compute starts within FlushEvery
+	// plus that slot wait. Defaults to 2ms.
 	FlushEvery time.Duration
 	// QueueCap bounds a tenant's pending request queue. Arrivals beyond
 	// it are refused with ErrOverloaded (carrying a retry-after hint)
@@ -56,6 +61,13 @@ func (c *InferConfig) withDefaults() InferConfig {
 // logits. One batcher goroutine per tenant owns that tenant's model,
 // decode slots and fused scratch, so tenants never contend on (or
 // leak into) each other's memory.
+//
+// Batching is work-conserving: a request that arrives while a compute
+// slot is free and nothing else is queued for its tenant runs at once,
+// together with whatever its batch already holds. Only while every
+// slot is busy does a batch accumulate, up to BatchMax rows or the
+// FlushEvery timer, so batching costs latency only when it can buy
+// throughput.
 //
 // Overload and failure containment (the robustness contract):
 //
@@ -286,7 +298,8 @@ func (is *InferenceServer) handleRequest(lc *lockedConn, m *wire.Message) {
 // errCodeOf classifies a serving error for the wire: the code decides
 // client retry behavior (wire.ErrCode.Retryable), the retry-after hint
 // tells a shed client how long the condition plausibly needs to clear
-// (one flush interval — the soonest the queue can drain a batch).
+// (one flush interval: a queue fills only while compute is busy, and
+// then no batch is held for more requests longer than FlushEvery).
 func (is *InferenceServer) errCodeOf(err error) (code wire.ErrCode, retryAfter time.Duration) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
@@ -417,11 +430,14 @@ func (ts *tenantServing) putSlot(s []*tensor.Tensor) {
 	ts.slotMu.Unlock()
 }
 
-// run is the tenant's batcher loop: accumulate rows until BatchMax or
-// the FlushEvery deadline, whichever comes first, then flush. The
-// deadline arms when a request arrives at an empty batch. A request
-// whose own deadline budget cannot survive a full FlushEvery wait
-// flushes immediately — batching must never be what expires a request.
+// run is the tenant's batcher loop. After a request joins the pending
+// batch, the batch flushes at once when its rows reach BatchMax, when
+// the request's own deadline budget cannot survive a full FlushEvery
+// wait (batching must never be what expires a request), or when no
+// other request is queued and a compute slot is free right now — then
+// it runs on that slot instead of idling beside it. Otherwise the batch
+// is held: the FlushEvery timer arms when a batch is first held, and
+// whatever has accumulated when it fires is flushed.
 func (ts *tenantServing) run() {
 	defer ts.is.wg.Done()
 	timer := time.NewTimer(time.Hour)
@@ -430,15 +446,13 @@ func (ts *tenantServing) run() {
 	}
 	var pending []*inferJob
 	rows := 0
-	flush := func() {
-		if len(pending) > 0 {
-			ts.flush(pending)
-			for i := range pending {
-				pending[i] = nil
-			}
-			pending = pending[:0]
-			rows = 0
+	flush := func(release func()) {
+		ts.flush(pending, release)
+		for i := range pending {
+			pending[i] = nil
 		}
+		pending = pending[:0]
+		rows = 0
 	}
 	stopTimer := func() {
 		if !timer.Stop() {
@@ -456,17 +470,16 @@ func (ts *tenantServing) run() {
 			if !ok {
 				return
 			}
-			timer.Reset(ts.is.cfg.FlushEvery)
 		} else {
 			select {
 			case j, ok = <-ts.jobs:
 				if !ok {
 					stopTimer()
-					flush()
+					flush(nil)
 					return
 				}
 			case <-timer.C:
-				flush()
+				flush(nil)
 				continue
 			}
 		}
@@ -475,71 +488,47 @@ func (ts *tenantServing) run() {
 		urgent := !j.deadline.IsZero() && time.Until(j.deadline) <= ts.is.cfg.FlushEvery
 		if rows >= ts.is.cfg.BatchMax || urgent {
 			stopTimer()
-			flush()
+			flush(nil)
+			continue
+		}
+		if len(ts.jobs) == 0 {
+			if release, ok := ts.gate.tryAcquire(); ok {
+				stopTimer()
+				flush(release)
+				continue
+			}
+		}
+		if len(pending) == 1 {
+			timer.Reset(ts.is.cfg.FlushEvery)
 		}
 	}
 }
 
-// flush runs one batch: shed expired requests, resolve the model
-// generation, reject requests the loaded generation cannot satisfy,
-// fuse the rest along dim 0, run the back half once under the compute
-// gate, split the logits back out and answer each request. The
-// expiry check runs before cache.ensure so a queue full of dead work
-// never touches the model or the disk.
-func (ts *tenantServing) flush(jobs []*inferJob) {
-	now := time.Now()
-	live := ts.jobScratch[:0]
-	var maxGen uint32
-	for _, j := range jobs {
-		if !j.deadline.IsZero() && now.After(j.deadline) {
-			ts.reject(j, fmt.Errorf("%w: request %d waited past its budget",
-				ErrDeadlineExpired, j.reqID))
-			continue
-		}
-		if j.gen > maxGen {
-			maxGen = j.gen
-		}
-		live = append(live, j)
-	}
+// flush runs one batch: admit it, fuse the survivors along dim 0, run
+// the back half once on a compute slot, split the logits back out and
+// answer each request. The slot is the one the caller already holds
+// (release non-nil) or one taken from the gate once admit has left
+// something to compute. A held slot is given back even when admit
+// leaves nothing; it is held through admit, so a checkpoint reload that
+// a pinned request triggers runs on it.
+func (ts *tenantServing) flush(jobs []*inferJob, release func()) {
+	model, live, trailing := ts.admit(jobs)
 	if len(live) == 0 {
-		ts.jobScratch = live[:0]
+		if release != nil {
+			release()
+		}
 		return
 	}
-	model, gen, err := ts.t.cache.ensure(maxGen)
-	if err != nil {
-		for _, j := range live {
-			ts.reject(j, err)
-		}
-		ts.jobScratch = live[:0]
-		return
-	}
-	jobs, live = live, live[:0]
-	acc := ts.actScratch[:0]
-	sizes := ts.sizeScratch[:0]
-	var trailing []int
-	for _, j := range jobs {
-		if j.gen != 0 && j.gen != gen {
-			ts.reject(j, fmt.Errorf("%w: tenant %q serves generation %d, request wants %d",
-				ErrGenerationMismatch, ts.t.cfg.Name, gen, j.gen))
-			continue
-		}
-		shape := j.acts.Shape()
-		if trailing == nil {
-			trailing = shape[1:]
-		} else if !equalInts(shape[1:], trailing) {
-			ts.reject(j, fmt.Errorf("serve: activation shape %v does not match batch trailing dims %v", shape, trailing))
-			continue
-		}
-		live = append(live, j)
+	acc, sizes := ts.actScratch[:0], ts.sizeScratch[:0]
+	for _, j := range live {
 		acc = append(acc, j.acts)
-		sizes = append(sizes, shape[0])
+		sizes = append(sizes, j.acts.Dim(0))
 	}
-	ts.jobScratch, ts.actScratch, ts.sizeScratch = live[:0], acc[:0], sizes[:0]
-	if len(live) == 0 {
-		return
-	}
+	ts.actScratch, ts.sizeScratch = acc[:0], sizes[:0]
 	var z *tensor.Tensor
-	release := ts.gate.Acquire()
+	if release == nil {
+		release = ts.gate.Acquire()
+	}
 	if len(acc) == 1 {
 		z = model.Forward(acc[0], false)
 	} else {
@@ -569,6 +558,58 @@ func (ts *tenantServing) flush(jobs []*inferJob) {
 		})
 		ts.putSlot(j.slot)
 	}
+}
+
+// admit decides which of a batch's requests get computed: it sheds
+// expired requests, resolves the model generation, and rejects the
+// requests the loaded generation cannot satisfy or whose trailing dims
+// do not match the batch's. It returns the model, the survivors (in
+// jobScratch's storage, valid until the next admit) and their shared
+// trailing dims. The expiry check runs before cache.ensure so a queue
+// full of dead work never touches the model or the disk.
+func (ts *tenantServing) admit(jobs []*inferJob) (model nn.Layer, live []*inferJob, trailing []int) {
+	now := time.Now()
+	live = ts.jobScratch[:0]
+	defer func() { ts.jobScratch = live[:0] }()
+	var maxGen uint32
+	for _, j := range jobs {
+		if !j.deadline.IsZero() && now.After(j.deadline) {
+			ts.reject(j, fmt.Errorf("%w: request %d waited past its budget",
+				ErrDeadlineExpired, j.reqID))
+			continue
+		}
+		if j.gen > maxGen {
+			maxGen = j.gen
+		}
+		live = append(live, j)
+	}
+	if len(live) == 0 {
+		return nil, live, nil
+	}
+	model, gen, err := ts.t.cache.ensure(maxGen)
+	if err != nil {
+		for _, j := range live {
+			ts.reject(j, err)
+		}
+		return nil, live[:0], nil
+	}
+	jobs, live = live, live[:0]
+	for _, j := range jobs {
+		if j.gen != 0 && j.gen != gen {
+			ts.reject(j, fmt.Errorf("%w: tenant %q serves generation %d, request wants %d",
+				ErrGenerationMismatch, ts.t.cfg.Name, gen, j.gen))
+			continue
+		}
+		shape := j.acts.Shape()
+		if trailing == nil {
+			trailing = shape[1:]
+		} else if !equalInts(shape[1:], trailing) {
+			ts.reject(j, fmt.Errorf("serve: activation shape %v does not match batch trailing dims %v", shape, trailing))
+			continue
+		}
+		live = append(live, j)
+	}
+	return model, live, trailing
 }
 
 // reject answers one batched request with a structured error payload

@@ -124,20 +124,36 @@ func TestInferMatchesLocalForward(t *testing.T) {
 	wantExact(t, got, localForward(t, 5, x, nil))
 }
 
-// Two requests fused into one server-side batch must each get the same
-// logits as a batch-of-one round trip: batched rows are independent
-// through the back half, which is what makes dynamic batching
-// transparent to clients.
-func TestBatchedInferenceMatchesSingle(t *testing.T) {
-	// BatchMax 2 with an hour-long deadline: the only way the batcher
-	// flushes is both requests landing in one fused batch.
-	dial, is := inferFixture(t, InferConfig{BatchMax: 2, FlushEvery: time.Hour}, inferTenant("alpha", 5, ""))
+// holdSlot takes the fixture's only compute slot for a test-owned gate,
+// so the batcher finds compute busy and holds its batches. The returned
+// func gives the slot back; cleanup does too, if the test failed first.
+func holdSlot(t *testing.T, is *InferenceServer) (giveBack func()) {
+	t.Helper()
+	hold := is.m.sched.register("test-hold")
+	release, ok := hold.tryAcquire()
+	if !ok {
+		t.Fatal("fixture's compute slot is not free")
+	}
+	var once sync.Once
+	giveBack = func() {
+		once.Do(func() {
+			release()
+			is.m.sched.unregister(hold)
+		})
+	}
+	t.Cleanup(giveBack)
+	return giveBack
+}
 
-	xs := []*tensor.Tensor{randInput(1, 101), randInput(1, 102)}
-	got := make([]*tensor.Tensor, 2)
-	errs := make([]error, 2)
+// inferAll starts one alpha client per input, each on its own
+// connection; wait blocks until all are answered and returns the logits
+// in input order.
+func inferAll(t *testing.T, dial func() transport.Conn, xs []*tensor.Tensor) (wait func() []*tensor.Tensor) {
+	t.Helper()
+	got := make([]*tensor.Tensor, len(xs))
+	errs := make([]error, len(xs))
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i := range xs {
 		client := NewClient(dial(), clientFront(t, 5), "alpha", uint32(i))
 		wg.Add(1)
 		go func(i int, c *Client) {
@@ -150,11 +166,40 @@ func TestBatchedInferenceMatchesSingle(t *testing.T) {
 			got[i] = y.Clone()
 		}(i, client)
 	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		t.Fatal(err)
+	return func() []*tensor.Tensor {
+		done := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("requests unanswered: a batch is held beside a free slot")
+		}
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
-	for i := 0; i < 2; i++ {
+}
+
+// Two requests fused into one server-side batch must each get the same
+// logits as a batch-of-one round trip: batched rows are independent
+// through the back half, which is what makes dynamic batching
+// transparent to clients.
+func TestBatchedInferenceMatchesSingle(t *testing.T) {
+	// BatchMax 2, an hour-long timer and the only slot held: the batcher
+	// can flush only once both requests share one batch.
+	dial, is := inferFixture(t, InferConfig{BatchMax: 2, FlushEvery: time.Hour}, inferTenant("alpha", 5, ""))
+	giveBack := holdSlot(t, is)
+	xs := []*tensor.Tensor{randInput(1, 101), randInput(1, 102)}
+	wait := inferAll(t, dial, xs)
+	// The batcher is parked in Acquire only once BatchMax flushed the pair.
+	waitPending(t, is.m.sched, is.serving["alpha"].gate)
+	giveBack()
+	got := wait()
+	for i := range xs {
 		wantExact(t, got[i], localForward(t, 5, xs[i], nil))
 	}
 	if st := is.Stats(); st.Batches != 1 || st.Requests != 2 {
@@ -162,20 +207,65 @@ func TestBatchedInferenceMatchesSingle(t *testing.T) {
 	}
 }
 
-// A lone request must not wait for a full batch: the FlushEvery
-// deadline flushes whatever has accumulated.
+// While compute is busy, a lone request must not wait for a full batch:
+// the FlushEvery timer flushes whatever has accumulated.
 func TestDeadlineFlushesPartialBatch(t *testing.T) {
 	dial, is := inferFixture(t, InferConfig{BatchMax: 1 << 20, FlushEvery: 3 * time.Millisecond},
 		inferTenant("alpha", 5, ""))
-	client := NewClient(dial(), clientFront(t, 5), "alpha", 1)
+	giveBack := holdSlot(t, is)
 	x := randInput(2, 103)
-	got, err := client.Infer(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantExact(t, got, localForward(t, 5, x, nil))
+	wait := inferAll(t, dial, []*tensor.Tensor{x})
+	// BatchMax is out of reach and the request has no deadline, so only
+	// the timer can have started the flush now parked in Acquire.
+	waitPending(t, is.m.sched, is.serving["alpha"].gate)
+	giveBack()
+	wantExact(t, wait()[0], localForward(t, 5, x, nil))
 	if st := is.Stats(); st.Batches != 1 {
-		t.Fatalf("stats %+v: want exactly one deadline-flushed batch", st)
+		t.Fatalf("stats %+v: want exactly one timer-flushed batch", st)
+	}
+}
+
+// A lone request that finds the compute slot free runs at once: with an
+// hour-long timer and an unreachable BatchMax, only the idle-slot flush
+// can answer it.
+func TestIdleSlotFlushesWithoutTimer(t *testing.T) {
+	dial, is := inferFixture(t, InferConfig{BatchMax: 1 << 20, FlushEvery: time.Hour},
+		inferTenant("alpha", 5, ""))
+	x := randInput(2, 104)
+	wantExact(t, inferAll(t, dial, []*tensor.Tensor{x})()[0], localForward(t, 5, x, nil))
+	if st := is.Stats(); st.Batches != 1 {
+		t.Fatalf("stats %+v: want exactly one idle-slot batch", st)
+	}
+	if acquired, waited := is.serving["alpha"].gate.stats(); acquired != 1 || waited != 0 {
+		t.Fatalf("gate acquired %d, waited %d: want one take that never waited", acquired, waited)
+	}
+}
+
+// While every slot is busy the batcher still batches: requests fuse into
+// one forward, and BatchMax still splits them. Six one-row requests
+// against BatchMax 4: four fill the first batch, which parks in Acquire
+// with the other two queued; once the slot frees, those two are pulled
+// together and flush on it.
+func TestBusySlotsStillBatch(t *testing.T) {
+	dial, is := inferFixture(t, InferConfig{BatchMax: 4, FlushEvery: time.Hour}, inferTenant("alpha", 5, ""))
+	giveBack := holdSlot(t, is)
+	xs := make([]*tensor.Tensor, 6)
+	for i := range xs {
+		xs[i] = randInput(1, uint64(110+i))
+	}
+	wait := inferAll(t, dial, xs)
+	ts := is.serving["alpha"]
+	waitPending(t, is.m.sched, ts.gate)
+	for len(ts.jobs) < 2 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	giveBack()
+	got := wait()
+	for i := range xs {
+		wantExact(t, got[i], localForward(t, 5, xs[i], nil))
+	}
+	if st := is.Stats(); st.Batches != 2 || st.Requests != 6 {
+		t.Fatalf("stats %+v: want a 4-row batch and a 2-row batch", st)
 	}
 }
 

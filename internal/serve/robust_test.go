@@ -183,6 +183,76 @@ func TestExpiredRequestShedBeforeCompute(t *testing.T) {
 	}
 }
 
+// A flush handed a compute slot must give it back even when it computes
+// nothing: every request expired, the model cache failed, or every
+// request was rejected for its generation. With one slot, a leak would
+// wedge every other party, so another gate's Acquire must return at
+// once afterwards.
+func TestFlushReturnsHeldSlot(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	m, is, conn := rawFixture(t,
+		Config{Tenants: []TenantConfig{cutTenant("alpha"), {Name: "unbuilt"}}, ComputeSlots: 1},
+		InferConfig{})
+	other := m.sched.register("test-other")
+	acquireAtOnce := func(t *testing.T) {
+		t.Helper()
+		got := make(chan func(), 1)
+		go func() { got <- other.Acquire() }()
+		select {
+		case release := <-got:
+			release()
+		case <-time.After(5 * time.Second):
+			t.Fatal("Acquire blocked: a flush kept its compute slot")
+		}
+	}
+	// Through the batcher: a lone request that finds the slot free is
+	// flushed on it, so the gate counts one take that never waited.
+	viaIdleSlot := func(t *testing.T, h wire.InferHeader, round uint32, want wire.ErrCode) {
+		t.Helper()
+		gate := is.serving[h.Tenant].gate
+		before, _ := gate.stats()
+		sendRaw(t, conn, h, round, 1)
+		if code, _ := recvServeError(t, conn, round); code != want {
+			t.Fatalf("code %v, want %v", code, want)
+		}
+		acquireAtOnce(t)
+		if acquired, waited := gate.stats(); acquired != before+1 || waited != 0 {
+			t.Fatalf("gate acquired %d→%d, waited %d: want one idle-slot take", before, acquired, waited)
+		}
+	}
+
+	t.Run("cache-failed", func(t *testing.T) {
+		viaIdleSlot(t, wire.InferHeader{Tenant: "unbuilt"}, 1, wire.CodeInternal)
+	})
+	t.Run("generation-mismatch", func(t *testing.T) {
+		viaIdleSlot(t, wire.InferHeader{Tenant: "alpha", Generation: 7}, 2, wire.CodeGenerationMismatch)
+	})
+	t.Run("expired", func(t *testing.T) {
+		// In the batcher, a request close enough to its deadline to
+		// expire is urgent, and urgent batches flush before an idle slot
+		// is tried. So hand flush one directly; the batcher is idle, and
+		// its scratch is free.
+		ts := is.serving["alpha"]
+		release, ok := ts.gate.tryAcquire()
+		if !ok {
+			t.Fatal("compute slot not free")
+		}
+		s, p := transport.Pipe()
+		defer s.Close()
+		defer p.Close()
+		j := &inferJob{conn: &lockedConn{c: s}, round: 3, deadline: time.Now().Add(-time.Millisecond),
+			acts: tensor.New(1, 16), slot: ts.getSlot()}
+		go ts.flush([]*inferJob{j}, release)
+		if code, _ := recvServeError(t, p, 3); code != wire.CodeExpired {
+			t.Fatalf("code %v, want expired", code)
+		}
+		acquireAtOnce(t)
+	})
+	if st := is.Stats(); st.Batches != 0 || st.Rejected != 3 {
+		t.Fatalf("stats %+v: want three rejections and no forward", st)
+	}
+}
+
 // The MsgHealth probe must answer with every tenant's state, and the
 // state machine must move serving → draining on Close.
 func TestHealthProbe(t *testing.T) {

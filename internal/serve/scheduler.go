@@ -98,6 +98,22 @@ func (g *computeGate) Acquire() (release func()) {
 	return g.release
 }
 
+// tryAcquire takes a compute slot only if one is free right now, and
+// never waits. By Acquire's invariant a free slot means nobody is
+// pending, so a successful take never jumps a waiter. A success counts
+// in acquired; a refusal counts nowhere.
+func (g *computeGate) tryAcquire() (release func(), ok bool) {
+	cs := g.sched
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if cs.free == 0 {
+		return nil, false
+	}
+	cs.free--
+	g.acquired++
+	return g.release, true
+}
+
 // release hands the slot to the next pending gate after the round-robin
 // cursor, or banks it when nobody is waiting.
 func (g *computeGate) release() {

@@ -66,6 +66,70 @@ func TestSchedulerGrantsInRingOrder(t *testing.T) {
 	}
 }
 
+// The non-blocking take must never jump a waiter: it fails while a gate
+// is pending (and while the slot that gate was granted is held), leaves
+// ring-order grants alone, and succeeds only on a banked slot. Only a
+// success counts, and only in acquired.
+func TestSchedulerTryAcquireNeverJumpsWaiters(t *testing.T) {
+	cs := newComputeScheduler(1)
+	a := cs.register("a")
+	b := cs.register("b")
+	c := cs.register("c")
+	d := cs.register("d")
+
+	releaseA, ok := a.tryAcquire()
+	if !ok {
+		t.Fatal("tryAcquire refused a banked slot")
+	}
+	order := make(chan string, 2)
+	proceed := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, g := range []*computeGate{b, c} {
+		wg.Add(1)
+		go func(g *computeGate) {
+			defer wg.Done()
+			r := g.Acquire()
+			order <- g.name
+			<-proceed
+			r()
+		}(g)
+		waitPending(t, cs, g)
+	}
+	if _, ok := d.tryAcquire(); ok {
+		t.Fatal("tryAcquire took a slot while gates were pending")
+	}
+	releaseA()
+	if first := <-order; first != "b" {
+		t.Fatalf("first grant went to %s, want b", first)
+	}
+	if _, ok := d.tryAcquire(); ok {
+		t.Fatal("tryAcquire took a slot while c was pending")
+	}
+	proceed <- struct{}{} // b releases: the slot goes to c, not to the bank
+	if second := <-order; second != "c" {
+		t.Fatalf("second grant went to %s, want c", second)
+	}
+	if _, ok := d.tryAcquire(); ok {
+		t.Fatal("tryAcquire took the slot c holds")
+	}
+	proceed <- struct{}{}
+	wg.Wait()
+
+	releaseD, ok := d.tryAcquire()
+	if !ok {
+		t.Fatal("tryAcquire refused the slot banked after the last release")
+	}
+	releaseD()
+	for _, tc := range []struct {
+		g                *computeGate
+		acquired, waited int64
+	}{{a, 1, 0}, {b, 1, 1}, {c, 1, 1}, {d, 1, 0}} {
+		if acquired, waited := tc.g.stats(); acquired != tc.acquired || waited != tc.waited {
+			t.Fatalf("gate %s acquired %d waited %d, want %d and %d", tc.g.name, acquired, waited, tc.acquired, tc.waited)
+		}
+	}
+}
+
 // The slot budget must be a hard bound on concurrent holders, and
 // under sustained contention every gate must make progress (the
 // starvation-freedom round-robin buys).
