@@ -75,10 +75,13 @@ fmt-check:
 # The pure-Go arm of the kernel dispatch: build everything and run the
 # numeric packages with the `purego` tag, which compiles out all
 # assembly. The differential tests then assert the generic reference
-# alone, proving the fallback is complete (mirrors CI's purego job).
+# alone, proving the fallback is complete, and the round-mode digest
+# table checks the same bits end to end through every scheduler
+# (mirrors CI's purego job).
 purego-test:
 	$(GO) build -tags purego ./...
 	$(GO) test -tags purego ./internal/tensor/... ./internal/compress/ ./internal/nn/
+	$(GO) test -tags purego -run TestRoundModeDigests ./internal/core/
 
 # Cross-compile the full module for arm64 and vet the kernel layer,
 # which checks the NEON assembly against its Go declarations (asmdecl).

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"medsplit/internal/core"
 	"medsplit/internal/experiment"
 	"medsplit/internal/geonet"
 )
@@ -24,9 +25,9 @@ func BenchmarkConsistencyModes(b *testing.B) {
 		mutate func(*experiment.Config)
 	}{
 		{"sequential", func(c *experiment.Config) {}},
-		{"stale-k1", func(c *experiment.Config) { c.BoundedStaleness = true; c.Staleness = 1 }},
-		{"stale-k4", func(c *experiment.Config) { c.BoundedStaleness = true; c.Staleness = 4 }},
-		{"splitfed", func(c *experiment.Config) { c.SplitFed = true; c.L1SyncEvery = 2 }},
+		{"stale-k1", func(c *experiment.Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = 1 }},
+		{"stale-k4", func(c *experiment.Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = 4 }},
+		{"splitfed", func(c *experiment.Config) { c.Mode = core.RoundModeSplitFed; c.L1SyncEvery = 2 }},
 	}
 	for _, mode := range modes {
 		b.Run("mode="+mode.name, func(b *testing.B) {

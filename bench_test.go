@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"medsplit/internal/commmodel"
+	"medsplit/internal/core"
 	"medsplit/internal/experiment"
 )
 
@@ -187,16 +188,10 @@ func BenchmarkLabelSharing(b *testing.B) {
 // sequential (one optimizer step per platform per round) and concat
 // (one step on the fused union batch).
 func BenchmarkRoundModes(b *testing.B) {
-	for _, arm := range []struct {
-		name   string
-		concat bool
-	}{
-		{"sequential", false},
-		{"concat", true},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
+	for _, mode := range []core.RoundMode{core.RoundModeSequential, core.RoundModeConcat} {
+		b.Run(mode.String(), func(b *testing.B) {
 			cfg := figCfg(experiment.ArchVGG, 10)
-			cfg.ConcatRounds = arm.concat
+			cfg.Mode = mode
 			var last *experiment.Result
 			for i := 0; i < b.N; i++ {
 				res, err := experiment.RunSplit(cfg)

@@ -9,8 +9,8 @@
 // every process independently computes the same shards. Exactly one
 // platform should pass -evaluator when -evalevery is non-zero.
 //
-// The server's round mode (-concat, -stale, -splitfed on splitserver)
-// needs no matching flag here: the platform always walks its session in
+// The server's round mode (-mode and -stale on splitserver) needs no
+// matching flag here: the platform always walks its session in
 // order and blocks on the server's replies, so the server's processing
 // order alone decides the consistency model.
 //

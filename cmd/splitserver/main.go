@@ -13,15 +13,16 @@
 //	splitplatform -addr 127.0.0.1:7700 -id 1 -platforms 2 -rounds 40
 //
 // Scheduling sits on a consistency spectrum (README "Consistency
-// spectrum"). The default sequential mode and -concat finish every
-// platform's exchange for a round before the next round starts; -stale
-// K relaxes that to bounded staleness (each exchange may miss at most K
-// rounds of the other platforms' updates; K=0 keeps the sequential
-// schedule), and -splitfed runs platforms local-parallel between
+// spectrum"), picked by -mode. The default -mode sequential and -mode
+// concat finish every platform's exchange for a round before the next
+// round starts; -mode bounded-staleness -stale K relaxes that (each
+// exchange may miss at most K rounds of the other platforms' updates;
+// K=0 is the sequential schedule and accepts everything sequential
+// does), and -mode splitfed runs platforms local-parallel between
 // -l1sync averaging boundaries. No mode needs a platform-side flag: the
 // server's processing order alone decides the consistency model. A
-// -standby only joins sequential sessions, because promotion always
-// resumes sequentially.
+// -standby only joins sequential sessions (bounded staleness at -stale
+// 0 included), because promotion always resumes sequentially.
 //
 // Long runs survive interruptions: -checkpoint-dir/-checkpoint-every
 // write session snapshots at round boundaries, SIGINT/SIGTERM triggers
@@ -87,9 +88,8 @@ func main() {
 		width      = flag.Int("width", 8, "model width")
 		lr         = flag.Float64("lr", 0.05, "server-side learning rate")
 		seed       = flag.Uint64("seed", 1, "shared model seed")
-		concat     = flag.Bool("concat", false, "concatenated round mode instead of sequential")
-		stale      = flag.Int("stale", -1, "bounded-staleness round mode with cap K (-1 = off; 0 = sequential schedule)")
-		splitfed   = flag.Bool("splitfed", false, "splitfed local-parallel round mode (requires -l1sync >= 1)")
+		mode       = flag.String("mode", "sequential", "round mode: sequential, concat, bounded-staleness or splitfed (splitfed requires -l1sync >= 1)")
+		stale      = flag.Int("stale", 0, "staleness cap K for -mode bounded-staleness (0 = the sequential schedule)")
 		l1sync     = flag.Int("l1sync", 0, "average platform L1 weights every N rounds (0 = off)")
 		evalEvery  = flag.Int("evalevery", 10, "evaluation phase every N rounds (0 = off)")
 		codec      = flag.String("codec", "raw", "activation codec: raw, f16, int8, topk-<frac>")
@@ -133,7 +133,7 @@ func main() {
 	opts := serverOpts{
 		addr: *addr, platforms: *platforms, rounds: *rounds, arch: *arch,
 		classes: *classes, width: *width, lr: float32(*lr), seed: *seed,
-		concat: *concat, stale: *stale, splitfed: *splitfed,
+		mode: *mode, stale: *stale,
 		l1sync: *l1sync, evalEvery: *evalEvery,
 		codec: *codec, loadPath: *loadPath, savePath: *savePath,
 		ckptDir: *ckptDir, ckptEvery: *ckptEvery, resumeDir: *resumeDir,
@@ -163,9 +163,8 @@ type serverOpts struct {
 	classes, width     int
 	lr                 float32
 	seed               uint64
-	concat             bool
+	mode               string
 	stale              int
-	splitfed           bool
 	l1sync, evalEvery  int
 	codec              string
 	loadPath, savePath string
@@ -195,91 +194,74 @@ func buildBack(o serverOpts) (*models.Model, *nn.Sequential, error) {
 	return m, back, nil
 }
 
-// roundMode maps the scheduling flags onto a core.RoundMode and its
-// staleness cap. At most one of -concat, -stale and -splitfed may be
-// set, and -splitfed needs -l1sync >= 1.
-func roundMode(o serverOpts) (core.RoundMode, int, error) {
-	mode := core.RoundModeSequential
-	picked := 0
-	if o.concat {
-		mode = core.RoundModeConcat
-		picked++
-	}
-	if o.stale >= 0 {
-		mode = core.RoundModeBoundedStaleness
-		picked++
-	}
-	if o.splitfed {
-		if o.l1sync < 1 {
-			return 0, 0, fmt.Errorf("-splitfed requires -l1sync >= 1 (the averaging period is the staleness cap)")
-		}
-		mode = core.RoundModeSplitFed
-		picked++
-	}
-	if picked > 1 {
-		return 0, 0, fmt.Errorf("-concat, -stale and -splitfed are mutually exclusive")
-	}
-	return mode, max(o.stale, 0), nil
-}
-
-// standbyMode accepts only the sessions a promoted standby can finish
-// faithfully: promotion always builds a sequential server, so any other
-// mode would change silently at failover. -stale 0 is scheduled
-// sequentially and counts as sequential.
-func standbyMode(o serverOpts) error {
-	mode, staleness, err := roundMode(o)
+// serverConfig builds the leader's core configuration from the flags:
+// everything except what needs the network, the WAL or a resume
+// snapshot (recovery, replication, the start round). Whether the round
+// mode accepts the other flags is core.NewServer's decision.
+func serverConfig(o serverOpts) (core.ServerConfig, *models.Model, error) {
+	mode, err := core.ParseRoundMode(o.mode)
 	if err != nil {
-		return err
-	}
-	if mode == core.RoundModeSequential || (mode == core.RoundModeBoundedStaleness && staleness == 0) {
-		return nil
-	}
-	return fmt.Errorf("-standby supports sequential sessions only, got %v", mode)
-}
-
-func run(o serverOpts) error {
-	mode, staleness, err := roundMode(o)
-	if err != nil {
-		return err
+		return core.ServerConfig{}, nil, err
 	}
 	m, back, err := buildBack(o)
 	if err != nil {
-		return err
+		return core.ServerConfig{}, nil, err
 	}
 	codec, err := compress.ByName(o.codec)
 	if err != nil {
-		return err
+		return core.ServerConfig{}, nil, err
 	}
-	if o.loadPath != "" {
-		if err := nn.LoadCheckpointFile(o.loadPath, back.Params(), nn.CollectState(back)); err != nil {
-			return err
-		}
-		fmt.Printf("splitserver: restored server half from %s\n", o.loadPath)
-	}
-	startRound := 0
-	var snap *core.Snapshot
-	if o.resumeDir != "" {
-		snap, err = core.LoadLatestSnapshot(o.resumeDir, core.RoleServer, 0)
-		if err != nil {
-			return err
-		}
-		startRound = snap.NextRound
-		fmt.Printf("splitserver: resuming at round %d from %s\n", startRound, o.resumeDir)
-	}
-	scfg := core.ServerConfig{
+	return core.ServerConfig{
 		Back:            back,
 		Opt:             &nn.SGD{LR: o.lr},
 		Platforms:       o.platforms,
 		Rounds:          o.rounds,
-		StartRound:      startRound,
 		Mode:            mode,
-		Staleness:       staleness,
+		Staleness:       o.stale,
 		ClipGrads:       5,
 		L1SyncEvery:     o.l1sync,
 		EvalEvery:       o.evalEvery,
 		CheckpointEvery: o.ckptEvery,
 		CheckpointDir:   o.ckptDir,
 		Codec:           codec,
+	}, m, nil
+}
+
+// standbyMode accepts only the sessions a promoted standby can finish
+// faithfully: promotion always builds a sequential server, so any
+// schedule that pauses or fuses exchanges would change silently at
+// failover. Bounded staleness at -stale 0 is the sequential schedule.
+func standbyMode(o serverOpts) error {
+	mode, err := core.ParseRoundMode(o.mode)
+	if err != nil {
+		return err
+	}
+	if o.stale == 0 && (mode == core.RoundModeSequential || mode == core.RoundModeBoundedStaleness) {
+		return nil
+	}
+	return fmt.Errorf("-standby joins only sequential sessions (-mode sequential, or bounded-staleness with -stale 0), because promotion resumes sequentially; got -mode %v -stale %d", mode, o.stale)
+}
+
+func run(o serverOpts) error {
+	scfg, m, err := serverConfig(o)
+	if err != nil {
+		return err
+	}
+	back := scfg.Back
+	if o.loadPath != "" {
+		if err := nn.LoadCheckpointFile(o.loadPath, back.Params(), nn.CollectState(back)); err != nil {
+			return err
+		}
+		fmt.Printf("splitserver: restored server half from %s\n", o.loadPath)
+	}
+	var snap *core.Snapshot
+	if o.resumeDir != "" {
+		snap, err = core.LoadLatestSnapshot(o.resumeDir, core.RoleServer, 0)
+		if err != nil {
+			return err
+		}
+		scfg.StartRound = snap.NextRound
+		fmt.Printf("splitserver: resuming at round %d from %s\n", scfg.StartRound, o.resumeDir)
 	}
 	var broker *core.RejoinBroker
 	if o.rejoinWindow > 0 {
@@ -402,11 +384,7 @@ func runStandby(o serverOpts) error {
 	if err := standbyMode(o); err != nil {
 		return err
 	}
-	_, back, err := buildBack(o)
-	if err != nil {
-		return err
-	}
-	codec, err := compress.ByName(o.codec)
+	scfg, _, err := serverConfig(o)
 	if err != nil {
 		return err
 	}
@@ -458,18 +436,6 @@ func runStandby(o serverOpts) error {
 	}
 	fmt.Printf("splitserver: replication stream ended at watermark %d; promoting (waiting up to %v for platforms)\n",
 		f.Watermark(), win)
-	scfg := core.ServerConfig{
-		Back:            back,
-		Opt:             &nn.SGD{LR: o.lr},
-		Platforms:       o.platforms,
-		Rounds:          o.rounds,
-		ClipGrads:       5,
-		L1SyncEvery:     o.l1sync,
-		EvalEvery:       o.evalEvery,
-		CheckpointEvery: o.ckptEvery,
-		CheckpointDir:   o.ckptDir,
-		Codec:           codec,
-	}
 	promoted, conns, err := f.Promote(core.PromoteConfig{Server: scfg, Broker: broker, Window: win})
 	if err != nil {
 		return fmt.Errorf("standby: promotion failed (if the leader finished cleanly there was nothing to take over): %w", err)
@@ -487,7 +453,7 @@ func runStandby(o serverOpts) error {
 	fmt.Printf("splitserver: post-failover traffic %s (all platforms, both directions)\n",
 		metrics.FormatBytes(core.TrainingBytes(meter)))
 	if o.savePath != "" {
-		if err := nn.SaveCheckpointFile(o.savePath, back.Params(), nn.CollectState(back)); err != nil {
+		if err := nn.SaveCheckpointFile(o.savePath, scfg.Back.Params(), nn.CollectState(scfg.Back)); err != nil {
 			return err
 		}
 		fmt.Printf("splitserver: saved server half to %s\n", o.savePath)

@@ -6,40 +6,64 @@ import (
 	"medsplit/internal/core"
 )
 
-// The scheduling flags map onto one round mode, the same way for a
-// leader and a standby; a standby refuses every mode a promotion could
-// not continue.
+// The scheduling flags name one round mode and its staleness cap, the
+// same way for a leader and a standby. Whether the mode accepts the
+// other flags is decided once, by core.NewServer; a standby refuses
+// every mode a promotion could not continue.
 func TestRoundModeFlags(t *testing.T) {
 	cases := []struct {
-		name      string
-		mut       func(*serverOpts)
-		mode      core.RoundMode
-		staleness int
-		ok        bool
-		standby   bool // standbyMode accepts it
+		name    string
+		mut     func(*serverOpts)
+		ok      bool // the leader's server config is accepted
+		standby bool // standbyMode accepts it
 	}{
-		{"default", nil, core.RoundModeSequential, 0, true, true},
-		{"concat", func(o *serverOpts) { o.concat = true }, core.RoundModeConcat, 0, true, false},
-		{"stale 0", func(o *serverOpts) { o.stale = 0 }, core.RoundModeBoundedStaleness, 0, true, true},
-		{"stale 3", func(o *serverOpts) { o.stale = 3 }, core.RoundModeBoundedStaleness, 3, true, false},
-		{"splitfed", func(o *serverOpts) { o.splitfed = true; o.l1sync = 2 }, core.RoundModeSplitFed, 0, true, false},
-		{"splitfed without l1sync", func(o *serverOpts) { o.splitfed = true }, 0, 0, false, false},
-		{"concat and stale", func(o *serverOpts) { o.concat = true; o.stale = 1 }, 0, 0, false, false},
-		{"concat and splitfed", func(o *serverOpts) { o.concat = true; o.splitfed = true; o.l1sync = 2 }, 0, 0, false, false},
-		{"stale and splitfed", func(o *serverOpts) { o.stale = 0; o.splitfed = true; o.l1sync = 2 }, 0, 0, false, false},
+		{"default", nil, true, true},
+		{"concat", func(o *serverOpts) { o.mode = "concat" }, true, false},
+		{"stale 0", func(o *serverOpts) { o.mode = "bounded-staleness" }, true, true},
+		{"stale 3", func(o *serverOpts) { o.mode = "bounded-staleness"; o.stale = 3 }, true, false},
+		{"splitfed", func(o *serverOpts) { o.mode = "splitfed"; o.l1sync = 2 }, true, false},
+		{"splitfed without l1sync", func(o *serverOpts) { o.mode = "splitfed" }, false, false},
+		{"concat and stale", func(o *serverOpts) { o.mode = "concat"; o.stale = 1 }, false, false},
+		// -mode takes one name; a list of two is not a mode.
+		{"concat and splitfed", func(o *serverOpts) { o.mode = "concat,splitfed"; o.l1sync = 2 }, false, false},
+		{"stale and splitfed", func(o *serverOpts) { o.mode = "splitfed"; o.stale = 1; o.l1sync = 2 }, false, false},
+		{"stale without the mode", func(o *serverOpts) { o.stale = 2 }, false, false},
+		// Bounded staleness at K=0 is the sequential schedule, so it
+		// accepts what sequential accepts; K=1 pauses exchanges and
+		// refuses checkpoints and a BatchNorm back half.
+		{"stale 0 with checkpoints", func(o *serverOpts) {
+			o.mode = "bounded-staleness"
+			o.ckptDir = t.TempDir()
+			o.ckptEvery = 2
+		}, true, true},
+		{"stale 1 with checkpoints", func(o *serverOpts) {
+			o.mode = "bounded-staleness"
+			o.stale = 1
+			o.ckptDir = t.TempDir()
+		}, false, false},
+		{"resnet-lite stale 0", func(o *serverOpts) { o.arch = "resnet-lite"; o.mode = "bounded-staleness" }, true, true},
+		{"resnet-lite stale 1", func(o *serverOpts) {
+			o.arch = "resnet-lite"
+			o.mode = "bounded-staleness"
+			o.stale = 1
+		}, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := serverOpts{stale: -1} // the flag defaults
+			// The flag defaults, on the smallest model.
+			o := serverOpts{
+				platforms: 2, rounds: 4, arch: "mlp", classes: 10, width: 8,
+				lr: 0.05, seed: 1, mode: "sequential", evalEvery: 10, codec: "raw",
+			}
 			if tc.mut != nil {
 				tc.mut(&o)
 			}
-			mode, staleness, err := roundMode(o)
-			if tc.ok != (err == nil) {
-				t.Fatalf("roundMode err = %v, want ok %v", err, tc.ok)
+			cfg, _, err := serverConfig(o)
+			if err == nil {
+				_, err = core.NewServer(cfg)
 			}
-			if tc.ok && (mode != tc.mode || staleness != tc.staleness) {
-				t.Fatalf("roundMode = %v K=%d, want %v K=%d", mode, staleness, tc.mode, tc.staleness)
+			if tc.ok != (err == nil) {
+				t.Fatalf("server config err = %v, want ok %v", err, tc.ok)
 			}
 			if err := standbyMode(o); tc.standby != (err == nil) {
 				t.Fatalf("standbyMode err = %v, want accepted %v", err, tc.standby)

@@ -22,6 +22,7 @@ import (
 	"log"
 	"time"
 
+	"medsplit/internal/core"
 	"medsplit/internal/experiment"
 	"medsplit/internal/geonet"
 	"medsplit/internal/simnet"
@@ -32,7 +33,7 @@ func main() {
 	preset := flag.String("preset", "hospitals", "topology preset: hospitals (paper's 5 sites) or clinics (synthetic scale-out)")
 	clinics := flag.Int("clinics", 100, "clinic count for -preset clinics")
 	rounds := flag.Int("rounds", 12, "training rounds")
-	mode := flag.String("mode", "sequential", "server scheduling: sequential or concat")
+	mode := flag.String("mode", "sequential", "server round mode: sequential or concat (any core.RoundMode name parses)")
 	codec := flag.String("codec", "raw", "activation codec: raw, f16, int8, topk-<frac>")
 	jitter := flag.Float64("jitter", 0.1, "seeded per-message jitter fraction in [0,1)")
 	seed := flag.Uint64("seed", 42, "run seed (data, weights, jitter)")
@@ -69,12 +70,9 @@ func main() {
 		SimWAN:       true,
 		SimJitter:    *jitter,
 	}
-	switch *mode {
-	case "sequential":
-	case "concat":
-		cfg.ConcatRounds = true
-	default:
-		log.Fatalf("unknown mode %q", *mode)
+	var err error
+	if cfg.Mode, err = core.ParseRoundMode(*mode); err != nil {
+		log.Fatal(err)
 	}
 	if *dropRound >= 0 {
 		// Sever the highest-latency site — the link most likely to flap

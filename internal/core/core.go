@@ -39,11 +39,11 @@ type RoundMode int
 // for round r before any exchange of round r+1 starts.
 // BoundedStaleness and SplitFed relax that lockstep in exchange for
 // wall-clock (see README "Consistency spectrum"). BoundedStaleness
-// applies each platform's updates as they arrive, but caps how far any
-// platform may run ahead of the slowest one at
-// ServerConfig.Staleness rounds; a cap of 0 degenerates to — and is
-// scheduled by — the sequential scheduler, so it is bit-identical to
-// RoundModeSequential by construction. SplitFed removes the cap
+// applies each platform's updates as they arrive, but caps staleness
+// at K = ServerConfig.Staleness: an exchange may miss at most K rounds
+// of the other platforms' updates. A cap of 0 is the sequential schedule
+// itself, so it is bit-identical to RoundModeSequential by construction
+// and accepts every feature sequential does. SplitFed removes the cap
 // entirely within an averaging period: platforms train local-parallel
 // against per-arrival server updates and their L1 halves are averaged
 // every L1SyncEvery rounds through the session state machine's sync
@@ -70,6 +70,16 @@ func (m RoundMode) String() string {
 	default:
 		return fmt.Sprintf("roundmode(%d)", int(m))
 	}
+}
+
+// ParseRoundMode returns the round mode String names.
+func ParseRoundMode(name string) (RoundMode, error) {
+	for m := RoundModeSequential; m <= RoundModeSplitFed; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("%w: unknown round mode %q (want sequential, concat, bounded-staleness or splitfed)", ErrConfig, name)
 }
 
 // Protocol errors.
@@ -140,14 +150,21 @@ var trainingTypes = []wire.MsgType{
 	wire.MsgGradPush,
 }
 
+// TrainingTraffic sums the bytes a meter sent and received for
+// training message types only.
+func TrainingTraffic(m *transport.Meter) (tx, rx int64) {
+	for _, t := range trainingTypes {
+		tx += m.TxBytesByType(t)
+		rx += m.RxBytesByType(t)
+	}
+	return tx, rx
+}
+
 // TrainingBytes sums the bytes a meter saw, in both directions, for
 // training message types only.
 func TrainingBytes(m *transport.Meter) int64 {
-	var total int64
-	for _, t := range trainingTypes {
-		total += m.TxBytesByType(t) + m.RxBytesByType(t)
-	}
-	return total
+	tx, rx := TrainingTraffic(m)
+	return tx + rx
 }
 
 // recvExpect reads one message and validates its type (and, when round

@@ -31,7 +31,7 @@ import (
 //     with the platform's identifies it, the ack tells the platform
 //     where to resume (round + position), and each side re-emits only
 //     what the other never received. Compute is bound to position
-//     *transitions* (see seqExchange / trainStep), so a replayed wire
+//     *transitions* (see Server.advance / trainStep), so a replayed wire
 //     stage never re-runs a forward, backward or optimizer step.
 //
 // Two policies govern a drop (RecoveryConfig.Policy):
@@ -50,8 +50,9 @@ import (
 //     uninterrupted run but are a deterministic function of the kill
 //     point.
 //
-// Recovery covers the training exchange in sequential mode (validated
-// at construction). Drops during handshake, L1 sync or evaluation
+// Recovery covers the training exchange under the sequential schedule
+// (validated at construction; bounded staleness at K=0 is that
+// schedule). Drops during handshake, L1 sync or evaluation
 // phases remain fatal — those phases are rare, cheap to retry from a
 // checkpoint, and their replay semantics (partial weight averages)
 // are genuinely ambiguous.
@@ -385,7 +386,7 @@ func (s *Server) adopt(ps *platformState, k, serverRound, serverPos int, offer *
 			Round:    uint32(ps.lastCutRound),
 			Payload:  append([]byte(nil), ps.lastCut...),
 		}
-		if err := s.send(ps.conn, replay, k, ps.lastCutRound); err != nil {
+		if err := s.send(ps.conn, replay, k); err != nil {
 			return 0, err
 		}
 	}

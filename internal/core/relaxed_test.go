@@ -3,11 +3,13 @@ package core
 import (
 	"math"
 	"testing"
+	"time"
 
 	"medsplit/internal/dataset"
 	"medsplit/internal/nn"
 	"medsplit/internal/rng"
 	"medsplit/internal/transport/testutil"
+	"medsplit/internal/wal"
 )
 
 // relaxedRun executes one full split session on a fixed-seed
@@ -48,10 +50,10 @@ func relaxedRun(t *testing.T, mode RoundMode, staleness, l1sync, rounds int) ([]
 	return params, stats
 }
 
-// The acceptance bar for the bounded-staleness mode: at K=0 it is
-// scheduled by the very same sequential scheduler, so the whole model —
-// every platform front and the server back — must match sequential
-// training down to the float bit pattern.
+// The acceptance bar for the bounded-staleness mode: at K=0 it is the
+// sequential schedule itself (a one-round window whose exchanges never
+// pause), so the whole model — every platform front and the server
+// back — must match sequential training down to the float bit pattern.
 func TestBoundedStalenessK0BitIdenticalToSequential(t *testing.T) {
 	const rounds = 12
 	seq, _ := relaxedRun(t, RoundModeSequential, 0, 0, rounds)
@@ -59,8 +61,8 @@ func TestBoundedStalenessK0BitIdenticalToSequential(t *testing.T) {
 	assertParamsBitIdentical(t, "bounded-staleness K=0 vs sequential", seq, bs)
 }
 
-// K=0 with periodic L1 sync still routes through the sequential
-// scheduler; the sync boundary must not disturb the equivalence.
+// K=0 with periodic L1 sync is still the sequential schedule; the sync
+// boundary must not disturb the equivalence.
 func TestBoundedStalenessK0WithSyncBitIdentical(t *testing.T) {
 	const rounds = 8
 	seq, _ := relaxedRun(t, RoundModeSequential, 0, 2, rounds)
@@ -110,7 +112,7 @@ func paramsDiffer(a, b [][]*nn.Param) bool {
 	return false
 }
 
-// K >= 1 runs staggered half-exchange windows, so the optimizer step
+// K >= 1 runs staggered windows of paused exchanges, so the optimizer step
 // order genuinely changes: the trajectory must diverge from sequential
 // (the mode is not a no-op) yet reproduce itself bit for bit under the
 // same seeds, and still make training progress.
@@ -163,9 +165,11 @@ func TestSplitFedDeterministicAndAveragesFronts(t *testing.T) {
 	}
 }
 
-// Relaxed-mode configuration gates: the windowed scheduler runs
-// exchanges ahead of the session loop's round counter, so features that
-// assume synchronized round boundaries are rejected up front.
+// Relaxed-mode configuration gates: a pausing schedule runs exchanges
+// ahead of the session loop's round counter, so features that assume
+// synchronized round boundaries are rejected up front. Bounded
+// staleness at K=0 never pauses — it is the sequential schedule — so
+// it accepts every one of them, as sequential does.
 func TestRelaxedModeConfigValidation(t *testing.T) {
 	train, _ := testData(t, 2, 32, 8, 95)
 	flat := flatten(train)
@@ -173,6 +177,15 @@ func TestRelaxedModeConfigValidation(t *testing.T) {
 	base := func() ServerConfig {
 		return ServerConfig{Back: back, Opt: &nn.SGD{LR: 0.05}, Platforms: 1, Rounds: 4}
 	}
+	stale := func(k int) ServerConfig {
+		cfg := base()
+		cfg.Mode = RoundModeBoundedStaleness
+		cfg.Staleness = k
+		return cfg
+	}
+	// A back half with BatchNorm: stateful, so replaying its forward
+	// would advance the running statistics twice.
+	bnBack := nn.NewSequential("bn-back", nn.NewBatchNorm("bn", flat.X.Dim(1)), back)
 
 	cfg := base()
 	cfg.Staleness = -1
@@ -189,16 +202,18 @@ func TestRelaxedModeConfigValidation(t *testing.T) {
 	if _, err := NewServer(cfg); err == nil {
 		t.Fatal("splitfed without L1SyncEvery accepted")
 	}
-	cfg = base()
-	cfg.Mode = RoundModeBoundedStaleness
-	cfg.Staleness = 1
+	cfg = stale(1)
 	cfg.CheckpointDir = t.TempDir()
 	if _, err := NewServer(cfg); err == nil {
 		t.Fatal("relaxed mode with checkpoints accepted")
 	}
-	cfg = base()
-	cfg.Mode = RoundModeBoundedStaleness
-	cfg.Recovery = &RecoveryConfig{}
+	cfg = stale(1)
+	cfg.StartRound = 2
+	if _, err := NewServer(cfg); err == nil {
+		t.Fatal("relaxed mode resuming mid-session accepted")
+	}
+	cfg = stale(1)
+	cfg.Recovery = &RecoveryConfig{Policy: WaitForRejoin, Window: time.Second, Broker: NewRejoinBroker()}
 	if _, err := NewServer(cfg); err == nil {
 		t.Fatal("relaxed mode with dropout recovery accepted")
 	}
@@ -209,16 +224,18 @@ func TestRelaxedModeConfigValidation(t *testing.T) {
 	if _, err := NewServer(cfg); err == nil {
 		t.Fatal("relaxed mode with replication accepted")
 	}
-	cfg = base()
-	cfg.Mode = RoundModeBoundedStaleness
+	cfg = stale(1)
 	cfg.LRSchedule = nn.StepDecay(0.05, 0.5, 1)
 	if _, err := NewServer(cfg); err == nil {
 		t.Fatal("relaxed mode with LR schedule accepted")
 	}
+	cfg = stale(1)
+	cfg.Back = bnBack
+	if _, err := NewServer(cfg); err == nil {
+		t.Fatal("relaxed mode with a BatchNorm back half accepted")
+	}
 
-	cfg = base()
-	cfg.Mode = RoundModeBoundedStaleness
-	cfg.Staleness = 4
+	cfg = stale(4)
 	if _, err := NewServer(cfg); err != nil {
 		t.Fatalf("valid bounded-staleness config rejected: %v", err)
 	}
@@ -227,5 +244,33 @@ func TestRelaxedModeConfigValidation(t *testing.T) {
 	cfg.L1SyncEvery = 2
 	if _, err := NewServer(cfg); err != nil {
 		t.Fatalf("valid splitfed config rejected: %v", err)
+	}
+
+	// K=0 accepts what sequential accepts.
+	log, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	k0 := []struct {
+		name string
+		mut  func(*ServerConfig)
+	}{
+		{"checkpoints", func(c *ServerConfig) { c.CheckpointDir = t.TempDir() }},
+		{"resume", func(c *ServerConfig) { c.StartRound = 2 }},
+		{"LR schedule", func(c *ServerConfig) { c.LRSchedule = nn.StepDecay(0.05, 0.5, 1) }},
+		{"BatchNorm back half", func(c *ServerConfig) { c.Back = bnBack }},
+		{"replication", func(c *ServerConfig) { c.Replication = &ReplicationConfig{Log: log} }},
+		{"dropout recovery", func(c *ServerConfig) {
+			c.Recovery = &RecoveryConfig{Policy: WaitForRejoin, Window: time.Second, Broker: NewRejoinBroker()}
+		}},
+	}
+	for _, tc := range k0 {
+		for _, cfg := range []ServerConfig{base(), stale(0)} {
+			tc.mut(&cfg)
+			if _, err := NewServer(cfg); err != nil {
+				t.Fatalf("%v K=0 with %s rejected: %v", cfg.Mode, tc.name, err)
+			}
+		}
 	}
 }

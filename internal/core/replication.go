@@ -81,12 +81,6 @@ func (rc *ReplicationConfig) validate(cfg *ServerConfig) error {
 	if rc.Log == nil {
 		return fmt.Errorf("%w: replication without a WAL", ErrConfig)
 	}
-	if cfg.Mode == RoundModeConcat {
-		// Concat fuses all platforms into one step; the per-(round,
-		// platform) record grammar — and the per-platform failover
-		// reconciliation built on it — does not describe it.
-		return fmt.Errorf("%w: replication requires sequential mode", ErrConfig)
-	}
 	if cfg.Recovery != nil && cfg.Recovery.Policy != WaitForRejoin {
 		// ProceedWithout lets the round structure diverge per platform;
 		// the promotion reconciliation assumes the dense step grammar.

@@ -31,11 +31,11 @@ type ServerConfig struct {
 	// Mode selects Sequential (default), Concat, BoundedStaleness or
 	// SplitFed scheduling.
 	Mode RoundMode
-	// Staleness is the bounded-staleness cap K: a platform's exchange
-	// may train against server state missing at most K rounds of the
-	// other platforms' updates. 0 (the default) is scheduled by the
-	// sequential scheduler and therefore bit-identical to
-	// RoundModeSequential. Only valid with RoundModeBoundedStaleness.
+	// Staleness is the bounded-staleness cap K: an exchange may miss at
+	// most K rounds of the other platforms' updates. 0 (the default) is
+	// the sequential schedule itself, so it is bit-identical to
+	// RoundModeSequential and accepts every feature sequential does.
+	// Only valid with RoundModeBoundedStaleness.
 	Staleness int
 	// LabelSharing enables the 2-message ablation where platforms ship
 	// labels and the server computes the loss. Requires Loss.
@@ -66,12 +66,13 @@ type ServerConfig struct {
 	// Replication, when set, enables the replicated aggregation tier:
 	// every training step is appended to a WAL before its cut gradient
 	// is acked, and streamed to warm followers that can promote on
-	// leader death (see Follower). Sequential mode only; off by default
-	// and free when off.
+	// leader death (see Follower). Sequential schedule only (bounded
+	// staleness at K=0 included); off by default and free when off.
 	Replication *ReplicationConfig
 	// Recovery, when set, enables platform-dropout recovery: a platform
 	// whose connection dies mid-round can rejoin through the broker and
-	// resume. Sequential mode only.
+	// resume. Sequential schedule only (bounded staleness at K=0
+	// included).
 	Recovery *RecoveryConfig
 	// LRSchedule, when set, adjusts the optimizer's learning rate at the
 	// start of every round (see nn.StepDecay, nn.CosineDecay).
@@ -126,34 +127,42 @@ func (cfg *ServerConfig) validate() error {
 	if cfg.Staleness > 0 && cfg.Mode != RoundModeBoundedStaleness {
 		return fmt.Errorf("%w: staleness cap %d requires RoundModeBoundedStaleness", ErrConfig, cfg.Staleness)
 	}
-	if relaxedMode(cfg.Mode) {
-		// The relaxed schedulers run platform exchanges ahead of the
-		// session loop's round counter, so every per-round side effect
-		// that assumes a fully synchronized boundary is rejected rather
-		// than silently wrong: checkpoints would snapshot mid-window
-		// state, recovery/replication reconcile per-round positions, and
-		// a schedule would apply round r's learning rate to later rounds.
-		if cfg.CheckpointDir != "" {
-			return fmt.Errorf("%w: checkpoints require a synchronized round mode, got %v", ErrConfig, cfg.Mode)
-		}
-		if cfg.Recovery != nil {
-			return fmt.Errorf("%w: dropout recovery requires RoundModeSequential, got %v", ErrConfig, cfg.Mode)
-		}
-		if cfg.Back != nil && !nn.ReplaySafe(cfg.Back) {
-			// The staggered scheduler rebuilds the back half's backward
-			// cache by replaying its forward pass; stateful or stochastic
-			// layers would advance twice per exchange.
-			return fmt.Errorf("%w: %v requires a replay-safe back half (no stateful or stochastic layers)", ErrConfig, cfg.Mode)
-		}
-		if cfg.Replication != nil {
-			return fmt.Errorf("%w: replication requires a synchronized round mode, got %v", ErrConfig, cfg.Mode)
-		}
-		if cfg.LRSchedule != nil {
-			return fmt.Errorf("%w: LR schedules require a synchronized round mode, got %v", ErrConfig, cfg.Mode)
-		}
-	}
 	if cfg.Mode == RoundModeSplitFed && cfg.L1SyncEvery <= 0 {
 		return fmt.Errorf("%w: RoundModeSplitFed requires L1SyncEvery >= 1 (the averaging period)", ErrConfig)
+	}
+	if cfg.pauses() {
+		// A pausing schedule runs platform exchanges ahead of the session
+		// loop's round counter, so every per-round side effect that
+		// assumes a fully synchronized boundary is rejected rather than
+		// silently wrong: checkpoints would snapshot mid-window state, a
+		// resumed window would not line up with the one that was cut,
+		// and a schedule would apply round r's learning rate to later
+		// rounds.
+		switch {
+		case cfg.CheckpointDir != "":
+			return fmt.Errorf("%w: checkpoints require exchanges that never pause, got %v", ErrConfig, cfg.Mode)
+		case cfg.StartRound > 0:
+			return fmt.Errorf("%w: resuming at round %d requires exchanges that never pause, got %v", ErrConfig, cfg.StartRound, cfg.Mode)
+		case !nn.ReplaySafe(cfg.Back):
+			// A resumed exchange rebuilds the back half's backward cache
+			// by replaying its forward pass; stateful or stochastic layers
+			// would advance twice per exchange.
+			return fmt.Errorf("%w: %v requires a replay-safe back half (no stateful or stochastic layers)", ErrConfig, cfg.Mode)
+		case cfg.LRSchedule != nil:
+			return fmt.Errorf("%w: LR schedules require exchanges that never pause, got %v", ErrConfig, cfg.Mode)
+		}
+	}
+	if cfg.Mode == RoundModeConcat || cfg.pauses() {
+		// Dropout recovery and replication reconcile one platform's
+		// exchange at a time, in round order: concat fuses the exchanges
+		// into one step, and a pausing schedule interleaves them across
+		// rounds.
+		if cfg.Recovery != nil {
+			return fmt.Errorf("%w: dropout recovery requires the sequential schedule, got %v", ErrConfig, cfg.Mode)
+		}
+		if cfg.Replication != nil {
+			return fmt.Errorf("%w: replication requires the sequential schedule, got %v", ErrConfig, cfg.Mode)
+		}
 	}
 	if cfg.LabelSharing && cfg.Loss == nil {
 		return fmt.Errorf("%w: label sharing requires a server-side loss", ErrConfig)
@@ -176,9 +185,6 @@ func (cfg *ServerConfig) validate() error {
 		}
 	}
 	if cfg.Recovery != nil {
-		if cfg.Mode != RoundModeSequential {
-			return fmt.Errorf("%w: dropout recovery requires RoundModeSequential, got %v", ErrConfig, cfg.Mode)
-		}
 		if err := cfg.Recovery.validate(); err != nil {
 			return err
 		}
@@ -232,6 +238,10 @@ type Server struct {
 	// platform failure never costs more than the unfinished round.
 	stash *Snapshot
 
+	// ex holds each platform's training exchange in flight (see
+	// advance), reused round after round.
+	ex []exchange
+
 	// Concat-mode scratch, reused across rounds so fusing per-platform
 	// minibatches stops allocating once batch shapes stabilize.
 	fusedActs *tensor.Tensor
@@ -258,22 +268,19 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:       cfg,
 		lastBatch: make([]int, cfg.Platforms),
 		evaluator: -1,
+		ex:        make([]exchange, cfg.Platforms),
 		actsDec:   make([][]*tensor.Tensor, cfg.Platforms),
 		gradDec:   make([][]*tensor.Tensor, cfg.Platforms),
 		labelsDec: make([][]int, cfg.Platforms),
 	}
-	switch {
-	case cfg.Mode == RoundModeConcat:
+	switch cfg.Mode {
+	case RoundModeConcat:
 		s.sched = concatScheduler{}
-	case cfg.Mode == RoundModeBoundedStaleness && cfg.Staleness > 0:
-		s.sched = &windowScheduler{window: cfg.Staleness + 1}
-	case cfg.Mode == RoundModeSplitFed:
+	case RoundModeSplitFed:
 		s.sched = &windowScheduler{} // unbounded within an averaging period
 	default:
-		// Sequential and bounded-staleness at K=0: the K=0 bit-identity
-		// guarantee holds by construction because it runs the very same
-		// scheduler as RoundModeSequential.
-		s.sched = sequentialScheduler{}
+		// Sequential is the staleness-0 window (see windowScheduler).
+		s.sched = &windowScheduler{window: cfg.Staleness + 1}
 	}
 	if cfg.Replication != nil {
 		s.repl = newReplicator(cfg.Replication, cfg.Platforms)
@@ -299,8 +306,10 @@ func (s *Server) plan() sessionPlan {
 
 // roundScheduler is how a scheduling mode executes one Train phase.
 // The session machine owns everything else — what phase comes next,
-// when to sync, evaluate, checkpoint or stop — so the three modes
-// differ only in how a round's bytes and compute are ordered.
+// when to sync, evaluate, checkpoint or stop — so the modes differ only
+// in how a round's bytes and compute are ordered: concatScheduler fuses
+// the platforms' exchanges into one step, and windowScheduler runs
+// every other mode.
 type roundScheduler interface {
 	trainRound(s *Server, r int) error
 }
@@ -501,7 +510,7 @@ func (s *Server) handshake() error {
 			Type:     wire.MsgHelloAck,
 			Platform: uint32(k),
 			Payload:  wire.EncodeText(ack),
-		}, k, -1)
+		}, k)
 	}); err != nil {
 		return err
 	}
@@ -541,29 +550,6 @@ func parseHello(meta string) (base string, evaluator bool, err error) {
 	}
 }
 
-// sequentialScheduler processes each platform's minibatch as its own
-// forward/backward/optimizer step (k steps per round, the reading most
-// consistent with the paper's flowchart). It is the only scheduler
-// that supports dropout recovery: each platform's exchange is an
-// independent stage machine, so a dead platform can be skipped or
-// resumed without touching the others.
-type sequentialScheduler struct{}
-
-func (sequentialScheduler) trainRound(s *Server, r int) error {
-	return s.reg.each(func(k int, ps *platformState) error {
-		if ps.status == PlatformDropped {
-			return nil
-		}
-		if s.promo != nil && r == s.promo.round && s.promo.done[k] {
-			// Failover resume: the dead leader already recorded this
-			// platform's step for this round — it lives in the replayed
-			// state — and Promote replayed the platform its cut gradient.
-			return nil
-		}
-		return s.seqExchange(k, r)
-	})
-}
-
 // Wire positions within one platform's train exchange, in protocol
 // order. Both parties number them identically; the rejoin handshake
 // exchanges positions to agree where a recovered round resumes.
@@ -576,148 +562,113 @@ const (
 	posDone     = 5 // exchange complete
 )
 
-// seqExchange runs one platform's training exchange for round r as an
-// explicit stage machine. Compute (forward, backward, optimizer step)
-// is bound to stage *transitions*, so re-entering a wire stage after a
-// dropout recovery never recomputes — BatchNorm statistics and
-// optimizer state advance exactly once per round no matter how many
-// times the wire stages retry.
-func (s *Server) seqExchange(k, r int) error {
+// exchange is one platform's training exchange in flight: its round,
+// its wire position, and the values that carry from one stage to the
+// next. The server keeps one per platform and reuses it every round.
+type exchange struct {
+	round   int
+	pos     int
+	a, z    *tensor.Tensor // decoded activations, logits
+	da      *tensor.Tensor // cut gradient
+	lossVal float64        // label-sharing loss scalar
+	// paused marks an exchange stopped at posLossGrad. Other platforms'
+	// forwards have since overwritten the back half's backward cache, so
+	// the resume replays this exchange's forward first.
+	paused bool
+}
+
+// advance runs platform k's open exchange (see s.ex) as an explicit
+// stage machine until it completes or reaches position stop, where it
+// pauses. Only a label-private exchange reaches posLossGrad, so a
+// label-sharing exchange never pauses: the server owns the loss, and
+// there is no mid-exchange round trip to overlap.
+//
+// Compute (forward, backward, optimizer step) is bound to stage
+// *transitions*, so re-entering a wire stage after a dropout recovery
+// never recomputes — BatchNorm statistics and optimizer state advance
+// exactly once per round no matter how many times the wire stages
+// retry.
+func (s *Server) advance(k, stop int) error {
+	x := &s.ex[k]
 	ps := s.reg.state(k)
-	conn := ps.conn
-	var a, z, da *tensor.Tensor
-	var labels []int
-	var lossVal float64
-	pos := posActs
-	for pos != posDone {
+	r := x.round
+	for x.pos != posDone {
+		if x.pos == stop {
+			x.paused = true
+			return nil
+		}
 		var err error
-		switch pos {
+		switch x.pos {
 		case posActs:
-			a, err = s.recvActs(conn, r, k)
+			x.a, err = s.recvActs(ps.conn, r, k)
 			if err == nil {
-				s.lastBatch[k] = a.Dim(0)
+				s.lastBatch[k] = x.a.Dim(0)
 				if s.cfg.LabelSharing {
-					pos = posLabels
+					x.pos = posLabels
 				} else {
 					release := s.acquireCompute()
-					z = s.cfg.Back.Forward(a, true)
+					x.z = s.cfg.Back.Forward(x.a, true)
 					release()
-					pos = posLogits
+					x.pos = posLogits
 				}
 			}
 		case posLabels:
-			labels, err = s.recvLabels(conn, r, k, a.Dim(0))
+			var labels []int
+			labels, err = s.recvLabels(ps.conn, r, k, x.a.Dim(0))
 			if err == nil {
 				// Forward, loss and backward run back to back with no
 				// wire I/O between them, so they share one gate slot.
 				release := s.acquireCompute()
-				z = s.cfg.Back.Forward(a, true)
+				z := s.cfg.Back.Forward(x.a, true)
 				var dz *tensor.Tensor
-				lossVal, dz = s.cfg.Loss.Loss(z, labels)
-				da = s.backwardStep(dz)
+				x.lossVal, dz = s.cfg.Loss.Loss(z, labels)
+				x.da = s.backwardStep(dz)
 				release()
-				pos = posCutGrad
+				x.pos = posCutGrad
 			}
 		case posLogits:
-			err = s.send(conn, &wire.Message{
+			err = s.send(ps.conn, &wire.Message{
 				Type:     wire.MsgLogits,
 				Platform: uint32(k),
 				Round:    uint32(r),
-				Payload:  s.encLogits.encode(s.cfg.Codec, z),
-			}, k, r)
+				Payload:  s.encLogits.encode(s.cfg.Codec, x.z),
+			}, k)
 			if err == nil {
-				pos = posLossGrad
+				x.pos = posLossGrad
 			}
 		case posLossGrad:
 			var dz *tensor.Tensor
-			dz, err = s.recvLossGrad(conn, r, k, z)
+			dz, err = s.recvLossGrad(ps.conn, r, k, x.z)
 			if err == nil {
 				release := s.acquireCompute()
-				da = s.backwardStep(dz)
+				if x.paused {
+					// NewServer only lets replay-safe back halves pause.
+					s.cfg.Back.Forward(x.a, true)
+					x.paused = false
+				}
+				x.da = s.backwardStep(dz)
 				release()
-				pos = posCutGrad
+				x.pos = posCutGrad
 			}
 		case posCutGrad:
-			err = s.sendCutGrad(ps, k, r, da, lossVal)
+			err = s.sendCutGrad(ps, k, r, x.da, x.lossVal)
 			if err == nil {
-				pos = posDone
+				x.pos = posDone
 			}
 		}
 		if err != nil {
-			resume, skip, rerr := s.handleDrop(k, r, pos, err)
+			resume, skip, rerr := s.handleDrop(k, r, x.pos, err)
 			if rerr != nil {
 				return rerr
 			}
 			if skip {
+				x.pos = posDone
 				return nil
 			}
-			pos = resume
+			x.pos = resume
 		}
 	}
 	return nil
-}
-
-// exchangeFront runs the first half of platform k's round-r exchange:
-// receive the cut activations, forward them through the back half and
-// ship the logits. It returns the logits so exchangeBack can validate
-// the loss gradient against them, or nil when the exchange completed
-// entirely (label-sharing mode has no logits leg: the server owns the
-// loss, so the whole exchange runs front to back with no mid-exchange
-// round trip to overlap).
-//
-// The relaxed schedulers call the two halves with other platforms'
-// halves in between, which moves each platform's logits → loss-grad
-// turnaround off the server's serial path. The shared back model holds
-// only one backward cache, so exchangeBack replays the forward to
-// rebuild it — NewServer rejects relaxed configs whose back half is
-// not nn.ReplaySafe.
-func (s *Server) exchangeFront(k, r int) (*tensor.Tensor, error) {
-	ps := s.reg.state(k)
-	a, err := s.recvActs(ps.conn, r, k)
-	if err != nil {
-		return nil, err
-	}
-	s.lastBatch[k] = a.Dim(0)
-	if s.cfg.LabelSharing {
-		labels, err := s.recvLabels(ps.conn, r, k, a.Dim(0))
-		if err != nil {
-			return nil, err
-		}
-		release := s.acquireCompute()
-		z := s.cfg.Back.Forward(a, true)
-		lossVal, dz := s.cfg.Loss.Loss(z, labels)
-		da := s.backwardStep(dz)
-		release()
-		return nil, s.sendCutGrad(ps, k, r, da, lossVal)
-	}
-	release := s.acquireCompute()
-	z := s.cfg.Back.Forward(a, true)
-	release()
-	return z, s.send(ps.conn, &wire.Message{
-		Type:     wire.MsgLogits,
-		Platform: uint32(k),
-		Round:    uint32(r),
-		Payload:  s.encLogits.encode(s.cfg.Codec, z),
-	}, k, r)
-}
-
-// exchangeBack finishes a split exchange opened by exchangeFront:
-// receive the loss gradient, replay the forward to rebuild the back
-// half's backward cache (other platforms' forwards overwrote it since
-// the front half ran), then backward, step, and ship the cut gradient.
-// The replay reuses platform k's decoded activations, which stay valid
-// until its next exchangeFront.
-func (s *Server) exchangeBack(k, r int, z *tensor.Tensor) error {
-	ps := s.reg.state(k)
-	dz, err := s.recvLossGrad(ps.conn, r, k, z)
-	if err != nil {
-		return err
-	}
-	release := s.acquireCompute()
-	s.cfg.Back.Forward(s.actsDec[k][0], true)
-	da := s.backwardStep(dz)
-	release()
-	return s.sendCutGrad(ps, k, r, da, 0)
 }
 
 // backwardStep runs the server backward pass and optimizer step for
@@ -765,7 +716,7 @@ func (s *Server) sendCutGrad(ps *platformState, k, r int, da *tensor.Tensor, los
 		Platform: uint32(k),
 		Round:    uint32(r),
 		Payload:  payload,
-	}, k, r)
+	}, k)
 }
 
 // concatScheduler fuses all platforms' minibatches into a single batch
@@ -776,16 +727,13 @@ func (s *Server) sendCutGrad(ps *platformState, k, r int, da *tensor.Tensor, los
 type concatScheduler struct{}
 
 func (concatScheduler) trainRound(s *Server, r int) error {
-	conns := make([]transport.Conn, s.reg.len())
-	_ = s.reg.each(func(k int, ps *platformState) error {
-		conns[k] = ps.conn
-		return nil
-	})
-	acts := make([]*tensor.Tensor, len(conns))
-	labelsPer := make([][]int, len(conns))
-	sizes := make([]int, len(conns))
+	n := s.reg.len()
+	acts := make([]*tensor.Tensor, n)
+	labelsPer := make([][]int, n)
+	sizes := make([]int, n)
 	total := 0
-	for k, conn := range conns {
+	for k := range acts {
+		conn := s.reg.state(k).conn
 		a, err := s.recvActs(conn, r, k)
 		if err != nil {
 			return err
@@ -810,33 +758,28 @@ func (concatScheduler) trainRound(s *Server, r int) error {
 	release()
 
 	var dz *tensor.Tensor
-	var lossVals []float64
+	var lossVal float64
 	if s.cfg.LabelSharing {
 		var allLabels []int
 		for _, l := range labelsPer {
 			allLabels = append(allLabels, l...)
 		}
-		var lossVal float64
 		lossVal, dz = s.cfg.Loss.Loss(z, allLabels)
-		lossVals = make([]float64, len(conns))
-		for k := range lossVals {
-			lossVals[k] = lossVal
-		}
 	} else {
 		zs := tensor.SplitDim0(z, sizes)
-		for k, conn := range conns {
-			if err := s.send(conn, &wire.Message{
+		for k := range zs {
+			if err := s.send(s.reg.state(k).conn, &wire.Message{
 				Type:     wire.MsgLogits,
 				Platform: uint32(k),
 				Round:    uint32(r),
 				Payload:  s.encLogits.encode(s.cfg.Codec, zs[k]),
-			}, k, r); err != nil {
+			}, k); err != nil {
 				return err
 			}
 		}
-		grads := make([]*tensor.Tensor, len(conns))
-		for k, conn := range conns {
-			g, err := s.recvLossGrad(conn, r, k, zs[k])
+		grads := make([]*tensor.Tensor, n)
+		for k := range grads {
+			g, err := s.recvLossGrad(s.reg.state(k).conn, r, k, zs[k])
 			if err != nil {
 				return err
 			}
@@ -853,24 +796,8 @@ func (concatScheduler) trainRound(s *Server, r int) error {
 	da := s.backwardStep(dz)
 	release()
 
-	das := tensor.SplitDim0(da, sizes)
-	for k, conn := range conns {
-		var payload []byte
-		if s.cfg.LabelSharing {
-			if s.lossScalar == nil {
-				s.lossScalar = tensor.New()
-			}
-			s.lossScalar.Set(float32(lossVals[k]))
-			payload = s.encCut.encode(s.cfg.Codec, das[k], s.lossScalar)
-		} else {
-			payload = s.encCut.encode(s.cfg.Codec, das[k])
-		}
-		if err := s.send(conn, &wire.Message{
-			Type:     wire.MsgCutGrad,
-			Platform: uint32(k),
-			Round:    uint32(r),
-			Payload:  payload,
-		}, k, r); err != nil {
+	for k, dak := range tensor.SplitDim0(da, sizes) {
+		if err := s.sendCutGrad(s.reg.state(k), k, r, dak, lossVal); err != nil {
 			return err
 		}
 	}
@@ -981,7 +908,7 @@ func (s *Server) l1Sync(r int) error {
 			Platform: uint32(k),
 			Round:    uint32(r),
 			Payload:  payload,
-		}, k, r)
+		}, k)
 	})
 }
 
@@ -1020,7 +947,7 @@ func (s *Server) evalPhase(conn transport.Conn, r int) error {
 				Platform: uint32(s.evaluator),
 				Round:    uint32(r),
 				Payload:  wire.EncodeTensors(z),
-			}, s.evaluator, r); err != nil {
+			}, s.evaluator); err != nil {
 				return err
 			}
 		default:
@@ -1030,12 +957,11 @@ func (s *Server) evalPhase(conn transport.Conn, r int) error {
 }
 
 // send traces and transmits.
-func (s *Server) send(conn transport.Conn, m *wire.Message, platform, round int) error {
+func (s *Server) send(conn transport.Conn, m *wire.Message, platform int) error {
 	if err := conn.Send(m); err != nil {
 		return fmt.Errorf("core: server send %s to platform %d: %w", m.Type, platform, err)
 	}
 	s.trace("send", m, platform)
-	_ = round
 	return nil
 }
 
@@ -1069,5 +995,5 @@ func (s *Server) sendError(conn transport.Conn, platform int, text string) {
 		Type:     wire.MsgErrorMsg,
 		Platform: uint32(platform),
 		Payload:  wire.EncodeText(text),
-	}, platform, -1)
+	}, platform)
 }

@@ -80,8 +80,8 @@ func (p sessionPlan) evalRound(r int) bool {
 
 // Session tracks a party's position in the protocol: the current
 // state and the current round. Both the server and each platform hold
-// one; the server's schedulers (sequential, concat, windowed) and the
-// platform loop advance it identically, which is the lockstep
+// one; the server's schedulers (concat, windowed) and the platform loop
+// advance it identically, which is the lockstep
 // invariant the handshake establishes.
 type Session struct {
 	plan  sessionPlan

@@ -146,3 +146,18 @@ func TestPlatformConfigValidationTable(t *testing.T) {
 		})
 	}
 }
+
+// Every round mode's String name parses back to the mode; nothing else
+// parses.
+func TestParseRoundMode(t *testing.T) {
+	for m := RoundModeSequential; m <= RoundModeSplitFed; m++ {
+		if got, err := ParseRoundMode(m.String()); err != nil || got != m {
+			t.Fatalf("ParseRoundMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "Sequential", "stale", "concat,splitfed", RoundMode(9).String()} {
+		if _, err := ParseRoundMode(bad); !errors.Is(err, ErrConfig) {
+			t.Fatalf("ParseRoundMode(%q) err = %v, want ErrConfig", bad, err)
+		}
+	}
+}

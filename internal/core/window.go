@@ -1,0 +1,137 @@
+package core
+
+// This file holds the scheduler behind every round mode except concat:
+// a window of rounds run as a wavefront of per-platform exchanges (see
+// Server.advance). The consistency spectrum (README "Consistency
+// spectrum") is one knob on it, the window width. One round wide, the
+// window is sequential scheduling: each exchange runs from activations
+// to cut gradient before the next platform's starts, so a round costs
+// the *sum* over platforms of their WAN round trips and compute, and a
+// straggler's slow turnaround stalls everyone behind it. Wider windows
+// trade the bit-identity away for overlap: an exchange pauses once its
+// logits leave and resumes at the loss gradient later, so while one
+// platform's gradient crosses the WAN the server services the other
+// platforms — and with a round stagger, their *later rounds*. A delay
+// spike or compute straggler then overlaps useful work instead of
+// blocking it.
+
+// pauses reports whether the configured schedule pauses exchanges
+// between their halves, which runs them ahead of the session loop's
+// round counter: bounded staleness with K > 0, and splitfed. Bounded
+// staleness at K=0 is the sequential schedule and never pauses.
+func (cfg *ServerConfig) pauses() bool {
+	return cfg.Mode == RoundModeBoundedStaleness && cfg.Staleness > 0 || cfg.Mode == RoundModeSplitFed
+}
+
+// windowScheduler executes training rounds in staggered windows. When
+// the session loop asks for round r and the window [r, end] has not
+// run yet, the scheduler runs the whole window as a software-pipelined
+// wavefront and the remaining trainRound calls inside the window are
+// no-ops.
+//
+// Within a wave, each platform k first resumes its paused exchange, if
+// it has one (receive the loss gradient, replay the forward, backward,
+// step, ship the cut gradient), then opens its next one and runs it
+// until the logits leave (receive activations, forward, ship logits).
+// Platform k's rounds are offset by a stagger of min(k, cap) waves, so
+// lower-numbered platforms run ahead: when the server blocks on a
+// straggler's late message, the fast platforms' exchanges for later
+// rounds have already been processed at earlier virtual times and are
+// absorbed into the wait.
+//
+// Staleness accounting: an exchange's forward at stagger cap C can
+// miss at most C+1 rounds of the other platforms' updates (C rounds of
+// stagger plus the paused exchange in flight), so bounded staleness
+// with cap K runs windows of K+1 rounds with stagger cap K-1. At K=0
+// the window is one round wide and its exchanges run through without
+// pausing — RoundModeSequential, which is this same schedule. The
+// window never crosses an L1-sync or eval boundary: barrier phases
+// observe a fully flushed state, which is what lets SplitFed's periodic
+// weight averaging run through the ordinary session state machine.
+// With window == 0 the window extends to the next sync/eval boundary
+// and the stagger spans it (RoundModeSplitFed: platforms run
+// local-parallel between syncs, staleness capped by the averaging
+// period itself).
+//
+// Over the wire this needs no platform-side changes: each platform
+// independently walks its session and blocks on the server's replies,
+// so the server's processing order alone decides the consistency
+// model. Processing is single-goroutine in a fixed wave order, which
+// keeps relaxed sessions deterministic under fixed seeds and identical
+// across transports (the differential suite runs them twice and
+// compares digests).
+type windowScheduler struct {
+	// window is the number of consecutive rounds one window spans (the
+	// staleness cap plus one; 1 is sequential). 0 means unbounded: the
+	// window extends to the next sync/eval boundary.
+	window int
+	// flushedThrough is one past the last round every platform has
+	// completed; trainRound calls below it are no-ops.
+	flushedThrough int
+}
+
+func (w *windowScheduler) trainRound(s *Server, r int) error {
+	if r < w.flushedThrough {
+		return nil // covered by the window a previous call processed
+	}
+	end := w.windowEnd(s, r)
+	stagger := end - r // splitfed: full stagger across the window
+	if w.window > 0 {
+		// Bounded staleness cap K = window-1: stagger K-1 waves so a
+		// forward misses at most K rounds of updates (see type doc).
+		stagger = min(stagger, max(w.window-2, 0))
+	}
+	stop := posDone // a one-round window has nothing to overlap
+	if s.cfg.pauses() {
+		stop = posLossGrad
+	}
+	// Waves 0..end-r+stagger open exchanges; one extra wave resumes the
+	// exchanges still paused after the last opener.
+	lastWave := (end - r) + stagger
+	for wave := 0; wave <= lastWave+1; wave++ {
+		for k := range s.ex {
+			if s.reg.state(k).status == PlatformDropped {
+				continue
+			}
+			if s.ex[k].paused {
+				if err := s.advance(k, posDone); err != nil {
+					return err
+				}
+			}
+			q := r + wave - min(k, stagger)
+			if q < r || q > end {
+				continue
+			}
+			if s.promo != nil && q == s.promo.round && s.promo.done[k] {
+				// Failover resume: the dead leader already recorded this
+				// platform's step for this round — it lives in the replayed
+				// state — and Promote replayed the platform its cut gradient.
+				continue
+			}
+			s.ex[k] = exchange{round: q}
+			if err := s.advance(k, stop); err != nil {
+				return err
+			}
+		}
+	}
+	w.flushedThrough = end + 1
+	return nil
+}
+
+// windowEnd returns the last round of the window opening at r: bounded
+// by the staleness window, the end of the session, and the next
+// L1-sync or eval boundary (every platform must be flushed before a
+// barrier phase runs).
+func (w *windowScheduler) windowEnd(s *Server, r int) int {
+	end := s.cfg.Rounds - 1
+	if w.window > 0 && r+w.window-1 < end {
+		end = r + w.window - 1
+	}
+	plan := s.plan()
+	for q := r; q < end; q++ {
+		if plan.syncRound(q) || plan.evalRound(q) {
+			return q
+		}
+	}
+	return end
+}

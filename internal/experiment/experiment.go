@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"medsplit/internal/core"
 	"medsplit/internal/dataset"
 	"medsplit/internal/geonet"
 	"medsplit/internal/metrics"
@@ -82,28 +83,15 @@ type Config struct {
 	// L1SyncEvery periodically averages platform L1 weights through the
 	// server (0 = the paper's default of init-only synchronization).
 	L1SyncEvery int
-	// ConcatRounds uses the server's concatenated round mode instead of
-	// sequential per-platform steps.
-	ConcatRounds bool
-	// BoundedStaleness uses the server's bounded-staleness round mode:
-	// per-platform updates apply as each platform's exchange arrives, in
-	// platform-major windows of Staleness+1 rounds. Mutually exclusive
-	// with ConcatRounds and SplitFed; incompatible with
-	// checkpoints, resume, dropout recovery and replication (the relaxed
-	// scheduler runs ahead of synchronized round boundaries). Split
-	// scheme only.
-	BoundedStaleness bool
-	// Staleness is the bounded-staleness cap K: a platform may run at
-	// most K rounds ahead of the slowest platform's last applied
-	// update. K=0 is provably bit-identical to sequential scheduling.
-	// Requires BoundedStaleness.
+	// Mode is the server's round mode (zero means sequential); which
+	// other settings each mode accepts is core.NewServer's decision.
+	// Split scheme only.
+	Mode core.RoundMode
+	// Staleness is the bounded-staleness cap K: an exchange may miss at
+	// most K rounds of the other platforms' updates. K=0 is the
+	// sequential schedule itself, bit-identical to it. Requires Mode
+	// core.RoundModeBoundedStaleness.
 	Staleness int
-	// SplitFed runs the SplitFed-style local-parallel mode: platforms
-	// train front halves through whole averaging periods back to back,
-	// and every L1SyncEvery rounds the server averages the fronts
-	// (fedavg's aggregation rule) before anyone continues. Requires
-	// L1SyncEvery >= 1; same exclusions as BoundedStaleness.
-	SplitFed bool
 	// Codec names the activation-path compression codec ("raw", "f16",
 	// "int8", "topk-<frac>"; default "raw"). Split scheme only.
 	Codec string
@@ -235,38 +223,9 @@ func (c Config) withDefaults() Config {
 }
 
 // validate rejects inconsistent configurations. All cross-field Config
-// rules live here; the Run* entry points call it right after
-// withDefaults.
+// rules live here, except the round-mode ones, which core.NewServer
+// owns; the Run* entry points call it right after withDefaults.
 func (c Config) validate() error {
-	modes := 0
-	for _, on := range []bool{c.ConcatRounds, c.BoundedStaleness, c.SplitFed} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		return fmt.Errorf("experiment: ConcatRounds, BoundedStaleness and SplitFed are mutually exclusive")
-	}
-	if c.Staleness != 0 && !c.BoundedStaleness {
-		return fmt.Errorf("experiment: Staleness %d without BoundedStaleness", c.Staleness)
-	}
-	if c.Staleness < 0 {
-		return fmt.Errorf("experiment: negative Staleness %d", c.Staleness)
-	}
-	if c.SplitFed && c.L1SyncEvery < 1 {
-		return fmt.Errorf("experiment: SplitFed requires L1SyncEvery >= 1")
-	}
-	if c.BoundedStaleness || c.SplitFed {
-		if c.CheckpointDir != "" || c.ResumeFrom != "" {
-			return fmt.Errorf("experiment: relaxed round modes do not support checkpoints or resume")
-		}
-		if c.SimRejoin != "" {
-			return fmt.Errorf("experiment: relaxed round modes do not support dropout recovery")
-		}
-		if c.Replicas > 0 {
-			return fmt.Errorf("experiment: relaxed round modes do not support replication")
-		}
-	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("experiment: negative CheckpointEvery %d", c.CheckpointEvery)
 	}
@@ -316,14 +275,8 @@ func (c Config) validate() error {
 	default:
 		return fmt.Errorf("experiment: SimRejoin %q (want \"wait\" or \"proceed\")", c.SimRejoin)
 	}
-	if c.SimRejoin != "" && c.ConcatRounds {
-		return fmt.Errorf("experiment: SimRejoin requires sequential scheduling")
-	}
 	if c.Replicas < 0 {
 		return fmt.Errorf("experiment: negative Replicas %d", c.Replicas)
-	}
-	if c.Replicas > 0 && c.ConcatRounds {
-		return fmt.Errorf("experiment: Replicas with ConcatRounds (replication needs per-step records)")
 	}
 	if c.WALDir != "" && c.Replicas == 0 {
 		return fmt.Errorf("experiment: WALDir without Replicas")

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"medsplit/internal/core"
 	"medsplit/internal/geonet"
 )
 
@@ -261,7 +262,7 @@ func TestL1SyncAblationRuns(t *testing.T) {
 
 func TestConcatRoundsMode(t *testing.T) {
 	cfg := fastCfg()
-	cfg.ConcatRounds = true
+	cfg.Mode = core.RoundModeConcat
 	res, err := RunSplit(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"medsplit/internal/core"
 	"medsplit/internal/geonet"
 	"medsplit/internal/simnet"
 	"medsplit/internal/wire"
@@ -77,10 +78,10 @@ func frontierModes() []struct {
 		mutate func(*Config)
 	}{
 		{"sequential", func(c *Config) {}},
-		{"stale-1", func(c *Config) { c.BoundedStaleness = true; c.Staleness = 1 }},
-		{"stale-4", func(c *Config) { c.BoundedStaleness = true; c.Staleness = 4 }},
-		{"stale-16", func(c *Config) { c.BoundedStaleness = true; c.Staleness = 16 }},
-		{"splitfed", func(c *Config) { c.SplitFed = true; c.L1SyncEvery = 2 }},
+		{"stale-1", func(c *Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = 1 }},
+		{"stale-4", func(c *Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = 4 }},
+		{"stale-16", func(c *Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = 16 }},
+		{"splitfed", func(c *Config) { c.Mode = core.RoundModeSplitFed; c.L1SyncEvery = 2 }},
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"medsplit/internal/core"
 	"medsplit/internal/geonet"
 	"medsplit/internal/simnet"
 	"medsplit/internal/transport/testutil"
@@ -108,7 +109,7 @@ func TestBoundedStalenessK0Digest100Platforms(t *testing.T) {
 		t.Fatal(err)
 	}
 	bs := base
-	bs.BoundedStaleness = true // K=0
+	bs.Mode = core.RoundModeBoundedStaleness // K=0
 	got, err := RunSplit(bs)
 	if err != nil {
 		t.Fatal(err)
@@ -145,9 +146,9 @@ func TestAllModesTwiceRunIdenticalUnderFaults(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"sequential", func(c *Config) {}},
-		{"concat", func(c *Config) { c.ConcatRounds = true }},
-		{"stale-2", func(c *Config) { c.BoundedStaleness = true; c.Staleness = 2 }},
-		{"splitfed", func(c *Config) { c.SplitFed = true; c.L1SyncEvery = 2 }},
+		{"concat", func(c *Config) { c.Mode = core.RoundModeConcat }},
+		{"stale-2", func(c *Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = 2 }},
+		{"splitfed", func(c *Config) { c.Mode = core.RoundModeSplitFed; c.L1SyncEvery = 2 }},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {

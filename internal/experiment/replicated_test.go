@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"medsplit/internal/core"
 	"medsplit/internal/transport/testutil"
 )
 
@@ -128,7 +129,7 @@ func TestReplicatedConfigValidation(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"negative replicas", func(c *Config) { c.Replicas = -1 }},
-		{"replicas with concat", func(c *Config) { c.Replicas = 1; c.ConcatRounds = true }},
+		{"replicas with concat", func(c *Config) { c.Replicas = 1; c.Mode = core.RoundModeConcat }},
 		{"waldir without replicas", func(c *Config) { c.WALDir = "somewhere" }},
 		{"kill without replicas", func(c *Config) { c.SimWAN = true; c.KillLeaderAt = 2 }},
 		{"kill without simwan", func(c *Config) { c.Replicas = 1; c.KillLeaderAt = 2 }},

@@ -52,7 +52,28 @@ func TestRunSplitResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// Config.validate catches the cross-field mistakes table-driven.
+// Bounded staleness at K=0 is the sequential schedule, so it takes
+// checkpoints as sequential does, and the checkpointed run lands on the
+// sequential run's weights bit for bit.
+func TestBoundedStalenessK0CheckpointsMatchSequential(t *testing.T) {
+	seq, err := RunSplit(fastCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k0 := fastCfg()
+	k0.Mode = core.RoundModeBoundedStaleness
+	k0.CheckpointDir = t.TempDir()
+	k0.CheckpointEvery = 5
+	got, err := RunSplit(k0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.WeightDigest != seq.WeightDigest {
+		t.Fatalf("K=0 with checkpoints digest %#x, sequential %#x", got.WeightDigest, seq.WeightDigest)
+	}
+}
+
+// Config validation catches the cross-field mistakes table-driven.
 func TestConfigValidationTable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -60,7 +81,9 @@ func TestConfigValidationTable(t *testing.T) {
 		ok   bool
 	}{
 		{"valid", nil, true},
-		{"concat and bounded staleness", func(c *Config) { c.ConcatRounds = true; c.BoundedStaleness = true }, false},
+		// One Mode value cannot name two modes; what remains of the
+		// mistake is a bounded-staleness cap on a concat session.
+		{"concat and bounded staleness", func(c *Config) { c.Mode = core.RoundModeConcat; c.Staleness = 1 }, false},
 		{"negative checkpoint every", func(c *Config) { c.CheckpointEvery = -3 }, false},
 		{"checkpoint every without dir", func(c *Config) { c.CheckpointEvery = 4 }, false},
 		{"checkpoint every with dir", func(c *Config) { c.CheckpointEvery = 4; c.CheckpointDir = t.TempDir() }, true},

@@ -120,16 +120,6 @@ func RunSplit(cfg Config) (*Result, error) {
 		}
 	}
 
-	mode := core.RoundModeSequential
-	if cfg.ConcatRounds {
-		mode = core.RoundModeConcat
-	}
-	if cfg.BoundedStaleness {
-		mode = core.RoundModeBoundedStaleness
-	}
-	if cfg.SplitFed {
-		mode = core.RoundModeSplitFed
-	}
 	codec := wire.Codec(wire.RawCodec{})
 	if cfg.Codec != "" {
 		var cerr error
@@ -184,7 +174,7 @@ func RunSplit(cfg Config) (*Result, error) {
 		Platforms:       cfg.Platforms,
 		Rounds:          cfg.Rounds,
 		StartRound:      startRound,
-		Mode:            mode,
+		Mode:            cfg.Mode,
 		Staleness:       cfg.Staleness,
 		ClipGrads:       5,
 		L1SyncEvery:     cfg.L1SyncEvery,
@@ -381,12 +371,13 @@ func RunSplit(cfg Config) (*Result, error) {
 		var rt time.Duration
 		var err error
 		switch {
-		case cfg.ConcatRounds:
+		case cfg.Mode == core.RoundModeConcat:
 			up := make([]int64, cfg.Platforms)
 			down := make([]int64, cfg.Platforms)
 			for k, m := range meters {
-				up[k] = trainTx(m) / int64(executed)
-				down[k] = trainRx(m) / int64(executed)
+				tx, rx := core.TrainingTraffic(m)
+				up[k] = tx / int64(executed)
+				down[k] = rx / int64(executed)
 			}
 			rt, err = cfg.simTime(up, down)
 		default:
@@ -539,8 +530,9 @@ func runParamExchange(cfg Config, scheme *paramserver.Scheme, name, label string
 		up := make([]int64, cfg.Platforms)
 		down := make([]int64, cfg.Platforms)
 		for k, m := range meters {
-			up[k] = trainTx(m) / int64(cfg.Rounds)
-			down[k] = trainRx(m) / int64(cfg.Rounds)
+			tx, rx := core.TrainingTraffic(m)
+			up[k] = tx / int64(cfg.Rounds)
+			down[k] = rx / int64(cfg.Rounds)
 		}
 		rt, err := cfg.simTime(up, down)
 		if err != nil {
@@ -558,26 +550,4 @@ func annotateSimTime(c *metrics.Curve, perRound time.Duration) {
 	for i := range c.Points {
 		c.Points[i].SimTime = time.Duration(c.Points[i].Round+1) * perRound
 	}
-}
-
-// trainTypes are the message types that carry training traffic.
-var trainTypes = []wire.MsgType{
-	wire.MsgActivations, wire.MsgLogits, wire.MsgLossGrad, wire.MsgCutGrad,
-	wire.MsgLabels, wire.MsgModelPull, wire.MsgModelPush, wire.MsgGradPush,
-}
-
-func trainTx(m *transport.Meter) int64 {
-	var total int64
-	for _, t := range trainTypes {
-		total += m.TxBytesByType(t)
-	}
-	return total
-}
-
-func trainRx(m *transport.Meter) int64 {
-	var total int64
-	for _, t := range trainTypes {
-		total += m.RxBytesByType(t)
-	}
-	return total
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"medsplit/internal/core"
 	"medsplit/internal/geonet"
 	"medsplit/internal/simnet"
 	"medsplit/internal/transport/testutil"
@@ -66,9 +67,9 @@ func TestScenarioMatrix(t *testing.T) {
 		canRejoin bool
 	}{
 		{"sequential", func(c *Config) {}, true},
-		{"concat", func(c *Config) { c.ConcatRounds = true }, false},
-		{"stale-2", func(c *Config) { c.BoundedStaleness = true; c.Staleness = 2 }, false},
-		{"splitfed", func(c *Config) { c.SplitFed = true; c.L1SyncEvery = 2 }, false},
+		{"concat", func(c *Config) { c.Mode = core.RoundModeConcat }, false},
+		{"stale-2", func(c *Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = 2 }, false},
+		{"splitfed", func(c *Config) { c.Mode = core.RoundModeSplitFed; c.L1SyncEvery = 2 }, false},
 	}
 	codecs := []string{"raw", "f16", "int8", "topk-0.5"}
 	faults := []struct {
@@ -139,15 +140,11 @@ func TestScenarioMatrix(t *testing.T) {
 func TestSimElapsedDeterministicLockstep(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	topo, regions := matrixTopology()
-	for _, concat := range []bool{false, true} {
-		name := "sequential"
-		if concat {
-			name = "concat"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, mode := range []core.RoundMode{core.RoundModeSequential, core.RoundModeConcat} {
+		t.Run(mode.String(), func(t *testing.T) {
 			run := func() *Result {
 				cfg := matrixBase(topo, regions)
-				cfg.ConcatRounds = concat
+				cfg.Mode = mode
 				cfg.SimWAN = true
 				cfg.SimJitter = 0.3
 				res, err := RunSplit(cfg)
@@ -167,7 +164,9 @@ func TestSimElapsedDeterministicLockstep(t *testing.T) {
 	}
 }
 
-// Config validation for the simulation surface.
+// Config validation for the simulation surface. The round-mode rows
+// are refused by core.NewServer, which RunSplit reaches before any
+// training starts.
 func TestSimWANConfigValidation(t *testing.T) {
 	topo, regions := matrixTopology()
 	cases := []struct {
@@ -182,22 +181,24 @@ func TestSimWANConfigValidation(t *testing.T) {
 			c.SimFaults = []simnet.Fault{{Platform: 0, Round: 1}}
 		}},
 		{"unknown rejoin policy", func(c *Config) { c.SimRejoin = "retry" }},
-		{"rejoin with concat", func(c *Config) { c.SimRejoin = "wait"; c.ConcatRounds = true }},
+		{"rejoin with concat", func(c *Config) { c.SimRejoin = "wait"; c.Mode = core.RoundModeConcat }},
 		{"rejoin with bounded staleness", func(c *Config) {
 			c.SimRejoin = "wait"
-			c.BoundedStaleness = true
+			c.Mode = core.RoundModeBoundedStaleness
 			c.Staleness = 1
 		}},
 		{"staleness cap without the mode", func(c *Config) { c.Staleness = 2 }},
-		{"negative staleness cap", func(c *Config) { c.BoundedStaleness = true; c.Staleness = -1 }},
-		{"splitfed without averaging period", func(c *Config) { c.SplitFed = true }},
+		{"negative staleness cap", func(c *Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = -1 }},
+		{"splitfed without averaging period", func(c *Config) { c.Mode = core.RoundModeSplitFed }},
+		// One Mode value cannot name two modes; what remains of the
+		// mistake is a bounded-staleness cap on a splitfed session.
 		{"two relaxed modes at once", func(c *Config) {
-			c.BoundedStaleness = true
-			c.SplitFed = true
+			c.Mode = core.RoundModeSplitFed
+			c.Staleness = 1
 			c.L1SyncEvery = 2
 		}},
 		{"splitfed with replicas", func(c *Config) {
-			c.SplitFed = true
+			c.Mode = core.RoundModeSplitFed
 			c.L1SyncEvery = 2
 			c.Replicas = 1
 		}},
