@@ -6,28 +6,30 @@ import (
 	"medsplit/internal/core"
 )
 
-// The scheduling flags name one round mode and its staleness cap, the
-// same way for a leader and a standby. Whether the mode accepts the
+// The scheduling flags map onto one round mode and its staleness cap,
+// the same way for a leader and a standby. Whether the mode accepts the
 // other flags is decided once, by core.NewServer; a standby refuses
 // every mode a promotion could not continue.
 func TestRoundModeFlags(t *testing.T) {
 	cases := []struct {
-		name    string
-		mut     func(*serverOpts)
-		ok      bool // the leader's server config is accepted
-		standby bool // standbyMode accepts it
+		name      string
+		mut       func(*serverOpts)
+		mode      core.RoundMode
+		staleness int
+		ok        bool // the leader's server config is accepted
+		standby   bool // standbyMode accepts it
 	}{
-		{"default", nil, true, true},
-		{"concat", func(o *serverOpts) { o.mode = "concat" }, true, false},
-		{"stale 0", func(o *serverOpts) { o.mode = "bounded-staleness" }, true, true},
-		{"stale 3", func(o *serverOpts) { o.mode = "bounded-staleness"; o.stale = 3 }, true, false},
-		{"splitfed", func(o *serverOpts) { o.mode = "splitfed"; o.l1sync = 2 }, true, false},
-		{"splitfed without l1sync", func(o *serverOpts) { o.mode = "splitfed" }, false, false},
-		{"concat and stale", func(o *serverOpts) { o.mode = "concat"; o.stale = 1 }, false, false},
+		{"default", nil, core.RoundModeSequential, 0, true, true},
+		{"concat", func(o *serverOpts) { o.mode = "concat" }, core.RoundModeConcat, 0, true, false},
+		{"stale 0", func(o *serverOpts) { o.mode = "bounded-staleness" }, core.RoundModeBoundedStaleness, 0, true, true},
+		{"stale 3", func(o *serverOpts) { o.mode = "bounded-staleness"; o.stale = 3 }, core.RoundModeBoundedStaleness, 3, true, false},
+		{"splitfed", func(o *serverOpts) { o.mode = "splitfed"; o.l1sync = 2 }, core.RoundModeSplitFed, 0, true, false},
+		{"splitfed without l1sync", func(o *serverOpts) { o.mode = "splitfed" }, 0, 0, false, false},
+		{"concat and stale", func(o *serverOpts) { o.mode = "concat"; o.stale = 1 }, 0, 0, false, false},
 		// -mode takes one name; a list of two is not a mode.
-		{"concat and splitfed", func(o *serverOpts) { o.mode = "concat,splitfed"; o.l1sync = 2 }, false, false},
-		{"stale and splitfed", func(o *serverOpts) { o.mode = "splitfed"; o.stale = 1; o.l1sync = 2 }, false, false},
-		{"stale without the mode", func(o *serverOpts) { o.stale = 2 }, false, false},
+		{"concat and splitfed", func(o *serverOpts) { o.mode = "concat,splitfed"; o.l1sync = 2 }, 0, 0, false, false},
+		{"stale and splitfed", func(o *serverOpts) { o.mode = "splitfed"; o.stale = 1; o.l1sync = 2 }, 0, 0, false, false},
+		{"stale without the mode", func(o *serverOpts) { o.stale = 2 }, 0, 0, false, false},
 		// Bounded staleness at K=0 is the sequential schedule, so it
 		// accepts what sequential accepts; K=1 pauses exchanges and
 		// refuses checkpoints and a BatchNorm back half.
@@ -35,18 +37,21 @@ func TestRoundModeFlags(t *testing.T) {
 			o.mode = "bounded-staleness"
 			o.ckptDir = t.TempDir()
 			o.ckptEvery = 2
-		}, true, true},
+		}, core.RoundModeBoundedStaleness, 0, true, true},
 		{"stale 1 with checkpoints", func(o *serverOpts) {
 			o.mode = "bounded-staleness"
 			o.stale = 1
 			o.ckptDir = t.TempDir()
-		}, false, false},
-		{"resnet-lite stale 0", func(o *serverOpts) { o.arch = "resnet-lite"; o.mode = "bounded-staleness" }, true, true},
+		}, 0, 0, false, false},
+		{"resnet-lite stale 0", func(o *serverOpts) {
+			o.arch = "resnet-lite"
+			o.mode = "bounded-staleness"
+		}, core.RoundModeBoundedStaleness, 0, true, true},
 		{"resnet-lite stale 1", func(o *serverOpts) {
 			o.arch = "resnet-lite"
 			o.mode = "bounded-staleness"
 			o.stale = 1
-		}, false, false},
+		}, 0, 0, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -59,6 +64,9 @@ func TestRoundModeFlags(t *testing.T) {
 				tc.mut(&o)
 			}
 			cfg, _, err := serverConfig(o)
+			if tc.ok && err == nil && (cfg.Mode != tc.mode || cfg.Staleness != tc.staleness) {
+				t.Fatalf("serverConfig = %v K=%d, want %v K=%d", cfg.Mode, cfg.Staleness, tc.mode, tc.staleness)
+			}
 			if err == nil {
 				_, err = core.NewServer(cfg)
 			}

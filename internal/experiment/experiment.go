@@ -85,7 +85,8 @@ type Config struct {
 	L1SyncEvery int
 	// Mode is the server's round mode (zero means sequential); which
 	// other settings each mode accepts is core.NewServer's decision.
-	// Split scheme only.
+	// Split scheme only; the parameter-exchange runners reject every
+	// mode but sequential and any non-zero Staleness.
 	Mode core.RoundMode
 	// Staleness is the bounded-staleness cap K: an exchange may miss at
 	// most K rounds of the other platforms' updates. K=0 is the

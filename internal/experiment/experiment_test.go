@@ -168,6 +168,29 @@ func TestBaselinesDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// The parameter-exchange baselines have no split exchange to schedule,
+// so they refuse a round mode instead of ignoring it.
+func TestBaselinesRejectRoundMode(t *testing.T) {
+	for name, run := range map[string]Runner{"syncsgd": RunSyncSGD, "fedavg": RunFedAvg} {
+		for _, mc := range []struct {
+			name string
+			mut  func(*Config)
+		}{
+			{"concat", func(c *Config) { c.Mode = core.RoundModeConcat }},
+			{"stale 0", func(c *Config) { c.Mode = core.RoundModeBoundedStaleness }},
+			{"staleness cap", func(c *Config) { c.Staleness = 2 }},
+		} {
+			t.Run(name+"/"+mc.name, func(t *testing.T) {
+				cfg := fastCfg()
+				mc.mut(&cfg)
+				if _, err := run(cfg); err == nil {
+					t.Fatal("round mode accepted")
+				}
+			})
+		}
+	}
+}
+
 func TestRegionCountValidated(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Topology = geonet.DefaultHospitalTopology()

@@ -456,6 +456,11 @@ func runParamExchange(cfg Config, scheme *paramserver.Scheme, name, label string
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	// The round mode schedules split exchanges; a parameter-exchange
+	// scheme has none, so a mode here would be silently ignored.
+	if (cfg.Mode != 0 && cfg.Mode != core.RoundModeSequential) || cfg.Staleness != 0 {
+		return nil, fmt.Errorf("experiment: %s has no round mode (got %v, staleness %d)", name, cfg.Mode, cfg.Staleness)
+	}
 	shards, test, batches, err := BuildData(cfg)
 	if err != nil {
 		return nil, err
