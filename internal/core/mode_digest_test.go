@@ -117,6 +117,13 @@ func TestRoundModeDigests(t *testing.T) {
 		{"stale-2/label-sharing", RoundModeBoundedStaleness, 2, 0, true, 0xbd47087eb3bdc8bf},
 		{"splitfed", RoundModeSplitFed, 0, 2, false, 0xcebe32f484d0ef58},
 		{"splitfed/label-sharing", RoundModeSplitFed, 0, 2, true, 0xbc3cd0fd84852908},
+		// Under L1 sync every P rounds, a cap K >= P is splitfed's
+		// schedule: every window already ends at the next sync boundary,
+		// so the stagger cap K-1 never binds. Below P it binds.
+		{"stale-1/l1sync-2", RoundModeBoundedStaleness, 1, 2, false, 0x7c5e0a5c345a4078},
+		{"stale-1/l1sync-2/label-sharing", RoundModeBoundedStaleness, 1, 2, true, 0x9e7155010179cfa2},
+		{"stale-3/l1sync-2", RoundModeBoundedStaleness, 3, 2, false, 0xcebe32f484d0ef58},
+		{"stale-3/l1sync-2/label-sharing", RoundModeBoundedStaleness, 3, 2, true, 0xbc3cd0fd84852908},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
