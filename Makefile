@@ -248,7 +248,7 @@ bench-save-wal:
 	@echo wrote BENCH_wal.json
 
 # Refresh the consistency-spectrum baseline: one straggler-loaded
-# session per round mode over the simulated WAN. allocs/op is the gated
+# session per consistency setting over the simulated WAN. allocs/op is the gated
 # number; sim-ms/round and accuracy record the frontier shape on pinned
 # hardware (the full sweep is experiment.RunConsistencyFrontier, run
 # nightly via FRONTIER_SOAK=1).

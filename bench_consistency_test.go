@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"medsplit/internal/core"
 	"medsplit/internal/experiment"
 	"medsplit/internal/geonet"
 )
@@ -25,9 +24,10 @@ func BenchmarkConsistencyModes(b *testing.B) {
 		mutate func(*experiment.Config)
 	}{
 		{"sequential", func(c *experiment.Config) {}},
-		{"stale-k1", func(c *experiment.Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = 1 }},
-		{"stale-k4", func(c *experiment.Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = 4 }},
-		{"splitfed", func(c *experiment.Config) { c.Mode = core.RoundModeSplitFed; c.L1SyncEvery = 2 }},
+		{"stale-k1", func(c *experiment.Config) { c.Staleness = 1 }},
+		{"stale-k4", func(c *experiment.Config) { c.Staleness = 4 }},
+		// The splitfed preset: a cap at the L1-sync period.
+		{"splitfed", func(c *experiment.Config) { c.Staleness = 2; c.L1SyncEvery = 2 }},
 	}
 	for _, mode := range modes {
 		b.Run("mode="+mode.name, func(b *testing.B) {

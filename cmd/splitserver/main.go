@@ -13,16 +13,15 @@
 //	splitplatform -addr 127.0.0.1:7700 -id 1 -platforms 2 -rounds 40
 //
 // Scheduling sits on a consistency spectrum (README "Consistency
-// spectrum"), picked by -mode. The default -mode sequential and -mode
-// concat finish every platform's exchange for a round before the next
-// round starts; -mode bounded-staleness -stale K relaxes that (each
-// exchange may miss at most K rounds of the other platforms' updates;
-// K=0 is the sequential schedule and accepts everything sequential
-// does), and -mode splitfed runs platforms local-parallel between
-// -l1sync averaging boundaries. No mode needs a platform-side flag: the
-// server's processing order alone decides the consistency model. A
-// -standby only joins sequential sessions (bounded staleness at -stale
-// 0 included), because promotion always resumes sequentially.
+// spectrum"). The default -mode sequential and -mode concat finish
+// every platform's exchange for a round before the next round starts;
+// -stale K relaxes sequential's lockstep (each exchange may miss at
+// most K rounds of the other platforms' updates), and -stale K with
+// -l1sync P and K >= P is the splitfed preset: platforms run
+// local-parallel between averaging boundaries. No schedule needs a
+// platform-side flag: the server's processing order alone decides the
+// consistency model. A -standby only joins lockstep sequential
+// sessions (-stale 0), because promotion always resumes that way.
 //
 // Long runs survive interruptions: -checkpoint-dir/-checkpoint-every
 // write session snapshots at round boundaries, SIGINT/SIGTERM triggers
@@ -88,8 +87,8 @@ func main() {
 		width      = flag.Int("width", 8, "model width")
 		lr         = flag.Float64("lr", 0.05, "server-side learning rate")
 		seed       = flag.Uint64("seed", 1, "shared model seed")
-		mode       = flag.String("mode", "sequential", "round mode: sequential, concat, bounded-staleness or splitfed (splitfed requires -l1sync >= 1)")
-		stale      = flag.Int("stale", 0, "staleness cap K for -mode bounded-staleness (0 = the sequential schedule)")
+		mode       = flag.String("mode", "sequential", "round mode: sequential or concat")
+		stale      = flag.Int("stale", 0, "sequential's staleness cap K: an exchange may miss at most K rounds of the other platforms' updates (0 = lockstep; K >= -l1sync is the splitfed preset)")
 		l1sync     = flag.Int("l1sync", 0, "average platform L1 weights every N rounds (0 = off)")
 		evalEvery  = flag.Int("evalevery", 10, "evaluation phase every N rounds (0 = off)")
 		codec      = flag.String("codec", "raw", "activation codec: raw, f16, int8, topk-<frac>")
@@ -228,18 +227,18 @@ func serverConfig(o serverOpts) (core.ServerConfig, *models.Model, error) {
 }
 
 // standbyMode accepts only the sessions a promoted standby can finish
-// faithfully: promotion always builds a sequential server, so any
-// schedule that pauses or fuses exchanges would change silently at
-// failover. Bounded staleness at -stale 0 is the sequential schedule.
+// faithfully: promotion always builds a lockstep sequential server, so
+// any schedule that pauses or fuses exchanges would change silently at
+// failover.
 func standbyMode(o serverOpts) error {
 	mode, err := core.ParseRoundMode(o.mode)
 	if err != nil {
 		return err
 	}
-	if o.stale == 0 && (mode == core.RoundModeSequential || mode == core.RoundModeBoundedStaleness) {
+	if mode == core.RoundModeSequential && o.stale == 0 {
 		return nil
 	}
-	return fmt.Errorf("-standby joins only sequential sessions (-mode sequential, or bounded-staleness with -stale 0), because promotion resumes sequentially; got -mode %v -stale %d", mode, o.stale)
+	return fmt.Errorf("-standby joins only lockstep sequential sessions (-mode sequential -stale 0), because promotion resumes that way; got -mode %v -stale %d", mode, o.stale)
 }
 
 func run(o serverOpts) error {

@@ -9,7 +9,7 @@ import (
 // The scheduling flags map onto one round mode and its staleness cap,
 // the same way for a leader and a standby. Whether the mode accepts the
 // other flags is decided once, by core.NewServer; a standby refuses
-// every mode a promotion could not continue.
+// every schedule a promotion could not continue.
 func TestRoundModeFlags(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -21,35 +21,30 @@ func TestRoundModeFlags(t *testing.T) {
 	}{
 		{"default", nil, core.RoundModeSequential, 0, true, true},
 		{"concat", func(o *serverOpts) { o.mode = "concat" }, core.RoundModeConcat, 0, true, false},
-		{"stale 0", func(o *serverOpts) { o.mode = "bounded-staleness" }, core.RoundModeBoundedStaleness, 0, true, true},
-		{"stale 3", func(o *serverOpts) { o.mode = "bounded-staleness"; o.stale = 3 }, core.RoundModeBoundedStaleness, 3, true, false},
-		{"splitfed", func(o *serverOpts) { o.mode = "splitfed"; o.l1sync = 2 }, core.RoundModeSplitFed, 0, true, false},
+		{"stale 0", func(o *serverOpts) { o.stale = 0 }, core.RoundModeSequential, 0, true, true},
+		{"stale 3", func(o *serverOpts) { o.stale = 3 }, core.RoundModeSequential, 3, true, false},
+		// The splitfed preset is a cap at the L1-sync period; the name is
+		// not a mode any more.
+		{"splitfed", func(o *serverOpts) { o.stale = 2; o.l1sync = 2 }, core.RoundModeSequential, 2, true, false},
 		{"splitfed without l1sync", func(o *serverOpts) { o.mode = "splitfed" }, 0, 0, false, false},
 		{"concat and stale", func(o *serverOpts) { o.mode = "concat"; o.stale = 1 }, 0, 0, false, false},
 		// -mode takes one name; a list of two is not a mode.
 		{"concat and splitfed", func(o *serverOpts) { o.mode = "concat,splitfed"; o.l1sync = 2 }, 0, 0, false, false},
 		{"stale and splitfed", func(o *serverOpts) { o.mode = "splitfed"; o.stale = 1; o.l1sync = 2 }, 0, 0, false, false},
-		{"stale without the mode", func(o *serverOpts) { o.stale = 2 }, 0, 0, false, false},
-		// Bounded staleness at K=0 is the sequential schedule, so it
-		// accepts what sequential accepts; K=1 pauses exchanges and
-		// refuses checkpoints and a BatchNorm back half.
+		{"stale without the mode", func(o *serverOpts) { o.stale = 2 }, core.RoundModeSequential, 2, true, false},
+		// K=0 never pauses, so it accepts checkpoints and a BatchNorm
+		// back half; K=1 pauses exchanges and refuses both.
 		{"stale 0 with checkpoints", func(o *serverOpts) {
-			o.mode = "bounded-staleness"
 			o.ckptDir = t.TempDir()
 			o.ckptEvery = 2
-		}, core.RoundModeBoundedStaleness, 0, true, true},
+		}, core.RoundModeSequential, 0, true, true},
 		{"stale 1 with checkpoints", func(o *serverOpts) {
-			o.mode = "bounded-staleness"
 			o.stale = 1
 			o.ckptDir = t.TempDir()
 		}, 0, 0, false, false},
-		{"resnet-lite stale 0", func(o *serverOpts) {
-			o.arch = "resnet-lite"
-			o.mode = "bounded-staleness"
-		}, core.RoundModeBoundedStaleness, 0, true, true},
+		{"resnet-lite stale 0", func(o *serverOpts) { o.arch = "resnet-lite" }, core.RoundModeSequential, 0, true, true},
 		{"resnet-lite stale 1", func(o *serverOpts) {
 			o.arch = "resnet-lite"
-			o.mode = "bounded-staleness"
 			o.stale = 1
 		}, 0, 0, false, false},
 	}

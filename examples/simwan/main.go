@@ -33,7 +33,7 @@ func main() {
 	preset := flag.String("preset", "hospitals", "topology preset: hospitals (paper's 5 sites) or clinics (synthetic scale-out)")
 	clinics := flag.Int("clinics", 100, "clinic count for -preset clinics")
 	rounds := flag.Int("rounds", 12, "training rounds")
-	mode := flag.String("mode", "sequential", "server round mode: sequential or concat (any core.RoundMode name parses)")
+	mode := flag.String("mode", "sequential", "server round mode: sequential or concat")
 	codec := flag.String("codec", "raw", "activation codec: raw, f16, int8, topk-<frac>")
 	jitter := flag.Float64("jitter", 0.1, "seeded per-message jitter fraction in [0,1)")
 	seed := flag.Uint64("seed", 42, "run seed (data, weights, jitter)")

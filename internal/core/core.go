@@ -15,7 +15,8 @@
 // (per-platform minibatch sizes proportional to local data volume, via
 // package dataset), an optional label-sharing ablation that halves the
 // message count at the cost of label privacy, an optional periodic L1
-// weight synchronization, and four server scheduling modes.
+// weight synchronization, and two server scheduling modes, the first
+// with one consistency knob (a staleness cap).
 package core
 
 import (
@@ -27,7 +28,7 @@ import (
 	"medsplit/internal/wire"
 )
 
-// RoundMode selects how the server schedules platform minibatches
+// RoundMode selects how the server combines the platforms' minibatches
 // within a round.
 type RoundMode int
 
@@ -36,25 +37,25 @@ type RoundMode int
 // most consistent with the paper's flowchart). Concat fuses all
 // platforms' minibatches into one batch and takes a single step per
 // round on the union gradient. Both finish every platform's exchange
-// for round r before any exchange of round r+1 starts.
-// BoundedStaleness and SplitFed relax that lockstep in exchange for
-// wall-clock (see README "Consistency spectrum"). BoundedStaleness
-// applies each platform's updates as they arrive, but caps staleness
-// at K = ServerConfig.Staleness: an exchange may miss at most K rounds
-// of the other platforms' updates. A cap of 0 is the sequential schedule
-// itself, so it is bit-identical to RoundModeSequential by construction
-// and accepts every feature sequential does. SplitFed removes the cap
-// entirely within an averaging period: platforms train local-parallel
-// against per-arrival server updates and their L1 halves are averaged
-// every L1SyncEvery rounds through the session state machine's sync
-// phase (which reuses the FedAvg baseline's aggregation kernel,
-// nn.AverageInto).
+// for round r before any exchange of round r+1 starts, unless
+// ServerConfig.Staleness relaxes sequential's lockstep in exchange for
+// wall-clock (see README "Consistency spectrum"): with a cap K > 0 the
+// server applies each platform's updates as they arrive, and an
+// exchange may miss at most K rounds of the other platforms' updates.
+// The cap is the only consistency knob. SplitFed-style local-parallel
+// training between L1 averaging barriers is the cap at or above the
+// averaging period (K >= L1SyncEvery), because no window of the
+// schedule crosses a sync boundary.
 const (
 	RoundModeSequential RoundMode = iota + 1
 	RoundModeConcat
-	RoundModeBoundedStaleness
-	RoundModeSplitFed
 )
+
+// RoundModeBoundedStaleness is the sequential schedule under its former
+// name: a staleness cap selects bounded staleness on its own.
+//
+// Deprecated: set ServerConfig.Staleness and leave Mode sequential.
+const RoundModeBoundedStaleness = RoundModeSequential
 
 // String names the mode.
 func (m RoundMode) String() string {
@@ -63,10 +64,6 @@ func (m RoundMode) String() string {
 		return "sequential"
 	case RoundModeConcat:
 		return "concat"
-	case RoundModeBoundedStaleness:
-		return "bounded-staleness"
-	case RoundModeSplitFed:
-		return "splitfed"
 	default:
 		return fmt.Sprintf("roundmode(%d)", int(m))
 	}
@@ -74,12 +71,12 @@ func (m RoundMode) String() string {
 
 // ParseRoundMode returns the round mode String names.
 func ParseRoundMode(name string) (RoundMode, error) {
-	for m := RoundModeSequential; m <= RoundModeSplitFed; m++ {
+	for m := RoundModeSequential; m <= RoundModeConcat; m++ {
 		if m.String() == name {
 			return m, nil
 		}
 	}
-	return 0, fmt.Errorf("%w: unknown round mode %q (want sequential, concat, bounded-staleness or splitfed)", ErrConfig, name)
+	return 0, fmt.Errorf("%w: unknown round mode %q (want sequential or concat)", ErrConfig, name)
 }
 
 // Protocol errors.

@@ -86,13 +86,13 @@ func vggInt8Digest(t *testing.T) uint64 {
 	return digestNets(fronts, back)
 }
 
-// TestRoundModeDigests pins every round mode's training trajectory to
-// literal weight digests, so a scheduler change that reorders a single
-// message, forward or optimizer step shows up across commits, not only
-// as a within-commit comparison. The values are the float bit patterns
-// of amd64 code generation; the same table must pass with and without
-// the purego tag, since the assembly kernels and the generic reference
-// are bit-identical.
+// TestRoundModeDigests pins the training trajectory of every round mode
+// and staleness setting to literal weight digests, so a scheduler
+// change that reorders a single message, forward or optimizer step
+// shows up across commits, not only as a within-commit comparison. The
+// values are the float bit patterns of amd64 code generation; the same
+// table must pass with and without the purego tag, since the assembly
+// kernels and the generic reference are bit-identical.
 func TestRoundModeDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests are pinned on amd64: the arm64 gc compiler fuses multiply-add, which rounds differently")
@@ -109,21 +109,22 @@ func TestRoundModeDigests(t *testing.T) {
 		{"sequential/label-sharing", RoundModeSequential, 0, 0, true, 0xcb5d9508fb3ab82b},
 		{"concat", RoundModeConcat, 0, 0, false, 0xaebc85d582d86131},
 		{"concat/label-sharing", RoundModeConcat, 0, 0, true, 0xaebc85d582d86131},
-		{"stale-0", RoundModeBoundedStaleness, 0, 0, false, 0xcb5d9508fb3ab82b},
-		{"stale-0/label-sharing", RoundModeBoundedStaleness, 0, 0, true, 0xcb5d9508fb3ab82b},
-		{"stale-1", RoundModeBoundedStaleness, 1, 0, false, 0x43ea70d5669760d7},
-		{"stale-1/label-sharing", RoundModeBoundedStaleness, 1, 0, true, 0xcb5d9508fb3ab82b},
-		{"stale-2", RoundModeBoundedStaleness, 2, 0, false, 0x163d42fbc977f913},
-		{"stale-2/label-sharing", RoundModeBoundedStaleness, 2, 0, true, 0xbd47087eb3bdc8bf},
-		{"splitfed", RoundModeSplitFed, 0, 2, false, 0xcebe32f484d0ef58},
-		{"splitfed/label-sharing", RoundModeSplitFed, 0, 2, true, 0xbc3cd0fd84852908},
+		{"stale-0", RoundModeSequential, 0, 0, false, 0xcb5d9508fb3ab82b},
+		{"stale-0/label-sharing", RoundModeSequential, 0, 0, true, 0xcb5d9508fb3ab82b},
+		{"stale-1", RoundModeSequential, 1, 0, false, 0x43ea70d5669760d7},
+		{"stale-1/label-sharing", RoundModeSequential, 1, 0, true, 0xcb5d9508fb3ab82b},
+		{"stale-2", RoundModeSequential, 2, 0, false, 0x163d42fbc977f913},
+		{"stale-2/label-sharing", RoundModeSequential, 2, 0, true, 0xbd47087eb3bdc8bf},
+		// The splitfed preset: a cap at the L1-sync period P.
+		{"splitfed", RoundModeSequential, 2, 2, false, 0xcebe32f484d0ef58},
+		{"splitfed/label-sharing", RoundModeSequential, 2, 2, true, 0xbc3cd0fd84852908},
 		// Under L1 sync every P rounds, a cap K >= P is splitfed's
 		// schedule: every window already ends at the next sync boundary,
 		// so the stagger cap K-1 never binds. Below P it binds.
-		{"stale-1/l1sync-2", RoundModeBoundedStaleness, 1, 2, false, 0x7c5e0a5c345a4078},
-		{"stale-1/l1sync-2/label-sharing", RoundModeBoundedStaleness, 1, 2, true, 0x9e7155010179cfa2},
-		{"stale-3/l1sync-2", RoundModeBoundedStaleness, 3, 2, false, 0xcebe32f484d0ef58},
-		{"stale-3/l1sync-2/label-sharing", RoundModeBoundedStaleness, 3, 2, true, 0xbc3cd0fd84852908},
+		{"stale-1/l1sync-2", RoundModeSequential, 1, 2, false, 0x7c5e0a5c345a4078},
+		{"stale-1/l1sync-2/label-sharing", RoundModeSequential, 1, 2, true, 0x9e7155010179cfa2},
+		{"stale-3/l1sync-2", RoundModeSequential, 3, 2, false, 0xcebe32f484d0ef58},
+		{"stale-3/l1sync-2/label-sharing", RoundModeSequential, 3, 2, true, 0xbc3cd0fd84852908},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -50,9 +50,9 @@ import (
 //     uninterrupted run but are a deterministic function of the kill
 //     point.
 //
-// Recovery covers the training exchange under the sequential schedule
-// (validated at construction; bounded staleness at K=0 is that
-// schedule). Drops during handshake, L1 sync or evaluation
+// Recovery covers the training exchange under the lockstep sequential
+// schedule (staleness 0, validated at construction). Drops during
+// handshake, L1 sync or evaluation
 // phases remain fatal — those phases are rare, cheap to retry from a
 // checkpoint, and their replay semantics (partial weight averages)
 // are genuinely ambiguous.

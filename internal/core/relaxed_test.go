@@ -50,24 +50,24 @@ func relaxedRun(t *testing.T, mode RoundMode, staleness, l1sync, rounds int) ([]
 	return params, stats
 }
 
-// The acceptance bar for the bounded-staleness mode: at K=0 it is the
-// sequential schedule itself (a one-round window whose exchanges never
-// pause), so the whole model — every platform front and the server
-// back — must match sequential training down to the float bit pattern.
+// A staleness cap of 0, the zero value, is the lockstep sequential
+// schedule: a one-round window whose exchanges never pause. Spelling the
+// cap and the mode out must not change a bit of the model — every
+// platform front and the server back.
 func TestBoundedStalenessK0BitIdenticalToSequential(t *testing.T) {
 	const rounds = 12
 	seq, _ := relaxedRun(t, RoundModeSequential, 0, 0, rounds)
-	bs, _ := relaxedRun(t, RoundModeBoundedStaleness, 0, 0, rounds)
-	assertParamsBitIdentical(t, "bounded-staleness K=0 vs sequential", seq, bs)
+	zero, _ := relaxedRun(t, 0, 0, 0, rounds)
+	assertParamsBitIdentical(t, "zero config vs sequential K=0", seq, zero)
 }
 
-// K=0 with periodic L1 sync is still the sequential schedule; the sync
+// K=0 with periodic L1 sync is still the lockstep schedule; the sync
 // boundary must not disturb the equivalence.
 func TestBoundedStalenessK0WithSyncBitIdentical(t *testing.T) {
 	const rounds = 8
 	seq, _ := relaxedRun(t, RoundModeSequential, 0, 2, rounds)
-	bs, _ := relaxedRun(t, RoundModeBoundedStaleness, 0, 2, rounds)
-	assertParamsBitIdentical(t, "bounded-staleness K=0 + L1 sync vs sequential", seq, bs)
+	zero, _ := relaxedRun(t, 0, 0, 2, rounds)
+	assertParamsBitIdentical(t, "zero config + L1 sync vs sequential K=0", seq, zero)
 }
 
 // assertParamsBitIdentical compares two parameter sets down to the
@@ -118,8 +118,8 @@ func paramsDiffer(a, b [][]*nn.Param) bool {
 // same seeds, and still make training progress.
 func TestBoundedStalenessDeterministicAndDiverges(t *testing.T) {
 	const rounds = 12
-	a, astats := relaxedRun(t, RoundModeBoundedStaleness, 2, 0, rounds)
-	b, _ := relaxedRun(t, RoundModeBoundedStaleness, 2, 0, rounds)
+	a, astats := relaxedRun(t, RoundModeSequential, 2, 0, rounds)
+	b, _ := relaxedRun(t, RoundModeSequential, 2, 0, rounds)
 	assertParamsBitIdentical(t, "bounded-staleness K=2 repeat", a, b)
 
 	seq, _ := relaxedRun(t, RoundModeSequential, 0, 0, rounds)
@@ -137,15 +137,16 @@ func TestBoundedStalenessDeterministicAndDiverges(t *testing.T) {
 	}
 }
 
-// SplitFed local-parallel training: windows span whole averaging
-// periods, every platform's L1 half is averaged at each sync boundary,
-// and the run is deterministic. After the final sync round the fronts
-// must be bit-identical across platforms — the averaging leaves every
-// platform with the same L1 weights.
+// SplitFed-style local-parallel training is the staleness cap at the
+// averaging period: windows span whole averaging periods, every
+// platform's L1 half is averaged at each sync boundary, and the run is
+// deterministic. After the final sync round the fronts must be
+// bit-identical across platforms — the averaging leaves every platform
+// with the same L1 weights.
 func TestSplitFedDeterministicAndAveragesFronts(t *testing.T) {
 	const rounds, sync = 12, 3 // rounds%sync == 0: the last round is a sync boundary
-	a, astats := relaxedRun(t, RoundModeSplitFed, 0, sync, rounds)
-	b, _ := relaxedRun(t, RoundModeSplitFed, 0, sync, rounds)
+	a, astats := relaxedRun(t, RoundModeSequential, sync, sync, rounds)
+	b, _ := relaxedRun(t, RoundModeSequential, sync, sync, rounds)
 	assertParamsBitIdentical(t, "splitfed repeat", a, b)
 
 	fronts := a[:len(a)-1]
@@ -165,94 +166,48 @@ func TestSplitFedDeterministicAndAveragesFronts(t *testing.T) {
 	}
 }
 
-// Relaxed-mode configuration gates: a pausing schedule runs exchanges
-// ahead of the session loop's round counter, so features that assume
-// synchronized round boundaries are rejected up front. Bounded
-// staleness at K=0 never pauses — it is the sequential schedule — so
-// it accepts every one of them, as sequential does.
+// Staleness configuration gates: a pausing schedule (any cap K > 0)
+// runs exchanges ahead of the session loop's round counter, so features
+// that assume synchronized round boundaries are rejected up front. At
+// K=0 nothing pauses, so every one of them is accepted.
 func TestRelaxedModeConfigValidation(t *testing.T) {
 	train, _ := testData(t, 2, 32, 8, 95)
 	flat := flatten(train)
 	_, back := buildFronts(t, 317, 1, flat.X.Dim(1), 2)
-	base := func() ServerConfig {
-		return ServerConfig{Back: back, Opt: &nn.SGD{LR: 0.05}, Platforms: 1, Rounds: 4}
-	}
 	stale := func(k int) ServerConfig {
-		cfg := base()
-		cfg.Mode = RoundModeBoundedStaleness
-		cfg.Staleness = k
-		return cfg
+		return ServerConfig{Back: back, Opt: &nn.SGD{LR: 0.05}, Platforms: 1, Rounds: 4, Staleness: k}
 	}
 	// A back half with BatchNorm: stateful, so replaying its forward
 	// would advance the running statistics twice.
 	bnBack := nn.NewSequential("bn-back", nn.NewBatchNorm("bn", flat.X.Dim(1)), back)
-
-	cfg := base()
-	cfg.Staleness = -1
-	if _, err := NewServer(cfg); err == nil {
-		t.Fatal("negative staleness accepted")
-	}
-	cfg = base()
-	cfg.Staleness = 2 // without BoundedStaleness mode
-	if _, err := NewServer(cfg); err == nil {
-		t.Fatal("staleness outside bounded-staleness mode accepted")
-	}
-	cfg = base()
-	cfg.Mode = RoundModeSplitFed
-	if _, err := NewServer(cfg); err == nil {
-		t.Fatal("splitfed without L1SyncEvery accepted")
-	}
-	cfg = stale(1)
-	cfg.CheckpointDir = t.TempDir()
-	if _, err := NewServer(cfg); err == nil {
-		t.Fatal("relaxed mode with checkpoints accepted")
-	}
-	cfg = stale(1)
-	cfg.StartRound = 2
-	if _, err := NewServer(cfg); err == nil {
-		t.Fatal("relaxed mode resuming mid-session accepted")
-	}
-	cfg = stale(1)
-	cfg.Recovery = &RecoveryConfig{Policy: WaitForRejoin, Window: time.Second, Broker: NewRejoinBroker()}
-	if _, err := NewServer(cfg); err == nil {
-		t.Fatal("relaxed mode with dropout recovery accepted")
-	}
-	cfg = base()
-	cfg.Mode = RoundModeSplitFed
-	cfg.L1SyncEvery = 2
-	cfg.Replication = &ReplicationConfig{}
-	if _, err := NewServer(cfg); err == nil {
-		t.Fatal("relaxed mode with replication accepted")
-	}
-	cfg = stale(1)
-	cfg.LRSchedule = nn.StepDecay(0.05, 0.5, 1)
-	if _, err := NewServer(cfg); err == nil {
-		t.Fatal("relaxed mode with LR schedule accepted")
-	}
-	cfg = stale(1)
-	cfg.Back = bnBack
-	if _, err := NewServer(cfg); err == nil {
-		t.Fatal("relaxed mode with a BatchNorm back half accepted")
-	}
-
-	cfg = stale(4)
-	if _, err := NewServer(cfg); err != nil {
-		t.Fatalf("valid bounded-staleness config rejected: %v", err)
-	}
-	cfg = base()
-	cfg.Mode = RoundModeSplitFed
-	cfg.L1SyncEvery = 2
-	if _, err := NewServer(cfg); err != nil {
-		t.Fatalf("valid splitfed config rejected: %v", err)
-	}
-
-	// K=0 accepts what sequential accepts.
 	log, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	k0 := []struct {
+
+	cfg := stale(-1)
+	if _, err := NewServer(cfg); err == nil {
+		t.Fatal("negative staleness accepted")
+	}
+	cfg = stale(2)
+	cfg.Mode = RoundModeConcat
+	if _, err := NewServer(cfg); err == nil {
+		t.Fatal("staleness cap on concat accepted")
+	}
+	for _, k := range []int{1, 4} {
+		if _, err := NewServer(stale(k)); err != nil {
+			t.Fatalf("valid staleness cap %d rejected: %v", k, err)
+		}
+	}
+	// The splitfed preset: a cap at the L1-sync period.
+	cfg = stale(2)
+	cfg.L1SyncEvery = 2
+	if _, err := NewServer(cfg); err != nil {
+		t.Fatalf("valid splitfed preset rejected: %v", err)
+	}
+
+	features := []struct {
 		name string
 		mut  func(*ServerConfig)
 	}{
@@ -265,11 +220,19 @@ func TestRelaxedModeConfigValidation(t *testing.T) {
 			c.Recovery = &RecoveryConfig{Policy: WaitForRejoin, Window: time.Second, Broker: NewRejoinBroker()}
 		}},
 	}
-	for _, tc := range k0 {
-		for _, cfg := range []ServerConfig{base(), stale(0)} {
+	for _, tc := range features {
+		cfg := stale(0)
+		tc.mut(&cfg)
+		if _, err := NewServer(cfg); err != nil {
+			t.Fatalf("K=0 with %s rejected: %v", tc.name, err)
+		}
+		// K=1 pauses; the splitfed preset (K=2, L1 sync every 2) too.
+		for _, k := range []int{1, 2} {
+			cfg := stale(k)
+			cfg.L1SyncEvery = k
 			tc.mut(&cfg)
-			if _, err := NewServer(cfg); err != nil {
-				t.Fatalf("%v K=0 with %s rejected: %v", cfg.Mode, tc.name, err)
+			if _, err := NewServer(cfg); err == nil {
+				t.Fatalf("K=%d with %s accepted", k, tc.name)
 			}
 		}
 	}

@@ -609,9 +609,9 @@ type PromoteConfig struct {
 	// Server is the configuration template for the promoted server —
 	// the same schedule knobs (Rounds, LabelSharing, Loss, L1SyncEvery,
 	// EvalEvery, ClipGrads, LRSchedule, Codec) the dead leader ran, with
-	// Back/Opt being the follower's own halves. StartRound and Mode are
-	// derived here and overwritten; Replication must be unset (chained
-	// replication is out of scope).
+	// Back/Opt being the follower's own halves. StartRound, Mode and
+	// Staleness are derived here and overwritten; Replication must be
+	// unset (chained replication is out of scope).
 	Server ServerConfig
 	// Broker receives the platforms' redialed connections.
 	Broker *RejoinBroker
@@ -647,6 +647,7 @@ func (f *Follower) Promote(pc PromoteConfig) (*Server, []transport.Conn, error) 
 	scfg := pc.Server
 	scfg.StartRound = round
 	scfg.Mode = RoundModeSequential
+	scfg.Staleness = 0
 	srv, err := NewServer(scfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: promoted server: %w", err)

@@ -28,14 +28,13 @@ type ServerConfig struct {
 	// checkpoint's NextRound when resuming (see RestoreSnapshot). All
 	// parties must agree; the handshake validates it.
 	StartRound int
-	// Mode selects Sequential (default), Concat, BoundedStaleness or
-	// SplitFed scheduling.
+	// Mode selects Sequential (default) or Concat scheduling.
 	Mode RoundMode
 	// Staleness is the bounded-staleness cap K: an exchange may miss at
 	// most K rounds of the other platforms' updates. 0 (the default) is
-	// the sequential schedule itself, so it is bit-identical to
-	// RoundModeSequential and accepts every feature sequential does.
-	// Only valid with RoundModeBoundedStaleness.
+	// sequential's lockstep; K >= L1SyncEvery is the SplitFed-style
+	// schedule (platforms local-parallel between averaging barriers).
+	// Sequential mode only.
 	Staleness int
 	// LabelSharing enables the 2-message ablation where platforms ship
 	// labels and the server computes the loss. Requires Loss.
@@ -66,13 +65,12 @@ type ServerConfig struct {
 	// Replication, when set, enables the replicated aggregation tier:
 	// every training step is appended to a WAL before its cut gradient
 	// is acked, and streamed to warm followers that can promote on
-	// leader death (see Follower). Sequential schedule only (bounded
-	// staleness at K=0 included); off by default and free when off.
+	// leader death (see Follower). Sequential schedule at Staleness 0
+	// only; off by default and free when off.
 	Replication *ReplicationConfig
 	// Recovery, when set, enables platform-dropout recovery: a platform
 	// whose connection dies mid-round can rejoin through the broker and
-	// resume. Sequential schedule only (bounded staleness at K=0
-	// included).
+	// resume. Sequential schedule at Staleness 0 only.
 	Recovery *RecoveryConfig
 	// LRSchedule, when set, adjusts the optimizer's learning rate at the
 	// start of every round (see nn.StepDecay, nn.CosineDecay).
@@ -117,18 +115,15 @@ func (cfg *ServerConfig) validate() error {
 		cfg.Mode = RoundModeSequential
 	}
 	switch cfg.Mode {
-	case RoundModeSequential, RoundModeConcat, RoundModeBoundedStaleness, RoundModeSplitFed:
+	case RoundModeSequential, RoundModeConcat:
 	default:
 		return fmt.Errorf("%w: round mode %v", ErrConfig, cfg.Mode)
 	}
 	if cfg.Staleness < 0 {
 		return fmt.Errorf("%w: staleness cap %d", ErrConfig, cfg.Staleness)
 	}
-	if cfg.Staleness > 0 && cfg.Mode != RoundModeBoundedStaleness {
-		return fmt.Errorf("%w: staleness cap %d requires RoundModeBoundedStaleness", ErrConfig, cfg.Staleness)
-	}
-	if cfg.Mode == RoundModeSplitFed && cfg.L1SyncEvery <= 0 {
-		return fmt.Errorf("%w: RoundModeSplitFed requires L1SyncEvery >= 1 (the averaging period)", ErrConfig)
+	if cfg.Staleness > 0 && cfg.Mode == RoundModeConcat {
+		return fmt.Errorf("%w: staleness cap %d requires per-platform steps, got %v", ErrConfig, cfg.Staleness, cfg.Mode)
 	}
 	if cfg.pauses() {
 		// A pausing schedule runs platform exchanges ahead of the session
@@ -140,16 +135,16 @@ func (cfg *ServerConfig) validate() error {
 		// rounds.
 		switch {
 		case cfg.CheckpointDir != "":
-			return fmt.Errorf("%w: checkpoints require exchanges that never pause, got %v", ErrConfig, cfg.Mode)
+			return fmt.Errorf("%w: checkpoints require exchanges that never pause, got staleness cap %d", ErrConfig, cfg.Staleness)
 		case cfg.StartRound > 0:
-			return fmt.Errorf("%w: resuming at round %d requires exchanges that never pause, got %v", ErrConfig, cfg.StartRound, cfg.Mode)
+			return fmt.Errorf("%w: resuming at round %d requires exchanges that never pause, got staleness cap %d", ErrConfig, cfg.StartRound, cfg.Staleness)
 		case !nn.ReplaySafe(cfg.Back):
 			// A resumed exchange rebuilds the back half's backward cache
 			// by replaying its forward pass; stateful or stochastic layers
 			// would advance twice per exchange.
-			return fmt.Errorf("%w: %v requires a replay-safe back half (no stateful or stochastic layers)", ErrConfig, cfg.Mode)
+			return fmt.Errorf("%w: staleness cap %d requires a replay-safe back half (no stateful or stochastic layers)", ErrConfig, cfg.Staleness)
 		case cfg.LRSchedule != nil:
-			return fmt.Errorf("%w: LR schedules require exchanges that never pause, got %v", ErrConfig, cfg.Mode)
+			return fmt.Errorf("%w: LR schedules require exchanges that never pause, got staleness cap %d", ErrConfig, cfg.Staleness)
 		}
 	}
 	if cfg.Mode == RoundModeConcat || cfg.pauses() {
@@ -158,10 +153,10 @@ func (cfg *ServerConfig) validate() error {
 		// into one step, and a pausing schedule interleaves them across
 		// rounds.
 		if cfg.Recovery != nil {
-			return fmt.Errorf("%w: dropout recovery requires the sequential schedule, got %v", ErrConfig, cfg.Mode)
+			return fmt.Errorf("%w: dropout recovery requires the lockstep sequential schedule, got %v with staleness cap %d", ErrConfig, cfg.Mode, cfg.Staleness)
 		}
 		if cfg.Replication != nil {
-			return fmt.Errorf("%w: replication requires the sequential schedule, got %v", ErrConfig, cfg.Mode)
+			return fmt.Errorf("%w: replication requires the lockstep sequential schedule, got %v with staleness cap %d", ErrConfig, cfg.Mode, cfg.Staleness)
 		}
 	}
 	if cfg.LabelSharing && cfg.Loss == nil {
@@ -273,14 +268,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		gradDec:   make([][]*tensor.Tensor, cfg.Platforms),
 		labelsDec: make([][]int, cfg.Platforms),
 	}
-	switch cfg.Mode {
-	case RoundModeConcat:
+	if cfg.Mode == RoundModeConcat {
 		s.sched = concatScheduler{}
-	case RoundModeSplitFed:
-		s.sched = &windowScheduler{} // unbounded within an averaging period
-	default:
-		// Sequential is the staleness-0 window (see windowScheduler).
-		s.sched = &windowScheduler{window: cfg.Staleness + 1}
+	} else {
+		s.sched = &windowScheduler{}
 	}
 	if cfg.Replication != nil {
 		s.repl = newReplicator(cfg.Replication, cfg.Platforms)
@@ -309,7 +300,7 @@ func (s *Server) plan() sessionPlan {
 // when to sync, evaluate, checkpoint or stop — so the modes differ only
 // in how a round's bytes and compute are ordered: concatScheduler fuses
 // the platforms' exchanges into one step, and windowScheduler runs
-// every other mode.
+// sequential at any staleness cap.
 type roundScheduler interface {
 	trainRound(s *Server, r int) error
 }
@@ -501,10 +492,11 @@ func (s *Server) handshake() error {
 		}
 		// Informational: platforms run the same session walk in every
 		// mode; the mode (and the staleness cap) only changes server
-		// scheduling.
+		// scheduling. A pausing schedule is named by what it is,
+		// bounded staleness, with its cap.
 		ack := "mode=" + s.cfg.Mode.String()
-		if s.cfg.Mode == RoundModeBoundedStaleness {
-			ack = fmt.Sprintf("%s;k=%d", ack, s.cfg.Staleness)
+		if s.cfg.pauses() {
+			ack = fmt.Sprintf("mode=bounded-staleness;k=%d", s.cfg.Staleness)
 		}
 		return s.send(conn, &wire.Message{
 			Type:     wire.MsgHelloAck,
@@ -892,8 +884,8 @@ func (s *Server) l1Sync(r int) error {
 	}
 	// Weighted average into fresh tensors. The arithmetic is the
 	// parameter-averaging kernel shared with the FedAvg baseline, so
-	// SplitFed's periodic averaging and standalone FedAvg agree bit for
-	// bit on how platform weights combine.
+	// periodic L1 averaging and standalone FedAvg agree bit for bit on
+	// how platform weights combine.
 	avg := make([]*tensor.Tensor, len(lists[0]))
 	for i := range avg {
 		avg[i] = tensor.New(lists[0][i].Shape()...)

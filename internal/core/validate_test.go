@@ -150,12 +150,14 @@ func TestPlatformConfigValidationTable(t *testing.T) {
 // Every round mode's String name parses back to the mode; nothing else
 // parses.
 func TestParseRoundMode(t *testing.T) {
-	for m := RoundModeSequential; m <= RoundModeSplitFed; m++ {
+	for m := RoundModeSequential; m <= RoundModeConcat; m++ {
 		if got, err := ParseRoundMode(m.String()); err != nil || got != m {
 			t.Fatalf("ParseRoundMode(%q) = %v, %v", m.String(), got, err)
 		}
 	}
-	for _, bad := range []string{"", "Sequential", "stale", "concat,splitfed", RoundMode(9).String()} {
+	// The staleness cap is a number, not a mode: its former mode names
+	// no longer parse.
+	for _, bad := range []string{"", "Sequential", "stale", "bounded-staleness", "splitfed", "concat,splitfed", RoundMode(9).String()} {
 		if _, err := ParseRoundMode(bad); !errors.Is(err, ErrConfig) {
 			t.Fatalf("ParseRoundMode(%q) err = %v, want ErrConfig", bad, err)
 		}

@@ -1,26 +1,26 @@
 package core
 
-// This file holds the scheduler behind every round mode except concat:
-// a window of rounds run as a wavefront of per-platform exchanges (see
+// This file holds the scheduler behind sequential mode: a window of
+// rounds run as a wavefront of per-platform exchanges (see
 // Server.advance). The consistency spectrum (README "Consistency
-// spectrum") is one knob on it, the window width. One round wide, the
-// window is sequential scheduling: each exchange runs from activations
-// to cut gradient before the next platform's starts, so a round costs
-// the *sum* over platforms of their WAN round trips and compute, and a
-// straggler's slow turnaround stalls everyone behind it. Wider windows
-// trade the bit-identity away for overlap: an exchange pauses once its
-// logits leave and resumes at the loss gradient later, so while one
-// platform's gradient crosses the WAN the server services the other
-// platforms — and with a round stagger, their *later rounds*. A delay
-// spike or compute straggler then overlaps useful work instead of
-// blocking it.
+// spectrum") is one knob on it, the staleness cap K, which sets the
+// window width K+1. One round wide, the window is lockstep scheduling:
+// each exchange runs from activations to cut gradient before the next
+// platform's starts, so a round costs the *sum* over platforms of their
+// WAN round trips and compute, and a straggler's slow turnaround stalls
+// everyone behind it. Wider windows trade the bit-identity away for
+// overlap: an exchange pauses once its logits leave and resumes at the
+// loss gradient later, so while one platform's gradient crosses the WAN
+// the server services the other platforms — and with a round stagger,
+// their *later rounds*. A delay spike or compute straggler then
+// overlaps useful work instead of blocking it.
 
 // pauses reports whether the configured schedule pauses exchanges
 // between their halves, which runs them ahead of the session loop's
-// round counter: bounded staleness with K > 0, and splitfed. Bounded
-// staleness at K=0 is the sequential schedule and never pauses.
+// round counter: any staleness cap K > 0. At K=0 the window is one
+// round wide and never pauses.
 func (cfg *ServerConfig) pauses() bool {
-	return cfg.Mode == RoundModeBoundedStaleness && cfg.Staleness > 0 || cfg.Mode == RoundModeSplitFed
+	return cfg.Staleness > 0
 }
 
 // windowScheduler executes training rounds in staggered windows. When
@@ -41,17 +41,17 @@ func (cfg *ServerConfig) pauses() bool {
 //
 // Staleness accounting: an exchange's forward at stagger cap C can
 // miss at most C+1 rounds of the other platforms' updates (C rounds of
-// stagger plus the paused exchange in flight), so bounded staleness
-// with cap K runs windows of K+1 rounds with stagger cap K-1. At K=0
-// the window is one round wide and its exchanges run through without
-// pausing — RoundModeSequential, which is this same schedule. The
-// window never crosses an L1-sync or eval boundary: barrier phases
-// observe a fully flushed state, which is what lets SplitFed's periodic
-// weight averaging run through the ordinary session state machine.
-// With window == 0 the window extends to the next sync/eval boundary
-// and the stagger spans it (RoundModeSplitFed: platforms run
-// local-parallel between syncs, staleness capped by the averaging
-// period itself).
+// stagger plus the paused exchange in flight), so a cap K runs windows
+// of K+1 rounds with stagger cap K-1. At K=0 the window is one round
+// wide and its exchanges run through without pausing: the lockstep
+// sequential schedule. The window never crosses an L1-sync or eval
+// boundary: barrier phases observe a fully flushed state, which is what
+// lets periodic weight averaging run through the ordinary session state
+// machine. Once K reaches the L1-sync period P, every window ends at a
+// sync boundary before K+1 rounds and spans at most P rounds, so the
+// stagger cap K-1 never binds either: platforms run local-parallel
+// between averaging barriers (SplitFed-style), and every K >= P is the
+// same schedule.
 //
 // Over the wire this needs no platform-side changes: each platform
 // independently walks its session and blocks on the server's replies,
@@ -61,10 +61,6 @@ func (cfg *ServerConfig) pauses() bool {
 // across transports (the differential suite runs them twice and
 // compares digests).
 type windowScheduler struct {
-	// window is the number of consecutive rounds one window spans (the
-	// staleness cap plus one; 1 is sequential). 0 means unbounded: the
-	// window extends to the next sync/eval boundary.
-	window int
 	// flushedThrough is one past the last round every platform has
 	// completed; trainRound calls below it are no-ops.
 	flushedThrough int
@@ -75,12 +71,9 @@ func (w *windowScheduler) trainRound(s *Server, r int) error {
 		return nil // covered by the window a previous call processed
 	}
 	end := w.windowEnd(s, r)
-	stagger := end - r // splitfed: full stagger across the window
-	if w.window > 0 {
-		// Bounded staleness cap K = window-1: stagger K-1 waves so a
-		// forward misses at most K rounds of updates (see type doc).
-		stagger = min(stagger, max(w.window-2, 0))
-	}
+	// Stagger K-1 waves so a forward misses at most K rounds of updates
+	// (see type doc).
+	stagger := min(end-r, max(s.cfg.Staleness-1, 0))
 	stop := posDone // a one-round window has nothing to overlap
 	if s.cfg.pauses() {
 		stop = posLossGrad
@@ -119,14 +112,11 @@ func (w *windowScheduler) trainRound(s *Server, r int) error {
 }
 
 // windowEnd returns the last round of the window opening at r: bounded
-// by the staleness window, the end of the session, and the next
-// L1-sync or eval boundary (every platform must be flushed before a
-// barrier phase runs).
+// by the staleness window (K+1 rounds), the end of the session, and the
+// next L1-sync or eval boundary (every platform must be flushed before
+// a barrier phase runs).
 func (w *windowScheduler) windowEnd(s *Server, r int) int {
-	end := s.cfg.Rounds - 1
-	if w.window > 0 && r+w.window-1 < end {
-		end = r + w.window - 1
-	}
+	end := min(r+s.cfg.Staleness, s.cfg.Rounds-1)
 	plan := s.plan()
 	for q := r; q < end; q++ {
 		if plan.syncRound(q) || plan.evalRound(q) {

@@ -85,13 +85,13 @@ type Config struct {
 	L1SyncEvery int
 	// Mode is the server's round mode (zero means sequential); which
 	// other settings each mode accepts is core.NewServer's decision.
-	// Split scheme only; the parameter-exchange runners reject every
-	// mode but sequential and any non-zero Staleness.
+	// Split scheme only; the parameter-exchange runners reject any
+	// non-zero Mode or Staleness.
 	Mode core.RoundMode
 	// Staleness is the bounded-staleness cap K: an exchange may miss at
-	// most K rounds of the other platforms' updates. K=0 is the
-	// sequential schedule itself, bit-identical to it. Requires Mode
-	// core.RoundModeBoundedStaleness.
+	// most K rounds of the other platforms' updates (see
+	// core.ServerConfig.Staleness). 0 is sequential's lockstep; K >=
+	// L1SyncEvery is the SplitFed-style preset. Not with concat.
 	Staleness int
 	// Codec names the activation-path compression codec ("raw", "f16",
 	// "int8", "topk-<frac>"; default "raw"). Split scheme only.

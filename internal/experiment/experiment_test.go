@@ -169,7 +169,8 @@ func TestBaselinesDeterministicAcrossRuns(t *testing.T) {
 }
 
 // The parameter-exchange baselines have no split exchange to schedule,
-// so they refuse a round mode instead of ignoring it.
+// so they refuse a round mode instead of ignoring it, even the lockstep
+// sequential one spelled out.
 func TestBaselinesRejectRoundMode(t *testing.T) {
 	for name, run := range map[string]Runner{"syncsgd": RunSyncSGD, "fedavg": RunFedAvg} {
 		for _, mc := range []struct {
@@ -177,7 +178,7 @@ func TestBaselinesRejectRoundMode(t *testing.T) {
 			mut  func(*Config)
 		}{
 			{"concat", func(c *Config) { c.Mode = core.RoundModeConcat }},
-			{"stale 0", func(c *Config) { c.Mode = core.RoundModeBoundedStaleness }},
+			{"stale 0", func(c *Config) { c.Mode = core.RoundModeSequential }},
 			{"staleness cap", func(c *Config) { c.Staleness = 2 }},
 		} {
 			t.Run(name+"/"+mc.name, func(t *testing.T) {

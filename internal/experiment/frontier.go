@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"medsplit/internal/core"
 	"medsplit/internal/geonet"
 	"medsplit/internal/simnet"
 	"medsplit/internal/wire"
@@ -68,7 +67,8 @@ type FrontierCell struct {
 }
 
 // frontierModes are the consistency spectrum's sweep arms, from
-// strictest to loosest coordination.
+// strictest to loosest coordination. "splitfed" is the preset that
+// caps staleness at the L1-sync period.
 func frontierModes() []struct {
 	name   string
 	mutate func(*Config)
@@ -78,10 +78,10 @@ func frontierModes() []struct {
 		mutate func(*Config)
 	}{
 		{"sequential", func(c *Config) {}},
-		{"stale-1", func(c *Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = 1 }},
-		{"stale-4", func(c *Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = 4 }},
-		{"stale-16", func(c *Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = 16 }},
-		{"splitfed", func(c *Config) { c.Mode = core.RoundModeSplitFed; c.L1SyncEvery = 2 }},
+		{"stale-1", func(c *Config) { c.Staleness = 1 }},
+		{"stale-4", func(c *Config) { c.Staleness = 4 }},
+		{"stale-16", func(c *Config) { c.Staleness = 16 }},
+		{"splitfed", func(c *Config) { c.Staleness = 2; c.L1SyncEvery = 2 }},
 	}
 }
 
@@ -114,7 +114,7 @@ func frontierFaults(fc FrontierConfig, scale int) []struct {
 }
 
 // RunConsistencyFrontier sweeps the consistency spectrum — sequential,
-// bounded staleness at several caps, splitfed — across
+// bounded staleness at several caps, the splitfed preset — across
 // platform scales and fault scenarios over the SyntheticClinics WAN
 // with the heterogeneous compute model, and returns one cell per
 // combination: the accuracy-vs-wall-clock frontier the relaxed modes

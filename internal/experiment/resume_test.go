@@ -52,16 +52,16 @@ func TestRunSplitResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// Bounded staleness at K=0 is the sequential schedule, so it takes
-// checkpoints as sequential does, and the checkpointed run lands on the
-// sequential run's weights bit for bit.
+// A staleness cap of 0 never pauses an exchange, so it takes
+// checkpoints, and the checkpointed run lands on the uncheckpointed
+// run's weights bit for bit.
 func TestBoundedStalenessK0CheckpointsMatchSequential(t *testing.T) {
 	seq, err := RunSplit(fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	k0 := fastCfg()
-	k0.Mode = core.RoundModeBoundedStaleness
+	k0.Staleness = 0
 	k0.CheckpointDir = t.TempDir()
 	k0.CheckpointEvery = 5
 	got, err := RunSplit(k0)
@@ -81,8 +81,8 @@ func TestConfigValidationTable(t *testing.T) {
 		ok   bool
 	}{
 		{"valid", nil, true},
-		// One Mode value cannot name two modes; what remains of the
-		// mistake is a bounded-staleness cap on a concat session.
+		// A staleness cap staggers per-platform steps; concat fuses
+		// them into one.
 		{"concat and bounded staleness", func(c *Config) { c.Mode = core.RoundModeConcat; c.Staleness = 1 }, false},
 		{"negative checkpoint every", func(c *Config) { c.CheckpointEvery = -3 }, false},
 		{"checkpoint every without dir", func(c *Config) { c.CheckpointEvery = 4 }, false},

@@ -360,10 +360,10 @@ func RunSplit(cfg Config) (*Result, error) {
 		// Meters only saw the rounds this process executed, which on a
 		// resumed run is fewer than cfg.Rounds. The shape carries the
 		// configured compute model, so the analytic estimate and the
-		// measured SimElapsed account for the same work; the relaxed
-		// modes (bounded staleness, splitfed) overlap exchanges the
-		// strict sum serializes, so for them the sequential estimate is
-		// an upper bound and SimElapsed is the number to trust.
+		// measured SimElapsed account for the same work; a staleness
+		// cap overlaps exchanges the strict sum serializes, so there the
+		// sequential estimate is an upper bound and SimElapsed is the
+		// number to trust.
 		executed := cfg.Rounds - startRound
 		shape := splitShape(meters, executed)
 		shape.ServerCompute = cfg.SimComputeServer
@@ -458,7 +458,7 @@ func runParamExchange(cfg Config, scheme *paramserver.Scheme, name, label string
 	}
 	// The round mode schedules split exchanges; a parameter-exchange
 	// scheme has none, so a mode here would be silently ignored.
-	if (cfg.Mode != 0 && cfg.Mode != core.RoundModeSequential) || cfg.Staleness != 0 {
+	if cfg.Mode != 0 || cfg.Staleness != 0 {
 		return nil, fmt.Errorf("experiment: %s has no round mode (got %v, staleness %d)", name, cfg.Mode, cfg.Staleness)
 	}
 	shards, test, batches, err := BuildData(cfg)

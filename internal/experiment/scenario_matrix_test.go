@@ -47,8 +47,8 @@ func matrixTopology() (*geonet.Topology, []geonet.Region) {
 }
 
 // TestScenarioMatrix is the end-to-end scenario sweep the simulated
-// WAN exists for: {sequential, concat, bounded-staleness, splitfed} ×
-// {raw, f16, int8, top-k} × {no fault, mid-round dropout +
+// WAN exists for: {sequential, concat, bounded staleness, the splitfed
+// preset} × {raw, f16, int8, top-k} × {no fault, mid-round dropout +
 // rejoin}, each simnet run compared against its pipe-transport
 // reference by weight digest — bit-identical training, regardless of
 // link parameters, codec quantization or a recovered dropout. The
@@ -68,8 +68,8 @@ func TestScenarioMatrix(t *testing.T) {
 	}{
 		{"sequential", func(c *Config) {}, true},
 		{"concat", func(c *Config) { c.Mode = core.RoundModeConcat }, false},
-		{"stale-2", func(c *Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = 2 }, false},
-		{"splitfed", func(c *Config) { c.Mode = core.RoundModeSplitFed; c.L1SyncEvery = 2 }, false},
+		{"stale-2", func(c *Config) { c.Staleness = 2 }, false},
+		{"splitfed", func(c *Config) { c.Staleness = 2; c.L1SyncEvery = 2 }, false},
 	}
 	codecs := []string{"raw", "f16", "int8", "topk-0.5"}
 	faults := []struct {
@@ -182,23 +182,10 @@ func TestSimWANConfigValidation(t *testing.T) {
 		}},
 		{"unknown rejoin policy", func(c *Config) { c.SimRejoin = "retry" }},
 		{"rejoin with concat", func(c *Config) { c.SimRejoin = "wait"; c.Mode = core.RoundModeConcat }},
-		{"rejoin with bounded staleness", func(c *Config) {
-			c.SimRejoin = "wait"
-			c.Mode = core.RoundModeBoundedStaleness
-			c.Staleness = 1
-		}},
-		{"staleness cap without the mode", func(c *Config) { c.Staleness = 2 }},
-		{"negative staleness cap", func(c *Config) { c.Mode = core.RoundModeBoundedStaleness; c.Staleness = -1 }},
-		{"splitfed without averaging period", func(c *Config) { c.Mode = core.RoundModeSplitFed }},
-		// One Mode value cannot name two modes; what remains of the
-		// mistake is a bounded-staleness cap on a splitfed session.
-		{"two relaxed modes at once", func(c *Config) {
-			c.Mode = core.RoundModeSplitFed
-			c.Staleness = 1
-			c.L1SyncEvery = 2
-		}},
+		{"rejoin with bounded staleness", func(c *Config) { c.SimRejoin = "wait"; c.Staleness = 1 }},
+		{"negative staleness cap", func(c *Config) { c.Staleness = -1 }},
 		{"splitfed with replicas", func(c *Config) {
-			c.Mode = core.RoundModeSplitFed
+			c.Staleness = 2
 			c.L1SyncEvery = 2
 			c.Replicas = 1
 		}},
@@ -224,4 +211,13 @@ func TestSimWANConfigValidation(t *testing.T) {
 			}
 		})
 	}
+	// The staleness cap is the one consistency knob: it needs no mode.
+	t.Run("staleness cap without the mode", func(t *testing.T) {
+		cfg := matrixBase(topo, regions)
+		cfg.SimWAN = true
+		cfg.Staleness = 2
+		if _, err := RunSplit(cfg); err != nil {
+			t.Fatalf("staleness cap rejected: %v", err)
+		}
+	})
 }
