@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"runtime"
 	"testing"
 
@@ -86,6 +89,71 @@ func vggInt8Digest(t *testing.T) uint64 {
 	return digestNets(fronts, back)
 }
 
+// vggBenchShapeDigest trains VGG-lite at the repository benchmark's
+// train_vgg_int8 shape — width 8, 2 platforms x 16 rows, int8
+// activation codec, sequential — for a few rounds. At 16 rows conv1's
+// column matrix is 442 368 floats, above parallelThreshold, so the row
+// reaches the parallel im2col/col2im/GEMM fan-out the width-4 row does
+// not.
+func vggBenchShapeDigest(t *testing.T) uint64 {
+	t.Helper()
+	const K, rows, rounds = 2, 16, 3
+	train, _ := testData(t, 10, K*rows*rounds, 8, 99)
+	codec, err := compress.ByName("int8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fronts := make([]*nn.Sequential, K)
+	var back *nn.Sequential
+	for k := 0; k <= K; k++ {
+		m := models.VGGLite(10, 8, rng.New(337))
+		f, b, err := models.Split(m.Net, m.DefaultCut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == K {
+			back = b
+		} else {
+			fronts[k] = f
+		}
+	}
+	shards := dataset.ShardIID(train.Len(), K, rng.New(100))
+	srv := defaultServer(t, back, K, rounds, func(c *ServerConfig) { c.Codec = codec })
+	platforms := make([]*Platform, K)
+	for k := range platforms {
+		platforms[k] = defaultPlatform(t, k, fronts[k], train.Subset(shards[k]), rounds, func(c *PlatformConfig) {
+			c.Batch = rows
+			c.Codec = codec
+		})
+	}
+	if _, err := RunLocal(srv, platforms); err != nil {
+		t.Fatal(err)
+	}
+	return digestNets(fronts, back)
+}
+
+// vggServeForwardDigest runs the serving path's compute once: an
+// eval-mode (train=false) VGG-lite width-8 forward of 8 rows, front
+// then back, and hashes the raw bits of the back half's logits.
+func vggServeForwardDigest(t *testing.T) uint64 {
+	t.Helper()
+	const rows = 8
+	data, _ := testData(t, 10, rows, 8, 101)
+	m := models.VGGLite(10, 8, rng.New(347))
+	front, back, err := models.Split(m.Net, m.DefaultCut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logits := back.Forward(front.Forward(data.X, false), false)
+	h := fnv.New64a()
+	var buf [4]byte
+	for _, v := range logits.Data() {
+		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
 // TestRoundModeDigests pins the training trajectory of every round mode
 // and staleness setting to literal weight digests, so a scheduler
 // change that reorders a single message, forward or optimizer step
@@ -135,6 +203,16 @@ func TestRoundModeDigests(t *testing.T) {
 	}
 	t.Run("vgg-lite/int8/sequential", func(t *testing.T) {
 		if got, want := vggInt8Digest(t), uint64(0xbd33df46bc6d2e51); got != want {
+			t.Errorf("digest %#016x, want %#016x", got, want)
+		}
+	})
+	t.Run("vgg-lite/w8/int8/sequential/2x16", func(t *testing.T) {
+		if got, want := vggBenchShapeDigest(t), uint64(0x63fc0225acd8ece0); got != want {
+			t.Errorf("digest %#016x, want %#016x", got, want)
+		}
+	})
+	t.Run("vgg-lite/w8/serve-forward/8", func(t *testing.T) {
+		if got, want := vggServeForwardDigest(t), uint64(0x0f76b53c3abe519a); got != want {
 			t.Errorf("digest %#016x, want %#016x", got, want)
 		}
 	})
