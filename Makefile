@@ -10,7 +10,9 @@ GO ?= go
 # in the baseline with their GFLOPS/GB-per-s custom metrics. The last
 # three time the platform's per-round weight update (input-layer
 # backward, clip, SGD step) at the repository benchmark's MLP size.
-BENCH_PATTERN ?= BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkCodec|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkClipGrads|BenchmarkSGDStep
+# BenchmarkReLU and BenchmarkMaxPool2D time the conv stack's data-
+# movement layers at the VGG-lite benchmark's activation shapes.
+BENCH_PATTERN ?= BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkCodec|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkClipGrads|BenchmarkSGDStep|BenchmarkReLU|BenchmarkMaxPool2D
 
 # Packages with concurrency worth racing: the session engine (one
 # goroutine per party, plus replication streams and rejoin brokers), the
@@ -166,7 +168,7 @@ bench-smoke:
 # and the multi-iteration benchtime amortizes one-time pool warm-up
 # allocations that would otherwise inflate allocs/op vs the baselines.
 bench-compare:
-	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkClipGrads|BenchmarkSGDStep' -benchmem -benchtime 10x -run NONE \
+	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkClipGrads|BenchmarkSGDStep|BenchmarkReLU|BenchmarkMaxPool2D' -benchmem -benchtime 10x -run NONE \
 		./internal/tensor/ ./internal/tensor/kernels/ ./internal/nn/ . | $(GO) run ./cmd/benchjson -compare BENCH_tensor.json -skip-ns
 	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkCodec|BenchmarkSplitRound' -benchmem -benchtime 10x -run NONE \
 		./internal/compress/ . | $(GO) run ./cmd/benchjson -compare BENCH_wire.json -skip-ns

@@ -27,42 +27,47 @@ func NewReLU(name string) *ReLU { return &ReLU{name: name} }
 // Name returns the layer name.
 func (r *ReLU) Name() string { return r.name }
 
-// Forward zeroes negative entries.
-func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	r.out = r.out.EnsureShapeOf(x)
-	out := r.out
-	xd, od := x.Data(), out.Data()
-	if train {
-		// Reuse the layer-owned mask across rounds; every entry is
-		// overwritten.
-		if cap(r.mask) < len(xd) {
-			r.mask = make([]bool, len(xd))
-		}
-		mask := r.mask[:len(xd)]
-		// Scratch is dirty: write every element, not just positives.
-		for i, v := range xd {
-			on := v > 0
-			mask[i] = on
-			if on {
-				od[i] = v
-			} else {
-				od[i] = 0
-			}
-		}
-		r.mask = mask
-		return out
+// boolMask widens keep to a 32-bit select mask: all ones when keep,
+// zero otherwise. The compiler lowers it to a flag-set and a negate, so
+// the callers below run without data-dependent branches.
+func boolMask(keep bool) uint32 {
+	var m uint32
+	if keep {
+		m = 1
 	}
-	for i, v := range xd {
-		if v > 0 {
-			od[i] = v
-		} else {
-			od[i] = 0
-		}
-	}
-	return out
+	return -m
 }
 
-// Backward passes gradient only where the input was positive.
+// Forward zeroes non-positive and NaN entries. Both modes select v or
+// +0 by bit mask instead of branching on the sign, so the cost does not
+// depend on how the activations split.
+func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	r.out = r.out.EnsureShapeOf(x)
+	xd := x.Data()
+	od := r.out.Data()[:len(xd)]
+	if !train {
+		for i, v := range xd {
+			od[i] = math.Float32frombits(math.Float32bits(v) & boolMask(v > 0))
+		}
+		return r.out
+	}
+	// Reuse the layer-owned mask across rounds; every entry is
+	// overwritten, as is every element of the dirty output scratch.
+	if cap(r.mask) < len(xd) {
+		r.mask = make([]bool, len(xd))
+	}
+	r.mask = r.mask[:len(xd)]
+	mask := r.mask
+	for i, v := range xd {
+		keep := v > 0
+		mask[i] = keep
+		od[i] = math.Float32frombits(math.Float32bits(v) & boolMask(keep))
+	}
+	return r.out
+}
+
+// Backward passes gradient only where the input was positive, and +0
+// elsewhere.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if r.mask == nil {
 		panic(fmt.Sprintf("nn: %s: Backward before train-mode Forward", r.name))
@@ -71,16 +76,13 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s: gradient size %d, want %d", r.name, grad.Size(), len(r.mask)))
 	}
 	r.dx = r.dx.EnsureShapeOf(grad)
-	dx := r.dx
-	gd, dd := grad.Data(), dx.Data()
-	for i, on := range r.mask {
-		if on {
-			dd[i] = gd[i]
-		} else {
-			dd[i] = 0
-		}
+	mask := r.mask
+	gd := grad.Data()[:len(mask)]
+	dd := r.dx.Data()[:len(mask)]
+	for i, keep := range mask {
+		dd[i] = math.Float32frombits(math.Float32bits(gd[i]) & boolMask(keep))
 	}
-	return dx
+	return r.dx
 }
 
 // Params returns nil.

@@ -143,3 +143,65 @@ func BenchmarkSGDStep(b *testing.B) {
 		})
 	}
 }
+
+// vggActShapes are the activation shapes train_vgg_int8 (VGG-lite
+// width 8, 16 rows per platform) feeds its ReLU and 2×2 max-pool layers,
+// one per conv stage.
+var vggActShapes = []struct {
+	name       string
+	n, c, h, w int
+}{
+	{"stage1/16x8x32x32", 16, 8, 32, 32},
+	{"stage2/16x16x16x16", 16, 16, 16, 16},
+	{"stage3/16x32x8x8", 16, 32, 8, 8},
+}
+
+// BenchmarkReLU times one train-mode forward + backward at each of the
+// benchmark's activation shapes. The layer reuses its output, mask and
+// gradient scratch, so a step allocates nothing.
+func BenchmarkReLU(b *testing.B) {
+	for _, s := range vggActShapes {
+		b.Run(s.name, func(b *testing.B) {
+			r := rng.New(1)
+			x := tensor.New(s.n, s.c, s.h, s.w)
+			x.FillNormal(r, 0, 1)
+			g := tensor.New(s.n, s.c, s.h, s.w)
+			g.FillNormal(r, 0, 1)
+			layer := NewReLU("bench")
+			layer.Forward(x, true)
+			layer.Backward(g)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				layer.Forward(x, true)
+				layer.Backward(g)
+			}
+		})
+	}
+}
+
+// BenchmarkMaxPool2D times one train-mode forward + backward of the 2×2
+// stride-2 pool at each of the benchmark's activation shapes, on
+// post-ReLU input (half zeros, so ties are common). A step allocates
+// nothing.
+func BenchmarkMaxPool2D(b *testing.B) {
+	for _, s := range vggActShapes {
+		b.Run(s.name, func(b *testing.B) {
+			r := rng.New(1)
+			x := tensor.New(s.n, s.c, s.h, s.w)
+			x.FillNormal(r, 0, 1)
+			x = NewReLU("relu").Forward(x, false)
+			g := tensor.New(s.n, s.c, s.h/2, s.w/2)
+			g.FillNormal(r, 0, 1)
+			layer := NewMaxPool2D("bench", 2, 2)
+			layer.Forward(x, true)
+			layer.Backward(g)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				layer.Forward(x, true)
+				layer.Backward(g)
+			}
+		})
+	}
+}

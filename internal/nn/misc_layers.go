@@ -28,7 +28,10 @@ func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s: Flatten input %v, want rank >= 2", f.name, x.Shape()))
 	}
 	if train {
-		f.inShape = x.Shape()
+		f.inShape = f.inShape[:0]
+		for i := 0; i < x.Rank(); i++ {
+			f.inShape = append(f.inShape, x.Dim(i))
+		}
 	}
 	n := x.Dim(0)
 	return x.Reshape(n, x.Size()/n)

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"medsplit/internal/tensor"
 )
@@ -48,6 +49,23 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 	}
 	xd, od := x.Data(), out.Data()
+	if m.k == 2 && m.stride == 2 && h%2 == 0 && w%2 == 0 {
+		maxPool2x2(od, argmax, xd, n*c, h, w)
+	} else {
+		m.forwardGeneral(od, argmax, xd, n, c, h, w, oh, ow)
+	}
+	if train {
+		m.argmax = argmax
+		m.inShape = append(m.inShape[:0], n, c, h, w)
+	}
+	return out
+}
+
+// forwardGeneral pools any window geometry. A window visits its
+// positions row by row and replaces the running max only on a strict
+// >, so the first maximum wins a tie and a NaN in the first position
+// sticks. argmax is nil in eval mode.
+func (m *MaxPool2D) forwardGeneral(od []float32, argmax []int, xd []float32, n, c, h, w, oh, ow int) {
 	for in := 0; in < n; in++ {
 		for ch := 0; ch < c; ch++ {
 			base := (in*c + ch) * h * w
@@ -74,18 +92,51 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 					}
 					oIdx := ((in*c+ch)*oh+oy)*ow + ox
 					od[oIdx] = best
-					if train {
+					if argmax != nil {
 						argmax[oIdx] = bestIdx
 					}
 				}
 			}
 		}
 	}
-	if train {
-		m.argmax = argmax
-		m.inShape = x.Shape()
+}
+
+// maxPool2x2 is forwardGeneral for k = stride = 2 over even h and w,
+// where every window is whole: it loads the four values of a window and
+// keeps the max with the same strict > in the same order — (0,0),
+// (0,1), (1,0), (1,1) — so ties and NaNs pick the same argmax. Each
+// step selects by bit mask rather than branching on the data.
+func maxPool2x2(od []float32, argmax []int, xd []float32, planes, h, w int) {
+	oh, ow := h/2, w/2
+	for p := 0; p < planes; p++ {
+		for oy := 0; oy < oh; oy++ {
+			top := p*h*w + 2*oy*w
+			r0 := xd[top : top+w]
+			r1 := xd[top+w : top+2*w]
+			o := (p*oh + oy) * ow
+			orow := od[o : o+ow]
+			for ox := range orow {
+				ix := 2 * ox
+				best, off := r0[ix], 0
+				best, off = maxStep(best, off, r0[ix+1], 1)
+				best, off = maxStep(best, off, r1[ix], w)
+				best, off = maxStep(best, off, r1[ix+1], w+1)
+				orow[ox] = best
+				if argmax != nil {
+					argmax[o+ox] = top + ix + off
+				}
+			}
+		}
 	}
-	return out
+}
+
+// maxStep is one branch-free step of a window's running max: (v, voff)
+// when v > best, else (best, off).
+func maxStep(best float32, off int, v float32, voff int) (float32, int) {
+	m := boolMask(v > best)
+	im := int(int32(m))
+	b := math.Float32bits(v)&m | math.Float32bits(best)&^m
+	return math.Float32frombits(b), voff&im | off&^im
 }
 
 // Backward routes each output gradient to the input position that won the

@@ -80,38 +80,72 @@ func im2col(dst, x *Tensor, kh, kw, stride, pad int) {
 }
 
 // im2colRange fills column-matrix strips [u0,u1), one strip per (in, oy)
-// pair.
+// pair. Within a strip the nest runs (ch, ky, ox): a kernel row's source
+// image row is sliced once and dealt out to the strip's ow matrix rows.
+// For the 3-wide kernels every model's spatial convs use, windows wholly
+// inside the image copy with no per-element bounds test.
 func im2colRange(dd, xd []float32, c, h, w, oh, ow, kh, kw, stride, pad, u0, u1 int) {
 	rowLen := c * kh * kw
+	oxLo, oxHi := interiorCols(w, ow, kw, stride, pad)
 	for u := u0; u < u1; u++ {
 		in, oy := u/oh, u%oh
-		imgBase := in * c * h * w
 		iy0 := oy*stride - pad
-		for ox := 0; ox < ow; ox++ {
-			ix0 := ox*stride - pad
-			row := dd[(u*ow+ox)*rowLen:][:rowLen]
-			for ch := 0; ch < c; ch++ {
-				chBase := imgBase + ch*h*w
-				for ky := 0; ky < kh; ky++ {
-					iy := iy0 + ky
-					seg := row[(ch*kh+ky)*kw : (ch*kh+ky)*kw+kw]
-					if iy < 0 || iy >= h {
-						zeroFloats(seg) // padding
-						continue
+		strip := dd[u*ow*rowLen : (u+1)*ow*rowLen]
+		for ch := 0; ch < c; ch++ {
+			chBase := (in*c + ch) * h * w
+			for ky := 0; ky < kh; ky++ {
+				iy := iy0 + ky
+				col := (ch*kh + ky) * kw
+				if iy < 0 || iy >= h {
+					for ox := 0; ox < ow; ox++ {
+						zeroFloats(strip[ox*rowLen+col : ox*rowLen+col+kw]) // padding
 					}
-					srcRow := xd[chBase+iy*w : chBase+(iy+1)*w]
-					for kx := 0; kx < kw; kx++ {
-						ix := ix0 + kx
-						if ix >= 0 && ix < w {
-							seg[kx] = srcRow[ix]
-						} else {
-							seg[kx] = 0
-						}
-					}
+					continue
+				}
+				src := xd[chBase+iy*w : chBase+(iy+1)*w]
+				for ox := 0; ox < oxLo; ox++ {
+					im2colEdge(strip[ox*rowLen+col:ox*rowLen+col+kw], src, ox*stride-pad)
+				}
+				off, ix0 := oxLo*rowLen+col, oxLo*stride-pad
+				for ox := oxLo; ox < oxHi; ox++ {
+					seg := strip[off : off+3 : off+3]
+					win := src[ix0 : ix0+3 : ix0+3]
+					seg[0], seg[1], seg[2] = win[0], win[1], win[2]
+					off += rowLen
+					ix0 += stride
+				}
+				for ox := oxHi; ox < ow; ox++ {
+					im2colEdge(strip[ox*rowLen+col:ox*rowLen+col+kw], src, ox*stride-pad)
 				}
 			}
 		}
 	}
+}
+
+// im2colEdge copies one window segment that may overhang the source row
+// (which starts at column ix0), storing zeros outside it.
+func im2colEdge(seg, src []float32, ix0 int) {
+	for kx := range seg {
+		if ix := ix0 + kx; ix >= 0 && ix < len(src) {
+			seg[kx] = src[ix]
+		} else {
+			seg[kx] = 0
+		}
+	}
+}
+
+// interiorCols returns the output columns [lo, hi) that take the
+// whole-window fast path: those whose window lies wholly inside a
+// w-wide image row (ox*stride-pad >= 0 and ox*stride-pad+kw <= w), when
+// the window is 3 wide. Other widths, and every column outside the
+// range, take the bounds-checked edge loop.
+func interiorCols(w, ow, kw, stride, pad int) (lo, hi int) {
+	lo = min((pad+stride-1)/stride, ow)
+	hi = lo
+	if last := w - kw + pad; kw == 3 && last >= 0 {
+		hi = max(min(last/stride+1, ow), lo)
+	}
+	return lo, hi
 }
 
 // Im2ColNaive is the retained single-threaded reference implementation;
@@ -195,9 +229,14 @@ func col2imInto(img, cols *Tensor, kh, kw, stride, pad int, zeroFirst bool) {
 }
 
 // col2imRange scatters column-matrix gradients back into image samples
-// [n0,n1).
+// [n0,n1). The nest runs (oy, ch, ky, ox) — im2colRange's strip order,
+// with the same whole-window fast path — and still adds each pixel's
+// contributions in (oy, ox) order, the order Col2ImNaive adds them in:
+// a pixel takes at most one term per output position, the loops only
+// move, and no sum is regrouped, so the result is bit-identical.
 func col2imRange(id, cd []float32, c, h, w, oh, ow, kh, kw, stride, pad int, zeroFirst bool, n0, n1 int) {
 	rowLen := c * kh * kw
+	oxLo, oxHi := interiorCols(w, ow, kw, stride, pad)
 	for in := n0; in < n1; in++ {
 		imgBase := in * c * h * w
 		if zeroFirst {
@@ -205,27 +244,45 @@ func col2imRange(id, cd []float32, c, h, w, oh, ow, kh, kw, stride, pad int, zer
 		}
 		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*stride - pad
-			for ox := 0; ox < ow; ox++ {
-				ix0 := ox*stride - pad
-				row := cd[((in*oh+oy)*ow+ox)*rowLen:][:rowLen]
-				for ch := 0; ch < c; ch++ {
-					chBase := imgBase + ch*h*w
-					for ky := 0; ky < kh; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						src := row[(ch*kh+ky)*kw : (ch*kh+ky)*kw+kw]
-						dstRow := id[chBase+iy*w : chBase+(iy+1)*w]
-						for kx := 0; kx < kw; kx++ {
-							ix := ix0 + kx
-							if ix >= 0 && ix < w {
-								dstRow[ix] += src[kx]
-							}
-						}
+			u := in*oh + oy
+			strip := cd[u*ow*rowLen : (u+1)*ow*rowLen]
+			for ch := 0; ch < c; ch++ {
+				chBase := imgBase + ch*h*w
+				for ky := 0; ky < kh; ky++ {
+					iy := iy0 + ky
+					if iy < 0 || iy >= h {
+						continue
+					}
+					col := (ch*kh + ky) * kw
+					dst := id[chBase+iy*w : chBase+(iy+1)*w]
+					for ox := 0; ox < oxLo; ox++ {
+						col2imEdge(dst, strip[ox*rowLen+col:ox*rowLen+col+kw], ox*stride-pad)
+					}
+					off, ix0 := oxLo*rowLen+col, oxLo*stride-pad
+					for ox := oxLo; ox < oxHi; ox++ {
+						seg := strip[off : off+3 : off+3]
+						win := dst[ix0 : ix0+3 : ix0+3]
+						win[0] += seg[0]
+						win[1] += seg[1]
+						win[2] += seg[2]
+						off += rowLen
+						ix0 += stride
+					}
+					for ox := oxHi; ox < ow; ox++ {
+						col2imEdge(dst, strip[ox*rowLen+col:ox*rowLen+col+kw], ox*stride-pad)
 					}
 				}
 			}
+		}
+	}
+}
+
+// col2imEdge adds one window segment that may overhang the image row
+// dst (the window starts at column ix0), dropping the overhang.
+func col2imEdge(dst, seg []float32, ix0 int) {
+	for kx, v := range seg {
+		if ix := ix0 + kx; ix >= 0 && ix < len(dst) {
+			dst[ix] += v
 		}
 	}
 }

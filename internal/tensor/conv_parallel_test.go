@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 
 	"medsplit/internal/rng"
@@ -20,6 +21,29 @@ var convGeometries = []struct {
 	{5, 1, 6, 6, 1, 1, 1, 0},
 	{2, 2, 9, 9, 4, 4, 3, 2},
 	{4, 3, 32, 32, 3, 3, 1, 1}, // CIFAR L1 geometry
+	{1, 2, 2, 2, 3, 3, 1, 1},   // no whole window: every column overhangs
+	{1, 2, 4, 7, 3, 3, 2, 0},   // stride 2 without padding
+	// The three convs of the repository benchmark's VGG-lite (width 8,
+	// 16 rows): each column matrix is above parallelThreshold, so the
+	// workers=4 runs take the real fan-out.
+	{16, 3, 32, 32, 3, 3, 1, 1},
+	{16, 8, 16, 16, 3, 3, 1, 1},
+	{16, 16, 8, 8, 3, 3, 1, 1},
+}
+
+// assertBitEqual fails unless got and want hold the same float bits:
+// the lowering kernels only move values (col2im adds them in the
+// reference's order), so they owe the naive references every bit.
+func assertBitEqual(t *testing.T, tag string, got, want *Tensor) {
+	t.Helper()
+	if !SameShape(got, want) {
+		t.Fatalf("%s: shape %v, want %v", tag, got.Shape(), want.Shape())
+	}
+	for i, w := range want.data {
+		if math.Float32bits(got.data[i]) != math.Float32bits(w) {
+			t.Fatalf("%s: element %d = %v, want %v", tag, i, got.data[i], w)
+		}
+	}
 }
 
 func TestIm2ColMatchesNaive(t *testing.T) {
@@ -29,10 +53,10 @@ func TestIm2ColMatchesNaive(t *testing.T) {
 			x := randTensor(r, g.n, g.c, g.h, g.w)
 			got := Im2Col(x, g.kh, g.kw, g.stride, g.pad)
 			want := Im2ColNaive(x, g.kh, g.kw, g.stride, g.pad)
-			assertUlpEqual(t, "Im2Col", got, want)
+			assertBitEqual(t, "Im2Col", got, want)
 
 			dirty := Full(999, want.Dim(0), want.Dim(1))
-			assertUlpEqual(t, "Im2ColInto", Im2ColInto(dirty, x, g.kh, g.kw, g.stride, g.pad), want)
+			assertBitEqual(t, "Im2ColInto", Im2ColInto(dirty, x, g.kh, g.kw, g.stride, g.pad), want)
 		}
 	})
 }
@@ -46,10 +70,81 @@ func TestCol2ImMatchesNaive(t *testing.T) {
 			cols := randTensor(r, g.n*oh*ow, g.c*g.kh*g.kw)
 			got := Col2Im(cols, g.n, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad)
 			want := Col2ImNaive(cols, g.n, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad)
-			assertUlpEqual(t, "Col2Im", got, want)
+			assertBitEqual(t, "Col2Im", got, want)
 
 			dirty := Full(999, g.n, g.c, g.h, g.w)
-			assertUlpEqual(t, "Col2ImInto", Col2ImInto(dirty, cols, g.kh, g.kw, g.stride, g.pad), want)
+			assertBitEqual(t, "Col2ImInto", Col2ImInto(dirty, cols, g.kh, g.kw, g.stride, g.pad), want)
+		}
+	})
+}
+
+// col2imColumnMajor is Col2ImNaive with the output-position loops
+// swapped, (ox, oy) instead of (oy, ox): every pixel receives the same
+// terms in a different order. It exists only to prove that
+// TestCol2ImKeepsSumOrder's data can tell the two orders apart.
+func col2imColumnMajor(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
+	oh := ConvOutSize(h, kh, stride, pad)
+	ow := ConvOutSize(w, kw, stride, pad)
+	rowLen := c * kh * kw
+	img := New(n, c, h, w)
+	for in := 0; in < n; in++ {
+		for ox := 0; ox < ow; ox++ {
+			for oy := 0; oy < oh; oy++ {
+				row := cols.data[((in*oh+oy)*ow+ox)*rowLen:][:rowLen]
+				for ch := 0; ch < c; ch++ {
+					for ky := 0; ky < kh; ky++ {
+						for kx := 0; kx < kw; kx++ {
+							iy, ix := oy*stride-pad+ky, ox*stride-pad+kx
+							if iy >= 0 && iy < h && ix >= 0 && ix < w {
+								img.data[((in*c+ch)*h+iy)*w+ix] += row[(ch*kh+ky)*kw+kx]
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return img
+}
+
+// TestCol2ImKeepsSumOrder feeds col2im terms of wildly different
+// magnitude (±1e8 beside 1), where float addition is far from
+// associative: (1e8 + 1) - 1e8 is 0 but (1e8 - 1e8) + 1 is 1. A kernel
+// that regrouped or reordered any pixel's sum would miss the naive
+// reference by whole units, not ulps.
+func TestCol2ImKeepsSumOrder(t *testing.T) {
+	runWorkerModes(t, func(t *testing.T) {
+		r := rng.New(27)
+		terms := []float32{1e8, 1, -1e8, 3, -1e8, 1e8, -1}
+		for _, g := range convGeometries {
+			oh := ConvOutSize(g.h, g.kh, g.stride, g.pad)
+			ow := ConvOutSize(g.w, g.kw, g.stride, g.pad)
+			cols := New(g.n*oh*ow, g.c*g.kh*g.kw)
+			for i := range cols.data {
+				cols.data[i] = terms[r.Intn(len(terms))]
+			}
+			want := Col2ImNaive(cols, g.n, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad)
+			assertBitEqual(t, "Col2Im", Col2Im(cols, g.n, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad), want)
+			assertBitEqual(t, "Col2ImInto", Col2ImInto(Full(999, g.n, g.c, g.h, g.w), cols, g.kh, g.kw, g.stride, g.pad), want)
+		}
+		// The data must be able to catch a reorder: swapping the
+		// output-position loops changes some pixel at the CIFAR L1
+		// geometry.
+		g := convGeometries[7]
+		oh := ConvOutSize(g.h, g.kh, g.stride, g.pad)
+		ow := ConvOutSize(g.w, g.kw, g.stride, g.pad)
+		cols := New(g.n*oh*ow, g.c*g.kh*g.kw)
+		for i := range cols.data {
+			cols.data[i] = terms[r.Intn(len(terms))]
+		}
+		want := Col2ImNaive(cols, g.n, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad)
+		swapped := col2imColumnMajor(cols, g.n, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad)
+		differs := false
+		for i := range want.data {
+			differs = differs || want.data[i] != swapped.data[i]
+		}
+		if !differs {
+			t.Fatal("order-sensitive terms produced the same sums in both orders")
 		}
 	})
 }

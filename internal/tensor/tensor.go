@@ -29,7 +29,10 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", shape))
+			// Format a copy: handing shape itself to fmt would make it
+			// escape, and every variadic call of New and EnsureShape
+			// would then heap-allocate its argument list.
+			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", append([]int(nil), shape...)))
 		}
 		n *= d
 	}
