@@ -132,12 +132,48 @@ func vggBenchShapeDigest(t *testing.T) uint64 {
 	return digestNets(fronts, back)
 }
 
-// vggServeForwardDigest runs the serving path's compute once: an
-// eval-mode (train=false) VGG-lite width-8 forward of 8 rows, front
-// then back, and hashes the raw bits of the back half's logits.
-func vggServeForwardDigest(t *testing.T) uint64 {
+// resnetDigest trains a 2-platform ResNet-lite session under
+// sequential scheduling: the stride-2 3×3 convs, the 1×1 stride-2
+// pad-0 projection shortcuts and BatchNorm, geometries no VGG row
+// reaches. At 8 rows the stem and block1 convs are above
+// parallelThreshold, so the parallel fan-out runs as well.
+func resnetDigest(t *testing.T) uint64 {
 	t.Helper()
-	const rows = 8
+	const K, rows, rounds = 2, 8, 3
+	train, _ := testData(t, 4, K*rows*rounds, 8, 103)
+	fronts := make([]*nn.Sequential, K)
+	var back *nn.Sequential
+	for k := 0; k <= K; k++ {
+		m := models.ResNetLite(4, 4, rng.New(353))
+		f, b, err := models.Split(m.Net, m.DefaultCut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == K {
+			back = b
+		} else {
+			fronts[k] = f
+		}
+	}
+	shards := dataset.ShardIID(train.Len(), K, rng.New(104))
+	srv := defaultServer(t, back, K, rounds, nil)
+	platforms := make([]*Platform, K)
+	for k := range platforms {
+		platforms[k] = defaultPlatform(t, k, fronts[k], train.Subset(shards[k]), rounds, func(c *PlatformConfig) {
+			c.Batch = rows
+		})
+	}
+	if _, err := RunLocal(srv, platforms); err != nil {
+		t.Fatal(err)
+	}
+	return digestNets(fronts, back)
+}
+
+// vggServeForwardDigest runs the serving path's compute once: an
+// eval-mode (train=false) VGG-lite width-8 forward of the given rows,
+// front then back, and hashes the raw bits of the back half's logits.
+func vggServeForwardDigest(t *testing.T, rows int) uint64 {
+	t.Helper()
 	data, _ := testData(t, 10, rows, 8, 101)
 	m := models.VGGLite(10, 8, rng.New(347))
 	front, back, err := models.Split(m.Net, m.DefaultCut)
@@ -212,7 +248,19 @@ func TestRoundModeDigests(t *testing.T) {
 		}
 	})
 	t.Run("vgg-lite/w8/serve-forward/8", func(t *testing.T) {
-		if got, want := vggServeForwardDigest(t), uint64(0x0f76b53c3abe519a); got != want {
+		if got, want := vggServeForwardDigest(t, 8), uint64(0x0f76b53c3abe519a); got != want {
+			t.Errorf("digest %#016x, want %#016x", got, want)
+		}
+	})
+	// Three rows do not split evenly over the workers of a per-sample
+	// fan-out.
+	t.Run("vgg-lite/w8/serve-forward/3", func(t *testing.T) {
+		if got, want := vggServeForwardDigest(t, 3), uint64(0x258ce04fd5090726); got != want {
+			t.Errorf("digest %#016x, want %#016x", got, want)
+		}
+	})
+	t.Run("resnet-lite/sequential", func(t *testing.T) {
+		if got, want := resnetDigest(t), uint64(0xb95b72f68c3858d6); got != want {
 			t.Errorf("digest %#016x, want %#016x", got, want)
 		}
 	})
