@@ -11,8 +11,9 @@ GO ?= go
 # three time the platform's per-round weight update (input-layer
 # backward, clip, SGD step) at the repository benchmark's MLP size.
 # BenchmarkReLU and BenchmarkMaxPool2D time the conv stack's data-
-# movement layers at the VGG-lite benchmark's activation shapes.
-BENCH_PATTERN ?= BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkCodec|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkClipGrads|BenchmarkSGDStep|BenchmarkReLU|BenchmarkMaxPool2D
+# movement layers at the VGG-lite benchmark's activation shapes, and
+# BenchmarkConvTrainStep its three conv layers' forward + backward.
+BENCH_PATTERN ?= BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkCodec|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkClipGrads|BenchmarkSGDStep|BenchmarkReLU|BenchmarkMaxPool2D|BenchmarkConvTrainStep
 
 # Packages with concurrency worth racing: the session engine (one
 # goroutine per party, plus replication streams and rejoin brokers), the
@@ -23,8 +24,9 @@ BENCH_PATTERN ?= BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm
 # replication tier's write-ahead log, the multi-tenant serving tier
 # (scheduler + batchers + shared gate) and the experiment runners that
 # drive real goroutine-per-party sessions (including the
-# relaxed-consistency differential suite).
-RACE_PKGS = ./internal/core/... ./internal/transport/... ./internal/simnet/... ./internal/paramserver/... ./internal/tensor/... ./internal/wal/... ./internal/serve/... ./internal/experiment/...
+# relaxed-consistency differential suite), and the nn layers, whose
+# Conv2D fans samples out over layer-owned scratch.
+RACE_PKGS = ./internal/core/... ./internal/transport/... ./internal/simnet/... ./internal/paramserver/... ./internal/tensor/... ./internal/nn/... ./internal/wal/... ./internal/serve/... ./internal/experiment/...
 
 # Minimum statement coverage the cover target enforces for the engine's
 # load-bearing packages. The scenario-matrix, simnet and WAL suites
@@ -168,7 +170,7 @@ bench-smoke:
 # and the multi-iteration benchtime amortizes one-time pool warm-up
 # allocations that would otherwise inflate allocs/op vs the baselines.
 bench-compare:
-	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkClipGrads|BenchmarkSGDStep|BenchmarkReLU|BenchmarkMaxPool2D' -benchmem -benchtime 10x -run NONE \
+	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkClipGrads|BenchmarkSGDStep|BenchmarkReLU|BenchmarkMaxPool2D|BenchmarkConvTrainStep' -benchmem -benchtime 10x -run NONE \
 		./internal/tensor/ ./internal/tensor/kernels/ ./internal/nn/ . | $(GO) run ./cmd/benchjson -compare BENCH_tensor.json -skip-ns
 	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkCodec|BenchmarkSplitRound' -benchmem -benchtime 10x -run NONE \
 		./internal/compress/ . | $(GO) run ./cmd/benchjson -compare BENCH_wire.json -skip-ns

@@ -10,8 +10,8 @@ import (
 
 // convForwardReference is the pre-engine forward pipeline — naive
 // im2col, naive GEMM, explicit bias broadcast, and the rows→NCHW repack
-// — retained so BenchmarkConvForward reports the fused path's speedup
-// against a fixed baseline.
+// — retained so BenchmarkConvForward reports the production path's
+// speedup against a fixed baseline.
 func convForwardReference(x, w, bias *tensor.Tensor, outC, kh, kw, stride, pad int) *tensor.Tensor {
 	n, h, wd := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh := tensor.ConvOutSize(h, kh, stride, pad)
@@ -26,8 +26,8 @@ func convForwardReference(x, w, bias *tensor.Tensor, outC, kh, kw, stride, pad i
 // split models run on CIFAR 32×32 with the default cut at L1:
 // conv1 (3→16 at 32×32, the platform-side layer) and conv2 (16→32 at
 // 16×16, the first server-side conv). The fused cases exercise the
-// production layer (buffer reuse included); the reference cases pin the
-// retained naive pipeline.
+// production layer (the channel-major engine, buffer reuse included);
+// the reference cases pin the retained naive pipeline.
 func BenchmarkConvForward(b *testing.B) {
 	shapes := []struct {
 		name                string
@@ -194,6 +194,42 @@ func BenchmarkMaxPool2D(b *testing.B) {
 			g := tensor.New(s.n, s.c, s.h/2, s.w/2)
 			g.FillNormal(r, 0, 1)
 			layer := NewMaxPool2D("bench", 2, 2)
+			layer.Forward(x, true)
+			layer.Backward(g)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				layer.Forward(x, true)
+				layer.Backward(g)
+			}
+		})
+	}
+}
+
+// BenchmarkConvTrainStep times one train-mode forward + backward of each
+// conv layer train_vgg_int8 runs (VGG-lite width 8, 16 rows per
+// platform). conv1 is the platform's input layer, so, as models.Split
+// arranges, its backward skips the input gradient. The layer reuses its
+// column, output and gradient scratch, so a step allocates nothing.
+func BenchmarkConvTrainStep(b *testing.B) {
+	shapes := []struct {
+		name               string
+		n, inC, outC, h, w int
+		skipDX             bool
+	}{
+		{"conv1/16x3x32x32/out8", 16, 3, 8, 32, 32, true},
+		{"conv2/16x8x16x16/out16", 16, 8, 16, 16, 16, false},
+		{"conv3/16x16x8x8/out32", 16, 16, 32, 8, 8, false},
+	}
+	for _, s := range shapes {
+		b.Run(s.name, func(b *testing.B) {
+			r := rng.New(1)
+			layer := NewConv2D("bench", s.inC, s.outC, 3, 3, 1, 1, r)
+			layer.SkipInputGrad(s.skipDX)
+			x := tensor.New(s.n, s.inC, s.h, s.w)
+			x.FillNormal(r, 0, 1)
+			g := tensor.New(s.n, s.outC, s.h, s.w)
+			g.FillNormal(r, 0, 1)
 			layer.Forward(x, true)
 			layer.Backward(g)
 			b.ReportAllocs()

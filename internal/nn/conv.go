@@ -7,11 +7,12 @@ import (
 	"medsplit/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over NCHW input, lowered to matrix
-// multiplication with im2col. Weights are stored as
-// [outC, inC*kh*kw] so both forward and backward are single GEMMs.
+// Conv2D is a 2-D convolution over NCHW input, lowered channel-major
+// (see tensor.ConvForwardInto): each sample's column matrix is
+// [inC*kh*kw, oh*ow], so the forward and both backward GEMMs read and
+// write NCHW blocks in place. Weights are stored as [outC, inC*kh*kw].
 //
-// The layer owns persistent scratch (the im2col column matrix and the
+// The layer owns persistent scratch (the column matrices and the
 // backward gradient matrices) that is reused across calls instead of
 // allocated per call. The scratch is shared between train and eval
 // forwards, so Backward must run before the next Forward of any kind —
@@ -25,9 +26,9 @@ type Conv2D struct {
 	w           *Param // [outC, inC*kh*kw]
 	b           *Param // [outC]
 
-	cols        *tensor.Tensor // persistent im2col scratch, valid after any Forward
+	cols        *tensor.Tensor // persistent column scratch [n, inC*kh*kw, oh*ow], valid after any Forward
 	gRows       *tensor.Tensor // backward scratch: grad in rows layout
-	dCols       *tensor.Tensor // backward scratch: column-matrix gradient
+	dCols       *tensor.Tensor // backward scratch: column gradients, shaped like cols
 	out         *tensor.Tensor // forward output scratch (same lifetime contract)
 	dx          *tensor.Tensor // backward input-gradient scratch
 	n, inH, inW int
@@ -55,10 +56,9 @@ func NewConv2D(name string, inC, outC, kh, kw, stride, pad int, r *rng.RNG) *Con
 // Name returns the layer name.
 func (c *Conv2D) Name() string { return c.name }
 
-// Forward computes the convolution of x [n, inC, h, w] with the fused
-// im2col → GEMM → NCHW path: the column matrix is built into reusable
-// scratch and the GEMM writes the NCHW output (bias included) directly,
-// skipping the intermediate rows matrix and its repack pass.
+// Forward computes the convolution of x [n, inC, h, w]: the column
+// matrices go into reusable scratch and one GEMM per sample writes the
+// NCHW output (bias included) directly.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(1) != c.inC {
 		panic(fmt.Sprintf("nn: %s: Conv2D input %v, want [n,%d,h,w]", c.name, x.Shape(), c.inC))
@@ -66,11 +66,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh := tensor.ConvOutSize(h, c.kh, c.stride, c.pad)
 	ow := tensor.ConvOutSize(w, c.kw, c.stride, c.pad)
-	c.cols = tensor.EnsureShape(c.cols, n*oh*ow, c.inC*c.kh*c.kw)
-	tensor.Im2ColInto(c.cols, x, c.kh, c.kw, c.stride, c.pad)
+	c.cols = tensor.EnsureShape(c.cols, n, c.inC*c.kh*c.kw, oh*ow)
 	c.out = tensor.EnsureShape(c.out, n, c.outC, oh, ow)
-	out := c.out
-	tensor.ConvGemmInto(out, c.cols, c.w.W, c.b.W)
+	out := tensor.ConvForwardInto(c.out, c.cols, x, c.w.W, c.b.W, c.kh, c.kw, c.stride, c.pad)
 	if train {
 		c.n, c.inH, c.inW = n, h, w
 		c.outH, c.outW = oh, ow
@@ -98,19 +96,16 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.cols == nil || c.n == 0 {
 		panic(fmt.Sprintf("nn: %s: Backward before train-mode Forward", c.name))
 	}
-	rows := c.n * c.outH * c.outW
-	c.gRows = tensor.EnsureShape(c.gRows, rows, c.outC)
+	c.gRows = tensor.EnsureShape(c.gRows, c.n*c.outH*c.outW, c.outC)
 	tensor.NCHWToRowsInto(c.gRows, grad) // [n*oh*ow, outC]
-	tensor.MatMulTAAcc(c.w.G, c.gRows, c.cols)
+	tensor.ConvWeightGradAcc(c.w.G, c.cols, c.gRows)
 	tensor.SumRowsAcc(c.b.G, c.gRows)
 	if c.skipDX {
 		return nil
 	}
-	c.dCols = tensor.EnsureShape(c.dCols, rows, c.inC*c.kh*c.kw)
-	tensor.MatMulInto(c.dCols, c.gRows, c.w.W) // [n*oh*ow, inC*kh*kw]
-	// Col2ImInto zeroes dst before accumulating, so dirty scratch is fine.
+	c.dCols = tensor.EnsureShape(c.dCols, c.n, c.inC*c.kh*c.kw, c.outH*c.outW)
 	c.dx = tensor.EnsureShape(c.dx, c.n, c.inC, c.inH, c.inW)
-	return tensor.Col2ImInto(c.dx, c.dCols, c.kh, c.kw, c.stride, c.pad)
+	return tensor.ConvInputGradInto(c.dx, c.dCols, grad, c.w.W, c.kh, c.kw, c.stride, c.pad)
 }
 
 // Params returns the kernel and bias parameters.

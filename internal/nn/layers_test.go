@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"medsplit/internal/rng"
@@ -153,6 +154,34 @@ func TestConv2DGradients(t *testing.T) {
 
 func TestConv2DStridedGradients(t *testing.T) {
 	mustGradCheck(t, NewConv2D("conv", 1, 2, 3, 3, 2, 1, rng.New(9)), randInput(10, 1, 1, 7, 7))
+}
+
+// TestConv2DFanOutMatchesSerial runs train-mode Forward plus two
+// accumulating Backward passes at the benchmark's conv2 shape, well
+// above the tensor package's parallel threshold, once on one core and
+// once on four. The per-sample fan-out writes layer-owned scratch from
+// several goroutines (the race detector watches this), and the result
+// must not change a bit.
+func TestConv2DFanOutMatchesSerial(t *testing.T) {
+	run := func(procs int) []*tensor.Tensor {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		c := NewConv2D("conv", 8, 16, 3, 3, 1, 1, rng.New(11))
+		x := randInput(12, 16, 8, 16, 16)
+		g := randInput(13, 16, 16, 16, 16)
+		ZeroGrads(c.Params())
+		out := c.Forward(x, true).Clone()
+		c.Backward(g)
+		dx := c.Backward(g).Clone()
+		return []*tensor.Tensor{out, dx, c.w.G, c.b.G}
+	}
+	serial, fanned := run(1), run(4)
+	for i, want := range serial {
+		for j, v := range want.Data() {
+			if got := fanned[i].Data()[j]; math.Float32bits(got) != math.Float32bits(v) {
+				t.Fatalf("result %d element %d: %v on four cores, %v on one", i, j, got, v)
+			}
+		}
+	}
 }
 
 func TestConv2DShapePanic(t *testing.T) {

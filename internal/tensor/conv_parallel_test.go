@@ -10,6 +10,8 @@ import (
 
 // convGeometries hits stride > 1, pad > 0, non-square images, prime
 // dimensions, 1×1 kernels, and kernels larger than the padded remainder.
+// Stride-1 3-wide windows take the fused im2col/col2im paths; every
+// other row takes the general loops.
 var convGeometries = []struct {
 	n, c, h, w, kh, kw, stride, pad int
 }{
@@ -23,12 +25,21 @@ var convGeometries = []struct {
 	{4, 3, 32, 32, 3, 3, 1, 1}, // CIFAR L1 geometry
 	{1, 2, 2, 2, 3, 3, 1, 1},   // no whole window: every column overhangs
 	{1, 2, 4, 7, 3, 3, 2, 0},   // stride 2 without padding
+	{2, 3, 9, 9, 3, 3, 2, 1},   // ResNet-lite's downsampling 3×3
+	{3, 4, 8, 8, 1, 1, 2, 0},   // ResNet-lite's 1×1 stride-2 projection
+	{2, 2, 6, 7, 3, 3, 1, 0},   // fused path without padding
+	{1, 2, 5, 6, 3, 3, 1, 2},   // fused path with a pad wider than the overlap
+	{2, 3, 13, 13, 3, 3, 1, 1}, // ow = 13, not a multiple of the vector width
+	{2, 16, 6, 6, 3, 3, 1, 1},  // K = 144: two KC panels
 	// The three convs of the repository benchmark's VGG-lite (width 8,
-	// 16 rows): each column matrix is above parallelThreshold, so the
-	// workers=4 runs take the real fan-out.
+	// 16 rows): each is above parallelThreshold, so the workers=4 runs
+	// take the real fan-out.
 	{16, 3, 32, 32, 3, 3, 1, 1},
 	{16, 8, 16, 16, 3, 3, 1, 1},
 	{16, 16, 8, 8, 3, 3, 1, 1},
+	// Three samples above parallelThreshold: the per-sample fan-out
+	// splits unevenly.
+	{3, 8, 16, 16, 3, 3, 1, 1},
 }
 
 // assertBitEqual fails unless got and want hold the same float bits:
@@ -46,6 +57,45 @@ func assertBitEqual(t *testing.T, tag string, got, want *Tensor) {
 	}
 }
 
+// im2colCM lowers every sample of x channel-major, [n, c·kh·kw, oh·ow].
+func im2colCM(x *Tensor, kh, kw, stride, pad int) *Tensor {
+	n, c, h, w, _, _ := convGeom("im2colCM", x, kh, kw, stride, pad)
+	g := newLowering(c, h, w, kh, kw, stride, pad)
+	k, p, in := g.taps(), g.pixels(), c*h*w
+	cols := Full(999, n, k, p)
+	for s := 0; s < n; s++ {
+		g.im2col(cols.data[s*k*p:(s+1)*k*p], x.data[s*in:(s+1)*in])
+	}
+	return cols
+}
+
+// col2imCM is im2colCM's adjoint: it adds channel-major column
+// gradients into a fresh [n, c, h, w] image.
+func col2imCM(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
+	g := newLowering(c, h, w, kh, kw, stride, pad)
+	k, p, in := g.taps(), g.pixels(), c*h*w
+	img := Full(999, n, c, h, w)
+	for s := 0; s < n; s++ {
+		g.col2im(img.data[s*in:(s+1)*in], cols.data[s*k*p:(s+1)*k*p])
+	}
+	return img
+}
+
+// rowsToCM reorders a row-major column matrix [n·P, K] (Im2ColNaive's
+// layout) into the channel-major [n, K, P].
+func rowsToCM(rows *Tensor, n int) *Tensor {
+	k, p := rows.shape[1], rows.shape[0]/n
+	cm := New(n, k, p)
+	for s := 0; s < n; s++ {
+		for px := 0; px < p; px++ {
+			for kk := 0; kk < k; kk++ {
+				cm.data[(s*k+kk)*p+px] = rows.data[(s*p+px)*k+kk]
+			}
+		}
+	}
+	return cm
+}
+
 func TestIm2ColMatchesNaive(t *testing.T) {
 	runWorkerModes(t, func(t *testing.T) {
 		r := rng.New(21)
@@ -57,6 +107,8 @@ func TestIm2ColMatchesNaive(t *testing.T) {
 
 			dirty := Full(999, want.Dim(0), want.Dim(1))
 			assertBitEqual(t, "Im2ColInto", Im2ColInto(dirty, x, g.kh, g.kw, g.stride, g.pad), want)
+
+			assertBitEqual(t, "channel-major im2col", im2colCM(x, g.kh, g.kw, g.stride, g.pad), rowsToCM(want, g.n))
 		}
 	})
 }
@@ -68,12 +120,9 @@ func TestCol2ImMatchesNaive(t *testing.T) {
 			oh := ConvOutSize(g.h, g.kh, g.stride, g.pad)
 			ow := ConvOutSize(g.w, g.kw, g.stride, g.pad)
 			cols := randTensor(r, g.n*oh*ow, g.c*g.kh*g.kw)
-			got := Col2Im(cols, g.n, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad)
 			want := Col2ImNaive(cols, g.n, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad)
-			assertBitEqual(t, "Col2Im", got, want)
-
-			dirty := Full(999, g.n, g.c, g.h, g.w)
-			assertBitEqual(t, "Col2ImInto", Col2ImInto(dirty, cols, g.kh, g.kw, g.stride, g.pad), want)
+			got := col2imCM(rowsToCM(cols, g.n), g.n, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad)
+			assertBitEqual(t, "channel-major col2im", got, want)
 		}
 	})
 }
@@ -111,21 +160,43 @@ func col2imColumnMajor(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tenso
 // magnitude (±1e8 beside 1), where float addition is far from
 // associative: (1e8 + 1) - 1e8 is 0 but (1e8 - 1e8) + 1 is 1. A kernel
 // that regrouped or reordered any pixel's sum would miss the naive
-// reference by whole units, not ulps.
+// reference by whole units, not ulps. The geometries cover both the
+// fused 3-wide path and the general loop, and ConvInputGradInto (an
+// identity kernel matrix, so the column gradient is the gradient
+// itself) is held to the same order.
 func TestCol2ImKeepsSumOrder(t *testing.T) {
 	runWorkerModes(t, func(t *testing.T) {
 		r := rng.New(27)
 		terms := []float32{1e8, 1, -1e8, 3, -1e8, 1e8, -1}
+		fused, general := 0, 0
 		for _, g := range convGeometries {
+			if newLowering(g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad).fused3() {
+				fused++
+			} else {
+				general++
+			}
 			oh := ConvOutSize(g.h, g.kh, g.stride, g.pad)
 			ow := ConvOutSize(g.w, g.kw, g.stride, g.pad)
-			cols := New(g.n*oh*ow, g.c*g.kh*g.kw)
+			k := g.c * g.kh * g.kw
+			cols := New(g.n*oh*ow, k)
 			for i := range cols.data {
 				cols.data[i] = terms[r.Intn(len(terms))]
 			}
 			want := Col2ImNaive(cols, g.n, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad)
-			assertBitEqual(t, "Col2Im", Col2Im(cols, g.n, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad), want)
-			assertBitEqual(t, "Col2ImInto", Col2ImInto(Full(999, g.n, g.c, g.h, g.w), cols, g.kh, g.kw, g.stride, g.pad), want)
+			cm := rowsToCM(cols, g.n)
+			assertBitEqual(t, "channel-major col2im", col2imCM(cm, g.n, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad), want)
+
+			eye := New(k, k)
+			for i := 0; i < k; i++ {
+				eye.data[i*k+i] = 1
+			}
+			dx := Full(999, g.n, g.c, g.h, g.w)
+			grad := cm.Reshape(g.n, k, oh, ow)
+			ConvInputGradInto(dx, Full(999, g.n, k, oh*ow), grad, eye, g.kh, g.kw, g.stride, g.pad)
+			assertBitEqual(t, "ConvInputGradInto", dx, want)
+		}
+		if fused == 0 || general == 0 {
+			t.Fatalf("geometries reach the fused path %d times and the general loop %d times", fused, general)
 		}
 		// The data must be able to catch a reorder: swapping the
 		// output-position loops changes some pixel at the CIFAR L1
@@ -162,77 +233,141 @@ func TestRepackIntoMatchesNaive(t *testing.T) {
 
 			dirtyRows := Full(999, g.n*oh*ow, g.c)
 			assertUlpEqual(t, "NCHWToRowsInto", NCHWToRowsInto(dirtyRows, img), rows)
-			dirtyImg := Full(999, g.n, g.c, oh, ow)
-			assertUlpEqual(t, "RowsToNCHWInto", RowsToNCHWInto(dirtyImg, rows), img)
 		}
 	})
 }
 
-// TestConvGemmIntoMatchesUnfusedPipeline verifies the fused
-// GEMM+bias+repack against the naive reference pipeline it replaces:
-// rows = cols·wᵀ (naive), bias broadcast, rows→NCHW.
-func TestConvGemmIntoMatchesUnfusedPipeline(t *testing.T) {
+// convOutCs includes counts below the 8-column vector width, so the
+// generic GEMM kernel runs as well as the assembly.
+var convOutCs = []int{1, 3, 4, 7, 8, 9, 16}
+
+// convForwardReference is the row-major pipeline the channel-major
+// forward replaces: naive im2col, the naive cols·wᵀ GEMM, the bias
+// broadcast and the rows→NCHW repack.
+func convForwardReference(x, w, bias *Tensor, kh, kw, stride, pad int) *Tensor {
+	n, _, _, _, oh, ow := convGeom("convForwardReference", x, kh, kw, stride, pad)
+	rows := MatMulTBNaive(Im2ColNaive(x, kh, kw, stride, pad), w)
+	if bias != nil {
+		rows.AddRowVector(bias)
+	}
+	return RowsToNCHW(rows, n, w.Dim(0), oh, ow)
+}
+
+// TestConvForwardMatchesReference holds ConvForwardInto to the
+// row-major reference bit for bit, and its column scratch to the
+// channel-major im2col.
+func TestConvForwardMatchesReference(t *testing.T) {
 	runWorkerModes(t, func(t *testing.T) {
 		r := rng.New(24)
 		for _, g := range convGeometries {
-			for _, outC := range []int{1, 3, 4, 7, 16} {
+			for _, outC := range convOutCs {
 				oh := ConvOutSize(g.h, g.kh, g.stride, g.pad)
 				ow := ConvOutSize(g.w, g.kw, g.stride, g.pad)
+				k := g.c * g.kh * g.kw
 				x := randTensor(r, g.n, g.c, g.h, g.w)
-				w := randTensor(r, outC, g.c*g.kh*g.kw)
+				w := randTensor(r, outC, k)
 				bias := randTensor(r, outC)
 
-				cols := Im2ColNaive(x, g.kh, g.kw, g.stride, g.pad)
-				rows := MatMulTBNaive(cols, w)
-				rows.AddRowVector(bias)
-				want := RowsToNCHW(rows, g.n, outC, oh, ow)
-
-				dst := Full(999, g.n, outC, oh, ow)
-				got := ConvGemmInto(dst, Im2Col(x, g.kh, g.kw, g.stride, g.pad), w, bias)
-				if !AllClose(got, want, 1e-5) {
-					t.Fatalf("ConvGemmInto mismatch at geometry %+v outC=%d", g, outC)
-				}
+				cols := Full(999, g.n, k, oh*ow)
+				got := ConvForwardInto(Full(999, g.n, outC, oh, ow), cols, x, w, bias, g.kh, g.kw, g.stride, g.pad)
+				assertBitEqual(t, "ConvForwardInto", got, convForwardReference(x, w, bias, g.kh, g.kw, g.stride, g.pad))
+				assertBitEqual(t, "ConvForwardInto cols", cols, im2colCM(x, g.kh, g.kw, g.stride, g.pad))
 			}
 		}
 	})
 }
 
-// TestConvGemmIntoDispatchBitIdentical pins the kernel-layer conv path
-// to the scalar fused kernel bit-for-bit: per output element both run
-// one sequential accumulation chain over k, so switching dispatch may
-// not change a single bit.
-func TestConvGemmIntoDispatchBitIdentical(t *testing.T) {
-	r := rng.New(26)
-	for _, g := range convGeometries {
-		for _, outC := range []int{8, 9, 16} {
-			oh := ConvOutSize(g.h, g.kh, g.stride, g.pad)
-			ow := ConvOutSize(g.w, g.kw, g.stride, g.pad)
-			x := randTensor(r, g.n, g.c, g.h, g.w)
-			w := randTensor(r, outC, g.c*g.kh*g.kw)
-			bias := randTensor(r, outC)
-			cols := Im2Col(x, g.kh, g.kw, g.stride, g.pad)
-
-			got := ConvGemmInto(Full(999, g.n, outC, oh, ow), cols, w, bias)
-			kernels.ForceGeneric(true)
-			want := ConvGemmInto(Full(-999, g.n, outC, oh, ow), cols, w, bias)
-			kernels.ForceGeneric(false)
-			for i := range want.data {
-				if got.data[i] != want.data[i] {
-					t.Fatalf("geometry %+v outC=%d elem %d: active %v scalar %v",
-						g, outC, i, got.data[i], want.data[i])
-				}
+// matMulTAAccNaive accumulates dst += aᵀ·b (a [k,m], b [k,n]): one
+// sequential chain per element, over a's and b's rows in order,
+// starting from dst's value.
+func matMulTAAccNaive(dst, a, b *Tensor) {
+	k, m, n := a.shape[0], a.shape[1], b.shape[1]
+	for p := 0; p < k; p++ {
+		for i := 0; i < m; i++ {
+			av := a.data[p*m+i]
+			orow := dst.data[i*n : (i+1)*n]
+			for j, bv := range b.data[p*n : (p+1)*n] {
+				orow[j] += av * bv
 			}
 		}
 	}
 }
 
-// TestConvGemmIntoNilBias pins the bias-less path.
-func TestConvGemmIntoNilBias(t *testing.T) {
+// TestConvBackwardMatchesReference holds the two backward products to
+// the row-major reference bit for bit: the weight gradient to
+// NCHWToRows → naive aᵀ·b accumulation, over two backward calls that
+// accumulate into the same gradient, and the input gradient to
+// NCHWToRows → naive GEMM → Col2ImNaive.
+func TestConvBackwardMatchesReference(t *testing.T) {
+	runWorkerModes(t, func(t *testing.T) {
+		r := rng.New(28)
+		for _, g := range convGeometries {
+			for _, outC := range convOutCs {
+				oh := ConvOutSize(g.h, g.kh, g.stride, g.pad)
+				ow := ConvOutSize(g.w, g.kw, g.stride, g.pad)
+				k := g.c * g.kh * g.kw
+				x := randTensor(r, g.n, g.c, g.h, g.w)
+				w := randTensor(r, outC, k)
+				cols := New(g.n, k, oh*ow)
+				ConvForwardInto(New(g.n, outC, oh, ow), cols, x, w, nil, g.kh, g.kw, g.stride, g.pad)
+				rowCols := Im2ColNaive(x, g.kh, g.kw, g.stride, g.pad)
+
+				gw, want := New(outC, k), New(outC, k)
+				for step := 0; step < 2; step++ {
+					grad := randTensor(r, g.n, outC, oh, ow)
+					gRows := NCHWToRows(grad)
+					ConvWeightGradAcc(gw, cols, gRows)
+					matMulTAAccNaive(want, gRows, rowCols)
+					assertBitEqual(t, "ConvWeightGradAcc", gw, want)
+
+					dx := ConvInputGradInto(Full(999, g.n, g.c, g.h, g.w), Full(999, g.n, k, oh*ow), grad, w, g.kh, g.kw, g.stride, g.pad)
+					wantDX := Col2ImNaive(MatMulNaive(gRows, w), g.n, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad)
+					assertBitEqual(t, "ConvInputGradInto", dx, wantDX)
+				}
+			}
+		}
+	})
+}
+
+// TestConvDispatchBitIdentical pins the conv engine on the vector
+// kernels to the same engine on the generic kernels, forward and both
+// backward products: per output element both run one sequential
+// accumulation chain, so switching dispatch may not change a single bit.
+func TestConvDispatchBitIdentical(t *testing.T) {
+	r := rng.New(26)
+	for _, g := range convGeometries {
+		for _, outC := range []int{8, 9, 16} {
+			oh := ConvOutSize(g.h, g.kh, g.stride, g.pad)
+			ow := ConvOutSize(g.w, g.kw, g.stride, g.pad)
+			k := g.c * g.kh * g.kw
+			x := randTensor(r, g.n, g.c, g.h, g.w)
+			w := randTensor(r, outC, k)
+			bias := randTensor(r, outC)
+			grad := randTensor(r, g.n, outC, oh, ow)
+			gRows := NCHWToRows(grad)
+			run := func() (out, gw, dx *Tensor) {
+				cols := New(g.n, k, oh*ow)
+				out = ConvForwardInto(New(g.n, outC, oh, ow), cols, x, w, bias, g.kh, g.kw, g.stride, g.pad)
+				gw = ConvWeightGradAcc(New(outC, k), cols, gRows)
+				dx = ConvInputGradInto(New(g.n, g.c, g.h, g.w), New(g.n, k, oh*ow), grad, w, g.kh, g.kw, g.stride, g.pad)
+				return out, gw, dx
+			}
+			out, gw, dx := run()
+			kernels.ForceGeneric(true)
+			wantOut, wantGW, wantDX := run()
+			kernels.ForceGeneric(false)
+			assertBitEqual(t, "forward", out, wantOut)
+			assertBitEqual(t, "weight gradient", gw, wantGW)
+			assertBitEqual(t, "input gradient", dx, wantDX)
+		}
+	}
+}
+
+// TestConvForwardNilBias pins the bias-less path.
+func TestConvForwardNilBias(t *testing.T) {
 	r := rng.New(25)
 	x := randTensor(r, 2, 3, 8, 8)
 	w := randTensor(r, 5, 27)
-	cols := Im2Col(x, 3, 3, 1, 1)
-	got := ConvGemmInto(New(2, 5, 8, 8), cols, w, nil)
-	want := RowsToNCHW(MatMulTBNaive(cols, w), 2, 5, 8, 8)
-	assertUlpEqual(t, "ConvGemmInto nil bias", got, want)
+	got := ConvForwardInto(New(2, 5, 8, 8), New(2, 27, 64), x, w, nil, 3, 3, 1, 1)
+	assertBitEqual(t, "ConvForwardInto nil bias", got, convForwardReference(x, w, nil, 3, 3, 1, 1))
 }

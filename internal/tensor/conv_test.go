@@ -88,8 +88,9 @@ func TestIm2ColPaddingIsZero(t *testing.T) {
 	}
 }
 
-// The adjoint identity <Im2Col(x), g> == <x, Col2Im(g)> must hold for
-// Col2Im to be the correct convolution backward operator.
+// The adjoint identity <im2col(x), g> == <x, col2im(g)> must hold for
+// col2im to be the correct convolution backward operator. It is checked
+// on the channel-major pair the convolution engine runs.
 func TestCol2ImAdjointOfIm2Col(t *testing.T) {
 	r := rng.New(2)
 	cases := []struct {
@@ -103,10 +104,10 @@ func TestCol2ImAdjointOfIm2Col(t *testing.T) {
 	}
 	for _, cs := range cases {
 		x := randTensor(r, cs.n, cs.c, cs.h, cs.w)
-		cols := Im2Col(x, cs.kh, cs.kw, cs.stride, cs.pad)
-		g := randTensor(r, cols.Dim(0), cols.Dim(1))
+		cols := im2colCM(x, cs.kh, cs.kw, cs.stride, cs.pad)
+		g := randTensor(r, cols.Dim(0), cols.Dim(1), cols.Dim(2))
 		lhs := Dot(cols, g)
-		img := Col2Im(g, cs.n, cs.c, cs.h, cs.w, cs.kh, cs.kw, cs.stride, cs.pad)
+		img := col2imCM(g, cs.n, cs.c, cs.h, cs.w, cs.kh, cs.kw, cs.stride, cs.pad)
 		rhs := Dot(x, img)
 		diff := lhs - rhs
 		if diff > 1e-2 || diff < -1e-2 {
@@ -130,7 +131,9 @@ func TestRowsToNCHWRoundTrip(t *testing.T) {
 
 func TestIm2ColShapePanics(t *testing.T) {
 	assertPanics(t, "rank-3 input", func() { Im2Col(New(1, 2, 3), 1, 1, 1, 0) })
-	assertPanics(t, "col2im shape", func() { Col2Im(New(5, 4), 1, 1, 3, 3, 2, 2, 1, 0) })
+	assertPanics(t, "col2im shape", func() {
+		ConvInputGradInto(New(1, 1, 3, 3), New(5, 4), New(1, 1, 2, 2), New(1, 4), 2, 2, 1, 0)
+	})
 	assertPanics(t, "rows shape", func() { RowsToNCHW(New(5, 2), 1, 2, 2, 2) })
 }
 

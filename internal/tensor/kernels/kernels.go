@@ -26,9 +26,16 @@
 //     chain the scalar reference executes. On amd64 the assembly uses
 //     separate multiply and add instructions because gc does not fuse
 //     a*b+c on amd64; on arm64 it uses fused FMLA because gc compiles
-//     the scalar reference's `u += a*b` to FMADD. Signed zeros may
-//     differ (the scalar single-row path skips a==0 terms), which Go's
-//     == treats as equal.
+//     the scalar reference's `u += a*b` to FMADD. The scalar single-row
+//     path skips a==0 terms, and that skip changes no bit on finite
+//     inputs. The skipped product is ±0, and adding ±0 leaves every
+//     accumulator except −0 unchanged. An accumulator that starts at
+//     +0 (acc=false zeroes it) never becomes −0, because a float32 sum
+//     is −0 only when both addends are −0. So the skip is harmless
+//     whichever operand plays a: internal/tensor's channel-major conv
+//     engine passes the kernel matrix or the column matrix there, where
+//     the row-major GEMMs passed the gradient. The one exception is a
+//     caller that passes acc=true over a −0 it stored itself.
 //   - Axpy, Dequantize8, f16/f32 conversions: elementwise, bit-identical
 //     to the scalar reference (conversions follow IEEE round-to-nearest-
 //     even, matching F16C/NEON hardware on finite values; NaN payloads
