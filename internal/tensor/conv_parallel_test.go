@@ -302,7 +302,9 @@ func TestConvBackwardMatchesReference(t *testing.T) {
 	runWorkerModes(t, func(t *testing.T) {
 		r := rng.New(28)
 		for _, g := range convGeometries {
-			for _, outC := range convOutCs {
+			// 3 runs the generic kernel, 8 the vector kernel alone,
+			// 9 the vector kernel with its scalar column tail.
+			for _, outC := range []int{3, 8, 9} {
 				oh := ConvOutSize(g.h, g.kh, g.stride, g.pad)
 				ow := ConvOutSize(g.w, g.kw, g.stride, g.pad)
 				k := g.c * g.kh * g.kw
