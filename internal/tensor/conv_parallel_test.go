@@ -237,10 +237,6 @@ func TestRepackIntoMatchesNaive(t *testing.T) {
 	})
 }
 
-// convOutCs includes counts below the 8-column vector width, so the
-// generic GEMM kernel runs as well as the assembly.
-var convOutCs = []int{1, 3, 4, 7, 8, 9, 16}
-
 // convForwardReference is the row-major pipeline the channel-major
 // forward replaces: naive im2col, the naive cols·wᵀ GEMM, the bias
 // broadcast and the rows→NCHW repack.
@@ -260,7 +256,9 @@ func TestConvForwardMatchesReference(t *testing.T) {
 	runWorkerModes(t, func(t *testing.T) {
 		r := rng.New(24)
 		for _, g := range convGeometries {
-			for _, outC := range convOutCs {
+			// Counts below 4 leave the 4-row tile unused, and 7 and 9
+			// split into a tile plus single rows.
+			for _, outC := range []int{1, 3, 4, 7, 8, 9, 16} {
 				oh := ConvOutSize(g.h, g.kh, g.stride, g.pad)
 				ow := ConvOutSize(g.w, g.kw, g.stride, g.pad)
 				k := g.c * g.kh * g.kw
