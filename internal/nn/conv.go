@@ -99,7 +99,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.gRows = tensor.EnsureShape(c.gRows, c.n*c.outH*c.outW, c.outC)
 	tensor.NCHWToRowsInto(c.gRows, grad) // [n*oh*ow, outC]
 	tensor.ConvWeightGradAcc(c.w.G, c.cols, c.gRows)
-	tensor.SumRowsAcc(c.b.G, c.gRows)
+	tensor.ConvBiasGradAcc(c.b.G, grad)
 	if c.skipDX {
 		return nil
 	}

@@ -329,14 +329,18 @@ func TestConvBackwardMatchesReference(t *testing.T) {
 	})
 }
 
-// TestConvDispatchBitIdentical pins the conv engine on the vector
-// kernels to the same engine on the generic kernels, forward and both
-// backward products: per output element both run one sequential
-// accumulation chain, so switching dispatch may not change a single bit.
+// TestConvDispatchBitIdentical pins the conv engine on every vector
+// arm the host has to the same engine on the generic kernels, forward
+// and both backward products: per output element all of them run one
+// sequential accumulation chain, so switching dispatch may not change
+// a single bit. outC 16 and 24 put the weight gradient (n = outC) on
+// the AVX-512 arm's tall 8×16 tile, 32 and 40 on its 4×32 tile.
 func TestConvDispatchBitIdentical(t *testing.T) {
+	t.Logf("arms: %v", kernels.Arms())
+	defer kernels.UseArm("")
 	r := rng.New(26)
 	for _, g := range convGeometries {
-		for _, outC := range []int{8, 9, 16} {
+		for _, outC := range []int{8, 9, 16, 24, 32, 40} {
 			oh := ConvOutSize(g.h, g.kh, g.stride, g.pad)
 			ow := ConvOutSize(g.w, g.kw, g.stride, g.pad)
 			k := g.c * g.kh * g.kw
@@ -352,14 +356,31 @@ func TestConvDispatchBitIdentical(t *testing.T) {
 				dx = ConvInputGradInto(New(g.n, g.c, g.h, g.w), New(g.n, k, oh*ow), grad, w, g.kh, g.kw, g.stride, g.pad)
 				return out, gw, dx
 			}
-			out, gw, dx := run()
-			kernels.ForceGeneric(true)
+			kernels.UseArm("generic")
 			wantOut, wantGW, wantDX := run()
-			kernels.ForceGeneric(false)
-			assertBitEqual(t, "forward", out, wantOut)
-			assertBitEqual(t, "weight gradient", gw, wantGW)
-			assertBitEqual(t, "input gradient", dx, wantDX)
+			for _, arm := range kernels.Arms() {
+				kernels.UseArm(arm)
+				out, gw, dx := run()
+				assertBitEqual(t, "forward ["+arm+"]", out, wantOut)
+				assertBitEqual(t, "weight gradient ["+arm+"]", gw, wantGW)
+				assertBitEqual(t, "input gradient ["+arm+"]", dx, wantDX)
+			}
 		}
+	}
+}
+
+// TestConvBiasGradMatchesSumRows pins ConvBiasGradAcc to the rows-layout
+// bias gradient it replaced, SumRowsAcc over NCHWToRows, bit for bit.
+// outC 8, 16 and 32 run whole four-channel groups; 9 adds a lone
+// channel.
+func TestConvBiasGradMatchesSumRows(t *testing.T) {
+	r := rng.New(27)
+	for _, outC := range []int{8, 9, 16, 32} {
+		grad := randTensor(r, 3, outC, 5, 7)
+		start := randTensor(r, outC)
+		want := SumRowsAcc(start.Clone(), NCHWToRows(grad))
+		got := ConvBiasGradAcc(start.Clone(), grad)
+		assertBitEqual(t, "ConvBiasGradAcc", got, want)
 	}
 }
 

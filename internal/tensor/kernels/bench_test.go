@@ -1,32 +1,49 @@
 package kernels
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// Kernel-level benchmarks, one per microkernel, each with a dispatch
-// arm and a forced-generic arm so the speedup is visible in one run.
-// GFLOPS (or GB/s for the converters) is attached as a custom metric —
-// cmd/benchjson carries it into the committed baselines.
+// Kernel-level benchmarks, one per microkernel, with one sub-benchmark
+// per arm the host has (dispatch pinned by name with UseArm) so the
+// speedup is visible in one run. GFLOPS (or GB/s for the converters)
+// is attached as a custom metric — cmd/benchjson carries it into the
+// committed baselines.
 
-func benchArms(b *testing.B, fn func(b *testing.B)) {
-	b.Run(Name(), fn)
-	if Active() {
-		b.Run("generic", func(b *testing.B) {
-			ForceGeneric(true)
-			defer ForceGeneric(false)
+func benchArms(b *testing.B, arms []string, fn func(b *testing.B)) {
+	defer UseArm("")
+	for _, arm := range arms {
+		b.Run(arm, func(b *testing.B) {
+			UseArm(arm)
 			fn(b)
 		})
 	}
 }
 
+// vectorArms are the arms of the kernels other than the GEMM: AVX-512
+// is a GEMM arm only, and under it they run the AVX2 code.
+func vectorArms() []string {
+	return slices.DeleteFunc(Arms(), func(arm string) bool { return arm == "avx512" })
+}
+
+// BenchmarkKernelGemmPanel times two square products and the conv
+// weight gradient's shape on the repository benchmark's VGG-lite
+// (Gᵀ[K, outC] += colsT·gRows at conv2: K = 72, P = 256, outC = 16).
 func BenchmarkKernelGemmPanel(b *testing.B) {
-	for _, size := range []int{64, 256} {
-		m, k, n := size, size, size
-		b.Run(fmt.Sprintf("%d", size), func(b *testing.B) {
-			benchArms(b, func(b *testing.B) {
+	shapes := []struct {
+		name    string
+		m, k, n int
+	}{
+		{"64", 64, 64, 64},
+		{"256", 256, 256, 256},
+		{"72x256x16", 72, 256, 16},
+	}
+	for _, sh := range shapes {
+		m, k, n := sh.m, sh.k, sh.n
+		b.Run(sh.name, func(b *testing.B) {
+			benchArms(b, Arms(), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(1))
 				a := randSlice(rng, m*k)
 				bb := randSlice(rng, k*n)
@@ -45,7 +62,7 @@ func BenchmarkKernelGemmPanel(b *testing.B) {
 
 func BenchmarkKernelDot(b *testing.B) {
 	const n = 4096
-	benchArms(b, func(b *testing.B) {
+	benchArms(b, vectorArms(), func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		x := randSlice(rng, n)
 		y := randSlice(rng, n)
@@ -62,7 +79,7 @@ func BenchmarkKernelDot(b *testing.B) {
 
 func BenchmarkKernelAxpy(b *testing.B) {
 	const n = 4096
-	benchArms(b, func(b *testing.B) {
+	benchArms(b, vectorArms(), func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		x := randSlice(rng, n)
 		y := randSlice(rng, n)
@@ -81,7 +98,7 @@ func BenchmarkKernelAxpy(b *testing.B) {
 // which is the steady state of a clipped gradient too.
 func BenchmarkKernelClamp(b *testing.B) {
 	const n = 3072 * 64
-	benchArms(b, func(b *testing.B) {
+	benchArms(b, vectorArms(), func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		x := randSlice(rng, n)
 		b.SetBytes(8 * n)
@@ -95,7 +112,7 @@ func BenchmarkKernelClamp(b *testing.B) {
 
 func BenchmarkKernelDotI8(b *testing.B) {
 	const n = 4096
-	benchArms(b, func(b *testing.B) {
+	benchArms(b, vectorArms(), func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		x := make([]int8, n)
 		y := make([]int8, n)
@@ -117,7 +134,7 @@ func BenchmarkKernelDotI8(b *testing.B) {
 func BenchmarkKernelF16(b *testing.B) {
 	const n = 1 << 16
 	b.Run("narrow", func(b *testing.B) {
-		benchArms(b, func(b *testing.B) {
+		benchArms(b, vectorArms(), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			src := randSlice(rng, n)
 			dst := make([]uint16, n)
@@ -129,7 +146,7 @@ func BenchmarkKernelF16(b *testing.B) {
 		})
 	})
 	b.Run("widen", func(b *testing.B) {
-		benchArms(b, func(b *testing.B) {
+		benchArms(b, vectorArms(), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			f := randSlice(rng, n)
 			src := make([]uint16, n)
@@ -146,7 +163,7 @@ func BenchmarkKernelF16(b *testing.B) {
 
 func BenchmarkKernelDequant8(b *testing.B) {
 	const n = 1 << 16
-	benchArms(b, func(b *testing.B) {
+	benchArms(b, vectorArms(), func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		src := make([]byte, n)
 		rng.Read(src)

@@ -5,7 +5,9 @@ package kernels
 // AVX2 dispatch: feature bits are probed once at init with raw
 // CPUID/XGETBV (no external cpu-feature dependency). The GEMM, dot,
 // axpy, clamp, int8 and dequantize kernels need AVX2 plus OS-enabled
-// YMM state; the f16 converters additionally need F16C. Every assembly
+// YMM state; the f16 converters additionally need F16C. GEMM panels
+// with n ≥ 16 move up to the AVX-512 tiles where the CPU has AVX512F
+// and the OS saves the opmask and full ZMM state. Every assembly
 // routine ends in VZEROUPPER so mixed SSE code pays no transition
 // penalty.
 
@@ -30,6 +32,7 @@ var (
 	hasI8ASM    bool
 	hasDQ8ASM   bool
 	hasClampASM bool
+	hasAVX512   bool
 )
 
 func init() {
@@ -55,6 +58,11 @@ func init() {
 	hasI8ASM = hasASM
 	hasDQ8ASM = hasASM
 	hasClampASM = hasASM
+	// AVX512F is CPUID.7 EBX bit 16. XCR0 must also enable the opmask
+	// (bit 5), the upper halves of ZMM0-15 (bit 6) and ZMM16-31 (bit
+	// 7) on top of XMM and YMM (bits 1 and 2).
+	const avx512f, zmmState = 1 << 16, 0xE6
+	hasAVX512 = hasASM && b7&avx512f != 0 && xlo&zmmState == zmmState
 }
 
 // cpuid and xgetbv are implemented in cpu_amd64.s.

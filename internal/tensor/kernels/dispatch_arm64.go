@@ -37,6 +37,7 @@ const (
 	hasI8ASM    = false
 	hasDQ8ASM   = false
 	hasClampASM = false
+	hasAVX512   = false
 )
 
 // Assembly microkernels (kernels_arm64.s). All take counts that are
@@ -56,6 +57,10 @@ func axpyVec(alpha float32, x, y *float32, nv int)
 
 // Unreachable on arm64 (their has*ASM gates are compile-time false);
 // present only to satisfy the shared call sites.
+
+func gemmPanelKAVX512(out, arows, b []float32, r0, r1, k, n, lda, aoff int, acc bool) {
+	panic("kernels: no AVX-512 on arm64")
+}
 
 func clampVec(x *float32, limit float32, nv int) { panic("kernels: no clamp assembly on arm64") }
 

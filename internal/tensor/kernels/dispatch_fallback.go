@@ -25,9 +25,14 @@ const (
 	hasI8ASM    = false
 	hasDQ8ASM   = false
 	hasClampASM = false
+	hasAVX512   = false
 )
 
 func gemmPanelKASM(out, arows, b []float32, r0, r1, k, n, lda, aoff int, acc bool) {
+	panic("kernels: no assembly in this build")
+}
+
+func gemmPanelKAVX512(out, arows, b []float32, r0, r1, k, n, lda, aoff int, acc bool) {
 	panic("kernels: no assembly in this build")
 }
 

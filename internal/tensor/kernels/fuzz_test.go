@@ -8,12 +8,13 @@ import (
 )
 
 // FuzzGEMMKernels drives random (including odd, prime, and sub-vector)
-// shapes with random leading dimensions through every dispatch variant
-// reachable on the host — the architecture assembly and the forced
-// generic fallback — and holds both bit-identical to the sequential
-// naive reference. The lda/aoff padding deliberately misaligns the row
-// bases so vector loads straddle cache lines.
+// shapes with random leading dimensions through every arm the host can
+// run — AVX-512, AVX2 or NEON, and the generic fallback — and holds
+// each bit-identical to the sequential naive reference. The lda/aoff
+// padding deliberately misaligns the row bases so vector loads
+// straddle cache lines.
 func FuzzGEMMKernels(f *testing.F) {
+	f.Logf("arms: %v", Arms())
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), int64(1), false)
 	f.Add(uint8(3), uint8(7), uint8(5), uint8(1), int64(2), true)
 	f.Add(uint8(4), uint8(129), uint8(8), uint8(0), int64(3), false)
@@ -44,7 +45,7 @@ func FuzzGEMMKernels(f *testing.F) {
 		check := func(label string, got []float32) {
 			t.Helper()
 			for i := range want {
-				if got[i] != want[i] {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 					t.Fatalf("%s (%dx%dx%d lda=%d aoff=%d acc=%v): out[%d]=%x want %x",
 						label, m, k, n, lda, aoff, acc, i,
 						math.Float32bits(got[i]), math.Float32bits(want[i]))
@@ -52,21 +53,14 @@ func FuzzGEMMKernels(f *testing.F) {
 			}
 		}
 
-		got := append([]float32(nil), start...)
-		for p0 := 0; p0 < k; p0 += KC {
-			p1 := min(p0+KC, k)
-			GemmPanelK(got, a, b[p0*n:], 0, m, p1-p0, n, lda, aoff+p0, acc || p0 > 0)
-		}
-		check("dispatch["+Name()+"]", got)
-
-		ForceGeneric(true)
-		got = append(got[:0], start...)
-		for p0 := 0; p0 < k; p0 += KC {
-			p1 := min(p0+KC, k)
-			GemmPanelK(got, a, b[p0*n:], 0, m, p1-p0, n, lda, aoff+p0, acc || p0 > 0)
-		}
-		ForceGeneric(false)
-		check("generic", got)
+		eachArm(func(arm string) {
+			got := append([]float32(nil), start...)
+			for p0 := 0; p0 < k; p0 += KC {
+				p1 := min(p0+KC, k)
+				GemmPanelK(got, a, b[p0*n:], 0, m, p1-p0, n, lda, aoff+p0, acc || p0 > 0)
+			}
+			check(arm, got)
+		})
 	})
 }
 

@@ -12,6 +12,19 @@
 //     detection. amd64 has assembly for every kernel but Quantize8;
 //     arm64 has it for GemmPanel/GemmPanelK, Dot and Axpy and runs
 //     Clamp, DotI8, Dequantize8 and the f16 converters generic.
+//   - on amd64 hosts with AVX-512, a third GEMM arm of zmm tiles,
+//     selected at init when CPUID.7 EBX bit 16 (AVX512F) is set and
+//     XCR0 enables XMM, YMM, opmask, ZMM_Hi256 and Hi16_ZMM state (bits
+//     1, 2, 5, 6 and 7). Outputs with n ≥ 32 run a 4-row × 32-column
+//     tile (eight accumulators) plus one 4×16 strip for a 16-column
+//     remainder; outputs with 16 ≤ n < 32 — the conv weight gradient
+//     Gᵀ[K, outC] — run a tall 8×16 tile, eight accumulators again.
+//     n < 16, the last < 16 columns and the rows past the last whole
+//     tile stay on the AVX2 kernels, and every non-GEMM kernel runs
+//     its AVX2 code under this arm.
+//
+// UseArm pins any one arm Arms() lists, so the differential tests and
+// benchmarks run every arm of the host inside one binary.
 //
 // # Numerical contract
 //
@@ -36,6 +49,13 @@
 //     engine passes the kernel matrix or the column matrix there, where
 //     the row-major GEMMs passed the gradient. The one exception is a
 //     caller that passes acc=true over a −0 it stored itself.
+//     The AVX-512 tiles widen the vectors, not the chain: lanes are
+//     still output columns, each output still adds its products one at
+//     a time in panel order with separate VMULPS and VADDPS. With
+//     acc=false they start the chains from +0 in registers (VPXORD)
+//     instead of a zeroed and reloaded output row. That is the same
+//     start: +0 + x is x for every x but −0, and a −0 first product
+//     becomes +0 under both.
 //   - Axpy, Dequantize8, f16/f32 conversions: elementwise, bit-identical
 //     to the scalar reference (conversions follow IEEE round-to-nearest-
 //     even, matching F16C/NEON hardware on finite values; NaN payloads
@@ -58,6 +78,7 @@ package kernels
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 )
@@ -67,21 +88,60 @@ import (
 // internal/tensor sizes its packing scratch off the same constant.
 const KC = 128
 
+// zmmMinN is the narrowest output the AVX-512 arm takes: one 16-lane
+// zmm strip. Narrower outputs stay on the AVX2 kernels.
+const zmmMinN = 16
+
 // forceGeneric routes every kernel through the pure-Go reference even
 // when assembly is available. Tests flip it to prove the fallback and
 // the dispatch path agree on the same host; it is not meant to be
 // toggled while kernels are running (the flag is read once per call).
 var forceGeneric atomic.Bool
 
+// forceAVX2 keeps GEMM panels off the AVX-512 tiles on a host that has
+// them, so tests and benchmarks can run the AVX2 arm there too.
+var forceAVX2 atomic.Bool
+
 // ForceGeneric routes all kernels through the pure-Go reference
 // implementations (on=true) or restores normal dispatch (on=false).
 // It exists for differential tests and benchmarks.
 func ForceGeneric(on bool) { forceGeneric.Store(on) }
 
+// Arms lists the implementations this host and build can run, in
+// dispatch preference order; the last is always "generic". An
+// AVX-512 host lists "avx512", "avx2", "generic".
+func Arms() []string {
+	arms := make([]string, 0, 3)
+	if hasAVX512 {
+		arms = append(arms, "avx512")
+	}
+	if hasASM {
+		arms = append(arms, asmName)
+	}
+	return append(arms, "generic")
+}
+
+// UseArm pins dispatch to the named arm, one of Arms(), or restores
+// normal dispatch for "". Pinning "avx2" on an AVX-512 host is the way
+// to run the AVX2 GEMM there; "generic" is ForceGeneric(true). Like
+// ForceGeneric it exists for differential tests and benchmarks and
+// must not change while kernels are running.
+func UseArm(name string) {
+	if name != "" && !slices.Contains(Arms(), name) {
+		panic("kernels: arm " + name + " is not available on this host")
+	}
+	forceGeneric.Store(name == "generic")
+	forceAVX2.Store(name == "avx2")
+}
+
 // Active reports whether the architecture assembly path is selected
 // right now (CPU support detected, not built with `purego`, and not
 // forced generic).
 func Active() bool { return hasASM && !genericForced() }
+
+// activeAVX512 reports whether GEMM panels with n ≥ zmmMinN take the
+// AVX-512 tiles right now.
+func activeAVX512() bool { return hasAVX512 && !genericForced() && !forceAVX2.Load() }
 
 func genericForced() bool { return forceGeneric.Load() }
 
@@ -104,9 +164,13 @@ func activeDQ8() bool { return hasDQ8ASM && !genericForced() }
 func activeClamp() bool { return hasClampASM && !genericForced() }
 
 // Name reports which implementation dispatch selects right now:
-// "avx2", "neon" or "generic".
+// "avx512", "avx2", "neon" or "generic". "avx512" names the GEMM
+// arm; the other kernels have no AVX-512 code and run AVX2 under it.
 func Name() string {
-	if Active() {
+	switch {
+	case activeAVX512():
+		return "avx512"
+	case Active():
 		return asmName
 	}
 	return "generic"
@@ -143,6 +207,10 @@ func GemmPanelK(out, arows, b []float32, r0, r1, k, n, lda, aoff int, acc bool) 
 	_ = out[(r1-1)*n+n-1]
 	_ = arows[(r1-1)*lda+aoff+k-1]
 	_ = b[(k-1)*n+n-1]
+	if n >= zmmMinN && activeAVX512() {
+		gemmPanelKAVX512(out, arows, b, r0, r1, k, n, lda, aoff, acc)
+		return
+	}
 	if Active() && n >= gemmJ {
 		gemmPanelKASM(out, arows, b, r0, r1, k, n, lda, aoff, acc)
 		return

@@ -6,11 +6,13 @@ import (
 	"testing"
 )
 
-// The tests in this file hold the dispatched implementation (AVX2/NEON
-// when the host has it, generic otherwise) to scalar references
-// computed in plain Go, and — the forced-fallback guarantee — to the
-// generic implementation ForceGeneric selects. For the bit-contract
-// kernels the comparison is exact equality; only Dot gets a tolerance.
+// The tests in this file hold the dispatched implementation (AVX-512,
+// AVX2 or NEON when the host has it, generic otherwise) to scalar
+// references computed in plain Go, and — the forced-fallback guarantee
+// — to the generic implementation ForceGeneric selects. The GEMM tests
+// run every arm the host has, each pinned with UseArm. For the
+// bit-contract kernels the comparison is exact equality; only Dot gets
+// a tolerance.
 
 func randSlice(rng *rand.Rand, n int) []float32 {
 	s := make([]float32, n)
@@ -37,34 +39,78 @@ func gemmRef(out, a, b []float32, m, k, n int, acc bool) {
 	}
 }
 
-var gemmDims = []struct{ m, k, n int }{
-	{1, 1, 1}, {1, 7, 3}, {2, 3, 5}, {3, 128, 8}, {4, 129, 16},
-	{5, 64, 7}, {6, 31, 9}, {7, 255, 13}, {8, 128, 8}, {9, 257, 33},
-	{13, 17, 19}, {16, 130, 40}, {4, 1, 64}, {1, 300, 65}, {32, 64, 24},
+var gemmDims = func() []struct{ m, k, n int } {
+	dims := []struct{ m, k, n int }{
+		{1, 1, 1}, {1, 7, 3}, {2, 3, 5}, {3, 128, 8}, {4, 129, 16},
+		{5, 64, 7}, {6, 31, 9}, {7, 255, 13}, {8, 128, 8}, {9, 257, 33},
+		{13, 17, 19}, {16, 130, 40}, {4, 1, 64}, {1, 300, 65}, {32, 64, 24},
+	}
+	// Every tile edge of the AVX-512 arm: the tall 8×16 tile and its
+	// 8-column and scalar remainders (16 ≤ n < 32), the 4×32 tile with
+	// and without a 4×16 strip and a sub-16 remainder (n ≥ 32), row
+	// counts either side of 8 and 16, and k either side of one KC panel.
+	for _, n := range []int{16, 17, 24, 31, 32, 33, 48, 64, 65} {
+		for _, m := range []int{7, 8, 9, 16, 17} {
+			for _, k := range []int{1, 127, 128, 129, 257} {
+				dims = append(dims, struct{ m, k, n int }{m, k, n})
+			}
+		}
+	}
+	return dims
+}()
+
+// eachArm runs fn once per arm Arms() lists, with dispatch pinned to
+// it. Hosts without AVX-512 (or without any assembly) run fewer arms,
+// so the tests that use it log Arms().
+func eachArm(fn func(arm string)) {
+	defer UseArm("")
+	for _, arm := range Arms() {
+		UseArm(arm)
+		fn(arm)
+	}
+}
+
+// specialZeros writes +0 into about one a element in eight and −0 into
+// one b element in eight, so products of ±0 meet the accumulators at
+// every chain position, the first one included.
+func specialZeros(rng *rand.Rand, a, b []float32) {
+	for i := range a {
+		if rng.Intn(8) == 0 {
+			a[i] = 0
+		}
+	}
+	negZero := float32(math.Copysign(0, -1))
+	for i := range b {
+		if rng.Intn(8) == 0 {
+			b[i] = negZero
+		}
+	}
 }
 
 func TestGemmPanelMatchesReference(t *testing.T) {
-	t.Logf("dispatch: %s", Name())
+	t.Logf("arms: %v", Arms())
 	rng := rand.New(rand.NewSource(1))
 	for _, d := range gemmDims {
 		for _, acc := range []bool{false, true} {
 			a := randSlice(rng, d.m*d.k)
 			b := randSlice(rng, d.k*d.n)
+			specialZeros(rng, a, b)
 			seed := randSlice(rng, d.m*d.n)
 
 			want := append([]float32(nil), seed...)
 			gemmRef(want, a, b, d.m, d.k, d.n, acc)
 
-			got := append([]float32(nil), seed...)
-			GemmPanel(got, a, b, 0, d.m, d.k, d.n, 0, acc)
-
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("GemmPanel(%dx%dx%d acc=%v) [%s]: out[%d]=%x want %x",
-						d.m, d.k, d.n, acc, Name(), i,
-						math.Float32bits(got[i]), math.Float32bits(want[i]))
+			eachArm(func(arm string) {
+				got := append([]float32(nil), seed...)
+				GemmPanel(got, a, b, 0, d.m, d.k, d.n, 0, acc)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("GemmPanel(%dx%dx%d acc=%v) [%s]: out[%d]=%x want %x",
+							d.m, d.k, d.n, acc, arm, i,
+							math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
 				}
-			}
+			})
 		}
 	}
 }
@@ -118,31 +164,36 @@ func TestGemmPanelRowRange(t *testing.T) {
 
 // TestForcedFallbackIdentical is the forced-fallback guarantee: on a
 // host where dispatch selects assembly, routing through ForceGeneric
-// must produce byte-identical results for every bit-contract kernel.
-// (Under the purego tag both paths are the generic code and the test
-// is trivially green.)
+// must produce byte-identical results for every bit-contract kernel,
+// and every GEMM arm must match the generic one. (Under the purego tag
+// both paths are the generic code and the test is trivially green.)
 func TestForcedFallbackIdentical(t *testing.T) {
+	t.Logf("arms: %v", Arms())
 	rng := rand.New(rand.NewSource(4))
 	if !Active() {
 		t.Logf("no assembly dispatch on this host/build; comparing generic to itself")
 	}
 	for _, d := range gemmDims {
-		a := randSlice(rng, d.m*d.k)
-		b := randSlice(rng, d.k*d.n)
+		for _, acc := range []bool{false, true} {
+			a := randSlice(rng, d.m*d.k)
+			b := randSlice(rng, d.k*d.n)
+			seed := randSlice(rng, d.m*d.n)
 
-		fast := make([]float32, d.m*d.n)
-		GemmPanel(fast, a, b, 0, d.m, d.k, d.n, 0, false)
+			ForceGeneric(true)
+			slow := append([]float32(nil), seed...)
+			GemmPanel(slow, a, b, 0, d.m, d.k, d.n, 0, acc)
+			ForceGeneric(false)
 
-		ForceGeneric(true)
-		slow := make([]float32, d.m*d.n)
-		GemmPanel(slow, a, b, 0, d.m, d.k, d.n, 0, false)
-		ForceGeneric(false)
-
-		for i := range fast {
-			if fast[i] != slow[i] {
-				t.Fatalf("GemmPanel(%dx%dx%d): dispatch %v != generic %v at %d",
-					d.m, d.k, d.n, fast[i], slow[i], i)
-			}
+			eachArm(func(arm string) {
+				fast := append([]float32(nil), seed...)
+				GemmPanel(fast, a, b, 0, d.m, d.k, d.n, 0, acc)
+				for i := range fast {
+					if math.Float32bits(fast[i]) != math.Float32bits(slow[i]) {
+						t.Fatalf("GemmPanel(%dx%dx%d acc=%v): %s %v != generic %v at %d",
+							d.m, d.k, d.n, acc, arm, fast[i], slow[i], i)
+					}
+				}
+			})
 		}
 	}
 

@@ -326,6 +326,47 @@ func convWeightGradRange(gt, cd, rd []float32, n, k, p, outC, r0, r1 int) {
 	}
 }
 
+// ConvBiasGradAcc accumulates the bias gradient db [outC] +=
+// Σ_n Σ_p grad[n, oc, p] straight from the NCHW output gradient. Each
+// db[oc] is one chain over n, then p: the row order
+// SumRowsAcc(NCHWToRows(grad)) walks, so the bits match it. Four
+// channels run interleaved so the chains overlap.
+func ConvBiasGradAcc(db, grad *Tensor) *Tensor {
+	if len(grad.shape) != 4 || db.Size() != grad.shape[1] {
+		panic(fmt.Sprintf("tensor: ConvBiasGradAcc db %v, grad %v", db.shape, grad.shape))
+	}
+	n, c, p := grad.shape[0], grad.shape[1], grad.shape[2]*grad.shape[3]
+	bd, gd := db.data, grad.data
+	oc := 0
+	for ; oc+4 <= c; oc += 4 {
+		u0, u1, u2, u3 := bd[oc], bd[oc+1], bd[oc+2], bd[oc+3]
+		for s := 0; s < n; s++ {
+			r0 := gd[(s*c+oc)*p : (s*c+oc+1)*p]
+			r1 := gd[(s*c+oc+1)*p : (s*c+oc+2)*p]
+			r2 := gd[(s*c+oc+2)*p : (s*c+oc+3)*p]
+			r3 := gd[(s*c+oc+3)*p : (s*c+oc+4)*p]
+			r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
+			for i, v := range r0 {
+				u0 += v
+				u1 += r1[i]
+				u2 += r2[i]
+				u3 += r3[i]
+			}
+		}
+		bd[oc], bd[oc+1], bd[oc+2], bd[oc+3] = u0, u1, u2, u3
+	}
+	for ; oc < c; oc++ {
+		u := bd[oc]
+		for s := 0; s < n; s++ {
+			for _, v := range gd[(s*c+oc)*p : (s*c+oc+1)*p] {
+				u += v
+			}
+		}
+		bd[oc] = u
+	}
+	return db
+}
+
 // ConvInputGradInto computes the input gradient dx [n, c, h, w] of a
 // convolution from its output gradient grad [n, outC, oh, ow] and
 // kernel matrix w [outC, c·kh·kw]. dCols [n, c·kh·kw, oh·ow] is scratch
