@@ -140,7 +140,7 @@ func sgdStepScalar(s *SGD, params []*Param) {
 // sizes with and without a sub-vector tail, for several steps running.
 func TestSGDStepMatchesScalarReference(t *testing.T) {
 	for _, wd := range []float32{0, 1e-3} {
-		for _, generic := range []bool{false, true} {
+		for _, arm := range []string{"", "generic"} {
 			r := rng.New(41)
 			var got, want []*Param
 			for _, n := range []int{1, 7, 8, 33, 64 * 31} {
@@ -151,7 +151,7 @@ func TestSGDStepMatchesScalarReference(t *testing.T) {
 				want = append(want, NewParam("want", w.Clone()))
 			}
 			opt := &SGD{LR: 0.037, WeightDecay: wd}
-			kernels.ForceGeneric(generic)
+			kernels.UseArm(arm)
 			for step := 0; step < 3; step++ {
 				for i := range got {
 					got[i].G.FillNormal(r, 0, 0.5)
@@ -161,13 +161,13 @@ func TestSGDStepMatchesScalarReference(t *testing.T) {
 				opt.Step(got)
 				sgdStepScalar(opt, want)
 			}
-			kernels.ForceGeneric(false)
+			kernels.UseArm("")
 			for i := range got {
 				gd, wdat := got[i].W.Data(), want[i].W.Data()
 				for j := range gd {
 					if math.Float32bits(gd[j]) != math.Float32bits(wdat[j]) {
-						t.Fatalf("wd=%v generic=%v n=%d: w[%d] = %#08x, scalar reference %#08x",
-							wd, generic, len(gd), j, math.Float32bits(gd[j]), math.Float32bits(wdat[j]))
+						t.Fatalf("wd=%v arm=%q n=%d: w[%d] = %#08x, scalar reference %#08x",
+							wd, arm, len(gd), j, math.Float32bits(gd[j]), math.Float32bits(wdat[j]))
 					}
 				}
 			}

@@ -333,8 +333,9 @@ func TestConvBackwardMatchesReference(t *testing.T) {
 // arm the host has to the same engine on the generic kernels, forward
 // and both backward products: per output element all of them run one
 // sequential accumulation chain, so switching dispatch may not change
-// a single bit. outC 16 and 24 put the weight gradient (n = outC) on
-// the AVX-512 arm's tall 8×16 tile, 32 and 40 on its 4×32 tile.
+// a single bit. outC 16, 24, 32 and 40 put the weight gradient
+// (n = outC) on one or two strips of the AVX-512 arm's 8×16 tile, with
+// and without an AVX2 remainder.
 func TestConvDispatchBitIdentical(t *testing.T) {
 	t.Logf("arms: %v", kernels.Arms())
 	defer kernels.UseArm("")

@@ -16,8 +16,8 @@ func TestMatMulF16IntoMatchesUnpacked(t *testing.T) {
 		{1, 1, 1}, {3, 5, 7}, {8, 8, 8}, {13, 129, 9},
 		{4, 257, 31}, {32, 64, 40}, {2, 1000, 17},
 	}
-	for _, force := range []bool{false, true} {
-		kernels.ForceGeneric(force)
+	for _, arm := range []string{"", "generic"} {
+		kernels.UseArm(arm)
 		for _, s := range shapes {
 			a := New(s.m, s.k)
 			bf := New(s.k, s.n)
@@ -34,13 +34,13 @@ func TestMatMulF16IntoMatchesUnpacked(t *testing.T) {
 			want := MatMul(a, b.Unpack())
 			for i := range want.data {
 				if got.data[i] != want.data[i] {
-					t.Fatalf("force=%v %dx%dx%d: elem %d got %v want %v",
-						force, s.m, s.k, s.n, i, got.data[i], want.data[i])
+					t.Fatalf("arm=%q %dx%dx%d: elem %d got %v want %v",
+						arm, s.m, s.k, s.n, i, got.data[i], want.data[i])
 				}
 			}
 		}
 	}
-	kernels.ForceGeneric(false)
+	kernels.UseArm("")
 }
 
 // TestPackF16RoundTrip checks that values exactly representable in f16

@@ -6,7 +6,7 @@ package kernels
 // CPUID/XGETBV (no external cpu-feature dependency). The GEMM, dot,
 // axpy, clamp, int8 and dequantize kernels need AVX2 plus OS-enabled
 // YMM state; the f16 converters additionally need F16C. GEMM panels
-// with n ≥ 16 move up to the AVX-512 tiles where the CPU has AVX512F
+// with n ≥ 16 move up to the AVX-512 tile where the CPU has AVX512F
 // and the OS saves the opmask and full ZMM state. Every assembly
 // routine ends in VZEROUPPER so mixed SSE code pays no transition
 // penalty.

@@ -27,7 +27,7 @@ func gemmPanelKASM(out, arows, b []float32, r0, r1, k, n, lda, aoff int, acc boo
 // gemmCols4 runs columns [j0, n) of rows [i0, i1), a multiple of four
 // rows, through gemmPanel4 and the scalar column tail. With acc false
 // it zeroes those columns first and leaves [0, j0) alone, which the
-// AVX-512 tiles own.
+// AVX-512 tile owns.
 func gemmCols4(out, arows, b []float32, i0, i1, j0, k, n, lda, aoff int, acc bool) {
 	if j0 == n {
 		return

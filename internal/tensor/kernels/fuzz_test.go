@@ -118,10 +118,10 @@ func FuzzElementwiseKernels(f *testing.F) {
 
 		h := make([]uint16, n)
 		F32ToF16(h, x)
-		ForceGeneric(true)
+		UseArm("generic")
 		hg := make([]uint16, n)
 		F32ToF16(hg, x)
-		ForceGeneric(false)
+		UseArm("")
 		for i := range h {
 			if h[i] != hg[i] {
 				t.Fatalf("F32ToF16 n=%d [%s]: dispatch %#04x generic %#04x at %d", n, Name(), h[i], hg[i], i)

@@ -2,49 +2,27 @@
 
 package kernels
 
-// gemmPanelKAVX512 drives the zmm tiles over one k-panel. Outputs with
-// n ≥ 32 go four rows at a time through the 4×32 tile, plus one 4×16
-// strip when 16 columns or more remain; outputs with 16 ≤ n < 32 go
-// eight rows at a time through the tall 8×16 tile. The columns a tile
-// leaves (fewer than 16) and the rows past the last whole tile take the
-// AVX2 path. Caller guarantees r0 < r1, k > 0 and n ≥ zmmMinN.
+// gemmPanelKAVX512 drives the zmm tile over one k-panel: eight rows at
+// a time through the 8×16 tile for every whole 16-column strip. The
+// columns it leaves (fewer than 16) and the rows past the last whole
+// tile take the AVX2 path. Caller guarantees r0 < r1, k > 0 and
+// n ≥ zmmMinN.
 func gemmPanelKAVX512(out, arows, b []float32, r0, r1, k, n, lda, aoff int, acc bool) {
-	zero := !acc
+	n16 := n &^ 15
 	i := r0
-	if n < 32 {
-		for ; i+8 <= r1; i += 8 {
-			base := i*lda + aoff
-			gemmTile8x16(&out[i*n], &arows[base], &b[0], k, n, lda, zero)
-			gemmCols4(out, arows, b, i, i+8, 16, k, n, lda, aoff, acc)
-		}
-	} else {
-		n32 := n &^ 31
-		n16 := n32
-		if n-n32 >= 16 {
-			n16 += 16
-		}
-		for ; i+4 <= r1; i += 4 {
-			base := i*lda + aoff
-			gemmTile4x32(&out[i*n], &arows[base], &b[0], k, n, lda, n32, zero)
-			if n16 > n32 {
-				gemmTile4x16(&out[i*n+n32], &arows[base], &b[n32], k, n, lda, zero)
-			}
-			gemmCols4(out, arows, b, i, i+4, n16, k, n, lda, aoff, acc)
-		}
+	for ; i+8 <= r1; i += 8 {
+		base := i*lda + aoff
+		gemmTile8x16(&out[i*n], &arows[base], &b[0], k, n, lda, n16, !acc)
+		gemmCols4(out, arows, b, i, i+8, n16, k, n, lda, aoff, acc)
 	}
 	if i < r1 {
 		gemmPanelKASM(out, arows, b, i, r1, k, n, lda, aoff, acc)
 	}
 }
 
-// AVX-512 tiles (gemm_avx512_amd64.s). Counts are in floats; nv is a
-// multiple of 32. zero starts the chains from +0 instead of loading o.
-
+// gemmTile8x16 is the AVX-512 tile (gemm_avx512_amd64.s). Counts are
+// in floats; nv is a multiple of 16. zero starts the chains from +0
+// instead of loading o.
+//
 //go:noescape
-func gemmTile4x32(o, a, b *float32, kb, n, lda, nv int, zero bool)
-
-//go:noescape
-func gemmTile4x16(o, a, b *float32, kb, n, lda int, zero bool)
-
-//go:noescape
-func gemmTile8x16(o, a, b *float32, kb, n, lda int, zero bool)
+func gemmTile8x16(o, a, b *float32, kb, n, lda, nv int, zero bool)

@@ -2,27 +2,26 @@
 
 #include "textflag.h"
 
-// AVX-512 GEMM tiles. The bit rules are the AVX2 kernels' (see
+// AVX-512 GEMM tile. The bit rules are the AVX2 kernels' (see
 // kernels_amd64.s): separate VMULPS/VADDPS, never FMA, and vector lanes
 // that are independent output columns, so each output element keeps
 // one sequential accumulation chain over p in panel order. The zmm
-// tiles only hold more of those chains in flight: eight accumulators
-// per tile, against four in the AVX2 4×8 tile.
+// tile only holds more of those chains in flight: eight accumulators,
+// against four in the AVX2 4×8 tile.
 //
-// Every tile takes a = the tile's first a row, o = its first output
-// row and b = the panel row 0 at the tile's first column. Row r of the
-// tile lives at o + r·n, a + r·lda and, for step p, b + p·n (counts in
-// floats). When zero is set the chains start from +0 in registers
-// (VPXORD) instead of loading o: +0 + x is x for every x but −0, and
-// both starts turn a −0 first product into +0, so the bits match the
+// When zero is set the chains start from +0 in registers (VPXORD)
+// instead of loading o: +0 + x is x for every x but −0, and both
+// starts turn a −0 first product into +0, so the bits match the
 // zeroed-row start of the other kernels.
 
-// func gemmTile4x32(o, a, b *float32, kb, n, lda, nv int, zero bool)
+// func gemmTile8x16(o, a, b *float32, kb, n, lda, nv int, zero bool)
 //
-// For r in 0..3 and j in [0, nv): o[r·n+j] (+)= Σ_{p<kb} a[r·lda+p]·b[p·n+j].
-// nv is a positive multiple of 32; kb ≥ 1. Per p step two b zmm loads
-// feed four broadcasts, eight products and eight chains.
-TEXT ·gemmTile4x32(SB), NOSPLIT, $0-57
+// For r in 0..7 and j in [0, nv): o[r·n+j] (+)= Σ_{p<kb} a[r·lda+p]·b[p·n+j]
+// (counts in floats). nv is a positive multiple of 16; kb ≥ 1. The
+// tile sweeps nv in 16-column strips; per p step one b zmm load feeds
+// eight broadcasts, eight products and eight chains. Rows 4..7 are
+// addressed from a second base four rows down.
+TEXT ·gemmTile8x16(SB), NOSPLIT, $0-57
 	MOVQ o+0(FP), DI
 	MOVQ b+16(FP), R14
 	MOVQ n+32(FP), DX
@@ -33,154 +32,9 @@ TEXT ·gemmTile4x32(SB), NOSPLIT, $0-57
 	LEAQ (R9)(R9*2), R10     // 3 a rows
 	MOVQ nv+48(FP), BX
 
-t432_jloop:
-	CMPB zero+56(FP), $0
-	JEQ  t432_load
-	VPXORD Z0, Z0, Z0
-	VPXORD Z1, Z1, Z1
-	VPXORD Z2, Z2, Z2
-	VPXORD Z3, Z3, Z3
-	VPXORD Z4, Z4, Z4
-	VPXORD Z5, Z5, Z5
-	VPXORD Z6, Z6, Z6
-	VPXORD Z7, Z7, Z7
-	JMP  t432_start
-
-t432_load:
-	VMOVUPS (DI), Z0
-	VMOVUPS 64(DI), Z1
-	VMOVUPS (DI)(DX*1), Z2
-	VMOVUPS 64(DI)(DX*1), Z3
-	VMOVUPS (DI)(DX*2), Z4
-	VMOVUPS 64(DI)(DX*2), Z5
-	VMOVUPS (DI)(R11*1), Z6
-	VMOVUPS 64(DI)(R11*1), Z7
-
-t432_start:
-	MOVQ a+8(FP), SI         // &a_0[p]
-	MOVQ R14, R12            // &b[p·n+j]
-	MOVQ kb+24(FP), CX
-
-t432_ploop:
-	VMOVUPS (R12), Z8
-	VMOVUPS 64(R12), Z9
-	VBROADCASTSS (SI), Z10
-	VBROADCASTSS (SI)(R9*1), Z11
-	VBROADCASTSS (SI)(R9*2), Z12
-	VBROADCASTSS (SI)(R10*1), Z13
-	VMULPS Z8, Z10, Z16
-	VMULPS Z9, Z10, Z17
-	VMULPS Z8, Z11, Z18
-	VMULPS Z9, Z11, Z19
-	VMULPS Z8, Z12, Z20
-	VMULPS Z9, Z12, Z21
-	VMULPS Z8, Z13, Z22
-	VMULPS Z9, Z13, Z23
-	VADDPS Z16, Z0, Z0
-	VADDPS Z17, Z1, Z1
-	VADDPS Z18, Z2, Z2
-	VADDPS Z19, Z3, Z3
-	VADDPS Z20, Z4, Z4
-	VADDPS Z21, Z5, Z5
-	VADDPS Z22, Z6, Z6
-	VADDPS Z23, Z7, Z7
-	ADDQ $4, SI
-	ADDQ DX, R12
-	DECQ CX
-	JNZ  t432_ploop
-
-	VMOVUPS Z0, (DI)
-	VMOVUPS Z1, 64(DI)
-	VMOVUPS Z2, (DI)(DX*1)
-	VMOVUPS Z3, 64(DI)(DX*1)
-	VMOVUPS Z4, (DI)(DX*2)
-	VMOVUPS Z5, 64(DI)(DX*2)
-	VMOVUPS Z6, (DI)(R11*1)
-	VMOVUPS Z7, 64(DI)(R11*1)
-	ADDQ $128, DI
-	ADDQ $128, R14
-	SUBQ $32, BX
-	JNZ  t432_jloop
-
-	VZEROUPPER
-	RET
-
-// func gemmTile4x16(o, a, b *float32, kb, n, lda int, zero bool)
-//
-// One 16-column strip of four rows: the remainder of a 4×32 sweep when
-// 16 ≤ n mod 32. Four chains, one b load per p step.
-TEXT ·gemmTile4x16(SB), NOSPLIT, $0-49
-	MOVQ o+0(FP), DI
-	MOVQ n+32(FP), DX
-	SHLQ $2, DX
-	LEAQ (DX)(DX*2), R11
-	MOVQ lda+40(FP), R9
-	SHLQ $2, R9
-	LEAQ (R9)(R9*2), R10
-
-	CMPB zero+48(FP), $0
-	JEQ  t416_load
-	VPXORD Z0, Z0, Z0
-	VPXORD Z1, Z1, Z1
-	VPXORD Z2, Z2, Z2
-	VPXORD Z3, Z3, Z3
-	JMP  t416_start
-
-t416_load:
-	VMOVUPS (DI), Z0
-	VMOVUPS (DI)(DX*1), Z1
-	VMOVUPS (DI)(DX*2), Z2
-	VMOVUPS (DI)(R11*1), Z3
-
-t416_start:
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), R12
-	MOVQ kb+24(FP), CX
-
-t416_ploop:
-	VMOVUPS (R12), Z8
-	VBROADCASTSS (SI), Z10
-	VBROADCASTSS (SI)(R9*1), Z11
-	VBROADCASTSS (SI)(R9*2), Z12
-	VBROADCASTSS (SI)(R10*1), Z13
-	VMULPS Z8, Z10, Z16
-	VMULPS Z8, Z11, Z17
-	VMULPS Z8, Z12, Z18
-	VMULPS Z8, Z13, Z19
-	VADDPS Z16, Z0, Z0
-	VADDPS Z17, Z1, Z1
-	VADDPS Z18, Z2, Z2
-	VADDPS Z19, Z3, Z3
-	ADDQ $4, SI
-	ADDQ DX, R12
-	DECQ CX
-	JNZ  t416_ploop
-
-	VMOVUPS Z0, (DI)
-	VMOVUPS Z1, (DI)(DX*1)
-	VMOVUPS Z2, (DI)(DX*2)
-	VMOVUPS Z3, (DI)(R11*1)
-
-	VZEROUPPER
-	RET
-
-// func gemmTile8x16(o, a, b *float32, kb, n, lda int, zero bool)
-//
-// The tall tile for 16 ≤ n < 32, the conv weight gradient's shape
-// (n = outC): eight rows of one 16-column strip, so eight chains share
-// each b load. Rows 4..7 are addressed from a second base four rows
-// down.
-TEXT ·gemmTile8x16(SB), NOSPLIT, $0-49
-	MOVQ o+0(FP), DI
-	MOVQ n+32(FP), DX
-	SHLQ $2, DX
-	LEAQ (DX)(DX*2), R11
+t816_jloop:
 	LEAQ (DI)(DX*4), R13     // o row 4
-	MOVQ lda+40(FP), R9
-	SHLQ $2, R9
-	LEAQ (R9)(R9*2), R10
-
-	CMPB zero+48(FP), $0
+	CMPB zero+56(FP), $0
 	JEQ  t816_load
 	VPXORD Z0, Z0, Z0
 	VPXORD Z1, Z1, Z1
@@ -205,7 +59,7 @@ t816_load:
 t816_start:
 	MOVQ a+8(FP), SI         // &a_0[p]
 	LEAQ (SI)(R9*4), R8      // &a_4[p]
-	MOVQ b+16(FP), R12
+	MOVQ R14, R12            // &b[p·n+j]
 	MOVQ kb+24(FP), CX
 
 t816_ploop:
@@ -248,6 +102,10 @@ t816_ploop:
 	VMOVUPS Z5, (R13)(DX*1)
 	VMOVUPS Z6, (R13)(DX*2)
 	VMOVUPS Z7, (R13)(R11*1)
+	ADDQ $64, DI
+	ADDQ $64, R14
+	SUBQ $16, BX
+	JNZ  t816_jloop
 
 	VZEROUPPER
 	RET

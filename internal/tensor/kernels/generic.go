@@ -4,7 +4,7 @@ import "math"
 
 // This file holds the pure-Go reference implementation of every kernel.
 // It is always compiled: it is the only implementation on architectures
-// without assembly and under the `purego` build tag, the ForceGeneric
+// without assembly and under the `purego` build tag, the UseArm("generic")
 // escape hatch on every architecture, and the ground truth the
 // differential tests hold the assembly to.
 

@@ -6,22 +6,20 @@
 //
 //   - a pure-Go reference implementation (always compiled, used on
 //     unsupported architectures, under the `purego` build tag, and when
-//     tests call ForceGeneric), and
+//     tests pin it with UseArm("generic")), and
 //   - a Go-assembly implementation per supported architecture (AVX2 on
 //     amd64, NEON on arm64), selected at init by runtime CPU-feature
 //     detection. amd64 has assembly for every kernel but Quantize8;
 //     arm64 has it for GemmPanel/GemmPanelK, Dot and Axpy and runs
 //     Clamp, DotI8, Dequantize8 and the f16 converters generic.
-//   - on amd64 hosts with AVX-512, a third GEMM arm of zmm tiles,
+//   - on amd64 hosts with AVX-512, a third GEMM arm: one zmm tile,
 //     selected at init when CPUID.7 EBX bit 16 (AVX512F) is set and
 //     XCR0 enables XMM, YMM, opmask, ZMM_Hi256 and Hi16_ZMM state (bits
-//     1, 2, 5, 6 and 7). Outputs with n ≥ 32 run a 4-row × 32-column
-//     tile (eight accumulators) plus one 4×16 strip for a 16-column
-//     remainder; outputs with 16 ≤ n < 32 — the conv weight gradient
-//     Gᵀ[K, outC] — run a tall 8×16 tile, eight accumulators again.
-//     n < 16, the last < 16 columns and the rows past the last whole
-//     tile stay on the AVX2 kernels, and every non-GEMM kernel runs
-//     its AVX2 code under this arm.
+//     1, 2, 5, 6 and 7). Outputs with n ≥ 16 run eight rows at a time
+//     through an 8-row × 16-column tile (eight accumulators) for every
+//     whole 16-column strip. n < 16, the last < 16 columns and the
+//     rows past the last whole tile stay on the AVX2 kernels, and
+//     every non-GEMM kernel runs its AVX2 code under this arm.
 //
 // UseArm pins any one arm Arms() lists, so the differential tests and
 // benchmarks run every arm of the host inside one binary.
@@ -49,10 +47,10 @@
 //     engine passes the kernel matrix or the column matrix there, where
 //     the row-major GEMMs passed the gradient. The one exception is a
 //     caller that passes acc=true over a −0 it stored itself.
-//     The AVX-512 tiles widen the vectors, not the chain: lanes are
+//     The AVX-512 tile widens the vectors, not the chain: lanes are
 //     still output columns, each output still adds its products one at
 //     a time in panel order with separate VMULPS and VADDPS. With
-//     acc=false they start the chains from +0 in registers (VPXORD)
+//     acc=false it starts the chains from +0 in registers (VPXORD)
 //     instead of a zeroed and reloaded output row. That is the same
 //     start: +0 + x is x for every x but −0, and a −0 first product
 //     becomes +0 under both.
@@ -92,20 +90,18 @@ const KC = 128
 // zmm strip. Narrower outputs stay on the AVX2 kernels.
 const zmmMinN = 16
 
-// forceGeneric routes every kernel through the pure-Go reference even
-// when assembly is available. Tests flip it to prove the fallback and
-// the dispatch path agree on the same host; it is not meant to be
-// toggled while kernels are running (the flag is read once per call).
-var forceGeneric atomic.Bool
+// pinned is the arm UseArm selected: pinAuto (normal dispatch), pinASM
+// (the AVX2/NEON arm, skipping AVX-512) or pinGeneric (the pure-Go
+// reference for every kernel). Tests and benchmarks set it to run each
+// arm of the host in one binary; it is not meant to change while
+// kernels are running (it is read once per call).
+var pinned atomic.Int32
 
-// forceAVX2 keeps GEMM panels off the AVX-512 tiles on a host that has
-// them, so tests and benchmarks can run the AVX2 arm there too.
-var forceAVX2 atomic.Bool
-
-// ForceGeneric routes all kernels through the pure-Go reference
-// implementations (on=true) or restores normal dispatch (on=false).
-// It exists for differential tests and benchmarks.
-func ForceGeneric(on bool) { forceGeneric.Store(on) }
+const (
+	pinAuto int32 = iota
+	pinASM
+	pinGeneric
+)
 
 // Arms lists the implementations this host and build can run, in
 // dispatch preference order; the last is always "generic". An
@@ -123,27 +119,34 @@ func Arms() []string {
 
 // UseArm pins dispatch to the named arm, one of Arms(), or restores
 // normal dispatch for "". Pinning "avx2" on an AVX-512 host is the way
-// to run the AVX2 GEMM there; "generic" is ForceGeneric(true). Like
-// ForceGeneric it exists for differential tests and benchmarks and
-// must not change while kernels are running.
+// to run the AVX2 GEMM there; "generic" routes every kernel through
+// the pure-Go reference. It exists for differential tests and
+// benchmarks and must not change while kernels are running.
 func UseArm(name string) {
 	if name != "" && !slices.Contains(Arms(), name) {
 		panic("kernels: arm " + name + " is not available on this host")
 	}
-	forceGeneric.Store(name == "generic")
-	forceAVX2.Store(name == "avx2")
+	// A tagless switch, because under `purego` asmName is "generic".
+	pin := pinAuto
+	switch {
+	case name == "generic":
+		pin = pinGeneric
+	case name == asmName:
+		pin = pinASM
+	}
+	pinned.Store(pin)
 }
 
 // Active reports whether the architecture assembly path is selected
 // right now (CPU support detected, not built with `purego`, and not
-// forced generic).
+// pinned generic).
 func Active() bool { return hasASM && !genericForced() }
 
 // activeAVX512 reports whether GEMM panels with n ≥ zmmMinN take the
-// AVX-512 tiles right now.
-func activeAVX512() bool { return hasAVX512 && !genericForced() && !forceAVX2.Load() }
+// AVX-512 tile right now.
+func activeAVX512() bool { return hasAVX512 && pinned.Load() == pinAuto }
 
-func genericForced() bool { return forceGeneric.Load() }
+func genericForced() bool { return pinned.Load() == pinGeneric }
 
 // activeF16 reports whether the f16 conversion assembly is usable
 // (amd64 additionally requires F16C; arm64 currently uses the generic

@@ -9,7 +9,7 @@ import (
 // The tests in this file hold the dispatched implementation (AVX-512,
 // AVX2 or NEON when the host has it, generic otherwise) to scalar
 // references computed in plain Go, and — the forced-fallback guarantee
-// — to the generic implementation ForceGeneric selects. The GEMM tests
+// — to the generic implementation UseArm("generic") selects. The GEMM tests
 // run every arm the host has, each pinned with UseArm. For the
 // bit-contract kernels the comparison is exact equality; only Dot gets
 // a tolerance.
@@ -45,10 +45,10 @@ var gemmDims = func() []struct{ m, k, n int } {
 		{5, 64, 7}, {6, 31, 9}, {7, 255, 13}, {8, 128, 8}, {9, 257, 33},
 		{13, 17, 19}, {16, 130, 40}, {4, 1, 64}, {1, 300, 65}, {32, 64, 24},
 	}
-	// Every tile edge of the AVX-512 arm: the tall 8×16 tile and its
-	// 8-column and scalar remainders (16 ≤ n < 32), the 4×32 tile with
-	// and without a 4×16 strip and a sub-16 remainder (n ≥ 32), row
-	// counts either side of 8 and 16, and k either side of one KC panel.
+	// Every tile edge of the AVX-512 arm: one, two, three and four
+	// 16-column strips of the 8×16 tile, with and without the 8-column
+	// and scalar remainders the AVX2 kernels take, row counts either
+	// side of 8 and 16, and k either side of one KC panel.
 	for _, n := range []int{16, 17, 24, 31, 32, 33, 48, 64, 65} {
 		for _, m := range []int{7, 8, 9, 16, 17} {
 			for _, k := range []int{1, 127, 128, 129, 257} {
@@ -163,7 +163,7 @@ func TestGemmPanelRowRange(t *testing.T) {
 }
 
 // TestForcedFallbackIdentical is the forced-fallback guarantee: on a
-// host where dispatch selects assembly, routing through ForceGeneric
+// host where dispatch selects assembly, routing through UseArm("generic")
 // must produce byte-identical results for every bit-contract kernel,
 // and every GEMM arm must match the generic one. (Under the purego tag
 // both paths are the generic code and the test is trivially green.)
@@ -179,10 +179,10 @@ func TestForcedFallbackIdentical(t *testing.T) {
 			b := randSlice(rng, d.k*d.n)
 			seed := randSlice(rng, d.m*d.n)
 
-			ForceGeneric(true)
+			UseArm("generic")
 			slow := append([]float32(nil), seed...)
 			GemmPanel(slow, a, b, 0, d.m, d.k, d.n, 0, acc)
-			ForceGeneric(false)
+			UseArm("")
 
 			eachArm(func(arm string) {
 				fast := append([]float32(nil), seed...)
@@ -203,10 +203,10 @@ func TestForcedFallbackIdentical(t *testing.T) {
 
 		yFast := append([]float32(nil), y...)
 		Axpy(0.37, x, yFast)
-		ForceGeneric(true)
+		UseArm("generic")
 		ySlow := append([]float32(nil), y...)
 		Axpy(0.37, x, ySlow)
-		ForceGeneric(false)
+		UseArm("")
 		for i := range yFast {
 			if yFast[i] != ySlow[i] {
 				t.Fatalf("Axpy n=%d: dispatch %v != generic %v at %d", n, yFast[i], ySlow[i], i)
@@ -217,10 +217,10 @@ func TestForcedFallbackIdentical(t *testing.T) {
 		rng.Read(src)
 		dFast := make([]float32, n)
 		Dequantize8(dFast, src, -1.25, 0.013)
-		ForceGeneric(true)
+		UseArm("generic")
 		dSlow := make([]float32, n)
 		Dequantize8(dSlow, src, -1.25, 0.013)
-		ForceGeneric(false)
+		UseArm("")
 		for i := range dFast {
 			if dFast[i] != dSlow[i] {
 				t.Fatalf("Dequantize8 n=%d: dispatch %v != generic %v at %d", n, dFast[i], dSlow[i], i)
@@ -268,9 +268,9 @@ func TestDotI8Exact(t *testing.T) {
 		if got := DotI8(a, b); int64(got) != ref {
 			t.Fatalf("DotI8 n=%d [%s]: got %d want %d", n, Name(), got, ref)
 		}
-		ForceGeneric(true)
+		UseArm("generic")
 		got := DotI8(a, b)
-		ForceGeneric(false)
+		UseArm("")
 		if int64(got) != ref {
 			t.Fatalf("DotI8 generic n=%d: got %d want %d", n, got, ref)
 		}
@@ -332,10 +332,10 @@ func TestF16NarrowMatchesDispatch(t *testing.T) {
 
 	fast := make([]uint16, len(src))
 	F32ToF16(fast, src)
-	ForceGeneric(true)
+	UseArm("generic")
 	slow := make([]uint16, len(src))
 	F32ToF16(slow, src)
-	ForceGeneric(false)
+	UseArm("")
 	for i, v := range src {
 		if math.IsNaN(float64(v)) {
 			continue // NaN payload is implementation-defined
@@ -434,18 +434,18 @@ var clampSpecials = []uint32{
 }
 
 // checkClamp runs Clamp on a copy of x under the current dispatch and
-// under ForceGeneric and holds both to the retained reference loop,
+// pinned generic and holds both to the retained reference loop,
 // bit for bit.
 func checkClamp(t *testing.T, x []float32, limit float32) {
 	t.Helper()
 	want := append([]float32(nil), x...)
 	clampGeneric(want, limit)
-	for _, generic := range []bool{false, true} {
+	for _, arm := range []string{"", "generic"} {
 		got := append([]float32(nil), x...)
-		ForceGeneric(generic)
+		UseArm(arm)
 		label := Name()
 		Clamp(got, limit)
-		ForceGeneric(false)
+		UseArm("")
 		for i := range want {
 			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("Clamp n=%d limit=%v [%s]: x[%d]=%#08x -> %#08x, reference %#08x",
