@@ -12,12 +12,14 @@ import (
 // [inC*kh*kw, oh*ow], so the forward and both backward GEMMs read and
 // write NCHW blocks in place. Weights are stored as [outC, inC*kh*kw].
 //
-// The layer owns persistent scratch (the column matrices and the
-// backward gradient matrices) that is reused across calls instead of
-// allocated per call. The scratch is shared between train and eval
-// forwards, so Backward must run before the next Forward of any kind —
-// the invariant every training loop in this codebase already satisfies
-// (forward → backward → step, with evaluation only between rounds).
+// The layer owns persistent scratch (the column matrices, the output,
+// the column gradients and the input gradient) that is reused across
+// calls instead of allocated per call; the gradient's transpose for the
+// weight-gradient GEMM is tensor's pooled scratch, so the layer sees
+// only NCHW. The scratch is shared between train and eval forwards, so
+// Backward must run before the next Forward of any kind — the invariant
+// every training loop in this codebase already satisfies (forward →
+// backward → step, with evaluation only between rounds).
 type Conv2D struct {
 	name        string
 	inC, outC   int
@@ -27,7 +29,6 @@ type Conv2D struct {
 	b           *Param // [outC]
 
 	cols        *tensor.Tensor // persistent column scratch [n, inC*kh*kw, oh*ow], valid after any Forward
-	gRows       *tensor.Tensor // backward scratch: grad in rows layout
 	dCols       *tensor.Tensor // backward scratch: column gradients, shaped like cols
 	out         *tensor.Tensor // forward output scratch (same lifetime contract)
 	dx          *tensor.Tensor // backward input-gradient scratch
@@ -90,15 +91,13 @@ func (c *Conv2D) SkipInputGrad(skip bool) { c.skipDX = skip }
 // Backward consumes grad [n, outC, oh, ow] and returns the input
 // gradient [n, inC, h, w] — or nil, not computed, after
 // SkipInputGrad(true). Weight and bias gradients accumulate in place
-// (no temporary product tensors) and the two large intermediates reuse
+// (no temporary product tensors) and the column gradients and dx reuse
 // layer-owned scratch across rounds.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.cols == nil || c.n == 0 {
 		panic(fmt.Sprintf("nn: %s: Backward before train-mode Forward", c.name))
 	}
-	c.gRows = tensor.EnsureShape(c.gRows, c.n*c.outH*c.outW, c.outC)
-	tensor.NCHWToRowsInto(c.gRows, grad) // [n*oh*ow, outC]
-	tensor.ConvWeightGradAcc(c.w.G, c.cols, c.gRows)
+	tensor.ConvWeightGradAcc(c.w.G, c.cols, grad)
 	tensor.ConvBiasGradAcc(c.b.G, grad)
 	if c.skipDX {
 		return nil

@@ -239,47 +239,3 @@ func RowsToNCHW(rows *Tensor, n, c, oh, ow int) *Tensor {
 	}
 	return out
 }
-
-// NCHWToRows is the inverse of RowsToNCHW: it flattens an NCHW tensor
-// [n, c, oh, ow] into the [n*oh*ow, c] matrix layout.
-func NCHWToRows(x *Tensor) *Tensor {
-	if len(x.shape) != 4 {
-		panic(fmt.Sprintf("tensor: NCHWToRows needs rank-4 input, got %v", x.shape))
-	}
-	n, c, oh, ow := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	out := New(n*oh*ow, c)
-	return NCHWToRowsInto(out, x)
-}
-
-// NCHWToRowsInto is NCHWToRows writing into dst of shape [n*oh*ow, c].
-// Every element is overwritten.
-func NCHWToRowsInto(dst, x *Tensor) *Tensor {
-	if len(x.shape) != 4 {
-		panic(fmt.Sprintf("tensor: NCHWToRowsInto needs rank-4 input, got %v", x.shape))
-	}
-	n, c, oh, ow := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	if len(dst.shape) != 2 || dst.shape[0] != n*oh*ow || dst.shape[1] != c {
-		panic(fmt.Sprintf("tensor: NCHWToRowsInto dst shape %v, want [%d,%d]", dst.shape, n*oh*ow, c))
-	}
-	xd, od := x.data, dst.data
-	if serialRows(n*oh, n*oh*ow*c) {
-		nchwToRowsRange(od, xd, c, oh, ow, 0, n*oh)
-		return dst
-	}
-	parallelRows(n*oh, n*oh*ow*c, func(u0, u1 int) {
-		nchwToRowsRange(od, xd, c, oh, ow, u0, u1)
-	})
-	return dst
-}
-
-func nchwToRowsRange(od, xd []float32, c, oh, ow, u0, u1 int) {
-	for u := u0; u < u1; u++ {
-		in, oy := u/oh, u%oh
-		for ox := 0; ox < ow; ox++ {
-			row := od[(u*ow+ox)*c:][:c]
-			for ch := 0; ch < c; ch++ {
-				row[ch] = xd[((in*c+ch)*oh+oy)*ow+ox]
-			}
-		}
-	}
-}

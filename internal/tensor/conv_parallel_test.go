@@ -57,6 +57,20 @@ func assertBitEqual(t *testing.T, tag string, got, want *Tensor) {
 	}
 }
 
+// NCHWToRows flattens an NCHW tensor [n, c, oh, ow] into the rows
+// layout [n·oh·ow, c] the row-major reference pipelines work in; it is
+// RowsToNCHW's inverse.
+func NCHWToRows(x *Tensor) *Tensor {
+	n, c, p := x.shape[0], x.shape[1], x.shape[2]*x.shape[3]
+	rows := New(n*p, c)
+	for r := 0; r < n*p; r++ {
+		for ch := 0; ch < c; ch++ {
+			rows.data[r*c+ch] = x.data[(r/p*c+ch)*p+r%p]
+		}
+	}
+	return rows
+}
+
 // im2colCM lowers every sample of x channel-major, [n, c·kh·kw, oh·ow].
 func im2colCM(x *Tensor, kh, kw, stride, pad int) *Tensor {
 	n, c, h, w, _, _ := convGeom("im2colCM", x, kh, kw, stride, pad)
@@ -227,12 +241,8 @@ func TestRepackIntoMatchesNaive(t *testing.T) {
 			oh := ConvOutSize(g.h, g.kh, g.stride, g.pad)
 			ow := ConvOutSize(g.w, g.kw, g.stride, g.pad)
 			img := randTensor(r, g.n, g.c, oh, ow)
-			rows := NCHWToRows(img)
-			back := RowsToNCHW(rows, g.n, g.c, oh, ow)
+			back := RowsToNCHW(NCHWToRows(img), g.n, g.c, oh, ow)
 			assertUlpEqual(t, "rows round-trip", back, img)
-
-			dirtyRows := Full(999, g.n*oh*ow, g.c)
-			assertUlpEqual(t, "NCHWToRowsInto", NCHWToRowsInto(dirtyRows, img), rows)
 		}
 	})
 }
@@ -275,22 +285,6 @@ func TestConvForwardMatchesReference(t *testing.T) {
 	})
 }
 
-// matMulTAAccNaive accumulates dst += aᵀ·b (a [k,m], b [k,n]): one
-// sequential chain per element, over a's and b's rows in order,
-// starting from dst's value.
-func matMulTAAccNaive(dst, a, b *Tensor) {
-	k, m, n := a.shape[0], a.shape[1], b.shape[1]
-	for p := 0; p < k; p++ {
-		for i := 0; i < m; i++ {
-			av := a.data[p*m+i]
-			orow := dst.data[i*n : (i+1)*n]
-			for j, bv := range b.data[p*n : (p+1)*n] {
-				orow[j] += av * bv
-			}
-		}
-	}
-}
-
 // TestConvBackwardMatchesReference holds the two backward products to
 // the row-major reference bit for bit: the weight gradient to
 // NCHWToRows → naive aᵀ·b accumulation, over two backward calls that
@@ -316,7 +310,7 @@ func TestConvBackwardMatchesReference(t *testing.T) {
 				for step := 0; step < 2; step++ {
 					grad := randTensor(r, g.n, outC, oh, ow)
 					gRows := NCHWToRows(grad)
-					ConvWeightGradAcc(gw, cols, gRows)
+					ConvWeightGradAcc(gw, cols, grad)
 					matMulTAAccNaive(want, gRows, rowCols)
 					assertBitEqual(t, "ConvWeightGradAcc", gw, want)
 
@@ -349,11 +343,10 @@ func TestConvDispatchBitIdentical(t *testing.T) {
 			w := randTensor(r, outC, k)
 			bias := randTensor(r, outC)
 			grad := randTensor(r, g.n, outC, oh, ow)
-			gRows := NCHWToRows(grad)
 			run := func() (out, gw, dx *Tensor) {
 				cols := New(g.n, k, oh*ow)
 				out = ConvForwardInto(New(g.n, outC, oh, ow), cols, x, w, bias, g.kh, g.kw, g.stride, g.pad)
-				gw = ConvWeightGradAcc(New(outC, k), cols, gRows)
+				gw = ConvWeightGradAcc(New(outC, k), cols, grad)
 				dx = ConvInputGradInto(New(g.n, g.c, g.h, g.w), New(g.n, k, oh*ow), grad, w, g.kh, g.kw, g.stride, g.pad)
 				return out, gw, dx
 			}

@@ -135,6 +135,9 @@ func TestIm2ColShapePanics(t *testing.T) {
 		ConvInputGradInto(New(1, 1, 3, 3), New(5, 4), New(1, 1, 2, 2), New(1, 4), 2, 2, 1, 0)
 	})
 	assertPanics(t, "rows shape", func() { RowsToNCHW(New(5, 2), 1, 2, 2, 2) })
+	assertPanics(t, "weight gradient grad shape", func() {
+		ConvWeightGradAcc(New(2, 4), New(1, 4, 4), New(1, 2, 2, 3))
+	})
 }
 
 func BenchmarkIm2Col32x32(b *testing.B) {

@@ -63,13 +63,6 @@ func MatMulF16Into(dst, a *Tensor, b *F16Matrix) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulF16Into inner dims %d and %d", k, b.rows))
 	}
 	checkGemmDst("MatMulF16Into", dst, m, n)
-	if m == 0 || n == 0 {
-		return dst
-	}
-	if k == 0 {
-		dst.Zero()
-		return dst
-	}
 	ad, od := a.data, dst.data
 	wide := Default.GetBuf(min(gemmKC, k) * n)
 	for p0 := 0; p0 < k; p0 += gemmKC {

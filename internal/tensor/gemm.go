@@ -6,50 +6,41 @@ import (
 	"medsplit/internal/tensor/kernels"
 )
 
-// This file is the production GEMM engine: cache-blocked, register-tiled
-// kernels behind MatMul, MatMulTA and MatMulTB, plus the Into/Acc
-// variants the layers use to reuse output buffers across training
-// rounds. Design notes:
+// This file is the GEMM driver behind MatMul, MatMulTA and MatMulTB and
+// their Into/Acc variants. Every product runs through one kernel,
+// kernels.GemmPanel (its doc covers blocking, register tiling and
+// dispatch); the driver only brings the operands into the row-major
+// layout the kernel reads and fans output rows out over workers:
 //
-//   - The contraction (k) dimension is processed in gemmKC-sized panels
-//     so the b panel a row group sweeps stays cache-resident instead of
-//     re-streaming all of b from memory for every block of output rows.
-//   - Output rows are produced four at a time (register tiling): each
-//     loaded b value feeds four independent multiply-adds, quartering
-//     memory traffic on b and giving the CPU independent dependency
-//     chains to overlap.
-//   - MatMulTA packs panels of aᵀ into pooled scratch first: a's layout
-//     is column-strided for that product, and packing converts the
-//     strided reads into the same row-streaming kernel MatMul uses.
-//   - Per-output-element accumulation order over k is identical to the
-//     naive reference kernels (k panels are visited in order and each
-//     element has a single accumulation chain), so results match the
-//     reference bit-for-bit on finite inputs; the differential tests
-//     assert exactly that.
+//   - a·b: both operands are already in place;
+//   - a·bᵀ: bᵀ is packed once into pooled scratch before the fan-out;
+//   - aᵀ·b: each worker packs its own rows of aᵀ, one gemmKC panel at
+//     a time, so no value is packed twice.
 //
-// Work is still fanned out with parallelRows, chunked on row blocks.
+// Packing only moves values, and the kernel gives every output element
+// one sequential accumulation chain over k, so every form is
+// bit-identical to its naive reference on finite inputs; the
+// differential tests assert exactly that on every kernel arm.
 
-// gemmKC is the contraction-dimension panel size. 128 float32 rows of a
-// [kc, n] b panel occupy 128·n·4 bytes — L2-resident for every n this
-// codebase produces (n ≤ 4096). It mirrors kernels.KC so the packing
-// scratch sized here matches the panels the kernel layer blocks on.
+// gemmKC is the contraction-dimension panel size of the aᵀ packing. It
+// mirrors kernels.KC so a packed panel is exactly one kernel panel.
 const gemmKC = kernels.KC
 
 // MatMul returns the matrix product a·b for a of shape [m,k] and b of
-// shape [k,n] using the blocked engine.
+// shape [k,n].
 func MatMul(a, b *Tensor) *Tensor {
-	m, _, n := checkMatMul("MatMul", a, b, false, false)
+	m, k, n := checkMatMul("MatMul", a, b, false, false)
 	out := New(m, n)
-	gemmNN(out, a, b)
+	gemm(out.data, a.data, b.data, m, k, n, false, false, false)
 	return out
 }
 
 // MatMulInto computes a·b into dst (shape [m,n]), overwriting it, and
 // returns dst. dst may be dirty pooled storage; every element is written.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
-	m, _, n := checkMatMul("MatMulInto", a, b, false, false)
+	m, k, n := checkMatMul("MatMulInto", a, b, false, false)
 	checkGemmDst("MatMulInto", dst, m, n)
-	gemmNN(dst, a, b)
+	gemm(dst.data, a.data, b.data, m, k, n, false, false, false)
 	return dst
 }
 
@@ -57,47 +48,37 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 // producing [m,n] without materializing the transpose. Dense-layer weight
 // gradients (xᵀ·dy) use this form.
 func MatMulTA(a, b *Tensor) *Tensor {
-	m, _, n := checkMatMul("MatMulTA", a, b, true, false)
+	m, k, n := checkMatMul("MatMulTA", a, b, true, false)
 	out := New(m, n)
-	gemmTA(out, a, b, false)
+	gemm(out.data, a.data, b.data, m, k, n, true, false, false)
 	return out
-}
-
-// MatMulTAInto computes aᵀ·b into dst (shape [m,n]), overwriting it, and
-// returns dst.
-func MatMulTAInto(dst, a, b *Tensor) *Tensor {
-	m, _, n := checkMatMul("MatMulTAInto", a, b, true, false)
-	checkGemmDst("MatMulTAInto", dst, m, n)
-	gemmTA(dst, a, b, false)
-	return dst
 }
 
 // MatMulTAAcc accumulates dst += aᵀ·b. It is the fused form of the
 // gradient update pattern G.AddInPlace(MatMulTA(x, dy)) and avoids the
 // temporary product tensor entirely.
 func MatMulTAAcc(dst, a, b *Tensor) *Tensor {
-	m, _, n := checkMatMul("MatMulTAAcc", a, b, true, false)
+	m, k, n := checkMatMul("MatMulTAAcc", a, b, true, false)
 	checkGemmDst("MatMulTAAcc", dst, m, n)
-	gemmTA(dst, a, b, true)
+	gemm(dst.data, a.data, b.data, m, k, n, true, false, true)
 	return dst
 }
 
 // MatMulTB returns a·bᵀ for a of shape [m,k] and b of shape [n,k],
-// producing [m,n] without materializing the transpose. Dense-layer input
-// gradients (dy·wᵀ) use this form.
+// producing [m,n]. Dense-layer input gradients (dy·wᵀ) use this form.
 func MatMulTB(a, b *Tensor) *Tensor {
-	m, _, n := checkMatMul("MatMulTB", a, b, false, true)
+	m, k, n := checkMatMul("MatMulTB", a, b, false, true)
 	out := New(m, n)
-	gemmTB(out, a, b)
+	gemm(out.data, a.data, b.data, m, k, n, false, true, false)
 	return out
 }
 
 // MatMulTBInto computes a·bᵀ into dst (shape [m,n]), overwriting it, and
 // returns dst.
 func MatMulTBInto(dst, a, b *Tensor) *Tensor {
-	m, _, n := checkMatMul("MatMulTBInto", a, b, false, true)
+	m, k, n := checkMatMul("MatMulTBInto", a, b, false, true)
 	checkGemmDst("MatMulTBInto", dst, m, n)
-	gemmTB(dst, a, b)
+	gemm(dst.data, a.data, b.data, m, k, n, false, true, false)
 	return dst
 }
 
@@ -107,213 +88,74 @@ func checkGemmDst(op string, dst *Tensor, m, n int) {
 	}
 }
 
-// gemmNN is the blocked kernel for out = a·b (no transposes). With
-// vector kernels active the panel kernel runs directly over b — its
-// assembly vectorizes across b's columns, so the operand is already in
-// the layout it wants and the transpose pass disappears. On the scalar
-// fallback, row counts that amortize it transpose b once into pooled
-// scratch so the register-tiled dot kernel (gemmTBPanel) does the
-// O(m·k·n) work with both operands k-contiguous; small row counts use
-// the panel kernel, which needs no scratch.
-func gemmNN(out, a, b *Tensor) {
-	m, k, n := a.shape[0], a.shape[1], b.shape[1]
-	if kernels.Active() || m < 8 {
-		if serialRows(m, m*k*n) {
-			kernels.GemmPanel(out.data, a.data, b.data, 0, m, k, n, 0, false)
-		} else {
-			parallelRows(m, m*k*n, func(r0, r1 int) {
-				kernels.GemmPanel(out.data, a.data, b.data, r0, r1, k, n, 0, false)
-			})
-		}
+// gemm computes out [m,n] = op(a)·op(b), or adds it to out when acc is
+// set. op(a) is [m,k]: a is stored [m,k], or [k,m] with transA. op(b)
+// is [k,n]: b is stored [k,n], or [n,k] with transB.
+func gemm(out, a, b []float32, m, k, n int, transA, transB, acc bool) {
+	if transB {
+		bt := Default.GetBuf(k * n)
+		transpose(bt, b, 1, n, k)
+		gemm(out, a, bt, m, k, n, transA, false, acc)
+		Default.PutBuf(bt)
 		return
 	}
-	btd, bd := Default.GetBuf(n*k), b.data
-	if serialRows(n, 2*n*k) {
-		transposeRange(btd, bd, k, n, 0, n)
-	} else {
-		parallelRows(n, 2*n*k, func(c0, c1 int) {
-			transposeRange(btd, bd, k, n, c0, c1)
-		})
-	}
 	if serialRows(m, m*k*n) {
-		gemmTBPanel(out.data, a.data, btd, 0, m, k, n)
-	} else {
-		parallelRows(m, m*k*n, func(r0, r1 int) {
-			gemmTBPanel(out.data, a.data, btd, r0, r1, k, n)
-		})
-	}
-	Default.PutBuf(btd)
-}
-
-// transposeRange writes columns [c0,c1) of the [k,n] matrix bd into the
-// corresponding k-contiguous rows of btd.
-func transposeRange(btd, bd []float32, k, n, c0, c1 int) {
-	for c := c0; c < c1; c++ {
-		row := btd[c*k : c*k+k]
-		for p := range row {
-			row[p] = bd[p*n+c]
-		}
-	}
-}
-
-// gemmTA computes out = aᵀ·b (a is [k,m], b is [k,n]) by packing panels
-// of aᵀ into pooled scratch, then running the gemmNN row kernel over the
-// packed rows. Packing costs O(m·k) against O(m·k·n) compute and turns
-// a's stride-m column walks into sequential streams.
-func gemmTA(out, a, b *Tensor, acc bool) {
-	k, m := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if serialRows(m, m*k*n) {
-		gemmTARange(out.data, a.data, b.data, m, k, n, 0, m, acc)
+		gemmRange(out, a, b, m, k, n, transA, acc, 0, m)
 		return
 	}
 	parallelRows(m, m*k*n, func(r0, r1 int) {
-		gemmTARange(out.data, a.data, b.data, m, k, n, r0, r1, acc)
+		gemmRange(out, a, b, m, k, n, transA, acc, r0, r1)
 	})
 }
 
-// gemmTARange computes out rows [r0,r1) of an aᵀ·b product by packing
-// gemmKC-wide panels of aᵀ into pooled scratch and running the row
-// kernel over them.
-func gemmTARange(od, ad, bd []float32, m, k, n, r0, r1 int, acc bool) {
+// gemmRange computes out rows [r0,r1) of op(a)·b. With transA it packs
+// gemmKC-wide panels of those rows of aᵀ into pooled scratch and runs
+// the kernel over each, shifting b to the panel's contraction offset
+// and accumulating for every panel after the first.
+func gemmRange(out, a, b []float32, m, k, n int, transA, acc bool, r0, r1 int) {
+	if !transA {
+		kernels.GemmPanel(out, a, b, r0, r1, k, n, 0, acc)
+		return
+	}
 	rows := r1 - r0
 	pk := Default.GetBuf(rows * min(gemmKC, k))
 	for p0 := 0; p0 < k; p0 += gemmKC {
-		p1 := min(p0+gemmKC, k)
-		kb := p1 - p0
+		kb := min(gemmKC, k-p0)
 		for i := r0; i < r1; i++ {
 			row := pk[(i-r0)*kb : (i-r0)*kb+kb]
-			for p := p0; p < p1; p++ {
-				row[p-p0] = ad[p*m+i]
+			for p := range row {
+				row[p] = a[(p0+p)*m+i]
 			}
 		}
-		// One packed panel is a [rows, kb] a-block starting at
-		// contraction offset p0: run the row kernel with b shifted to
-		// the same offset, accumulating for every panel after the
-		// first. The panel is already kc-sized, so the single-panel
-		// kernel entry applies directly (lda=kb, row i at (i-r0)·kb).
-		kernels.GemmPanelK(od, pk, bd[p0*n:], r0, r1, kb, n, kb, -r0*kb, acc || p0 > 0)
+		// Packed row i sits at (i-r0)·kb, so lda = kb and aoff = -r0·kb.
+		kernels.GemmPanelK(out, pk, b[p0*n:], r0, r1, kb, n, kb, -r0*kb, acc || p0 > 0)
 	}
 	Default.PutBuf(pk)
 }
 
-// gemmTB computes out = a·bᵀ (a is [m,k], b is [n,k]). With vector
-// kernels active, bᵀ is materialized once into pooled scratch — an
-// O(k·n) pass — so the O(m·k·n) work runs through the vectorized panel
-// kernel; each output element still accumulates sequentially over p,
-// so the result stays bit-identical to the dot-product reference. The
-// scalar fallback keeps the 4×4 register-tiled dot kernel: sixteen
-// scalar accumulators per tile give every loaded a and b value four
-// uses, and both operands are k-contiguous without packing.
-func gemmTB(out, a, b *Tensor) {
-	m, k, n := a.shape[0], a.shape[1], b.shape[0]
-	if kernels.Active() && m >= 2 {
-		// b is [n,k]; the panel kernel wants [k,n]. transposeRange
-		// reads column c of a [k,n] matrix into row c of the scratch —
-		// exactly bᵀᵀ — so with roles swapped (treating b as the [n,k]
-		// source) it writes bt[p*n+c] = b[c*k+p].
-		btd, bd := Default.GetBuf(n*k), b.data
-		if serialRows(k, 2*n*k) {
-			transposeRange(btd, bd, n, k, 0, k)
-		} else {
-			parallelRows(k, 2*n*k, func(c0, c1 int) {
-				transposeRange(btd, bd, n, k, c0, c1)
-			})
-		}
-		if serialRows(m, m*k*n) {
-			kernels.GemmPanel(out.data, a.data, btd, 0, m, k, n, 0, false)
-		} else {
-			parallelRows(m, m*k*n, func(r0, r1 int) {
-				kernels.GemmPanel(out.data, a.data, btd, r0, r1, k, n, 0, false)
-			})
-		}
-		Default.PutBuf(btd)
+// transpose writes the transposes of the batch [rows, cols] matrices in
+// src to dst as batch [cols, rows] matrices. It fans out over dst's
+// rows, which are disjoint, so workers never overlap.
+func transpose(dst, src []float32, batch, rows, cols int) {
+	units, work := batch*cols, batch*rows*cols
+	if serialRows(units, work) {
+		transposeRange(dst, src, rows, cols, 0, units)
 		return
 	}
-	if serialRows(m, m*k*n) {
-		gemmTBPanel(out.data, a.data, b.data, 0, m, k, n)
-		return
-	}
-	parallelRows(m, m*k*n, func(r0, r1 int) {
-		gemmTBPanel(out.data, a.data, b.data, r0, r1, k, n)
+	parallelRows(units, work, func(u0, u1 int) {
+		transposeRange(dst, src, rows, cols, u0, u1)
 	})
 }
 
-// gemmTBPanel computes out rows [r0,r1) of a·bᵀ where both a and b are
-// stored k-contiguous ([m,k] and [n,k]).
-func gemmTBPanel(od, ad, bd []float32, r0, r1, k, n int) {
-	{
-		i := r0
-		for ; i+4 <= r1; i += 4 {
-			a0 := ad[(i+0)*k : (i+0)*k+k]
-			a1 := ad[(i+1)*k : (i+1)*k+k]
-			a2 := ad[(i+2)*k : (i+2)*k+k]
-			a3 := ad[(i+3)*k : (i+3)*k+k]
-			a1 = a1[:len(a0)]
-			a2 = a2[:len(a0)]
-			a3 = a3[:len(a0)]
-			j := 0
-			// 4×2 register tile: eight accumulators (plus the six
-			// operand temporaries) stay within the sixteen SSE
-			// registers, where a 4×4 tile spills to the stack.
-			for ; j+2 <= n; j += 2 {
-				b0 := bd[(j+0)*k : (j+0)*k+k]
-				b1 := bd[(j+1)*k : (j+1)*k+k]
-				b0 = b0[:len(a0)]
-				b1 = b1[:len(a0)]
-				var c00, c01 float32
-				var c10, c11 float32
-				var c20, c21 float32
-				var c30, c31 float32
-				for p, av0 := range a0 {
-					av1, av2, av3 := a1[p], a2[p], a3[p]
-					bv0, bv1 := b0[p], b1[p]
-					c00 += av0 * bv0
-					c01 += av0 * bv1
-					c10 += av1 * bv0
-					c11 += av1 * bv1
-					c20 += av2 * bv0
-					c21 += av2 * bv1
-					c30 += av3 * bv0
-					c31 += av3 * bv1
-				}
-				o0 := od[(i+0)*n+j:]
-				o0[0], o0[1] = c00, c01
-				o1 := od[(i+1)*n+j:]
-				o1[0], o1[1] = c10, c11
-				o2 := od[(i+2)*n+j:]
-				o2[0], o2[1] = c20, c21
-				o3 := od[(i+3)*n+j:]
-				o3[0], o3[1] = c30, c31
-			}
-			for ; j < n; j++ {
-				brow := bd[j*k : j*k+k]
-				brow = brow[:len(a0)]
-				var s0, s1, s2, s3 float32
-				for p, bv := range brow {
-					s0 += a0[p] * bv
-					s1 += a1[p] * bv
-					s2 += a2[p] * bv
-					s3 += a3[p] * bv
-				}
-				od[(i+0)*n+j] = s0
-				od[(i+1)*n+j] = s1
-				od[(i+2)*n+j] = s2
-				od[(i+3)*n+j] = s3
-			}
-		}
-		for ; i < r1; i++ {
-			arow := ad[i*k : i*k+k]
-			orow := od[i*n : i*n+n]
-			for j := 0; j < n; j++ {
-				brow := bd[j*k : j*k+k]
-				brow = brow[:len(arow)]
-				var s float32
-				for p, av := range arow {
-					s += av * brow[p]
-				}
-				orow[j] = s
-			}
+// transposeRange fills dst rows [u0,u1) for transpose: row u is column
+// u%cols of source matrix u/cols.
+func transposeRange(dst, src []float32, rows, cols, u0, u1 int) {
+	for u := u0; u < u1; u++ {
+		s, c := u/cols, u%cols
+		m := src[s*rows*cols:]
+		row := dst[u*rows : u*rows+rows]
+		for r := range row {
+			row[r] = m[r*cols+c]
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"medsplit/internal/rng"
+	"medsplit/internal/tensor/kernels"
 )
 
 // gemmShapes are the differential-test shapes: degenerate, odd, prime,
@@ -23,6 +25,9 @@ var gemmShapes = [][3]int{
 	{127, 131, 129},
 	{128, 27, 16},
 	{5, 300, 4},
+	{1, 64, 300}, // one output row
+	{1, 300, 17}, // one row, k past one KC panel
+	{9, 257, 33}, // k past two KC panels
 }
 
 // withinOneUlp reports whether got and want are bitwise equal or differ
@@ -74,18 +79,28 @@ func runWorkerModes(t *testing.T, fn func(t *testing.T)) {
 	})
 }
 
+// TestBlockedGemmMatchesNaive holds every product form to its naive
+// reference bit for bit, on every kernel arm the host has: each output
+// element keeps one sequential accumulation chain, whatever the driver
+// packs.
 func TestBlockedGemmMatchesNaive(t *testing.T) {
+	t.Logf("arms: %v", kernels.Arms())
+	defer kernels.UseArm("")
 	runWorkerModes(t, func(t *testing.T) {
-		r := rng.New(42)
-		for _, s := range gemmShapes {
-			m, k, n := s[0], s[1], s[2]
-			a := randTensor(r, m, k)
-			b := randTensor(r, k, n)
-			at := randTensor(r, k, m)
-			bt := randTensor(r, n, k)
-			assertUlpEqual(t, "MatMul", MatMul(a, b), MatMulNaive(a, b))
-			assertUlpEqual(t, "MatMulTA", MatMulTA(at, b), MatMulTANaive(at, b))
-			assertUlpEqual(t, "MatMulTB", MatMulTB(a, bt), MatMulTBNaive(a, bt))
+		for _, arm := range kernels.Arms() {
+			kernels.UseArm(arm)
+			r := rng.New(42)
+			for _, s := range gemmShapes {
+				m, k, n := s[0], s[1], s[2]
+				a := randTensor(r, m, k)
+				b := randTensor(r, k, n)
+				at := randTensor(r, k, m)
+				bt := randTensor(r, n, k)
+				tag := fmt.Sprintf(" %v [%s]", s, arm)
+				assertBitEqual(t, "MatMul"+tag, MatMul(a, b), MatMulNaive(a, b))
+				assertBitEqual(t, "MatMulTA"+tag, MatMulTA(at, b), MatMulTANaive(at, b))
+				assertBitEqual(t, "MatMulTB"+tag, MatMulTB(a, bt), MatMulTBNaive(a, bt))
+			}
 		}
 	})
 }
@@ -102,9 +117,9 @@ func TestBlockedGemmLargeParallel(t *testing.T) {
 	b := randTensor(r, k, n)
 	at := randTensor(r, k, m)
 	bt := randTensor(r, n, k)
-	assertUlpEqual(t, "MatMul", MatMul(a, b), MatMulNaive(a, b))
-	assertUlpEqual(t, "MatMulTA", MatMulTA(at, b), MatMulTANaive(at, b))
-	assertUlpEqual(t, "MatMulTB", MatMulTB(a, bt), MatMulTBNaive(a, bt))
+	assertBitEqual(t, "MatMul", MatMul(a, b), MatMulNaive(a, b))
+	assertBitEqual(t, "MatMulTA", MatMulTA(at, b), MatMulTANaive(at, b))
+	assertBitEqual(t, "MatMulTB", MatMulTB(a, bt), MatMulTBNaive(a, bt))
 }
 
 // TestGemmIntoOverwritesDirtyBuffers verifies the Into variants fully
@@ -115,16 +130,29 @@ func TestGemmIntoOverwritesDirtyBuffers(t *testing.T) {
 		m, k, n := s[0], s[1], s[2]
 		a := randTensor(r, m, k)
 		b := randTensor(r, k, n)
-		at := randTensor(r, k, m)
 		bt := randTensor(r, n, k)
 
 		dirty := func() *Tensor { return Full(999, m, n) }
 		got := MatMulInto(dirty(), a, b)
-		assertUlpEqual(t, "MatMulInto", got, MatMulNaive(a, b))
-		got = MatMulTAInto(dirty(), at, b)
-		assertUlpEqual(t, "MatMulTAInto", got, MatMulTANaive(at, b))
+		assertBitEqual(t, "MatMulInto", got, MatMulNaive(a, b))
 		got = MatMulTBInto(dirty(), a, bt)
-		assertUlpEqual(t, "MatMulTBInto", got, MatMulTBNaive(a, bt))
+		assertBitEqual(t, "MatMulTBInto", got, MatMulTBNaive(a, bt))
+	}
+}
+
+// matMulTAAccNaive accumulates dst += aᵀ·b (a [k,m], b [k,n]): one
+// sequential chain per element, over a's and b's rows in order,
+// starting from dst's value.
+func matMulTAAccNaive(dst, a, b *Tensor) {
+	k, m, n := a.shape[0], a.shape[1], b.shape[1]
+	for p := 0; p < k; p++ {
+		for i := 0; i < m; i++ {
+			av := a.data[p*m+i]
+			orow := dst.data[i*n : (i+1)*n]
+			for j, bv := range b.data[p*n : (p+1)*n] {
+				orow[j] += av * bv
+			}
+		}
 	}
 }
 
@@ -133,11 +161,9 @@ func TestMatMulTAAccAccumulates(t *testing.T) {
 	at := randTensor(r, 11, 6)
 	b := randTensor(r, 11, 8)
 	base := randTensor(r, 6, 8)
-	want := Add(base, MatMulTANaive(at, b))
-	got := MatMulTAAcc(base.Clone(), at, b)
-	if !AllClose(got, want, 1e-5) {
-		t.Fatalf("MatMulTAAcc mismatch")
-	}
+	want := base.Clone()
+	matMulTAAccNaive(want, at, b)
+	assertBitEqual(t, "MatMulTAAcc", MatMulTAAcc(base.Clone(), at, b), want)
 }
 
 func TestSumRowsAcc(t *testing.T) {

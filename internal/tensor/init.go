@@ -21,15 +21,6 @@ func (t *Tensor) FillUniform(r *rng.RNG, lo, hi float32) {
 	}
 }
 
-// XavierInit fills t with Glorot/Xavier-uniform weights for a layer with
-// the given fan-in and fan-out: U(-a, a) with a = sqrt(6/(fanIn+fanOut)).
-// It keeps activation variance roughly constant through tanh/sigmoid-style
-// layers.
-func (t *Tensor) XavierInit(r *rng.RNG, fanIn, fanOut int) {
-	a := float32(math.Sqrt(6 / float64(fanIn+fanOut)))
-	t.FillUniform(r, -a, a)
-}
-
 // HeInit fills t with He-normal weights for a layer with the given
 // fan-in: N(0, sqrt(2/fanIn)). It is the standard initialization for
 // ReLU networks such as the paper's VGG and ResNet models.

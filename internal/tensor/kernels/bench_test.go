@@ -30,7 +30,7 @@ func vectorArms() []string {
 
 // BenchmarkKernelGemmPanel times two square products and the conv
 // weight gradient's shape on the repository benchmark's VGG-lite
-// (Gᵀ[K, outC] += colsT·gRows at conv2: K = 72, P = 256, outC = 16).
+// (Gᵀ[K, outC] += colsT·gradᵀ at conv2: K = 72, P = 256, outC = 16).
 func BenchmarkKernelGemmPanel(b *testing.B) {
 	shapes := []struct {
 		name    string

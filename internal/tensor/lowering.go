@@ -14,8 +14,8 @@ import (
 //
 //   - forward:         out_n [outC, P] = W [outC, K] · colsT_n, which is
 //     sample n's NCHW output block, so no repack pass follows;
-//   - weight gradient: Gᵀ [K, outC] += colsT_n · gRows_n [P, outC], so
-//     no operand is packed transposed;
+//   - weight gradient: Gᵀ [K, outC] += colsT_n · grad_nᵀ [P, outC], with
+//     every grad_n packed to [P, outC] once before the products;
 //   - input gradient:  dColsT_n [K, P] = Wᵀ [K, outC] · grad_n [outC, P],
 //     which reads the NCHW gradient block in place.
 //
@@ -289,23 +289,24 @@ func convForwardRange(od, cd, xd, wd, bd []float32, g lowering, outC, n0, n1 int
 }
 
 // ConvWeightGradAcc accumulates the kernel gradient gw [outC, K] +=
-// Σ_n gRows_nᵀ · colsT_nᵀ, where cols [n, K, P] holds the forward's
-// column matrices and gRows [n·P, outC] is the output gradient in rows
-// layout (NCHWToRowsInto). gw is transposed into pooled scratch, takes
-// colsT_n · gRows_n sample by sample in sample order, and is written
-// back. The work fans out over rows of gwᵀ; each worker walks every
-// sample.
-func ConvWeightGradAcc(gw, cols, gRows *Tensor) *Tensor {
+// Σ_n grad_n · colsT_nᵀ, where cols [n, K, P] holds the forward's column
+// matrices and grad [n, outC, oh, ow] is the output gradient. Every
+// grad_n is packed once as [P, outC] into pooled scratch and gw is
+// transposed into more; gwᵀ then takes colsT_n · grad_nᵀ sample by
+// sample, in sample order, and is written back. The products fan out
+// over rows of gwᵀ; each worker walks every sample.
+func ConvWeightGradAcc(gw, cols, grad *Tensor) *Tensor {
 	if len(cols.shape) != 3 || len(gw.shape) != 2 || gw.shape[1] != cols.shape[1] {
 		panic(fmt.Sprintf("tensor: ConvWeightGradAcc gw %v, cols %v", gw.shape, cols.shape))
 	}
 	n, k, p, outC := cols.shape[0], cols.shape[1], cols.shape[2], gw.shape[0]
-	if len(gRows.shape) != 2 || gRows.shape[0] != n*p || gRows.shape[1] != outC {
-		panic(fmt.Sprintf("tensor: ConvWeightGradAcc gRows shape %v, want [%d,%d]", gRows.shape, n*p, outC))
+	if len(grad.shape) != 4 || grad.shape[0] != n || grad.shape[1] != outC || grad.shape[2]*grad.shape[3] != p {
+		panic(fmt.Sprintf("tensor: ConvWeightGradAcc grad shape %v, want [%d,%d,oh,ow] with oh·ow = %d", grad.shape, n, outC, p))
 	}
-	gt := Default.GetBuf(k * outC)
-	transposeRange(gt, gw.data, outC, k, 0, k)
-	cd, rd := cols.data, gRows.data
+	gt, rd := Default.GetBuf(k*outC), Default.GetBuf(n*p*outC)
+	transpose(gt, gw.data, 1, outC, k)
+	transpose(rd, grad.data, n, outC, p)
+	cd := cols.data
 	if work := n * k * p * outC; serialRows(k, work) {
 		convWeightGradRange(gt, cd, rd, n, k, p, outC, 0, k)
 	} else {
@@ -313,13 +314,14 @@ func ConvWeightGradAcc(gw, cols, gRows *Tensor) *Tensor {
 			convWeightGradRange(gt, cd, rd, n, k, p, outC, r0, r1)
 		})
 	}
-	transposeRange(gw.data, gt, k, outC, 0, outC)
+	transpose(gw.data, gt, 1, k, outC)
+	Default.PutBuf(rd)
 	Default.PutBuf(gt)
 	return gw
 }
 
 // convWeightGradRange accumulates rows [r0, r1) of gwᵀ over every
-// sample, in sample order.
+// sample, in sample order. rd holds the packed grad_nᵀ, [P, outC] each.
 func convWeightGradRange(gt, cd, rd []float32, n, k, p, outC, r0, r1 int) {
 	for s := 0; s < n; s++ {
 		kernels.GemmPanel(gt, cd[s*k*p:(s+1)*k*p], rd[s*p*outC:(s+1)*p*outC], r0, r1, p, outC, 0, true)
@@ -328,8 +330,8 @@ func convWeightGradRange(gt, cd, rd []float32, n, k, p, outC, r0, r1 int) {
 
 // ConvBiasGradAcc accumulates the bias gradient db [outC] +=
 // Σ_n Σ_p grad[n, oc, p] straight from the NCHW output gradient. Each
-// db[oc] is one chain over n, then p: the row order
-// SumRowsAcc(NCHWToRows(grad)) walks, so the bits match it. Four
+// db[oc] is one chain over n, then p: the order SumRowsAcc walks the
+// rows layout [n·P, outC] in, so the bits match it. Four
 // channels run interleaved so the chains overlap.
 func ConvBiasGradAcc(db, grad *Tensor) *Tensor {
 	if len(grad.shape) != 4 || db.Size() != grad.shape[1] {
@@ -380,7 +382,7 @@ func ConvInputGradInto(dx, dCols, grad, w *Tensor, kh, kw, stride, pad int) *Ten
 	checkNCHW("ConvInputGradInto grad", grad, n, outC, g.oh, g.ow)
 	checkCols("ConvInputGradInto", dCols, n, g)
 	wt := Default.GetBuf(k * outC)
-	transposeRange(wt, w.data, outC, k, 0, k)
+	transpose(wt, w.data, 1, outC, k)
 	xd, cd, gd := dx.data, dCols.data, grad.data
 	if work := n * k * p * outC; serialRows(n, work) {
 		convInputGradRange(xd, cd, gd, wt, g, outC, 0, n)

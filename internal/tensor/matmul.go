@@ -6,18 +6,19 @@ import (
 	"sync"
 )
 
-// parallelThreshold is the number of multiply-adds below which the GEMM
-// and im2col kernels stay single-threaded: goroutine fan-out costs more
-// than it saves on small products.
+// parallelThreshold is the work (multiply-adds, or values moved for the
+// packing passes) below which the GEMM, conv, im2col and transpose
+// kernels stay single-threaded: goroutine fan-out costs more than it
+// saves on small products.
 const parallelThreshold = 1 << 18
 
 // This file holds the reference GEMM kernels: the unblocked i-k-j loops
-// the engine shipped with originally. They remain the semantic ground
-// truth — the blocked, register-tiled kernels in gemm.go are verified
-// against them bit-for-bit (or within reassociation tolerance) by the
-// differential tests, and the benchmarks report speedups relative to
-// them. Production callers should use MatMul/MatMulTA/MatMulTB, which
-// dispatch to the blocked engine.
+// the engine shipped with originally, plus the worker fan-out every
+// kernel in the package shares. The references remain the semantic
+// ground truth: the differential tests hold the driver in gemm.go to
+// them bit for bit on every kernel arm, and the benchmarks report
+// speedups relative to them. Production code calls the gemm.go entry
+// points (MatMulInto, MatMulTAAcc, MatMulTBInto), never these.
 
 // MatMulNaive returns a·b with the reference unblocked i-k-j kernel.
 func MatMulNaive(a, b *Tensor) *Tensor {
