@@ -41,13 +41,14 @@ COVER_MIN_paramserver = 82
 
 .PHONY: test bench-check benchmark bench bench-save bench-save-tensor bench-smoke bench-compare bench-save-serve bench-save-consistency load-test chaos-test fuzz-smoke cover vuln race vet fmt-check purego-test cross-arm64 ci
 
-# The serving batcher's flush decision (idle slot or held batch) depends
-# on goroutine timing, so its tests also run three times on one core.
+# The serving batcher's flush decision (idle slot or held batch), its
+# wake-ups and its hand-off to compute lanes depend on goroutine timing,
+# so their tests also run three times on one core.
 test:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
-	GOMAXPROCS=1 $(GO) test -count=3 -run 'Batch|Flush|IdleSlot|Overload|Expired' ./internal/serve/
+	GOMAXPROCS=1 $(GO) test -count=3 -run 'Batch|Flush|IdleSlot|Overload|Expired|Lane|Wake' ./internal/serve/
 
 # The repository benchmark (BENCHMARK.json) is a Go module of its own
 # under bench/ (`replace medsplit => ../`), so `go build ./...` and

@@ -14,8 +14,10 @@ import (
 //
 // The layer owns persistent scratch (the column matrices, the output,
 // the column gradients and the input gradient) that is reused across
-// calls instead of allocated per call; the gradient's transpose for the
-// weight-gradient GEMM is tensor's pooled scratch, so the layer sees
+// calls instead of allocated per call. A train forward keeps one column
+// matrix per sample for the weight gradient; an eval forward needs only
+// one per worker (tensor.ConvColBlocks). The gradient's transpose for
+// the weight-gradient GEMM is tensor's pooled scratch, so the layer sees
 // only NCHW. The scratch is shared between train and eval forwards, so
 // Backward must run before the next Forward of any kind — the invariant
 // every training loop in this codebase already satisfies (forward →
@@ -28,7 +30,7 @@ type Conv2D struct {
 	w           *Param // [outC, inC*kh*kw]
 	b           *Param // [outC]
 
-	cols        *tensor.Tensor // persistent column scratch [n, inC*kh*kw, oh*ow], valid after any Forward
+	cols        *tensor.Tensor // persistent column scratch [blocks, inC*kh*kw, oh*ow]: n blocks after a train Forward
 	dCols       *tensor.Tensor // backward scratch: column gradients, shaped like cols
 	out         *tensor.Tensor // forward output scratch (same lifetime contract)
 	dx          *tensor.Tensor // backward input-gradient scratch
@@ -58,8 +60,9 @@ func NewConv2D(name string, inC, outC, kh, kw, stride, pad int, r *rng.RNG) *Con
 func (c *Conv2D) Name() string { return c.name }
 
 // Forward computes the convolution of x [n, inC, h, w]: the column
-// matrices go into reusable scratch and one GEMM per sample writes the
-// NCHW output (bias included) directly.
+// matrices go into reusable scratch (one per sample in train mode, one
+// per worker in eval mode) and one GEMM per sample writes the NCHW
+// output (bias included) directly.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(1) != c.inC {
 		panic(fmt.Sprintf("nn: %s: Conv2D input %v, want [n,%d,h,w]", c.name, x.Shape(), c.inC))
@@ -67,7 +70,11 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh := tensor.ConvOutSize(h, c.kh, c.stride, c.pad)
 	ow := tensor.ConvOutSize(w, c.kw, c.stride, c.pad)
-	c.cols = tensor.EnsureShape(c.cols, n, c.inC*c.kh*c.kw, oh*ow)
+	blocks := n
+	if !train {
+		blocks = tensor.ConvColBlocks(n)
+	}
+	c.cols = tensor.EnsureShape(c.cols, blocks, c.inC*c.kh*c.kw, oh*ow)
 	c.out = tensor.EnsureShape(c.out, n, c.outC, oh, ow)
 	out := tensor.ConvForwardInto(c.out, c.cols, x, c.w.W, c.b.W, c.kh, c.kw, c.stride, c.pad)
 	if train {

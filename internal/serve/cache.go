@@ -44,9 +44,11 @@ const (
 // success, so a restore that fails halfway can never leave the warm
 // model half-overwritten.
 //
-// ensure is called only from the tenant's single batcher goroutine, so
-// the returned model is never Forwarded concurrently; the mutex exists
-// for the stats and health readers.
+// ensure is called only from the tenant's batcher goroutine. The model
+// it returns is never modified once handed out (a reload builds a fresh
+// one), and only the tenant's lane 0 Forwards it, one batch at a time;
+// further lanes Forward replicas that share its weights read-only (see
+// lane.follow). The mutex exists for the stats and health readers.
 //
 // precision selects the serving view of the back half (see
 // TenantConfig.InferPrecision): every successful build or reload

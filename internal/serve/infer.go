@@ -21,15 +21,17 @@ type InferConfig struct {
 	// row count (samples, not requests) reaches this. Defaults to 8.
 	BatchMax int
 	// FlushEvery is how long a batch waits for more requests while
-	// compute is busy. A request that finds a compute slot free and
-	// nothing else queued for its tenant is flushed at once and never
-	// starts the clock. Otherwise the clock starts when the batch is
-	// first held, and whatever has accumulated when it fires is
-	// flushed. The bound is on the flush, not on compute: a flushed
-	// batch still waits for a slot in the compute scheduler (round
-	// robin over every registered session and batcher, at most one lap
-	// of the ring), so a request's compute starts within FlushEvery
-	// plus that slot wait. Defaults to 2ms.
+	// compute is busy. A request that finds a compute slot and one of
+	// its tenant's lanes free, and nothing else queued for its tenant,
+	// is flushed at once and never starts the clock. Otherwise the
+	// clock starts when the batch is first held, and whatever has
+	// accumulated when it fires is flushed; a slot or lane freeing
+	// first flushes it sooner. The bound is on the flush, not on
+	// compute: a flushed batch still waits for one of its tenant's
+	// lanes and for a slot in the compute scheduler (round robin over
+	// every registered session and batcher, at most one lap of the
+	// ring), so a request's compute starts within FlushEvery plus those
+	// waits. Defaults to 2ms.
 	FlushEvery time.Duration
 	// QueueCap bounds a tenant's pending request queue. Arrivals beyond
 	// it are refused with ErrOverloaded (carrying a retry-after hint)
@@ -58,16 +60,22 @@ func (c *InferConfig) withDefaults() InferConfig {
 // a Manager: platforms run the front half of their tenant's model
 // locally and ship cut-layer activations; the server batches them,
 // runs the back half under the shared compute gate, and returns
-// logits. One batcher goroutine per tenant owns that tenant's model,
-// decode slots and fused scratch, so tenants never contend on (or
-// leak into) each other's memory.
+// logits. Each tenant has one batcher goroutine, which forms and admits
+// batches, and up to Config.ComputeSlots compute lanes, which run them:
+// the batcher takes a compute slot and hands the batch to an idle lane,
+// which runs the forward pass on its own copy of the back half, gives
+// the slot back, then answers the batch's requests. Meanwhile the
+// batcher fills the next batch, so one tenant can use every free slot.
+// Lanes, decode slots and scratch belong to one tenant, so tenants never
+// contend on (or leak into) each other's memory.
 //
 // Batching is work-conserving: a request that arrives while a compute
-// slot is free and nothing else is queued for its tenant runs at once,
-// together with whatever its batch already holds. Only while every
-// slot is busy does a batch accumulate, up to BatchMax rows or the
-// FlushEvery timer, so batching costs latency only when it can buy
-// throughput.
+// slot and a lane are free and nothing else is queued for its tenant
+// runs at once, together with whatever its batch already holds. Only
+// while every slot (or every one of the tenant's lanes) is busy does a
+// batch accumulate, up to BatchMax rows or the FlushEvery timer, and a
+// held batch is woken as soon as a slot is banked or a lane finishes.
+// So batching costs latency only when it can buy throughput.
 //
 // Overload and failure containment (the robustness contract):
 //
@@ -143,8 +151,8 @@ func NewInferenceServer(m *Manager, cfg InferConfig) (*InferenceServer, error) {
 	return is, nil
 }
 
-// Close stops every tenant batcher after draining its queue and
-// unregisters their compute gates. Connection readers (HandleConn)
+// Close stops every tenant batcher and its lanes after draining its
+// queue and unregisters their compute gates. Connection readers (HandleConn)
 // are owned by their callers; requests arriving after Close are
 // answered with CodeDraining.
 func (is *InferenceServer) Close() {
@@ -190,8 +198,7 @@ func (is *InferenceServer) Health() []wire.TenantHealth {
 }
 
 // lockedConn serializes writes to one connection: a connection may
-// carry requests for several tenants, whose batchers respond
-// concurrently.
+// carry requests for several tenants, whose lanes respond concurrently.
 type lockedConn struct {
 	mu sync.Mutex
 	c  transport.Conn
@@ -218,9 +225,11 @@ type inferJob struct {
 // HandleConn serves one client connection: it reads requests until the
 // peer says Bye or the connection drops, routing each to its tenant's
 // batcher; MsgHealth probes are answered inline with the tenant-state
-// snapshot. Responses are written by the batcher goroutines (through a
-// per-connection send lock), so a slow tenant never blocks another
-// tenant's requests arriving on the same connection. Returns nil on
+// snapshot. Responses are written by the tenants' lanes and batchers
+// (through a per-connection send lock), so a slow tenant never blocks
+// another tenant's requests arriving on the same connection. Lanes
+// answer independently, so one tenant's responses may leave out of
+// order; clients match them by round. Returns nil on
 // clean shutdown (Bye or EOF).
 func (is *InferenceServer) HandleConn(conn transport.Conn) error {
 	lc := &lockedConn{c: conn}
@@ -338,9 +347,10 @@ func (is *InferenceServer) respondError(lc *lockedConn, platform, round uint32, 
 	})
 }
 
-// tenantServing is one tenant's serving state, owned by its batcher
-// goroutine (the slot freelist is the only cross-goroutine structure,
-// fed by connection readers).
+// tenantServing is one tenant's serving state. The batcher goroutine
+// owns the pending batch, admit's scratch and the lane list; each lane
+// owns what it computes with. The slot freelist is fed by connection
+// readers and lanes.
 type tenantServing struct {
 	is   *InferenceServer
 	t    *tenant
@@ -353,12 +363,36 @@ type tenantServing struct {
 	slotMu sync.Mutex
 	slots  [][]*tensor.Tensor
 
-	// Batcher-local scratch, reused across flushes: the fused
-	// activation tensor and the slices flush partitions a batch into.
-	fused       *tensor.Tensor
-	jobScratch  []*inferJob
-	actScratch  []*tensor.Tensor
-	sizeScratch []int
+	jobScratch []*inferJob // admit's survivors, reused across batches
+	lanes      []*lane     // created on demand, at most ComputeSlots
+	solo       bool        // the back half has no replica: every batch runs on lane 0
+}
+
+// lane is one of a tenant's compute lanes. The batcher fills in a batch
+// and a held compute slot, marks the lane busy and wakes it; the lane
+// runs the forward pass, gives the slot back, answers the requests, and
+// marks itself idle again.
+type lane struct {
+	ts   *tenantServing
+	idx  int
+	work chan struct{} // the batcher's hand-off; closed at shutdown
+	busy atomic.Bool
+
+	// The batch in flight, written by the batcher before the hand-off.
+	jobs     []*inferJob
+	trailing []int
+	release  func()
+
+	// model is what the lane forwards: the cache's model src itself on
+	// lane 0, a replica of it on the others.
+	src, model nn.Layer
+
+	// Lane-local scratch, reused across batches: the fused activation
+	// tensor, its shape, and the slices a batch partitions into.
+	fused *tensor.Tensor
+	shape []int
+	acts  []*tensor.Tensor
+	sizes []int
 }
 
 // enqueue hands a decoded request to the batcher, shedding instead of
@@ -434,12 +468,16 @@ func (ts *tenantServing) putSlot(s []*tensor.Tensor) {
 // batch, the batch flushes at once when its rows reach BatchMax, when
 // the request's own deadline budget cannot survive a full FlushEvery
 // wait (batching must never be what expires a request), or when no
-// other request is queued and a compute slot is free right now — then
-// it runs on that slot instead of idling beside it. Otherwise the batch
-// is held: the FlushEvery timer arms when a batch is first held, and
-// whatever has accumulated when it fires is flushed.
+// other request is queued and a lane and a compute slot are free right
+// now — then it runs on that slot instead of idling beside it.
+// Otherwise the batch is held: the FlushEvery timer arms when a batch
+// is first held, and whatever has accumulated when it fires is flushed.
+// A held batch also retries the free-slot flush whenever the gate's
+// wake channel fires, that is when any party banks a slot or one of the
+// tenant's lanes finishes.
 func (ts *tenantServing) run() {
 	defer ts.is.wg.Done()
+	defer ts.closeLanes()
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
@@ -481,6 +519,14 @@ func (ts *tenantServing) run() {
 			case <-timer.C:
 				flush(nil)
 				continue
+			case <-ts.gate.wake:
+				if len(ts.jobs) == 0 {
+					if release, ok := ts.tryCompute(); ok {
+						stopTimer()
+						flush(release)
+					}
+				}
+				continue
 			}
 		}
 		pending = append(pending, j)
@@ -492,7 +538,7 @@ func (ts *tenantServing) run() {
 			continue
 		}
 		if len(ts.jobs) == 0 {
-			if release, ok := ts.gate.tryAcquire(); ok {
+			if release, ok := ts.tryCompute(); ok {
 				stopTimer()
 				flush(release)
 				continue
@@ -504,13 +550,22 @@ func (ts *tenantServing) run() {
 	}
 }
 
-// flush runs one batch: admit it, fuse the survivors along dim 0, run
-// the back half once on a compute slot, split the logits back out and
-// answer each request. The slot is the one the caller already holds
-// (release non-nil) or one taken from the gate once admit has left
-// something to compute. A held slot is given back even when admit
-// leaves nothing; it is held through admit, so a checkpoint reload that
-// a pinned request triggers runs on it.
+// tryCompute takes a compute slot if one is free right now and the
+// tenant has a lane to run on it, and never waits.
+func (ts *tenantServing) tryCompute() (release func(), ok bool) {
+	if ts.idleLane() == nil {
+		return nil, false
+	}
+	return ts.gate.tryAcquire()
+}
+
+// flush runs one batch: it admits the batch, then hands the survivors
+// and a compute slot to an idle lane, which fuses them along dim 0,
+// runs the back half once, and answers each request. The slot is the
+// one the caller already holds (release non-nil) or one taken from the
+// gate once admit has left something to compute. A held slot is given
+// back even when admit leaves nothing; it is held through admit, so a
+// checkpoint reload that a pinned request triggers runs on it.
 func (ts *tenantServing) flush(jobs []*inferJob, release func()) {
 	model, live, trailing := ts.admit(jobs)
 	if len(live) == 0 {
@@ -519,35 +574,128 @@ func (ts *tenantServing) flush(jobs []*inferJob, release func()) {
 		}
 		return
 	}
-	acc, sizes := ts.actScratch[:0], ts.sizeScratch[:0]
-	for _, j := range live {
-		acc = append(acc, j.acts)
-		sizes = append(sizes, j.acts.Dim(0))
-	}
-	ts.actScratch, ts.sizeScratch = acc[:0], sizes[:0]
-	var z *tensor.Tensor
+	l := ts.takeLane(model)
 	if release == nil {
 		release = ts.gate.Acquire()
 	}
+	l.jobs = append(l.jobs[:0], live...)
+	l.trailing = append(l.trailing[:0], trailing...)
+	l.release = release
+	l.work <- struct{}{}
+}
+
+// laneCap is how many lanes the tenant may have: one per compute slot,
+// or only lane 0 when its back half cannot be replicated.
+func (ts *tenantServing) laneCap() int {
+	if ts.solo {
+		return 1
+	}
+	return ts.is.m.cfg.ComputeSlots
+}
+
+// idleLane returns the lowest-numbered idle lane. When every lane is
+// busy it adds one if the tenant has fewer than laneCap, and otherwise
+// returns nil.
+func (ts *tenantServing) idleLane() *lane {
+	n := min(len(ts.lanes), ts.laneCap())
+	for _, l := range ts.lanes[:n] {
+		if !l.busy.Load() {
+			return l
+		}
+	}
+	if n == ts.laneCap() {
+		return nil
+	}
+	l := &lane{ts: ts, idx: n, work: make(chan struct{})}
+	ts.lanes = append(ts.lanes, l)
+	ts.is.wg.Add(1)
+	go l.loop()
+	return l
+}
+
+// takeLane returns an idle lane, marked busy and set to run model,
+// waiting for one to finish when none is free.
+func (ts *tenantServing) takeLane(model nn.Layer) *lane {
+	for {
+		l := ts.idleLane()
+		if l == nil {
+			<-ts.gate.wake
+			continue
+		}
+		if !l.follow(model) {
+			ts.solo = true
+			continue
+		}
+		l.busy.Store(true)
+		return l
+	}
+}
+
+// closeLanes stops the tenant's lanes once their batches are answered.
+func (ts *tenantServing) closeLanes() {
+	for _, l := range ts.lanes {
+		close(l.work)
+	}
+}
+
+// follow sets the lane to run the cache's model src: lane 0 runs src
+// itself, and a further lane a replica of it (nn.Replica), derived again
+// whenever the cache hands out a different model — a reload, or a new
+// f16/int8 view. Replicas share src's weights, so a lane adds only its
+// forward scratch. follow fails only when src has no replica.
+func (l *lane) follow(src nn.Layer) bool {
+	if l.src == src {
+		return true
+	}
+	model := src
+	if l.idx > 0 {
+		r, err := nn.Replica(src)
+		if err != nil {
+			return false
+		}
+		model = r
+	}
+	l.src, l.model = src, model
+	return true
+}
+
+func (l *lane) loop() {
+	defer l.ts.is.wg.Done()
+	for range l.work {
+		l.serve()
+	}
+}
+
+// serve runs the batch the batcher handed over: one forward pass on the
+// held slot, then the slot back, then one response per request. It
+// ends by marking the lane idle and waking the batcher.
+func (l *lane) serve() {
+	ts := l.ts
+	acc, sizes := l.acts[:0], l.sizes[:0]
+	for _, j := range l.jobs {
+		acc = append(acc, j.acts)
+		sizes = append(sizes, j.acts.Dim(0))
+	}
+	l.acts, l.sizes = acc, sizes
+	var z *tensor.Tensor
 	if len(acc) == 1 {
-		z = model.Forward(acc[0], false)
+		z = l.model.Forward(acc[0], false)
 	} else {
 		total := 0
 		for _, n := range sizes {
 			total += n
 		}
-		fshape := append([]int{total}, trailing...)
-		ts.fused = tensor.EnsureShape(ts.fused, fshape...)
-		fused := tensor.ConcatDim0Into(ts.fused, acc...)
-		z = model.Forward(fused, false)
+		l.shape = append(append(l.shape[:0], total), l.trailing...)
+		l.fused = tensor.EnsureShape(l.fused, l.shape...)
+		z = l.model.Forward(tensor.ConcatDim0Into(l.fused, acc...), false)
 	}
-	release()
+	l.release()
 	ts.is.batches.Add(1)
 	zs := []*tensor.Tensor{z}
 	if len(acc) > 1 {
 		zs = tensor.SplitDim0(z, sizes)
 	}
-	for i, j := range live {
+	for i, j := range l.jobs {
 		buf := ts.t.buffers.Get(wire.TensorsPayloadSize(zs[i].Shape()))
 		payload := wire.EncodeTensorsInto(buf, zs[i])
 		_ = j.conn.send(&wire.Message{
@@ -557,7 +705,12 @@ func (ts *tenantServing) flush(jobs []*inferJob, release func()) {
 			Payload:  payload,
 		})
 		ts.putSlot(j.slot)
+		l.jobs[i] = nil
 	}
+	clear(acc)
+	l.release = nil
+	l.busy.Store(false)
+	ts.gate.signal()
 }
 
 // admit decides which of a batch's requests get computed: it sheds

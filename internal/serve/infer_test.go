@@ -33,11 +33,18 @@ func inferTenant(name string, seed uint64, dir string) TenantConfig {
 	}
 }
 
-// inferFixture stands up a Manager + InferenceServer and returns a
-// dialer that opens one served client connection.
+// inferFixture stands up a Manager + InferenceServer with one compute
+// slot and returns a dialer that opens one served client connection.
 func inferFixture(t *testing.T, cfg InferConfig, tenants ...TenantConfig) (dial func() transport.Conn, is *InferenceServer) {
 	t.Helper()
-	m, err := NewManager(Config{Tenants: tenants})
+	return inferFixtureSlots(t, 1, cfg, tenants...)
+}
+
+// inferFixtureSlots is inferFixture with the given number of compute
+// slots, which is also each tenant's lane count.
+func inferFixtureSlots(t *testing.T, slots int, cfg InferConfig, tenants ...TenantConfig) (dial func() transport.Conn, is *InferenceServer) {
+	t.Helper()
+	m, err := NewManager(Config{Tenants: tenants, ComputeSlots: slots})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,20 +131,27 @@ func TestInferMatchesLocalForward(t *testing.T) {
 	wantExact(t, got, localForward(t, 5, x, nil))
 }
 
-// holdSlot takes the fixture's only compute slot for a test-owned gate,
-// so the batcher finds compute busy and holds its batches. The returned
-// func gives the slot back; cleanup does too, if the test failed first.
+// holdSlot takes every one of the fixture's compute slots for a
+// test-owned gate, so the batcher finds compute busy and holds its
+// batches. The returned func gives the slots back; cleanup does too, if
+// the test failed first.
 func holdSlot(t *testing.T, is *InferenceServer) (giveBack func()) {
 	t.Helper()
 	hold := is.m.sched.register("test-hold")
-	release, ok := hold.tryAcquire()
-	if !ok {
-		t.Fatal("fixture's compute slot is not free")
+	releases := make([]func(), is.m.cfg.ComputeSlots)
+	for i := range releases {
+		release, ok := hold.tryAcquire()
+		if !ok {
+			t.Fatal("fixture's compute slots are not free")
+		}
+		releases[i] = release
 	}
 	var once sync.Once
 	giveBack = func() {
 		once.Do(func() {
-			release()
+			for _, release := range releases {
+				release()
+			}
 			is.m.sched.unregister(hold)
 		})
 	}
@@ -189,22 +203,24 @@ func inferAll(t *testing.T, dial func() transport.Conn, xs []*tensor.Tensor) (wa
 // through the back half, which is what makes dynamic batching
 // transparent to clients.
 func TestBatchedInferenceMatchesSingle(t *testing.T) {
-	// BatchMax 2, an hour-long timer and the only slot held: the batcher
-	// can flush only once both requests share one batch.
-	dial, is := inferFixture(t, InferConfig{BatchMax: 2, FlushEvery: time.Hour}, inferTenant("alpha", 5, ""))
-	giveBack := holdSlot(t, is)
-	xs := []*tensor.Tensor{randInput(1, 101), randInput(1, 102)}
-	wait := inferAll(t, dial, xs)
-	// The batcher is parked in Acquire only once BatchMax flushed the pair.
-	waitPending(t, is.m.sched, is.serving["alpha"].gate)
-	giveBack()
-	got := wait()
-	for i := range xs {
-		wantExact(t, got[i], localForward(t, 5, xs[i], nil))
-	}
-	if st := is.Stats(); st.Batches != 1 || st.Requests != 2 {
-		t.Fatalf("stats %+v: want both requests served by one fused batch", st)
-	}
+	forSlots(t, func(t *testing.T, slots int) {
+		// BatchMax 2, an hour-long timer and every slot held: the
+		// batcher can flush only once both requests share one batch.
+		dial, is := inferFixtureSlots(t, slots, InferConfig{BatchMax: 2, FlushEvery: time.Hour}, inferTenant("alpha", 5, ""))
+		giveBack := holdSlot(t, is)
+		xs := []*tensor.Tensor{randInput(1, 101), randInput(1, 102)}
+		wait := inferAll(t, dial, xs)
+		// The batcher is parked in Acquire only once BatchMax flushed the pair.
+		waitPending(t, is.m.sched, is.serving["alpha"].gate)
+		giveBack()
+		got := wait()
+		for i := range xs {
+			wantExact(t, got[i], localForward(t, 5, xs[i], nil))
+		}
+		if st := is.Stats(); st.Batches != 1 || st.Requests != 2 {
+			t.Fatalf("stats %+v: want both requests served by one fused batch", st)
+		}
+	})
 }
 
 // While compute is busy, a lone request must not wait for a full batch:

@@ -19,47 +19,35 @@ func withPrecision(tc TenantConfig, p string) TenantConfig {
 // default out ("f32") changes nothing: split inference stays
 // bit-identical to the local forward.
 func TestInferPrecisionF32ExplicitBitIdentical(t *testing.T) {
-	dial, _ := inferFixture(t, InferConfig{},
-		withPrecision(inferTenant("alpha", 5, ""), "f32"))
-	client := NewClient(dial(), clientFront(t, 5), "alpha", 1)
-	x := randInput(3, 310)
-	got, err := client.Infer(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantExact(t, got, localForward(t, 5, x, nil))
+	forSlots(t, func(t *testing.T, slots int) {
+		x := randInput(3, 310)
+		got := inferOnLastLane(t, slots, withPrecision(inferTenant("alpha", 5, ""), "f32"), x)
+		wantExact(t, got, localForward(t, 5, x, nil))
+	})
 }
 
 // TestInferPrecisionF16CloseToF32 serves a tenant at f16 weight storage
 // and holds the logits to the f32 reference within half-precision
 // weight rounding.
 func TestInferPrecisionF16CloseToF32(t *testing.T) {
-	dial, _ := inferFixture(t, InferConfig{},
-		withPrecision(inferTenant("alpha", 5, ""), "f16"))
-	client := NewClient(dial(), clientFront(t, 5), "alpha", 1)
-	x := randInput(4, 311)
-	got, err := client.Infer(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := localForward(t, 5, x, nil)
-	assertLogitsClose(t, got, want, 2e-2, 4)
+	forSlots(t, func(t *testing.T, slots int) {
+		x := randInput(4, 311)
+		got := inferOnLastLane(t, slots, withPrecision(inferTenant("alpha", 5, ""), "f16"), x)
+		want := localForward(t, 5, x, nil)
+		assertLogitsClose(t, got, want, 2e-2, 4)
+	})
 }
 
 // TestInferPrecisionInt8LogitEquivalence serves a tenant at int8 and
 // holds the served logits to the f32 reference within the documented
 // quantization tolerance, with matching argmax decisions.
 func TestInferPrecisionInt8LogitEquivalence(t *testing.T) {
-	dial, _ := inferFixture(t, InferConfig{},
-		withPrecision(inferTenant("alpha", 5, ""), "int8"))
-	client := NewClient(dial(), clientFront(t, 5), "alpha", 1)
-	x := randInput(8, 312)
-	got, err := client.Infer(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := localForward(t, 5, x, nil)
-	assertLogitsClose(t, got, want, 5e-2, 7)
+	forSlots(t, func(t *testing.T, slots int) {
+		x := randInput(8, 312)
+		got := inferOnLastLane(t, slots, withPrecision(inferTenant("alpha", 5, ""), "int8"), x)
+		want := localForward(t, 5, x, nil)
+		assertLogitsClose(t, got, want, 5e-2, 7)
+	})
 }
 
 // assertLogitsClose checks absolute logit error against tol and that at

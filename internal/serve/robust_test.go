@@ -167,10 +167,29 @@ func TestExpiredRequestShedBeforeCompute(t *testing.T) {
 	release()
 	m.sched.unregister(hold)
 
-	if m1, err := conn.Recv(); err != nil || m1.Round != 1 {
-		t.Fatalf("first response %v round %v, want served round 1", err, m1)
+	// Round 1 is answered by a compute lane and round 2 rejected by the
+	// batcher, independently: match the two responses by round.
+	byRound := map[uint32]*wire.Message{}
+	for range 2 {
+		msg, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		byRound[msg.Round] = msg
 	}
-	code, _ := recvServeError(t, conn, 2)
+	if m1 := byRound[1]; m1 == nil {
+		t.Fatalf("responses for rounds %v, want served round 1", byRound)
+	} else if _, _, _, derr := wire.DecodeServeError(m1.Payload); derr == nil {
+		t.Fatal("round 1 rejected, want it served")
+	}
+	m2 := byRound[2]
+	if m2 == nil {
+		t.Fatalf("responses for rounds %v, want rejected round 2", byRound)
+	}
+	code, _, _, derr := wire.DecodeServeError(m2.Payload)
+	if derr != nil {
+		t.Fatalf("round 2: expected a structured error payload: %v", derr)
+	}
 	if code != wire.CodeExpired {
 		t.Fatalf("code %v, want expired", code)
 	}

@@ -9,12 +9,19 @@ import "sync"
 // quiet one.
 //
 // Each session (or batcher) registers once and receives a gate that
-// plugs into core.ServerConfig.Compute. The gate's Acquire is called
-// from that party's single compute goroutine, so a gate never has more
-// than one acquisition pending — which is what makes cursor round-robin
-// over the registration ring an exact fairness policy: after a grant
-// the cursor moves past the granted gate, so every waiter is reached
-// within one lap of the ring.
+// plugs into core.ServerConfig.Compute. A gate's Acquire and tryAcquire
+// are called from one goroutine: a session's compute loop, or a
+// tenant's batcher, which takes slots on behalf of its compute lanes
+// and lets each lane release its own. So a batcher's gate may hold
+// several slots at once, one per busy lane, but never has more than one
+// acquisition pending — which is what makes cursor round-robin over the
+// registration ring an exact fairness policy: after a grant the cursor
+// moves past the granted gate, so every waiter is reached within one
+// lap of the ring.
+//
+// A slot that nobody is waiting for is banked, and every gate's wake
+// channel fires: a batcher holding a batch for want of a slot retries
+// at once instead of sleeping out its flush timer beside a free slot.
 type computeScheduler struct {
 	mu     sync.Mutex
 	free   int            // slots not currently held
@@ -31,7 +38,7 @@ func newComputeScheduler(slots int) *computeScheduler {
 
 // register adds a party to the scheduling ring and returns its gate.
 func (cs *computeScheduler) register(name string) *computeGate {
-	g := &computeGate{sched: cs, name: name, grant: make(chan struct{}, 1)}
+	g := &computeGate{sched: cs, name: name, grant: make(chan struct{}, 1), wake: make(chan struct{}, 1)}
 	cs.mu.Lock()
 	cs.ring = append(cs.ring, g)
 	cs.mu.Unlock()
@@ -70,6 +77,10 @@ type computeGate struct {
 	// never blocks handing the slot over.
 	grant   chan struct{}
 	pending bool // waiting for a grant (guarded by sched.mu)
+	// wake fires (capacity 1, never blocking the sender) when a slot is
+	// banked, and when one of a batcher's lanes finishes. Sessions
+	// never read it.
+	wake chan struct{}
 
 	// Scheduling counters (guarded by sched.mu): total acquisitions and
 	// how many of them had to wait. The fairness tests read these.
@@ -115,7 +126,7 @@ func (g *computeGate) tryAcquire() (release func(), ok bool) {
 }
 
 // release hands the slot to the next pending gate after the round-robin
-// cursor, or banks it when nobody is waiting.
+// cursor, or banks it and wakes every gate when nobody is waiting.
 func (g *computeGate) release() {
 	cs := g.sched
 	cs.mu.Lock()
@@ -133,7 +144,19 @@ func (g *computeGate) release() {
 		return
 	}
 	cs.free++
+	for _, g := range cs.ring {
+		g.signal()
+	}
 	cs.mu.Unlock()
+}
+
+// signal fires the gate's wake channel unless a wake-up is already
+// pending there.
+func (g *computeGate) signal() {
+	select {
+	case g.wake <- struct{}{}:
+	default:
+	}
 }
 
 // stats reports the gate's acquisition counters.

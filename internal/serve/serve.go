@@ -66,10 +66,11 @@ type TenantConfig struct {
 	// wire.MaxTenantNameLen bytes.
 	Name string
 	// BuildBack constructs the tenant's server-side model half at its
-	// initial weights. Called lazily, at most once per Manager, when
-	// the inference path first needs the model; training sessions bring
-	// their own back half in the ServerConfig. Required when the tenant
-	// is served inference traffic.
+	// initial weights. The inference path calls it lazily, when it first
+	// needs the model, and again for every newer checkpoint it reloads
+	// (the snapshot is restored into a fresh model); training sessions
+	// bring their own back half in the ServerConfig. Required when the
+	// tenant is served inference traffic.
 	BuildBack func() (*nn.Sequential, error)
 	// CheckpointDir is where the tenant's training sessions write
 	// server snapshots. The inference cache watches it: the latest
@@ -104,10 +105,11 @@ type Config struct {
 	// 0 means unbounded.
 	MaxMemoryBytes int64
 	// ComputeSlots bounds how many parties run back-half compute
-	// concurrently (the round-robin slot budget). Defaults to 1, which
-	// serializes all server-side math — the strictest fairness and the
-	// setting under which gated sessions are trivially bit-identical
-	// to ungated ones.
+	// concurrently (the round-robin slot budget). It is also how many
+	// compute lanes one inference tenant may run, so a single busy
+	// tenant can fill every slot. Defaults to 1, which serializes all
+	// server-side math — the strictest fairness and the setting under
+	// which gated sessions are trivially bit-identical to ungated ones.
 	ComputeSlots int
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -280,6 +281,38 @@ func TestConvForwardMatchesReference(t *testing.T) {
 				got := ConvForwardInto(Full(999, g.n, outC, oh, ow), cols, x, w, bias, g.kh, g.kw, g.stride, g.pad)
 				assertBitEqual(t, "ConvForwardInto", got, convForwardReference(x, w, bias, g.kh, g.kw, g.stride, g.pad))
 				assertBitEqual(t, "ConvForwardInto cols", cols, im2colCM(x, g.kh, g.kw, g.stride, g.pad))
+			}
+		}
+	})
+}
+
+// TestConvForwardWorkerBlocks holds the eval layout, fewer column
+// matrices than samples, to the per-sample layout bit for bit: at every
+// block count from one to n, ConvColBlocks's among them, including
+// sample counts the blocks do not divide. The last two geometries are
+// above parallelThreshold, so the workers=4 runs fan 7 and 9 samples
+// out over 4 blocks.
+func TestConvForwardWorkerBlocks(t *testing.T) {
+	geoms := append(convGeometries[:len(convGeometries):len(convGeometries)],
+		convGeometries[len(convGeometries)-1])
+	geoms[len(geoms)-2].n, geoms[len(geoms)-1].n = 7, 9
+	runWorkerModes(t, func(t *testing.T) {
+		r := rng.New(29)
+		for _, g := range geoms {
+			const outC = 9
+			oh := ConvOutSize(g.h, g.kh, g.stride, g.pad)
+			ow := ConvOutSize(g.w, g.kw, g.stride, g.pad)
+			k := g.c * g.kh * g.kw
+			x := randTensor(r, g.n, g.c, g.h, g.w)
+			w := randTensor(r, outC, k)
+			bias := randTensor(r, outC)
+			want := ConvForwardInto(New(g.n, outC, oh, ow), New(g.n, k, oh*ow), x, w, bias, g.kh, g.kw, g.stride, g.pad)
+			if b := ConvColBlocks(g.n); b != min(g.n, maxWorkers()) {
+				t.Fatalf("ConvColBlocks(%d) = %d at %d workers", g.n, b, maxWorkers())
+			}
+			for b := 1; b <= g.n; b++ {
+				got := ConvForwardInto(Full(999, g.n, outC, oh, ow), Full(999, b, k, oh*ow), x, w, bias, g.kh, g.kw, g.stride, g.pad)
+				assertBitEqual(t, fmt.Sprintf("n=%d blocks=%d", g.n, b), got, want)
 			}
 		}
 	})

@@ -134,6 +134,9 @@ func TestIm2ColShapePanics(t *testing.T) {
 	assertPanics(t, "col2im shape", func() {
 		ConvInputGradInto(New(1, 1, 3, 3), New(5, 4), New(1, 1, 2, 2), New(1, 4), 2, 2, 1, 0)
 	})
+	assertPanics(t, "more column blocks than samples", func() {
+		ConvForwardInto(New(1, 1, 2, 2), New(2, 4, 4), New(1, 1, 3, 3), New(1, 4), nil, 2, 2, 1, 0)
+	})
 	assertPanics(t, "rows shape", func() { RowsToNCHW(New(5, 2), 1, 2, 2, 2) })
 	assertPanics(t, "weight gradient grad shape", func() {
 		ConvWeightGradAcc(New(2, 4), New(1, 4, 4), New(1, 2, 2, 3))

@@ -225,11 +225,13 @@ func checkConvW(op string, w *Tensor, k int) int {
 	return w.shape[0]
 }
 
-// checkCols validates a channel-major column scratch of n samples.
-func checkCols(op string, cols *Tensor, n int, g lowering) {
-	if len(cols.shape) != 3 || cols.shape[0] != n || cols.shape[1] != g.taps() || cols.shape[2] != g.pixels() {
-		panic(fmt.Sprintf("tensor: %s cols shape %v, want [%d,%d,%d]", op, cols.shape, n, g.taps(), g.pixels()))
+// checkCols validates a channel-major column scratch of lo to hi
+// matrices and returns how many it holds.
+func checkCols(op string, cols *Tensor, lo, hi int, g lowering) int {
+	if len(cols.shape) != 3 || cols.shape[0] < lo || cols.shape[0] > hi || cols.shape[1] != g.taps() || cols.shape[2] != g.pixels() {
+		panic(fmt.Sprintf("tensor: %s cols shape %v, want [%d..%d,%d,%d]", op, cols.shape, lo, hi, g.taps(), g.pixels()))
 	}
+	return cols.shape[0]
 }
 
 // checkNCHW validates an [n, c, oh, ow] tensor.
@@ -239,18 +241,26 @@ func checkNCHW(op string, t *Tensor, n, c, oh, ow int) {
 	}
 }
 
+// ConvColBlocks is how many column matrices an eval-only
+// ConvForwardInto over n samples needs: one per worker that can run at
+// once, since a worker lowers its samples one after another.
+func ConvColBlocks(n int) int { return min(n, maxWorkers()) }
+
 // ConvForwardInto computes the convolution of x [n, c, h, w] with the
 // kernel matrix w [outC, c·kh·kw] plus an optional bias [outC] into dst
-// [n, outC, oh, ow]. cols [n, c·kh·kw, oh·ow] receives the channel-major
-// column matrices, which ConvWeightGradAcc reads in the backward pass.
-// dst and cols are fully overwritten, so both may be dirty. The work
-// fans out over samples.
+// [n, outC, oh, ow]. cols [b, c·kh·kw, oh·ow] is column scratch in one
+// of two layouts. With b = n, every sample keeps its own column matrix,
+// which ConvWeightGradAcc reads in the backward pass. With 1 ≤ b < n
+// (ConvColBlocks(n) for an eval-only forward), the samples split into b
+// contiguous runs that each lower through one matrix in turn. dst and
+// cols are fully overwritten, so both may be dirty. The work fans out
+// over the b runs; the output is the same in either layout.
 func ConvForwardInto(dst, cols, x, w, bias *Tensor, kh, kw, stride, pad int) *Tensor {
 	n, c, h, wd, _, _ := convGeom("ConvForwardInto", x, kh, kw, stride, pad)
 	g := newLowering(c, h, wd, kh, kw, stride, pad)
 	outC := checkConvW("ConvForwardInto", w, g.taps())
 	checkNCHW("ConvForwardInto dst", dst, n, outC, g.oh, g.ow)
-	checkCols("ConvForwardInto", cols, n, g)
+	nb := checkCols("ConvForwardInto", cols, 1, n, g)
 	var bd []float32
 	if bias != nil {
 		if bias.Size() != outC {
@@ -260,29 +270,33 @@ func ConvForwardInto(dst, cols, x, w, bias *Tensor, kh, kw, stride, pad int) *Te
 	}
 	od, cd, xd, wtd := dst.data, cols.data, x.data, w.data
 	work := n * outC * g.taps() * g.pixels()
-	if serialRows(n, work) {
-		convForwardRange(od, cd, xd, wtd, bd, g, outC, 0, n)
+	if serialRows(nb, work) {
+		convForwardRange(od, cd, xd, wtd, bd, g, outC, n, nb, 0, nb)
 		return dst
 	}
-	parallelRows(n, work, func(n0, n1 int) {
-		convForwardRange(od, cd, xd, wtd, bd, g, outC, n0, n1)
+	parallelRows(nb, work, func(b0, b1 int) {
+		convForwardRange(od, cd, xd, wtd, bd, g, outC, n, nb, b0, b1)
 	})
 	return dst
 }
 
-// convForwardRange lowers and convolves samples [n0, n1): one GEMM per
-// sample straight into its NCHW block, then the bias per output row.
-func convForwardRange(od, cd, xd, wd, bd []float32, g lowering, outC, n0, n1 int) {
+// convForwardRange lowers and convolves the samples of column blocks
+// [b0, b1) of nb: block b serves samples [b·n/nb, (b+1)·n/nb) one after
+// another, with one GEMM per sample straight into its NCHW block, then
+// the bias per output row.
+func convForwardRange(od, cd, xd, wd, bd []float32, g lowering, outC, n, nb, b0, b1 int) {
 	k, p, in := g.taps(), g.pixels(), g.c*g.h*g.w
-	for s := n0; s < n1; s++ {
-		cols := cd[s*k*p : (s+1)*k*p]
-		g.im2col(cols, xd[s*in:(s+1)*in])
-		out := od[s*outC*p : (s+1)*outC*p]
-		kernels.GemmPanel(out, wd, cols, 0, outC, k, p, 0, false)
-		for oc, b := range bd {
-			row := out[oc*p : (oc+1)*p]
-			for i, v := range row {
-				row[i] = v + b
+	for blk := b0; blk < b1; blk++ {
+		cols := cd[blk*k*p : (blk+1)*k*p]
+		for s := blk * n / nb; s < (blk+1)*n/nb; s++ {
+			g.im2col(cols, xd[s*in:(s+1)*in])
+			out := od[s*outC*p : (s+1)*outC*p]
+			kernels.GemmPanel(out, wd, cols, 0, outC, k, p, 0, false)
+			for oc, b := range bd {
+				row := out[oc*p : (oc+1)*p]
+				for i, v := range row {
+					row[i] = v + b
+				}
 			}
 		}
 	}
@@ -380,7 +394,7 @@ func ConvInputGradInto(dx, dCols, grad, w *Tensor, kh, kw, stride, pad int) *Ten
 	k, p := g.taps(), g.pixels()
 	outC := checkConvW("ConvInputGradInto", w, k)
 	checkNCHW("ConvInputGradInto grad", grad, n, outC, g.oh, g.ow)
-	checkCols("ConvInputGradInto", dCols, n, g)
+	checkCols("ConvInputGradInto", dCols, n, n, g)
 	wt := Default.GetBuf(k * outC)
 	transpose(wt, w.data, 1, outC, k)
 	xd, cd, gd := dx.data, dCols.data, grad.data
