@@ -96,6 +96,19 @@ func TestComputeGateWrapsEveryComputeStep(t *testing.T) {
 			},
 			minSteps: K * rounds, // fused forward+loss+backward per platform per round
 		},
+		{
+			name: "concat/label-sharing",
+			servMut: func(c *ServerConfig) {
+				c.Mode = RoundModeConcat
+				c.LabelSharing = true
+				c.Loss = nn.SoftmaxCrossEntropy{}
+			},
+			platMut: func(c *PlatformConfig) {
+				c.LabelSharing = true
+				c.Loss = nil
+			},
+			minSteps: rounds, // one forward+loss+backward over the union batch per round
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -102,40 +103,84 @@ func TestLabelSharingTwoCommunicationsPerRound(t *testing.T) {
 	}
 }
 
-// The server must handle platforms strictly in order within each
-// sequential round (the deterministic schedule the experiments rely on).
+// The server must handle platforms in a fixed order within each round
+// (the deterministic schedule the experiments and the simnet timelines
+// rely on). Sequential runs each platform's exchange through before the
+// next platform's starts; concat runs every platform through one wire
+// step before any platform takes the next, around its fused forward and
+// backward. Each case pins the server's full per-round sequence of
+// training messages.
 func TestServerRoundRobinOrdering(t *testing.T) {
+	type step struct {
+		dir string
+		typ wire.MsgType
+	}
+	var (
+		acts     = step{"recv", wire.MsgActivations}
+		labels   = step{"recv", wire.MsgLabels}
+		logits   = step{"send", wire.MsgLogits}
+		lossGrad = step{"recv", wire.MsgLossGrad}
+		cutGrad  = step{"send", wire.MsgCutGrad}
+	)
+	cases := []struct {
+		name         string
+		mode         RoundMode
+		labelSharing bool
+		// waves run in order; within a wave each platform in id order
+		// takes every step of the wave.
+		waves [][]step
+	}{
+		{"sequential/label-private", RoundModeSequential, false, [][]step{{acts, logits, lossGrad, cutGrad}}},
+		{"sequential/label-sharing", RoundModeSequential, true, [][]step{{acts, labels, cutGrad}}},
+		{"concat/label-private", RoundModeConcat, false, [][]step{{acts}, {logits}, {lossGrad}, {cutGrad}}},
+		{"concat/label-sharing", RoundModeConcat, true, [][]step{{acts, labels}, {cutGrad}}},
+	}
 	train, _ := testData(t, 3, 60, 8, 23)
 	flat := flatten(train)
 	const rounds, K = 2, 3
-	fronts, back := buildFronts(t, 101, K, flat.X.Dim(1), 3)
 	shards := dataset.ShardIID(flat.Len(), K, rng.New(24))
-
-	var rec Recorder
-	srv := defaultServer(t, back, K, rounds, func(c *ServerConfig) {
-		c.Trace = rec.Record
-	})
-	platforms := make([]*Platform, K)
-	for k := 0; k < K; k++ {
-		platforms[k] = defaultPlatform(t, k, fronts[k], flat.Subset(shards[k]), rounds, nil)
-	}
-	if _, err := RunLocal(srv, platforms); err != nil {
-		t.Fatal(err)
-	}
-	var order []int
-	for _, e := range rec.Events() {
-		if e.Party == "server" && e.Dir == "recv" && e.Type == wire.MsgActivations {
-			order = append(order, e.Platform)
-		}
-	}
-	want := []int{0, 1, 2, 0, 1, 2}
-	if len(order) != len(want) {
-		t.Fatalf("activation order %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("activation order %v, want %v", order, want)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fronts, back := buildFronts(t, 101, K, flat.X.Dim(1), 3)
+			var rec Recorder
+			srv := defaultServer(t, back, K, rounds, func(c *ServerConfig) {
+				c.Mode = tc.mode
+				c.Trace = rec.Record
+				if tc.labelSharing {
+					c.LabelSharing = true
+					c.Loss = nn.SoftmaxCrossEntropy{}
+				}
+			})
+			platforms := make([]*Platform, K)
+			for k := 0; k < K; k++ {
+				platforms[k] = defaultPlatform(t, k, fronts[k], flat.Subset(shards[k]), rounds, func(c *PlatformConfig) {
+					if tc.labelSharing {
+						c.LabelSharing = true
+						c.Loss = nil
+					}
+				})
+			}
+			if _, err := RunLocal(srv, platforms); err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for r := 0; r < rounds; r++ {
+				for _, wave := range tc.waves {
+					for k := 0; k < K; k++ {
+						for _, st := range wave {
+							want = append(want, fmt.Sprintf("r%d %s %s %d", r, st.dir, st.typ, k))
+						}
+					}
+				}
+			}
+			var got []string
+			for _, e := range trainEvents(rec.Events(), "server") {
+				got = append(got, fmt.Sprintf("r%d %s %s %d", e.Round, e.Dir, e.Type, e.Platform))
+			}
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("server wire order:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+		})
 	}
 }
 
