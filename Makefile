@@ -43,12 +43,17 @@ COVER_MIN_paramserver = 82
 
 # The serving batcher's flush decision (idle slot or held batch), its
 # wake-ups and its hand-off to compute lanes depend on goroutine timing,
-# so their tests also run three times on one core.
+# so their tests also run three times on one core. The training
+# engine's determinism contract (the round-mode digest table, both
+# modes' wire order, concat's fused steps and the compute gate) must
+# also hold at one core, where the parallel kernels take their serial
+# path.
 test:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'Batch|Flush|IdleSlot|Overload|Expired|Lane|Wake' ./internal/serve/
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestRoundModeDigests|TestServerRoundRobinOrdering|TestConcat|TestComputeGate' ./internal/core/
 
 # The repository benchmark (BENCHMARK.json) is a Go module of its own
 # under bench/ (`replace medsplit => ../`), so `go build ./...` and

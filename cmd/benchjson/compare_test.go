@@ -208,3 +208,30 @@ func TestCompareGatedMetricSelfCheckTrips(t *testing.T) {
 		t.Fatalf("selfcheck inflate did not trip the metric gate: %v", regs)
 	}
 }
+
+// The GOMAXPROCS stamp comes from the benchmark names' "-N" suffix, not
+// from benchjson's own process: `GOMAXPROCS=1 go test … | benchjson`
+// must stamp 1 whatever the pipe's reader runs at.
+func TestParseStampsGOMAXPROCSFromNames(t *testing.T) {
+	cases := []struct {
+		name, in string
+		want     int
+	}{
+		{"suffixed", "BenchmarkA-4   100   1234 ns/op\nBenchmarkB/n-64-4   10   99 ns/op\n", 4},
+		{"unsuffixed", "goos: linux\nBenchmarkA   100   1234 ns/op\nBenchmarkB/n-64   10   99 ns/op\nPASS\n", 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := parseBenchOutput(strings.NewReader(tc.in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.GOMAXPROCS != tc.want {
+				t.Fatalf("stamped gomaxprocs=%d, want %d", f.GOMAXPROCS, tc.want)
+			}
+			if len(f.Benchmarks) != 2 || f.Benchmarks[0].Name != "BenchmarkA" {
+				t.Fatalf("parsed %+v", f.Benchmarks)
+			}
+		})
+	}
+}

@@ -117,20 +117,27 @@ func main() {
 }
 
 // parseBenchOutput scans `go test -bench` text into a File stamped with
-// this process's environment.
+// this process's toolchain and platform. The GOMAXPROCS stamp comes
+// from the benchmark names, not from this process: `go test` ends a
+// name with "-N" when the benchmark ran at GOMAXPROCS N != 1, and
+// benchjson usually runs in a pipe under a different setting. The
+// smallest value any line carries wins, so a sub-benchmark name that
+// itself ends in "-<digits>" cannot inflate the stamp.
 func parseBenchOutput(r io.Reader) (*File, error) {
 	out := &File{
-		Schema:     "medsplit-bench-v1",
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Schema:    "medsplit-bench-v1",
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		if res, ok := parseLine(sc.Text()); ok {
+		if res, procs, ok := parseLine(sc.Text()); ok {
 			out.Benchmarks = append(out.Benchmarks, res)
+			if out.GOMAXPROCS == 0 || procs < out.GOMAXPROCS {
+				out.GOMAXPROCS = procs
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -139,43 +146,47 @@ func parseBenchOutput(r io.Reader) (*File, error) {
 	return out, nil
 }
 
-// stripCPUSuffix removes the trailing "-<N>" GOMAXPROCS marker from a
-// benchmark name. The bench may have run under any -cpu setting or on
-// another machine, so any trailing digit run after a dash is stripped
-// rather than this process's own GOMAXPROCS value.
-func stripCPUSuffix(name string) string {
+// splitCPUSuffix splits the trailing "-<N>" GOMAXPROCS marker off a
+// benchmark name and returns N, or 1 when the name has no marker (go
+// test omits it at GOMAXPROCS 1). The bench may have run under any -cpu
+// setting or on another machine, so any trailing digit run after a dash
+// counts rather than this process's own GOMAXPROCS value.
+func splitCPUSuffix(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i <= 0 || i == len(name)-1 {
-		return name
+		return name, 1
 	}
 	for _, c := range name[i+1:] {
 		if c < '0' || c > '9' {
-			return name
+			return name, 1
 		}
 	}
-	return name[:i]
+	procs, _ := strconv.Atoi(name[i+1:])
+	return name[:i], max(procs, 1)
 }
 
-// parseLine decodes one "BenchmarkX-8  100  123 ns/op  45 B/op ..." line.
-// The value/unit pairs after the iteration count alternate, so the
-// parser walks them two fields at a time.
-func parseLine(line string) (Result, bool) {
+// parseLine decodes one "BenchmarkX-8  100  123 ns/op  45 B/op ..." line
+// and returns the GOMAXPROCS its name carries. The value/unit pairs
+// after the iteration count alternate, so the parser walks them two
+// fields at a time.
+func parseLine(line string) (Result, int, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return Result{}, false
+		return Result{}, 0, false
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Result{}, false
+		return Result{}, 0, false
 	}
+	name, procs := splitCPUSuffix(fields[0])
 	r := Result{
-		Name:       stripCPUSuffix(fields[0]),
+		Name:       name,
 		Iterations: iters,
 	}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Result{}, false
+			return Result{}, 0, false
 		}
 		switch unit := fields[i+1]; unit {
 		case "ns/op":
@@ -194,7 +205,7 @@ func parseLine(line string) (Result, bool) {
 		}
 	}
 	if r.NsPerOp == 0 {
-		return Result{}, false
+		return Result{}, 0, false
 	}
-	return r, true
+	return r, procs, true
 }

@@ -36,7 +36,8 @@ type RoundMode int
 // own forward/backward/step (k optimizer steps per round, the reading
 // most consistent with the paper's flowchart). Concat fuses all
 // platforms' minibatches into one batch and takes a single step per
-// round on the union gradient. Both finish every platform's exchange
+// round on the union gradient; both run on one exchange engine (see
+// window.go). Both finish every platform's exchange
 // for round r before any exchange of round r+1 starts, unless
 // ServerConfig.Staleness relaxes sequential's lockstep in exchange for
 // wall-clock (see README "Consistency spectrum"): with a cap K > 0 the

@@ -28,7 +28,8 @@ type ServerConfig struct {
 	// checkpoint's NextRound when resuming (see RestoreSnapshot). All
 	// parties must agree; the handshake validates it.
 	StartRound int
-	// Mode selects Sequential (default) or Concat scheduling.
+	// Mode selects Sequential (default) or Concat scheduling, two orders
+	// over the same per-platform exchange engine (see window.go).
 	Mode RoundMode
 	// Staleness is the bounded-staleness cap K: an exchange may miss at
 	// most K rounds of the other platforms' updates. 0 (the default) is
@@ -149,8 +150,10 @@ func (cfg *ServerConfig) validate() error {
 	}
 	if cfg.Mode == RoundModeConcat || cfg.pauses() {
 		// Dropout recovery and replication reconcile one platform's
-		// exchange at a time, in round order: concat fuses the exchanges
-		// into one step, and a pausing schedule interleaves them across
+		// exchange at a time, in round order. Under concat one optimizer
+		// step spans every platform's exchange, so neither a per-exchange
+		// WAL record (repl.onStep) nor a per-exchange rejoin replay can
+		// attribute it; a pausing schedule interleaves exchanges across
 		// rounds.
 		if cfg.Recovery != nil {
 			return fmt.Errorf("%w: dropout recovery requires the lockstep sequential schedule, got %v with staleness cap %d", ErrConfig, cfg.Mode, cfg.Staleness)
@@ -214,7 +217,6 @@ type platformState struct {
 // Server runs the server side of the split-learning protocol.
 type Server struct {
 	cfg       ServerConfig
-	sched     roundScheduler
 	sess      *Session
 	reg       *platformRegistry
 	lastBatch []int // most recent minibatch rows seen per platform
@@ -237,10 +239,16 @@ type Server struct {
 	// advance), reused round after round.
 	ex []exchange
 
+	// flushedThrough is one past the last round every platform has
+	// completed (see windowRound).
+	flushedThrough int
+
 	// Concat-mode scratch, reused across rounds so fusing per-platform
 	// minibatches stops allocating once batch shapes stabilize.
-	fusedActs *tensor.Tensor
-	fusedGrad *tensor.Tensor
+	fuseParts   []*tensor.Tensor
+	fusedLabels []int
+	fusedActs   *tensor.Tensor
+	fusedGrad   *tensor.Tensor
 
 	// Wire-path scratch (see wirebuf.go). Decoded-tensor slices are per
 	// platform because concat mode holds every platform's activations
@@ -268,11 +276,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		gradDec:   make([][]*tensor.Tensor, cfg.Platforms),
 		labelsDec: make([][]int, cfg.Platforms),
 	}
-	if cfg.Mode == RoundModeConcat {
-		s.sched = concatScheduler{}
-	} else {
-		s.sched = &windowScheduler{}
-	}
 	if cfg.Replication != nil {
 		s.repl = newReplicator(cfg.Replication, cfg.Platforms)
 	}
@@ -293,16 +296,6 @@ func (s *Server) plan() sessionPlan {
 		l1SyncEvery: s.cfg.L1SyncEvery,
 		evalEvery:   s.cfg.EvalEvery,
 	}
-}
-
-// roundScheduler is how a scheduling mode executes one Train phase.
-// The session machine owns everything else — what phase comes next,
-// when to sync, evaluate, checkpoint or stop — so the modes differ only
-// in how a round's bytes and compute are ordered: concatScheduler fuses
-// the platforms' exchanges into one step, and windowScheduler runs
-// sequential at any staleness cap.
-type roundScheduler interface {
-	trainRound(s *Server, r int) error
 }
 
 // Serve drives the full protocol over the given per-platform
@@ -343,8 +336,8 @@ func (s *Server) writeStashOnAbort() {
 	_ = SaveSnapshotFile(ServerStashPath(s.cfg.CheckpointDir), s.stash)
 }
 
-// serve walks the session state machine. The scheduler executes Train
-// phases; everything else — handshake, L1 sync, eval, checkpoints,
+// serve walks the session state machine. The round mode's schedule
+// executes Train phases; everything else — handshake, L1 sync, eval, checkpoints,
 // graceful stop, shutdown — is shared across modes.
 func (s *Server) serve(conns []transport.Conn) error {
 	s.reg = newPlatformRegistry(conns, s.cfg.Recovery != nil)
@@ -370,7 +363,11 @@ func (s *Server) serve(conns []transport.Conn) error {
 			r := s.sess.Round()
 			nn.ApplySchedule(s.cfg.Opt, s.cfg.LRSchedule, r)
 			s.adoptRejoiners(r)
-			if err := s.sched.trainRound(s, r); err != nil {
+			train := s.windowRound
+			if s.cfg.Mode == RoundModeConcat {
+				train = s.concatRound
+			}
+			if err := train(r); err != nil {
 				return fmt.Errorf("core: server round %d: %w", r, err)
 			}
 		case StateL1Sync:
@@ -561,32 +558,29 @@ type exchange struct {
 	round   int
 	pos     int
 	a, z    *tensor.Tensor // decoded activations, logits
-	da      *tensor.Tensor // cut gradient
+	dz, da  *tensor.Tensor // decoded loss gradient, cut gradient
+	labels  []int          // decoded labels (label-sharing mode)
 	lossVal float64        // label-sharing loss scalar
-	// paused marks an exchange stopped at posLossGrad. Other platforms'
-	// forwards have since overwritten the back half's backward cache, so
-	// the resume replays this exchange's forward first.
-	paused bool
 }
 
 // advance runs platform k's open exchange (see s.ex) as an explicit
 // stage machine until it completes or reaches position stop, where it
-// pauses. Only a label-private exchange reaches posLossGrad, so a
-// label-sharing exchange never pauses: the server owns the loss, and
-// there is no mid-exchange round trip to overlap.
+// parks. Only a label-private exchange reaches posLogits and
+// posLossGrad, so a label-sharing exchange can park only at posCutGrad.
 //
-// Compute (forward, backward, optimizer step) is bound to stage
-// *transitions*, so re-entering a wire stage after a dropout recovery
-// never recomputes — BatchNorm statistics and optimizer state advance
-// exactly once per round no matter how many times the wire stages
-// retry.
+// Compute runs when the exchange enters the stage that ships its
+// result, and only if that result is not set yet: the forward at
+// posLogits (x.z), the backward and optimizer step at posCutGrad
+// (x.da). Re-entering a wire stage after a dropout recovery never
+// recomputes — BatchNorm statistics and optimizer state advance exactly
+// once per round however often the wire stages retry — and concat fills
+// x.z and x.da for the parked exchanges itself (see fuse).
 func (s *Server) advance(k, stop int) error {
 	x := &s.ex[k]
 	ps := s.reg.state(k)
 	r := x.round
 	for x.pos != posDone {
 		if x.pos == stop {
-			x.paused = true
 			return nil
 		}
 		var err error
@@ -595,30 +589,20 @@ func (s *Server) advance(k, stop int) error {
 			x.a, err = s.recvActs(ps.conn, r, k)
 			if err == nil {
 				s.lastBatch[k] = x.a.Dim(0)
+				x.pos = posLogits
 				if s.cfg.LabelSharing {
 					x.pos = posLabels
-				} else {
-					release := s.acquireCompute()
-					x.z = s.cfg.Back.Forward(x.a, true)
-					release()
-					x.pos = posLogits
 				}
 			}
 		case posLabels:
-			var labels []int
-			labels, err = s.recvLabels(ps.conn, r, k, x.a.Dim(0))
+			x.labels, err = s.recvLabels(ps.conn, r, k, x.a.Dim(0))
 			if err == nil {
-				// Forward, loss and backward run back to back with no
-				// wire I/O between them, so they share one gate slot.
-				release := s.acquireCompute()
-				z := s.cfg.Back.Forward(x.a, true)
-				var dz *tensor.Tensor
-				x.lossVal, dz = s.cfg.Loss.Loss(z, labels)
-				x.da = s.backwardStep(dz)
-				release()
 				x.pos = posCutGrad
 			}
 		case posLogits:
+			if x.z == nil {
+				s.forward(x)
+			}
 			err = s.send(ps.conn, &wire.Message{
 				Type:     wire.MsgLogits,
 				Platform: uint32(k),
@@ -629,20 +613,14 @@ func (s *Server) advance(k, stop int) error {
 				x.pos = posLossGrad
 			}
 		case posLossGrad:
-			var dz *tensor.Tensor
-			dz, err = s.recvLossGrad(ps.conn, r, k, x.z)
+			x.dz, err = s.recvLossGrad(ps.conn, r, k, x.z)
 			if err == nil {
-				release := s.acquireCompute()
-				if x.paused {
-					// NewServer only lets replay-safe back halves pause.
-					s.cfg.Back.Forward(x.a, true)
-					x.paused = false
-				}
-				x.da = s.backwardStep(dz)
-				release()
 				x.pos = posCutGrad
 			}
 		case posCutGrad:
+			if x.da == nil {
+				s.backward(x)
+			}
 			err = s.sendCutGrad(ps, k, r, x.da, x.lossVal)
 			if err == nil {
 				x.pos = posDone
@@ -663,16 +641,37 @@ func (s *Server) advance(k, stop int) error {
 	return nil
 }
 
-// backwardStep runs the server backward pass and optimizer step for
-// one minibatch, returning the cut gradient.
-func (s *Server) backwardStep(dz *tensor.Tensor) *tensor.Tensor {
+// forward fills x.z with the back half's forward pass on x.a.
+func (s *Server) forward(x *exchange) {
+	release := s.acquireCompute()
+	x.z = s.cfg.Back.Forward(x.a, true)
+	release()
+}
+
+// backward fills x.da with the back half's backward pass and optimizer
+// step on x's minibatch. With label sharing the server owns the loss,
+// so the forward, loss and backward run back to back with no wire I/O
+// between them and share one gate slot.
+func (s *Server) backward(x *exchange) {
+	release := s.acquireCompute()
+	defer release()
+	dz := x.dz
+	switch {
+	case s.cfg.LabelSharing:
+		x.lossVal, dz = s.cfg.Loss.Loss(s.cfg.Back.Forward(x.a, true), x.labels)
+	case s.cfg.pauses():
+		// A pausing schedule parks every label-private exchange at
+		// posLossGrad, where other exchanges' forwards overwrite the back
+		// half's backward cache: replay this one's. NewServer only lets
+		// replay-safe back halves pause.
+		s.cfg.Back.Forward(x.a, true)
+	}
 	nn.ZeroGrads(s.cfg.Back.Params())
-	da := s.cfg.Back.Backward(dz)
+	x.da = s.cfg.Back.Backward(dz)
 	if s.cfg.ClipGrads > 0 {
 		nn.ClipGrads(s.cfg.Back.Params(), s.cfg.ClipGrads)
 	}
 	s.cfg.Opt.Step(s.cfg.Back.Params())
-	return da
 }
 
 // sendCutGrad ships the cut gradient (plus the loss scalar in
@@ -709,91 +708,6 @@ func (s *Server) sendCutGrad(ps *platformState, k, r int, da *tensor.Tensor, los
 		Round:    uint32(r),
 		Payload:  payload,
 	}, k)
-}
-
-// concatScheduler fuses all platforms' minibatches into a single batch
-// and takes one optimizer step per round on the union gradient.
-// Per-platform loss gradients are rescaled by s_k/S so the fused
-// gradient is the mean over the union batch regardless of per-platform
-// batch sizes.
-type concatScheduler struct{}
-
-func (concatScheduler) trainRound(s *Server, r int) error {
-	n := s.reg.len()
-	acts := make([]*tensor.Tensor, n)
-	labelsPer := make([][]int, n)
-	sizes := make([]int, n)
-	total := 0
-	for k := range acts {
-		conn := s.reg.state(k).conn
-		a, err := s.recvActs(conn, r, k)
-		if err != nil {
-			return err
-		}
-		if s.cfg.LabelSharing {
-			labels, err := s.recvLabels(conn, r, k, a.Dim(0))
-			if err != nil {
-				return err
-			}
-			labelsPer[k] = labels
-		}
-		acts[k] = a
-		sizes[k] = a.Dim(0)
-		s.lastBatch[k] = sizes[k]
-		total += sizes[k]
-	}
-	fusedShape := append([]int{total}, acts[0].Shape()[1:]...)
-	s.fusedActs = tensor.EnsureShape(s.fusedActs, fusedShape...)
-	fused := tensor.ConcatDim0Into(s.fusedActs, acts...)
-	release := s.acquireCompute()
-	z := s.cfg.Back.Forward(fused, true)
-	release()
-
-	var dz *tensor.Tensor
-	var lossVal float64
-	if s.cfg.LabelSharing {
-		var allLabels []int
-		for _, l := range labelsPer {
-			allLabels = append(allLabels, l...)
-		}
-		lossVal, dz = s.cfg.Loss.Loss(z, allLabels)
-	} else {
-		zs := tensor.SplitDim0(z, sizes)
-		for k := range zs {
-			if err := s.send(s.reg.state(k).conn, &wire.Message{
-				Type:     wire.MsgLogits,
-				Platform: uint32(k),
-				Round:    uint32(r),
-				Payload:  s.encLogits.encode(s.cfg.Codec, zs[k]),
-			}, k); err != nil {
-				return err
-			}
-		}
-		grads := make([]*tensor.Tensor, n)
-		for k := range grads {
-			g, err := s.recvLossGrad(s.reg.state(k).conn, r, k, zs[k])
-			if err != nil {
-				return err
-			}
-			// Rescale from per-platform mean to union mean.
-			g.Scale(float32(sizes[k]) / float32(total))
-			grads[k] = g
-		}
-		gradShape := append([]int{total}, grads[0].Shape()[1:]...)
-		s.fusedGrad = tensor.EnsureShape(s.fusedGrad, gradShape...)
-		dz = tensor.ConcatDim0Into(s.fusedGrad, grads...)
-	}
-
-	release = s.acquireCompute()
-	da := s.backwardStep(dz)
-	release()
-
-	for k, dak := range tensor.SplitDim0(da, sizes) {
-		if err := s.sendCutGrad(s.reg.state(k), k, r, dak, lossVal); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // recvActs reads platform k's minibatch activations into the

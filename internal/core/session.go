@@ -8,9 +8,9 @@ import "fmt"
 // loop, with the schedule logic
 // (when to train, sync L1, evaluate, stop) duplicated and interleaved
 // with wire I/O. Now the schedule is a value (sessionPlan), the
-// protocol position is a value (Session), and the round modes are
-// schedulers that decide only HOW a train phase moves bytes, never
-// WHAT the next phase is. Checkpointing and dropout recovery both
+// protocol position is a value (Session), and the round modes decide
+// only HOW a train phase orders its exchanges, never WHAT the next
+// phase is. Checkpointing and dropout recovery both
 // hang off this machine: a checkpoint is a serialization of the
 // session position plus party state at a round boundary, and a rejoin
 // is a negotiation that re-enters the machine at an agreed position.
@@ -80,9 +80,9 @@ func (p sessionPlan) evalRound(r int) bool {
 
 // Session tracks a party's position in the protocol: the current
 // state and the current round. Both the server and each platform hold
-// one; the server's schedulers (concat, windowed) and the platform loop
-// advance it identically, which is the lockstep
-// invariant the handshake establishes.
+// one; both advance it identically, which is the lockstep invariant
+// the handshake establishes. The server's round modes only order a
+// Train phase's exchanges on one engine (see window.go).
 type Session struct {
 	plan  sessionPlan
 	state SessionState

@@ -1,19 +1,21 @@
 package core
 
-// This file holds the scheduler behind sequential mode: a window of
-// rounds run as a wavefront of per-platform exchanges (see
-// Server.advance). The consistency spectrum (README "Consistency
-// spectrum") is one knob on it, the staleness cap K, which sets the
-// window width K+1. One round wide, the window is lockstep scheduling:
-// each exchange runs from activations to cut gradient before the next
-// platform's starts, so a round costs the *sum* over platforms of their
-// WAN round trips and compute, and a straggler's slow turnaround stalls
-// everyone behind it. Wider windows trade the bit-identity away for
-// overlap: an exchange pauses once its logits leave and resumes at the
-// loss gradient later, so while one platform's gradient crosses the WAN
-// the server services the other platforms — and with a round stagger,
-// their *later rounds*. A delay spike or compute straggler then
-// overlaps useful work instead of blocking it.
+import "medsplit/internal/tensor"
+
+// This file holds the two round modes, which only order the platforms'
+// exchanges on the one exchange engine (Server.advance). Sequential runs
+// a window of rounds as a wavefront of per-platform exchanges. The consistency spectrum (README "Consistency spectrum")
+// is one knob on it, the staleness cap K, which sets the window width
+// K+1. One round wide, the window is lockstep scheduling: each exchange
+// runs from activations to cut gradient before the next platform's
+// starts, so a round costs the *sum* over platforms of their WAN round
+// trips and compute, and a straggler's slow turnaround stalls everyone
+// behind it. Wider windows trade the bit-identity away for overlap: an
+// exchange pauses once its logits leave and resumes at the loss
+// gradient later, so while one platform's gradient crosses the WAN the
+// server services the other platforms — and with a round stagger, their
+// *later rounds*. A delay spike or compute straggler then overlaps
+// useful work instead of blocking it.
 
 // pauses reports whether the configured schedule pauses exchanges
 // between their halves, which runs them ahead of the session loop's
@@ -23,11 +25,11 @@ func (cfg *ServerConfig) pauses() bool {
 	return cfg.Staleness > 0
 }
 
-// windowScheduler executes training rounds in staggered windows. When
-// the session loop asks for round r and the window [r, end] has not
-// run yet, the scheduler runs the whole window as a software-pipelined
-// wavefront and the remaining trainRound calls inside the window are
-// no-ops.
+// windowRound executes sequential training rounds in staggered
+// windows. When the session loop asks for round r and the window
+// [r, end] has not run yet, it runs the whole window as a
+// software-pipelined wavefront and the remaining calls inside the
+// window are no-ops.
 //
 // Within a wave, each platform k first resumes its paused exchange, if
 // it has one (receive the loss gradient, replay the forward, backward,
@@ -60,19 +62,13 @@ func (cfg *ServerConfig) pauses() bool {
 // keeps relaxed sessions deterministic under fixed seeds and identical
 // across transports (the differential suite runs them twice and
 // compares digests).
-type windowScheduler struct {
-	// flushedThrough is one past the last round every platform has
-	// completed; trainRound calls below it are no-ops.
-	flushedThrough int
-}
-
-func (w *windowScheduler) trainRound(s *Server, r int) error {
-	if r < w.flushedThrough {
+func (s *Server) windowRound(r int) error {
+	if r < s.flushedThrough {
 		return nil // covered by the window a previous call processed
 	}
-	end := w.windowEnd(s, r)
+	end := s.windowEnd(r)
 	// Stagger K-1 waves so a forward misses at most K rounds of updates
-	// (see type doc).
+	// (see above).
 	stagger := min(end-r, max(s.cfg.Staleness-1, 0))
 	stop := posDone // a one-round window has nothing to overlap
 	if s.cfg.pauses() {
@@ -86,7 +82,7 @@ func (w *windowScheduler) trainRound(s *Server, r int) error {
 			if s.reg.state(k).status == PlatformDropped {
 				continue
 			}
-			if s.ex[k].paused {
+			if s.ex[k].pos == posLossGrad { // paused in an earlier wave
 				if err := s.advance(k, posDone); err != nil {
 					return err
 				}
@@ -107,7 +103,7 @@ func (w *windowScheduler) trainRound(s *Server, r int) error {
 			}
 		}
 	}
-	w.flushedThrough = end + 1
+	s.flushedThrough = end + 1
 	return nil
 }
 
@@ -115,7 +111,7 @@ func (w *windowScheduler) trainRound(s *Server, r int) error {
 // by the staleness window (K+1 rounds), the end of the session, and the
 // next L1-sync or eval boundary (every platform must be flushed before
 // a barrier phase runs).
-func (w *windowScheduler) windowEnd(s *Server, r int) int {
+func (s *Server) windowEnd(r int) int {
 	end := min(r+s.cfg.Staleness, s.cfg.Rounds-1)
 	plan := s.plan()
 	for q := r; q < end; q++ {
@@ -124,4 +120,83 @@ func (w *windowScheduler) windowEnd(s *Server, r int) int {
 		}
 	}
 	return end
+}
+
+// concatRound executes round r in concat mode: one optimizer step on
+// the union of every platform's minibatch. It moves every exchange one
+// stop at a time, platform by platform, and at each stop where a result
+// is due computes it once for all of them (see fuse). Concat refuses
+// recovery and replication, so every platform is active.
+func (s *Server) concatRound(r int) error {
+	for k := range s.ex {
+		s.ex[k] = exchange{round: r}
+	}
+	stops := []int{posLogits, posLossGrad, posCutGrad, posDone}
+	if s.cfg.LabelSharing {
+		stops = stops[2:]
+	}
+	for _, stop := range stops {
+		for k := range s.ex {
+			if err := s.advance(k, stop); err != nil {
+				return err
+			}
+		}
+		if stop == posLogits || stop == posCutGrad {
+			s.fuse(stop)
+		}
+	}
+	return nil
+}
+
+// fuse fills the logits (at posLogits) or cut gradients (posCutGrad)
+// of every exchange parked at stop with one forward or backward on an
+// exchange that stacks them all. Each loss gradient is its platform's
+// minibatch mean, so it is rescaled by s_k/S (s.lastBatch holds this
+// round's s_k) to make the fused one the union-batch mean.
+func (s *Server) fuse(stop int) {
+	var f exchange
+	if stop == posLogits || s.cfg.LabelSharing {
+		f.a = s.stack(&s.fusedActs, func(x *exchange) *tensor.Tensor { return x.a })
+	}
+	if stop == posLogits {
+		s.forward(&f)
+		for k, zk := range tensor.SplitDim0(f.z, s.lastBatch) {
+			s.ex[k].z = zk
+		}
+		return
+	}
+	if s.cfg.LabelSharing {
+		f.labels = s.fusedLabels[:0]
+		for k := range s.ex {
+			f.labels = append(f.labels, s.ex[k].labels...)
+		}
+		s.fusedLabels = f.labels
+	} else {
+		total := 0
+		for _, n := range s.lastBatch {
+			total += n
+		}
+		for k := range s.ex {
+			s.ex[k].dz.Scale(float32(s.lastBatch[k]) / float32(total))
+		}
+		f.dz = s.stack(&s.fusedGrad, func(x *exchange) *tensor.Tensor { return x.dz })
+	}
+	s.backward(&f)
+	for k, dak := range tensor.SplitDim0(f.da, s.lastBatch) {
+		s.ex[k].da, s.ex[k].lossVal = dak, f.lossVal
+	}
+}
+
+// stack concatenates part of every exchange along dim 0 into *dst,
+// which is reused across rounds.
+func (s *Server) stack(dst **tensor.Tensor, part func(*exchange) *tensor.Tensor) *tensor.Tensor {
+	s.fuseParts = s.fuseParts[:0]
+	total := 0
+	for k := range s.ex {
+		t := part(&s.ex[k])
+		s.fuseParts = append(s.fuseParts, t)
+		total += t.Dim(0)
+	}
+	*dst = tensor.EnsureShape(*dst, append([]int{total}, s.fuseParts[0].Shape()[1:]...)...)
+	return tensor.ConcatDim0Into(*dst, s.fuseParts...)
 }

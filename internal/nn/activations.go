@@ -88,114 +88,6 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // Params returns nil.
 func (r *ReLU) Params() []*Param { return nil }
 
-// LeakyReLU is max(x, alpha*x) with a small positive slope for negative
-// inputs.
-type LeakyReLU struct {
-	name  string
-	alpha float32
-	x     *tensor.Tensor
-	out   *tensor.Tensor
-	dx    *tensor.Tensor
-}
-
-var _ Layer = (*LeakyReLU)(nil)
-
-// NewLeakyReLU builds the activation; alpha is typically 0.01–0.2.
-func NewLeakyReLU(name string, alpha float32) *LeakyReLU {
-	return &LeakyReLU{name: name, alpha: alpha}
-}
-
-// Name returns the layer name.
-func (l *LeakyReLU) Name() string { return l.name }
-
-// Forward applies the leaky rectifier.
-func (l *LeakyReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l.out = l.out.EnsureShapeOf(x)
-	out := l.out
-	xd, od := x.Data(), out.Data()
-	for i, v := range xd {
-		if v > 0 {
-			od[i] = v
-		} else {
-			od[i] = l.alpha * v
-		}
-	}
-	if train {
-		l.x = x
-	}
-	return out
-}
-
-// Backward scales gradient by 1 or alpha depending on the input sign.
-func (l *LeakyReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if l.x == nil {
-		panic(fmt.Sprintf("nn: %s: Backward before train-mode Forward", l.name))
-	}
-	l.dx = l.dx.EnsureShapeOf(grad)
-	dx := l.dx
-	gd, dd, xd := grad.Data(), dx.Data(), l.x.Data()
-	for i := range gd {
-		if xd[i] > 0 {
-			dd[i] = gd[i]
-		} else {
-			dd[i] = l.alpha * gd[i]
-		}
-	}
-	return dx
-}
-
-// Params returns nil.
-func (l *LeakyReLU) Params() []*Param { return nil }
-
-// Sigmoid is the logistic activation 1/(1+e^-x).
-type Sigmoid struct {
-	name string
-	out  *tensor.Tensor // shared train/eval scratch
-	y    *tensor.Tensor // backward cache; nil after an eval Forward
-}
-
-var _ Layer = (*Sigmoid)(nil)
-
-// NewSigmoid builds the activation.
-func NewSigmoid(name string) *Sigmoid { return &Sigmoid{name: name} }
-
-// Name returns the layer name.
-func (s *Sigmoid) Name() string { return s.name }
-
-// Forward applies the logistic function.
-func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	s.out = s.out.EnsureShapeOf(x)
-	out := s.out
-	xd, od := x.Data(), out.Data()
-	for i, v := range xd {
-		od[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-	if train {
-		s.y = out
-	} else {
-		// Eval overwrites the shared scratch; invalidate the backward
-		// cache so a stale Backward panics instead of using eval values.
-		s.y = nil
-	}
-	return out
-}
-
-// Backward uses dy/dx = y(1-y) from the cached output.
-func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if s.y == nil {
-		panic(fmt.Sprintf("nn: %s: Backward before train-mode Forward", s.name))
-	}
-	dx := tensor.New(grad.Shape()...)
-	gd, dd, yd := grad.Data(), dx.Data(), s.y.Data()
-	for i := range gd {
-		dd[i] = gd[i] * yd[i] * (1 - yd[i])
-	}
-	return dx
-}
-
-// Params returns nil.
-func (s *Sigmoid) Params() []*Param { return nil }
-
 // Tanh is the hyperbolic-tangent activation.
 type Tanh struct {
 	name string

@@ -255,25 +255,6 @@ func TestReLUKnownAndGradients(t *testing.T) {
 	mustGradCheck(t, NewReLU("relu"), randInput(15, 4, 6))
 }
 
-func TestLeakyReLUGradients(t *testing.T) {
-	l := NewLeakyReLU("lrelu", 0.1)
-	x := tensor.FromSlice([]float32{-10, 10}, 1, 2)
-	y := l.Forward(x, false)
-	if y.At(0, 0) != -1 || y.At(0, 1) != 10 {
-		t.Fatalf("leaky relu = %v", y.Data())
-	}
-	mustGradCheck(t, NewLeakyReLU("lrelu", 0.1), randInput(17, 4, 6))
-}
-
-func TestSigmoidGradients(t *testing.T) {
-	s := NewSigmoid("sig")
-	y := s.Forward(tensor.FromSlice([]float32{0}, 1, 1), false)
-	if d := y.At(0, 0) - 0.5; d > 1e-6 || d < -1e-6 {
-		t.Fatalf("sigmoid(0) = %v", y.At(0, 0))
-	}
-	mustGradCheck(t, NewSigmoid("sig"), randInput(19, 3, 5))
-}
-
 func TestTanhGradients(t *testing.T) {
 	mustGradCheck(t, NewTanh("tanh"), randInput(21, 3, 5))
 }
@@ -449,30 +430,4 @@ func TestSequentialChainsAndCollectsParams(t *testing.T) {
 		t.Fatalf("output shape %v", y.Shape())
 	}
 	mustGradCheck(t, seq, randInput(49, 3, 4))
-}
-
-func TestAvgPoolKnown(t *testing.T) {
-	p := NewAvgPool2D("avg", 2, 2)
-	x := tensor.FromSlice([]float32{
-		1, 2, 5, 6,
-		3, 4, 7, 8,
-		10, 20, 30, 40,
-		10, 20, 30, 40,
-	}, 1, 1, 4, 4)
-	y := p.Forward(x, false)
-	want := []float32{2.5, 6.5, 15, 35}
-	for i, v := range y.Data() {
-		if v != want[i] {
-			t.Fatalf("avgpool = %v, want %v", y.Data(), want)
-		}
-	}
-}
-
-func TestAvgPoolGradients(t *testing.T) {
-	mustGradCheck(t, NewAvgPool2D("avg", 2, 2), randInput(53, 2, 3, 6, 6))
-}
-
-func TestAvgPoolOverlappingGradients(t *testing.T) {
-	// stride < k: windows overlap, backward must accumulate.
-	mustGradCheck(t, NewAvgPool2D("avg", 3, 2), randInput(55, 1, 2, 7, 7))
 }

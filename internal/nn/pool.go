@@ -231,94 +231,3 @@ func (g *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // Params returns nil: pooling has no trainable parameters.
 func (g *GlobalAvgPool) Params() []*Param { return nil }
-
-// AvgPool2D averages non-overlapping (or strided) square windows over
-// NCHW input — the gentler sibling of MaxPool2D, used by VGG-style
-// variants that prefer average downsampling.
-type AvgPool2D struct {
-	name      string
-	k, stride int
-	inShape   []int
-	out       *tensor.Tensor
-	dx        *tensor.Tensor
-}
-
-var _ Layer = (*AvgPool2D)(nil)
-
-// NewAvgPool2D builds a k×k average pool with the given stride.
-func NewAvgPool2D(name string, k, stride int) *AvgPool2D {
-	return &AvgPool2D{name: name, k: k, stride: stride}
-}
-
-// Name returns the layer name.
-func (a *AvgPool2D) Name() string { return a.name }
-
-// Forward pools x [n, c, h, w] down to [n, c, oh, ow].
-func (a *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("nn: %s: AvgPool2D input %v, want rank 4", a.name, x.Shape()))
-	}
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh := tensor.ConvOutSize(h, a.k, a.stride, 0)
-	ow := tensor.ConvOutSize(w, a.k, a.stride, 0)
-	a.out = tensor.EnsureShape(a.out, n, c, oh, ow)
-	out := a.out // every element is written below
-	xd, od := x.Data(), out.Data()
-	inv := 1 / float32(a.k*a.k)
-	for in := 0; in < n; in++ {
-		for ch := 0; ch < c; ch++ {
-			base := (in*c + ch) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					iy0, ix0 := oy*a.stride, ox*a.stride
-					var s float32
-					for ky := 0; ky < a.k; ky++ {
-						for kx := 0; kx < a.k; kx++ {
-							s += xd[base+(iy0+ky)*w+ix0+kx]
-						}
-					}
-					od[((in*c+ch)*oh+oy)*ow+ox] = s * inv
-				}
-			}
-		}
-	}
-	if train {
-		a.inShape = x.Shape()
-	}
-	return out
-}
-
-// Backward spreads each output gradient uniformly across its window.
-// Overlapping windows (stride < k) accumulate.
-func (a *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if a.inShape == nil {
-		panic(fmt.Sprintf("nn: %s: Backward before train-mode Forward", a.name))
-	}
-	n, c, h, w := a.inShape[0], a.inShape[1], a.inShape[2], a.inShape[3]
-	oh, ow := grad.Dim(2), grad.Dim(3)
-	a.dx = tensor.EnsureShape(a.dx, a.inShape...)
-	a.dx.Zero() // overlapping windows accumulate below
-	dx := a.dx
-	dd, gd := dx.Data(), grad.Data()
-	inv := 1 / float32(a.k*a.k)
-	for in := 0; in < n; in++ {
-		for ch := 0; ch < c; ch++ {
-			base := (in*c + ch) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					g := gd[((in*c+ch)*oh+oy)*ow+ox] * inv
-					iy0, ix0 := oy*a.stride, ox*a.stride
-					for ky := 0; ky < a.k; ky++ {
-						for kx := 0; kx < a.k; kx++ {
-							dd[base+(iy0+ky)*w+ix0+kx] += g
-						}
-					}
-				}
-			}
-		}
-	}
-	return dx
-}
-
-// Params returns nil: pooling has no trainable parameters.
-func (a *AvgPool2D) Params() []*Param { return nil }

@@ -53,10 +53,6 @@ func Replica(l Layer) (Layer, error) {
 			gamma: v.gamma, beta: v.beta, runningMean: v.runningMean, runningVar: v.runningVar}, nil
 	case *ReLU:
 		return NewReLU(v.name), nil
-	case *LeakyReLU:
-		return NewLeakyReLU(v.name, v.alpha), nil
-	case *Sigmoid:
-		return NewSigmoid(v.name), nil
 	case *Tanh:
 		return NewTanh(v.name), nil
 	case *Flatten:
@@ -65,8 +61,6 @@ func Replica(l Layer) (Layer, error) {
 		return &Dropout{name: v.name, rate: v.rate}, nil
 	case *MaxPool2D:
 		return NewMaxPool2D(v.name, v.k, v.stride), nil
-	case *AvgPool2D:
-		return NewAvgPool2D(v.name, v.k, v.stride), nil
 	case *GlobalAvgPool:
 		return NewGlobalAvgPool(v.name), nil
 	case interface{ Replica() Layer }:

@@ -19,13 +19,12 @@ func replicaNets(seed uint64) []*Sequential {
 		NewBatchNorm("bn", 8),
 		NewReLU("r1"),
 		NewResidual("res",
-			NewSequential("body", NewConv2D("c2", 8, 8, 3, 3, 1, 1, r), NewLeakyReLU("lr", 0.1)),
+			NewSequential("body", NewConv2D("c2", 8, 8, 3, 3, 1, 1, r), NewReLU("r2")),
 			NewConv2D("proj", 8, 8, 1, 1, 1, 0, r)),
 		NewResidual("id", NewTanh("th"), nil),
 		NewMaxPool2D("mp", 2, 2),
-		NewAvgPool2D("ap", 2, 2),
 		NewDropout("do", 0.5, r),
-		NewSequential("head", NewFlatten("fl"), NewDense("d1", 32, 16, r), NewSigmoid("sg"), NewDense("d2", 16, 4, r)),
+		NewSequential("head", NewFlatten("fl"), NewDense("d1", 128, 16, r), NewTanh("th2"), NewDense("d2", 16, 4, r)),
 	)
 	b := NewSequential("b",
 		NewConv2D("c1", 3, 4, 3, 3, 2, 1, r),
