@@ -36,7 +36,7 @@ COVER_MIN_core       = 82
 COVER_MIN_transport  = 87
 COVER_MIN_simnet     = 90
 COVER_MIN_wal        = 85
-COVER_MIN_serve      = 80
+COVER_MIN_serve      = 88
 COVER_MIN_paramserver = 82
 
 .PHONY: test bench-check benchmark bench bench-save bench-save-tensor bench-smoke bench-compare bench-save-serve bench-save-consistency load-test chaos-test fuzz-smoke cover vuln race vet fmt-check purego-test cross-arm64 ci

@@ -62,8 +62,8 @@ func main() {
 		evalEvery = flag.Int("evalevery", 10, "eval every N rounds (must match server)")
 		evaluator = flag.Bool("evaluator", false, "this platform measures test accuracy")
 		codec     = flag.String("codec", "raw", "activation codec: raw, f16, int8, topk-<frac> (must match server)")
-		loadPath  = flag.String("load", "", "restore the L1 half from a weights-only checkpoint before training")
-		savePath  = flag.String("save", "", "write the L1 half to a weights-only checkpoint after training")
+		loadPath  = flag.String("load", "", "start from the L1 half's weights in a -save snapshot file (fresh optimizer, round 0)")
+		savePath  = flag.String("save", "", "write the platform's session snapshot to this file after training")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for session snapshots (full resumable state)")
 		ckptEvery = flag.Int("checkpoint-every", 0, "write a session snapshot every N rounds (requires -checkpoint-dir)")
 		resumeDir = flag.String("resume", "", "resume the session from the snapshots in this directory")
@@ -138,7 +138,11 @@ func run(cfg experiment.Config, o platformOpts) error {
 		return err
 	}
 	if o.loadPath != "" {
-		if err := nn.LoadCheckpointFile(o.loadPath, front.Params(), nn.CollectState(front)); err != nil {
+		loaded, err := core.LoadSnapshotFile(o.loadPath)
+		if err != nil {
+			return err
+		}
+		if err := core.RestoreModel(front, loaded, core.RolePlatform); err != nil {
 			return err
 		}
 		fmt.Printf("splitplatform %d: restored L1 from %s\n", o.id, o.loadPath)
@@ -245,7 +249,7 @@ func run(cfg experiment.Config, o platformOpts) error {
 		}
 	}
 	if o.savePath != "" {
-		if err := nn.SaveCheckpointFile(o.savePath, front.Params(), nn.CollectState(front)); err != nil {
+		if err := core.SaveSnapshotFile(o.savePath, plat.Snapshot(o.rounds)); err != nil {
 			return err
 		}
 		fmt.Printf("splitplatform %d: saved L1 to %s\n", o.id, o.savePath)

@@ -92,8 +92,8 @@ func main() {
 		l1sync     = flag.Int("l1sync", 0, "average platform L1 weights every N rounds (0 = off)")
 		evalEvery  = flag.Int("evalevery", 10, "evaluation phase every N rounds (0 = off)")
 		codec      = flag.String("codec", "raw", "activation codec: raw, f16, int8, topk-<frac>")
-		loadPath   = flag.String("load", "", "restore the server half from a weights-only checkpoint before training")
-		savePath   = flag.String("save", "", "write the server half to a weights-only checkpoint after training")
+		loadPath   = flag.String("load", "", "start from the server half's weights in a -save snapshot file (fresh optimizer, round 0)")
+		savePath   = flag.String("save", "", "write the server's session snapshot to this file after training")
 		ckptDir    = flag.String("checkpoint-dir", "", "directory for session snapshots (full resumable state)")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "write a session snapshot every N rounds (requires -checkpoint-dir)")
 		resumeDir  = flag.String("resume", "", "resume the session from the snapshots in this directory")
@@ -109,8 +109,6 @@ func main() {
 		batchMax     = flag.Int("batch-max", 8, "with -serve: flush a tenant's batch at this many accumulated rows")
 		flushEvery   = flag.Duration("flush-every", 2*time.Millisecond, "with -serve: while every compute slot is busy, hold a partial batch at most this long (a request that finds a slot free runs at once)")
 		computeSlots = flag.Int("compute-slots", 1, "with -serve: concurrent back-half forwards across all tenants")
-		maxSessions  = flag.Int("max-sessions", 0, "with -serve: admission cap on concurrent training sessions (0 = default)")
-		maxMemory    = flag.Int64("max-memory", 0, "with -serve: admission cap on estimated session bytes (0 = unlimited)")
 		queueCap     = flag.Int("queue-cap", 0, "with -serve: per-tenant admission queue depth before shedding (0 = default)")
 		ioTimeout    = flag.Duration("io-timeout", 0, "with -serve: per-call read/write deadline on client connections (0 = none)")
 	)
@@ -120,7 +118,6 @@ func main() {
 		if err := runServe(serveOpts{
 			addr: *addr, tenants: *tenants, arch: *arch, classes: *classes, width: *width,
 			batchMax: *batchMax, flushEvery: *flushEvery, computeSlots: *computeSlots,
-			maxSessions: *maxSessions, maxMemory: *maxMemory,
 			queueCap: *queueCap, ioTimeout: *ioTimeout,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "splitserver:", err)
@@ -248,7 +245,11 @@ func run(o serverOpts) error {
 	}
 	back := scfg.Back
 	if o.loadPath != "" {
-		if err := nn.LoadCheckpointFile(o.loadPath, back.Params(), nn.CollectState(back)); err != nil {
+		loaded, err := core.LoadSnapshotFile(o.loadPath)
+		if err != nil {
+			return err
+		}
+		if err := core.RestoreModel(back, loaded, core.RoleServer); err != nil {
 			return err
 		}
 		fmt.Printf("splitserver: restored server half from %s\n", o.loadPath)
@@ -361,7 +362,7 @@ func run(o serverOpts) error {
 	fmt.Printf("splitserver: training traffic %s (all platforms, both directions)\n",
 		metrics.FormatBytes(core.TrainingBytes(meter)))
 	if o.savePath != "" {
-		if err := nn.SaveCheckpointFile(o.savePath, back.Params(), nn.CollectState(back)); err != nil {
+		if err := core.SaveSnapshotFile(o.savePath, srv.Snapshot(o.rounds)); err != nil {
 			return err
 		}
 		fmt.Printf("splitserver: saved server half to %s\n", o.savePath)
@@ -452,7 +453,7 @@ func runStandby(o serverOpts) error {
 	fmt.Printf("splitserver: post-failover traffic %s (all platforms, both directions)\n",
 		metrics.FormatBytes(core.TrainingBytes(meter)))
 	if o.savePath != "" {
-		if err := nn.SaveCheckpointFile(o.savePath, scfg.Back.Params(), nn.CollectState(scfg.Back)); err != nil {
+		if err := core.SaveSnapshotFile(o.savePath, promoted.Snapshot(o.rounds)); err != nil {
 			return err
 		}
 		fmt.Printf("splitserver: saved server half to %s\n", o.savePath)

@@ -27,8 +27,6 @@ type serveOpts struct {
 	batchMax     int
 	flushEvery   time.Duration
 	computeSlots int
-	maxSessions  int
-	maxMemory    int64
 	queueCap     int
 	ioTimeout    time.Duration
 }
@@ -99,12 +97,7 @@ func runServe(o serveOpts) error {
 	if err != nil {
 		return err
 	}
-	m, err := serve.NewManager(serve.Config{
-		Tenants:        tenants,
-		MaxSessions:    o.maxSessions,
-		MaxMemoryBytes: o.maxMemory,
-		ComputeSlots:   o.computeSlots,
-	})
+	m, err := serve.NewManager(serve.Config{Tenants: tenants, ComputeSlots: o.computeSlots})
 	if err != nil {
 		return err
 	}

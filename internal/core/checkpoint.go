@@ -338,17 +338,19 @@ func restoreModelTensors(net *nn.Sequential, ts []*tensor.Tensor) (rest []*tenso
 	return ts[len(params)+len(state):], nil
 }
 
-// RestoreServerModel copies a server snapshot's model weights and
-// stateful buffers (BatchNorm statistics) into back, ignoring the
-// optimizer state that follows them in the tensor stream. It is the
-// serving-side restore: an inference tier wants the weights as of a
-// checkpoint generation, not the trainer's momentum, and the back
-// half it loads into has no optimizer attached.
-func RestoreServerModel(back *nn.Sequential, snap *Snapshot) error {
-	if snap.Role != RoleServer {
-		return fmt.Errorf("%w: restoring a %s snapshot into a serving model", ErrBadSnapshot, snap.Role)
+// RestoreModel copies a snapshot's model weights and stateful buffers
+// (BatchNorm statistics) into net, the model half of the given role,
+// ignoring everything else the snapshot holds: the optimizer state
+// that follows the model in the tensor stream, the round counter and,
+// for a platform, the sampler. It is the weights-only restore: a
+// training run started from it gets a fresh optimizer at round 0, and
+// the inference tier serves a checkpoint generation's weights from a
+// back half with no optimizer attached.
+func RestoreModel(net *nn.Sequential, snap *Snapshot, role SnapshotRole) error {
+	if snap.Role != role {
+		return fmt.Errorf("%w: restoring a %s snapshot into a %s model", ErrBadSnapshot, snap.Role, role)
 	}
-	_, err := restoreModelTensors(back, snap.Tensors)
+	_, err := restoreModelTensors(net, snap.Tensors)
 	return err
 }
 

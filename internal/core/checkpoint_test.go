@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -154,6 +155,88 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 	if got.NextRound != want.NextRound || len(got.Tensors) != len(want.Tensors) {
 		t.Fatal("file round trip changed the snapshot")
+	}
+	if _, err := LoadSnapshotFile(filepath.Join(dir, "missing.ckpt")); err == nil {
+		t.Fatal("missing file loaded")
+	}
+}
+
+// bnHalf is a model half with both params and BatchNorm state, its
+// statistics moved off their initialization by one training forward.
+func bnHalf(in int, seed uint64) *nn.Sequential {
+	r := rng.New(seed)
+	net := nn.NewSequential("bn-half",
+		nn.NewDense("fc1", in, 8, r),
+		nn.NewBatchNorm("bn", 8),
+		nn.NewTanh("tanh"),
+		nn.NewDense("head", 8, 3, r),
+	)
+	x := tensor.New(16, in)
+	x.FillNormal(rng.New(seed+1), 1, 2)
+	net.Forward(x, true)
+	return net
+}
+
+// RestoreModel is -load's weights-only restore from a -save file: the
+// model half comes back bit-exact, weights and running statistics, for
+// either role, and a file for another architecture or the other role
+// is refused.
+func TestRestoreModel(t *testing.T) {
+	train, _ := testData(t, 3, 24, 8, 45)
+	flat := flatten(train)
+	in := flat.X.Dim(1)
+	back, front := bnHalf(in, 1), bnHalf(in, 3)
+	// Momentum puts optimizer tensors after the model's in the stream.
+	momentum := func(c *ServerConfig) { c.Opt = &nn.Momentum{LR: 0.05, Mu: 0.9} }
+	srvSnap := defaultServer(t, back, 1, 8, momentum).Snapshot(8)
+	platSnap := defaultPlatform(t, 0, front, flat, 8, nil).Snapshot(8)
+
+	dir := t.TempDir()
+	cases := []struct {
+		name    string
+		src     *nn.Sequential // the half the snapshot was taken from
+		snap    *Snapshot
+		role    SnapshotRole
+		into    *nn.Sequential
+		wantErr bool
+	}{
+		{"server", back, srvSnap, RoleServer, bnHalf(in, 99), false},
+		{"platform", front, platSnap, RolePlatform, bnHalf(in, 98), false},
+		{"other architecture", back, srvSnap, RoleServer, bnHalf(in+1, 97), true},
+		{"other role", front, platSnap, RoleServer, bnHalf(in, 96), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(dir, tc.name+".ckpt")
+			if err := SaveSnapshotFile(path, tc.snap); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := LoadSnapshotFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = RestoreModel(tc.into, snap, tc.role)
+			if tc.wantErr {
+				if !errors.Is(err, ErrBadSnapshot) {
+					t.Fatalf("err = %v, want ErrBadSnapshot", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := appendModelTensors(nil, tc.src), appendModelTensors(nil, tc.into)
+			for i := range want {
+				if !tensor.AllClose(got[i], want[i], 0) {
+					t.Fatalf("model tensor %d (weights, then running statistics) differs after restore", i)
+				}
+			}
+			x := tensor.New(4, in)
+			x.FillNormal(rng.New(7), 0, 1)
+			if !tensor.AllClose(tc.src.Forward(x, false), tc.into.Forward(x, false), 0) {
+				t.Fatal("restored model diverges")
+			}
+		})
 	}
 }
 

@@ -5,17 +5,15 @@ package core
 // backward and optimizer step (training, batched inference and eval
 // forwards alike) and releases it as soon as the step finishes.
 //
-// The gate exists so one process can multiplex many sessions: a
-// multi-tenant session manager (internal/serve) hands every session a
-// gate backed by a shared slot pool with round-robin fairness, bounding
-// concurrent compute and keeping one hot session from starving the
-// rest. Within a session the gate never reorders anything — compute
-// still runs on the session goroutine, in protocol order — so a gated
-// session's weights are bit-identical to an ungated one.
+// The gate lets a caller observe or pace the server's math without
+// touching the protocol: the benchmark's traced runs time every
+// compute step through it. The gate never reorders anything —
+// compute still runs on the session goroutine, in protocol order — so
+// a gated session's weights are bit-identical to an ungated one.
 //
 // Acquire may block; it returns the matching release function. A gate
-// must be safe for use from one goroutine per session (the session
-// goroutine), and acquisitions are never nested.
+// is called from the session goroutine only, and acquisitions are
+// never nested.
 type ComputeGate interface {
 	Acquire() (release func())
 }

@@ -78,10 +78,8 @@ type ServerConfig struct {
 	LRSchedule nn.Schedule
 	// Compute, when set, gates every server-side compute step (back-half
 	// forward, backward, optimizer step, eval forward) through an
-	// external admission point. The multi-tenant session manager
-	// (internal/serve) uses it to share one process's compute budget
-	// fairly across many concurrent sessions; nil (the default) runs
-	// ungated. See ComputeGate.
+	// external admission point; nil (the default) runs ungated. See
+	// ComputeGate.
 	Compute ComputeGate
 	// Codec compresses the four training-exchange payloads
 	// (activations, logits, loss gradients, cut gradients). Defaults to

@@ -1,10 +1,7 @@
 package nn
 
 import (
-	"bytes"
-	"errors"
 	"math"
-	"path/filepath"
 	"testing"
 
 	"medsplit/internal/rng"
@@ -74,8 +71,8 @@ func TestApplySchedule(t *testing.T) {
 	}
 }
 
-// buildBNModel gives checkpoint tests a model with both params and
-// state.
+// buildBNModel gives the model-encoding tests a model with both params
+// and state.
 func buildBNModel(seed uint64) *Sequential {
 	r := rng.New(seed)
 	return NewSequential("ckpt-model",
@@ -84,86 +81,6 @@ func buildBNModel(seed uint64) *Sequential {
 		NewTanh("tanh"),
 		NewDense("head", 8, 3, r),
 	)
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	src := buildBNModel(1)
-	// Move the state off its initialization.
-	x := tensor.New(16, 6)
-	x.FillNormal(rng.New(2), 1, 2)
-	src.Forward(x, true)
-
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, src.Params(), CollectState(src)); err != nil {
-		t.Fatal(err)
-	}
-	dst := buildBNModel(99) // different init
-	if err := LoadCheckpoint(&buf, dst.Params(), CollectState(dst)); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range src.Params() {
-		if !tensor.AllClose(p.W, dst.Params()[i].W, 0) {
-			t.Fatalf("param %d differs after restore", i)
-		}
-	}
-	srcState, dstState := CollectState(src), CollectState(dst)
-	for i := range srcState {
-		if !tensor.AllClose(srcState[i], dstState[i], 0) {
-			t.Fatalf("state %d differs after restore", i)
-		}
-	}
-	// Restored model computes identically.
-	if !tensor.AllClose(src.Forward(x, false), dst.Forward(x, false), 0) {
-		t.Fatal("restored model diverges")
-	}
-}
-
-func TestCheckpointFileRoundTrip(t *testing.T) {
-	src := buildBNModel(3)
-	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if err := SaveCheckpointFile(path, src.Params(), CollectState(src)); err != nil {
-		t.Fatal(err)
-	}
-	dst := buildBNModel(77)
-	if err := LoadCheckpointFile(path, dst.Params(), CollectState(dst)); err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.AllClose(src.Params()[0].W, dst.Params()[0].W, 0) {
-		t.Fatal("file round trip lost weights")
-	}
-	if err := LoadCheckpointFile(filepath.Join(t.TempDir(), "missing.ckpt"), dst.Params(), CollectState(dst)); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
-func TestCheckpointRejectsMismatches(t *testing.T) {
-	src := buildBNModel(4)
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, src.Params(), CollectState(src)); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	// Wrong architecture (different widths).
-	other := NewSequential("other", NewDense("fc", 6, 4, rng.New(5)))
-	if err := LoadCheckpoint(bytes.NewReader(good), other.Params(), nil); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("wrong arch: %v", err)
-	}
-	// Corrupt magic.
-	bad := append([]byte(nil), good...)
-	bad[0] = 'X'
-	dst := buildBNModel(4)
-	if err := LoadCheckpoint(bytes.NewReader(bad), dst.Params(), CollectState(dst)); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("bad magic: %v", err)
-	}
-	// Truncation.
-	if err := LoadCheckpoint(bytes.NewReader(good[:len(good)-5]), dst.Params(), CollectState(dst)); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("truncated: %v", err)
-	}
-	// Trailing garbage.
-	if err := LoadCheckpoint(bytes.NewReader(append(append([]byte(nil), good...), 1, 2)), dst.Params(), CollectState(dst)); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("trailing: %v", err)
-	}
 }
 
 func TestCollectStateCoversNestedContainers(t *testing.T) {

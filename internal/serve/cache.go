@@ -25,7 +25,7 @@ const (
 //
 // The cache is pull-based: it touches disk only when a request asks
 // for a generation newer than what is loaded (ensure's wantGen), via
-// core.LoadLatestSnapshot + core.RestoreServerModel — a weights-only
+// core.LoadLatestSnapshot + core.RestoreModel — a weights-only
 // restore, since serving has no optimizer. That makes the refresh
 // policy explicit in the protocol: a client that learns a new
 // checkpoint landed sends its generation, and that request is what
@@ -149,7 +149,7 @@ func (c *modelCache) reload(wantGen uint32) {
 		}
 		fresh, err = c.build()
 		if err == nil {
-			err = core.RestoreServerModel(fresh, snap)
+			err = core.RestoreModel(fresh, snap, core.RoleServer)
 		}
 	}
 	if err != nil {

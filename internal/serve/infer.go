@@ -29,9 +29,9 @@ type InferConfig struct {
 	// first flushes it sooner. The bound is on the flush, not on
 	// compute: a flushed batch still waits for one of its tenant's
 	// lanes and for a slot in the compute scheduler (round robin over
-	// every registered session and batcher, at most one lap of the
-	// ring), so a request's compute starts within FlushEvery plus those
-	// waits. Defaults to 2ms.
+	// every tenant's batcher, at most one lap of the ring), so a
+	// request's compute starts within FlushEvery plus those waits.
+	// Defaults to 2ms.
 	FlushEvery time.Duration
 	// QueueCap bounds a tenant's pending request queue. Arrivals beyond
 	// it are refused with ErrOverloaded (carrying a retry-after hint)
@@ -296,12 +296,16 @@ func (is *InferenceServer) handleRequest(lc *lockedConn, m *wire.Message) {
 		reqID: h.RequestID, gen: h.Generation, deadline: deadline,
 		acts: dec[0], slot: dec,
 	}
+	// Count before enqueueing: once queued, a lane may answer the
+	// request before this goroutine runs again, and Stats must never
+	// report fewer requests than the responses already sent.
+	is.requests.Add(1)
 	if err := ts.enqueue(j); err != nil {
+		is.requests.Add(-1)
 		ts.putSlot(j.slot)
 		is.respondError(lc, m.Platform, m.Round, err)
 		return
 	}
-	is.requests.Add(1)
 }
 
 // errCodeOf classifies a serving error for the wire: the code decides

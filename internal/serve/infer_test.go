@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -164,6 +165,13 @@ func holdSlot(t *testing.T, is *InferenceServer) (giveBack func()) {
 // in input order.
 func inferAll(t *testing.T, dial func() transport.Conn, xs []*tensor.Tensor) (wait func() []*tensor.Tensor) {
 	t.Helper()
+	return inferAllThen(t, dial, xs, nil)
+}
+
+// inferAllThen is inferAll with a hook that each client goroutine calls
+// right after its response arrives (nil for none).
+func inferAllThen(t *testing.T, dial func() transport.Conn, xs []*tensor.Tensor, answered func()) (wait func() []*tensor.Tensor) {
+	t.Helper()
 	got := make([]*tensor.Tensor, len(xs))
 	errs := make([]error, len(xs))
 	var wg sync.WaitGroup
@@ -178,6 +186,9 @@ func inferAll(t *testing.T, dial func() transport.Conn, xs []*tensor.Tensor) (wa
 				return
 			}
 			got[i] = y.Clone()
+			if answered != nil {
+				answered()
+			}
 		}(i, client)
 	}
 	return func() []*tensor.Tensor {
@@ -209,7 +220,15 @@ func TestBatchedInferenceMatchesSingle(t *testing.T) {
 		dial, is := inferFixtureSlots(t, slots, InferConfig{BatchMax: 2, FlushEvery: time.Hour}, inferTenant("alpha", 5, ""))
 		giveBack := holdSlot(t, is)
 		xs := []*tensor.Tensor{randInput(1, 101), randInput(1, 102)}
-		wait := inferAll(t, dial, xs)
+		// A request is counted before any lane can answer it, so the
+		// count never trails the responses already received.
+		var responses atomic.Int64
+		wait := inferAllThen(t, dial, xs, func() {
+			n := responses.Add(1)
+			if st := is.Stats(); st.Requests < n {
+				t.Errorf("stats %+v after %d response(s): requests counted after they were answered", st, n)
+			}
+		})
 		// The batcher is parked in Acquire only once BatchMax flushed the pair.
 		waitPending(t, is.m.sched, is.serving["alpha"].gate)
 		giveBack()
@@ -348,7 +367,7 @@ func TestCacheRollsForwardByGeneration(t *testing.T) {
 
 	// Write a generation-3 checkpoint with shifted weights, as a
 	// training session would (weights + state, optimizer tail omitted —
-	// RestoreServerModel ignores it).
+	// RestoreModel ignores it).
 	m := models.MLP(inferIn, []int{32}, inferClasses, rng.New(5))
 	_, snapBack, err := models.Split(m.Net, m.DefaultCut)
 	if err != nil {

@@ -3,21 +3,18 @@ package serve
 import "sync"
 
 // computeScheduler shares a fixed budget of compute slots across every
-// training session and inference batcher in the process. It bounds how
-// many sessions run back-half math at once across the whole process —
-// and hands freed slots out round-robin so a hot tenant cannot starve a
-// quiet one.
+// tenant batcher in the process. It bounds how many back-half forwards
+// run at once across the whole process — and hands freed slots out
+// round-robin so a hot tenant cannot starve a quiet one.
 //
-// Each session (or batcher) registers once and receives a gate that
-// plugs into core.ServerConfig.Compute. A gate's Acquire and tryAcquire
-// are called from one goroutine: a session's compute loop, or a
-// tenant's batcher, which takes slots on behalf of its compute lanes
-// and lets each lane release its own. So a batcher's gate may hold
-// several slots at once, one per busy lane, but never has more than one
-// acquisition pending — which is what makes cursor round-robin over the
-// registration ring an exact fairness policy: after a grant the cursor
-// moves past the granted gate, so every waiter is reached within one
-// lap of the ring.
+// Each tenant's batcher registers once and receives a gate. A gate's
+// Acquire and tryAcquire are called from that one goroutine, which
+// takes slots on behalf of the tenant's compute lanes and lets each
+// lane release its own. So a gate may hold several slots at once, one
+// per busy lane, but never has more than one acquisition pending —
+// which is what makes cursor round-robin over the registration ring an
+// exact fairness policy: after a grant the cursor moves past the
+// granted gate, so every waiter is reached within one lap of the ring.
 //
 // A slot that nobody is waiting for is banked, and every gate's wake
 // channel fires: a batcher holding a batch for want of a slot retries
@@ -47,7 +44,8 @@ func (cs *computeScheduler) register(name string) *computeGate {
 
 // unregister removes a gate from the ring. The gate's owner must have
 // stopped computing: a pending acquisition on an unregistered gate
-// would strand, so sessions unregister only after Serve has returned.
+// would strand, so InferenceServer.Close unregisters a tenant's gate
+// only after its batcher and lanes have exited.
 func (cs *computeScheduler) unregister(g *computeGate) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -68,8 +66,8 @@ func (cs *computeScheduler) unregister(g *computeGate) {
 	}
 }
 
-// computeGate is one party's handle on the shared slot budget. It
-// implements core.ComputeGate.
+// computeGate is one tenant batcher's handle on the shared slot
+// budget.
 type computeGate struct {
 	sched *computeScheduler
 	name  string
@@ -78,8 +76,7 @@ type computeGate struct {
 	grant   chan struct{}
 	pending bool // waiting for a grant (guarded by sched.mu)
 	// wake fires (capacity 1, never blocking the sender) when a slot is
-	// banked, and when one of a batcher's lanes finishes. Sessions
-	// never read it.
+	// banked, and when one of the batcher's lanes finishes.
 	wake chan struct{}
 
 	// Scheduling counters (guarded by sched.mu): total acquisitions and

@@ -1,313 +1,9 @@
 package serve
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/fnv"
-	"math"
-	"sync"
 	"testing"
-
-	"medsplit/internal/core"
-	"medsplit/internal/dataset"
-	"medsplit/internal/models"
-	"medsplit/internal/nn"
-	"medsplit/internal/rng"
-	"medsplit/internal/transport"
 )
-
-// buildSplitMLP returns a fresh deterministic MLP split at the default
-// cut. Same seed ⇒ same weights, which is what the differential tests
-// lean on.
-func buildSplitMLP(t *testing.T, seed uint64, in, classes int) (front, back *nn.Sequential) {
-	t.Helper()
-	m := models.MLP(in, []int{32}, classes, rng.New(seed))
-	f, b, err := models.Split(m.Net, m.DefaultCut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f, b
-}
-
-// flatData builds a small deterministic dataset flattened for MLPs.
-func flatData(t *testing.T, classes, n int, seed uint64) *dataset.Dataset {
-	t.Helper()
-	train, _ := dataset.SynthCIFAR(dataset.SynthConfig{Classes: classes, Train: n, Test: 8, Seed: seed})
-	rows := train.X.Dim(0)
-	return &dataset.Dataset{
-		X:       train.X.Reshape(rows, train.X.Size()/rows),
-		Labels:  train.Labels,
-		Classes: train.Classes,
-	}
-}
-
-// paramDigest folds every parameter's raw float bits into an FNV-1a
-// digest, nets in argument order — the same notion of identity the
-// experiment runners use for differential tests.
-func paramDigest(nets ...*nn.Sequential) uint64 {
-	h := fnv.New64a()
-	var b [4]byte
-	for _, net := range nets {
-		for _, p := range net.Params() {
-			for _, v := range p.W.Data() {
-				binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-				h.Write(b[:])
-			}
-		}
-	}
-	return h.Sum64()
-}
-
-// trainingServerConfig is a minimal single-platform training session.
-func trainingServerConfig(back *nn.Sequential, platforms, rounds int) core.ServerConfig {
-	return core.ServerConfig{
-		Back:      back,
-		Opt:       &nn.SGD{LR: 0.05},
-		Platforms: platforms,
-		Rounds:    rounds,
-	}
-}
-
-func newTestPlatform(t *testing.T, id int, front *nn.Sequential, shard *dataset.Dataset, rounds int) *core.Platform {
-	t.Helper()
-	p, err := core.NewPlatform(core.PlatformConfig{
-		ID:     id,
-		Front:  front,
-		Opt:    &nn.SGD{LR: 0.05},
-		Loss:   nn.SoftmaxCrossEntropy{},
-		Shard:  shard,
-		Batch:  8,
-		Rounds: rounds,
-		Seed:   uint64(100 + id),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// runManagedSession drives one training session through the Manager:
-// the server runs on the Session goroutine, the platforms here.
-func runManagedSession(t *testing.T, m *Manager, tenant string, scfg core.ServerConfig, platforms []*core.Platform) error {
-	t.Helper()
-	serverConns := make([]transport.Conn, len(platforms))
-	platformConns := make([]transport.Conn, len(platforms))
-	for k := range platforms {
-		serverConns[k], platformConns[k] = transport.Pipe()
-	}
-	sess, err := m.OpenSession(tenant, scfg, serverConns)
-	if err != nil {
-		for _, c := range serverConns {
-			c.Close()
-		}
-		return err
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(platforms))
-	for k, p := range platforms {
-		wg.Add(1)
-		go func(k int, p *core.Platform) {
-			defer wg.Done()
-			if _, err := p.Run(platformConns[k]); err != nil {
-				errs[k] = err
-				platformConns[k].Close()
-			}
-		}(k, p)
-	}
-	wg.Wait()
-	serr := sess.Wait()
-	for _, c := range serverConns {
-		c.Close()
-	}
-	for _, c := range platformConns {
-		c.Close()
-	}
-	return errors.Join(append(errs, serr)...)
-}
-
-// A single-tenant session served through the Manager must produce
-// bit-identical weights to the same session run standalone through
-// core.RunLocal: the compute gate decides when steps run, never their
-// order or their math.
-func TestManagedSessionDigestMatchesRunLocal(t *testing.T) {
-	const seed, rounds, classes = 7, 6, 4
-	shard := flatData(t, classes, 64, 1)
-	in := shard.X.Dim(1)
-
-	// Standalone reference.
-	frontR, backR := buildSplitMLP(t, seed, in, classes)
-	srv, err := core.NewServer(trainingServerConfig(backR, 1, rounds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.RunLocal(srv, []*core.Platform{newTestPlatform(t, 0, frontR, shard, rounds)}); err != nil {
-		t.Fatal(err)
-	}
-	want := paramDigest(frontR, backR)
-
-	// Same session through the Manager.
-	frontM, backM := buildSplitMLP(t, seed, in, classes)
-	m, err := NewManager(Config{Tenants: []TenantConfig{{Name: "alpha"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if err := runManagedSession(t, m, "alpha", trainingServerConfig(backM, 1, rounds),
-		[]*core.Platform{newTestPlatform(t, 0, frontM, shard, rounds)}); err != nil {
-		t.Fatal(err)
-	}
-	if got := paramDigest(frontM, backM); got != want {
-		t.Fatalf("managed session digest %016x, standalone %016x", got, want)
-	}
-}
-
-// Concurrent sessions of different tenants sharing one compute slot
-// must each train bit-identically to their solo runs: fairness
-// scheduling interleaves sessions but never perturbs any one of them.
-func TestConcurrentTenantsTrainBitIdentically(t *testing.T) {
-	const tenants, rounds, classes = 3, 5, 4
-	shard := flatData(t, classes, 64, 2)
-	in := shard.X.Dim(1)
-
-	// Solo reference digests, one per tenant seed.
-	want := make([]uint64, tenants)
-	for i := 0; i < tenants; i++ {
-		f, b := buildSplitMLP(t, uint64(20+i), in, classes)
-		srv, err := core.NewServer(trainingServerConfig(b, 1, rounds))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := core.RunLocal(srv, []*core.Platform{newTestPlatform(t, 0, f, shard, rounds)}); err != nil {
-			t.Fatal(err)
-		}
-		want[i] = paramDigest(f, b)
-	}
-
-	tcs := []TenantConfig{{Name: "a"}, {Name: "b"}, {Name: "c"}}
-	m, err := NewManager(Config{Tenants: tcs, ComputeSlots: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	fronts := make([]*nn.Sequential, tenants)
-	backs := make([]*nn.Sequential, tenants)
-	var wg sync.WaitGroup
-	errs := make([]error, tenants)
-	for i := 0; i < tenants; i++ {
-		fronts[i], backs[i] = buildSplitMLP(t, uint64(20+i), in, classes)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = runManagedSession(t, m, tcs[i].Name, trainingServerConfig(backs[i], 1, rounds),
-				[]*core.Platform{newTestPlatform(t, 0, fronts[i], shard, rounds)})
-		}(i)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < tenants; i++ {
-		if got := paramDigest(fronts[i], backs[i]); got != want[i] {
-			t.Errorf("tenant %d: concurrent digest %016x, solo %016x", i, got, want[i])
-		}
-	}
-	if st := m.Stats(); st.Sessions != 0 || st.MemoryBytes != 0 {
-		t.Fatalf("admission state not drained: %+v", st)
-	}
-}
-
-// holdSession opens a session whose platforms never connect, pinning
-// it in the handshake so admission state stays occupied; the returned
-// func unblocks and reaps it.
-func holdSession(t *testing.T, m *Manager, tenant string, back *nn.Sequential) (release func()) {
-	t.Helper()
-	s, p := transport.Pipe()
-	sess, err := m.OpenSession(tenant, trainingServerConfig(back, 1, 2), []transport.Conn{s})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return func() {
-		p.Close()
-		s.Close()
-		_ = sess.Wait() // handshake failure, expected
-	}
-}
-
-func TestAdmissionRejections(t *testing.T) {
-	shard := flatData(t, 4, 32, 3)
-	in := shard.X.Dim(1)
-	_, back1 := buildSplitMLP(t, 1, in, 4)
-	_, back2 := buildSplitMLP(t, 2, in, 4)
-
-	t.Run("unknown tenant", func(t *testing.T) {
-		m, _ := NewManager(Config{Tenants: []TenantConfig{{Name: "a"}}})
-		_, err := m.OpenSession("ghost", trainingServerConfig(back1, 1, 2), nil)
-		if !errors.Is(err, ErrUnknownTenant) {
-			t.Fatalf("err = %v, want ErrUnknownTenant", err)
-		}
-	})
-
-	t.Run("per-tenant session limit", func(t *testing.T) {
-		m, _ := NewManager(Config{Tenants: []TenantConfig{{Name: "a", MaxSessions: 1}}})
-		release := holdSession(t, m, "a", back1)
-		_, err := m.OpenSession("a", trainingServerConfig(back2, 1, 2), nil)
-		if !errors.Is(err, ErrSessionLimit) {
-			t.Fatalf("err = %v, want ErrSessionLimit", err)
-		}
-		release()
-		// The reaped session frees its admission slot.
-		release2 := holdSession(t, m, "a", back2)
-		release2()
-	})
-
-	t.Run("manager session limit", func(t *testing.T) {
-		m, _ := NewManager(Config{Tenants: []TenantConfig{{Name: "a"}, {Name: "b"}}, MaxSessions: 1})
-		release := holdSession(t, m, "a", back1)
-		defer release()
-		_, err := m.OpenSession("b", trainingServerConfig(back2, 1, 2), nil)
-		if !errors.Is(err, ErrSessionLimit) {
-			t.Fatalf("err = %v, want ErrSessionLimit", err)
-		}
-	})
-
-	t.Run("memory budget", func(t *testing.T) {
-		scfg := trainingServerConfig(back1, 1, 2)
-		m, _ := NewManager(Config{
-			Tenants:        []TenantConfig{{Name: "a"}},
-			MaxMemoryBytes: EstimateSessionBytes(&scfg) - 1,
-		})
-		_, err := m.OpenSession("a", scfg, nil)
-		if !errors.Is(err, ErrMemoryBudget) {
-			t.Fatalf("err = %v, want ErrMemoryBudget", err)
-		}
-	})
-
-	t.Run("closed manager", func(t *testing.T) {
-		m, _ := NewManager(Config{Tenants: []TenantConfig{{Name: "a"}}})
-		m.Close()
-		_, err := m.OpenSession("a", trainingServerConfig(back1, 1, 2), nil)
-		if !errors.Is(err, ErrManagerClosed) {
-			t.Fatalf("err = %v, want ErrManagerClosed", err)
-		}
-	})
-}
-
-func TestEstimateSessionBytes(t *testing.T) {
-	shard := flatData(t, 4, 16, 4)
-	_, back := buildSplitMLP(t, 1, shard.X.Dim(1), 4)
-	scfg := trainingServerConfig(back, 3, 2)
-	est := EstimateSessionBytes(&scfg)
-	params := int64(nn.ParamCount(back.Params()))
-	if est < 4*params*4 {
-		t.Fatalf("estimate %d below four float32 copies of %d params", est, params)
-	}
-	if est < 3*64<<10 {
-		t.Fatalf("estimate %d misses per-platform wire scratch", est)
-	}
-	if EstimateSessionBytes(&core.ServerConfig{}) != 0 {
-		t.Fatal("nil back should estimate zero")
-	}
-}
 
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
@@ -317,9 +13,6 @@ func TestConfigValidate(t *testing.T) {
 		{"no tenants", Config{}},
 		{"empty name", Config{Tenants: []TenantConfig{{Name: ""}}}},
 		{"duplicate", Config{Tenants: []TenantConfig{{Name: "a"}, {Name: "a"}}}},
-		{"negative tenant sessions", Config{Tenants: []TenantConfig{{Name: "a", MaxSessions: -1}}}},
-		{"negative sessions", Config{Tenants: []TenantConfig{{Name: "a"}}, MaxSessions: -1}},
-		{"negative memory", Config{Tenants: []TenantConfig{{Name: "a"}}, MaxMemoryBytes: -1}},
 		{"negative slots", Config{Tenants: []TenantConfig{{Name: "a"}}, ComputeSlots: -1}},
 	}
 	for _, tc := range cases {
