@@ -104,13 +104,15 @@ cross-arm64:
 
 # Short coverage-guided runs of the binary decoders that face untrusted
 # bytes: the tensor payload decoder (wire), the session snapshot decoder
-# (core) and the write-ahead log reader (wal, which must also survive
-# torn/corrupt segment files on disk). Mirrors CI's fuzz-smoke job;
-# seconds per target keeps the gate fast while still shaking out fresh
-# panics.
+# and the replication step-record decoder (core; the follower stream
+# and the WAL share its format) and the write-ahead log reader (wal,
+# which must also survive torn/corrupt segment files on disk). Mirrors
+# CI's fuzz-smoke job; seconds per target keeps the gate fast while
+# still shaking out fresh panics.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecodeTensors' -fuzztime 10s ./internal/wire/
 	$(GO) test -run NONE -fuzz 'FuzzDecodeSnapshot' -fuzztime 10s ./internal/core/
+	$(GO) test -run NONE -fuzz 'FuzzDecodeStepRecord' -fuzztime 10s ./internal/core/
 	$(GO) test -run NONE -fuzz 'FuzzWALDecode' -fuzztime 10s ./internal/wal/
 	@echo fuzz-smoke ok
 
@@ -254,6 +256,7 @@ bench-save-wal:
 		./internal/wal/ . | $(GO) run ./cmd/benchjson \
 		-note 'replicas=0 is the unreplicated baseline (identical config to BenchmarkSplitRound mlp); replicas>0 adds WAL append + follower streams with SyncEvery=1' \
 		-note 'failover correctness (bit-identical digests after a mid-round leader kill) is asserted by internal/core and internal/experiment tests, not benchmarked here' \
+		-note 'before step records logged the inbound payloads instead of XOR state deltas (followers now re-execute at promotion): BenchmarkReplicatedRound allocs/op replicas=1 2702, replicas=2 3214' \
 		> BENCH_wal.json
 	@echo wrote BENCH_wal.json
 

@@ -38,10 +38,12 @@
 //	splitserver -addr :7700 -wal-dir wal-leader -replicate 127.0.0.1:7800 -platforms 2 -rounds 40
 //	splitplatform -addr 127.0.0.1:7700 -failover-addrs 127.0.0.1:7800 -rejoin-window 1m ...
 //
-// If the leader dies, the standby replays its durable log tail,
-// promotes into a serving leader at the exact step the leader
-// recorded last, and adopts the platforms as they redial — training
-// continues bit-identically to an undisturbed run.
+// The log holds each step's inbound payloads, not its effect. If the
+// leader dies, the standby re-executes the steps its durable log
+// recorded since the last base, promotes into a serving leader at the
+// exact step the leader recorded last, and adopts the platforms as
+// they redial — training continues bit-identically to an undisturbed
+// run. The standby must run the leader's model and training flags.
 //
 // With -serve the same binary multiplexes split *inference* instead of
 // training: each tenant's back half is served behind a dynamic batcher
@@ -102,7 +104,7 @@ func main() {
 		walDir     = flag.String("wal-dir", "", "write-ahead log directory (required with -replicate and -standby)")
 		walSync    = flag.Int("wal-sync", 1, "fsync the WAL every N appends (0 = OS-buffered)")
 		replicate  = flag.String("replicate", "", "comma-separated standby addresses to stream replication to (requires -wal-dir)")
-		standby    = flag.Bool("standby", false, "run as a warm standby: apply a leader's replication stream, promote if it dies")
+		standby    = flag.Bool("standby", false, "run as a warm standby: log a leader's replication stream, promote if it dies")
 
 		serveMode    = flag.Bool("serve", false, "run as a multi-tenant split-inference server instead of training (see -tenants)")
 		tenants      = flag.String("tenants", "", "with -serve: comma-separated name:seed[:checkpoint-dir[:precision]] tenant specs (precision: f32, f16 or int8)")

@@ -59,6 +59,7 @@ type recoveryOpts struct {
 	policy      RejoinPolicy
 	recovery    bool // attach a RecoveryConfig + Redial at all
 	l1SyncEvery int
+	schedule    nn.Schedule
 	// wrapServer / wrapPlatform interpose on the victim's two pipe ends.
 	wrapServer   func(transport.Conn, *RejoinBroker) transport.Conn
 	wrapPlatform func(transport.Conn) transport.Conn
@@ -87,7 +88,7 @@ func recoveryRun(t *testing.T, o recoveryOpts) ([][]*nn.Param, []*PlatformStats)
 	defer broker.Close()
 	scfg := ServerConfig{
 		Back: back, Opt: &nn.SGD{LR: 0.05}, Platforms: K, Rounds: o.rounds,
-		L1SyncEvery: o.l1SyncEvery, Trace: o.trace,
+		L1SyncEvery: o.l1SyncEvery, LRSchedule: o.schedule, Trace: o.trace,
 	}
 	if o.recovery {
 		scfg.Recovery = &RecoveryConfig{Policy: o.policy, Window: 30 * time.Second, Broker: broker}

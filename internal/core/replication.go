@@ -4,10 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
+	"runtime"
+	"strings"
 	"time"
 
-	"medsplit/internal/tensor"
+	"medsplit/internal/nn"
 	"medsplit/internal/transport"
 	"medsplit/internal/wal"
 	"medsplit/internal/wire"
@@ -23,30 +24,39 @@ import (
 //     platform k) BEFORE sending the step's cut gradient — the ack a
 //     platform acts on is never ahead of durable state — and streams
 //     the same records to N warm followers.
-//   - A follower applies records into a materialized replica of the
-//     server state and tracks a replication watermark (the WAL index
-//     of the last applied record).
-//   - On leader death the follower promotes: it replays its WAL tail,
+//   - A follower persists every record to its own WAL and tracks the
+//     last recorded round per platform and a replication watermark (the
+//     WAL index of the last persisted record). It computes nothing
+//     while the leader lives.
+//   - On leader death the follower promotes: it installs the last base
+//     snapshot in its WAL, re-executes the step records after it,
 //     derives the exact round/step the leader died at, opens a rejoin
 //     window, and re-adopts every platform through the same
 //     rejoin-handshake vocabulary the dropout-recovery path uses —
 //     failover is a server-initiated rejoin in reverse.
 //
-// Record contents. A step record carries the optimizer scalars
-// verbatim, the post-step state tensors as XOR deltas against the
-// previous record's state, and the exact encoded cut-gradient payload
-// the leader (re)sent. XOR of raw float32 bit patterns is exactly
-// reversible because the tensor codec is bit-preserving
-// (Float32bits/Float32frombits, no float64 round trip), so a replica
-// that applies the chain lands on byte-identical state. The cut
-// payload rides along because a platform that never received it cannot
-// have it recomputed — by promotion time the replica has already
-// stepped past the weights that produced it.
+// Record contents. A step record carries the step's inputs, not its
+// effect: the activations payload and the labels or loss-gradient
+// payload, byte for byte as the server received them. The server step
+// is a deterministic function of (state, inputs), which every digest
+// test pins, so re-executing the records in log order through the same
+// forward and backward lands on byte-identical state and re-derives
+// the exact cut payload a platform may still be owed. This is the
+// paper's own byte argument applied to the log: cut-layer tensors are
+// small next to the parameters a state delta would carry. A follower
+// must compute the leader's bits, so the bootstrap carries the
+// leader's GOARCH and a follower on another architecture (arm64 fuses
+// multiply-adds, amd64 does not) refuses the stream.
 //
 // Chain anchoring. The first WAL record is a full base snapshot; at
 // every durable checkpoint generation the leader appends a fresh base
 // record and compacts the log before it, so the log is always
-// self-contained: replay = install the last base, XOR forward.
+// self-contained: replay = install the last base, re-execute forward.
+//
+// Promotion latency. Promotion re-executes every step recorded since
+// the last base, one server step each (decode, forward, backward,
+// optimizer step): at most CheckpointEvery × Platforms steps, or every
+// step of the session when the leader writes no checkpoints.
 //
 // Scope. Replication covers leader death during the training phase
 // (where the paper's traffic and compute live). Death during the
@@ -89,125 +99,54 @@ func (rc *ReplicationConfig) validate(cfg *ServerConfig) error {
 	return nil
 }
 
-// stepRecord is one training step's replicated effect.
+// stepRecord is one training step's inputs: what the server received
+// from platform k in round r.
 type stepRecord struct {
 	round    int
 	platform int
-	batch    int  // minibatch rows (primes lastBatch for L1-sync weighting)
-	lossFlag bool // cut payload carries the label-sharing loss scalar
-	scalars  []uint64
-	deltas   []*tensor.Tensor
-	cut      []byte
+	acts     []byte // activations payload as received
+	tail     []byte // labels (label sharing) or loss-gradient payload as received
 }
+
+// stepHeader is a step record's fixed prefix (see encodeStepRecord).
+const stepHeader = 1 + 4 + 4 + 4
 
 // encodeStepRecord serializes a step record. Layout (little-endian):
 //
-//	kind u8 | round u32 | platform u32 | batch u32 | flags u8 |
-//	scalarCount u32 | scalars u64×n |
-//	deltaBytes u32 | delta tensor payload | cutBytes u32 | cut payload
+//	kind u8 | round u32 | platform u32 | actsBytes u32 | acts | tail
 //
 // Integrity comes from the containers: WAL records and wire frames
 // both carry CRC-32 over exactly these bytes.
 func encodeStepRecord(rec *stepRecord) []byte {
-	deltaPayload := wire.EncodeTensors(rec.deltas...)
-	size := 1 + 4 + 4 + 4 + 1 + 4 + 8*len(rec.scalars) + 4 + len(deltaPayload) + 4 + len(rec.cut)
-	buf := make([]byte, 0, size)
+	buf := make([]byte, 0, stepHeader+len(rec.acts)+len(rec.tail))
 	buf = append(buf, replKindStep)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(rec.round))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(rec.platform))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(rec.batch))
-	var flags byte
-	if rec.lossFlag {
-		flags |= 1
-	}
-	buf = append(buf, flags)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.scalars)))
-	for _, v := range rec.scalars {
-		buf = binary.LittleEndian.AppendUint64(buf, v)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(deltaPayload)))
-	buf = append(buf, deltaPayload...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.cut)))
-	return append(buf, rec.cut...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.acts)))
+	buf = append(buf, rec.acts...)
+	return append(buf, rec.tail...)
 }
 
-// decodeStepRecord parses a step record (including its kind byte).
+// decodeStepRecord parses a step record (including its kind byte). The
+// payloads alias buf.
 func decodeStepRecord(buf []byte) (*stepRecord, error) {
-	const fixed = 1 + 4 + 4 + 4 + 1 + 4
-	if len(buf) < fixed {
+	if len(buf) < stepHeader {
 		return nil, fmt.Errorf("%w: %d bytes is too short", ErrReplica, len(buf))
 	}
 	if buf[0] != replKindStep {
 		return nil, fmt.Errorf("%w: kind %d, want step", ErrReplica, buf[0])
 	}
-	rec := &stepRecord{
+	n := uint64(binary.LittleEndian.Uint32(buf[9:]))
+	rest := buf[stepHeader:]
+	if n > uint64(len(rest)) {
+		return nil, fmt.Errorf("%w: activations block %d bytes, %d remain", ErrReplica, n, len(rest))
+	}
+	return &stepRecord{
 		round:    int(binary.LittleEndian.Uint32(buf[1:])),
 		platform: int(binary.LittleEndian.Uint32(buf[5:])),
-		batch:    int(binary.LittleEndian.Uint32(buf[9:])),
-		lossFlag: buf[13]&1 != 0,
-	}
-	nScalars := int(binary.LittleEndian.Uint32(buf[14:]))
-	rest := buf[fixed:]
-	if nScalars < 0 || len(rest) < 8*nScalars+4 {
-		return nil, fmt.Errorf("%w: %d scalars overflow %d bytes", ErrReplica, nScalars, len(rest))
-	}
-	if nScalars > 0 {
-		rec.scalars = make([]uint64, nScalars)
-		for i := range rec.scalars {
-			rec.scalars[i] = binary.LittleEndian.Uint64(rest[8*i:])
-		}
-	}
-	rest = rest[8*nScalars:]
-	deltaBytes := int(binary.LittleEndian.Uint32(rest))
-	rest = rest[4:]
-	if deltaBytes < 0 || len(rest) < deltaBytes+4 {
-		return nil, fmt.Errorf("%w: delta block %d bytes, %d remain", ErrReplica, deltaBytes, len(rest))
-	}
-	deltas, err := wire.DecodeTensors(rest[:deltaBytes])
-	if err != nil {
-		return nil, fmt.Errorf("%w: delta block: %v", ErrReplica, err)
-	}
-	rec.deltas = deltas
-	rest = rest[deltaBytes:]
-	cutBytes := int(binary.LittleEndian.Uint32(rest))
-	rest = rest[4:]
-	if cutBytes != len(rest) {
-		return nil, fmt.Errorf("%w: cut block %d bytes, %d remain", ErrReplica, cutBytes, len(rest))
-	}
-	rec.cut = append([]byte(nil), rest...)
-	return rec, nil
-}
-
-// xorInto XORs src's raw float32 bit patterns into dst in place.
-// Applied twice it is the identity, which is the whole trick: delta =
-// cur XOR prev on the leader, cur = prev XOR delta on the replica,
-// byte-identical regardless of NaN payloads or denormals.
-func xorInto(dst, src *tensor.Tensor) {
-	d, s := dst.Data(), src.Data()
-	for i := range d {
-		d[i] = math.Float32frombits(math.Float32bits(d[i]) ^ math.Float32bits(s[i]))
-	}
-}
-
-// xorDeltas returns cur's tensors XORed against prev's. Tensors cur
-// has beyond prev (an optimizer lazily allocating momentum buffers on
-// its first step) are deltas against implicit zero — their raw bits.
-func xorDeltas(cur, prev []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if len(cur) < len(prev) {
-		return nil, fmt.Errorf("%w: state shrank from %d to %d tensors", ErrReplica, len(prev), len(cur))
-	}
-	out := make([]*tensor.Tensor, len(cur))
-	for i, c := range cur {
-		d := c.Clone()
-		if i < len(prev) {
-			if !tensor.SameShape(c, prev[i]) {
-				return nil, fmt.Errorf("%w: state tensor %d changed shape %v -> %v", ErrReplica, i, prev[i].Shape(), c.Shape())
-			}
-			xorInto(d, prev[i])
-		}
-		out[i] = d
-	}
-	return out, nil
+		acts:     rest[:n],
+		tail:     rest[n:],
+	}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -218,8 +157,10 @@ func xorDeltas(cur, prev []*tensor.Tensor) ([]*tensor.Tensor, error) {
 type replicator struct {
 	log       *wal.Log
 	followers []transport.Conn // dead entries are nil
-	prev      []*tensor.Tensor // state as of the last appended record
 	lastRound []int            // dedup: last round recorded per platform
+	// acts and tail hold each platform's inbound payloads of its open
+	// exchange, copied on receipt (the transport recycles the frames).
+	acts, tail [][]byte
 }
 
 func newReplicator(rc *ReplicationConfig, platforms int) *replicator {
@@ -227,11 +168,23 @@ func newReplicator(rc *ReplicationConfig, platforms int) *replicator {
 		log:       rc.Log,
 		followers: append([]transport.Conn(nil), rc.Followers...),
 		lastRound: make([]int, platforms),
+		acts:      make([][]byte, platforms),
+		tail:      make([][]byte, platforms),
 	}
 	for k := range rp.lastRound {
 		rp.lastRound[k] = -1
 	}
 	return rp
+}
+
+// keep copies platform k's inbound payload at wire position pos
+// (posActs, posLabels or posLossGrad) for the step's record.
+func (rp *replicator) keep(k, pos int, payload []byte) {
+	if pos == posActs {
+		rp.acts[k] = append(rp.acts[k][:0], payload...)
+	} else {
+		rp.tail[k] = append(rp.tail[k][:0], payload...)
+	}
 }
 
 // start anchors the chain: append the full base snapshot to the WAL,
@@ -240,13 +193,13 @@ func newReplicator(rc *ReplicationConfig, platforms int) *replicator {
 // first round trains. A follower that fails to bootstrap is dropped —
 // durability comes from the WAL; followers only buy failover latency.
 func (rp *replicator) start(s *Server) error {
-	base := s.Snapshot(s.cfg.StartRound)
-	baseBytes := EncodeSnapshot(base)
+	baseBytes := EncodeSnapshot(s.Snapshot(s.cfg.StartRound))
 	if _, err := rp.log.Append(append([]byte{replKindBase}, baseBytes...)); err != nil {
 		return fmt.Errorf("core: replication base append: %w", err)
 	}
-	rp.prev = base.Tensors
-	meta := wire.EncodeText(fmt.Sprintf("evaluator=%d", s.evaluator))
+	// The meta's GOARCH is the kernel fingerprint: a follower re-executes
+	// the log, so it must compute the leader's bits.
+	meta := wire.EncodeText(fmt.Sprintf("evaluator=%d;goarch=%s", s.evaluator, runtime.GOARCH))
 	for i, fc := range rp.followers {
 		if fc == nil {
 			continue
@@ -270,33 +223,19 @@ func (rp *replicator) start(s *Server) error {
 	return nil
 }
 
-// onStep records one completed training step, durably, before the
-// caller sends the step's cut gradient. Re-entering the cut-grad wire
-// stage after a platform drop calls this again with the same (r, k);
-// the dedup guard keeps the step recorded exactly once, matching the
+// onStep records platform k's round-r step, durably, before the caller
+// sends the step's cut gradient. Re-entering the cut-grad wire stage
+// after a platform drop calls this again with the same (r, k); the
+// dedup guard keeps the step recorded exactly once, matching the
 // compute-exactly-once contract of the stage machine.
-func (rp *replicator) onStep(s *Server, k, r int, cut []byte) error {
+func (rp *replicator) onStep(k, r int) error {
 	if rp.lastRound[k] == r {
 		return nil
 	}
-	cur := s.Snapshot(r)
-	deltas, err := xorDeltas(cur.Tensors, rp.prev)
-	if err != nil {
-		return err
-	}
-	payload := encodeStepRecord(&stepRecord{
-		round:    r,
-		platform: k,
-		batch:    s.lastBatch[k],
-		lossFlag: s.cfg.LabelSharing,
-		scalars:  cur.Scalars,
-		deltas:   deltas,
-		cut:      cut,
-	})
+	payload := encodeStepRecord(&stepRecord{round: r, platform: k, acts: rp.acts[k], tail: rp.tail[k]})
 	if _, err := rp.log.Append(payload); err != nil {
 		return fmt.Errorf("core: replication append round %d platform %d: %w", r, k, err)
 	}
-	rp.prev = cur.Tensors
 	rp.lastRound[k] = r
 	rp.broadcast(&wire.Message{
 		Type:     wire.MsgReplRecord,
@@ -324,44 +263,45 @@ func (rp *replicator) broadcast(m *wire.Message) {
 }
 
 // atCheckpoint re-anchors the chain at a durable checkpoint boundary:
-// append a fresh base record and compact everything before it. The
-// log stays self-contained (replay = last base + XOR forward) while
-// its size tracks the checkpoint interval instead of the session
-// length. Compaction is segment-granular, so some pre-base records may
-// survive; replay handles that by letting a later base reset state.
+// append a fresh base record, compact everything before it, and stream
+// the base to the followers, which re-anchor their own logs on it. The
+// logs stay self-contained (replay = last base + the steps after it)
+// while their size, and a promotion's re-execution, track the
+// checkpoint interval instead of the session length. Compaction is
+// segment-granular, so some pre-base records may survive; replay skips
+// them.
 func (rp *replicator) atCheckpoint(s *Server, completed int) error {
-	base := s.Snapshot(completed)
-	idx, err := rp.log.Append(append([]byte{replKindBase}, EncodeSnapshot(base)...))
+	record := append([]byte{replKindBase}, EncodeSnapshot(s.Snapshot(completed))...)
+	idx, err := rp.log.Append(record)
 	if err != nil {
 		return fmt.Errorf("core: replication base at round %d: %w", completed, err)
 	}
-	rp.prev = base.Tensors
 	if err := rp.log.CompactBefore(idx); err != nil {
 		return fmt.Errorf("core: replication compaction at round %d: %w", completed, err)
 	}
+	rp.broadcast(&wire.Message{Type: wire.MsgReplRecord, Round: uint32(completed), Payload: record})
 	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Replica state
 
-// replicaState is a materialized copy of the leader's server state
-// plus the reconciliation bookkeeping promotion needs. Both the
-// streaming follower and offline WAL replay build one.
+// replicaState is what a log says about the session without executing
+// it: the last base snapshot and its WAL index, and the last recorded
+// round per platform. The streaming follower and promotion's scan of
+// the follower's WAL both build one; re-execution (Server.replayWAL)
+// adds the cut payload each platform's last step produced.
 type replicaState struct {
-	snap      *Snapshot // tensors + optimizer scalars, live
-	lastRound []int     // last recorded round per platform
-	lastCut   [][]byte  // last cut payload per platform (replay on rejoin)
-	lastLoss  []bool
-	lastBatch []int
+	base      *Snapshot
+	baseIndex uint64
+	lastRound []int    // last recorded round per platform
+	lastCut   [][]byte // last step's cut payload per platform (replay on rejoin)
 }
 
 func newReplicaState(platforms int) *replicaState {
 	rs := &replicaState{
 		lastRound: make([]int, platforms),
 		lastCut:   make([][]byte, platforms),
-		lastLoss:  make([]bool, platforms),
-		lastBatch: make([]int, platforms),
 	}
 	for k := range rs.lastRound {
 		rs.lastRound[k] = -1
@@ -369,53 +309,9 @@ func newReplicaState(platforms int) *replicaState {
 	return rs
 }
 
-// applyBase installs a full snapshot, resetting the chain.
-func (rs *replicaState) applyBase(snap *Snapshot) error {
-	if snap.Role != RoleServer {
-		return fmt.Errorf("%w: base snapshot role %s", ErrReplica, snap.Role)
-	}
-	rs.snap = snap
-	for k := range rs.lastRound {
-		rs.lastRound[k] = snap.NextRound - 1
-		rs.lastCut[k] = nil
-		rs.lastLoss[k] = false
-	}
-	return nil
-}
-
-// applyStep advances the replica by one step record.
-func (rs *replicaState) applyStep(rec *stepRecord) error {
-	if rs.snap == nil {
-		return fmt.Errorf("%w: step record before any base", ErrReplica)
-	}
-	if rec.platform < 0 || rec.platform >= len(rs.lastRound) {
-		return fmt.Errorf("%w: step for platform %d of %d", ErrReplica, rec.platform, len(rs.lastRound))
-	}
-	if len(rec.deltas) < len(rs.snap.Tensors) {
-		return fmt.Errorf("%w: step carries %d deltas for %d state tensors", ErrReplica, len(rec.deltas), len(rs.snap.Tensors))
-	}
-	for i, d := range rec.deltas {
-		if i < len(rs.snap.Tensors) {
-			if !tensor.SameShape(d, rs.snap.Tensors[i]) {
-				return fmt.Errorf("%w: delta %d shape %v, state %v", ErrReplica, i, d.Shape(), rs.snap.Tensors[i].Shape())
-			}
-			xorInto(rs.snap.Tensors[i], d)
-		} else {
-			// A tensor the optimizer allocated on this step: the delta is
-			// the value itself (XOR against implicit zero).
-			rs.snap.Tensors = append(rs.snap.Tensors, d)
-		}
-	}
-	rs.snap.Scalars = rec.scalars
-	rs.lastRound[rec.platform] = rec.round
-	rs.lastCut[rec.platform] = rec.cut
-	rs.lastLoss[rec.platform] = rec.lossFlag
-	rs.lastBatch[rec.platform] = rec.batch
-	return nil
-}
-
-// applyRecord dispatches a raw record (base or step).
-func (rs *replicaState) applyRecord(payload []byte) error {
+// note folds the record at WAL index idx into the bookkeeping. A base
+// resets the chain; a step advances its platform's round.
+func (rs *replicaState) note(idx uint64, payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("%w: empty record", ErrReplica)
 	}
@@ -425,51 +321,104 @@ func (rs *replicaState) applyRecord(payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("%w: base record: %v", ErrReplica, err)
 		}
-		return rs.applyBase(snap)
+		if snap.Role != RoleServer {
+			return fmt.Errorf("%w: base snapshot role %s", ErrReplica, snap.Role)
+		}
+		rs.base, rs.baseIndex = snap, idx
+		for k := range rs.lastRound {
+			rs.lastRound[k] = snap.NextRound - 1
+		}
+		return nil
 	case replKindStep:
 		rec, err := decodeStepRecord(payload)
 		if err != nil {
 			return err
 		}
-		return rs.applyStep(rec)
+		if rs.base == nil {
+			return fmt.Errorf("%w: step record before any base", ErrReplica)
+		}
+		if rec.platform < 0 || rec.platform >= len(rs.lastRound) {
+			return fmt.Errorf("%w: step for platform %d of %d", ErrReplica, rec.platform, len(rs.lastRound))
+		}
+		rs.lastRound[rec.platform] = rec.round
+		return nil
 	default:
 		return fmt.Errorf("%w: record kind %d", ErrReplica, payload[0])
 	}
 }
 
-// ReplayWAL rebuilds the replicated server state from a log: install
-// the bases, XOR the steps forward. This is both the follower's
-// promotion path (replaying its own tail proves the durable copy, not
-// just the in-memory one, is complete) and the leader-restart path
-// (reopen the WAL, replay, resume).
-func ReplayWAL(log *wal.Log, platforms int) (*replicaState, error) {
+// scanWAL reads a log's bookkeeping: the last base and the per-platform
+// record rounds. Steps ahead of the first retained base are skipped:
+// compaction is segment-granular, so the segment holding a base may
+// keep the steps it subsumes.
+func scanWAL(log *wal.Log, platforms int) (*replicaState, error) {
 	rs := newReplicaState(platforms)
-	err := log.Iterate(log.FirstIndex(), func(_ uint64, payload []byte) error {
-		return rs.applyRecord(payload)
+	err := log.Iterate(log.FirstIndex(), func(idx uint64, payload []byte) error {
+		if rs.base == nil && len(payload) > 0 && payload[0] == replKindStep {
+			return nil
+		}
+		return rs.note(idx, payload)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if rs.snap == nil {
+	if rs.base == nil {
 		return nil, fmt.Errorf("%w: log holds no base record", ErrReplica)
 	}
 	return rs, nil
 }
 
-// RecoverServerState is the leader-restart entry point: replay a WAL
-// directory's log into a server snapshot. nextRound on the returned
-// snapshot is set to the round a restarted server must resume at (see
-// Follower.Promote for the same derivation). Callers restore it into
-// a fresh Server via RestoreSnapshot with a matching StartRound.
-func RecoverServerState(log *wal.Log, platforms int) (*Snapshot, error) {
-	rs, err := ReplayWAL(log, platforms)
-	if err != nil {
-		return nil, err
+// replayWAL rebuilds the leader's server state from a scanned log:
+// install the last base, then re-execute every step record after it,
+// in log order, on this server's own back half and optimizer. It is
+// the follower's promotion path, and it runs on the durable copy, not
+// an in-memory one. Each platform's last step also re-derives its cut
+// payload into rs.lastCut.
+func (s *Server) replayWAL(log *wal.Log, rs *replicaState) error {
+	// The records between the base and the server's start round
+	// re-execute under their own rounds (see replayStep).
+	base := *rs.base
+	base.NextRound = s.cfg.StartRound
+	if err := s.RestoreSnapshot(&base); err != nil {
+		return err
 	}
-	r, _ := rs.resumePoint()
-	rs.snap.NextRound = r
-	rs.snap.Role = RoleServer
-	return rs.snap, nil
+	return log.Iterate(rs.baseIndex+1, func(_ uint64, payload []byte) error {
+		rec, err := decodeStepRecord(payload)
+		if err != nil {
+			return err
+		}
+		if err := s.replayStep(rec, rs); err != nil {
+			return fmt.Errorf("%w: round %d platform %d: %v", ErrReplica, rec.round, rec.platform, err)
+		}
+		return nil
+	})
+}
+
+// replayStep re-executes one recorded step: the LR schedule for the
+// record's round, then the same forward and backward that advance
+// drives on live inputs.
+func (s *Server) replayStep(rec *stepRecord, rs *replicaState) error {
+	k := rec.platform
+	nn.ApplySchedule(s.cfg.Opt, s.cfg.LRSchedule, rec.round)
+	x := &s.ex[k]
+	*x = exchange{round: rec.round, pos: posActs}
+	if err := s.decodeInput(x, k, rec.acts); err != nil {
+		return err
+	}
+	x.pos = posLabels
+	if !s.cfg.LabelSharing {
+		s.forward(x)
+		x.pos = posLossGrad
+	}
+	if err := s.decodeInput(x, k, rec.tail); err != nil {
+		return err
+	}
+	s.backward(x)
+	x.pos = posDone
+	if rec.round == rs.lastRound[k] {
+		rs.lastCut[k] = s.encodeCut(x.da, x.lossVal)
+	}
+	return nil
 }
 
 // resumePoint derives where the session stands from the per-platform
@@ -508,18 +457,17 @@ type FollowerConfig struct {
 	// Conn is the replication stream from the leader.
 	Conn transport.Conn
 	// Log is the follower's own WAL: every record is persisted locally
-	// before it is applied, so promotion replays a durable tail.
+	// as it arrives, so promotion re-executes a durable tail.
 	Log *wal.Log
 }
 
-// Follower is a warm standby for the aggregation tier: it applies the
-// leader's replication stream into live state and can promote into a
-// serving Server when the leader dies.
+// Follower is a warm standby for the aggregation tier: it logs the
+// leader's replication stream and can promote into a serving Server
+// when the leader dies.
 type Follower struct {
 	cfg       FollowerConfig
 	state     *replicaState
 	evaluator int
-	baseSeen  bool
 	watermark uint64
 }
 
@@ -545,40 +493,33 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 // means the stream closed after a complete bootstrap — the leader is
 // gone (crashed or finished) and the follower is safe to promote. A
 // non-nil return means the replica cannot be trusted (stream died
-// before bootstrap, or a record failed to decode or apply).
+// before bootstrap, the leader computes on another architecture, or a
+// record failed to decode).
 func (f *Follower) Run() error {
 	for {
 		m, err := f.cfg.Conn.Recv()
 		if err != nil {
-			if f.baseSeen {
+			if f.state.base != nil {
 				return nil
 			}
 			return fmt.Errorf("core: follower stream before bootstrap: %w", err)
 		}
 		switch m.Type {
 		case wire.MsgReplBase:
-			payload := append([]byte{replKindBase}, m.Payload...)
-			if err := f.persistAndApply(payload); err != nil {
+			if err := f.persist(append([]byte{replKindBase}, m.Payload...)); err != nil {
 				return err
 			}
-			f.baseSeen = true
 			ack := &wire.Message{Type: wire.MsgReplAck,
 				Payload: wire.EncodeText(fmt.Sprintf("watermark=%d", f.watermark))}
 			if err := f.cfg.Conn.Send(ack); err != nil {
 				return fmt.Errorf("core: follower ack: %w", err)
 			}
 		case wire.MsgReplMeta:
-			meta, derr := wire.DecodeText(m.Payload)
-			if derr != nil {
-				return fmt.Errorf("core: follower meta: %w", derr)
+			if err := f.adoptMeta(m.Payload); err != nil {
+				return err
 			}
-			fields, perr := parseMetaInts(meta, "evaluator")
-			if perr != nil {
-				return perr
-			}
-			f.evaluator = fields["evaluator"]
 		case wire.MsgReplRecord:
-			if err := f.persistAndApply(m.Payload); err != nil {
+			if err := f.persist(m.Payload); err != nil {
 				return err
 			}
 		default:
@@ -587,31 +528,64 @@ func (f *Follower) Run() error {
 	}
 }
 
-// persistAndApply writes a record to the local WAL, then applies it.
-// WAL first: the watermark must never run ahead of durable state.
-func (f *Follower) persistAndApply(payload []byte) error {
+// adoptMeta installs the session facts the leader's bootstrap carries:
+// the evaluator identity and the kernel fingerprint. A leader on
+// another GOARCH is refused before any step record lands, since the
+// follower could not re-execute its steps bit for bit.
+func (f *Follower) adoptMeta(payload []byte) error {
+	meta, err := wire.DecodeText(payload)
+	if err != nil {
+		return fmt.Errorf("core: follower meta: %w", err)
+	}
+	ints, arch, ok := strings.Cut(meta, ";goarch=")
+	if !ok {
+		return fmt.Errorf("%w: leader meta %q carries no kernel fingerprint", ErrConfig, meta)
+	}
+	if arch != runtime.GOARCH {
+		return fmt.Errorf("%w: leader computes on %s, this follower on %s", ErrConfig, arch, runtime.GOARCH)
+	}
+	fields, err := parseMetaInts(ints, "evaluator")
+	if err != nil {
+		return err
+	}
+	f.evaluator = fields["evaluator"]
+	return nil
+}
+
+// persist writes a record to the local WAL, then notes it. WAL first:
+// the watermark must never run ahead of durable state. A base record
+// compacts the log before it, as the leader's does.
+func (f *Follower) persist(payload []byte) error {
 	idx, err := f.cfg.Log.Append(payload)
 	if err != nil {
 		return fmt.Errorf("core: follower WAL append: %w", err)
 	}
-	if err := f.state.applyRecord(payload); err != nil {
+	if err := f.state.note(idx, payload); err != nil {
 		return err
 	}
 	f.watermark = idx
+	if f.state.baseIndex == idx {
+		// A base subsumes every record before it.
+		if err := f.cfg.Log.CompactBefore(idx); err != nil {
+			return fmt.Errorf("core: follower WAL compaction: %w", err)
+		}
+	}
 	return nil
 }
 
-// Watermark returns the WAL index of the last durably applied record.
+// Watermark returns the WAL index of the last durably logged record.
 func (f *Follower) Watermark() uint64 { return f.watermark }
 
 // PromoteConfig configures a failover promotion.
 type PromoteConfig struct {
 	// Server is the configuration template for the promoted server —
-	// the same schedule knobs (Rounds, LabelSharing, Loss, L1SyncEvery,
+	// the same knobs (Rounds, LabelSharing, Loss, L1SyncEvery,
 	// EvalEvery, ClipGrads, LRSchedule, Codec) the dead leader ran, with
-	// Back/Opt being the follower's own halves. StartRound, Mode and
-	// Staleness are derived here and overwritten; Replication must be
-	// unset (chained replication is out of scope).
+	// Back/Opt being the follower's own halves. Promotion re-executes
+	// the log's tail on that Back and Opt, so every knob a server step
+	// reads must match the leader's. StartRound, Mode and Staleness are
+	// derived here and overwritten; Replication must be unset (chained
+	// replication is out of scope).
 	Server ServerConfig
 	// Broker receives the platforms' redialed connections.
 	Broker *RejoinBroker
@@ -619,17 +593,18 @@ type PromoteConfig struct {
 	Window time.Duration
 }
 
-// Promote turns the follower into a serving leader. It replays the
-// follower's own WAL tail (proving the durable copy is complete),
-// derives the exact resume point, awaits every platform's rejoin
-// through the broker, reconciles each one — replaying a cut-gradient
-// payload the dead leader recorded but never delivered, when that is
-// what a platform is missing — and returns the promoted server plus
-// the adopted connections, ready for Serve. The training trajectory
-// continues bit-identically: the differential failover tests compare
-// final weight digests against an uninterrupted run.
+// Promote turns the follower into a serving leader. It scans the
+// follower's own WAL, derives the exact resume point, installs the
+// last base and re-executes the steps recorded after it (see
+// replayWAL), awaits every platform's rejoin through the broker,
+// reconciles each one — replaying a cut-gradient payload the dead
+// leader recorded but never delivered, when that is what a platform is
+// missing — and returns the promoted server plus the adopted
+// connections, ready for Serve. The training trajectory continues
+// bit-identically: the differential failover tests compare final
+// weight digests against an uninterrupted run.
 func (f *Follower) Promote(pc PromoteConfig) (*Server, []transport.Conn, error) {
-	if !f.baseSeen {
+	if f.state.base == nil {
 		return nil, nil, fmt.Errorf("%w: promoting before bootstrap", ErrReplica)
 	}
 	if pc.Broker == nil || pc.Window <= 0 {
@@ -638,9 +613,9 @@ func (f *Follower) Promote(pc PromoteConfig) (*Server, []transport.Conn, error) 
 	if pc.Server.Replication != nil {
 		return nil, nil, fmt.Errorf("%w: a promoted server cannot itself replicate", ErrConfig)
 	}
-	rs, err := ReplayWAL(f.cfg.Log, f.cfg.Platforms)
+	rs, err := scanWAL(f.cfg.Log, f.cfg.Platforms)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: promotion replay: %w", err)
+		return nil, nil, fmt.Errorf("core: promotion scan: %w", err)
 	}
 	round, done := rs.resumePoint()
 
@@ -652,10 +627,8 @@ func (f *Follower) Promote(pc PromoteConfig) (*Server, []transport.Conn, error) 
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: promoted server: %w", err)
 	}
-	rs.snap.Role = RoleServer
-	rs.snap.NextRound = round
-	if err := srv.RestoreSnapshot(rs.snap); err != nil {
-		return nil, nil, fmt.Errorf("core: promotion restore: %w", err)
+	if err := srv.replayWAL(f.cfg.Log, rs); err != nil {
+		return nil, nil, fmt.Errorf("core: promotion replay: %w", err)
 	}
 	srv.promo = &promoState{
 		evaluator: f.evaluator,
@@ -773,10 +746,10 @@ type promoState struct {
 // adoptPromotion replaces the handshake on a promoted server: the
 // platforms were already validated by the original leader and
 // reconciled during Promote; what remains is installing the session
-// facts the handshake would have produced.
+// facts the handshake would have produced. (Re-execution already set
+// each platform's last minibatch size.)
 func (s *Server) adoptPromotion() {
 	s.evaluator = s.promo.evaluator
-	copy(s.lastBatch, s.promo.state.lastBatch)
 	if s.cfg.Recovery != nil {
 		// Prime the cut-replay caches so a platform that drops again
 		// right after failover can still be replayed its last payload.
@@ -784,7 +757,6 @@ func (s *Server) adoptPromotion() {
 			if cut := s.promo.state.lastCut[k]; cut != nil {
 				ps.lastCut = append([]byte(nil), cut...)
 				ps.lastCutRound = s.promo.state.lastRound[k]
-				ps.lastCutLoss = s.promo.state.lastLoss[k]
 			}
 			return nil
 		})

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -20,52 +22,29 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Record codec and delta algebra
+// Record codec
 
 func TestStepRecordRoundTrip(t *testing.T) {
-	a := tensor.FromSlice([]float32{1.5, -2.25, float32(math.NaN()), 0}, 2, 2)
-	b := tensor.FromSlice([]float32{3e-39, -0}, 2) // denormal and signed zero
 	rec := &stepRecord{
 		round:    7,
 		platform: 1,
-		batch:    8,
-		lossFlag: true,
-		scalars:  []uint64{3, math.Float64bits(0.05), 42, 0},
-		deltas:   []*tensor.Tensor{a, b},
-		cut:      []byte{9, 8, 7, 6, 5},
+		acts:     wire.EncodeTensors(tensor.FromSlice([]float32{1.5, -2.25, float32(math.NaN()), 0}, 2, 2)),
+		tail:     []byte{9, 8, 7, 6, 5},
 	}
-	got, err := decodeStepRecord(encodeStepRecord(rec))
+	buf := encodeStepRecord(rec)
+	got, err := decodeStepRecord(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.round != rec.round || got.platform != rec.platform || got.batch != rec.batch || got.lossFlag != rec.lossFlag {
-		t.Fatalf("header fields: got %+v", got)
+	if got.round != rec.round || got.platform != rec.platform ||
+		!bytes.Equal(got.acts, rec.acts) || !bytes.Equal(got.tail, rec.tail) {
+		t.Fatalf("round trip changed the record: got %+v", got)
 	}
-	if len(got.scalars) != len(rec.scalars) {
-		t.Fatalf("scalars: got %v", got.scalars)
-	}
-	for i, v := range rec.scalars {
-		if got.scalars[i] != v {
-			t.Fatalf("scalar %d: got %d, want %d", i, got.scalars[i], v)
-		}
-	}
-	if len(got.deltas) != 2 {
-		t.Fatalf("deltas: got %d tensors", len(got.deltas))
-	}
-	for i, want := range rec.deltas {
-		d := got.deltas[i].Data()
-		w := want.Data()
-		for j := range w {
-			if math.Float32bits(d[j]) != math.Float32bits(w[j]) {
-				t.Fatalf("delta %d[%d]: bits %x, want %x", i, j, math.Float32bits(d[j]), math.Float32bits(w[j]))
-			}
-		}
-	}
-	if string(got.cut) != string(rec.cut) {
-		t.Fatalf("cut: got %v", got.cut)
+	if !bytes.Equal(encodeStepRecord(got), buf) {
+		t.Fatal("re-encode changed the bytes")
 	}
 
-	// A record with no scalars, no deltas and no cut still round-trips.
+	// A record with empty payloads still round-trips.
 	empty := &stepRecord{round: 0, platform: 0}
 	if _, err := decodeStepRecord(encodeStepRecord(empty)); err != nil {
 		t.Fatalf("empty record: %v", err)
@@ -73,75 +52,46 @@ func TestStepRecordRoundTrip(t *testing.T) {
 }
 
 func TestStepRecordDecodeErrors(t *testing.T) {
-	good := encodeStepRecord(&stepRecord{
-		round: 1, platform: 0, scalars: []uint64{7},
-		deltas: []*tensor.Tensor{tensor.FromSlice([]float32{1, 2}, 2)},
-		cut:    []byte{1, 2, 3},
-	})
+	good := encodeStepRecord(&stepRecord{round: 1, platform: 0, acts: []byte{1, 2, 3, 4}, tail: []byte{1, 2, 3}})
 	cases := []struct {
 		name string
 		buf  []byte
 	}{
 		{"empty", nil},
-		{"short header", good[:10]},
+		{"short header", good[:6]},
+		{"missing activations length", good[:11]},
 		{"wrong kind", append([]byte{replKindBase}, good[1:]...)},
-		{"truncated scalars", good[:19]},
-		{"truncated delta block", good[:len(good)-8]},
-		{"trailing garbage", append(append([]byte(nil), good...), 0xFF)},
+		{"truncated activations", good[:15]},
 	}
 	for _, tc := range cases {
-		if _, err := decodeStepRecord(tc.buf); err == nil {
-			t.Errorf("%s: decode accepted a malformed record", tc.name)
+		if _, err := decodeStepRecord(tc.buf); !errors.Is(err, ErrReplica) {
+			t.Errorf("%s: decode returned %v, want ErrReplica", tc.name, err)
 		}
 	}
 }
 
-func TestXorDeltasReversible(t *testing.T) {
-	r := rng.New(99)
-	randT := func(shape ...int) *tensor.Tensor {
-		x := tensor.New(shape...)
-		d := x.Data()
-		for i := range d {
-			d[i] = math.Float32frombits(uint32(r.Uint64()))
-		}
-		return x
-	}
-	prev := []*tensor.Tensor{randT(3, 4), randT(7)}
-	// cur has one extra tensor: the lazily-allocated optimizer buffer case.
-	cur := []*tensor.Tensor{randT(3, 4), randT(7), randT(2, 2)}
-
-	deltas, err := xorDeltas(cur, prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Replica side: state = prev, apply the deltas.
-	state := []*tensor.Tensor{prev[0].Clone(), prev[1].Clone()}
-	for i, d := range deltas {
-		if i < len(state) {
-			xorInto(state[i], d)
-		} else {
-			state = append(state, d)
-		}
-	}
-	if len(state) != len(cur) {
-		t.Fatalf("replica has %d tensors, want %d", len(state), len(cur))
-	}
-	for i := range cur {
-		a, b := state[i].Data(), cur[i].Data()
-		for j := range b {
-			if math.Float32bits(a[j]) != math.Float32bits(b[j]) {
-				t.Fatalf("tensor %d[%d]: bits %x, want %x", i, j, math.Float32bits(a[j]), math.Float32bits(b[j]))
+// FuzzDecodeStepRecord hammers the step-record decoder, which reads
+// both the follower stream and the WAL: it must reject garbage with
+// ErrReplica (never panic), and anything it accepts must re-encode to
+// exactly the bytes it came from. The committed corpus holds records
+// from a real failover run.
+func FuzzDecodeStepRecord(f *testing.F) {
+	f.Add(encodeStepRecord(&stepRecord{round: 3, platform: 1, acts: []byte{1, 2}, tail: []byte{3}}))
+	f.Add(encodeStepRecord(&stepRecord{}))
+	f.Add([]byte{replKindStep})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := decodeStepRecord(data)
+		if err != nil {
+			if !errors.Is(err, ErrReplica) {
+				t.Fatalf("non-sentinel decode error: %v", err)
 			}
+			return
 		}
-	}
-
-	// Shrinking or reshaping state is a refused corruption, not a delta.
-	if _, err := xorDeltas(prev, cur); err == nil {
-		t.Fatal("xorDeltas accepted shrinking state")
-	}
-	if _, err := xorDeltas([]*tensor.Tensor{randT(4, 3), randT(7)}, prev); err == nil {
-		t.Fatal("xorDeltas accepted a shape change")
-	}
+		if !bytes.Equal(encodeStepRecord(rec), data) {
+			t.Fatal("accepted record does not re-encode to its bytes")
+		}
+	})
 }
 
 func TestResumePoint(t *testing.T) {
@@ -228,6 +178,51 @@ func TestReplicationConfigValidation(t *testing.T) {
 	}
 }
 
+// A follower re-executes the leader's steps, so it must compute the
+// leader's bits: a bootstrap whose kernel fingerprint names another
+// GOARCH fails Run with ErrConfig before any step record is persisted.
+func TestFollowerRefusesForeignGOARCH(t *testing.T) {
+	foreign := "arm64"
+	if runtime.GOARCH == foreign {
+		foreign = "amd64"
+	}
+	_, back := buildSplitMLP(t, 731, 8, 2)
+	srv, err := NewServer(ServerConfig{Back: back, Opt: &nn.SGD{}, Platforms: 1, Rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := openTestWAL(t, "foreign")
+	leader, stream := transport.Pipe()
+	defer stream.Close()
+	f, err := NewFollower(FollowerConfig{Platforms: 1, Conn: stream, Log: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- f.Run() }()
+
+	if err := leader.Send(&wire.Message{Type: wire.MsgReplBase, Payload: EncodeSnapshot(srv.Snapshot(0))}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := leader.Recv(); err != nil || m.Type != wire.MsgReplAck {
+		t.Fatalf("bootstrap ack: %v %v", m, err)
+	}
+	meta := wire.EncodeText("evaluator=0;goarch=" + foreign)
+	if err := leader.Send(&wire.Message{Type: wire.MsgReplMeta, Payload: meta}); err != nil {
+		t.Fatal(err)
+	}
+	// A step record right behind the meta must never reach the log; the
+	// close below releases this send.
+	go leader.Send(&wire.Message{Type: wire.MsgReplRecord, Payload: encodeStepRecord(&stepRecord{})})
+	if err := <-done; !errors.Is(err, ErrConfig) {
+		t.Fatalf("foreign leader: Run returned %v, want ErrConfig", err)
+	}
+	leader.Close()
+	if n := log.LastIndex(); n != 1 {
+		t.Fatalf("follower logged %d records, want only the base", n)
+	}
+}
+
 func openTestWAL(t *testing.T, name string) *wal.Log {
 	t.Helper()
 	log, err := wal.Open(filepath.Join(t.TempDir(), name), wal.Options{})
@@ -266,6 +261,10 @@ type failoverOpts struct {
 	rounds      int
 	l1SyncEvery int
 	ckptEvery   int // exercises checkpoint-boundary WAL compaction
+	schedule    nn.Schedule
+	// segmentBytes, when positive, rolls both WALs' segments that small,
+	// so compaction drops whole segments and keeps pre-base records.
+	segmentBytes int
 	// kill, when non-nil, names the leader's outbound message that
 	// kills it (k is the destination platform).
 	kill func(k int, m *wire.Message) bool
@@ -277,6 +276,7 @@ type failoverResult struct {
 	stats     []*PlatformStats
 	leaderWAL string  // leader's WAL dir, log closed
 	leader    *Server // nil if the leader was killed
+	replayed  int     // step records after the follower's last base (what promotion re-executes)
 }
 
 // failoverRun executes a 2-platform replicated session with one warm
@@ -298,12 +298,16 @@ func failoverRun(t *testing.T, o failoverOpts) failoverResult {
 	shards := dataset.ShardIID(flat.Len(), K, rng.New(172))
 
 	leaderWALDir := filepath.Join(t.TempDir(), "leader-wal")
-	leaderLog, err := wal.Open(leaderWALDir, wal.Options{})
+	leaderLog, err := wal.Open(leaderWALDir, wal.Options{SegmentBytes: o.segmentBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer leaderLog.Close()
-	followerLog := openTestWAL(t, "follower-wal")
+	followerLog, err := wal.Open(filepath.Join(t.TempDir(), "follower-wal"), wal.Options{SegmentBytes: o.segmentBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer followerLog.Close()
 
 	streamLeader, streamFollower := transport.Pipe()
 	follower, err := NewFollower(FollowerConfig{Platforms: K, Conn: streamFollower, Log: followerLog})
@@ -316,7 +320,7 @@ func failoverRun(t *testing.T, o failoverOpts) failoverResult {
 
 	scfg := ServerConfig{
 		Back: back, Opt: &nn.SGD{LR: 0.05}, Platforms: K, Rounds: o.rounds,
-		L1SyncEvery: o.l1SyncEvery,
+		L1SyncEvery: o.l1SyncEvery, LRSchedule: o.schedule,
 		Replication: &ReplicationConfig{Log: leaderLog, Followers: []transport.Conn{streamLeader}},
 	}
 	if o.ckptEvery > 0 {
@@ -399,7 +403,7 @@ func failoverRun(t *testing.T, o failoverOpts) failoverResult {
 		promoted, conns, err := follower.Promote(PromoteConfig{
 			Server: ServerConfig{
 				Back: followerBack, Opt: &nn.SGD{LR: 0.05}, Platforms: K,
-				Rounds: o.rounds, L1SyncEvery: o.l1SyncEvery,
+				Rounds: o.rounds, L1SyncEvery: o.l1SyncEvery, LRSchedule: o.schedule,
 			},
 			Broker: broker,
 			Window: 30 * time.Second,
@@ -453,7 +457,17 @@ func failoverRun(t *testing.T, o failoverOpts) failoverResult {
 		t.Fatal("the scripted kill never fired: the leader finished cleanly")
 	}
 
-	res := failoverResult{stats: stats, leaderWAL: leaderWALDir}
+	replayed := 0
+	if o.kill != nil {
+		// Promotion latency is bounded by the step records since the last
+		// base, one server step each. Time the same scan and re-execution
+		// on the follower's log.
+		_, steps, took := replayOffline(t, followerLog, o, in)
+		t.Logf("promotion re-executes %d step records since the last base in %v", steps, took)
+		replayed = steps
+	}
+
+	res := failoverResult{stats: stats, leaderWAL: leaderWALDir, replayed: replayed}
 	for k := 0; k < K; k++ {
 		res.params = append(res.params, fronts[k].Params())
 	}
@@ -464,6 +478,31 @@ func failoverRun(t *testing.T, o failoverOpts) failoverResult {
 		res.params = append(res.params, followerBack.Params())
 	}
 	return res
+}
+
+// replayOffline re-executes a replicated session's log onto a fresh
+// back half under the harness's server config. It returns the server,
+// the number of step records re-executed, and the time the scan and
+// re-execution took.
+func replayOffline(t *testing.T, log *wal.Log, o failoverOpts, in int) (*Server, int, time.Duration) {
+	t.Helper()
+	_, back := buildSplitMLP(t, 713, in, 4)
+	srv, err := NewServer(ServerConfig{
+		Back: back, Opt: &nn.SGD{LR: 0.05}, Platforms: 2, Rounds: o.rounds,
+		L1SyncEvery: o.l1SyncEvery, LRSchedule: o.schedule,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	rs, err := scanWAL(log, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.replayWAL(log, rs); err != nil {
+		t.Fatal(err)
+	}
+	return srv, int(log.LastIndex() - rs.baseIndex), time.Since(start)
 }
 
 // killOn scripts the leader's death on one outbound message.
@@ -504,11 +543,18 @@ func TestFailoverBitIdentical(t *testing.T) {
 			failoverOpts{rounds: rounds, kill: killOn(1, wire.MsgCutGrad, 5)}},
 		{"die sending logits to platform 0 (no step recorded, both re-enter)",
 			failoverOpts{rounds: rounds, kill: killOn(0, wire.MsgLogits, 5)}},
+		{"die sending cut-grad to platform 0 under a step-decay LR schedule",
+			failoverOpts{rounds: rounds, schedule: nn.StepDecay(0.05, 0.5, 2), kill: killOn(0, wire.MsgCutGrad, 5)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			want := baseline
+			if tc.o.schedule != nil {
+				// Re-execution must apply each record's own round's LR.
+				want, _ = recoveryRun(t, recoveryOpts{rounds: rounds, schedule: tc.o.schedule})
+			}
 			res := failoverRun(t, tc.o)
-			assertParamsBitIdentical(t, tc.name, baseline, res.params)
+			assertParamsBitIdentical(t, tc.name, want, res.params)
 			for k, st := range res.stats {
 				if len(st.Rounds) != rounds {
 					t.Fatalf("platform %d trained %d rounds, want %d", k, len(st.Rounds), rounds)
@@ -532,43 +578,68 @@ func TestFailoverWithSyncAndCompaction(t *testing.T) {
 	assertParamsBitIdentical(t, "failover with sync and compaction", baseline, res.params)
 }
 
+// Checkpoint compaction drops whole segments, so with small segments
+// the follower's log keeps steps from before its last base. Promotion
+// must skip them, re-execute only what follows the base, and still
+// land bit-identically.
+func TestFailoverAcrossCompactedSegments(t *testing.T) {
+	const rounds = 10
+	baseline, _ := recoveryRun(t, recoveryOpts{rounds: rounds})
+	res := failoverRun(t, failoverOpts{
+		rounds: rounds, ckptEvery: 4, segmentBytes: 4 << 10,
+		kill: killOn(0, wire.MsgCutGrad, 9),
+	})
+	assertParamsBitIdentical(t, "failover across compacted segments", baseline, res.params)
+	if res.replayed != 3 {
+		t.Fatalf("promotion re-executed %d step records, want the 3 since the round-8 base", res.replayed)
+	}
+}
+
 // A finished leader's WAL replays offline into exactly the live final
-// state — the leader-restart recovery path, including replay across the
-// compaction the round-8 checkpoint performed.
+// state — the leader-restart recovery path: scanning the log and
+// re-executing it across the compaction the round-8 checkpoint
+// performed, onto a fresh back half with the leader's config, lands on
+// the live leader's final parameters and optimizer state.
 func TestRecoverServerStateFromWAL(t *testing.T) {
 	const rounds = 10
-	res := failoverRun(t, failoverOpts{rounds: rounds, ckptEvery: 4})
+	o := failoverOpts{rounds: rounds, ckptEvery: 4}
+	res := failoverRun(t, o)
 
 	log, err := wal.Open(res.leaderWAL, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	snap, err := RecoverServerState(log, 2)
+	rs, err := scanWAL(log, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.NextRound != rounds {
-		t.Fatalf("recovered NextRound %d, want %d", snap.NextRound, rounds)
+	if r, _ := rs.resumePoint(); r != rounds {
+		t.Fatalf("recovered resume point %d, want %d", r, rounds)
 	}
-	live := res.leader.Snapshot(rounds)
-	if len(snap.Tensors) != len(live.Tensors) {
-		t.Fatalf("recovered %d tensors, live has %d", len(snap.Tensors), len(live.Tensors))
+	if rs.base.NextRound != 8 {
+		t.Fatalf("last base at round %d, want the round-8 checkpoint", rs.base.NextRound)
+	}
+	in := res.params[0][0].W.Dim(0) // the front's first Dense weight is [in, hidden]
+	srv, _, _ := replayOffline(t, log, o, in)
+	recovered, live := srv.Snapshot(rounds), res.leader.Snapshot(rounds)
+	if len(recovered.Tensors) != len(live.Tensors) {
+		t.Fatalf("recovered %d tensors, live has %d", len(recovered.Tensors), len(live.Tensors))
 	}
 	for i := range live.Tensors {
-		a, b := snap.Tensors[i].Data(), live.Tensors[i].Data()
+		a, b := recovered.Tensors[i].Data(), live.Tensors[i].Data()
 		for j := range b {
 			if math.Float32bits(a[j]) != math.Float32bits(b[j]) {
 				t.Fatalf("tensor %d[%d]: recovered bits %x, live %x", i, j, math.Float32bits(a[j]), math.Float32bits(b[j]))
 			}
 		}
 	}
-	if len(snap.Scalars) != len(live.Scalars) {
-		t.Fatalf("recovered %d scalars, live has %d", len(snap.Scalars), len(live.Scalars))
+	if len(recovered.Scalars) != len(live.Scalars) {
+		t.Fatalf("recovered %d scalars, live has %d", len(recovered.Scalars), len(live.Scalars))
 	}
 	for i := range live.Scalars {
-		if snap.Scalars[i] != live.Scalars[i] {
-			t.Fatalf("scalar %d: recovered %d, live %d", i, snap.Scalars[i], live.Scalars[i])
+		if recovered.Scalars[i] != live.Scalars[i] {
+			t.Fatalf("scalar %d: recovered %d, live %d", i, recovered.Scalars[i], live.Scalars[i])
 		}
 	}
 }

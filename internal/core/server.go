@@ -209,7 +209,6 @@ type platformState struct {
 	// could no longer recompute the gradient from live state.
 	lastCut      []byte
 	lastCutRound int
-	lastCutLoss  bool // payload carries the label-sharing loss scalar
 }
 
 // Server runs the server side of the split-learning protocol.
@@ -242,11 +241,14 @@ type Server struct {
 	flushedThrough int
 
 	// Concat-mode scratch, reused across rounds so fusing per-platform
-	// minibatches stops allocating once batch shapes stabilize.
+	// minibatches and splitting the fused results back stops allocating
+	// once batch shapes stabilize.
 	fuseParts   []*tensor.Tensor
 	fusedLabels []int
 	fusedActs   *tensor.Tensor
 	fusedGrad   *tensor.Tensor
+	splitZ      []*tensor.Tensor // per-platform logits
+	splitDA     []*tensor.Tensor // per-platform cut gradients
 
 	// Wire-path scratch (see wirebuf.go). Decoded-tensor slices are per
 	// platform because concat mode holds every platform's activations
@@ -584,16 +586,15 @@ func (s *Server) advance(k, stop int) error {
 		var err error
 		switch x.pos {
 		case posActs:
-			x.a, err = s.recvActs(ps.conn, r, k)
+			err = s.recvInput(ps.conn, x, k)
 			if err == nil {
-				s.lastBatch[k] = x.a.Dim(0)
 				x.pos = posLogits
 				if s.cfg.LabelSharing {
 					x.pos = posLabels
 				}
 			}
 		case posLabels:
-			x.labels, err = s.recvLabels(ps.conn, r, k, x.a.Dim(0))
+			err = s.recvInput(ps.conn, x, k)
 			if err == nil {
 				x.pos = posCutGrad
 			}
@@ -611,7 +612,7 @@ func (s *Server) advance(k, stop int) error {
 				x.pos = posLossGrad
 			}
 		case posLossGrad:
-			x.dz, err = s.recvLossGrad(ps.conn, r, k, x.z)
+			err = s.recvInput(ps.conn, x, k)
 			if err == nil {
 				x.pos = posCutGrad
 			}
@@ -677,26 +678,16 @@ func (s *Server) backward(x *exchange) {
 // cached so a platform that died waiting for it can be replayed after
 // the server has moved on.
 func (s *Server) sendCutGrad(ps *platformState, k, r int, da *tensor.Tensor, lossVal float64) error {
-	var payload []byte
-	if s.cfg.LabelSharing {
-		if s.lossScalar == nil {
-			s.lossScalar = tensor.New()
-		}
-		s.lossScalar.Set(float32(lossVal))
-		payload = s.encCut.encode(s.cfg.Codec, da, s.lossScalar)
-	} else {
-		payload = s.encCut.encode(s.cfg.Codec, da)
-	}
+	payload := s.encodeCut(da, lossVal)
 	if s.cfg.Recovery != nil {
 		ps.lastCut = append(ps.lastCut[:0], payload...)
 		ps.lastCutRound = r
-		ps.lastCutLoss = s.cfg.LabelSharing
 	}
 	if s.repl != nil {
-		// Durability before acknowledgement: the step's record (state
-		// delta + this exact payload) hits the WAL and the follower
+		// Durability before acknowledgement: the step's record (the
+		// inputs it was computed from) hits the WAL and the follower
 		// streams before the platform can observe the step happened.
-		if err := s.repl.onStep(s, k, r, payload); err != nil {
+		if err := s.repl.onStep(k, r); err != nil {
 			return err
 		}
 	}
@@ -708,62 +699,85 @@ func (s *Server) sendCutGrad(ps *platformState, k, r int, da *tensor.Tensor, los
 	}, k)
 }
 
-// recvActs reads platform k's minibatch activations into the
-// platform's decode scratch, recycling the payload buffer. The
-// returned tensor is owned by the server and valid until platform k's
-// next activations decode — which in every round mode happens after
-// the round's backward has consumed it.
-func (s *Server) recvActs(conn transport.Conn, r, k int) (*tensor.Tensor, error) {
-	m, err := s.recv(conn, wire.MsgActivations, r, k)
-	if err != nil {
-		return nil, err
+// encodeCut encodes a step's cut-gradient payload: the gradient, plus
+// the loss scalar in label-sharing mode. It is the payload sendCutGrad
+// ships and the one a promoted server re-derives for a platform the
+// dead leader never delivered it to.
+func (s *Server) encodeCut(da *tensor.Tensor, lossVal float64) []byte {
+	if !s.cfg.LabelSharing {
+		return s.encCut.encode(s.cfg.Codec, da)
 	}
-	ts, derr := wire.DecodeInto(s.cfg.Codec, s.actsDec[k], m.Payload)
-	if derr != nil || len(ts) != 1 {
-		return nil, fmt.Errorf("%w: bad activations payload from platform %d", ErrProtocol, k)
+	if s.lossScalar == nil {
+		s.lossScalar = tensor.New()
 	}
-	s.actsDec[k] = ts
-	releasePayload(m)
-	return ts[0], nil
+	s.lossScalar.Set(float32(lossVal))
+	return s.encCut.encode(s.cfg.Codec, da, s.lossScalar)
 }
 
-// recvLabels reads platform k's label vector (label-sharing mode) and
-// validates its length against the activation batch.
-func (s *Server) recvLabels(conn transport.Conn, r, k, batch int) ([]int, error) {
-	lm, err := s.recv(conn, wire.MsgLabels, r, k)
-	if err != nil {
-		return nil, err
-	}
-	labels, derr := wire.DecodeLabelsInto(s.labelsDec[k], lm.Payload)
-	if derr != nil {
-		return nil, fmt.Errorf("%w: bad labels payload from platform %d", ErrProtocol, k)
-	}
-	s.labelsDec[k] = labels
-	releasePayload(lm)
-	if len(labels) != batch {
-		return nil, fmt.Errorf("%w: %d labels for %d activations", ErrProtocol, len(labels), batch)
-	}
-	return labels, nil
+// inputTypes names the message a platform sends at each inbound wire
+// position.
+var inputTypes = [...]wire.MsgType{
+	posActs:     wire.MsgActivations,
+	posLabels:   wire.MsgLabels,
+	posLossGrad: wire.MsgLossGrad,
 }
 
-// recvLossGrad reads platform k's loss gradient and validates its
-// shape against the logits it answers.
-func (s *Server) recvLossGrad(conn transport.Conn, r, k int, z *tensor.Tensor) (*tensor.Tensor, error) {
-	m, err := s.recv(conn, wire.MsgLossGrad, r, k)
+// recvInput reads platform k's inbound payload at x's wire position and
+// decodes it into x. The replicator then copies the payload for the
+// step's record, and the frame is recycled.
+func (s *Server) recvInput(conn transport.Conn, x *exchange, k int) error {
+	m, err := s.recv(conn, inputTypes[x.pos], x.round, k)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ts, derr := wire.DecodeInto(s.cfg.Codec, s.gradDec[k], m.Payload)
-	if derr != nil || len(ts) != 1 {
-		return nil, fmt.Errorf("%w: bad loss-grad payload from platform %d", ErrProtocol, k)
+	if err := s.decodeInput(x, k, m.Payload); err != nil {
+		return err
 	}
-	s.gradDec[k] = ts
+	if s.repl != nil {
+		s.repl.keep(k, x.pos, m.Payload)
+	}
 	releasePayload(m)
-	dz := ts[0]
-	if !tensor.SameShape(dz, z) {
-		return nil, fmt.Errorf("%w: loss-grad shape %v, logits %v", ErrProtocol, dz.Shape(), z.Shape())
+	return nil
+}
+
+// decodeInput decodes platform k's payload for x's wire position into
+// x, through the platform's decode scratch: the activations (which set
+// the platform's last batch size), the labels of the activations' rows,
+// or the loss gradient of the logits x.z. Decoded tensors are valid
+// until the platform's next decode at that position, which in every
+// round mode happens after the round's backward has consumed them.
+// Live exchanges and WAL replay share it.
+func (s *Server) decodeInput(x *exchange, k int, payload []byte) error {
+	switch x.pos {
+	case posActs:
+		ts, err := wire.DecodeInto(s.cfg.Codec, s.actsDec[k], payload)
+		if err != nil || len(ts) != 1 {
+			return fmt.Errorf("%w: bad activations payload from platform %d", ErrProtocol, k)
+		}
+		s.actsDec[k], x.a = ts, ts[0]
+		s.lastBatch[k] = x.a.Dim(0)
+	case posLabels:
+		labels, err := wire.DecodeLabelsInto(s.labelsDec[k], payload)
+		if err != nil {
+			return fmt.Errorf("%w: bad labels payload from platform %d", ErrProtocol, k)
+		}
+		s.labelsDec[k] = labels
+		if len(labels) != x.a.Dim(0) {
+			return fmt.Errorf("%w: %d labels for %d activations", ErrProtocol, len(labels), x.a.Dim(0))
+		}
+		x.labels = labels
+	case posLossGrad:
+		ts, err := wire.DecodeInto(s.cfg.Codec, s.gradDec[k], payload)
+		if err != nil || len(ts) != 1 {
+			return fmt.Errorf("%w: bad loss-grad payload from platform %d", ErrProtocol, k)
+		}
+		s.gradDec[k] = ts
+		if !tensor.SameShape(ts[0], x.z) {
+			return fmt.Errorf("%w: loss-grad shape %v, logits %v", ErrProtocol, ts[0].Shape(), x.z.Shape())
+		}
+		x.dz = ts[0]
 	}
-	return dz, nil
+	return nil
 }
 
 // l1Sync averages the active platforms' L1 weights (weighted by their

@@ -160,7 +160,8 @@ func (s *Server) fuse(stop int) {
 	}
 	if stop == posLogits {
 		s.forward(&f)
-		for k, zk := range tensor.SplitDim0(f.z, s.lastBatch) {
+		s.splitZ = tensor.SplitDim0Into(s.splitZ, f.z, s.lastBatch)
+		for k, zk := range s.splitZ {
 			s.ex[k].z = zk
 		}
 		return
@@ -182,7 +183,8 @@ func (s *Server) fuse(stop int) {
 		f.dz = s.stack(&s.fusedGrad, func(x *exchange) *tensor.Tensor { return x.dz })
 	}
 	s.backward(&f)
-	for k, dak := range tensor.SplitDim0(f.da, s.lastBatch) {
+	s.splitDA = tensor.SplitDim0Into(s.splitDA, f.da, s.lastBatch)
+	for k, dak := range s.splitDA {
 		s.ex[k].da, s.ex[k].lossVal = dak, f.lossVal
 	}
 }

@@ -56,10 +56,9 @@ func newReplicaTier(cfg Config, codec wire.Codec) (*replicaTier, error) {
 	if err != nil {
 		return fail(err)
 	}
-	// Each follower keeps a full back half so promotion serves the same
-	// weights the dead leader held. The builds reuse the deterministic
-	// BuildModel seeding, so every replica starts bit-identical to the
-	// leader's back — the replication stream keeps them that way.
+	// Each follower keeps a full back half: promotion installs the
+	// leader's last base snapshot into it and re-executes the logged
+	// steps on it, so it serves the weights the dead leader held.
 	built, err := buildModels(cfg, cfg.Replicas)
 	if err != nil {
 		return fail(err)
@@ -112,8 +111,9 @@ func (tr *replicaTier) close() {
 }
 
 // template builds the promoted server's configuration from the run's
-// Config — the same schedule knobs the dead leader ran, with the
-// follower's own back half. StartRound and Mode are derived by Promote.
+// Config — the same knobs the dead leader ran, which the re-executed
+// steps depend on, with the follower's own back half. StartRound and
+// Mode are derived by Promote.
 func (tr *replicaTier) template(follower int) core.ServerConfig {
 	scfg := core.ServerConfig{
 		Back:            tr.backs[follower],
@@ -134,7 +134,7 @@ func (tr *replicaTier) template(follower int) core.ServerConfig {
 	return scfg
 }
 
-// run drives a replicated session: the leader serves, followers apply
+// run drives a replicated session: the leader serves, followers log
 // the replication stream, platforms train. If the leader dies (the
 // KillLeaderAt fault, or any genuine failure), the most caught-up
 // healthy follower promotes, adopts the redialed platforms through the

@@ -45,7 +45,8 @@ func TestReplicatedTransparent(t *testing.T) {
 // layer: the leader is killed mid-round over the simulated WAN, a warm
 // follower promotes and finishes the session, and the final weights
 // are bit-identical to an undisturbed pipe-transport run. Swept over
-// kill round, replica count, label sharing and L1 sync.
+// kill round, replica count, label sharing, L1 sync and a back half
+// with BatchNorm.
 func TestReplicatedFailoverDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("failover sweep is slow")
@@ -61,6 +62,9 @@ func TestReplicatedFailoverDigest(t *testing.T) {
 		{"kill-r4-two-replicas", func(c *Config) { c.KillLeaderAt = 4; c.Replicas = 2 }},
 		{"kill-r3-label-sharing", func(c *Config) { c.KillLeaderAt = 3; c.LabelSharing = true }},
 		{"kill-r2-l1sync", func(c *Config) { c.KillLeaderAt = 2; c.L1SyncEvery = 2 }},
+		// BatchNorm running statistics live in the ResNet back half, so
+		// promotion's re-execution must run the forward in training mode.
+		{"kill-r3-resnet", func(c *Config) { c.KillLeaderAt = 3; c.Arch = ArchResNet }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -374,7 +374,7 @@ func (n *Network) Redial(platform int) (serverEnd, platformEnd transport.Conn, e
 	// script under the link lock, so severing under l.mu would invert
 	// the seg.mu → link.mu order and deadlock.
 	l.mu.Unlock()
-	old.sever() // an abandoned healthy segment must not keep delivering
+	old.sever(false) // an abandoned healthy segment must not keep delivering
 	return server, platformConn, nil
 }
 
@@ -398,7 +398,7 @@ func (n *Network) killServer(trigger *link, failDials int) {
 		l.failDials = failDials
 		cur := l.cur
 		l.mu.Unlock()
-		cur.sever()
+		cur.sever(true)
 	}
 }
 
@@ -506,14 +506,24 @@ func deriveRNG(seed uint64, platform int, dir Dir, gen int) *rng.RNG {
 	return rng.New(r.Uint64() + uint64(gen)*0xbf58476d1ce4e5b9)
 }
 
-// sever kills the segment: queued messages are lost, blocked callers
-// wake with errors.
-func (s *segment) sever() {
-	s.mu.Lock()
+// severLocked kills the segment; the caller holds s.mu. Blocked callers
+// wake with errors and queued messages are lost — except, when the server
+// process died (serverDied), the ones it had already sent. Those left
+// it at or before the death on its virtual clock, so their receiver
+// drains them and then reads EOF.
+func (s *segment) severLocked(serverDied bool) {
 	s.broken = true
 	s.up.msgs = nil
-	s.down.msgs = nil
+	if !serverDied {
+		s.down.msgs = nil
+	}
 	s.cond.Broadcast()
+}
+
+// sever is severLocked for a caller that does not hold s.mu.
+func (s *segment) sever(serverDied bool) {
+	s.mu.Lock()
+	s.severLocked(serverDied)
 	s.mu.Unlock()
 }
 
@@ -599,10 +609,7 @@ func (e *endpoint) Send(m *wire.Message) error {
 		return nil // lost in flight; the link stays healthy
 	}
 	if f != nil && (f.Kind == FaultSever || f.Kind == FaultKillServer) {
-		s.broken = true
-		s.up.msgs = nil
-		s.down.msgs = nil
-		s.cond.Broadcast()
+		s.severLocked(f.Kind == FaultKillServer)
 		if f.Kind == FaultKillServer {
 			// Take down every other link too — but only after releasing
 			// this segment's lock: severing walks other segments' locks,
@@ -659,9 +666,10 @@ func (e *endpoint) Send(m *wire.Message) error {
 
 // Recv returns the next delivered message, advancing this party's
 // virtual clock to its delivery time. Messages queued before a
-// graceful peer Close still drain (stream semantics); a severed link
-// or a drained closed stream reads as io.EOF, matching the TCP and
-// pipe transports.
+// graceful peer Close still drain (stream semantics), and so do the
+// ones a dead server sent before it died (see severLocked); a severed
+// link or a drained closed stream reads as io.EOF, matching the TCP
+// and pipe transports.
 func (e *endpoint) Recv() (*wire.Message, error) {
 	s := e.seg
 	s.mu.Lock()
@@ -670,9 +678,6 @@ func (e *endpoint) Recv() (*wire.Message, error) {
 	for {
 		if e.closed {
 			return nil, transport.ErrClosed
-		}
-		if s.broken {
-			return nil, io.EOF
 		}
 		if len(q.msgs) > 0 && !q.stalled {
 			tm := q.msgs[0]
@@ -687,6 +692,9 @@ func (e *endpoint) Recv() (*wire.Message, error) {
 				e.node.advance(s.link.net.opts.Compute.Server)
 			}
 			return tm.m, nil
+		}
+		if s.broken {
+			return nil, io.EOF
 		}
 		if len(q.msgs) == 0 && q.senderClosed {
 			return nil, io.EOF

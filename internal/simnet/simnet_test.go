@@ -284,6 +284,44 @@ func TestKillServerSwallowed(t *testing.T) {
 	plat1.Close()
 }
 
+// A dead server's messages that were already on the wire still arrive:
+// the platform drains them and then reads EOF. What the platforms had
+// queued for the server, and the message the server died sending, are
+// lost.
+func TestKillServerDrainsSentMessages(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	n := New(Options{Faults: []Fault{
+		{Platform: 0, Round: 2, Type: wire.MsgCutGrad, Dir: DirDown, Kind: FaultKillServer},
+	}})
+	srv0, plat0 := n.AddLink(0, geonet.Link{LatencyMs: 1, Mbps: 100})
+	srv1, plat1 := n.AddLink(1, geonet.Link{LatencyMs: 50, Mbps: 100})
+	if err := srv1.Send(msg(wire.MsgModelPush, 1, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := plat1.Send(msg(wire.MsgActivations, 2, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv0.Send(msg(wire.MsgCutGrad, 2, 64)); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("triggering send returned %v, want io.ErrClosedPipe", err)
+	}
+	m, err := plat1.Recv()
+	if err != nil || m.Type != wire.MsgModelPush {
+		t.Fatalf("platform 1 recv after kill returned %v, %v; want the in-flight model push", m, err)
+	}
+	if _, err := plat1.Recv(); err != io.EOF {
+		t.Fatalf("platform 1 second recv returned %v, want io.EOF", err)
+	}
+	if _, err := srv1.Recv(); err != io.EOF {
+		t.Fatalf("server recv for platform 1 returned %v, want io.EOF", err)
+	}
+	if _, err := plat0.Recv(); err != io.EOF {
+		t.Fatalf("platform 0 recv returned %v, want io.EOF", err)
+	}
+	for _, c := range []transport.Conn{srv0, plat0, srv1, plat1} {
+		c.Close()
+	}
+}
+
 // Redial: fails deterministically while FailDials lasts, then yields a
 // fresh working segment on the same clocks; the severed pair stays
 // dead.

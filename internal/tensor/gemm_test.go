@@ -228,6 +228,32 @@ func TestConcatDim0IntoMatchesConcatDim0(t *testing.T) {
 	assertUlpEqual(t, "ConcatDim0Into", got, want)
 }
 
+// SplitDim0Into must match SplitDim0 whatever scratch it is handed
+// (none, too small, reused with a larger batch's storage), and stop
+// allocating once the scratch fits.
+func TestSplitDim0IntoMatchesSplitDim0(t *testing.T) {
+	r := rng.New(6)
+	t1 := randTensor(r, 10, 4, 2)
+	t2 := randTensor(r, 7, 4, 2)
+	var dst []*Tensor
+	for _, tc := range []struct {
+		src   *Tensor
+		sizes []int
+	}{{t1, []int{3, 2, 5}}, {t2, []int{3, 1, 2, 1}}, {t1, []int{3, 2, 5}}} {
+		dst = SplitDim0Into(dst, tc.src, tc.sizes)
+		want := SplitDim0(tc.src, tc.sizes)
+		if len(dst) != len(want) {
+			t.Fatalf("%d blocks, want %d", len(dst), len(want))
+		}
+		for i := range want {
+			assertUlpEqual(t, "SplitDim0Into", dst[i], want[i])
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { dst = SplitDim0Into(dst, t1, []int{3, 2, 5}) }); n != 0 {
+		t.Fatalf("SplitDim0Into into fitting scratch allocated %v times", n)
+	}
+}
+
 // TestGemmDstShapePanics pins the Into-variant shape validation.
 func TestGemmDstShapePanics(t *testing.T) {
 	defer func() {

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"medsplit/internal/tensor/kernels"
 )
@@ -400,6 +401,15 @@ func ConcatDim0Into(dst *Tensor, ts ...*Tensor) *Tensor {
 // SplitDim0 slices t into consecutive blocks along dimension 0 with the
 // given sizes (which must sum to t.Dim(0)). Blocks are copies.
 func SplitDim0(t *Tensor, sizes []int) []*Tensor {
+	return SplitDim0Into(nil, t, sizes)
+}
+
+// SplitDim0Into is the buffer-reusing form of SplitDim0: block i is
+// copied into dst[i], whose storage is reused when its capacity
+// suffices, and the (possibly regrown) dst is returned. The split
+// server calls it with round-persistent per-platform scratch so concat
+// mode stops allocating per round.
+func SplitDim0Into(dst []*Tensor, t *Tensor, sizes []int) []*Tensor {
 	if len(t.shape) == 0 {
 		panic("tensor: SplitDim0 of scalar")
 	}
@@ -418,16 +428,20 @@ func SplitDim0(t *Tensor, sizes []int) []*Tensor {
 	if total != t.shape[0] {
 		panic(fmt.Sprintf("tensor: SplitDim0 sizes sum to %d, tensor has %d", total, t.shape[0]))
 	}
-	out := make([]*Tensor, len(sizes))
+	dst = slices.Grow(dst[:0], len(sizes))[:len(sizes)]
 	off := 0
 	for i, s := range sizes {
-		shape := append([]int{s}, trailing...)
-		block := New(shape...)
+		block := dst[i]
+		if block == nil || cap(block.data) < s*rest {
+			block = &Tensor{data: make([]float32, s*rest)}
+		}
+		block.shape = append(append(block.shape[:0], s), trailing...)
+		block.data = block.data[:s*rest]
 		copy(block.data, t.data[off*rest:(off+s)*rest])
-		out[i] = block
+		dst[i] = block
 		off += s
 	}
-	return out
+	return dst
 }
 
 func mustSameShape(op string, a, b *Tensor) {
