@@ -169,6 +169,45 @@ func resnetDigest(t *testing.T) uint64 {
 	return digestNets(fronts, back)
 }
 
+// mlpBenchShapeDigest trains the MLP at the repository benchmark's
+// train_mlp_tcp shape — 3072-64-10, 2 platforms x 1 row, sequential,
+// raw codec — with both parties clipping gradients at clip, and returns
+// the weight digest. At one row every platform round is the 3072x64
+// input layer's update alone.
+func mlpBenchShapeDigest(t *testing.T, clip float32) uint64 {
+	t.Helper()
+	const K, rounds = 2, 24
+	train, _ := testData(t, 10, K*rounds, 8, 107)
+	flat := flatten(train)
+	fronts := make([]*nn.Sequential, K)
+	var back *nn.Sequential
+	for k := 0; k <= K; k++ {
+		m := models.MLP(flat.X.Dim(1), []int{64}, 10, rng.New(359))
+		f, b, err := models.Split(m.Net, m.DefaultCut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == K {
+			back = b
+		} else {
+			fronts[k] = f
+		}
+	}
+	shards := dataset.ShardIID(flat.Len(), K, rng.New(108))
+	srv := defaultServer(t, back, K, rounds, func(c *ServerConfig) { c.ClipGrads = clip })
+	platforms := make([]*Platform, K)
+	for k := range platforms {
+		platforms[k] = defaultPlatform(t, k, fronts[k], flat.Subset(shards[k]), rounds, func(c *PlatformConfig) {
+			c.Batch = 1
+			c.ClipGrads = clip
+		})
+	}
+	if _, err := RunLocal(srv, platforms); err != nil {
+		t.Fatal(err)
+	}
+	return digestNets(fronts, back)
+}
+
 // vggServeForwardDigest runs the serving path's compute once: an
 // eval-mode (train=false) VGG-lite width-8 forward of the given rows,
 // front then back, and hashes the raw bits of the back half's logits.
@@ -261,6 +300,17 @@ func TestRoundModeDigests(t *testing.T) {
 	})
 	t.Run("resnet-lite/sequential", func(t *testing.T) {
 		if got, want := resnetDigest(t), uint64(0xb95b72f68c3858d6); got != want {
+			t.Errorf("digest %#016x, want %#016x", got, want)
+		}
+	})
+	t.Run("mlp-3072-64/sequential/2x1/clip-5", func(t *testing.T) {
+		if got, want := mlpBenchShapeDigest(t, 5), uint64(0xd7a07847bd507eab); got != want {
+			t.Errorf("digest %#016x, want %#016x", got, want)
+		}
+	})
+	// At 0.01 the clip binds on most gradient entries of both parties.
+	t.Run("mlp-3072-64/sequential/2x1/clip-0.01", func(t *testing.T) {
+		if got, want := mlpBenchShapeDigest(t, 0.01), uint64(0x326cf275a4e35ce2); got != want {
 			t.Errorf("digest %#016x, want %#016x", got, want)
 		}
 	})
