@@ -7,13 +7,14 @@ GO ?= go
 # Benchmarks that feed the committed baselines (BENCH_tensor.json,
 # BENCH_wire.json). BenchmarkKernel* covers the microkernel layer
 # (internal/tensor/kernels), whose dispatch and generic arms both land
-# in the baseline with their GFLOPS/GB-per-s custom metrics. The last
-# three time the platform's per-round weight update (input-layer
-# backward, clip, SGD step) at the repository benchmark's MLP size.
+# in the baseline with their GFLOPS/GB-per-s custom metrics. The next
+# four time the platform's per-round weight update at the repository
+# benchmark's MLP size: its passes one by one (input-layer backward,
+# clip, SGD step) and whole, unfused and through nn.BackwardStep.
 # BenchmarkReLU and BenchmarkMaxPool2D time the conv stack's data-
 # movement layers at the VGG-lite benchmark's activation shapes, and
 # BenchmarkConvTrainStep its three conv layers' forward + backward.
-BENCH_PATTERN ?= BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkCodec|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkClipGrads|BenchmarkSGDStep|BenchmarkReLU|BenchmarkMaxPool2D|BenchmarkConvTrainStep
+BENCH_PATTERN ?= BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkCodec|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkInputLayerUpdate|BenchmarkClipGrads|BenchmarkSGDStep|BenchmarkReLU|BenchmarkMaxPool2D|BenchmarkConvTrainStep
 
 # Packages with concurrency worth racing: the session engine (one
 # goroutine per party, plus replication streams and rejoin brokers), the
@@ -178,7 +179,7 @@ bench-smoke:
 # and the multi-iteration benchtime amortizes one-time pool warm-up
 # allocations that would otherwise inflate allocs/op vs the baselines.
 bench-compare:
-	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkClipGrads|BenchmarkSGDStep|BenchmarkReLU|BenchmarkMaxPool2D|BenchmarkConvTrainStep' -benchmem -benchtime 10x -run NONE \
+	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkInputLayerUpdate|BenchmarkClipGrads|BenchmarkSGDStep|BenchmarkReLU|BenchmarkMaxPool2D|BenchmarkConvTrainStep' -benchmem -benchtime 10x -run NONE \
 		./internal/tensor/ ./internal/tensor/kernels/ ./internal/nn/ . | $(GO) run ./cmd/benchjson -compare BENCH_tensor.json -skip-ns
 	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkCodec|BenchmarkSplitRound' -benchmem -benchtime 10x -run NONE \
 		./internal/compress/ . | $(GO) run ./cmd/benchjson -compare BENCH_wire.json -skip-ns
@@ -218,6 +219,7 @@ bench-save-tensor:
 		./internal/tensor/ ./internal/tensor/kernels/ ./internal/nn/ . | $(GO) run ./cmd/benchjson \
 		-note 'pre-kernel-layer baseline (PR8): BenchmarkMatMul/blocked/256 7.295 GFLOPS; the kernel layer (PR9) dispatches to AVX2/NEON microkernels, bit-identical to the generic arm by the differential tests in internal/tensor/kernels' \
 		-note 'BenchmarkKernel* sub-benchmarks report GFLOPS (GOPS for int8) as a custom metric; the /generic arm is the forced-fallback reference on the same machine' \
+		-note 'BenchmarkInputLayerUpdate: /unfused (ZeroGrads, Backward, ClipGrads, SGD.Step: five passes over the 3072x64 matrix) and /fused (nn.BackwardStep: one pass, the gradient untouched) are the before and after of the fused dense update, bit-identical by the nn differential tests' \
 		> BENCH_tensor.json
 	@echo wrote BENCH_tensor.json
 

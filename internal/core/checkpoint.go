@@ -562,3 +562,18 @@ func checkpointDue(every, completed int, force bool) bool {
 	}
 	return every > 0 && completed > 0 && completed%every == 0
 }
+
+// ensureCheckpointDir creates a configured checkpoint directory, parents
+// included, when a party is constructed, so a path that cannot hold
+// checkpoints fails the constructor with ErrConfig instead of the
+// session at its first scheduled checkpoint, possibly hundreds of
+// rounds in.
+func ensureCheckpointDir(dir string) error {
+	if dir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("%w: checkpoint directory %q: %v", ErrConfig, dir, err)
+	}
+	return nil
+}

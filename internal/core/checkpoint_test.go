@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -589,5 +591,52 @@ func TestAbortStashDoesNotClobberScheduledCheckpoint(t *testing.T) {
 	}
 	if latest.NextRound != 6 {
 		t.Fatalf("latest server snapshot resumes at %d, want 6", latest.NextRound)
+	}
+}
+
+// A checkpoint directory is settled when a party is constructed: a
+// missing one is created, parents included, and one that cannot exist
+// (its parent is a regular file) fails the constructor with ErrConfig
+// naming it, instead of the session at its first scheduled checkpoint.
+func TestCheckpointDirSettledAtConstruction(t *testing.T) {
+	train, _ := testData(t, 4, 16, 4, 149)
+	flat := flatten(train)
+	fronts, back := buildFronts(t, 613, 1, flat.X.Dim(1), 4)
+	root := t.TempDir()
+	file := filepath.Join(root, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	parties := map[string]func(dir string) error{
+		"server": func(dir string) error {
+			_, err := NewServer(ServerConfig{
+				Back: back, Opt: &nn.SGD{LR: 0.05}, Platforms: 1, Rounds: 4,
+				CheckpointEvery: 2, CheckpointDir: dir,
+			})
+			return err
+		},
+		"platform": func(dir string) error {
+			_, err := NewPlatform(PlatformConfig{
+				ID: 0, Front: fronts[0], Opt: &nn.SGD{LR: 0.05}, Loss: nn.SoftmaxCrossEntropy{},
+				Shard: flat, Batch: 4, Rounds: 4, CheckpointEvery: 2, CheckpointDir: dir,
+			})
+			return err
+		},
+	}
+	for name, build := range parties {
+		t.Run(name, func(t *testing.T) {
+			missing := filepath.Join(root, name, "ck", "nested")
+			if err := build(missing); err != nil {
+				t.Fatalf("missing directory: %v", err)
+			}
+			if st, err := os.Stat(missing); err != nil || !st.IsDir() {
+				t.Fatalf("missing directory not created: %v", err)
+			}
+			bad := filepath.Join(file, name)
+			err := build(bad)
+			if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), bad) {
+				t.Fatalf("directory under a file: err = %v, want ErrConfig naming %q", err, bad)
+			}
+		})
 	}
 }

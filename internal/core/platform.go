@@ -137,6 +137,9 @@ func (cfg *PlatformConfig) validate() error {
 	if (cfg.Redial != nil) != (cfg.RejoinWindow > 0) {
 		return fmt.Errorf("%w: Redial and RejoinWindow must be set together", ErrConfig)
 	}
+	if err := ensureCheckpointDir(cfg.CheckpointDir); err != nil {
+		return err
+	}
 	if cfg.Codec == nil {
 		cfg.Codec = wire.RawCodec{}
 	}
@@ -442,7 +445,10 @@ func (p *Platform) trainStep(conn transport.Conn, r int) (loss float64, batch in
 				// runs its forward, not when the cut gradient is back
 				// and the server is waiting on this platform. A rejoin
 				// that replays this stage zeroes again, harmlessly.
-				nn.ZeroGrads(p.cfg.Front.Params())
+				// Only parameters that still materialize a gradient
+				// need it: BackwardStep leaves a dense layer's G
+				// untouched under plain SGD.
+				nn.ZeroGrads(nn.GradParams(p.cfg.Front, p.cfg.Opt))
 				if p.cfg.LabelSharing {
 					pos = posLabels
 				} else {
@@ -501,11 +507,7 @@ func (p *Platform) trainStep(conn transport.Conn, r int) (loss float64, batch in
 		return 0, 0, fmt.Errorf("%w: cut-grad shape %v, activations %v", ErrProtocol, da.Shape(), a.Shape())
 	}
 
-	p.cfg.Front.Backward(da)
-	if p.cfg.ClipGrads > 0 {
-		nn.ClipGrads(p.cfg.Front.Params(), p.cfg.ClipGrads)
-	}
-	p.cfg.Opt.Step(p.cfg.Front.Params())
+	nn.BackwardStep(p.cfg.Front, da, p.cfg.Opt, p.cfg.ClipGrads)
 	return loss, len(labels), nil
 }
 

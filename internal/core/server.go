@@ -185,6 +185,9 @@ func (cfg *ServerConfig) validate() error {
 			return err
 		}
 	}
+	if err := ensureCheckpointDir(cfg.CheckpointDir); err != nil {
+		return err
+	}
 	if cfg.Codec == nil {
 		cfg.Codec = wire.RawCodec{}
 	}
@@ -665,12 +668,8 @@ func (s *Server) backward(x *exchange) {
 		// replay-safe back halves pause.
 		s.cfg.Back.Forward(x.a, true)
 	}
-	nn.ZeroGrads(s.cfg.Back.Params())
-	x.da = s.cfg.Back.Backward(dz)
-	if s.cfg.ClipGrads > 0 {
-		nn.ClipGrads(s.cfg.Back.Params(), s.cfg.ClipGrads)
-	}
-	s.cfg.Opt.Step(s.cfg.Back.Params())
+	nn.ZeroGrads(nn.GradParams(s.cfg.Back, s.cfg.Opt))
+	x.da = nn.BackwardStep(s.cfg.Back, dz, s.cfg.Opt, s.cfg.ClipGrads)
 }
 
 // sendCutGrad ships the cut gradient (plus the loss scalar in

@@ -92,6 +92,44 @@ func inputLayerBench() (layer *Dense, cot *tensor.Tensor) {
 	return layer, cot
 }
 
+// BenchmarkInputLayerUpdate times the platform's whole per-round
+// update of the input layer, clip 5 and plain SGD as train_mlp_tcp
+// runs it: the gradient route (ZeroGrads, Backward, ClipGrads,
+// SGD.Step, five passes over the 3072×64 matrix) against BackwardStep,
+// which updates the weights in one pass and never touches G. Neither
+// allocates.
+func BenchmarkInputLayerUpdate(b *testing.B) {
+	for _, fused := range []bool{false, true} {
+		name := "unfused"
+		if fused {
+			name = "fused"
+		}
+		b.Run(name, func(b *testing.B) {
+			layer, cot := inputLayerBench()
+			layer.SkipInputGrad(true)
+			front := NewSequential("front", layer)
+			opt := &SGD{LR: 1e-4}
+			step := func() {
+				if fused {
+					ZeroGrads(GradParams(front, opt))
+					BackwardStep(front, cot, opt, 5)
+					return
+				}
+				ZeroGrads(front.Params())
+				front.Backward(cot)
+				ClipGrads(front.Params(), 5)
+				opt.Step(front.Params())
+			}
+			step()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
+	}
+}
+
 // BenchmarkDenseBackwardInputLayer compares the input layer's backward
 // with the input gradient skipped (what models.Split arranges) and
 // computed (the default every other layer keeps).

@@ -52,7 +52,9 @@ func NewParam(name string, w *tensor.Tensor) *Param {
 	return &Param{Name: name, W: w, G: tensor.New(w.Shape()...)}
 }
 
-// ZeroGrads clears the gradient accumulators of all params.
+// ZeroGrads clears the gradient accumulators of all params. Before
+// BackwardStep, pass GradParams: the accumulators BackwardStep leaves
+// untouched need no clearing.
 func ZeroGrads(params []*Param) {
 	for _, p := range params {
 		p.G.Zero()
@@ -262,6 +264,9 @@ type Sequential struct {
 	// several times per round (zero, clip, step, mirror), which made the
 	// repeated concatenation a per-round allocation hot spot.
 	params []*Param
+	// gradParams caches GradParams' list under plain SGD: the
+	// parameters of every layer but the dense ones.
+	gradParams []*Param
 }
 
 var _ Layer = (*Sequential)(nil)

@@ -10,6 +10,10 @@ import (
 // Optimizer updates parameters from their accumulated gradients. Step
 // does not clear gradients; callers ZeroGrads before the next backward
 // pass so that gradient accumulation across micro-batches stays possible.
+// The training loops step through BackwardStep instead, and zero only
+// GradParams: under plain SGD it updates a dense layer straight from
+// the layer's input and output gradient, so that layer's G stays
+// untouched (neither zeroed, written nor read).
 type Optimizer interface {
 	Step(params []*Param)
 	Name() string

@@ -82,6 +82,47 @@ func MatMulTBInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
+// DenseSGDStep applies one plain-SGD step to a dense layer's weight w
+// [in, out] and bias b [out] straight from the layer's input x
+// [batch, in] and output gradient dy [batch, out]:
+//
+//	w += alpha·clamp(xᵀ·dy)    b += alpha·clamp(Σ_rows dy)
+//
+// clamping into [-limit, limit] (+Inf clamps nothing). Each element's
+// sum is one chain from +0 in row order, so the result is bit-identical
+// to zeroing gradients, MatMulTAAcc, SumRowsAcc, ClipInPlace and
+// AxpyInPlace (kernels.OuterStep states the contract), without the
+// gradients. w's rows fan out over workers like a GEMM's.
+func DenseSGDStep(w, b, x, dy *Tensor, alpha, limit float32) {
+	if len(x.shape) != 2 || len(dy.shape) != 2 || x.shape[0] != dy.shape[0] {
+		panic(fmt.Sprintf("tensor: DenseSGDStep input %v and gradient %v", x.shape, dy.shape))
+	}
+	batch, in, out := x.shape[0], x.shape[1], dy.shape[1]
+	checkGemmDst("DenseSGDStep", w, in, out)
+	if b.Size() != out {
+		panic(fmt.Sprintf("tensor: DenseSGDStep bias size %d, want %d", b.Size(), out))
+	}
+	if serialRows(in, in*batch*out) {
+		kernels.OuterStep(w.data, x.data, dy.data, 0, in, batch, in, out, alpha, limit)
+	} else {
+		parallelRows(in, in*batch*out, func(r0, r1 int) {
+			kernels.OuterStep(w.data, x.data, dy.data, r0, r1, batch, in, out, alpha, limit)
+		})
+	}
+	for j := range b.data {
+		u := float32(0)
+		for r := 0; r < batch; r++ {
+			u += dy.data[r*out+j]
+		}
+		if u > limit {
+			u = limit
+		} else if u < -limit {
+			u = -limit
+		}
+		b.data[j] += alpha * u
+	}
+}
+
 func checkGemmDst(op string, dst *Tensor, m, n int) {
 	if len(dst.shape) != 2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: %s dst shape %v, want [%d,%d]", op, dst.shape, m, n))

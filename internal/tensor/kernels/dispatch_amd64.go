@@ -24,6 +24,7 @@ const (
 	f16Stride   = 8
 	dq8Stride   = 8
 	clampStride = 8
+	outerStride = 8 // outerStepVec: 8-column strips, four at a time where they fit
 )
 
 var (
@@ -32,6 +33,7 @@ var (
 	hasI8ASM    bool
 	hasDQ8ASM   bool
 	hasClampASM bool
+	hasOuterASM bool
 	hasAVX512   bool
 )
 
@@ -58,6 +60,7 @@ func init() {
 	hasI8ASM = hasASM
 	hasDQ8ASM = hasASM
 	hasClampASM = hasASM
+	hasOuterASM = hasASM
 	// AVX512F is CPUID.7 EBX bit 16. XCR0 must also enable the opmask
 	// (bit 5), the upper halves of ZMM0-15 (bit 6) and ZMM16-31 (bit
 	// 7) on top of XMM and YMM (bits 1 and 2).
@@ -86,6 +89,9 @@ func axpyVec(alpha float32, x, y *float32, nv int)
 
 //go:noescape
 func clampVec(x *float32, limit float32, nv int)
+
+//go:noescape
+func outerStepVec(w, x, dy *float32, rows, batch, in, out, nv int, alpha, limit float32)
 
 //go:noescape
 func dotI8Vec(a, b *int8, nv int) int32

@@ -29,6 +29,7 @@ const (
 	f16Stride   = 1
 	dq8Stride   = 1
 	clampStride = 1
+	outerStride = 1
 )
 
 const (
@@ -37,6 +38,7 @@ const (
 	hasI8ASM    = false
 	hasDQ8ASM   = false
 	hasClampASM = false
+	hasOuterASM = false
 	hasAVX512   = false
 )
 
@@ -63,6 +65,10 @@ func gemmPanelKAVX512(out, arows, b []float32, r0, r1, k, n, lda, aoff int, acc 
 }
 
 func clampVec(x *float32, limit float32, nv int) { panic("kernels: no clamp assembly on arm64") }
+
+func outerStepVec(w, x, dy *float32, rows, batch, in, out, nv int, alpha, limit float32) {
+	panic("kernels: no OuterStep assembly on arm64")
+}
 
 func dotI8Vec(a, b *int8, nv int) int32 { panic("kernels: no int8 assembly on arm64") }
 

@@ -17,6 +17,7 @@ const (
 	f16Stride   = 1
 	dq8Stride   = 1
 	clampStride = 1
+	outerStride = 1
 )
 
 const (
@@ -25,6 +26,7 @@ const (
 	hasI8ASM    = false
 	hasDQ8ASM   = false
 	hasClampASM = false
+	hasOuterASM = false
 	hasAVX512   = false
 )
 
@@ -41,6 +43,10 @@ func dotVec(a, b *float32, nv int) float32 { panic("kernels: no assembly in this
 func axpyVec(alpha float32, x, y *float32, nv int) { panic("kernels: no assembly in this build") }
 
 func clampVec(x *float32, limit float32, nv int) { panic("kernels: no assembly in this build") }
+
+func outerStepVec(w, x, dy *float32, rows, batch, in, out, nv int, alpha, limit float32) {
+	panic("kernels: no assembly in this build")
+}
 
 func dotI8Vec(a, b *int8, nv int) int32 { panic("kernels: no assembly in this build") }
 

@@ -106,6 +106,28 @@ func clampGeneric(x []float32, limit float32) {
 	}
 }
 
+// outerStepGeneric is the scalar OuterStep over columns [j0, out) of
+// rows [r0, r1): the whole matrix on the generic arm, the sub-vector
+// column tail behind the assembly. Each element's chain, clamp and
+// update are the expressions of the GEMM, Clamp and Axpy references.
+func outerStepGeneric(w, x, dy []float32, r0, r1, batch, in, out, j0 int, alpha, limit float32) {
+	for i := r0; i < r1; i++ {
+		wrow := w[i*out : i*out+out]
+		for j := j0; j < out; j++ {
+			u := float32(0)
+			for b := 0; b < batch; b++ {
+				u += x[b*in+i] * dy[b*out+j]
+			}
+			if u > limit {
+				u = limit
+			} else if u < -limit {
+				u = -limit
+			}
+			wrow[j] += alpha * u
+		}
+	}
+}
+
 // quantize8Generic maps src to uint8 codes against the [lo, lo+1/scale·255]
 // range: half-up rounding after clamping, matching the historical
 // internal/compress encoder exactly.

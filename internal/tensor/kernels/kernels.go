@@ -60,6 +60,8 @@
 //     are implementation-defined).
 //   - Clamp: elementwise, bit-identical to the two-compare reference on
 //     every input — NaN (payload included), ±Inf, ±0 and subnormals.
+//   - OuterStep: bit-identical to the zero, GEMM-accumulate, Clamp and
+//     Axpy sequence it replaces (see its doc).
 //   - DotI8: exact — integer arithmetic is associative, so lane
 //     splitting cannot change the result. Inputs must satisfy
 //     len ≤ 2¹⁶ to keep the i32 accumulator overflow-free at the
@@ -165,6 +167,11 @@ func activeDQ8() bool { return hasDQ8ASM && !genericForced() }
 // activeClamp gates the clamp assembly: amd64 only, arm64 stays on the
 // reference loop like the int8 and dequantize kernels.
 func activeClamp() bool { return hasClampASM && !genericForced() }
+
+// activeOuter gates the OuterStep assembly: amd64 only. Elsewhere the
+// generic loop runs, and gc's fused multiply-add on arm64 rounds it the
+// way the NEON GEMM and axpy it stands in for do.
+func activeOuter() bool { return hasOuterASM && !genericForced() }
 
 // Name reports which implementation dispatch selects right now:
 // "avx512", "avx2", "neon" or "generic". "avx512" names the GEMM
@@ -299,6 +306,48 @@ func Clamp(x []float32, limit float32) {
 		i = nv
 	}
 	clampGeneric(x[i:], limit)
+}
+
+// OuterStep applies one plain-SGD step to rows [r0, r1) of a dense
+// layer's [in, out] weight matrix straight from the layer's input x
+// ([batch, in], row-major) and output gradient dy ([batch, out]):
+//
+//	w[i*out+j] += alpha · clamp(+0 + x[0,i]·dy[0,j] + … + x[batch-1,i]·dy[batch-1,j])
+//
+// where clamp limits into [-limit, limit] (limit > 0; +Inf clamps
+// nothing) and the sum is one chain, first row first. That is,
+// operation for operation, zeroing a gradient G, accumulating xᵀ·dy
+// into it through GemmPanel, Clamp(G, limit) and Axpy(alpha, G, w), so
+// the result is bit-identical to that sequence on the same arm while G
+// is never materialized. The assembly keeps each kernel's order too:
+// separate multiply and add, x as the multiply's first source, the
+// chain as the add's first, and Clamp's min/max operands, so a NaN or
+// in-range lane keeps its bits. Two cases may differ, and in both the
+// sequence's own result depends on the code path, not the arithmetic:
+// the generic GEMM's single-row path skips zero x terms, which matters
+// only for a non-finite dy; and when two NaNs with different payloads
+// meet in an add, operand order picks the survivor, which Axpy's
+// vector body and its scalar tail already pick differently.
+func OuterStep(w, x, dy []float32, r0, r1, batch, in, out int, alpha, limit float32) {
+	if !(limit > 0) {
+		panic("kernels: OuterStep with non-positive limit")
+	}
+	if r1 <= r0 || out == 0 {
+		return
+	}
+	_ = w[(r1-1)*out+out-1]
+	if batch > 0 {
+		_ = x[(batch-1)*in+r1-1]
+		_ = dy[(batch-1)*out+out-1]
+	}
+	nv := 0
+	if activeOuter() && batch > 0 && out >= outerStride {
+		nv = out &^ (outerStride - 1)
+		outerStepVec(&w[r0*out], &x[r0], &dy[0], r1-r0, batch, in, out, nv, alpha, limit)
+	}
+	if nv < out {
+		outerStepGeneric(w, x, dy, r0, r1, batch, in, out, nv, alpha, limit)
+	}
 }
 
 // DotI8 returns the int32 inner product of two int8 vectors (panics

@@ -85,16 +85,58 @@ gp4_ploop:
 
 // func gemmPanel1(o, a, b *float32, kb, n, nv int)
 //
-// Single-row variant of gemmPanel4 for the <4 remainder rows.
+// Single-row variant of gemmPanel4 for the <4 remainder rows. One row
+// has one chain per column, so each k step would wait on the previous
+// add: while 32 columns remain, four 8-column strips run in
+// independent registers off one broadcast, then single strips finish.
+// Every column still adds its products one at a time in panel order.
 TEXT ·gemmPanel1(SB), NOSPLIT, $0-48
+	MOVQ o+0(FP), AX
 	MOVQ b+16(FP), R14
 	MOVQ n+32(FP), DX
 	SHLQ $2, DX
 	MOVQ nv+40(FP), BX
+	SHLQ $2, BX              // vector columns in bytes
 	XORQ SI, SI
 
-gp1_jloop:
-	MOVQ o+0(FP), AX
+gp1_block:
+	MOVQ BX, R9
+	SUBQ SI, R9
+	CMPQ R9, $128
+	JLT  gp1_strip
+	VMOVUPS (AX)(SI*1), Y0
+	VMOVUPS 32(AX)(SI*1), Y1
+	VMOVUPS 64(AX)(SI*1), Y2
+	VMOVUPS 96(AX)(SI*1), Y3
+	MOVQ a+8(FP), R8
+	LEAQ (R14)(SI*1), R12
+	MOVQ kb+24(FP), CX
+
+gp1_bloop:
+	VBROADCASTSS (R8), Y5
+	VMULPS (R12), Y5, Y6
+	VADDPS Y6, Y0, Y0
+	VMULPS 32(R12), Y5, Y7
+	VADDPS Y7, Y1, Y1
+	VMULPS 64(R12), Y5, Y8
+	VADDPS Y8, Y2, Y2
+	VMULPS 96(R12), Y5, Y9
+	VADDPS Y9, Y3, Y3
+	ADDQ $4, R8
+	ADDQ DX, R12
+	DECQ CX
+	JNZ  gp1_bloop
+
+	VMOVUPS Y0, (AX)(SI*1)
+	VMOVUPS Y1, 32(AX)(SI*1)
+	VMOVUPS Y2, 64(AX)(SI*1)
+	VMOVUPS Y3, 96(AX)(SI*1)
+	ADDQ $128, SI
+	JMP  gp1_block
+
+gp1_strip:
+	CMPQ SI, BX
+	JEQ  gp1_done
 	VMOVUPS (AX)(SI*1), Y0
 	MOVQ a+8(FP), R8
 	LEAQ (R14)(SI*1), R12
@@ -110,12 +152,11 @@ gp1_ploop:
 	DECQ CX
 	JNZ  gp1_ploop
 
-	MOVQ o+0(FP), AX
 	VMOVUPS Y0, (AX)(SI*1)
 	ADDQ $32, SI
-	SUBQ $8, BX
-	JNZ  gp1_jloop
+	JMP  gp1_strip
 
+gp1_done:
 	VZEROUPPER
 	RET
 
@@ -214,6 +255,142 @@ clamp_loop:
 	SUBQ $8, CX
 	JNZ  clamp_loop
 
+	VZEROUPPER
+	RET
+
+// func outerStepVec(w, x, dy *float32, rows, batch, in, out, nv int, alpha, limit float32)
+//
+// For r in [0, rows) and j in [0, nv):
+//   u = +0 + x[0·in+r]·dy[0·out+j] + … + x[(batch-1)·in+r]·dy[(batch-1)·out+j]
+//   w[r·out+j] += alpha·clamp(u, limit)
+// Each lane runs the gemmPanel4 chain (x broadcast as the multiply's
+// first source, the chain as the add's), clampVec's min/max and
+// axpyVec's multiply and add (w as the add's first source), so it
+// rounds exactly as zeroing G, accumulating, clamping and stepping
+// would. Columns are the outer loop: a 32-column block (four 8-column
+// strips sharing each x broadcast) walks every row before the next
+// block starts, then single strips do the same. That keeps the slice of
+// dy a block reads in L1 however many columns dy has. nv is a positive
+// multiple of 8; rows and batch are at least 1.
+TEXT ·outerStepVec(SB), NOSPLIT, $0-72
+	MOVQ w+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ dy+16(FP), R14
+	MOVQ in+40(FP), R15
+	SHLQ $2, R15             // x row stride in bytes
+	MOVQ out+48(FP), DX
+	SHLQ $2, DX              // w and dy row stride in bytes
+	MOVQ nv+56(FP), R13
+	SHLQ $2, R13             // vector columns in bytes
+	VBROADCASTSS alpha+64(FP), Y12
+	VBROADCASTSS limit+68(FP), Y13
+	VPCMPEQD Y14, Y14, Y14
+	VPSLLD $31, Y14, Y14     // sign-bit mask
+	VXORPS Y14, Y13, Y14     // -limit
+	XORQ R9, R9              // column offset in bytes
+
+os_block:
+	MOVQ R13, AX
+	SUBQ R9, AX
+	CMPQ AX, $128
+	JLT  os_strip
+	LEAQ (DI)(R9*1), R8      // &w[0·out+j]
+	MOVQ SI, R10             // &x[0·in+r]
+	MOVQ rows+24(FP), BX
+
+os_brow:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ R10, R11            // &x[b·in+r]
+	LEAQ (R14)(R9*1), R12    // &dy[b·out+j]
+	MOVQ batch+32(FP), CX
+
+os_bloop:
+	VBROADCASTSS (R11), Y4
+	VMULPS (R12), Y4, Y5
+	VADDPS Y5, Y0, Y0
+	VMULPS 32(R12), Y4, Y6
+	VADDPS Y6, Y1, Y1
+	VMULPS 64(R12), Y4, Y7
+	VADDPS Y7, Y2, Y2
+	VMULPS 96(R12), Y4, Y8
+	VADDPS Y8, Y3, Y3
+	ADDQ R15, R11
+	ADDQ DX, R12
+	DECQ CX
+	JNZ  os_bloop
+
+	VMINPS Y0, Y13, Y0       // limit < u ? limit : u
+	VMAXPS Y0, Y14, Y0       // -limit > r ? -limit : r
+	VMINPS Y1, Y13, Y1
+	VMAXPS Y1, Y14, Y1
+	VMINPS Y2, Y13, Y2
+	VMAXPS Y2, Y14, Y2
+	VMINPS Y3, Y13, Y3
+	VMAXPS Y3, Y14, Y3
+	VMULPS Y12, Y0, Y0
+	VMULPS Y12, Y1, Y1
+	VMULPS Y12, Y2, Y2
+	VMULPS Y12, Y3, Y3
+	VMOVUPS (R8), Y5
+	VADDPS Y0, Y5, Y5
+	VMOVUPS Y5, (R8)
+	VMOVUPS 32(R8), Y6
+	VADDPS Y1, Y6, Y6
+	VMOVUPS Y6, 32(R8)
+	VMOVUPS 64(R8), Y7
+	VADDPS Y2, Y7, Y7
+	VMOVUPS Y7, 64(R8)
+	VMOVUPS 96(R8), Y8
+	VADDPS Y3, Y8, Y8
+	VMOVUPS Y8, 96(R8)
+	ADDQ DX, R8              // next w row
+	ADDQ $4, R10             // next x column
+	DECQ BX
+	JNZ  os_brow
+
+	ADDQ $128, R9
+	JMP  os_block
+
+os_strip:
+	CMPQ R9, R13
+	JEQ  os_done
+	LEAQ (DI)(R9*1), R8
+	MOVQ SI, R10
+	MOVQ rows+24(FP), BX
+
+os_srow:
+	VXORPS Y0, Y0, Y0
+	MOVQ R10, R11
+	LEAQ (R14)(R9*1), R12
+	MOVQ batch+32(FP), CX
+
+os_sloop:
+	VBROADCASTSS (R11), Y4
+	VMULPS (R12), Y4, Y5
+	VADDPS Y5, Y0, Y0
+	ADDQ R15, R11
+	ADDQ DX, R12
+	DECQ CX
+	JNZ  os_sloop
+
+	VMINPS Y0, Y13, Y0
+	VMAXPS Y0, Y14, Y0
+	VMULPS Y12, Y0, Y0
+	VMOVUPS (R8), Y5
+	VADDPS Y0, Y5, Y5
+	VMOVUPS Y5, (R8)
+	ADDQ DX, R8
+	ADDQ $4, R10
+	DECQ BX
+	JNZ  os_srow
+
+	ADDQ $32, R9
+	JMP  os_strip
+
+os_done:
 	VZEROUPPER
 	RET
 

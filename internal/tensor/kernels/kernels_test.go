@@ -522,3 +522,105 @@ func TestClampRejectsNonPositiveLimit(t *testing.T) {
 		}()
 	}
 }
+
+// outerStepSequence is what OuterStep fuses, run through this package's
+// own kernels on the current arm: zero a gradient, accumulate xᵀ·dy
+// into it with GemmPanel, Clamp it and Axpy it into w.
+func outerStepSequence(w, x, dy []float32, batch, in, out int, alpha, limit float32) {
+	xt := make([]float32, in*batch)
+	for b := 0; b < batch; b++ {
+		for i := 0; i < in; i++ {
+			xt[i*batch+b] = x[b*in+i]
+		}
+	}
+	g := make([]float32, in*out)
+	GemmPanel(g, xt, dy, 0, in, batch, out, 0, true)
+	Clamp(g, limit)
+	Axpy(alpha, g, w)
+}
+
+// TestOuterStepMatchesSequence holds OuterStep to the zero, GEMM, Clamp
+// and Axpy sequence bit for bit on every arm: batches either side of
+// one KC panel, widths with and without 32- and 8-column remainders,
+// clamp limits that bind everywhere, somewhere and nowhere (+Inf), and
+// inputs and weights drawn partly from the Clamp specials. The output
+// gradient stays finite, and every NaN is the default NaN that Inf·0
+// produces (see OuterStep's doc). A row range in the middle must leave
+// the rows outside it alone.
+func TestOuterStepMatchesSequence(t *testing.T) {
+	t.Logf("arms: %v", Arms())
+	rng := rand.New(rand.NewSource(12))
+	special := func(s []float32) {
+		for i := range s {
+			if rng.Intn(6) == 0 {
+				v := math.Float32frombits(clampSpecials[rng.Intn(len(clampSpecials))])
+				if v != v {
+					v = math.Float32frombits(0xFFC00000)
+				}
+				s[i] = v
+			}
+		}
+	}
+	for _, batch := range []int{1, 2, 3, 16, 128, 129} {
+		for _, out := range []int{1, 7, 8, 9, 31, 32, 33, 64, 70} {
+			for _, in := range []int{1, 5, 37} {
+				for _, limit := range []float32{1e-3, 2, float32(math.Inf(1))} {
+					x := randSlice(rng, batch*in)
+					dy := randSlice(rng, batch*out)
+					w0 := randSlice(rng, in*out)
+					special(x)
+					special(w0)
+					specialZeros(rng, x, dy)
+					eachArm(func(arm string) {
+						want := append([]float32(nil), w0...)
+						outerStepSequence(want, x, dy, batch, in, out, -0.05, limit)
+						got := append([]float32(nil), w0...)
+						OuterStep(got, x, dy, 0, in, batch, in, out, -0.05, limit)
+						if i := firstDiff(got, want); i >= 0 {
+							t.Fatalf("OuterStep(batch %d, %dx%d, limit %v) [%s]: w[%d]=%#08x want %#08x",
+								batch, in, out, limit, arm, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+						}
+						if in < 3 {
+							return
+						}
+						part := append([]float32(nil), w0...)
+						OuterStep(part, x, dy, 1, in-1, batch, in, out, -0.05, limit)
+						for i := range part {
+							ref := want[i]
+							if r := i / out; r == 0 || r == in-1 {
+								ref = w0[i]
+							}
+							if math.Float32bits(part[i]) != math.Float32bits(ref) {
+								t.Fatalf("OuterStep rows [1,%d) (batch %d, %dx%d) [%s]: w[%d]=%#08x want %#08x",
+									in-1, batch, in, out, arm, i, math.Float32bits(part[i]), math.Float32bits(ref))
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// firstDiff returns the first index where a and b differ in bits, or -1.
+func firstDiff(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+func TestOuterStepRejectsNonPositiveLimit(t *testing.T) {
+	for _, limit := range []float32{0, -1, float32(math.NaN())} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("OuterStep(limit=%v) did not panic", limit)
+				}
+			}()
+			OuterStep(make([]float32, 8), make([]float32, 1), make([]float32, 8), 0, 1, 1, 1, 8, -1, limit)
+		}()
+	}
+}
