@@ -12,7 +12,8 @@ GO ?= go
 # benchmark's MLP size: its passes one by one (input-layer backward,
 # clip, SGD step) and whole, unfused and through nn.BackwardStep.
 # BenchmarkReLU and BenchmarkMaxPool2D time the conv stack's data-
-# movement layers at the VGG-lite benchmark's activation shapes, and
+# movement layers at the VGG-lite benchmark's activation shapes (and,
+# under /eval/, the serving tier's eval forward at 8 rows), and
 # BenchmarkConvTrainStep its three conv layers' forward + backward.
 BENCH_PATTERN ?= BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkCodec|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkInputLayerUpdate|BenchmarkClipGrads|BenchmarkSGDStep|BenchmarkReLU|BenchmarkMaxPool2D|BenchmarkConvTrainStep
 
@@ -115,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecodeSnapshot' -fuzztime 10s ./internal/core/
 	$(GO) test -run NONE -fuzz 'FuzzDecodeStepRecord' -fuzztime 10s ./internal/core/
 	$(GO) test -run NONE -fuzz 'FuzzWALDecode' -fuzztime 10s ./internal/wal/
+	$(GO) test -run NONE -fuzz 'FuzzSelectKernels' -fuzztime 10s ./internal/tensor/kernels/
 	@echo fuzz-smoke ok
 
 # Coverage summary for the engine core (the session/checkpoint/recovery
@@ -220,6 +222,7 @@ bench-save-tensor:
 		-note 'pre-kernel-layer baseline (PR8): BenchmarkMatMul/blocked/256 7.295 GFLOPS; the kernel layer (PR9) dispatches to AVX2/NEON microkernels, bit-identical to the generic arm by the differential tests in internal/tensor/kernels' \
 		-note 'BenchmarkKernel* sub-benchmarks report GFLOPS (GOPS for int8) as a custom metric; the /generic arm is the forced-fallback reference on the same machine' \
 		-note 'BenchmarkInputLayerUpdate: /unfused (ZeroGrads, Backward, ClipGrads, SGD.Step: five passes over the 3072x64 matrix) and /fused (nn.BackwardStep: one pass, the gradient untouched) are the before and after of the fused dense update, bit-identical by the nn differential tests' \
+		-note 'BenchmarkReLU, BenchmarkMaxPool2D: one train forward+backward at the train_vgg_int8 shapes, and under /eval/ one eval forward at the serving batch (8 rows); both layers run the AVX2 kernels.ReLU/MaxPool2x2 selects, and the scalar loops those replaced took 343/197/92 (ReLU) and 350/163/83 (MaxPool2D) us per train step and 59/28 and 76/44 us per eval forward on the host that recorded these entries' \
 		> BENCH_tensor.json
 	@echo wrote BENCH_tensor.json
 

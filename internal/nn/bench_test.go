@@ -194,54 +194,70 @@ var vggActShapes = []struct {
 	{"stage3/16x32x8x8", 16, 32, 8, 8},
 }
 
-// BenchmarkReLU times one train-mode forward + backward at each of the
-// benchmark's activation shapes. The layer reuses its output, mask and
-// gradient scratch, so a step allocates nothing.
-func BenchmarkReLU(b *testing.B) {
+// serveActShapes are the activation shapes the serving tier's VGG-lite
+// back half (width 8) feeds its conv-stage ReLU and max-pool layers at
+// an 8-row batch.
+var serveActShapes = []struct {
+	name       string
+	n, c, h, w int
+}{
+	{"stage2/8x16x16x16", 8, 16, 16, 16},
+	{"stage3/8x32x8x8", 8, 32, 8, 8},
+}
+
+// benchActLayer times layer on a normal draw pushed through pre (nil
+// for none): one train-mode forward + backward per op at each of the
+// benchmark's activation shapes, and one eval forward per op, under
+// eval/, at the serving shapes. The layer reuses its output and
+// gradient scratch, so an op allocates nothing.
+func benchActLayer(b *testing.B, pre func(*tensor.Tensor) *tensor.Tensor, layer func() Layer) {
+	input := func(n, c, h, w int) *tensor.Tensor {
+		x := tensor.New(n, c, h, w)
+		x.FillNormal(rng.New(1), 0, 1)
+		if pre != nil {
+			x = pre(x)
+		}
+		return x
+	}
 	for _, s := range vggActShapes {
 		b.Run(s.name, func(b *testing.B) {
-			r := rng.New(1)
-			x := tensor.New(s.n, s.c, s.h, s.w)
-			x.FillNormal(r, 0, 1)
-			g := tensor.New(s.n, s.c, s.h, s.w)
-			g.FillNormal(r, 0, 1)
-			layer := NewReLU("bench")
-			layer.Forward(x, true)
-			layer.Backward(g)
+			x := input(s.n, s.c, s.h, s.w)
+			l := layer()
+			g := tensor.New(l.Forward(x, true).Shape()...)
+			g.FillNormal(rng.New(2), 0, 1)
+			l.Backward(g)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				layer.Forward(x, true)
-				layer.Backward(g)
+				l.Forward(x, true)
+				l.Backward(g)
+			}
+		})
+	}
+	for _, s := range serveActShapes {
+		b.Run("eval/"+s.name, func(b *testing.B) {
+			x := input(s.n, s.c, s.h, s.w)
+			l := layer()
+			l.Forward(x, false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.Forward(x, false)
 			}
 		})
 	}
 }
 
-// BenchmarkMaxPool2D times one train-mode forward + backward of the 2×2
-// stride-2 pool at each of the benchmark's activation shapes, on
-// post-ReLU input (half zeros, so ties are common). A step allocates
-// nothing.
+// BenchmarkReLU times the activation in train and eval mode.
+func BenchmarkReLU(b *testing.B) {
+	benchActLayer(b, nil, func() Layer { return NewReLU("bench") })
+}
+
+// BenchmarkMaxPool2D times the 2×2 stride-2 pool in train and eval mode
+// on post-ReLU input (half zeros, so ties are common).
 func BenchmarkMaxPool2D(b *testing.B) {
-	for _, s := range vggActShapes {
-		b.Run(s.name, func(b *testing.B) {
-			r := rng.New(1)
-			x := tensor.New(s.n, s.c, s.h, s.w)
-			x.FillNormal(r, 0, 1)
-			x = NewReLU("relu").Forward(x, false)
-			g := tensor.New(s.n, s.c, s.h/2, s.w/2)
-			g.FillNormal(r, 0, 1)
-			layer := NewMaxPool2D("bench", 2, 2)
-			layer.Forward(x, true)
-			layer.Backward(g)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				layer.Forward(x, true)
-				layer.Backward(g)
-			}
-		})
-	}
+	relu := func(x *tensor.Tensor) *tensor.Tensor { return NewReLU("relu").Forward(x, false) }
+	benchActLayer(b, relu, func() Layer { return NewMaxPool2D("bench", 2, 2) })
 }
 
 // BenchmarkConvTrainStep times one train-mode forward + backward of each

@@ -15,13 +15,14 @@ import (
 // across calls (same lifetime contract as Conv2D's scratch): a result
 // is valid until the layer's next Forward/Backward, which every
 // training and evaluation loop in this codebase satisfies — consumers
-// read a layer's output before driving the next batch through it.
+// read a layer's output before driving the next batch through it. For
+// Backward it caches its input, by reference.
 type Dense struct {
 	name string
 	w    *Param // [in, out]
 	b    *Param // [out]
 
-	x  *tensor.Tensor // cached input for Backward
+	x  *tensor.Tensor // backward cache: the input; nil after an eval Forward
 	y  *tensor.Tensor // forward output scratch
 	dx *tensor.Tensor // backward input-gradient scratch
 
@@ -72,6 +73,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 2 {
 		panic(fmt.Sprintf("nn: %s: Dense input must be rank-2, got %v", d.name, x.Shape()))
 	}
+	d.x = nil
 	if train {
 		d.x = x
 	}

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"medsplit/internal/rng"
@@ -430,4 +431,43 @@ func TestSequentialChainsAndCollectsParams(t *testing.T) {
 		t.Fatalf("output shape %v", y.Shape())
 	}
 	mustGradCheck(t, seq, randInput(49, 3, 4))
+}
+
+// TestEvalForwardInvalidatesBackward runs every layer type train
+// Forward, then eval Forward, then Backward: the eval pass overwrites
+// or never fills the backward cache, so Backward must refuse rather
+// than differentiate the eval batch against stale state.
+func TestEvalForwardInvalidatesBackward(t *testing.T) {
+	r := rng.New(31)
+	flat, planes := randInput(32, 2, 4), randInput(33, 2, 2, 4, 4)
+	cases := []struct {
+		layer Layer
+		x     *tensor.Tensor
+	}{
+		{NewDense("dense", 4, 3, r), flat},
+		{NewConv2D("conv", 2, 3, 3, 3, 1, 1, r), planes},
+		{NewBatchNorm("bn", 2), planes},
+		{NewReLU("relu"), flat},
+		{NewTanh("tanh"), flat},
+		{NewMaxPool2D("pool", 2, 2), planes},
+		{NewMaxPool2D("pool3x3", 3, 2), planes},
+		{NewGlobalAvgPool("gap"), planes},
+		{NewFlatten("flatten"), planes},
+		{NewDropout("dropout", 0.5, rng.New(34)), flat},
+		{NewSequential("mlp", NewDense("fc", 4, 5, r), NewReLU("relu"), NewDense("head", 5, 3, r)), flat},
+		{NewResidual("res", NewSequential("body", NewDense("fc", 4, 4, r), NewReLU("relu")), nil), flat},
+	}
+	for _, c := range cases {
+		t.Run(c.layer.Name(), func(t *testing.T) {
+			grad := tensor.New(c.layer.Forward(c.x, true).Shape()...)
+			c.layer.Forward(c.x, false)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "Backward before train-mode Forward") {
+					t.Fatalf("Backward after an eval Forward: recovered %q, want the train-mode panic", msg)
+				}
+			}()
+			c.layer.Backward(grad)
+		})
+	}
 }

@@ -8,10 +8,11 @@ import (
 )
 
 // Flatten reshapes [n, d1, d2, ...] into [n, d1*d2*...]. It bridges the
-// convolutional trunk and the dense classifier head.
+// convolutional trunk and the dense classifier head. Its output is a
+// view of its input, and for Backward it caches only the input shape.
 type Flatten struct {
 	name    string
-	inShape []int
+	inShape []int // backward cache; empty after an eval Forward
 }
 
 var _ Layer = (*Flatten)(nil)
@@ -27,8 +28,8 @@ func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() < 2 {
 		panic(fmt.Sprintf("nn: %s: Flatten input %v, want rank >= 2", f.name, x.Shape()))
 	}
+	f.inShape = f.inShape[:0]
 	if train {
-		f.inShape = f.inShape[:0]
 		for i := 0; i < x.Rank(); i++ {
 			f.inShape = append(f.inShape, x.Dim(i))
 		}
@@ -39,7 +40,7 @@ func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward restores the cached input shape.
 func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if f.inShape == nil {
+	if len(f.inShape) == 0 {
 		panic(fmt.Sprintf("nn: %s: Backward before train-mode Forward", f.name))
 	}
 	return grad.Reshape(f.inShape...)
@@ -49,12 +50,13 @@ func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
 func (f *Flatten) Params() []*Param { return nil }
 
 // Dropout randomly zeroes activations during training (inverted dropout:
-// survivors are scaled by 1/(1-rate) so eval mode is the identity).
+// survivors are scaled by 1/(1-rate) so eval mode is the identity). For
+// Backward it caches the train Forward's scaled keep mask.
 type Dropout struct {
 	name string
 	rate float32
 	r    *rng.RNG
-	mask []float32
+	mask []float32 // backward cache; nil after an eval Forward
 }
 
 var _ Layer = (*Dropout)(nil)
@@ -73,6 +75,7 @@ func (d *Dropout) Name() string { return d.name }
 // Forward drops activations in train mode and is the identity otherwise.
 func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train || d.rate == 0 {
+		d.mask = nil
 		return x
 	}
 	keep := 1 - d.rate

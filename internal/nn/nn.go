@@ -22,8 +22,11 @@ import (
 // Layer is one differentiable stage of a network.
 type Layer interface {
 	// Forward computes the layer output for x. When train is true the
-	// layer may cache activations for Backward and use training-mode
-	// behaviour (dropout masks, batch statistics).
+	// layer caches what Backward needs and uses training-mode behaviour
+	// (dropout masks, batch statistics). A cache that is x or the
+	// layer's own output is held by reference, so x must stay unchanged
+	// until Backward. An eval-mode Forward drops the cache: a Backward
+	// after it panics instead of differentiating the eval batch.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 
 	// Backward consumes the gradient of the loss with respect to the

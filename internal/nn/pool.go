@@ -2,17 +2,22 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"medsplit/internal/tensor"
+	"medsplit/internal/tensor/kernels"
 )
 
 // MaxPool2D is a max-pooling layer over NCHW input with a square window.
+// Each window's max is one chain over its positions, row by row, that
+// moves only on a strict >: the first of equal maxima wins, a NaN in
+// the first position sticks and a later NaN never wins. For Backward it
+// caches its input and recomputes each window's winner from it, so the
+// input must stay unchanged until then, as every training loop leaves
+// it.
 type MaxPool2D struct {
 	name      string
 	k, stride int
-	argmax    []int // flat input index of each output's max
-	inShape   []int
+	x         *tensor.Tensor // backward cache: the input; nil after an eval Forward
 	out       *tensor.Tensor // forward output scratch (layer lifetime contract)
 	dx        *tensor.Tensor // backward input-gradient scratch
 }
@@ -28,6 +33,13 @@ func NewMaxPool2D(name string, k, stride int) *MaxPool2D {
 // Name returns the layer name.
 func (m *MaxPool2D) Name() string { return m.name }
 
+// fast reports whether x [n, c, h, w] takes the 2×2 kernels: k and
+// stride 2 over even planes, so every window is whole and the planes
+// stack into one kernel call.
+func (m *MaxPool2D) fast(h, w int) bool {
+	return m.k == 2 && m.stride == 2 && h%2 == 0 && w%2 == 0
+}
+
 // Forward pools x [n, c, h, w] down to [n, c, oh, ow].
 func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 {
@@ -37,125 +49,68 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	oh := tensor.ConvOutSize(h, m.k, m.stride, 0)
 	ow := tensor.ConvOutSize(w, m.k, m.stride, 0)
 	m.out = tensor.EnsureShape(m.out, n, c, oh, ow)
-	out := m.out // every element is written below
-	var argmax []int
-	if train {
-		// Reuse the layer-owned index buffer across rounds; every entry
-		// is overwritten below.
-		if need := n * c * oh * ow; cap(m.argmax) < need {
-			argmax = make([]int, need)
-		} else {
-			argmax = m.argmax[:need]
-		}
-	}
-	xd, od := x.Data(), out.Data()
-	if m.k == 2 && m.stride == 2 && h%2 == 0 && w%2 == 0 {
-		maxPool2x2(od, argmax, xd, n*c, h, w)
+	xd, od := x.Data(), m.out.Data() // every output is written below
+	if m.fast(h, w) {
+		kernels.MaxPool2x2(od, xd, n*c*h, w)
 	} else {
-		m.forwardGeneral(od, argmax, xd, n, c, h, w, oh, ow)
+		m.eachWinner(xd, n*c, h, w, func(o, i int) { od[o] = xd[i] })
 	}
+	m.x = nil
 	if train {
-		m.argmax = argmax
-		m.inShape = append(m.inShape[:0], n, c, h, w)
+		m.x = x
 	}
-	return out
+	return m.out
 }
 
-// forwardGeneral pools any window geometry. A window visits its
-// positions row by row and replaces the running max only on a strict
-// >, so the first maximum wins a tie and a NaN in the first position
-// sticks. argmax is nil in eval mode.
-func (m *MaxPool2D) forwardGeneral(od []float32, argmax []int, xd []float32, n, c, h, w, oh, ow int) {
-	for in := 0; in < n; in++ {
-		for ch := 0; ch < c; ch++ {
-			base := (in*c + ch) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					iy0, ix0 := oy*m.stride, ox*m.stride
-					bestIdx := base + iy0*w + ix0
-					best := xd[bestIdx]
-					for ky := 0; ky < m.k; ky++ {
-						iy := iy0 + ky
-						if iy >= h {
-							break
-						}
-						for kx := 0; kx < m.k; kx++ {
-							ix := ix0 + kx
-							if ix >= w {
-								break
-							}
-							idx := base + iy*w + ix
-							if xd[idx] > best {
-								best, bestIdx = xd[idx], idx
-							}
-						}
-					}
-					oIdx := ((in*c+ch)*oh+oy)*ow + ox
-					od[oIdx] = best
-					if argmax != nil {
-						argmax[oIdx] = bestIdx
-					}
-				}
-			}
-		}
-	}
-}
-
-// maxPool2x2 is forwardGeneral for k = stride = 2 over even h and w,
-// where every window is whole: it loads the four values of a window and
-// keeps the max with the same strict > in the same order — (0,0),
-// (0,1), (1,0), (1,1) — so ties and NaNs pick the same argmax. Each
-// step selects by bit mask rather than branching on the data.
-func maxPool2x2(od []float32, argmax []int, xd []float32, planes, h, w int) {
-	oh, ow := h/2, w/2
+// eachWinner calls fn, in output order, with each output's index and
+// the index of the input that wins its window, for any window
+// geometry. A window clipped at the plane's edge visits only its
+// positions inside the plane.
+func (m *MaxPool2D) eachWinner(xd []float32, planes, h, w int, fn func(o, i int)) {
+	oh := tensor.ConvOutSize(h, m.k, m.stride, 0)
+	ow := tensor.ConvOutSize(w, m.k, m.stride, 0)
+	o := 0
 	for p := 0; p < planes; p++ {
+		base := p * h * w
 		for oy := 0; oy < oh; oy++ {
-			top := p*h*w + 2*oy*w
-			r0 := xd[top : top+w]
-			r1 := xd[top+w : top+2*w]
-			o := (p*oh + oy) * ow
-			orow := od[o : o+ow]
-			for ox := range orow {
-				ix := 2 * ox
-				best, off := r0[ix], 0
-				best, off = maxStep(best, off, r0[ix+1], 1)
-				best, off = maxStep(best, off, r1[ix], w)
-				best, off = maxStep(best, off, r1[ix+1], w+1)
-				orow[ox] = best
-				if argmax != nil {
-					argmax[o+ox] = top + ix + off
+			for ox := 0; ox < ow; ox++ {
+				iy0, ix0 := oy*m.stride, ox*m.stride
+				best := base + iy0*w + ix0
+				for iy := iy0; iy < min(iy0+m.k, h); iy++ {
+					for ix := ix0; ix < min(ix0+m.k, w); ix++ {
+						if i := base + iy*w + ix; xd[i] > xd[best] {
+							best = i
+						}
+					}
 				}
+				fn(o, best)
+				o++
 			}
 		}
 	}
 }
 
-// maxStep is one branch-free step of a window's running max: (v, voff)
-// when v > best, else (best, off).
-func maxStep(best float32, off int, v float32, voff int) (float32, int) {
-	m := boolMask(v > best)
-	im := int(int32(m))
-	b := math.Float32bits(v)&m | math.Float32bits(best)&^m
-	return math.Float32frombits(b), voff&im | off&^im
-}
-
-// Backward routes each output gradient to the input position that won the
-// max.
+// Backward routes each output gradient to the input position that won
+// its window, recomputed from the cached input.
 func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if m.argmax == nil {
+	if m.x == nil {
 		panic(fmt.Sprintf("nn: %s: Backward before train-mode Forward", m.name))
 	}
-	if grad.Size() != len(m.argmax) {
-		panic(fmt.Sprintf("nn: %s: gradient size %d, want %d", m.name, grad.Size(), len(m.argmax)))
+	if grad.Size() != m.out.Size() {
+		panic(fmt.Sprintf("nn: %s: gradient size %d, want %d", m.name, grad.Size(), m.out.Size()))
 	}
-	m.dx = tensor.EnsureShape(m.dx, m.inShape...)
-	m.dx.Zero() // scatter-accumulate below needs a clean slate
-	dx := m.dx
-	dd, gd := dx.Data(), grad.Data()
-	for oIdx, iIdx := range m.argmax {
-		dd[iIdx] += gd[oIdx]
+	n, c, h, w := m.x.Dim(0), m.x.Dim(1), m.x.Dim(2), m.x.Dim(3)
+	m.dx = m.dx.EnsureShapeOf(m.x)
+	xd, dd, gd := m.x.Data(), m.dx.Data(), grad.Data()
+	if m.fast(h, w) {
+		kernels.MaxPool2x2Grad(dd, gd, xd, n*c*h, w)
+		return m.dx
 	}
-	return dx
+	// Overlapping windows share positions and clipped ones miss some:
+	// scatter-add into a zeroed dx.
+	m.dx.Zero()
+	m.eachWinner(xd, n*c, h, w, func(o, i int) { dd[i] += gd[o] })
+	return m.dx
 }
 
 // Params returns nil: pooling has no trainable parameters.
@@ -163,10 +118,10 @@ func (m *MaxPool2D) Params() []*Param { return nil }
 
 // GlobalAvgPool averages each channel's spatial plane, mapping
 // [n, c, h, w] to [n, c]. ResNet-style models use it before the
-// classifier head.
+// classifier head. For Backward it caches only the input shape.
 type GlobalAvgPool struct {
 	name    string
-	inShape []int
+	inShape []int // backward cache; empty after an eval Forward
 	out     *tensor.Tensor
 	dx      *tensor.Tensor
 }
@@ -201,15 +156,16 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			out.Set(s*inv, in, ch)
 		}
 	}
+	g.inShape = g.inShape[:0]
 	if train {
-		g.inShape = x.Shape()
+		g.inShape = append(g.inShape, n, c, h, w)
 	}
 	return out
 }
 
 // Backward spreads each channel gradient uniformly over its plane.
 func (g *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if g.inShape == nil {
+	if len(g.inShape) == 0 {
 		panic(fmt.Sprintf("nn: %s: Backward before train-mode Forward", g.name))
 	}
 	n, c, h, w := g.inShape[0], g.inShape[1], g.inShape[2], g.inShape[3]

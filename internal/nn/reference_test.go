@@ -130,9 +130,12 @@ func TestReLUMatchesReference(t *testing.T) {
 
 			assertBits(t, "eval forward", r.Forward(x, false).Data(), want)
 			assertBits(t, "train forward", r.Forward(x, true).Data(), want)
-			for i := range mask {
-				if r.mask[i] != mask[i] {
-					t.Fatalf("mask[%d] = %v, want %v (input %v)", i, r.mask[i], mask[i], x.Data()[i])
+			// The mask, through Backward: a gradient of ones comes back
+			// 1 exactly where the input was positive.
+			ones := tensor.Full(1, x.Shape()...)
+			for i, v := range r.Backward(ones).Data() {
+				if (v == 1) != mask[i] || (v != 1 && math.Float32bits(v) != 0) {
+					t.Fatalf("dx[%d] = %v through a gradient of ones, want mask %v (input %v)", i, v, mask[i], x.Data()[i])
 				}
 			}
 			// Backward against every input set as the gradient, so NaN,
@@ -153,6 +156,9 @@ func TestMaxPoolMatchesReference(t *testing.T) {
 	}{
 		{"2x2/even", 2, 3, 8, 10, 2, 2},           // fast path
 		{"2x2/stage1", 2, 8, 32, 32, 2, 2},        // fast path, benchmark stage
+		{"2x2/stage2", 2, 16, 16, 16, 2, 2},       // fast path, benchmark stage
+		{"2x2/stage3", 2, 32, 8, 8, 2, 2},         // fast path, 8 wide: two row pairs per vector
+		{"2x2/w8/odd-pairs", 1, 1, 6, 8, 2, 2},    // fast path, 8 wide with a scalar last row pair
 		{"2x2/odd-h", 2, 3, 7, 8, 2, 2},           // general loop
 		{"2x2/odd-w", 2, 3, 8, 9, 2, 2},           // general loop
 		{"2x2/odd", 1, 2, 5, 5, 2, 2},             // general loop
@@ -168,12 +174,15 @@ func TestMaxPoolMatchesReference(t *testing.T) {
 				p := NewMaxPool2D("pool", geo.k, geo.step)
 				assertBits(t, "eval forward", p.Forward(x, false).Data(), want)
 				assertBits(t, "train forward", p.Forward(x, true).Data(), want)
-				for i, idx := range wantArg {
-					if p.argmax[i] != idx {
-						t.Fatalf("argmax[%d] = %d (%v), want %d (%v)",
-							i, p.argmax[i], x.Data()[p.argmax[i]], idx, x.Data()[idx])
-					}
+				// The winners, through Backward: output o's gradient is
+				// o+1, so each input position sums the outputs it won.
+				ord := tensor.New(p.out.Shape()...)
+				wantWin := make([]float32, x.Size())
+				for o, idx := range wantArg {
+					ord.Data()[o] = float32(o + 1)
+					wantWin[idx] += float32(o + 1)
 				}
+				assertBits(t, "winners", p.Backward(ord).Data(), wantWin)
 				g := tensor.New(p.out.Shape()...)
 				g.FillNormal(rng.New(44), 0, 1)
 				wantDX := make([]float32, x.Size())
@@ -188,7 +197,8 @@ func TestMaxPoolMatchesReference(t *testing.T) {
 
 // TestMaxPoolTieOrder pins the tie and NaN rules on hand-written
 // windows: the first of equal maxima wins, a NaN at (0,0) sticks, and a
-// NaN anywhere else never wins.
+// NaN anywhere else never wins. Backward's gradient lands on the
+// winner alone.
 func TestMaxPoolTieOrder(t *testing.T) {
 	nan := float32(math.NaN())
 	negZero := float32(math.Copysign(0, -1))
@@ -209,8 +219,11 @@ func TestMaxPoolTieOrder(t *testing.T) {
 		x := tensor.FromSlice([]float32{tc.win[0], tc.win[1], tc.win[2], tc.win[3]}, 1, 1, 2, 2)
 		p := NewMaxPool2D("pool", 2, 2)
 		got := p.Forward(x, true).Data()[0]
-		if p.argmax[0] != tc.argmax || math.Float32bits(got) != math.Float32bits(tc.win[tc.argmax]) {
-			t.Errorf("%s: max %v at %d, want %v at %d", tc.name, got, p.argmax[0], tc.win[tc.argmax], tc.argmax)
+		if math.Float32bits(got) != math.Float32bits(tc.win[tc.argmax]) {
+			t.Errorf("%s: max %v, want %v", tc.name, got, tc.win[tc.argmax])
 		}
+		wantDX := make([]float32, 4)
+		wantDX[tc.argmax] = 1
+		assertBits(t, tc.name+" backward", p.Backward(tensor.FromSlice([]float32{1}, 1, 1, 1, 1)).Data(), wantDX)
 	}
 }

@@ -4,8 +4,8 @@ package kernels
 
 // AVX2 dispatch: feature bits are probed once at init with raw
 // CPUID/XGETBV (no external cpu-feature dependency). The GEMM, dot,
-// axpy, clamp, int8 and dequantize kernels need AVX2 plus OS-enabled
-// YMM state; the f16 converters additionally need F16C. GEMM panels
+// axpy, clamp, ReLU, max-pool, int8 and dequantize kernels need AVX2
+// plus OS-enabled YMM state; the f16 converters additionally need F16C. GEMM panels
 // with n ≥ 16 move up to the AVX-512 tile where the CPU has AVX512F
 // and the OS saves the opmask and full ZMM state. Every assembly
 // routine ends in VZEROUPPER so mixed SSE code pays no transition
@@ -17,24 +17,26 @@ const asmName = "avx2"
 // of elements per loop iteration, callers pass nv rounded down to a
 // multiple and handle the tail in Go.
 const (
-	gemmJ       = 8  // gemm kernels vectorize 8 output columns
-	dotStride   = 32 // dotVec: four 8-lane accumulators per iteration
-	axpyStride  = 8
-	i8Stride    = 32
-	f16Stride   = 8
-	dq8Stride   = 8
-	clampStride = 8
-	outerStride = 8 // outerStepVec: 8-column strips, four at a time where they fit
+	gemmJ        = 8  // gemm kernels vectorize 8 output columns
+	dotStride    = 32 // dotVec: four 8-lane accumulators per iteration
+	axpyStride   = 8
+	i8Stride     = 32
+	f16Stride    = 8
+	dq8Stride    = 8
+	clampStride  = 8
+	outerStride  = 8 // outerStepVec: 8-column strips, four at a time where they fit
+	selectStride = 8
 )
 
 var (
-	hasASM      bool
-	hasF16ASM   bool
-	hasI8ASM    bool
-	hasDQ8ASM   bool
-	hasClampASM bool
-	hasOuterASM bool
-	hasAVX512   bool
+	hasASM       bool
+	hasF16ASM    bool
+	hasI8ASM     bool
+	hasDQ8ASM    bool
+	hasClampASM  bool
+	hasOuterASM  bool
+	hasSelectASM bool
+	hasAVX512    bool
 )
 
 func init() {
@@ -61,6 +63,7 @@ func init() {
 	hasDQ8ASM = hasASM
 	hasClampASM = hasASM
 	hasOuterASM = hasASM
+	hasSelectASM = hasASM
 	// AVX512F is CPUID.7 EBX bit 16. XCR0 must also enable the opmask
 	// (bit 5), the upper halves of ZMM0-15 (bit 6) and ZMM16-31 (bit
 	// 7) on top of XMM and YMM (bits 1 and 2).
@@ -92,6 +95,18 @@ func clampVec(x *float32, limit float32, nv int)
 
 //go:noescape
 func outerStepVec(w, x, dy *float32, rows, batch, in, out, nv int, alpha, limit float32)
+
+//go:noescape
+func reluVec(dst, x *float32, nv int)
+
+//go:noescape
+func reluGradVec(dx, dy, y *float32, nv int)
+
+//go:noescape
+func maxPool2x2Vec(dst, x *float32, units, blocks, span, half, below int)
+
+//go:noescape
+func maxPool2x2GradVec(dx, dy, x *float32, units, blocks, span, half, below int)
 
 //go:noescape
 func dotI8Vec(a, b *int8, nv int) int32

@@ -9,6 +9,9 @@ package kernels
 // mnemonics for the signed-widen (SSHLL), int→float (UCVTF) and f16
 // (FCVTL/FCVTN) vector conversions they would need, and hand-encoded
 // instruction words cannot be differentially tested on amd64-only CI.
+// The ReLU and max-pool kernels stay generic as well, for a different
+// reason: FMAX and FMAXNM do not keep the operand a strict > select
+// keeps when a NaN meets a number (see the package doc).
 //
 // FMA note: gc compiles the generic reference's `u += a*b` to FMADD on
 // arm64, so the NEON kernels use VFMLA — one fused rounding per
@@ -22,24 +25,26 @@ const asmName = "neon"
 // f16/i8/dq8/clamp strides are never consulted — their has*ASM gates are
 // compile-time false — but must exist for kernels.go to build.
 const (
-	gemmJ       = 4  // gemm kernels vectorize 4 output columns
-	dotStride   = 16 // dotVec: four 4-lane accumulators per iteration
-	axpyStride  = 4
-	i8Stride    = 1
-	f16Stride   = 1
-	dq8Stride   = 1
-	clampStride = 1
-	outerStride = 1
+	gemmJ        = 4  // gemm kernels vectorize 4 output columns
+	dotStride    = 16 // dotVec: four 4-lane accumulators per iteration
+	axpyStride   = 4
+	i8Stride     = 1
+	f16Stride    = 1
+	dq8Stride    = 1
+	clampStride  = 1
+	outerStride  = 1
+	selectStride = 1
 )
 
 const (
-	hasASM      = true
-	hasF16ASM   = false
-	hasI8ASM    = false
-	hasDQ8ASM   = false
-	hasClampASM = false
-	hasOuterASM = false
-	hasAVX512   = false
+	hasASM       = true
+	hasF16ASM    = false
+	hasI8ASM     = false
+	hasDQ8ASM    = false
+	hasClampASM  = false
+	hasOuterASM  = false
+	hasSelectASM = false
+	hasAVX512    = false
 )
 
 // Assembly microkernels (kernels_arm64.s). All take counts that are
@@ -68,6 +73,18 @@ func clampVec(x *float32, limit float32, nv int) { panic("kernels: no clamp asse
 
 func outerStepVec(w, x, dy *float32, rows, batch, in, out, nv int, alpha, limit float32) {
 	panic("kernels: no OuterStep assembly on arm64")
+}
+
+func reluVec(dst, x *float32, nv int) { panic("kernels: no ReLU or pool assembly on arm64") }
+
+func reluGradVec(dx, dy, y *float32, nv int) { panic("kernels: no ReLU or pool assembly on arm64") }
+
+func maxPool2x2Vec(dst, x *float32, units, blocks, span, half, below int) {
+	panic("kernels: no ReLU or pool assembly on arm64")
+}
+
+func maxPool2x2GradVec(dx, dy, x *float32, units, blocks, span, half, below int) {
+	panic("kernels: no ReLU or pool assembly on arm64")
 }
 
 func dotI8Vec(a, b *int8, nv int) int32 { panic("kernels: no int8 assembly on arm64") }

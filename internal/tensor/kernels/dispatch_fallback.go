@@ -10,24 +10,26 @@ package kernels
 const asmName = "generic"
 
 const (
-	gemmJ       = 1
-	dotStride   = 1
-	axpyStride  = 1
-	i8Stride    = 1
-	f16Stride   = 1
-	dq8Stride   = 1
-	clampStride = 1
-	outerStride = 1
+	gemmJ        = 1
+	dotStride    = 1
+	axpyStride   = 1
+	i8Stride     = 1
+	f16Stride    = 1
+	dq8Stride    = 1
+	clampStride  = 1
+	outerStride  = 1
+	selectStride = 1
 )
 
 const (
-	hasASM      = false
-	hasF16ASM   = false
-	hasI8ASM    = false
-	hasDQ8ASM   = false
-	hasClampASM = false
-	hasOuterASM = false
-	hasAVX512   = false
+	hasASM       = false
+	hasF16ASM    = false
+	hasI8ASM     = false
+	hasDQ8ASM    = false
+	hasClampASM  = false
+	hasOuterASM  = false
+	hasSelectASM = false
+	hasAVX512    = false
 )
 
 func gemmPanelKASM(out, arows, b []float32, r0, r1, k, n, lda, aoff int, acc bool) {
@@ -45,6 +47,18 @@ func axpyVec(alpha float32, x, y *float32, nv int) { panic("kernels: no assembly
 func clampVec(x *float32, limit float32, nv int) { panic("kernels: no assembly in this build") }
 
 func outerStepVec(w, x, dy *float32, rows, batch, in, out, nv int, alpha, limit float32) {
+	panic("kernels: no assembly in this build")
+}
+
+func reluVec(dst, x *float32, nv int) { panic("kernels: no assembly in this build") }
+
+func reluGradVec(dx, dy, y *float32, nv int) { panic("kernels: no assembly in this build") }
+
+func maxPool2x2Vec(dst, x *float32, units, blocks, span, half, below int) {
+	panic("kernels: no assembly in this build")
+}
+
+func maxPool2x2GradVec(dx, dy, x *float32, units, blocks, span, half, below int) {
 	panic("kernels: no assembly in this build")
 }
 

@@ -154,3 +154,31 @@ func FuzzClamp(f *testing.F) {
 		checkClamp(t, x, limit)
 	})
 }
+
+// FuzzSelectKernels feeds raw bit patterns, so NaN payloads, infinities,
+// signed zeros, subnormals and ties turn up unprompted, through ReLU,
+// ReLUGrad, MaxPool2x2 and MaxPool2x2Grad as a stack of rows of an even
+// width up to 48 at an arbitrary start offset, and holds every arm to
+// the branching references bit for bit. The gradients are the same
+// bits read back to front.
+func FuzzSelectKernels(f *testing.F) {
+	f.Add([]byte{}, uint8(3), uint8(0))
+	f.Add([]byte{0, 0, 0xC0, 0x7F, 0, 0, 0x80, 0xFF, 0, 0, 0, 0x80, 1, 0, 0, 0}, uint8(0), uint8(1))
+	f.Add(make([]byte, 4*8*6), uint8(3), uint8(5))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over the lazy dog, and back"), uint8(7), uint8(2))
+
+	f.Fuzz(func(t *testing.T, raw []byte, w8, off8 uint8) {
+		w := 2 * (1 + int(w8)%24)
+		rows := len(raw) / 4 / w &^ 1
+		n := rows * w
+		off := int(off8) % 8
+		back := make([]float32, off+n)
+		x := back[off:]
+		g := make([]float32, n)
+		for i := range x {
+			x[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+			g[n-1-i] = x[i]
+		}
+		checkSelectKernels(t, x, g, g[:n/4], rows, w)
+	})
+}

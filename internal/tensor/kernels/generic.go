@@ -214,3 +214,91 @@ func F16ToF32Scalar(h uint16) float32 {
 		return math.Float32frombits(sign | e<<23 | (mant&0x03FF)<<13)
 	}
 }
+
+// boolMask widens keep to a 32-bit select mask: all ones when keep,
+// zero otherwise. The compiler lowers it to a flag-set and a negate, so
+// the select loops below run without data-dependent branches.
+func boolMask(keep bool) uint32 {
+	var m uint32
+	if keep {
+		m = 1
+	}
+	return -m
+}
+
+// reluGeneric is the scalar ReLU: v where v > 0, else +0, selected by
+// bit mask, so NaN and −0 come out +0.
+func reluGeneric(dst, x []float32) {
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] = math.Float32frombits(math.Float32bits(v) & boolMask(v > 0))
+	}
+}
+
+// reluGradGeneric passes g where the ReLU output y is positive (exactly
+// where its input was) and +0 elsewhere.
+func reluGradGeneric(dx, g, y []float32) {
+	dx = dx[:len(y)]
+	g = g[:len(y)]
+	for i, v := range y {
+		dx[i] = math.Float32frombits(math.Float32bits(g[i]) & boolMask(v > 0))
+	}
+}
+
+// maxStep is one branch-free step of a window's running max: (v, vpos)
+// when v > best, else (best, pos). The strict > keeps the first of
+// equal maxima and never lets a later NaN in, while a NaN already in
+// best stays because nothing compares greater than it.
+func maxStep(best float32, pos int, v float32, vpos int) (float32, int) {
+	m := boolMask(v > best)
+	im := int(int32(m))
+	b := math.Float32bits(v)&m | math.Float32bits(best)&^m
+	return math.Float32frombits(b), vpos&im | pos&^im
+}
+
+// window2x2 runs the max chain over one 2×2 window in the order (0,0),
+// (0,1), (1,0), (1,1) and returns the max and the winner's position in
+// that order.
+func window2x2(r0, r1 []float32, ix int) (float32, int) {
+	best, pos := r0[ix], 0
+	best, pos = maxStep(best, pos, r0[ix+1], 1)
+	best, pos = maxStep(best, pos, r1[ix], 2)
+	return maxStep(best, pos, r1[ix+1], 3)
+}
+
+// maxPool2x2Generic pools columns [c0, w) of pairs row pairs: row pair
+// p is x rows 2p and 2p+1, its outputs dst row p of w/2.
+func maxPool2x2Generic(dst, x []float32, pairs, w, c0 int) {
+	ow := w / 2
+	for p := 0; p < pairs; p++ {
+		r0 := x[2*p*w : 2*p*w+w]
+		r1 := x[2*p*w+w : 2*p*w+2*w]
+		orow := dst[p*ow : p*ow+ow]
+		for ox := c0 / 2; ox < ow; ox++ {
+			orow[ox], _ = window2x2(r0, r1, 2*ox)
+		}
+	}
+}
+
+// maxPool2x2GradGeneric is the pool's backward over the same columns:
+// +0 + g at each window's winner and +0 at its other three positions,
+// which is what zeroing dx and adding g at the winner gives.
+func maxPool2x2GradGeneric(dx, g, x []float32, pairs, w, c0 int) {
+	ow := w / 2
+	for p := 0; p < pairs; p++ {
+		r0 := x[2*p*w : 2*p*w+w]
+		r1 := x[2*p*w+w : 2*p*w+2*w]
+		d0 := dx[2*p*w : 2*p*w+w]
+		d1 := dx[2*p*w+w : 2*p*w+2*w]
+		grow := g[p*ow : p*ow+ow]
+		for ox := c0 / 2; ox < ow; ox++ {
+			ix := 2 * ox
+			_, pos := window2x2(r0, r1, ix)
+			gz := math.Float32bits(0 + grow[ox]) // +0 + g: −0 becomes +0
+			d0[ix] = math.Float32frombits(gz & boolMask(pos == 0))
+			d0[ix+1] = math.Float32frombits(gz & boolMask(pos == 1))
+			d1[ix] = math.Float32frombits(gz & boolMask(pos == 2))
+			d1[ix+1] = math.Float32frombits(gz & boolMask(pos == 3))
+		}
+	}
+}

@@ -1,8 +1,10 @@
 // Package kernels is the architecture-dispatched microkernel layer
 // under internal/tensor and internal/compress. It exposes the small set
 // of dense primitives every hot loop in the repo reduces to — GEMM
-// inner panels, dot/axpy, symmetric clamp, f16↔f32 conversion, int8 dot
-// with i32 accumulation, uint8 dequantize — each with
+// inner panels, dot/axpy, symmetric clamp, the fused SGD outer step,
+// ReLU and its gradient, the 2×2 max pool and its gradient, f16↔f32
+// conversion, int8 dot with i32 accumulation, uint8 dequantize — each
+// with
 //
 //   - a pure-Go reference implementation (always compiled, used on
 //     unsupported architectures, under the `purego` build tag, and when
@@ -11,7 +13,8 @@
 //     amd64, NEON on arm64), selected at init by runtime CPU-feature
 //     detection. amd64 has assembly for every kernel but Quantize8;
 //     arm64 has it for GemmPanel/GemmPanelK, Dot and Axpy and runs
-//     Clamp, DotI8, Dequantize8 and the f16 converters generic.
+//     Clamp, OuterStep, ReLU, ReLUGrad, MaxPool2x2, MaxPool2x2Grad,
+//     DotI8, Dequantize8 and the f16 converters generic.
 //   - on amd64 hosts with AVX-512, a third GEMM arm: one zmm tile,
 //     selected at init when CPUID.7 EBX bit 16 (AVX512F) is set and
 //     XCR0 enables XMM, YMM, opmask, ZMM_Hi256 and Hi16_ZMM state (bits
@@ -62,6 +65,17 @@
 //     every input — NaN (payload included), ±Inf, ±0 and subnormals.
 //   - OuterStep: bit-identical to the zero, GEMM-accumulate, Clamp and
 //     Axpy sequence it replaces (see its doc).
+//   - ReLU, ReLUGrad, MaxPool2x2, MaxPool2x2Grad: elementwise selects,
+//     bit-identical to the scalar select loops on every input — NaN
+//     (payload included), ±Inf, ±0 and subnormals. The pool's max is
+//     a strict > chain over (0,0), (0,1), (1,0), (1,1), so the first
+//     of equal maxima wins and a NaN wins only at (0,0). The AVX2 code
+//     gets those bits from operand order: MAXPS returns its second
+//     source unless the first compares greater, so the candidate goes
+//     first and the running max (or ReLU's +0) second. arm64 keeps the
+//     scalar loops: FMAX returns NaN when either operand is NaN and
+//     FMAXNM returns the number, so neither picks the survivor the
+//     strict > select does.
 //   - DotI8: exact — integer arithmetic is associative, so lane
 //     splitting cannot change the result. Inputs must satisfy
 //     len ≤ 2¹⁶ to keep the i32 accumulator overflow-free at the
@@ -172,6 +186,10 @@ func activeClamp() bool { return hasClampASM && !genericForced() }
 // generic loop runs, and gc's fused multiply-add on arm64 rounds it the
 // way the NEON GEMM and axpy it stands in for do.
 func activeOuter() bool { return hasOuterASM && !genericForced() }
+
+// activeSelect gates the ReLU and max-pool assembly: amd64 only (the
+// package doc says why arm64 keeps the select loops).
+func activeSelect() bool { return hasSelectASM && !genericForced() }
 
 // Name reports which implementation dispatch selects right now:
 // "avx512", "avx2", "neon" or "generic". "avx512" names the GEMM
@@ -348,6 +366,116 @@ func OuterStep(w, x, dy []float32, r0, r1, batch, in, out int, alpha, limit floa
 	if nv < out {
 		outerStepGeneric(w, x, dy, r0, r1, batch, in, out, nv, alpha, limit)
 	}
+}
+
+// ReLU writes dst[i] = x[i] where x[i] > 0 and +0 elsewhere, so NaN and
+// −0 come out +0 (panics unless len(dst) == len(x)). Bit-identical to
+// the select loop on every input: the assembly's MAXPS takes x as its
+// first source and +0 as its second, and returns the second unless the
+// first compares greater.
+func ReLU(dst, x []float32) {
+	if len(dst) != len(x) {
+		panic("kernels: ReLU length mismatch")
+	}
+	i := 0
+	if activeSelect() && len(x) >= selectStride {
+		nv := len(x) &^ (selectStride - 1)
+		reluVec(&dst[0], &x[0], nv)
+		i = nv
+	}
+	reluGeneric(dst[i:], x[i:])
+}
+
+// ReLUGrad writes dx[i] = g[i] where y[i] > 0 and +0 elsewhere (panics
+// unless the three lengths match). y is ReLU's output, which is
+// positive exactly where its input was. Bit-identical to the select
+// loop: the assembly ANDs g with a 0 < y compare mask.
+func ReLUGrad(dx, g, y []float32) {
+	if len(dx) != len(y) || len(g) != len(y) {
+		panic("kernels: ReLUGrad length mismatch")
+	}
+	i := 0
+	if activeSelect() && len(y) >= selectStride {
+		nv := len(y) &^ (selectStride - 1)
+		reluGradVec(&dx[0], &g[0], &y[0], nv)
+		i = nv
+	}
+	reluGradGeneric(dx[i:], g[i:], y[i:])
+}
+
+// MaxPool2x2 pools x, rows×w row-major with rows and w even, into dst,
+// (rows/2)×(w/2): dst[p, q] is the max of the window at x rows 2p and
+// 2p+1, columns 2q and 2q+1. A stack of planes with an even height is
+// one call. The max is one chain over (0,0), (0,1), (1,0), (1,1) that
+// moves only on a strict >: the first of equal maxima wins, and so
+// does a NaN at (0,0), while a later NaN never does. The assembly keeps
+// those bits by running MAXPS with the candidate as first source and
+// the running max second. It takes every 16-column group of a row pair
+// and, for 8-wide rows, two row pairs per vector; the other columns
+// and an odd last 8-wide row pair run the scalar chain.
+func MaxPool2x2(dst, x []float32, rows, w int) {
+	pairs := poolPairs(len(x), len(dst), rows, w, "MaxPool2x2")
+	units, blocks, span, half, p0, c0 := poolSplit(pairs, w)
+	if units > 0 {
+		maxPool2x2Vec(&dst[0], &x[0], units, blocks, span, half, w)
+	}
+	maxPool2x2Generic(dst[p0*w/2:], x[p0*2*w:], pairs-p0, w, c0)
+}
+
+// MaxPool2x2Grad is MaxPool2x2's backward: with g the gradient of its
+// output (len rows·w/4) and x its input, it writes dx (len rows·w) =
+// +0 + g at each window's winner, recomputed from x by the same chain,
+// and +0 at the window's other three positions. Windows do not
+// overlap, so that is bit for bit what zeroing dx and adding g at
+// each winner gives. The assembly recomputes the winners with compare
+// masks beside the forward's MAXPS chain.
+func MaxPool2x2Grad(dx, g, x []float32, rows, w int) {
+	pairs := poolPairs(len(x), len(g), rows, w, "MaxPool2x2Grad")
+	if len(dx) != len(x) {
+		panic("kernels: MaxPool2x2Grad length mismatch")
+	}
+	units, blocks, span, half, p0, c0 := poolSplit(pairs, w)
+	if units > 0 {
+		maxPool2x2GradVec(&dx[0], &g[0], &x[0], units, blocks, span, half, w)
+	}
+	maxPool2x2GradGeneric(dx[p0*2*w:], g[p0*w/2:], x[p0*2*w:], pairs-p0, w, c0)
+}
+
+// poolCols is the source width one step of the pool assembly covers:
+// two vectors per row, eight windows.
+const poolCols = 16
+
+// poolPairs checks a pool's geometry and returns its row-pair count.
+func poolPairs(nx, nout, rows, w int, name string) int {
+	if rows < 0 || w < 0 || rows%2 != 0 || w%2 != 0 || nx != rows*w || nout != nx/4 {
+		panic("kernels: " + name + " shape mismatch")
+	}
+	return rows / 2
+}
+
+// poolSplit picks the pool assembly's share of pairs row pairs of width
+// w, in maxPool2x2Vec's terms: units of blocks groups at the given
+// span and half offset. It leaves row pairs [p0, pairs) and, of every
+// row pair, columns [c0, w) to the scalar chain; units is 0 when the
+// assembly takes nothing.
+func poolSplit(pairs, w int) (units, blocks, span, half, p0, c0 int) {
+	if !activeSelect() {
+		return 0, 0, 0, 0, 0, 0
+	}
+	switch {
+	case w == poolCols/2:
+		// 8 wide: a vector holds one window row, so a group takes two
+		// row pairs, c being the second pair's top row.
+		units = pairs / 2
+		return units, 1, 2 * w, 2 * w, 2 * units, 0
+	case w >= poolCols:
+		c0 = w &^ (poolCols - 1)
+		if c0 == w {
+			p0 = pairs
+		}
+		return pairs, w / poolCols, w, poolCols / 2, p0, c0
+	}
+	return 0, 0, 0, 0, 0, 0
 }
 
 // DotI8 returns the int32 inner product of two int8 vectors (panics

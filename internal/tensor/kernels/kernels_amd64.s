@@ -394,6 +394,246 @@ os_done:
 	VZEROUPPER
 	RET
 
+// func reluVec(dst, x *float32, nv int)
+//
+// dst[i] = x[i] > +0 ? x[i] : +0. MAXPS returns its second source
+// unless the first compares greater, so with x first and +0 second a
+// NaN, a −0 and every non-positive lane come back +0, the select
+// loop's result. nv is a positive multiple of 8; four vectors per step
+// while 32 elements remain.
+TEXT ·reluVec(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ nv+16(FP), CX
+	VXORPS Y0, Y0, Y0        // +0
+
+relu_block:
+	CMPQ CX, $32
+	JLT  relu_strip
+	VMOVUPS (SI), Y1
+	VMOVUPS 32(SI), Y2
+	VMOVUPS 64(SI), Y3
+	VMOVUPS 96(SI), Y4
+	VMAXPS Y0, Y1, Y1        // x > +0 ? x : +0
+	VMAXPS Y0, Y2, Y2
+	VMAXPS Y0, Y3, Y3
+	VMAXPS Y0, Y4, Y4
+	VMOVUPS Y1, (DI)
+	VMOVUPS Y2, 32(DI)
+	VMOVUPS Y3, 64(DI)
+	VMOVUPS Y4, 96(DI)
+	ADDQ $128, SI
+	ADDQ $128, DI
+	SUBQ $32, CX
+	JMP  relu_block
+
+relu_strip:
+	TESTQ CX, CX
+	JZ    relu_done
+	VMOVUPS (SI), Y1
+	VMAXPS Y0, Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP  relu_strip
+
+relu_done:
+	VZEROUPPER
+	RET
+
+// func reluGradVec(dx, dy, y *float32, nv int)
+//
+// dx[i] = y[i] > +0 ? dy[i] : +0: dy ANDed with the +0 < y compare
+// mask (ordered, so a NaN y clears the lane). nv is a positive multiple of
+// 8; four vectors per step while 32 elements remain.
+TEXT ·reluGradVec(SB), NOSPLIT, $0-32
+	MOVQ dx+0(FP), DI
+	MOVQ dy+8(FP), SI
+	MOVQ y+16(FP), DX
+	MOVQ nv+24(FP), CX
+	VXORPS Y0, Y0, Y0        // +0
+
+relug_block:
+	CMPQ CX, $32
+	JLT  relug_strip
+	VCMPPS $0x11, (DX), Y0, Y1 // +0 < y (LT_OQ)
+	VCMPPS $0x11, 32(DX), Y0, Y2
+	VCMPPS $0x11, 64(DX), Y0, Y3
+	VCMPPS $0x11, 96(DX), Y0, Y4
+	VANDPS (SI), Y1, Y1
+	VANDPS 32(SI), Y2, Y2
+	VANDPS 64(SI), Y3, Y3
+	VANDPS 96(SI), Y4, Y4
+	VMOVUPS Y1, (DI)
+	VMOVUPS Y2, 32(DI)
+	VMOVUPS Y3, 64(DI)
+	VMOVUPS Y4, 96(DI)
+	ADDQ $128, SI
+	ADDQ $128, DX
+	ADDQ $128, DI
+	SUBQ $32, CX
+	JMP  relug_block
+
+relug_strip:
+	TESTQ CX, CX
+	JZ    relug_done
+	VCMPPS $0x11, (DX), Y0, Y1
+	VANDPS (SI), Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP  relug_strip
+
+relug_done:
+	VZEROUPPER
+	RET
+
+// func maxPool2x2Vec(dst, x *float32, units, blocks, span, half, below int)
+//
+// 2×2 max pool, eight windows per group. Unit u reads x from
+// u·2·span floats on and writes dst from u·span/2 on; its group b reads
+// the vectors a = x[16b:], c = x[16b+half:] and the rows below them at
+// +below, and writes dst[8b : 8b+8]. Row pairs of width w run with
+// span = below = w and half = 8, so a and c are the 16 columns of a
+// window row. 8-wide row pairs run two to a group with span = half =
+// 16 and below = 8: c is the next row pair's top row.
+//
+// SHUFPS 0x88/0xDD splits even and odd columns: each 128-bit lane
+// holds two windows' columns from a, then two from c. The chain (0,0), (0,1),
+// (1,0), (1,1) is three MAXPS with the candidate as first source and
+// the running max second, so a tie or a NaN candidate keeps the
+// running max, as the scalar chain's strict > does. The lanes come out
+// in window order 0 1 4 5 2 3 6 7, and one VPERMPD (qwords 0 2 1 3)
+// restores it. units and blocks are positive.
+TEXT ·maxPool2x2Vec(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ units+16(FP), R8
+	MOVQ span+32(FP), R9
+	SHLQ $2, R9              // span in bytes
+	MOVQ R9, R12
+	SHRQ $1, R12             // dst unit stride: span/2 floats
+	MOVQ half+40(FP), R10
+	SHLQ $2, R10
+	MOVQ below+48(FP), R11
+	SHLQ $2, R11
+
+mp_unit:
+	MOVQ SI, AX
+	MOVQ DI, BX
+	MOVQ blocks+24(FP), CX
+
+mp_group:
+	LEAQ (AX)(R11*1), DX
+	VMOVUPS (AX), Y0         // a
+	VMOVUPS (AX)(R10*1), Y1  // c
+	VMOVUPS (DX), Y2         // a's lower row
+	VMOVUPS (DX)(R10*1), Y3  // c's lower row
+	VSHUFPS $0x88, Y1, Y0, Y4 // (0,0)
+	VSHUFPS $0xDD, Y1, Y0, Y5 // (0,1)
+	VSHUFPS $0x88, Y3, Y2, Y6 // (1,0)
+	VSHUFPS $0xDD, Y3, Y2, Y7 // (1,1)
+	VMAXPS Y4, Y5, Y4        // (0,1) > m ? (0,1) : m
+	VMAXPS Y4, Y6, Y4
+	VMAXPS Y4, Y7, Y4
+	VPERMPD $0xD8, Y4, Y4
+	VMOVUPS Y4, (BX)
+	ADDQ $64, AX
+	ADDQ $32, BX
+	DECQ CX
+	JNZ  mp_group
+
+	LEAQ (SI)(R9*2), SI
+	ADDQ R12, DI
+	DECQ R8
+	JNZ  mp_unit
+
+	VZEROUPPER
+	RET
+
+// func maxPool2x2GradVec(dx, dy, x *float32, units, blocks, span, half, below int)
+//
+// MaxPool2x2Grad over maxPool2x2Vec's groups: the output gradient dy
+// and x are read where the forward wrote and read, dx is written where
+// x was read. The chain
+// reruns with GT_OQ compare masks c1, c2, c3 taken against the running
+// max before each MAXPS, so c_k is set exactly where the scalar chain
+// moves on step k. The winner is the last step that moved: (1,1) where
+// c3, (1,0) where c2 and not c3, and so on. Each position gets
+// +0 + dy ANDed with its winner mask, so +0 where it lost. VPERMPD
+// takes dy into the shuffled lane order, and UNPCKLPS/UNPCKHPS of the
+// even and odd columns give back a's and c's column order.
+TEXT ·maxPool2x2GradVec(SB), NOSPLIT, $0-64
+	MOVQ dx+0(FP), DI
+	MOVQ dy+8(FP), BX
+	MOVQ x+16(FP), SI
+	MOVQ units+24(FP), R8
+	MOVQ span+40(FP), R9
+	SHLQ $2, R9
+	MOVQ R9, R12
+	SHRQ $1, R12             // dy unit stride: span/2 floats
+	MOVQ half+48(FP), R10
+	SHLQ $2, R10
+	MOVQ below+56(FP), R11
+	SHLQ $2, R11
+	VXORPS Y15, Y15, Y15     // +0
+
+mpg_unit:
+	MOVQ SI, AX
+	MOVQ DI, DX
+	MOVQ BX, R13
+	MOVQ blocks+32(FP), CX
+
+mpg_group:
+	LEAQ (AX)(R11*1), R14
+	VMOVUPS (AX), Y0
+	VMOVUPS (AX)(R10*1), Y1
+	VMOVUPS (R14), Y2
+	VMOVUPS (R14)(R10*1), Y3
+	VSHUFPS $0x88, Y1, Y0, Y4 // (0,0)
+	VSHUFPS $0xDD, Y1, Y0, Y5 // (0,1)
+	VSHUFPS $0x88, Y3, Y2, Y6 // (1,0)
+	VSHUFPS $0xDD, Y3, Y2, Y7 // (1,1)
+	VCMPPS $0x1E, Y4, Y5, Y8  // c1: (0,1) > m
+	VMAXPS Y4, Y5, Y4
+	VCMPPS $0x1E, Y4, Y6, Y9  // c2: (1,0) > m
+	VMAXPS Y4, Y6, Y4
+	VCMPPS $0x1E, Y4, Y7, Y10 // c3: (1,1) > m
+	VPERMPD $0xD8, (R13), Y11 // dy in shuffled lane order
+	VADDPS Y11, Y15, Y11      // +0 + dy
+	VANDPS Y11, Y10, Y3       // (1,1) wins where c3
+	VANDNPS Y11, Y10, Y11     // what is left where not c3
+	VANDPS Y11, Y9, Y2        // (1,0)
+	VANDNPS Y11, Y9, Y11
+	VANDPS Y11, Y8, Y1        // (0,1)
+	VANDNPS Y11, Y8, Y0       // (0,0) where no step moved
+	VUNPCKLPS Y1, Y0, Y4      // a's row
+	VUNPCKHPS Y1, Y0, Y5      // c's row
+	VUNPCKLPS Y3, Y2, Y6      // the rows below
+	VUNPCKHPS Y3, Y2, Y7
+	LEAQ (DX)(R11*1), R14
+	VMOVUPS Y4, (DX)
+	VMOVUPS Y5, (DX)(R10*1)
+	VMOVUPS Y6, (R14)
+	VMOVUPS Y7, (R14)(R10*1)
+	ADDQ $64, AX
+	ADDQ $64, DX
+	ADDQ $32, R13
+	DECQ CX
+	JNZ  mpg_group
+
+	LEAQ (SI)(R9*2), SI
+	LEAQ (DI)(R9*2), DI
+	ADDQ R12, BX
+	DECQ R8
+	JNZ  mpg_unit
+
+	VZEROUPPER
+	RET
+
 // func dotI8Vec(a, b *int8, nv int) int32
 //
 // Widen 16 int8 lanes to int16, multiply-accumulate adjacent pairs

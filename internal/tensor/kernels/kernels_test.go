@@ -624,3 +624,250 @@ func TestOuterStepRejectsNonPositiveLimit(t *testing.T) {
 		}()
 	}
 }
+
+// selectSpecials are the inputs the ReLU and pool kernels' bit contract
+// names: both zeros, NaNs of both signs with distinct payloads (quiet
+// and signaling), both infinities, subnormals, and small integers that
+// make ties common.
+var selectSpecials = []uint32{
+	0x00000000, 0x80000000, // ±0
+	0x7FC00001, 0xFFC00002, 0x7FA00003, 0xFF800004, 0x7FFFFFFF, // NaNs
+	0x7F800000, 0xFF800000, // ±Inf
+	0x00000001, 0x80000001, 0x007FFFFF, 0x807FFFFF, // subnormals
+	0x3F800000, 0x3F800000, 0x40000000, 0xBF800000, // 1, 1, 2, -1
+}
+
+// selectInput draws n values: a third normal noise, a third specials
+// and a third rectified noise, so ties at +0 are everywhere.
+func selectInput(rng *rand.Rand, n int) []float32 {
+	x := make([]float32, n)
+	for i := range x {
+		switch rng.Intn(3) {
+		case 0:
+			x[i] = float32(rng.NormFloat64())
+		case 1:
+			x[i] = math.Float32frombits(selectSpecials[rng.Intn(len(selectSpecials))])
+		default:
+			x[i] = max(float32(rng.NormFloat64()), 0)
+		}
+	}
+	return x
+}
+
+// reluRef is ReLU's branching reference: v where v > 0, else +0.
+func reluRef(dst, x []float32) {
+	for i, v := range x {
+		if v > 0 {
+			dst[i] = v
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+// reluGradRef passes g where y > 0, else +0.
+func reluGradRef(dx, g, y []float32) {
+	for i, v := range y {
+		if v > 0 {
+			dx[i] = g[i]
+		} else {
+			dx[i] = 0
+		}
+	}
+}
+
+// poolRef is the 2×2 pool's branching reference over rows×w: each
+// window's chain visits (0,0), (0,1), (1,0), (1,1) and moves on a
+// strict >. It returns the outputs and each output's winning index.
+func poolRef(x []float32, rows, w int) (out []float32, win []int) {
+	ow := w / 2
+	out = make([]float32, rows/2*ow)
+	win = make([]int, len(out))
+	for p := 0; p < rows/2; p++ {
+		for q := 0; q < ow; q++ {
+			top := 2*p*w + 2*q
+			best := top
+			for _, i := range []int{top + 1, top + w, top + w + 1} {
+				if x[i] > x[best] {
+					best = i
+				}
+			}
+			out[p*ow+q], win[p*ow+q] = x[best], best
+		}
+	}
+	return out, win
+}
+
+// poolGradRef zeroes dx and adds each output's gradient at its winner.
+func poolGradRef(g []float32, win []int, n int) []float32 {
+	dx := make([]float32, n)
+	for o, i := range win {
+		dx[i] += g[o]
+	}
+	return dx
+}
+
+// checkSelectKernels runs the four kernels on x (a rows×w stack) and
+// gradient draws g (len rows·w) and gp (len rows·w/4) on every arm and
+// holds each to its reference bit for bit. The outputs start as a NaN
+// pattern, so an element a kernel skips shows up.
+func checkSelectKernels(t *testing.T, x, g, gp []float32, rows, w int) {
+	t.Helper()
+	wantY := make([]float32, len(x))
+	reluRef(wantY, x)
+	wantDX := make([]float32, len(x))
+	reluGradRef(wantDX, g, wantY)
+	wantP, win := poolRef(x, rows, w)
+	wantPDX := poolGradRef(gp, win, len(x))
+	dirty := func(n int) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			s[i] = math.Float32frombits(0x7FBADBAD)
+		}
+		return s
+	}
+	eachArm(func(arm string) {
+		for _, c := range []struct {
+			name string
+			want []float32
+			run  func(got []float32)
+		}{
+			{"ReLU", wantY, func(got []float32) { ReLU(got, x) }},
+			{"ReLUGrad", wantDX, func(got []float32) { ReLUGrad(got, g, wantY) }},
+			{"MaxPool2x2", wantP, func(got []float32) { MaxPool2x2(got, x, rows, w) }},
+			{"MaxPool2x2Grad", wantPDX, func(got []float32) { MaxPool2x2Grad(got, gp, x, rows, w) }},
+		} {
+			got := dirty(len(c.want))
+			c.run(got)
+			if i := firstDiff(got, c.want); i >= 0 {
+				t.Fatalf("%s rows=%d w=%d [%s]: [%d] = %#08x, want %#08x",
+					c.name, rows, w, arm, i, math.Float32bits(got[i]), math.Float32bits(c.want[i]))
+			}
+		}
+	})
+}
+
+// TestSelectKernelsMatchReference holds ReLU, ReLUGrad, MaxPool2x2 and
+// MaxPool2x2Grad to their branching references on every arm. Widths 2,
+// 4 and 6 run scalar; width 8 pairs two row pairs per vector, so odd
+// row-pair counts leave it a scalar tail; 16, 32 and 48 are whole
+// groups and 24 a group plus a scalar half. The inputs mix specials
+// and ties, and the slices start at every 4-byte offset of a vector.
+func TestSelectKernelsMatchReference(t *testing.T) {
+	t.Logf("arms: %v", Arms())
+	rng := rand.New(rand.NewSource(13))
+	for _, w := range []int{2, 4, 6, 8, 16, 24, 32, 48} {
+		for _, pairs := range []int{1, 2, 3, 4, 7, 8} {
+			rows := 2 * pairs
+			off := rng.Intn(8)
+			x := selectInput(rng, off+rows*w)[off:]
+			checkSelectKernels(t, x, selectInput(rng, rows*w), selectInput(rng, rows*w/4), rows, w)
+		}
+	}
+	// Every ReLU length up to five vectors, so the four-vector block,
+	// the single-vector strip and the scalar tail all meet.
+	for n := 0; n <= 45; n++ {
+		x := selectInput(rng, n)
+		g := selectInput(rng, n)
+		want := make([]float32, n)
+		reluRef(want, x)
+		wantDX := make([]float32, n)
+		reluGradRef(wantDX, g, want)
+		eachArm(func(arm string) {
+			got := make([]float32, n)
+			ReLU(got, x)
+			dx := make([]float32, n)
+			ReLUGrad(dx, g, want)
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("ReLU n=%d [%s]: [%d] = %#08x, want %#08x", n, arm, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+			if i := firstDiff(dx, wantDX); i >= 0 {
+				t.Fatalf("ReLUGrad n=%d [%s]: [%d] = %#08x, want %#08x", n, arm, i, math.Float32bits(dx[i]), math.Float32bits(wantDX[i]))
+			}
+		})
+	}
+}
+
+// TestMaxPool2x2TieOrder pins the chain's order on hand-written
+// windows in every lane of a vector group: the first of equal maxima
+// wins, a NaN at (0,0) wins, a later NaN never does, and between the
+// zeros the first one wins. The gradient lands only at the winner.
+func TestMaxPool2x2TieOrder(t *testing.T) {
+	nan := math.Float32frombits(0x7FC00005)
+	negZero := math.Float32frombits(0x80000000)
+	inf := float32(math.Inf(1))
+	windows := []struct {
+		win [4]float32 // (0,0), (0,1), (1,0), (1,1)
+		at  int
+	}{
+		{[4]float32{1, 1, 1, 1}, 0},
+		{[4]float32{0, 2, 2, 1}, 1},
+		{[4]float32{0, 1, 3, 3}, 2},
+		{[4]float32{0, 1, 2, 3}, 3},
+		{[4]float32{negZero, 0, 0, negZero}, 0},
+		{[4]float32{nan, 5, 6, 7}, 0},
+		{[4]float32{1, nan, 0, nan}, 0},
+		{[4]float32{1, inf, inf, 2}, 1},
+	}
+	for _, w := range []int{8, 16} {
+		// One window per output of a rows×w stack, the list repeated
+		// and rotated so every case meets every lane.
+		rows := 2 * 32 / (w / 2)
+		x := make([]float32, rows*w)
+		g := make([]float32, rows*w/4)
+		for o := range g {
+			c := windows[(o+o/len(windows))%len(windows)]
+			p, q := o/(w/2), o%(w/2)
+			top := 2*p*w + 2*q
+			x[top], x[top+1], x[top+w], x[top+w+1] = c.win[0], c.win[1], c.win[2], c.win[3]
+			g[o] = float32(o + 1)
+		}
+		eachArm(func(arm string) {
+			out := make([]float32, len(g))
+			MaxPool2x2(out, x, rows, w)
+			dx := make([]float32, len(x))
+			MaxPool2x2Grad(dx, g, x, rows, w)
+			for o := range g {
+				c := windows[(o+o/len(windows))%len(windows)]
+				p, q := o/(w/2), o%(w/2)
+				top := 2*p*w + 2*q
+				pos := [4]int{top, top + 1, top + w, top + w + 1}
+				if math.Float32bits(out[o]) != math.Float32bits(c.win[c.at]) {
+					t.Fatalf("w=%d [%s] window %v: max %#08x, want %#08x", w, arm, c.win, math.Float32bits(out[o]), math.Float32bits(c.win[c.at]))
+				}
+				for k, i := range pos {
+					want := float32(0)
+					if k == c.at {
+						want = g[o]
+					}
+					if math.Float32bits(dx[i]) != math.Float32bits(want) {
+						t.Fatalf("w=%d [%s] window %v: dx at %d = %v, want %v", w, arm, c.win, k, dx[i], want)
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestSelectKernelsRejectBadShapes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"ReLU", func() { ReLU(make([]float32, 3), make([]float32, 4)) }},
+		{"ReLUGrad", func() { ReLUGrad(make([]float32, 4), make([]float32, 3), make([]float32, 4)) }},
+		{"MaxPool2x2 odd w", func() { MaxPool2x2(make([]float32, 2), make([]float32, 6), 2, 3) }},
+		{"MaxPool2x2 odd rows", func() { MaxPool2x2(make([]float32, 3), make([]float32, 12), 3, 4) }},
+		{"MaxPool2x2 short dst", func() { MaxPool2x2(make([]float32, 1), make([]float32, 8), 2, 4) }},
+		{"MaxPool2x2Grad short dx", func() { MaxPool2x2Grad(make([]float32, 7), make([]float32, 2), make([]float32, 8), 2, 4) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", c.name)
+				}
+			}()
+			c.fn()
+		}()
+	}
+}
