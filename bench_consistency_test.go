@@ -43,7 +43,6 @@ func BenchmarkConsistencyModes(b *testing.B) {
 				Seed:             19,
 				Topology:         topo,
 				Regions:          regions,
-				SimWAN:           true,
 				SimComputeServer: 2 * time.Millisecond,
 				SimCompute:       compute,
 			}

@@ -13,9 +13,8 @@ import (
 // 5-hospital topology, then synthetic 25- and 100-clinic deployments.
 // ns/op is the real wall cost of simulating a session (the scheduler,
 // codec and transport hot paths at fan-in scale); sim-ms/round is the
-// virtual WAN time one synchronous round costs on that topology — the
-// quantity the geonet estimators approximate and simnet measures by
-// running the actual engine.
+// virtual WAN time one synchronous round costs on that topology,
+// measured by running the actual engine over simnet.
 func BenchmarkSimnetRound(b *testing.B) {
 	const rounds = 4
 	for _, arm := range []struct {
@@ -47,7 +46,6 @@ func BenchmarkSimnetRound(b *testing.B) {
 				Seed:         19,
 				Topology:     topo,
 				Regions:      regions,
-				SimWAN:       true,
 				SimJitter:    0.1,
 			}
 			var last *experiment.Result

@@ -1,7 +1,8 @@
 // Command splitplatform runs one medical platform (hospital) of the
 // split-learning framework over TCP. It owns the raw local data shard
-// and the model's first hidden layer L1; raw samples and labels never
-// leave the process.
+// and the model's first hidden layer L1; raw samples and label values
+// never leave the process, though the loss gradients it returns reveal
+// each training label to the server.
 //
 // All platforms and the server must share -arch, -classes, -width,
 // -seed, -rounds and the eval schedule; the data corpus and shard

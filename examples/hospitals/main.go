@@ -1,9 +1,10 @@
 // Hospitals: the paper's motivating scenario end to end — five
 // geo-distributed medical platforms with imbalanced data volumes
 // (a university hospital holds far more records than a clinic), the
-// proportional-minibatch mitigation, and WAN-aware wall-clock estimates
-// from the geonet topology (the paper's future-work deployment names
-// Seoul National University Hospital; the topology models that).
+// proportional-minibatch mitigation, and wall-clock measured over the
+// simulated WAN of the geonet topology (the paper's future-work
+// deployment names Seoul National University Hospital; the topology
+// models that).
 //
 //	go run ./examples/hospitals
 //
@@ -102,7 +103,6 @@ func runFailoverDemo(killAt int) error {
 
 	fmt.Println("replicated run: leader + 1 warm standby, leader killed mid-round...")
 	cfg.Replicas = 1
-	cfg.SimWAN = true
 	cfg.KillLeaderAt = killAt
 	res, err := experiment.RunSplit(cfg)
 	if err != nil {
@@ -120,7 +120,7 @@ func runFailoverDemo(killAt int) error {
 }
 
 // runWANScenario is the original paper scenario: imbalanced shards,
-// proportional minibatches, WAN wall-clock estimates.
+// proportional minibatches, wall-clock measured over the simulated WAN.
 func runWANScenario() {
 	topo := geonet.DefaultHospitalTopology()
 	regions := []geonet.Region{
@@ -163,8 +163,8 @@ func runWANScenario() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nsplit training: %d model params, est. %v per synchronous round over the WAN\n",
-		res.ModelParams, res.RoundTime)
+	fmt.Printf("\nsplit training: %d model params, %v per round measured over the simulated WAN\n",
+		res.ModelParams, res.SimElapsed/time.Duration(cfg.Rounds))
 	fmt.Println(experiment.CurveTable(res))
 	fmt.Printf("final accuracy %.1f%% after %v of simulated WAN time\n",
 		100*res.FinalAccuracy, res.Curve.Final().SimTime)

@@ -1,9 +1,8 @@
-// Simwan: the geo-WAN, executed instead of estimated. The paper's
-// 5-hospital deployment (and a synthetic 100-clinic scale-out of it)
-// trains end to end over internal/simnet — every protocol byte crosses
-// a link with the site's latency and bandwidth on a deterministic
-// virtual clock — and the measured virtual round time is printed next
-// to the closed-form geonet estimate the earlier examples relied on.
+// Simwan: the geo-WAN, executed. The paper's 5-hospital deployment
+// (and a synthetic 100-clinic scale-out of it) trains end to end over
+// internal/simnet — every protocol byte crosses a link with the site's
+// latency and bandwidth on a deterministic virtual clock — and the
+// measured virtual round time is printed with the curve.
 //
 //	go run ./examples/simwan                      # paper's 5 hospitals
 //	go run ./examples/simwan -preset clinics      # 100 synthetic clinics
@@ -67,7 +66,6 @@ func main() {
 		Codec:        *codec,
 		Topology:     topo,
 		Regions:      regions,
-		SimWAN:       true,
 		SimJitter:    *jitter,
 	}
 	var err error
@@ -111,6 +109,5 @@ func main() {
 	fmt.Printf("training bytes      %d\n", res.TrainingBytes)
 	fmt.Printf("weight digest       %#x (same flags => same digest)\n", res.WeightDigest)
 	fmt.Printf("virtual elapsed     %v (%v per round, measured by the simnet clock)\n", res.SimElapsed, perRound)
-	fmt.Printf("analytic estimate   %v per round (geonet closed-form, zero compute)\n", res.RoundTime)
 	fmt.Printf("real wall clock     %v — the WAN is simulated, not slept through\n", wall)
 }

@@ -1,10 +1,10 @@
 package compress
 
 import (
-	"runtime"
 	"slices"
 	"sync"
 
+	"medsplit/internal/parallel"
 	"medsplit/internal/tensor/kernels"
 )
 
@@ -30,53 +30,15 @@ import (
 // loop itself on small activations.
 const parallelThreshold = 1 << 15
 
-// forcedWorkers, when positive, overrides GOMAXPROCS for the kernel
-// fan-out. Tests set it to pin the serial path (1) or exercise the
-// multi-goroutine path (>1) deterministically, race detector included.
-var forcedWorkers int
-
-func maxWorkers() int {
-	if forcedWorkers > 0 {
-		return forcedWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// serialChunk reports whether an n-element kernel should run on the
-// calling goroutine. Call sites check it BEFORE building the closure
-// they would hand to parallelChunks: the closure escapes into the
-// goroutine fan-out, so constructing it heap-allocates even when the
-// serial branch runs — a per-message cost on the zero-allocation path.
-func serialChunk(n int) bool {
-	return n < parallelThreshold || n <= 1 || maxWorkers() <= 1
-}
+// serialChunk reports whether an n-element kernel runs on the calling
+// goroutine. Call sites check it BEFORE building the closure they would
+// hand to parallelChunks (see parallel.Serial): that allocation would be
+// a per-message cost on the zero-allocation path.
+func serialChunk(n int) bool { return parallel.Serial(n, n, parallelThreshold) }
 
 // parallelChunks runs fn over [0,n) split into contiguous chunks, one
 // per worker, when n crosses the threshold; otherwise serially.
-func parallelChunks(n int, fn func(i0, i1 int)) {
-	workers := maxWorkers()
-	if workers > n {
-		workers = n
-	}
-	if n < parallelThreshold || workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for i0 := 0; i0 < n; i0 += chunk {
-		i1 := i0 + chunk
-		if i1 > n {
-			i1 = n
-		}
-		wg.Add(1)
-		go func(i0, i1 int) {
-			defer wg.Done()
-			fn(i0, i1)
-		}(i0, i1)
-	}
-	wg.Wait()
-}
+func parallelChunks(n int, fn func(i0, i1 int)) { parallel.For(n, n, parallelThreshold, fn) }
 
 // putF16 converts src to IEEE-754 binary16 into dst (len(dst) must be
 // 2*len(src)), fanning the branch-free-per-element loop out across
@@ -123,7 +85,7 @@ func rangeOf(d []float32) (lo, hi float32) {
 	if len(d) == 0 {
 		return 0, 0
 	}
-	workers := maxWorkers()
+	workers := parallel.Workers()
 	if len(d) < parallelThreshold || workers <= 1 {
 		return rangeOfSerial(d)
 	}

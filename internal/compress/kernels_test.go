@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"medsplit/internal/parallel"
 	"medsplit/internal/rng"
 	"medsplit/internal/tensor"
 	"medsplit/internal/wire"
@@ -14,9 +15,9 @@ import (
 // forceWorkers pins the kernel fan-out for the duration of a test.
 func forceWorkers(t *testing.T, n int) {
 	t.Helper()
-	old := forcedWorkers
-	forcedWorkers = n
-	t.Cleanup(func() { forcedWorkers = old })
+	old := parallel.ForcedWorkers
+	parallel.ForcedWorkers = n
+	t.Cleanup(func() { parallel.ForcedWorkers = old })
 }
 
 // bigTensor crosses parallelThreshold so the fan-out actually splits.
@@ -72,7 +73,7 @@ func TestRangeOfMatchesSerial(t *testing.T) {
 		wantLo, wantHi := rangeOfSerial(d)
 		forceWorkers(t, 7)
 		lo, hi := rangeOf(d)
-		forcedWorkers = 0
+		parallel.ForcedWorkers = 0
 		if lo != wantLo || hi != wantHi {
 			t.Fatalf("n=%d: rangeOf = (%v,%v), serial (%v,%v)", n, lo, hi, wantLo, wantHi)
 		}

@@ -6,15 +6,18 @@
 //
 //  1. platform → server  MsgActivations  L1 output on the minibatch
 //  2. server → platform  MsgLogits       Lk output after server forward
-//  3. platform → server  MsgLossGrad     dLoss/dLogits (labels stay local)
+//  3. platform → server  MsgLossGrad     dLoss/dLogits (the loss stays local)
 //  4. server → platform  MsgCutGrad      dLoss/d(L1 output)
 //
 // Raw inputs and labels never cross the wire in the default
 // (label-private) mode — the privacy tests in this package assert it.
+// The training labels still reach the server: each row of message 3,
+// (softmax − onehot)/n, has its one negative entry at the label, and
+// TestLabelPrivateModeLeaksLabelsToServer recovers every one of them.
 // The engine also implements the paper's data-imbalance mitigation
 // (per-platform minibatch sizes proportional to local data volume, via
 // package dataset), an optional label-sharing ablation that halves the
-// message count at the cost of label privacy, an optional periodic L1
+// message count by shipping the labels themselves, an optional periodic L1
 // weight synchronization, and two server scheduling modes, the first
 // with one consistency knob (a staleness cap).
 package core
@@ -148,21 +151,14 @@ var trainingTypes = []wire.MsgType{
 	wire.MsgGradPush,
 }
 
-// TrainingTraffic sums the bytes a meter sent and received for
-// training message types only.
-func TrainingTraffic(m *transport.Meter) (tx, rx int64) {
-	for _, t := range trainingTypes {
-		tx += m.TxBytesByType(t)
-		rx += m.RxBytesByType(t)
-	}
-	return tx, rx
-}
-
 // TrainingBytes sums the bytes a meter saw, in both directions, for
 // training message types only.
 func TrainingBytes(m *transport.Meter) int64 {
-	tx, rx := TrainingTraffic(m)
-	return tx + rx
+	var n int64
+	for _, t := range trainingTypes {
+		n += m.TxBytesByType(t) + m.RxBytesByType(t)
+	}
+	return n
 }
 
 // recvExpect reads one message and validates its type (and, when round

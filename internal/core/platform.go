@@ -47,7 +47,10 @@ type PlatformConfig struct {
 	// checkpoint's NextRound when resuming. Must match the server's.
 	StartRound int
 	// LabelSharing enables the 2-message ablation: labels accompany the
-	// activations and the server computes the loss.
+	// activations and the server computes the loss. Without it the
+	// labels stay off the wire as integers, but the loss gradient the
+	// platform returns still reveals each row's label to the server
+	// (see ServerConfig.LabelSharing).
 	LabelSharing bool
 	// ClipGrads, when positive, clamps L1 gradients before each step.
 	ClipGrads float32

@@ -38,7 +38,13 @@ type ServerConfig struct {
 	// Sequential mode only.
 	Staleness int
 	// LabelSharing enables the 2-message ablation where platforms ship
-	// labels and the server computes the loss. Requires Loss.
+	// labels and the server computes the loss. Requires Loss. The
+	// server learns every training label in both modes: here as
+	// integers, and in the default label-private mode from the loss
+	// gradient, (softmax − onehot)/n, whose one negative entry per row
+	// is the label (TestLabelPrivateModeLeaksLabelsToServer recovers
+	// all of them under every codec). Label-private mode keeps only the
+	// loss computation and the integer labels on the platform.
 	LabelSharing bool
 	// Loss is required when LabelSharing is set.
 	Loss nn.Loss

@@ -78,7 +78,10 @@ type Config struct {
 	// Split scheme only.
 	Cut int
 	// LabelSharing switches the split protocol to the 2-message
-	// label-sharing ablation.
+	// label-sharing ablation: the server receives the labels as
+	// integers. The default label-private mode sends it the loss
+	// gradient instead, from which it can still read every training
+	// label (see core.ServerConfig.LabelSharing).
 	LabelSharing bool
 	// L1SyncEvery periodically averages platform L1 weights through the
 	// server (0 = the paper's default of init-only synchronization).
@@ -112,45 +115,43 @@ type Config struct {
 	// Augment enables platform-local random crop (pad 4) and horizontal
 	// flip on training minibatches. Split scheme, image models only.
 	Augment bool
-	// Topology, when set with Regions, adds simulated wall-clock
-	// estimates to the result curves.
+	// Topology, when set, runs every scheme over the deterministic
+	// simulated WAN (internal/simnet) instead of in-process pipes: every
+	// protocol byte crosses the link of its platform's region with that
+	// region's latency and bandwidth on a virtual clock. The result then
+	// carries the measured virtual time (Result.SimElapsed) and every
+	// curve point its share of it (metrics.Round.SimTime). Requires
+	// Regions.
 	Topology *geonet.Topology
-	// Regions maps each platform to a topology region.
+	// Regions maps each platform to a topology region (one per
+	// platform). Requires Topology.
 	Regions []geonet.Region
-	// SimWAN runs the split session over the deterministic simulated
-	// WAN (internal/simnet) built from Topology and Regions instead of
-	// in-process pipes: every protocol byte crosses a link with the
-	// region's latency and bandwidth on a virtual clock, and the result
-	// carries the measured virtual elapsed time (Result.SimElapsed)
-	// next to the analytic estimate (Result.RoundTime). Split scheme
-	// only; requires Topology and Regions.
-	SimWAN bool
 	// SimJitter adds up to this fraction of seeded per-message jitter
 	// to simulated transfers (see simnet.Options.Jitter). Requires
-	// SimWAN.
+	// Topology.
 	SimJitter float64
 	// SimComputeServer charges the simulated server this much back-half
-	// compute (forward+backward+step) per received activations message,
-	// and folds the same duration into the analytic round-time
-	// estimators. Requires Topology.
+	// compute (forward+backward+step) per received activations message.
+	// Only split exchanges carry the charge points, so the baselines'
+	// measured time stays network-only. Requires Topology.
 	SimComputeServer time.Duration
 	// SimCompute is the per-platform front-half compute profile: entry
 	// k is charged to platform k's virtual clock each time it ships a
 	// loss gradient (see simnet.Compute). Heterogeneous entries model
-	// compute stragglers. Length must equal Platforms; the analytic
-	// estimators use the mean (which preserves the sequential sum
-	// exactly). Requires Topology.
+	// compute stragglers. Length must equal Platforms. Requires
+	// Topology.
 	SimCompute []time.Duration
 	// SimFaults scripts deterministic link failures into the simulated
 	// WAN (drop platform k at round r, partitions, swallowed payloads).
-	// Requires SimWAN; without SimRejoin a triggered fault is fatal to
+	// Requires Topology; without SimRejoin a triggered fault is fatal to
 	// the session, exactly like an unhandled WAN drop.
 	SimFaults []simnet.Fault
 	// SimRejoin enables dropout recovery over the simulated WAN:
 	// "wait" (bit-identical WaitForRejoin) or "proceed"
 	// (ProceedWithout). Platforms redial through the simulated network
-	// and rejoin via the broker. Requires SimWAN and sequential
-	// scheduling (the recovery machinery's constraint).
+	// and rejoin via the broker. Requires Topology and sequential
+	// scheduling (the recovery machinery's constraint). Split scheme
+	// only.
 	SimRejoin string
 	// Replicas runs this many in-process warm followers behind the
 	// split server: every training step is appended to a write-ahead
@@ -168,7 +169,7 @@ type Config struct {
 	// the simulated WAN, severing every link at once — and fails the
 	// session over: the most caught-up follower promotes, the platforms
 	// redial into it, and training finishes bit-identically to an
-	// undisturbed run. Requires Replicas >= 1, SimWAN, and
+	// undisturbed run. Requires Replicas >= 1, Topology, and
 	// 0 < KillLeaderAt < Rounds.
 	KillLeaderAt int
 }
@@ -239,36 +240,26 @@ func (c Config) validate() error {
 	if c.Rounds <= 0 {
 		return fmt.Errorf("experiment: %d rounds", c.Rounds)
 	}
-	if c.SimWAN {
-		if c.Topology == nil {
-			return fmt.Errorf("experiment: SimWAN without a Topology")
+	if c.Topology == nil {
+		if len(c.Regions) > 0 || c.SimJitter != 0 || c.SimComputeServer != 0 || len(c.SimCompute) > 0 ||
+			len(c.SimFaults) > 0 || c.SimRejoin != "" || c.KillLeaderAt != 0 {
+			return fmt.Errorf("experiment: Regions/SimJitter/SimCompute*/SimFaults/SimRejoin/KillLeaderAt require a Topology")
 		}
-		if len(c.Regions) != c.Platforms {
-			return fmt.Errorf("experiment: SimWAN with %d regions for %d platforms", len(c.Regions), c.Platforms)
-		}
-		if c.SimJitter < 0 || c.SimJitter >= 1 {
-			return fmt.Errorf("experiment: SimJitter %v outside [0,1)", c.SimJitter)
-		}
-	} else if c.SimJitter != 0 || len(c.SimFaults) > 0 || c.SimRejoin != "" {
-		return fmt.Errorf("experiment: SimJitter/SimFaults/SimRejoin require SimWAN")
+	} else if len(c.Regions) != c.Platforms {
+		return fmt.Errorf("experiment: %d regions for %d platforms", len(c.Regions), c.Platforms)
+	}
+	if c.SimJitter < 0 || c.SimJitter >= 1 {
+		return fmt.Errorf("experiment: SimJitter %v outside [0,1)", c.SimJitter)
 	}
 	if c.SimComputeServer < 0 {
 		return fmt.Errorf("experiment: negative SimComputeServer %v", c.SimComputeServer)
 	}
-	if c.SimComputeServer > 0 && c.Topology == nil {
-		return fmt.Errorf("experiment: SimComputeServer without a Topology")
+	if len(c.SimCompute) > 0 && len(c.SimCompute) != c.Platforms {
+		return fmt.Errorf("experiment: %d SimCompute entries for %d platforms", len(c.SimCompute), c.Platforms)
 	}
-	if len(c.SimCompute) > 0 {
-		if c.Topology == nil {
-			return fmt.Errorf("experiment: SimCompute without a Topology")
-		}
-		if len(c.SimCompute) != c.Platforms {
-			return fmt.Errorf("experiment: %d SimCompute entries for %d platforms", len(c.SimCompute), c.Platforms)
-		}
-		for k, d := range c.SimCompute {
-			if d < 0 {
-				return fmt.Errorf("experiment: negative SimCompute %v for platform %d", d, k)
-			}
+	for k, d := range c.SimCompute {
+		if d < 0 {
+			return fmt.Errorf("experiment: negative SimCompute %v for platform %d", d, k)
 		}
 	}
 	switch c.SimRejoin {
@@ -285,9 +276,6 @@ func (c Config) validate() error {
 	if c.KillLeaderAt != 0 {
 		if c.Replicas < 1 {
 			return fmt.Errorf("experiment: KillLeaderAt without Replicas")
-		}
-		if !c.SimWAN {
-			return fmt.Errorf("experiment: KillLeaderAt requires SimWAN")
 		}
 		if c.KillLeaderAt < 0 || c.KillLeaderAt >= c.Rounds {
 			return fmt.Errorf("experiment: KillLeaderAt %d outside (0,%d)", c.KillLeaderAt, c.Rounds)
@@ -371,15 +359,12 @@ type Result struct {
 	Curve         metrics.Curve
 	FinalAccuracy float64
 	TrainingBytes int64
-	// RoundTime is the analytically estimated wall-clock per round
-	// (zero without a topology).
-	RoundTime time.Duration
 	// SimElapsed is the virtual wall-clock the simulated WAN measured
-	// for the whole run (zero unless SimWAN) — the executable
-	// counterpart of RoundTime's closed-form estimate. It covers the
-	// network schedule plus, when SimComputeServer/SimCompute are set,
-	// the per-exchange compute charges, so a compute straggler slows
-	// the measured session exactly like a slow link does.
+	// for the whole session (zero without a Topology): every message of
+	// training, evaluation and L1 sync, plus, when SimComputeServer/
+	// SimCompute are set, the per-exchange compute charges, so a compute
+	// straggler slows the measured session exactly like a slow link
+	// does.
 	SimElapsed time.Duration
 	// WeightDigest is a 64-bit FNV-1a digest over every final model
 	// parameter's raw float bits (platform fronts in id order, then the
@@ -403,34 +388,6 @@ type Result struct {
 	// requests; InferRequests/InferBatches is the achieved dynamic
 	// batching factor.
 	InferBatches int64
-}
-
-// simTime annotates curve points with cumulative simulated time when a
-// topology is configured. upPerRound/downPerRound are per-platform
-// per-round byte estimates.
-func (c Config) simTime(up, down []int64) (time.Duration, error) {
-	if c.Topology == nil || len(c.Regions) == 0 {
-		return 0, nil
-	}
-	if len(c.Regions) != c.Platforms {
-		return 0, fmt.Errorf("experiment: %d regions for %d platforms", len(c.Regions), c.Platforms)
-	}
-	return c.Topology.RoundTime(c.Regions, up, down, 0)
-}
-
-// platformComputeMean is the analytic estimators' scalar stand-in for
-// the per-platform compute profile. The sequential estimator sums
-// PlatformCompute once per platform, so the mean reproduces the
-// heterogeneous sum exactly.
-func (c Config) platformComputeMean() time.Duration {
-	if len(c.SimCompute) == 0 {
-		return 0
-	}
-	var total time.Duration
-	for _, d := range c.SimCompute {
-		total += d
-	}
-	return total / time.Duration(len(c.SimCompute))
 }
 
 // newLoss returns the task loss; one place to change if the paper's

@@ -140,7 +140,6 @@ func RunConsistencyFrontier(fc FrontierConfig) ([]FrontierCell, error) {
 					Seed:             fc.Seed,
 					Topology:         topo,
 					Regions:          regions,
-					SimWAN:           true,
 					SimFaults:        fault.faults,
 					SimComputeServer: fc.ServerCompute,
 					SimCompute:       fault.compute,

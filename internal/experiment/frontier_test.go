@@ -116,7 +116,6 @@ func TestAllModesTwiceRunIdenticalUnderFaults(t *testing.T) {
 					Seed:             31,
 					Topology:         topo,
 					Regions:          regions,
-					SimWAN:           true,
 					SimJitter:        0.2,
 					SimFaults:        churn,
 					SimComputeServer: 2 * time.Millisecond,
@@ -143,12 +142,11 @@ func TestAllModesTwiceRunIdenticalUnderFaults(t *testing.T) {
 	}
 }
 
-// With compute charges on, the analytic estimate gains exactly
-// platforms × (server + platform compute) per round — the sequential
-// sum is linear in the charges — and the measured elapsed grows too,
-// deterministically. Homogeneous compute on the default 5-hospital
-// topology; the exact measured-vs-analytic agreement is pinned down in
-// simnet's TestComputeMatchesSequentialEstimatorPerHospital.
+// With compute charges on, the measured elapsed grows, within the
+// bounds the charges allow, and the weights do not move. Homogeneous
+// compute on the default 5-hospital topology; the exact per-exchange
+// agreement with a closed form is pinned down in simnet's
+// TestComputeMatchesSequentialEstimatorPerHospital.
 func TestSimElapsedIncludesCompute(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	topo := geonet.DefaultHospitalTopology()
@@ -165,7 +163,6 @@ func TestSimElapsedIncludesCompute(t *testing.T) {
 		Seed:         47,
 		Topology:     topo,
 		Regions:      regions,
-		SimWAN:       true,
 	}
 	plain, err := RunSplit(base)
 	if err != nil {
@@ -179,11 +176,7 @@ func TestSimElapsedIncludesCompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := plain.RoundTime + 5*(serverC+platformC); loaded.RoundTime != want {
-		t.Fatalf("analytic round time %v, want %v (+5×%v over %v)",
-			loaded.RoundTime, want, serverC+platformC, plain.RoundTime)
-	}
-	// Measured elapsed grows too — but not by the full analytic sum:
+	// Measured elapsed grows, but not by the sum of every charge:
 	// fast platforms' compute overlaps the slow site's in-flight
 	// uploads (the server works while ucf-orlando's activations are
 	// still crossing the WAN), so only critical-path charges extend

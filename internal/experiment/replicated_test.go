@@ -16,19 +16,17 @@ func TestReplicatedTransparent(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	topo, regions := matrixTopology()
 
-	ref, err := RunSplit(matrixBase(topo, regions))
+	ref, err := RunSplit(matrixBase(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, wan := range []bool{false, true} {
-		name := "local"
+		name, cfg := "local", matrixBase(nil, nil)
 		if wan {
-			name = "simwan"
+			name, cfg = "simwan", matrixBase(topo, regions)
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := matrixBase(topo, regions)
 			cfg.Replicas = 1
-			cfg.SimWAN = wan
 			res, err := RunSplit(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -70,7 +68,7 @@ func TestReplicatedFailoverDigest(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// The undisturbed reference: same schedule, no WAN, no
 			// replication, no kill.
-			refCfg := matrixBase(topo, regions)
+			refCfg := matrixBase(nil, nil)
 			tc.mutate(&refCfg)
 			refCfg.KillLeaderAt = 0
 			refCfg.Replicas = 0
@@ -81,7 +79,6 @@ func TestReplicatedFailoverDigest(t *testing.T) {
 
 			cfg := matrixBase(topo, regions)
 			cfg.Replicas = 1
-			cfg.SimWAN = true
 			cfg.SimJitter = 0.2
 			tc.mutate(&cfg)
 			res, err := RunSplit(cfg)
@@ -108,7 +105,6 @@ func TestReplicatedWALDirKept(t *testing.T) {
 
 	cfg := matrixBase(topo, regions)
 	cfg.Replicas = 1
-	cfg.SimWAN = true
 	cfg.KillLeaderAt = 2
 	cfg.WALDir = dir
 	if _, err := RunSplit(cfg); err != nil {
@@ -135,21 +131,23 @@ func TestReplicatedConfigValidation(t *testing.T) {
 		{"negative replicas", func(c *Config) { c.Replicas = -1 }},
 		{"replicas with concat", func(c *Config) { c.Replicas = 1; c.Mode = core.RoundModeConcat }},
 		{"waldir without replicas", func(c *Config) { c.WALDir = "somewhere" }},
-		{"kill without replicas", func(c *Config) { c.SimWAN = true; c.KillLeaderAt = 2 }},
-		{"kill without simwan", func(c *Config) { c.Replicas = 1; c.KillLeaderAt = 2 }},
+		{"kill without replicas", func(c *Config) { c.KillLeaderAt = 2 }},
+		{"kill without simwan", func(c *Config) {
+			c.Topology = nil
+			c.Regions = nil
+			c.Replicas = 1
+			c.KillLeaderAt = 2
+		}},
 		{"kill at round zero", func(c *Config) {
 			c.Replicas = 1
-			c.SimWAN = true
 			c.KillLeaderAt = -1
 		}},
 		{"kill past last round", func(c *Config) {
 			c.Replicas = 1
-			c.SimWAN = true
 			c.KillLeaderAt = 6
 		}},
 		{"kill with rejoin", func(c *Config) {
 			c.Replicas = 1
-			c.SimWAN = true
 			c.KillLeaderAt = 2
 			c.SimRejoin = "wait"
 		}},
@@ -174,7 +172,6 @@ func TestReplicatedFailoverDeterministic(t *testing.T) {
 	run := func() *Result {
 		cfg := matrixBase(topo, regions)
 		cfg.Replicas = 1
-		cfg.SimWAN = true
 		cfg.KillLeaderAt = 3
 		res, err := RunSplit(cfg)
 		if err != nil {

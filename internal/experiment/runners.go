@@ -11,7 +11,6 @@ import (
 	"medsplit/internal/compress"
 	"medsplit/internal/core"
 	"medsplit/internal/dataset"
-	"medsplit/internal/geonet"
 	"medsplit/internal/metrics"
 	"medsplit/internal/models"
 	"medsplit/internal/nn"
@@ -131,42 +130,14 @@ func RunSplit(cfg Config) (*Result, error) {
 	// The simulated WAN (and the rejoin broker, when faults may drop
 	// platforms) must exist before the server and platform configs: the
 	// recovery wiring closes over both.
-	var wan *simnet.Network
-	var wanPairs []simnet.Pair
+	wan, wanPairs, err := cfg.simNetwork()
+	if err != nil {
+		return nil, err
+	}
 	var broker *core.RejoinBroker
-	if cfg.SimWAN {
-		faults := cfg.SimFaults
-		if cfg.KillLeaderAt > 0 {
-			// Script the leader's death: the server process dies while
-			// sending platform 0's cut gradient at the kill round, every
-			// link severs at once, and the first redial attempts fail
-			// while the failover is still settling.
-			faults = append(append([]simnet.Fault(nil), faults...), simnet.Fault{
-				Platform:  0,
-				Round:     cfg.KillLeaderAt,
-				Type:      wire.MsgCutGrad,
-				Dir:       simnet.DirDown,
-				Kind:      simnet.FaultKillServer,
-				FailDials: 2,
-			})
-		}
-		var werr error
-		wan, wanPairs, werr = simnet.FromTopology(cfg.Topology, cfg.Regions, simnet.Options{
-			Seed:   cfg.Seed + 0x51A47,
-			Jitter: cfg.SimJitter,
-			Faults: faults,
-			Compute: simnet.Compute{
-				Server:   cfg.SimComputeServer,
-				Platform: cfg.SimCompute,
-			},
-		})
-		if werr != nil {
-			return nil, werr
-		}
-		if cfg.SimRejoin != "" || cfg.KillLeaderAt > 0 {
-			broker = core.NewRejoinBroker()
-			defer broker.Close()
-		}
+	if cfg.SimRejoin != "" || cfg.KillLeaderAt > 0 {
+		broker = core.NewRejoinBroker()
+		defer broker.Close()
 	}
 	scfg := core.ServerConfig{
 		Back:            back,
@@ -275,24 +246,8 @@ func RunSplit(cfg Config) (*Result, error) {
 		platforms[k] = p
 	}
 	var stats []*core.PlatformStats
-	switch {
-	case tier != nil:
-		// Replicated sessions need the failover-aware runner even off
-		// the simulated WAN, so build explicit conns either way.
-		serverConns := make([]transport.Conn, cfg.Platforms)
-		platformConns := make([]transport.Conn, cfg.Platforms)
-		if cfg.SimWAN {
-			for k, pair := range wanPairs {
-				serverConns[k] = pair.Server
-				platformConns[k] = transport.Metered(pair.Platform, meters[k])
-			}
-		} else {
-			for k := range serverConns {
-				s, p := transport.Pipe()
-				serverConns[k] = s
-				platformConns[k] = transport.Metered(p, meters[k])
-			}
-		}
+	serverConns, platformConns := connect(wanPairs, meters)
+	if tier != nil {
 		var surviving *nn.Sequential
 		stats, surviving, err = tier.run(srv, platforms, serverConns, platformConns, broker)
 		if surviving != nil {
@@ -300,16 +255,8 @@ func RunSplit(cfg Config) (*Result, error) {
 			// the promoted follower, not the dead leader.
 			back = surviving
 		}
-	case cfg.SimWAN:
-		serverConns := make([]transport.Conn, cfg.Platforms)
-		platformConns := make([]transport.Conn, cfg.Platforms)
-		for k, pair := range wanPairs {
-			serverConns[k] = pair.Server
-			platformConns[k] = transport.Metered(pair.Platform, meters[k])
-		}
+	} else {
 		stats, err = core.RunConnected(srv, platforms, serverConns, platformConns)
-	default:
-		stats, err = core.RunLocal(srv, platforms)
 	}
 	if err != nil {
 		return nil, err
@@ -320,9 +267,6 @@ func RunSplit(cfg Config) (*Result, error) {
 		Curve:        metrics.Curve{Label: "split"},
 		ModelParams:  whole.ParamCount(),
 		WeightDigest: weightDigest(fronts, back),
-	}
-	if wan != nil {
-		res.SimElapsed = wan.Elapsed()
 	}
 	evalCount := len(stats[0].Evals)
 	for i := 0; i < evalCount; i++ {
@@ -345,49 +289,9 @@ func RunSplit(cfg Config) (*Result, error) {
 	res.FinalAccuracy = res.Curve.Final().Accuracy
 	res.TrainingBytes = res.Curve.Final().Bytes
 
-	// Meter reads below are exact, not racy snapshots: RunLocal joined
-	// the server and every platform goroutine, so all CountTx/CountRx
-	// calls happen-before this point. See the contract on
-	// transport.Meter.
-	// A topology without regions skips the wall-clock annotation, the
-	// behavior the legacy simTime path had.
-	if cfg.Topology != nil && len(cfg.Regions) > 0 {
-		// Sequential rounds are walked by the schedule-aware model
-		// (geonet.SequentialSplitRoundTime). Concat mode is a genuine
-		// barrier round — every platform's exchange overlaps around one
-		// fused step — so it keeps the slowest-platform model, like the
-		// sync-SGD baseline.
-		// Meters only saw the rounds this process executed, which on a
-		// resumed run is fewer than cfg.Rounds. The shape carries the
-		// configured compute model, so the analytic estimate and the
-		// measured SimElapsed account for the same work; a staleness
-		// cap overlaps exchanges the strict sum serializes, so there the
-		// sequential estimate is an upper bound and SimElapsed is the
-		// number to trust.
-		executed := cfg.Rounds - startRound
-		shape := splitShape(meters, executed)
-		shape.ServerCompute = cfg.SimComputeServer
-		shape.PlatformCompute = cfg.platformComputeMean()
-		var rt time.Duration
-		var err error
-		switch {
-		case cfg.Mode == core.RoundModeConcat:
-			up := make([]int64, cfg.Platforms)
-			down := make([]int64, cfg.Platforms)
-			for k, m := range meters {
-				tx, rx := core.TrainingTraffic(m)
-				up[k] = tx / int64(executed)
-				down[k] = rx / int64(executed)
-			}
-			rt, err = cfg.simTime(up, down)
-		default:
-			rt, err = cfg.Topology.SequentialSplitRoundTime(cfg.Regions, shape)
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.RoundTime = rt
-		annotateSimTime(&res.Curve, rt)
+	if wan != nil {
+		res.SimElapsed = wan.Elapsed()
+		annotateSimTime(&res.Curve, res.SimElapsed, cfg.Rounds-startRound)
 	}
 	return res, nil
 }
@@ -413,27 +317,6 @@ func weightDigest(fronts []*nn.Sequential, back *nn.Sequential) uint64 {
 	}
 	fold(back)
 	return h.Sum64()
-}
-
-// splitShape derives the per-message, per-platform round payloads the
-// schedule-aware geonet estimator needs from the platforms' meters.
-// Totals divide evenly because every round moves the same message
-// set; L1-sync and eval traffic use different message types and stay
-// excluded.
-func splitShape(meters []*transport.Meter, rounds int) geonet.SplitRoundShape {
-	s := geonet.SplitRoundShape{
-		ActsBytes:     make([]int64, len(meters)),
-		LogitsBytes:   make([]int64, len(meters)),
-		LossGradBytes: make([]int64, len(meters)),
-		CutGradBytes:  make([]int64, len(meters)),
-	}
-	for k, m := range meters {
-		s.ActsBytes[k] = (m.TxBytesByType(wire.MsgActivations) + m.TxBytesByType(wire.MsgLabels)) / int64(rounds)
-		s.LogitsBytes[k] = m.RxBytesByType(wire.MsgLogits) / int64(rounds)
-		s.LossGradBytes[k] = m.TxBytesByType(wire.MsgLossGrad) / int64(rounds)
-		s.CutGradBytes[k] = m.RxBytesByType(wire.MsgCutGrad) / int64(rounds)
-	}
-	return s
 }
 
 // RunSyncSGD trains the config with the paper's baseline (Large-Scale
@@ -507,7 +390,12 @@ func runParamExchange(cfg Config, scheme *paramserver.Scheme, name, label string
 			return nil, err
 		}
 	}
-	serverStats, clientStats, err := paramserver.RunLocal(srv, clients)
+	wan, wanPairs, err := cfg.simNetwork()
+	if err != nil {
+		return nil, err
+	}
+	serverConns, clientConns := connect(wanPairs, meters)
+	serverStats, clientStats, err := paramserver.RunConnected(srv, clients, serverConns, clientConns)
 	if err != nil {
 		return nil, err
 	}
@@ -531,27 +419,70 @@ func runParamExchange(cfg Config, scheme *paramserver.Scheme, name, label string
 	res.FinalAccuracy = res.Curve.Final().Accuracy
 	res.TrainingBytes = res.Curve.Final().Bytes
 
-	if cfg.Topology != nil {
-		up := make([]int64, cfg.Platforms)
-		down := make([]int64, cfg.Platforms)
-		for k, m := range meters {
-			tx, rx := core.TrainingTraffic(m)
-			up[k] = tx / int64(cfg.Rounds)
-			down[k] = rx / int64(cfg.Rounds)
-		}
-		rt, err := cfg.simTime(up, down)
-		if err != nil {
-			return nil, err
-		}
-		res.RoundTime = rt
-		annotateSimTime(&res.Curve, rt)
+	if wan != nil {
+		res.SimElapsed = wan.Elapsed()
+		annotateSimTime(&res.Curve, res.SimElapsed, cfg.Rounds)
 	}
 	return res, nil
 }
 
+// simNetwork builds the simulated WAN every scheme runs over when the
+// config names a Topology: one link per platform from its region, the
+// seeded jitter, the scripted faults and the compute model. Without a
+// Topology it returns a nil network, and the runners use pipes.
+func (c Config) simNetwork() (*simnet.Network, []simnet.Pair, error) {
+	if c.Topology == nil {
+		return nil, nil, nil
+	}
+	faults := c.SimFaults
+	if c.KillLeaderAt > 0 {
+		// Script the leader's death: the server process dies while
+		// sending platform 0's cut gradient at the kill round, every
+		// link severs at once, and the first redial attempts fail
+		// while the failover is still settling.
+		faults = append(append([]simnet.Fault(nil), faults...), simnet.Fault{
+			Platform:  0,
+			Round:     c.KillLeaderAt,
+			Type:      wire.MsgCutGrad,
+			Dir:       simnet.DirDown,
+			Kind:      simnet.FaultKillServer,
+			FailDials: 2,
+		})
+	}
+	return simnet.FromTopology(c.Topology, c.Regions, simnet.Options{
+		Seed:   c.Seed + 0x51A47,
+		Jitter: c.SimJitter,
+		Faults: faults,
+		Compute: simnet.Compute{
+			Server:   c.SimComputeServer,
+			Platform: c.SimCompute,
+		},
+	})
+}
+
+// connect returns each platform's server and platform connection ends,
+// the platform end metered: the simulated WAN's pairs when there are
+// any, in-process pipes otherwise.
+func connect(pairs []simnet.Pair, meters []*transport.Meter) (serverConns, platformConns []transport.Conn) {
+	serverConns = make([]transport.Conn, len(meters))
+	platformConns = make([]transport.Conn, len(meters))
+	for k, m := range meters {
+		var s, p transport.Conn
+		if pairs != nil {
+			s, p = pairs[k].Server, pairs[k].Platform
+		} else {
+			s, p = transport.Pipe()
+		}
+		serverConns[k], platformConns[k] = s, transport.Metered(p, m)
+	}
+	return serverConns, platformConns
+}
+
 // annotateSimTime stamps cumulative simulated wall-clock onto curve
-// points given a constant per-round duration.
-func annotateSimTime(c *metrics.Curve, perRound time.Duration) {
+// points: the session's measured virtual time spread evenly over the
+// rounds it executed.
+func annotateSimTime(c *metrics.Curve, elapsed time.Duration, rounds int) {
+	perRound := elapsed / time.Duration(rounds)
 	for i := range c.Points {
 		c.Points[i].SimTime = time.Duration(c.Points[i].Round+1) * perRound
 	}

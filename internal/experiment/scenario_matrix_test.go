@@ -90,7 +90,7 @@ func TestScenarioMatrix(t *testing.T) {
 	for _, mode := range modes {
 		for _, codec := range codecs {
 			// The pipe-transport reference run for this mode × codec cell.
-			refCfg := matrixBase(topo, regions)
+			refCfg := matrixBase(nil, nil)
 			refCfg.Codec = codec
 			mode.mutate(&refCfg)
 			ref, err := RunSplit(refCfg)
@@ -109,7 +109,6 @@ func TestScenarioMatrix(t *testing.T) {
 					cfg := matrixBase(topo, regions)
 					cfg.Codec = codec
 					mode.mutate(&cfg)
-					cfg.SimWAN = true
 					cfg.SimJitter = 0.2
 					cfg.SimFaults = fault.faults
 					cfg.SimRejoin = fault.rejoin
@@ -133,6 +132,35 @@ func TestScenarioMatrix(t *testing.T) {
 	}
 }
 
+// The baselines run over the simulated WAN on the same code path as
+// split: with a Topology (and jitter) they land on exactly the weights
+// of the pipe run and measure a nonzero virtual time.
+func TestBaselinesSimWANDigest(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	topo, regions := matrixTopology()
+	for name, run := range map[string]Runner{"syncsgd": RunSyncSGD, "fedavg": RunFedAvg} {
+		t.Run(name, func(t *testing.T) {
+			ref, err := run(matrixBase(nil, nil))
+			if err != nil {
+				t.Fatalf("pipe reference: %v", err)
+			}
+			cfg := matrixBase(topo, regions)
+			cfg.SimJitter = 0.2
+			res, err := run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.WeightDigest == 0 || res.WeightDigest != ref.WeightDigest {
+				t.Fatalf("simulated-WAN digest %#x, pipe digest %#x: want equal and non-zero",
+					res.WeightDigest, ref.WeightDigest)
+			}
+			if ref.SimElapsed != 0 || res.SimElapsed <= 0 {
+				t.Fatalf("SimElapsed %v over pipes and %v over the simulated WAN", ref.SimElapsed, res.SimElapsed)
+			}
+		})
+	}
+}
+
 // The lockstep modes' virtual timelines are fully deterministic: the
 // same config re-run yields the same SimElapsed to the nanosecond
 // (weights are compared digest-for-digest too, though that holds in
@@ -145,7 +173,6 @@ func TestSimElapsedDeterministicLockstep(t *testing.T) {
 			run := func() *Result {
 				cfg := matrixBase(topo, regions)
 				cfg.Mode = mode
-				cfg.SimWAN = true
 				cfg.SimJitter = 0.3
 				res, err := RunSplit(cfg)
 				if err != nil {
@@ -164,9 +191,10 @@ func TestSimElapsedDeterministicLockstep(t *testing.T) {
 	}
 }
 
-// Config validation for the simulation surface. The round-mode rows
-// are refused by core.NewServer, which RunSplit reaches before any
-// training starts.
+// Config validation for the simulation surface. A Topology selects the
+// simulated WAN ("SimWAN" in the row names), so its knobs are refused
+// without one. The round-mode rows are refused by core.NewServer, which
+// RunSplit reaches before any training starts.
 func TestSimWANConfigValidation(t *testing.T) {
 	topo, regions := matrixTopology()
 	cases := []struct {
@@ -177,7 +205,8 @@ func TestSimWANConfigValidation(t *testing.T) {
 		{"SimWAN with wrong region count", func(c *Config) { c.Regions = c.Regions[:1] }},
 		{"jitter out of range", func(c *Config) { c.SimJitter = 1.5 }},
 		{"faults without SimWAN", func(c *Config) {
-			c.SimWAN = false
+			c.Topology = nil
+			c.Regions = nil
 			c.SimFaults = []simnet.Fault{{Platform: 0, Round: 1}}
 		}},
 		{"unknown rejoin policy", func(c *Config) { c.SimRejoin = "retry" }},
@@ -190,7 +219,6 @@ func TestSimWANConfigValidation(t *testing.T) {
 			c.Replicas = 1
 		}},
 		{"compute profile without topology", func(c *Config) {
-			c.SimWAN = false
 			c.Topology = nil
 			c.Regions = nil
 			c.SimCompute = []time.Duration{time.Millisecond, time.Millisecond, time.Millisecond}
@@ -204,7 +232,6 @@ func TestSimWANConfigValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := matrixBase(topo, regions)
-			cfg.SimWAN = true
 			tc.mutate(&cfg)
 			if _, err := RunSplit(cfg); err == nil {
 				t.Fatal("invalid config accepted")
@@ -214,7 +241,6 @@ func TestSimWANConfigValidation(t *testing.T) {
 	// The staleness cap is the one consistency knob: it needs no mode.
 	t.Run("staleness cap without the mode", func(t *testing.T) {
 		cfg := matrixBase(topo, regions)
-		cfg.SimWAN = true
 		cfg.Staleness = 2
 		if _, err := RunSplit(cfg); err != nil {
 			t.Fatalf("staleness cap rejected: %v", err)

@@ -1,12 +1,13 @@
 // Package geonet models the wide-area network between geo-distributed
 // medical platforms and the central server: per-site links with one-way
-// latency and bandwidth, and a synchronous-round wall-clock estimator.
+// latency and bandwidth, the paper's hospital topology, and seeded
+// synthetic clinic fleets with their compute profiles.
 //
-// Byte counts — the paper's Fig. 4 metric — are independent of the
-// network, so geonet is not in the byte-accounting path; it answers the
-// complementary question the geo-distributed setting raises: how long a
-// training round takes when hospitals sit behind real WAN links. The
-// clock is simulated (no sleeping), so sweeping topologies is free.
+// geonet only describes the network. Time is measured by running the
+// protocol over internal/simnet, which takes each platform's link from
+// a Topology (simnet.FromTopology); experiment.Config.Topology selects
+// that for every scheme. Byte counts — the paper's Fig. 4 metric — do
+// not depend on the network at all.
 package geonet
 
 import (
@@ -28,19 +29,6 @@ type Link struct {
 	Mbps float64
 }
 
-// TransferTime returns how long shipping the given number of bytes one
-// way takes over the link: latency plus serialization at Mbps.
-func (l Link) TransferTime(bytes int64) time.Duration {
-	if l.Mbps <= 0 {
-		panic(fmt.Sprintf("geonet: non-positive bandwidth %v", l.Mbps))
-	}
-	if bytes < 0 {
-		panic(fmt.Sprintf("geonet: negative byte count %d", bytes))
-	}
-	seconds := l.LatencyMs/1e3 + float64(bytes)*8/(l.Mbps*1e6)
-	return time.Duration(seconds * float64(time.Second))
-}
-
 // Topology maps each platform region to its link toward the server.
 type Topology struct {
 	Server Region
@@ -54,77 +42,6 @@ func (t *Topology) Link(r Region) (Link, error) {
 		return Link{}, fmt.Errorf("geonet: no link for region %q", r)
 	}
 	return l, nil
-}
-
-// RoundTime estimates the wall-clock duration of one synchronous round
-// in which platform i ships up[i] bytes to the server and receives
-// down[i] bytes back, plus the given server compute time. The round ends
-// when the slowest platform finishes (synchronous SGD and the split
-// protocol both barrier on the slowest site).
-func (t *Topology) RoundTime(regions []Region, up, down []int64, serverCompute time.Duration) (time.Duration, error) {
-	if len(regions) != len(up) || len(regions) != len(down) {
-		return 0, fmt.Errorf("geonet: %d regions, %d up, %d down", len(regions), len(up), len(down))
-	}
-	var slowest time.Duration
-	for i, r := range regions {
-		l, err := t.Link(r)
-		if err != nil {
-			return 0, err
-		}
-		d := l.TransferTime(up[i]) + l.TransferTime(down[i])
-		if d > slowest {
-			slowest = d
-		}
-	}
-	return slowest + serverCompute, nil
-}
-
-// SplitRoundShape describes one training round of the split protocol
-// in enough detail for SequentialSplitRoundTime: the per-platform
-// payload of each of the paper's four messages, plus per-platform
-// compute times. Byte slices are indexed by platform, matching the
-// regions slice passed to the estimator.
-type SplitRoundShape struct {
-	// ActsBytes / LogitsBytes / LossGradBytes / CutGradBytes are the
-	// per-platform payloads of the four-message exchange (message 1
-	// through 4 of the paper's Fig. 2/3).
-	ActsBytes, LogitsBytes, LossGradBytes, CutGradBytes []int64
-	// ServerCompute is the server's forward+backward+step time for one
-	// platform's minibatch.
-	ServerCompute time.Duration
-	// PlatformCompute is the platform's loss-gradient computation time
-	// between receiving logits and shipping the loss gradient.
-	PlatformCompute time.Duration
-}
-
-func (s SplitRoundShape) validate(regions int) error {
-	for _, b := range [][]int64{s.ActsBytes, s.LogitsBytes, s.LossGradBytes, s.CutGradBytes} {
-		if len(b) != regions {
-			return fmt.Errorf("geonet: split shape has %d entries for %d regions", len(b), regions)
-		}
-	}
-	return nil
-}
-
-// SequentialSplitRoundTime estimates one round of RoundModeSequential:
-// the server handles platforms strictly one at a time and every
-// transfer sits on the critical path, so the round is the sum over
-// platforms of all four transfers plus both sides' compute.
-func (t *Topology) SequentialSplitRoundTime(regions []Region, s SplitRoundShape) (time.Duration, error) {
-	if err := s.validate(len(regions)); err != nil {
-		return 0, err
-	}
-	var total time.Duration
-	for i, r := range regions {
-		l, err := t.Link(r)
-		if err != nil {
-			return 0, err
-		}
-		total += l.TransferTime(s.ActsBytes[i]) + s.ServerCompute +
-			l.TransferTime(s.LogitsBytes[i]) + s.PlatformCompute +
-			l.TransferTime(s.LossGradBytes[i]) + l.TransferTime(s.CutGradBytes[i])
-	}
-	return total, nil
 }
 
 // DefaultHospitalTopology returns the running example used throughout
@@ -221,20 +138,3 @@ func SyntheticClinicCompute(n int, seed uint64, base time.Duration, stragglerFra
 	}
 	return out
 }
-
-// Clock accumulates simulated time. It is not safe for concurrent use;
-// the experiment loop owns it.
-type Clock struct {
-	now time.Duration
-}
-
-// Advance moves the clock forward by d (negative d panics).
-func (c *Clock) Advance(d time.Duration) {
-	if d < 0 {
-		panic("geonet: clock cannot move backwards")
-	}
-	c.now += d
-}
-
-// Now returns the elapsed simulated time.
-func (c *Clock) Now() time.Duration { return c.now }

@@ -489,12 +489,6 @@ func recvExpect(conn transport.Conn, want wire.MsgType, round int) (*wire.Messag
 // RunLocal wires a server and clients over in-process pipes and runs
 // the full session, returning the server stats and per-client stats.
 func RunLocal(server *Server, clients []*Client) (*ServerStats, []*ClientStats, error) {
-	if server == nil {
-		return nil, nil, fmt.Errorf("%w: nil server", ErrConfig)
-	}
-	if len(clients) != server.cfg.Clients {
-		return nil, nil, fmt.Errorf("%w: %d clients for a %d-client server", ErrConfig, len(clients), server.cfg.Clients)
-	}
 	serverConns := make([]transport.Conn, len(clients))
 	clientConns := make([]transport.Conn, len(clients))
 	for k, c := range clients {
@@ -505,12 +499,35 @@ func RunLocal(server *Server, clients []*Client) (*ServerStats, []*ClientStats, 
 		}
 		clientConns[k] = cc
 	}
+	return RunConnected(server, clients, serverConns, clientConns)
+}
+
+// RunConnected runs the full session over caller-provided connections:
+// serverConns[k] and clientConns[k] are the two ends of client k's link
+// (pipes, TCP, or a simulated WAN — see internal/simnet). The caller
+// applies any metering wrapper to the client ends before passing them
+// in; RunConnected owns the connections from here on and closes them
+// all before returning, so a failing party always unblocks the others.
+func RunConnected(server *Server, clients []*Client, serverConns, clientConns []transport.Conn) (*ServerStats, []*ClientStats, error) {
 	defer func() {
-		for k := range clients {
-			serverConns[k].Close()
-			clientConns[k].Close()
+		for _, conns := range [][]transport.Conn{serverConns, clientConns} {
+			for _, c := range conns {
+				if c != nil {
+					c.Close()
+				}
+			}
 		}
 	}()
+	if server == nil {
+		return nil, nil, fmt.Errorf("%w: nil server", ErrConfig)
+	}
+	if len(clients) != server.cfg.Clients {
+		return nil, nil, fmt.Errorf("%w: %d clients for a %d-client server", ErrConfig, len(clients), server.cfg.Clients)
+	}
+	if len(serverConns) != len(clients) || len(clientConns) != len(clients) {
+		return nil, nil, fmt.Errorf("%w: %d clients with %d server / %d client connections",
+			ErrConfig, len(clients), len(serverConns), len(clientConns))
+	}
 
 	var serverStats *ServerStats
 	clientStats := make([]*ClientStats, len(clients))

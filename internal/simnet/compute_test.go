@@ -43,12 +43,12 @@ func driveSplitRound(t *testing.T, srv, plat interface {
 }
 
 // The compute model's exact contract: with homogeneous compute and zero
-// jitter, a strictly serialized split exchange measures precisely what
-// geonet.SequentialSplitRoundTime predicts — transfer times plus the
-// server charge at activations receipt and the platform charge at
-// loss-gradient send — on every link of the default 5-hospital
+// jitter, a strictly serialized split exchange measures precisely the
+// closed form — each of the four messages' latency plus serialization,
+// plus the server charge at activations receipt and the platform charge
+// at loss-gradient send — on every link of the default 5-hospital
 // topology. Each platform runs on its own network so nothing overlaps,
-// which is exactly the serialization the analytic estimator assumes.
+// which is exactly the serialization the closed form assumes.
 func TestComputeMatchesSequentialEstimatorPerHospital(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	topo := geonet.DefaultHospitalTopology()
@@ -60,22 +60,20 @@ func TestComputeMatchesSequentialEstimatorPerHospital(t *testing.T) {
 		rounds                        = 3
 	)
 
-	shape := geonet.SplitRoundShape{
-		ActsBytes:     make([]int64, len(regions)),
-		LogitsBytes:   make([]int64, len(regions)),
-		LossGradBytes: make([]int64, len(regions)),
-		CutGradBytes:  make([]int64, len(regions)),
-		ServerCompute: serverC, PlatformCompute: platformC,
+	// transfer is one message's one-way time: latency plus its wire
+	// bytes serialized at the link's bandwidth.
+	transfer := func(l geonet.Link, payload int) time.Duration {
+		bits := float64(wire.WireSizeFor(payload)) * 8
+		return time.Duration((l.LatencyMs/1e3 + bits/(l.Mbps*1e6)) * float64(time.Second))
 	}
-	for k := range regions {
-		shape.ActsBytes[k] = int64(wire.WireSizeFor(actsP))
-		shape.LogitsBytes[k] = int64(wire.WireSizeFor(logitsP))
-		shape.LossGradBytes[k] = int64(wire.WireSizeFor(lossgP))
-		shape.CutGradBytes[k] = int64(wire.WireSizeFor(cutgP))
-	}
-	want, err := topo.SequentialSplitRoundTime(regions, shape)
-	if err != nil {
-		t.Fatal(err)
+	var want time.Duration // one round over every link, back to back
+	for _, reg := range regions {
+		l, err := topo.Link(reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += transfer(l, actsP) + serverC + transfer(l, logitsP) + platformC +
+			transfer(l, lossgP) + transfer(l, cutgP)
 	}
 
 	var measured time.Duration
@@ -96,8 +94,8 @@ func TestComputeMatchesSequentialEstimatorPerHospital(t *testing.T) {
 		srv.Close()
 		plat.Close()
 	}
-	// geonet truncates latency+serialization to a Duration in one go;
-	// simnet truncates them separately. Each delivery can differ by a
+	// The closed form truncates latency+serialization to a Duration in
+	// one go; simnet truncates them separately. Each delivery can differ by a
 	// nanosecond, so the match is exact up to that float-truncation
 	// noise (60 deliveries here), far below any physical time scale.
 	diff := measured - rounds*want
@@ -105,7 +103,7 @@ func TestComputeMatchesSequentialEstimatorPerHospital(t *testing.T) {
 		diff = -diff
 	}
 	if diff > time.Microsecond {
-		t.Fatalf("measured %v over %d rounds, estimator predicts %v (per round %v vs %v)",
+		t.Fatalf("measured %v over %d rounds, closed form predicts %v (per round %v vs %v)",
 			measured, rounds, rounds*want, measured/rounds, want)
 	}
 }

@@ -14,19 +14,18 @@
 // schedule), crosses the link in serialization + latency + jitter, and
 // stamps the receiver's clock forward to its delivery time on Recv.
 // Local compute is instantaneous by default, so Network.Elapsed then
-// measures the pure network schedule of the protocol — the quantity the
-// geonet estimators approximate analytically, now produced by running
-// the real engine. Options.Compute switches on a per-party compute-time
-// model: the server's clock is charged Compute.Server when it receives
-// a platform's cut activations (the back half's forward+backward+step),
+// measures the pure network schedule of the protocol, produced by
+// running the real engine. It is the repository's one time model:
+// experiment runs every scheme over it when a config names a topology.
+// Options.Compute switches on a per-party compute-time model: the
+// server's clock is charged Compute.Server when it receives a
+// platform's cut activations (the back half's forward+backward+step),
 // and a platform's clock is charged its Compute.Platform entry when it
 // ships a loss gradient (the front half's loss-gradient work between
-// receiving logits and replying) — the same two charge points
-// geonet.SplitRoundShape's ServerCompute and PlatformCompute model, so
-// measured and analytic round times stay comparable. Heterogeneous
-// platforms (stragglers with slow GPUs, not just slow links) are one
-// slice entry away, and the charges live on the virtual clocks, so
-// Elapsed folds compute and communication into a single wall-clock.
+// receiving logits and replying). Heterogeneous platforms (stragglers
+// with slow GPUs, not just slow links) are one slice entry away, and
+// the charges live on the virtual clocks, so Elapsed folds compute and
+// communication into a single wall-clock.
 //
 // Determinism: a link's per-direction message sequence is fixed by the
 // protocol, and its jitter stream is seeded from Options.Seed, so every
@@ -184,14 +183,14 @@ type Fault struct {
 // value keeps the legacy behavior: compute is instantaneous and Elapsed
 // is the pure network schedule.
 //
-// Charges mirror the analytic estimators' placement
-// (geonet.SplitRoundShape): Server is applied when the server endpoint
-// receives a wire.MsgActivations — the back half's forward + backward +
-// step for that platform's minibatch — and Platform[id] is applied when
-// platform id hands a wire.MsgLossGrad to Send, i.e. between receiving
-// logits and shipping the loss gradient. Eval and L1-sync traffic use
-// other message types and is never charged, matching the estimators'
-// exclusion of that traffic.
+// Server is applied when the server endpoint receives a
+// wire.MsgActivations — the back half's forward + backward + step for
+// that platform's minibatch — and Platform[id] is applied when platform
+// id hands a wire.MsgLossGrad to Send, i.e. between receiving logits
+// and shipping the loss gradient. Eval and L1-sync traffic use other
+// message types and are never charged (their transfers still take
+// time), and neither are the parameter-exchange baselines, which send
+// neither type.
 type Compute struct {
 	// Server is the back-half compute charged per received activations
 	// message.
@@ -317,10 +316,9 @@ type link struct {
 }
 
 // AddLink creates the platform's link with the given WAN parameters and
-// returns its two connection endpoints. Unlike geonet.Link.TransferTime
-// (which panics on non-positive bandwidth), simnet treats Mbps <= 0 as
-// an infinitely fast link and LatencyMs <= 0 as zero latency, so the
-// ideal zero-latency configuration used by the differential tests is
+// returns its two connection endpoints. simnet treats Mbps <= 0 as an
+// infinitely fast link and LatencyMs <= 0 as zero latency, so the ideal
+// zero-latency configuration used by the differential tests is
 // expressible.
 func (n *Network) AddLink(platform int, params geonet.Link) (serverEnd, platformEnd transport.Conn) {
 	n.mu.Lock()

@@ -44,7 +44,6 @@ func TestSoak100PlatformSession(t *testing.T) {
 				Seed:         19,
 				Topology:     topo,
 				Regions:      regions,
-				SimWAN:       true,
 				SimJitter:    0.1,
 			}
 			arm.mutate(&cfg)
@@ -85,7 +84,6 @@ func TestSoak100PlatformDeterministic(t *testing.T) {
 			Seed:         19,
 			Topology:     topo,
 			Regions:      regions,
-			SimWAN:       true,
 			SimJitter:    0.1,
 		}
 		res, err := experiment.RunSplit(cfg)

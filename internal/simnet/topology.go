@@ -16,8 +16,8 @@ type Pair struct {
 
 // FromTopology builds a network with one link per platform, taking
 // each platform's WAN parameters from the geonet topology via its
-// region — the bridge that turns the paper's analytic site-to-site
-// parameters into an executable transport. pairs[k] carries platform
+// region — the bridge that turns the paper's site-to-site parameters
+// into an executable transport. pairs[k] carries platform
 // k's endpoints.
 func FromTopology(topo *geonet.Topology, regions []geonet.Region, opts Options) (*Network, []Pair, error) {
 	if topo == nil {

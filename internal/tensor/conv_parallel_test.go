@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"medsplit/internal/parallel"
 	"medsplit/internal/rng"
 	"medsplit/internal/tensor/kernels"
 )
@@ -307,8 +308,8 @@ func TestConvForwardWorkerBlocks(t *testing.T) {
 			w := randTensor(r, outC, k)
 			bias := randTensor(r, outC)
 			want := ConvForwardInto(New(g.n, outC, oh, ow), New(g.n, k, oh*ow), x, w, bias, g.kh, g.kw, g.stride, g.pad)
-			if b := ConvColBlocks(g.n); b != min(g.n, maxWorkers()) {
-				t.Fatalf("ConvColBlocks(%d) = %d at %d workers", g.n, b, maxWorkers())
+			if b := ConvColBlocks(g.n); b != min(g.n, parallel.Workers()) {
+				t.Fatalf("ConvColBlocks(%d) = %d at %d workers", g.n, b, parallel.Workers())
 			}
 			for b := 1; b <= g.n; b++ {
 				got := ConvForwardInto(Full(999, g.n, outC, oh, ow), Full(999, b, k, oh*ow), x, w, bias, g.kh, g.kw, g.stride, g.pad)

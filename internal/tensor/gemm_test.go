@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"medsplit/internal/parallel"
 	"medsplit/internal/rng"
 	"medsplit/internal/tensor/kernels"
 )
@@ -66,15 +67,15 @@ func assertUlpEqual(t *testing.T, tag string, got, want *Tensor) {
 func runWorkerModes(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
 	t.Run("serial", func(t *testing.T) {
-		old := forcedWorkers
-		forcedWorkers = 1
-		defer func() { forcedWorkers = old }()
+		old := parallel.ForcedWorkers
+		parallel.ForcedWorkers = 1
+		defer func() { parallel.ForcedWorkers = old }()
 		fn(t)
 	})
 	t.Run("workers=4", func(t *testing.T) {
-		old := forcedWorkers
-		forcedWorkers = 4
-		defer func() { forcedWorkers = old }()
+		old := parallel.ForcedWorkers
+		parallel.ForcedWorkers = 4
+		defer func() { parallel.ForcedWorkers = old }()
 		fn(t)
 	})
 }
@@ -108,9 +109,9 @@ func TestBlockedGemmMatchesNaive(t *testing.T) {
 // TestBlockedGemmLargeParallel crosses the parallelThreshold so the real
 // goroutine fan-out (not just the forced one) is exercised.
 func TestBlockedGemmLargeParallel(t *testing.T) {
-	old := forcedWorkers
-	forcedWorkers = 4
-	defer func() { forcedWorkers = old }()
+	old := parallel.ForcedWorkers
+	parallel.ForcedWorkers = 4
+	defer func() { parallel.ForcedWorkers = old }()
 	r := rng.New(7)
 	m, k, n := 97, 83, 101 // > parallelThreshold work, prime dims
 	a := randTensor(r, m, k)

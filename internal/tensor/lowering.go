@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 
+	"medsplit/internal/parallel"
 	"medsplit/internal/tensor/kernels"
 )
 
@@ -244,7 +245,7 @@ func checkNCHW(op string, t *Tensor, n, c, oh, ow int) {
 // ConvColBlocks is how many column matrices an eval-only
 // ConvForwardInto over n samples needs: one per worker that can run at
 // once, since a worker lowers its samples one after another.
-func ConvColBlocks(n int) int { return min(n, maxWorkers()) }
+func ConvColBlocks(n int) int { return min(n, parallel.Workers()) }
 
 // ConvForwardInto computes the convolution of x [n, c, h, w] with the
 // kernel matrix w [outC, c·kh·kw] plus an optional bias [outC] into dst

@@ -2,8 +2,8 @@ package tensor
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+
+	"medsplit/internal/parallel"
 )
 
 // parallelThreshold is the work (multiply-adds, or values moved for the
@@ -48,7 +48,7 @@ func MatMulTANaive(a, b *Tensor) *Tensor {
 	m, k, n := checkMatMul("MatMulTANaive", a, b, true, false)
 	out := New(m, n)
 	work := m * k * n
-	if work < parallelThreshold || maxWorkers() == 1 {
+	if work < parallelThreshold || parallel.Workers() == 1 {
 		for p := 0; p < k; p++ {
 			arow := a.data[p*m : (p+1)*m]
 			brow := b.data[p*n : (p+1)*n]
@@ -132,51 +132,14 @@ func checkMatMul(op string, a, b *Tensor, transA, transB bool) (m, k, n int) {
 	return m, k, n
 }
 
-// forcedWorkers, when positive, overrides GOMAXPROCS for the parallel
-// fan-out. Tests set it to exercise the multi-goroutine paths (and the
-// race detector) even on single-core runners.
-var forcedWorkers int
-
-func maxWorkers() int {
-	if forcedWorkers > 0 {
-		return forcedWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// serialRows reports whether a kernel over the given rows/work should
-// run on the calling goroutine. Hot call sites check it BEFORE building
-// the closure they would hand to parallelRows: the closure escapes into
-// the goroutine fan-out, so constructing it costs a heap allocation per
-// call even when the serial branch inside parallelRows runs — a cost
-// that dominated the small-shape training path.
-func serialRows(rows, work int) bool {
-	return work < parallelThreshold || rows <= 1 || maxWorkers() <= 1
-}
+// serialRows reports whether a kernel over the given rows/work runs on
+// the calling goroutine. Hot call sites check it BEFORE building the
+// closure they would hand to parallelRows (see parallel.Serial): that
+// allocation dominated the small-shape training path.
+func serialRows(rows, work int) bool { return parallel.Serial(rows, work, parallelThreshold) }
 
 // parallelRows runs fn over [0,rows) split into contiguous chunks, one per
 // worker, when the estimated work is large enough; otherwise serially.
 func parallelRows(rows, work int, fn func(r0, r1 int)) {
-	workers := maxWorkers()
-	if workers > rows {
-		workers = rows
-	}
-	if work < parallelThreshold || workers <= 1 {
-		fn(0, rows)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	for r0 := 0; r0 < rows; r0 += chunk {
-		r1 := r0 + chunk
-		if r1 > rows {
-			r1 = rows
-		}
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			fn(r0, r1)
-		}(r0, r1)
-	}
-	wg.Wait()
+	parallel.For(rows, work, parallelThreshold, fn)
 }

@@ -51,9 +51,9 @@ type Listener interface {
 // that is mid-round, because another party's goroutine may be counting
 // at the same moment. A reader that needs a *final* total must
 // establish happens-before with every goroutine that touched the
-// meter: in this repo, core.RunLocal joins the server and all platform
-// goroutines before returning, so experiment's core.TrainingTraffic
-// reads after RunLocal are exact.
+// meter: in this repo, core.RunConnected joins the server and all
+// platform goroutines before returning, so meter reads after it are
+// exact.
 // Mid-session snapshots (the platform's per-eval TrainingBytes) are
 // exact for a different reason: the protocol's request/response
 // causality guarantees every training message of the finished round was

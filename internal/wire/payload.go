@@ -112,13 +112,8 @@ func DecodeTensorsInto(dst []*tensor.Tensor, buf []byte) ([]*tensor.Tensor, erro
 	return out, nil
 }
 
-// EncodeLabels packs a label vector into a payload.
-func EncodeLabels(labels []int) []byte {
-	return EncodeLabelsInto(make([]byte, 0, 5+4*len(labels)), labels)
-}
-
-// EncodeLabelsInto appends a label payload to buf and returns the
-// extended slice.
+// EncodeLabelsInto appends a label payload (a label vector) to buf and
+// returns the extended slice.
 func EncodeLabelsInto(buf []byte, labels []int) []byte {
 	var tmp [4]byte
 	buf = append(buf, payloadLabels)
@@ -129,11 +124,6 @@ func EncodeLabelsInto(buf []byte, labels []int) []byte {
 		buf = append(buf, tmp[:]...)
 	}
 	return buf
-}
-
-// DecodeLabels unpacks a payload built by EncodeLabels.
-func DecodeLabels(buf []byte) ([]int, error) {
-	return DecodeLabelsInto(nil, buf)
 }
 
 // DecodeLabelsInto unpacks a label payload, reusing dst's storage when

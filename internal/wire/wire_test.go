@@ -168,14 +168,15 @@ func TestTensorPayloadRoundTrip(t *testing.T) {
 	if _, err := DecodeTensors(append(payload, 0)); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("trailing: %v", err)
 	}
-	if _, err := DecodeTensors(EncodeLabels([]int{1})); !errors.Is(err, ErrBadPayload) {
+	if _, err := DecodeTensors(EncodeLabelsInto(nil, []int{1})); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("wrong kind: %v", err)
 	}
 }
 
 func TestLabelsPayloadRoundTrip(t *testing.T) {
 	labels := []int{0, 5, 99, 3}
-	got, err := DecodeLabels(EncodeLabels(labels))
+	dst := make([]int, 0, 8)
+	got, err := DecodeLabelsInto(dst, EncodeLabelsInto(nil, labels))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +188,18 @@ func TestLabelsPayloadRoundTrip(t *testing.T) {
 			t.Fatalf("got %v, want %v", got, labels)
 		}
 	}
-	// Empty labels round-trip.
-	if got, err := DecodeLabels(EncodeLabels(nil)); err != nil || len(got) != 0 {
+	if &got[0] != &dst[:1][0] {
+		t.Fatal("decode did not reuse the destination's storage")
+	}
+	// Appending keeps the buffer's prefix; empty labels round-trip.
+	buf := EncodeLabelsInto([]byte("prefix"), nil)
+	if string(buf[:6]) != "prefix" {
+		t.Fatalf("prefix clobbered: %q", buf[:6])
+	}
+	if got, err := DecodeLabelsInto(nil, buf[6:]); err != nil || len(got) != 0 {
 		t.Fatalf("empty: %v %v", got, err)
 	}
-	if _, err := DecodeLabels([]byte{payloadLabels, 1}); !errors.Is(err, ErrBadPayload) {
+	if _, err := DecodeLabelsInto(nil, []byte{payloadLabels, 1}); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("truncated: %v", err)
 	}
 }
