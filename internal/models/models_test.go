@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"medsplit/internal/nn"
+	"medsplit/internal/parallel"
 	"medsplit/internal/rng"
 	"medsplit/internal/tensor"
 )
@@ -163,4 +164,31 @@ func TestSpecCutPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	s.CutActivations(0)
+}
+
+// TestVGGLiteBackHalfEvalAllocs pins the allocations of one warm eval
+// forward of VGG-lite w8's back half, the serving tier's compute, at 2
+// and 8 rows on one and two workers. The bounds are the counts before
+// the eval convolutions took the table route; lower them as the warm
+// path sheds allocations. AllocsPerRun runs at GOMAXPROCS 1, so the
+// worker count is forced: at two workers the fan-out starts its
+// goroutines, which is most of the two-worker count.
+func TestVGGLiteBackHalfEvalAllocs(t *testing.T) {
+	m := VGGLite(10, 8, rng.New(1))
+	_, back, err := Split(m.Net, m.DefaultCut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(w int) { parallel.ForcedWorkers = w }(parallel.ForcedWorkers)
+	for _, c := range []struct{ workers, rows, max int }{
+		{1, 2, 3}, {1, 8, 3}, {2, 2, 15}, {2, 8, 21},
+	} {
+		parallel.ForcedWorkers = c.workers
+		x := tensor.New(c.rows, 8, 16, 16)
+		x.FillNormal(rng.New(2), 0, 1)
+		back.Forward(x, false)
+		if n := testing.AllocsPerRun(20, func() { back.Forward(x, false) }); n > float64(c.max) {
+			t.Errorf("%d rows on %d workers: %v allocations per eval forward, want at most %d", c.rows, c.workers, n, c.max)
+		}
+	}
 }

@@ -13,15 +13,21 @@ import (
 // write NCHW blocks in place. Weights are stored as [outC, inC*kh*kw].
 //
 // The layer owns persistent scratch (the column matrices, the output,
-// the column gradients and the input gradient) that is reused across
-// calls instead of allocated per call. A train forward keeps one column
-// matrix per sample for the weight gradient; an eval forward needs only
-// one per worker (tensor.ConvColBlocks). The gradient's transpose for
-// the weight-gradient GEMM is tensor's pooled scratch, so the layer sees
-// only NCHW. The scratch is shared between train and eval forwards, so
-// Backward must run before the next Forward of any kind — the invariant
-// every training loop in this codebase already satisfies (forward →
-// backward → step, with evaluation only between rounds).
+// the column gradients, the input gradient and the eval forward's
+// tensor.ConvEval) that is reused across calls instead of allocated per
+// call. A train forward keeps one column matrix per sample for the
+// weight gradient. An eval forward builds no column matrix where
+// tensor.ConvEval's table route applies (stride 1, outC % 8 == 0,
+// oh·ow % 16 == 0, the AVX-512 tile active): it reads the taps from
+// kw shifted copies of each sample. Otherwise it lowers one column
+// matrix per worker (tensor.ConvColBlocks). Training cannot take the
+// table route, since the weight gradient reads the column matrices. The
+// gradient's transpose for the weight-gradient GEMM is tensor's pooled
+// scratch, so the layer sees only NCHW. The output scratch is shared
+// between train and eval forwards, so Backward must run before the
+// next Forward of any kind — the invariant every training loop in this
+// codebase already satisfies (forward → backward → step, with
+// evaluation only between rounds).
 type Conv2D struct {
 	name        string
 	inC, outC   int
@@ -30,10 +36,11 @@ type Conv2D struct {
 	w           *Param // [outC, inC*kh*kw]
 	b           *Param // [outC]
 
-	cols        *tensor.Tensor // persistent column scratch [blocks, inC*kh*kw, oh*ow]: n blocks after a train Forward
-	dCols       *tensor.Tensor // backward scratch: column gradients, shaped like cols
-	out         *tensor.Tensor // forward output scratch (same lifetime contract)
-	dx          *tensor.Tensor // backward input-gradient scratch
+	cols        *tensor.Tensor  // persistent column scratch [n, inC*kh*kw, oh*ow] of the last train Forward
+	eval        tensor.ConvEval // eval Forward scratch
+	dCols       *tensor.Tensor  // backward scratch: column gradients, shaped like cols
+	out         *tensor.Tensor  // forward output scratch (same lifetime contract)
+	dx          *tensor.Tensor  // backward input-gradient scratch
 	n, inH, inW int
 	outH, outW  int
 
@@ -59,10 +66,10 @@ func NewConv2D(name string, inC, outC, kh, kw, stride, pad int, r *rng.RNG) *Con
 // Name returns the layer name.
 func (c *Conv2D) Name() string { return c.name }
 
-// Forward computes the convolution of x [n, inC, h, w]: the column
-// matrices go into reusable scratch (one per sample in train mode, one
-// per worker in eval mode) and one GEMM per sample writes the NCHW
-// output (bias included) directly.
+// Forward computes the convolution of x [n, inC, h, w] into reusable
+// output scratch, one GEMM per sample writing the NCHW output (bias
+// included) directly. A train forward keeps every sample's column
+// matrix for Backward; an eval forward runs tensor.ConvEval.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(1) != c.inC {
 		panic(fmt.Sprintf("nn: %s: Conv2D input %v, want [n,%d,h,w]", c.name, x.Shape(), c.inC))
@@ -70,24 +77,18 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh := tensor.ConvOutSize(h, c.kh, c.stride, c.pad)
 	ow := tensor.ConvOutSize(w, c.kw, c.stride, c.pad)
-	blocks := n
-	if !train {
-		blocks = tensor.ConvColBlocks(n)
-	}
-	c.cols = tensor.EnsureShape(c.cols, blocks, c.inC*c.kh*c.kw, oh*ow)
 	c.out = tensor.EnsureShape(c.out, n, c.outC, oh, ow)
-	out := tensor.ConvForwardInto(c.out, c.cols, x, c.w.W, c.b.W, c.kh, c.kw, c.stride, c.pad)
-	if train {
-		c.n, c.inH, c.inW = n, h, w
-		c.outH, c.outW = oh, ow
-	} else {
-		// Eval overwrites the shared cols scratch; invalidate the
+	if !train {
+		// Eval overwrites the shared output scratch; invalidate the
 		// backward cache so a Backward after an interleaved eval
-		// Forward panics instead of mixing stale geometry with the
-		// eval batch's columns.
+		// Forward panics instead of differentiating stale state.
 		c.n = 0
+		return c.eval.Forward(c.out, x, c.w.W, c.b.W, c.kh, c.kw, c.stride, c.pad)
 	}
-	return out
+	c.cols = tensor.EnsureShape(c.cols, n, c.inC*c.kh*c.kw, oh*ow)
+	c.n, c.inH, c.inW = n, h, w
+	c.outH, c.outW = oh, ow
+	return tensor.ConvForwardInto(c.out, c.cols, x, c.w.W, c.b.W, c.kh, c.kw, c.stride, c.pad)
 }
 
 // SkipInputGrad tells Backward whether to leave out the input gradient

@@ -571,7 +571,7 @@ func (ts *tenantServing) tryCompute() (release func(), ok bool) {
 // back even when admit leaves nothing; it is held through admit, so a
 // checkpoint reload that a pinned request triggers runs on it.
 func (ts *tenantServing) flush(jobs []*inferJob, release func()) {
-	model, live, trailing := ts.admit(jobs)
+	model, live, first := ts.admit(jobs)
 	if len(live) == 0 {
 		if release != nil {
 			release()
@@ -583,7 +583,10 @@ func (ts *tenantServing) flush(jobs []*inferJob, release func()) {
 		release = ts.gate.Acquire()
 	}
 	l.jobs = append(l.jobs[:0], live...)
-	l.trailing = append(l.trailing[:0], trailing...)
+	l.trailing = l.trailing[:0]
+	for i := 1; i < first.Rank(); i++ {
+		l.trailing = append(l.trailing, first.Dim(i))
+	}
 	l.release = release
 	l.work <- struct{}{}
 }
@@ -700,7 +703,7 @@ func (l *lane) serve() {
 		zs = tensor.SplitDim0(z, sizes)
 	}
 	for i, j := range l.jobs {
-		buf := ts.t.buffers.Get(wire.TensorsPayloadSize(zs[i].Shape()))
+		buf := ts.t.buffers.Get(wire.TensorsPayloadSize() + zs[i].EncodedSize())
 		payload := wire.EncodeTensorsInto(buf, zs[i])
 		_ = j.conn.send(&wire.Message{
 			Type:     wire.MsgInferResponse,
@@ -721,10 +724,11 @@ func (l *lane) serve() {
 // expired requests, resolves the model generation, and rejects the
 // requests the loaded generation cannot satisfy or whose trailing dims
 // do not match the batch's. It returns the model, the survivors (in
-// jobScratch's storage, valid until the next admit) and their shared
+// jobScratch's storage, valid until the next admit) and the first
+// survivor's activations, whose dims after the first are the batch's
 // trailing dims. The expiry check runs before cache.ensure so a queue
 // full of dead work never touches the model or the disk.
-func (ts *tenantServing) admit(jobs []*inferJob) (model nn.Layer, live []*inferJob, trailing []int) {
+func (ts *tenantServing) admit(jobs []*inferJob) (model nn.Layer, live []*inferJob, first *tensor.Tensor) {
 	now := time.Now()
 	live = ts.jobScratch[:0]
 	defer func() { ts.jobScratch = live[:0] }()
@@ -757,16 +761,15 @@ func (ts *tenantServing) admit(jobs []*inferJob) (model nn.Layer, live []*inferJ
 				ErrGenerationMismatch, ts.t.cfg.Name, gen, j.gen))
 			continue
 		}
-		shape := j.acts.Shape()
-		if trailing == nil {
-			trailing = shape[1:]
-		} else if !equalInts(shape[1:], trailing) {
-			ts.reject(j, fmt.Errorf("serve: activation shape %v does not match batch trailing dims %v", shape, trailing))
+		if first == nil {
+			first = j.acts
+		} else if !sameTrailing(j.acts, first) {
+			ts.reject(j, fmt.Errorf("serve: activation shape %v does not match batch trailing dims %v", j.acts.Shape(), first.Shape()[1:]))
 			continue
 		}
 		live = append(live, j)
 	}
-	return model, live, trailing
+	return model, live, first
 }
 
 // reject answers one batched request with a structured error payload
@@ -789,12 +792,14 @@ func (ts *tenantServing) reject(j *inferJob, err error) {
 	ts.putSlot(j.slot)
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
+// sameTrailing reports whether a and b have the same dims after the
+// first.
+func sameTrailing(a, b *tensor.Tensor) bool {
+	if a.Rank() != b.Rank() {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i := 1; i < a.Rank(); i++ {
+		if a.Dim(i) != b.Dim(i) {
 			return false
 		}
 	}

@@ -420,3 +420,96 @@ func TestConvForwardNilBias(t *testing.T) {
 	got := ConvForwardInto(New(2, 5, 8, 8), New(2, 27, 64), x, w, nil, 3, 3, 1, 1)
 	assertBitEqual(t, "ConvForwardInto nil bias", got, convForwardReference(x, w, nil, 3, 3, 1, 1))
 }
+
+// evalGeometries are the shapes TestConvEvalMatchesReference runs, each
+// with its output channel count and whether the table route takes it
+// where the AVX-512 tile is active.
+var evalGeometries = []struct {
+	name                         string
+	c, h, w, outC, kh, kw, s, pd int
+	table                        bool
+}{
+	// VGG-lite w8's three convs; conv2 and conv3 are the serving back half.
+	{"vgg-conv1", 3, 32, 32, 8, 3, 3, 1, 1, true},
+	{"vgg-conv2", 8, 16, 16, 16, 3, 3, 1, 1, true},
+	{"vgg-conv3", 16, 8, 8, 32, 3, 3, 1, 1, true}, // K = 144: two KC panels
+	// ResNet-lite w8's stride-1 convs: the stem, stage 1, and the second
+	// conv of stages 2 and 3.
+	{"resnet-stem", 3, 32, 32, 8, 3, 3, 1, 1, true},
+	{"resnet-stage1", 8, 32, 32, 8, 3, 3, 1, 1, true},
+	{"resnet-stage2", 16, 16, 16, 16, 3, 3, 1, 1, true},
+	{"resnet-stage3", 32, 8, 8, 32, 3, 3, 1, 1, true},
+	{"1x1", 8, 8, 8, 16, 1, 1, 1, 0, true},
+	{"valid", 4, 10, 10, 8, 3, 3, 1, 0, true},  // ow = 8 < w: the row-by-row copies
+	{"wide-pad", 2, 6, 6, 8, 3, 3, 1, 2, true}, // P = 64 with pad 2
+	// One per fallback. outC 12 keeps the generic kernel on its 4-row
+	// tile, which has no zero skip (the skip's contract is finite
+	// inputs only, see the kernels package doc).
+	{"stride-2", 8, 16, 16, 16, 3, 3, 2, 1, false},
+	{"outC-12", 8, 16, 16, 12, 3, 3, 1, 1, false},
+	{"P-49", 8, 7, 7, 16, 3, 3, 1, 1, false},
+}
+
+// sprinkleSpecials overwrites about one element in 256 of t with ±0,
+// ±Inf, NaN or a subnormal. The one NaN is the default NaN that
+// 0·Inf and Inf − Inf also make: where two NaNs meet, the hardware
+// keeps one operand's payload, and the GEMM contract leaves that order
+// free, so distinct payloads would test operand order, not the route.
+func sprinkleSpecials(r *rng.RNG, t *Tensor) {
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0xFFC00000),
+		math.Float32frombits(0x00000001), math.Float32frombits(0x807FFFFF),
+	}
+	for i := range t.data {
+		if r.Intn(256) == 0 {
+			t.data[i] = specials[r.Intn(len(specials))]
+		}
+	}
+}
+
+// TestConvEvalMatchesReference holds ConvEval.Forward to the row-major
+// reference (Im2ColNaive, MatMulTBNaive, the bias) bit for bit, on every
+// kernel arm, at one and four workers, on batches of 1, 2, 3 and 8, with
+// a nil bias and with specials in x, W and the bias. It also checks the
+// route each shape takes, so a geometry that silently fell back would
+// not pass as a table-route test. One ConvEval serves every call of a
+// shape, so scratch and table reuse across batch sizes and arms are
+// under test too.
+func TestConvEvalMatchesReference(t *testing.T) {
+	t.Logf("arms: %v", kernels.Arms())
+	defer kernels.UseArm("")
+	runWorkerModes(t, func(t *testing.T) {
+		r := rng.New(51)
+		for _, g := range evalGeometries {
+			var e ConvEval
+			oh, ow := ConvOutSize(g.h, g.kh, g.s, g.pd), ConvOutSize(g.w, g.kw, g.s, g.pd)
+			for _, n := range []int{1, 2, 3, 8} {
+				for _, special := range []bool{false, true} {
+					x := randTensor(r, n, g.c, g.h, g.w)
+					w := randTensor(r, g.outC, g.c*g.kh*g.kw)
+					bias := randTensor(r, g.outC)
+					if special {
+						sprinkleSpecials(r, x)
+						sprinkleSpecials(r, w)
+						bias.data[r.Intn(g.outC)] = float32(math.Inf(1))
+						bias.data[r.Intn(g.outC)] = math.Float32frombits(0xFFC00000)
+					}
+					for _, b := range []*Tensor{bias, nil} {
+						want := convForwardReference(x, w, b, g.kh, g.kw, g.s, g.pd)
+						for _, arm := range kernels.Arms() {
+							kernels.UseArm(arm)
+							tag := fmt.Sprintf("%s n=%d special=%v bias=%v [%s]", g.name, n, special, b != nil, arm)
+							got := e.Forward(Full(999, n, g.outC, oh, ow), x, w, b, g.kh, g.kw, g.s, g.pd)
+							assertBitEqual(t, tag, got, want)
+							if table, want := e.g != (lowering{}), g.table && arm == "avx512"; table != want {
+								t.Fatalf("%s: table route %v, want %v", tag, table, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}

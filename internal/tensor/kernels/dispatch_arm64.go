@@ -69,6 +69,10 @@ func gemmPanelKAVX512(out, arows, b []float32, r0, r1, k, n, lda, aoff int, acc 
 	panic("kernels: no AVX-512 on arm64")
 }
 
+func gemmTableAVX512(out, a, b []float32, off []int, bias []float32, m, k, n int) {
+	panic("kernels: no AVX-512 on arm64")
+}
+
 func clampVec(x *float32, limit float32, nv int) { panic("kernels: no clamp assembly on arm64") }
 
 func outerStepVec(w, x, dy *float32, rows, batch, in, out, nv int, alpha, limit float32) {

@@ -40,6 +40,10 @@ func gemmPanelKAVX512(out, arows, b []float32, r0, r1, k, n, lda, aoff int, acc 
 	panic("kernels: no assembly in this build")
 }
 
+func gemmTableAVX512(out, a, b []float32, off []int, bias []float32, m, k, n int) {
+	panic("kernels: no assembly in this build")
+}
+
 func dotVec(a, b *float32, nv int) float32 { panic("kernels: no assembly in this build") }
 
 func axpyVec(alpha float32, x, y *float32, nv int) { panic("kernels: no assembly in this build") }

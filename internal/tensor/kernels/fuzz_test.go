@@ -64,6 +64,51 @@ func FuzzGEMMKernels(f *testing.F) {
 	})
 }
 
+// FuzzGEMMTable drives random shapes and offset tables through
+// GemmTable on every arm and holds each bit-identical to the sequential
+// reference over the materialised B plus the bias. m and n are drawn so
+// that about half the shapes are whole 8×16 tiles, which the AVX-512
+// arm takes, and k reaches three KC panels.
+func FuzzGEMMTable(f *testing.F) {
+	f.Logf("arms: %v", Arms())
+	f.Add(uint8(0), uint16(26), uint8(63), int64(1), true)  // conv1: 8 × 27 × 1024
+	f.Add(uint8(1), uint16(71), uint8(15), int64(2), true)  // conv2: 16 × 72 × 256
+	f.Add(uint8(3), uint16(143), uint8(3), int64(3), false) // conv3: 32 × 144 × 64, two panels
+	f.Add(uint8(7), uint16(299), uint8(70), int64(4), true) // ragged 8 × 300 × 71: generic arm
+	f.Fuzz(func(t *testing.T, m8 uint8, k16 uint16, n8 uint8, seed int64, withBias bool) {
+		m, n := (int(m8)%4+1)*8, (int(n8)%64+1)*16
+		if m8&4 != 0 {
+			m, n = int(m8)%40+1, int(n8)%96+1
+		}
+		k := int(k16)%400 + 1
+		rng := rand.New(rand.NewSource(seed))
+		a := randSlice(rng, m*k)
+		b, off := tableOperand(rng, k, n)
+		bmat := materialise(b, off, n)
+		var bias []float32
+		if withBias {
+			bias = randSlice(rng, m)
+		}
+		want := make([]float32, m*n)
+		gemmRef(want, a, bmat, m, k, n, false)
+		for i, bv := range bias {
+			for j := i * n; j < (i+1)*n; j++ {
+				want[j] += bv
+			}
+		}
+		eachArm(func(arm string) {
+			got := randSlice(rng, m*n)
+			GemmTable(got, a, b, off, bias, m, k, n)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("GemmTable (%dx%dx%d bias=%v) [%s]: out[%d]=%x want %x",
+						m, k, n, withBias, arm, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+			}
+		})
+	})
+}
+
 // FuzzElementwiseKernels covers the non-GEMM kernels the same way:
 // dispatch vs generic vs scalar formula on arbitrary lengths.
 func FuzzElementwiseKernels(f *testing.F) {

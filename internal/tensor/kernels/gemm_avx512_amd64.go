@@ -26,3 +26,28 @@ func gemmPanelKAVX512(out, arows, b []float32, r0, r1, k, n, lda, aoff int, acc 
 //
 //go:noescape
 func gemmTile8x16(o, a, b *float32, kb, n, lda, nv int, zero bool)
+
+// gemmTableAVX512 drives the table tile over GemmTable's output: KC
+// panels outer, as GemmPanel visits them, and eight rows at a time
+// inner. The first panel starts the chains from +0 and the last adds
+// the bias before its store. Caller guarantees m % 8 == 0,
+// n % zmmMinN == 0 and k > 0.
+func gemmTableAVX512(out, a, b []float32, off []int, bias []float32, m, k, n int) {
+	for p0 := 0; p0 < k; p0 += KC {
+		p1 := min(p0+KC, k)
+		for i := 0; i < m; i += 8 {
+			var bp *float32
+			if p1 == k && bias != nil {
+				bp = &bias[i]
+			}
+			gemmTable8x16(&out[i*n], &a[i*k+p0], &b[0], &off[p0], p1-p0, n, k, n, p0 == 0, bp)
+		}
+	}
+}
+
+// gemmTable8x16 is the table-driven AVX-512 tile (gemm_avx512_amd64.s):
+// gemmTile8x16 with b row p at b[off[p]:], and bias[0..7] added to the
+// eight rows before the store when bias is not nil.
+//
+//go:noescape
+func gemmTable8x16(o, a, b *float32, off *int, kb, n, lda, nv int, zero bool, bias *float32)

@@ -93,6 +93,29 @@ func gemmPanelKGeneric(out, arows, b []float32, r0, r1, k, n, lda, aoff int, acc
 	}
 }
 
+// gemmTableGeneric is GemmTable's reference: each output row starts at
+// +0, adds a[i,p]·b[off[p]+j] for p in order — one chain per element,
+// with no zero skip — and then its bias.
+func gemmTableGeneric(out, a, b []float32, off []int, bias []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
+		orow := out[i*n : i*n+n]
+		zeroFloats(orow)
+		for p, av := range a[i*k : i*k+k] {
+			brow := b[off[p] : off[p]+n]
+			u := orow[:len(brow)]
+			for j, bv := range brow {
+				u[j] += av * bv
+			}
+		}
+		if bias != nil {
+			bv := bias[i]
+			for j, v := range orow {
+				orow[j] = v + bv
+			}
+		}
+	}
+}
+
 // clampGeneric is the scalar clamp: two compares per element, stores
 // only where a bound is exceeded. NaN fails both compares and is left
 // alone.

@@ -22,7 +22,10 @@
 //     through an 8-row × 16-column tile (eight accumulators) for every
 //     whole 16-column strip. n < 16, the last < 16 columns and the
 //     rows past the last whole tile stay on the AVX2 kernels, and
-//     every non-GEMM kernel runs its AVX2 code under this arm.
+//     every non-GEMM kernel runs its AVX2 code under this arm. A second
+//     form of the tile reads its b rows through an offset table and
+//     adds a bias in its store (GemmTable); it has no AVX2 or NEON
+//     form, and outputs it cannot tile run its pure-Go reference.
 //
 // UseArm pins any one arm Arms() lists, so the differential tests and
 // benchmarks run every arm of the host inside one binary.
@@ -57,6 +60,11 @@
 //     instead of a zeroed and reloaded output row. That is the same
 //     start: +0 + x is x for every x but −0, and a −0 first product
 //     becomes +0 under both.
+//   - GemmTable: bit-identical to GemmPanel over the materialised b
+//     followed by out + bias, by the same argument: the tile's chains
+//     are gemmTile8x16's, and the bias is one VADDPS after the last
+//     product with the chain as the first source. Its pure-Go
+//     reference has no zero skip.
 //   - Axpy, Dequantize8, f16/f32 conversions: elementwise, bit-identical
 //     to the scalar reference (conversions follow IEEE round-to-nearest-
 //     even, matching F16C/NEON hardware on finite values; NaN payloads
@@ -267,6 +275,51 @@ func GemmPanel(out, arows, b []float32, r0, r1, k, n, rowOff int, acc bool) {
 		p1 := min(p0+KC, k)
 		GemmPanelK(out, arows, b[p0*n:], r0, r1, p1-p0, n, k, p0-rowOff*k, acc || p0 > 0)
 	}
+}
+
+// GemmTable computes an indirect GEMM with a bias:
+//
+//	out[i*n+j] = (+0 + a[i*k]·B[0,j] + … + a[i*k+k-1]·B[k-1,j]) + bias[i]
+//
+// for i in [0, m) and j in [0, n), where row p of B is
+// b[off[p] : off[p]+n], read in place through the offset table off,
+// and the bias add is left out when bias is nil. internal/tensor's
+// eval convolution reads its kernel taps this way instead of
+// materialising a column matrix. Each output keeps one chain over p in
+// order, as GemmPanel over the materialised B runs it (KC panel stores
+// change no bit), and the bias is the one add after the chain that
+// out + bias makes, so the result is bit-identical to that pair on
+// every input GemmPanel's own arms agree on.
+//
+// Outputs TableTile accepts run on the AVX-512 tile; every other call
+// runs the pure-Go reference, which has no vector code behind it.
+func GemmTable(out, a, b []float32, off []int, bias []float32, m, k, n int) {
+	if m == 0 || n == 0 {
+		return
+	}
+	// The tile walks raw pointers: pin every operand's extent first.
+	_ = out[m*n-1]
+	_ = a[:m*k]
+	if bias != nil {
+		_ = bias[m-1]
+	}
+	for _, o := range off[:k] {
+		if o < 0 || o > len(b)-n {
+			panic("kernels: GemmTable offset out of range")
+		}
+	}
+	if k > 0 && TableTile(m, n) {
+		gemmTableAVX512(out, a, b, off, bias, m, k, n)
+		return
+	}
+	gemmTableGeneric(out, a, b, off, bias, m, k, n)
+}
+
+// TableTile reports whether GemmTable runs an [m, n] output on the
+// AVX-512 tile right now: the tile is active and the output is whole
+// 8-row by 16-column tiles.
+func TableTile(m, n int) bool {
+	return activeAVX512() && m%8 == 0 && n%zmmMinN == 0
 }
 
 // Dot returns the float32 inner product of a and b (panics unless

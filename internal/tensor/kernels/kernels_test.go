@@ -115,6 +115,92 @@ func TestGemmPanelMatchesReference(t *testing.T) {
 	}
 }
 
+// tableOperand draws an offset table of k rows over a b of rows·n + 7
+// floats: rows from the start of successive n-float rows, shifted by up
+// to 7 so they overlap and straddle the row grid, in a shuffled order
+// with repeats, the way a convolution's taps read shifted input copies.
+func tableOperand(rng *rand.Rand, k, n int) (b []float32, off []int) {
+	rows := k/2 + 1
+	b = randSlice(rng, rows*n+7)
+	off = make([]int, k)
+	for p := range off {
+		off[p] = min(rng.Intn(rows)*n+rng.Intn(8), len(b)-n)
+	}
+	return b, off
+}
+
+// materialise returns B, the [len(off), n] matrix the table reads.
+func materialise(b []float32, off []int, n int) []float32 {
+	bmat := make([]float32, len(off)*n)
+	for p, o := range off {
+		copy(bmat[p*n:(p+1)*n], b[o:])
+	}
+	return bmat
+}
+
+// TestGemmTableMatchesGemmPanel holds GemmTable on every arm to
+// GemmPanel on that arm over the materialised B, followed by the
+// out + bias loop, bit for bit, with and without a bias. The shapes
+// cover the table tile (m a multiple of 8, n of 16: the convolutions'
+// K of 27, 72 and 144, which spans two KC panels, and k either side of
+// one panel) and the outputs it leaves to the generic arm.
+func TestGemmTableMatchesGemmPanel(t *testing.T) {
+	t.Logf("arms: %v", Arms())
+	rng := rand.New(rand.NewSource(11))
+	var dims []struct{ m, k, n int }
+	for _, m := range []int{8, 16, 32, 3, 12} {
+		for _, k := range []int{1, 27, 72, 127, 128, 129, 144, 257} {
+			for _, n := range []int{16, 64, 256, 1024, 24, 9} {
+				dims = append(dims, struct{ m, k, n int }{m, k, n})
+			}
+		}
+	}
+	dims = append(dims, struct{ m, k, n int }{8, 0, 16}, struct{ m, k, n int }{0, 9, 16})
+	for _, d := range dims {
+		a := randSlice(rng, d.m*d.k)
+		b, off := tableOperand(rng, d.k, d.n)
+		specialZeros(rng, a, b)
+		bmat := materialise(b, off, d.n)
+		for _, bias := range [][]float32{nil, randSlice(rng, d.m)} {
+			eachArm(func(arm string) {
+				want := make([]float32, d.m*d.n)
+				GemmPanel(want, a, bmat, 0, d.m, d.k, d.n, 0, false)
+				for i, bv := range bias {
+					row := want[i*d.n : (i+1)*d.n]
+					for j, v := range row {
+						row[j] = v + bv
+					}
+				}
+				got := randSlice(rng, d.m*d.n)
+				GemmTable(got, a, b, off, bias, d.m, d.k, d.n)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("GemmTable(%dx%dx%d bias=%v) [%s, tile=%v]: out[%d]=%x want %x",
+							d.m, d.k, d.n, bias != nil, arm, TableTile(d.m, d.n), i,
+							math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestGemmTableRejectsBadOffsets pins the bounds check that guards the
+// tile's raw pointer walk.
+func TestGemmTableRejectsBadOffsets(t *testing.T) {
+	b := make([]float32, 40)
+	for _, off := range [][]int{{0, -1}, {0, 25}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("GemmTable with offsets %v into %d floats at n = 16 did not panic", off, len(b))
+				}
+			}()
+			GemmTable(make([]float32, 8*16), make([]float32, 8*2), b, off, nil, 8, 2, 16)
+		}()
+	}
+}
+
 func TestGemmPanelKStridedView(t *testing.T) {
 	// Exercise lda/aoff: walk a panel out of the middle of a wider a.
 	rng := rand.New(rand.NewSource(2))

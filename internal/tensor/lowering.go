@@ -34,6 +34,16 @@ import (
 // the kernels package doc says why that changes no bit. The
 // differential tests in conv_parallel_test.go hold every path to the
 // references bit for bit.
+//
+// An eval-only forward need not build colsT_n at all. ConvEval's table
+// route (stride 1, outC % 8 == 0, P % 16 == 0, the AVX-512 tile active)
+// copies each sample kw times, shifted and zero-padded so that every
+// tap row of colsT_n is a contiguous run of one copy, and the GEMM
+// (kernels.GemmTable) reads those runs through a K-entry offset table
+// and adds the bias in its store: kw·c·(h+2·pad)·ow floats of copies
+// per sample instead of K·P of columns, and no separate bias pass. The
+// chains are the column route's, so are the bits. Training keeps the
+// column matrices, which the weight gradient reads.
 
 // lowering is one sample's convolution geometry.
 type lowering struct {
@@ -242,8 +252,21 @@ func checkNCHW(op string, t *Tensor, n, c, oh, ow int) {
 	}
 }
 
-// ConvColBlocks is how many column matrices an eval-only
-// ConvForwardInto over n samples needs: one per worker that can run at
+// checkBias validates an optional [outC] bias and returns its data, nil
+// for no bias.
+func checkBias(op string, bias *Tensor, outC int) []float32 {
+	if bias == nil {
+		return nil
+	}
+	if bias.Size() != outC {
+		panic(fmt.Sprintf("tensor: %s bias size %d, want %d", op, bias.Size(), outC))
+	}
+	return bias.data
+}
+
+// ConvColBlocks is how many blocks of scratch an eval-only forward
+// over n samples needs, column matrices for ConvForwardInto or input
+// copies for ConvEval's table route: one per worker that can run at
 // once, since a worker lowers its samples one after another.
 func ConvColBlocks(n int) int { return min(n, parallel.Workers()) }
 
@@ -256,19 +279,18 @@ func ConvColBlocks(n int) int { return min(n, parallel.Workers()) }
 // contiguous runs that each lower through one matrix in turn. dst and
 // cols are fully overwritten, so both may be dirty. The work fans out
 // over the b runs; the output is the same in either layout.
+//
+// A train forward must come here: the column matrices it leaves are
+// what the weight gradient reads. An eval-only forward may instead run
+// ConvEval, whose table route builds no column matrix where the
+// geometry and the kernel arm allow it, with the same bits.
 func ConvForwardInto(dst, cols, x, w, bias *Tensor, kh, kw, stride, pad int) *Tensor {
 	n, c, h, wd, _, _ := convGeom("ConvForwardInto", x, kh, kw, stride, pad)
 	g := newLowering(c, h, wd, kh, kw, stride, pad)
 	outC := checkConvW("ConvForwardInto", w, g.taps())
 	checkNCHW("ConvForwardInto dst", dst, n, outC, g.oh, g.ow)
 	nb := checkCols("ConvForwardInto", cols, 1, n, g)
-	var bd []float32
-	if bias != nil {
-		if bias.Size() != outC {
-			panic(fmt.Sprintf("tensor: ConvForwardInto bias size %d, want %d", bias.Size(), outC))
-		}
-		bd = bias.data
-	}
+	bd := checkBias("ConvForwardInto", bias, outC)
 	od, cd, xd, wtd := dst.data, cols.data, x.data, w.data
 	work := n * outC * g.taps() * g.pixels()
 	if serialRows(nb, work) {
@@ -279,6 +301,154 @@ func ConvForwardInto(dst, cols, x, w, bias *Tensor, kh, kw, stride, pad int) *Te
 		convForwardRange(od, cd, xd, wtd, bd, g, outC, n, nb, b0, b1)
 	})
 	return dst
+}
+
+// ConvEval is an eval-only convolution forward with scratch it keeps
+// between calls. A layer holds one and reuses it; the zero value is
+// ready. Its Forward takes one of two routes, chosen per call:
+//
+//   - the table route, for stride-1 convolutions whose output is whole
+//     tiles of the AVX-512 arm (outC % 8 == 0, oh·ow % 16 == 0, see
+//     kernels.TableTile): no column matrix at all. Each sample is
+//     copied kw times into [kw, c, h+2·pad, ow] scratch, copy kx
+//     shifted by kx − pad with zeros where the shift leaves the image
+//     and pad zero rows above and below each plane, so that
+//     copy[kx][ch][r][ox] = x[ch][r−pad][ox+kx−pad]. Tap (ch, ky, kx)
+//     is then the contiguous run of oh·ow floats from row ky of copy
+//     kx, and kernels.GemmTable reads the K taps through an offset
+//     table, in W's (ch, ky, kx) column order, writing the NCHW block
+//     and adding the bias in the tile's store. A block's scratch is
+//     kw·c·(h+2·pad)·ow floats against K·P for a column matrix.
+//   - every other convolution (stride > 1, other tails, hosts or builds
+//     without the AVX-512 tile) runs ConvForwardInto with one column
+//     matrix per block, ConvColBlocks(n) of them.
+//
+// Both routes give ConvForwardInto's bits: each output is one chain
+// over the same taps in the same order from +0, the padding the table
+// reads is the +0 im2col writes, and the bias is the same one add
+// after the chain. Training cannot take the table route: the weight
+// gradient reads every sample's column matrix, which only im2col
+// writes.
+type ConvEval struct {
+	g       lowering // the table layout's geometry; zero while scratch holds column matrices
+	blocks  int      // blocks of copies laid out in scratch
+	off     []int    // the table route's tap offsets into one block, [K]
+	scratch *Tensor  // per-block input copies, or the fallback's column matrices
+}
+
+// Forward computes the convolution of x [n, c, h, w] with the kernel
+// matrix w [outC, c·kh·kw] plus an optional bias [outC] into dst
+// [n, outC, oh, ow], bit-identical to ConvForwardInto. dst is fully
+// overwritten. The samples split into ConvColBlocks(n) contiguous runs
+// that fan out over the workers, one block of scratch each.
+func (e *ConvEval) Forward(dst, x, w, bias *Tensor, kh, kw, stride, pad int) *Tensor {
+	n, c, h, wd, oh, ow := convGeom("ConvEval.Forward", x, kh, kw, stride, pad)
+	g := newLowering(c, h, wd, kh, kw, stride, pad)
+	outC := checkConvW("ConvEval.Forward", w, g.taps())
+	nb := ConvColBlocks(n)
+	if stride != 1 || !kernels.TableTile(outC, oh*ow) {
+		e.g = lowering{}
+		e.scratch = EnsureShape(e.scratch, nb, g.taps(), oh*ow)
+		return ConvForwardInto(dst, e.scratch, x, w, bias, kh, kw, stride, pad)
+	}
+	checkNCHW("ConvEval.Forward dst", dst, n, outC, oh, ow)
+	bd := checkBias("ConvEval.Forward", bias, outC)
+	e.layout(g, nb)
+	od, sd, xd, wtd, off := dst.data, e.scratch.data, x.data, w.data, e.off
+	work := n * outC * g.taps() * g.pixels()
+	if serialRows(nb, work) {
+		convTableRange(od, sd, xd, wtd, bd, off, g, outC, n, nb, 0, nb)
+		return dst
+	}
+	parallelRows(nb, work, func(b0, b1 int) {
+		convTableRange(od, sd, xd, wtd, bd, off, g, outC, n, nb, b0, b1)
+	})
+	return dst
+}
+
+// layout lays the scratch out for nb blocks of copies of geometry g and
+// builds the tap table, keeping the last layout while it still fits. A
+// fresh layout is zeroed once: the copies' pad rows are never written
+// after that.
+func (e *ConvEval) layout(g lowering, nb int) {
+	if g == e.g && nb <= e.blocks {
+		return
+	}
+	e.g, e.blocks = g, nb
+	e.scratch = EnsureShape(e.scratch, nb, g.kw*g.copyLen())
+	zeroFloats(e.scratch.data)
+	e.off = e.off[:0]
+	rows := g.h + 2*g.pad
+	for ch := 0; ch < g.c; ch++ {
+		for ky := 0; ky < g.kh; ky++ {
+			for kx := 0; kx < g.kw; kx++ {
+				e.off = append(e.off, kx*g.copyLen()+(ch*rows+ky)*g.ow)
+			}
+		}
+	}
+}
+
+// copyLen is the length of one of the table route's shifted input
+// copies: c planes of h+2·pad rows, ow wide.
+func (g lowering) copyLen() int { return g.c * (g.h + 2*g.pad) * g.ow }
+
+// copies writes sample src [c, h, w] into rows [pad, pad+h) of its kw
+// shifted copies in dst [kw, c, h+2·pad, ow] (see ConvEval), zeros
+// included; the pad rows above and below are left as they are. The
+// stride is 1.
+func (g lowering) copies(dst, src []float32) {
+	rows, plane := g.h+2*g.pad, g.h*g.w
+	for kx := 0; kx < g.kw; kx++ {
+		lo, hi := span(g.w, g.ow, kx, 1, g.pad)
+		d := kx - g.pad
+		for ch := 0; ch < g.c; ch++ {
+			in := src[ch*plane : (ch+1)*plane]
+			out := dst[(kx*g.c*rows+ch*rows+g.pad)*g.ow:][:g.h*g.ow]
+			if g.ow == g.w {
+				// A "same" convolution: the copy is the plane shifted by
+				// d, so one copy fills it and the columns the shift
+				// wrapped across a row edge are zeroed after.
+				if a, b := max(-d, 0), min(plane, plane-d); a < b {
+					copy(out[a:b], in[a+d:b+d])
+				}
+				zeroCols(out, g.ow, 0, lo)
+				zeroCols(out, g.ow, hi, g.ow)
+				continue
+			}
+			for y := 0; y < g.h; y++ {
+				seg := out[y*g.ow : (y+1)*g.ow]
+				zeroFloats(seg[:lo])
+				copy(seg[lo:hi], in[y*g.w+lo+d:])
+				zeroFloats(seg[hi:])
+			}
+		}
+	}
+}
+
+// zeroCols zeroes columns [c0, c1) of every width-wide row of s, one
+// column at a time: the edges are a column or two, so a strided loop
+// beats a zeroing call per row.
+func zeroCols(s []float32, width, c0, c1 int) {
+	for c := c0; c < c1; c++ {
+		for i := c; i < len(s); i += width {
+			s[i] = 0
+		}
+	}
+}
+
+// convTableRange convolves the samples of blocks [b0, b1) of nb on the
+// table route: block b serves samples [b·n/nb, (b+1)·n/nb) one after
+// another, each copied into the block's scratch and multiplied through
+// the tap table straight into its NCHW block, bias included.
+func convTableRange(od, sd, xd, wd, bd []float32, off []int, g lowering, outC, n, nb, b0, b1 int) {
+	k, p, in, per := g.taps(), g.pixels(), g.c*g.h*g.w, g.kw*g.copyLen()
+	for blk := b0; blk < b1; blk++ {
+		buf := sd[blk*per : (blk+1)*per]
+		for s := blk * n / nb; s < (blk+1)*n/nb; s++ {
+			g.copies(buf, xd[s*in:(s+1)*in])
+			kernels.GemmTable(od[s*outC*p:(s+1)*outC*p], wd, buf, off, bd, outC, k, p)
+		}
+	}
 }
 
 // convForwardRange lowers and convolves the samples of column blocks

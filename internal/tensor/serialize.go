@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Serialization layout (little-endian):
@@ -91,7 +92,25 @@ func putFloats(dst []byte, src []float32) {
 	})
 }
 
+// nativeLE reports whether float32 memory already has the wire's
+// little-endian layout, so that a range converts with one byte copy,
+// which keeps every bit, NaN payloads included. Big-endian hosts
+// convert element by element. Tests clear it to run that loop here.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floatBytes views s as its 4·len(s) bytes in memory order.
+func floatBytes(s []float32) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 4*len(s))
+}
+
 func putFloatsRange(dst []byte, src []float32, i0, i1 int) {
+	if nativeLE {
+		copy(dst[4*i0:4*i1], floatBytes(src[i0:i1]))
+		return
+	}
 	for i := i0; i < i1; i++ {
 		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(src[i]))
 	}
@@ -110,6 +129,10 @@ func getFloats(dst []float32, src []byte) {
 }
 
 func getFloatsRange(dst []float32, src []byte, i0, i1 int) {
+	if nativeLE {
+		copy(floatBytes(dst[i0:i1]), src[4*i0:4*i1])
+		return
+	}
 	for i := i0; i < i1; i++ {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 	}

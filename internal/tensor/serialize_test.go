@@ -1,7 +1,10 @@
 package tensor
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -28,6 +31,54 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("shape %v: round trip mismatch", shape)
 		}
 	}
+}
+
+// TestEncodeDecodeKeepsBits round-trips −0, ±Inf, subnormals and quiet
+// and signalling NaNs with payloads through AppendTo and DecodeInto,
+// on the little-endian byte copy and on the per-element loop big-endian
+// hosts run, and compares bit patterns: the encoding must be each
+// value's little-endian bits, and decoding must return them unchanged.
+// The 70 000-element tensor crosses the fan-out threshold, so at four
+// workers the copies start mid-tensor.
+func TestEncodeDecodeKeepsBits(t *testing.T) {
+	specials := []uint32{
+		0x80000000, 0x7F800000, 0xFF800000, // −0, +Inf, −Inf
+		0x00000001, 0x007FFFFF, 0x80000003, // subnormals
+		0x7FC00000, 0x7FC12345, 0xFFC00001, // quiet NaNs
+		0x7F800001, 0x7FA00000, 0xFFBFFFFF, // signalling NaNs
+		0x3F800000, 0x00000000,
+	}
+	defer func(v bool) { nativeLE = v }(nativeLE)
+	runWorkerModes(t, func(t *testing.T) {
+		for _, n := range []int{len(specials), 70000} {
+			x := New(n)
+			want := make([]byte, 4*n)
+			for i := range x.data {
+				bits := specials[i%len(specials)]
+				x.data[i] = math.Float32frombits(bits)
+				binary.LittleEndian.PutUint32(want[4*i:], bits)
+			}
+			for _, copyPath := range []bool{true, false} {
+				nativeLE = copyPath
+				buf := x.AppendTo(nil)
+				if !bytes.Equal(buf[1+4:], want) {
+					t.Fatalf("n=%d copy=%v: encoded floats differ from their little-endian bits", n, copyPath)
+				}
+				y, rest, err := DecodeInto(Full(7, 3), buf)
+				if err != nil {
+					t.Fatalf("n=%d copy=%v: decode: %v", n, copyPath, err)
+				}
+				if len(rest) != 0 || y.Size() != n {
+					t.Fatalf("n=%d copy=%v: decoded size %d with %d bytes left", n, copyPath, y.Size(), len(rest))
+				}
+				for i, v := range y.data {
+					if got, w := math.Float32bits(v), specials[i%len(specials)]; got != w {
+						t.Fatalf("n=%d copy=%v: element %d decoded to %#08x, want %#08x", n, copyPath, i, got, w)
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestEncodedSizeFor(t *testing.T) {
