@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 
+	"medsplit/internal/parallel"
 	"medsplit/internal/rng"
 	"medsplit/internal/tensor"
 )
@@ -115,6 +116,13 @@ func (c SynthConfig) withDefaults() SynthConfig {
 // class-dependent parameters — and each sample is the template under
 // random translation, brightness jitter and additive noise, so a model
 // must learn translation-tolerant features rather than memorize pixels.
+//
+// Generation is fanned out over internal/parallel's workers and is
+// bit-identical to one serial loop at any worker count: each class's
+// noiseless template is rendered once, over every offset a sample can
+// take, and one serial pass draws every sample's jitter and records
+// where its noise starts in the stream (rng.SkipNorm), so the samples
+// render independently from the same draws the serial loop would use.
 func SynthCIFAR(cfg SynthConfig) (train, test *Dataset) {
 	cfg = cfg.withDefaults()
 	gen := newSynthGen(cfg)
@@ -123,7 +131,16 @@ func SynthCIFAR(cfg SynthConfig) (train, test *Dataset) {
 	return train, test
 }
 
-const synthSize = 32
+const (
+	synthSize = 32
+	// synthShift is the largest translation a sample takes, in pixels.
+	synthShift = 3
+	// canvasSize is the side of a template's canvas: every pixel any
+	// translated sample reads.
+	canvasSize = synthSize + 2*synthShift
+	// samplePixels is one sample's float count, and so its noise draws.
+	samplePixels = 3 * synthSize * synthSize
+)
 
 type classTemplate struct {
 	freqA, freqB   float64 // grating frequencies
@@ -137,6 +154,9 @@ type classTemplate struct {
 type synthGen struct {
 	cfg       SynthConfig
 	templates []classTemplate
+	// canvases holds each class's noiseless template over
+	// canvasSize×canvasSize pixels, offset by -synthShift on both axes.
+	canvases [][]float32
 }
 
 func newSynthGen(cfg SynthConfig) *synthGen {
@@ -156,35 +176,32 @@ func newSynthGen(cfg SynthConfig) *synthGen {
 			colors: [3]float32{r.Float32(), r.Float32(), r.Float32()},
 		}
 	}
-	return &synthGen{cfg: cfg, templates: templates}
+	// Labels cycle through the classes (split), so a split of n samples
+	// uses exactly the first min(n, Classes) of them.
+	canvases := make([][]float32, min(cfg.Classes, max(cfg.Train, cfg.Test)))
+	parallel.For(len(canvases), len(canvases), 2, func(c0, c1 int) {
+		for c := c0; c < c1; c++ {
+			canvases[c] = templates[c].canvas()
+		}
+	})
+	return &synthGen{cfg: cfg, templates: templates, canvases: canvases}
 }
 
-// split generates n samples with labels cycling through classes so every
-// class is represented nearly equally (like CIFAR itself).
-func (g *synthGen) split(n int, r *rng.RNG) *Dataset {
-	x := tensor.New(n, 3, synthSize, synthSize)
-	labels := make([]int, n)
-	perm := r.Perm(n)
-	for i := 0; i < n; i++ {
-		class := perm[i] % g.cfg.Classes
-		labels[i] = class
-		g.render(x.Data()[i*3*synthSize*synthSize:], class, r)
-	}
-	return &Dataset{X: x, Labels: labels, Classes: g.cfg.Classes}
-}
-
-// render draws one sample of the given class into dst (3*32*32 floats).
-func (g *synthGen) render(dst []float32, class int, r *rng.RNG) {
-	t := g.templates[class]
-	// Per-sample jitter: translation up to ±3 px, brightness ±20%.
-	dx := float64(r.Intn(7) - 3)
-	dy := float64(r.Intn(7) - 3)
-	brightness := 0.8 + 0.4*r.Float32()
+// canvas renders the template without jitter over every pixel a sample
+// translated by up to ±synthShift reads. Canvas pixel (x, y) is sample
+// pixel (x-synthShift-dx, y-synthShift-dy) under translation (dx, dy):
+// the coordinate (float64(x)+dx)/synthSize is an exact small integer
+// over a power of two either way, and the rest of the expression is the
+// per-sample one verbatim, so every value is bit-identical to rendering
+// the sample directly.
+func (t *classTemplate) canvas() []float32 {
+	const dx, dy = -synthShift, -synthShift
+	out := make([]float32, canvasSize*canvasSize)
 	cosA, sinA := math.Cos(t.angleA), math.Sin(t.angleA)
 	cosB, sinB := math.Cos(t.angleB), math.Sin(t.angleB)
-	for y := 0; y < synthSize; y++ {
+	for y := 0; y < canvasSize; y++ {
 		fy := (float64(y) + dy) / synthSize
-		for x := 0; x < synthSize; x++ {
+		for x := 0; x < canvasSize; x++ {
 			fx := (float64(x) + dx) / synthSize
 			// Two gratings.
 			ga := math.Sin(2*math.Pi*t.freqA*(fx*cosA+fy*sinA) + t.phaseA)
@@ -192,7 +209,61 @@ func (g *synthGen) render(dst []float32, class int, r *rng.RNG) {
 			// Gaussian blob.
 			bx, by := fx-t.blobX, fy-t.blobY
 			blob := math.Exp(-(bx*bx + by*by) / (2 * t.blobR * t.blobR))
-			base := float32(0.5*ga + 0.3*gb + 0.8*blob)
+			out[y*canvasSize+x] = float32(0.5*ga + 0.3*gb + 0.8*blob)
+		}
+	}
+	return out
+}
+
+// sampleJob is one sample's draws from the serial pass: its class, its
+// jitter, and the stream position its noise starts at.
+type sampleJob struct {
+	class, dx, dy int
+	brightness    float32
+	noise         rng.Snapshot
+}
+
+// split generates n samples with labels cycling through classes so every
+// class is represented nearly equally (like CIFAR itself). It draws
+// everything but the noise serially, in the order one sample at a time
+// would, skipping each sample's noise draws; the samples then render in
+// parallel, each from its own noise start.
+func (g *synthGen) split(n int, r *rng.RNG) *Dataset {
+	x := tensor.New(n, 3, synthSize, synthSize)
+	labels := make([]int, n)
+	perm := r.Perm(n)
+	jobs := make([]sampleJob, n)
+	for i := range jobs {
+		class := perm[i] % g.cfg.Classes
+		labels[i] = class
+		// Per-sample jitter: translation up to ±3 px, brightness ±20%.
+		dx := r.Intn(2*synthShift+1) - synthShift
+		dy := r.Intn(2*synthShift+1) - synthShift
+		brightness := 0.8 + 0.4*r.Float32()
+		jobs[i] = sampleJob{class: class, dx: dx, dy: dy, brightness: brightness, noise: r.Snapshot()}
+		r.SkipNorm(samplePixels)
+	}
+	xd := x.Data()
+	parallel.For(n, n, 2, func(i0, i1 int) {
+		var noise rng.RNG
+		for i := i0; i < i1; i++ {
+			noise.Restore(jobs[i].noise)
+			g.render(xd[i*samplePixels:(i+1)*samplePixels], &jobs[i], &noise)
+		}
+	})
+	return &Dataset{X: x, Labels: labels, Classes: g.cfg.Classes}
+}
+
+// render draws one sample into dst (3*32*32 floats): its class template
+// under the job's translation and brightness, plus noise drawn from r.
+func (g *synthGen) render(dst []float32, j *sampleJob, r *rng.RNG) {
+	t := g.templates[j.class]
+	canvas := g.canvases[j.class]
+	brightness := j.brightness
+	for y := 0; y < synthSize; y++ {
+		row := canvas[(y+j.dy+synthShift)*canvasSize+j.dx+synthShift:]
+		for x := 0; x < synthSize; x++ {
+			base := row[x]
 			for ch := 0; ch < 3; ch++ {
 				v := brightness*base*t.colors[ch] + g.cfg.Noise*r.NormFloat32()
 				dst[ch*synthSize*synthSize+y*synthSize+x] = v

@@ -48,3 +48,11 @@ func TestSynthCIFARPins(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSynthCIFAR generates the training workloads' corpus: 10
+// classes, 800 training and 10 test samples.
+func BenchmarkSynthCIFAR(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		SynthCIFAR(SynthConfig{Classes: 10, Train: 800, Test: 10, Noise: 0.35, Seed: uint64(i)})
+	}
+}

@@ -49,3 +49,20 @@ func TestFreshModelPins(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBuild builds each model as the training workloads do.
+func BenchmarkBuild(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		build func(r *rng.RNG) *Model
+	}{
+		{"mlp", func(r *rng.RNG) *Model { return MLP(3*32*32, []int{64}, 10, r) }},
+		{"vgg-lite", func(r *rng.RNG) *Model { return VGGLite(10, 8, r) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.build(rng.New(uint64(i)))
+			}
+		})
+	}
+}

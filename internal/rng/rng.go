@@ -8,6 +8,13 @@
 // it seeds model weights, synthetic datasets and shard assignments, none of
 // which need secrecy, and it is an order of magnitude faster than
 // crypto/rand.
+//
+// SkipNorm advances a stream past n Norm draws without computing them,
+// so one seeded stream can be consumed by several workers in serial
+// order (each starts from a snapshot taken after skipping its
+// predecessors' share). It replays Norm's draw pattern: any change to
+// how Norm consumes the stream must update SkipNorm with it, and
+// TestSkipNormMatchesNorm fails until it does.
 package rng
 
 import "math"
@@ -63,9 +70,12 @@ func (r *RNG) Split() *RNG {
 	return New(r.Uint64() ^ 0x9e3779b97f4a7c15)
 }
 
+// gamma is SplitMix64's state increment: every draw adds it once.
+const gamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -139,6 +149,27 @@ func (r *RNG) Norm() float64 {
 	r.cachedNorm = mag * math.Sin(2*math.Pi*v)
 	r.hasCachedNorm = true
 	return mag * math.Cos(2*math.Pi*v)
+}
+
+// SkipNorm advances r exactly as n calls to Norm would, leaving the
+// same state, spare variate and all, for a fraction of the cost: the
+// state moves by a fixed increment per draw, so each skipped pair's v
+// draw is one addition. Only u is drawn for real, because Norm redraws
+// a zero u. The last pair goes through Norm itself, so the spare it
+// leaves (or the consumed spare's stale value) is the serial loop's.
+func (r *RNG) SkipNorm(n int) {
+	if n > 0 && r.hasCachedNorm {
+		r.hasCachedNorm = false
+		n--
+	}
+	for ; n > 2; n -= 2 {
+		for r.Uint64()>>11 == 0 { // Float64() == 0: Norm's u retry
+		}
+		r.state += gamma // v
+	}
+	for ; n > 0; n-- {
+		r.Norm()
+	}
 }
 
 // NormFloat32 returns a standard normal variate as float32.

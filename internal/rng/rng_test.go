@@ -1,7 +1,9 @@
 package rng
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -234,6 +236,13 @@ func BenchmarkNorm(b *testing.B) {
 	}
 }
 
+func BenchmarkSkipNorm(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		r.SkipNorm(3072)
+	}
+}
+
 // A restored RNG must continue the stream exactly where the snapshot
 // was taken — including the Box-Muller spare, which Norm caches between
 // calls.
@@ -263,6 +272,95 @@ func TestSnapshotRestoreResumesStream(t *testing.T) {
 		}
 		if got := r2.Norm(); got != wantNorm[i] {
 			t.Fatalf("Norm %d: restored stream %v, want %v", i, got, wantNorm[i])
+		}
+	}
+}
+
+// unmix inverts Uint64's finalizer: New(unmix(z) - gamma).Uint64() == z.
+// Every step of the finalizer is a bijection (xor-shifts and odd
+// multipliers), which is what lets a test place a chosen output, such
+// as a zero u for Norm, at any position of a stream.
+func unmix(z uint64) uint64 {
+	unshift := func(y uint64, s uint) uint64 {
+		x := y
+		for i := uint(0); i < 64/s+1; i++ {
+			x = y ^ (x >> s)
+		}
+		return x
+	}
+	inverse := func(m uint64) uint64 { // Newton's iteration, mod 2^64
+		inv := m
+		for i := 0; i < 5; i++ {
+			inv *= 2 - m*inv
+		}
+		return inv
+	}
+	z = unshift(z, 31)
+	z *= inverse(0x94d049bb133111eb)
+	z = unshift(z, 27)
+	z *= inverse(0xbf58476d1ce4e5b9)
+	return unshift(z, 30)
+}
+
+// TestSkipNormMatchesNorm holds SkipNorm(n) to n Norm calls: the same
+// snapshot afterwards, and the same bits from a mixed run of draws.
+// Starts cover a cached and an uncached spare, odd and even n, and
+// streams with a zero u planted at each early position, so Norm's u
+// retry is taken wherever a u can fall, inside the skipped pairs and in
+// the last one.
+func TestSkipNormMatchesNorm(t *testing.T) {
+	if got := New(unmix(0) - gamma).Uint64(); got != 0 {
+		t.Fatalf("unmix(0) does not invert the finalizer: draw %#x", got)
+	}
+	type start struct {
+		name  string
+		state uint64
+	}
+	starts := []start{{"seed 1", 1}, {"seed 0xdead", 0xdead}}
+	// Outputs below 2^11 make Float64 return 0, so Norm redraws them as
+	// u; 2^11 is the smallest that it keeps.
+	for _, z := range []uint64{0, 1<<11 - 1, 1 << 11} {
+		for d := 0; d < 12; d++ {
+			starts = append(starts, start{fmt.Sprintf("output %d at draw %d", z, d), unmix(z) - uint64(d+1)*gamma})
+		}
+	}
+	mixed := func(r *RNG) []uint64 {
+		var out []uint64
+		for i := 0; i < 9; i++ {
+			out = append(out, math.Float64bits(r.Norm()), r.Uint64(), uint64(r.Intn(7)),
+				math.Float64bits(r.Norm()), uint64(math.Float32bits(r.Float32())))
+		}
+		return out
+	}
+	for _, s := range starts {
+		for _, cached := range []bool{false, true} {
+			for n := 0; n <= 21; n++ {
+				skip, serial := New(s.state), New(s.state)
+				if cached {
+					skip.Norm()
+					serial.Norm()
+				}
+				skip.SkipNorm(n)
+				for i := 0; i < n; i++ {
+					serial.Norm()
+				}
+				if skip.Snapshot() != serial.Snapshot() {
+					t.Fatalf("%s, cached %v, n=%d: SkipNorm left %+v, Norm %+v", s.name, cached, n, skip.Snapshot(), serial.Snapshot())
+				}
+				if a, b := mixed(skip), mixed(serial); !slices.Equal(a, b) {
+					t.Fatalf("%s, cached %v, n=%d: draws after SkipNorm differ from draws after Norm", s.name, cached, n)
+				}
+			}
+		}
+	}
+	for _, n := range []int{1000, 1001, 3072} {
+		skip, serial := New(uint64(n)), New(uint64(n))
+		skip.SkipNorm(n)
+		for i := 0; i < n; i++ {
+			serial.Norm()
+		}
+		if skip.Snapshot() != serial.Snapshot() {
+			t.Fatalf("n=%d: SkipNorm left %+v, Norm %+v", n, skip.Snapshot(), serial.Snapshot())
 		}
 	}
 }
