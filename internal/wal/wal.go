@@ -84,6 +84,11 @@ const (
 	// maxRecord caps a record frame, stopping a corrupt length prefix
 	// from allocating unbounded memory (mirrors wire.maxPayload).
 	maxRecord = 1 << 28
+	// maxCoalesce bounds the buffer Append joins a frame and its payload
+	// in, so one write syscall carries the record. Larger records, such
+	// as base snapshots, go out as two writes instead of pinning their
+	// size in the buffer for the log's lifetime.
+	maxCoalesce = 256 << 10
 )
 
 // Options configures a Log.
@@ -137,6 +142,8 @@ type Log struct {
 	sinceSync   int    // appends since the last fsync
 	activeBytes int    // current size of the active segment
 	closed      bool
+
+	buf []byte // Append's frame-plus-payload scratch, at most maxCoalesce
 }
 
 // Open opens (or creates) the log in dir, recovering from a crash:
@@ -375,14 +382,8 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	var frame [frameSize]byte
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	if _, err := l.f.Write(frame[:]); err != nil {
-		return 0, fmt.Errorf("wal: appending frame: %w", err)
-	}
-	if _, err := l.f.Write(payload); err != nil {
-		return 0, fmt.Errorf("wal: appending payload: %w", err)
+	if err := l.write(payload); err != nil {
+		return 0, err
 	}
 	l.activeBytes += frameSize + len(payload)
 	l.active.count++
@@ -395,6 +396,39 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		}
 	}
 	return idx, nil
+}
+
+// write appends payload's frame and the payload to the active segment:
+// one write from the log's buffer when the record fits in maxCoalesce,
+// two (frame, then payload) otherwise.
+func (l *Log) write(payload []byte) error {
+	n := frameSize + len(payload)
+	if n > maxCoalesce {
+		var frame [frameSize]byte
+		putFrame(frame[:], payload)
+		if _, err := l.f.Write(frame[:]); err != nil {
+			return fmt.Errorf("wal: appending frame: %w", err)
+		}
+		if _, err := l.f.Write(payload); err != nil {
+			return fmt.Errorf("wal: appending payload: %w", err)
+		}
+		return nil
+	}
+	if cap(l.buf) < n {
+		l.buf = make([]byte, 0, min(max(n, 2*cap(l.buf)), maxCoalesce))
+	}
+	rec := l.buf[:frameSize]
+	putFrame(rec, payload)
+	if _, err := l.f.Write(append(rec, payload...)); err != nil {
+		return fmt.Errorf("wal: appending record: %w", err)
+	}
+	return nil
+}
+
+// putFrame writes payload's frame (length, then CRC) into dst.
+func putFrame(dst, payload []byte) {
+	binary.LittleEndian.PutUint32(dst[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[4:], crc32.ChecksumIEEE(payload))
 }
 
 // roll seals the active segment under its final name and starts a new
