@@ -85,38 +85,26 @@ func rangeOf(d []float32) (lo, hi float32) {
 	if len(d) == 0 {
 		return 0, 0
 	}
-	workers := parallel.Workers()
-	if len(d) < parallelThreshold || workers <= 1 {
+	if serialChunk(len(d)) {
 		return rangeOfSerial(d)
 	}
-	if workers > len(d) {
-		workers = len(d)
-	}
-	los := make([]float32, workers)
-	his := make([]float32, workers)
-	var wg sync.WaitGroup
-	chunk := (len(d) + workers - 1) / workers
-	w := 0
-	for i0 := 0; i0 < len(d); i0 += chunk {
-		i1 := i0 + chunk
-		if i1 > len(d) {
-			i1 = len(d)
+	// One chunk per worker; the partials are reduced in chunk order with
+	// the serial pass's strict comparisons, so the first-seen value wins
+	// among equals (±0) as it does serially.
+	size := (len(d) + parallel.Workers() - 1) / parallel.Workers()
+	parts := make([][2]float32, (len(d)+size-1)/size)
+	parallel.For(len(parts), len(d), parallelThreshold, func(c0, c1 int) {
+		for c := c0; c < c1; c++ {
+			parts[c][0], parts[c][1] = rangeOfSerial(d[c*size : min((c+1)*size, len(d))])
 		}
-		wg.Add(1)
-		go func(w, i0, i1 int) {
-			defer wg.Done()
-			los[w], his[w] = rangeOfSerial(d[i0:i1])
-		}(w, i0, i1)
-		w++
-	}
-	wg.Wait()
-	lo, hi = los[0], his[0]
-	for i := 1; i < w; i++ {
-		if los[i] < lo {
-			lo = los[i]
+	})
+	lo, hi = parts[0][0], parts[0][1]
+	for _, p := range parts[1:] {
+		if p[0] < lo {
+			lo = p[0]
 		}
-		if his[i] > hi {
-			hi = his[i]
+		if p[1] > hi {
+			hi = p[1]
 		}
 	}
 	return lo, hi

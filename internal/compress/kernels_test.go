@@ -80,6 +80,31 @@ func TestRangeOfMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestRangeOfKeepsFirstSeenZero holds the chunked reduction to the
+// serial pass's bits when the extremes are signed zeros that tie across
+// chunk boundaries: the first one seen wins in both.
+func TestRangeOfKeepsFirstSeenZero(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	n := 1 << 16
+	for _, workers := range []int{2, 3, 4} {
+		for _, first := range []float32{0, negZero} {
+			d := make([]float32, n)
+			for i := range d {
+				d[i] = -first // the other zero everywhere...
+			}
+			d[0] = first // ...but first in chunk 0
+			wantLo, wantHi := rangeOfSerial(d)
+			forceWorkers(t, workers)
+			lo, hi := rangeOf(d)
+			parallel.ForcedWorkers = 0
+			if math.Float32bits(lo) != math.Float32bits(wantLo) || math.Float32bits(hi) != math.Float32bits(wantHi) {
+				t.Fatalf("%d workers, first %v: rangeOf bits (%#x,%#x), serial (%#x,%#x)", workers, first,
+					math.Float32bits(lo), math.Float32bits(hi), math.Float32bits(wantLo), math.Float32bits(wantHi))
+			}
+		}
+	}
+}
+
 // refTopKIndices is the original full-sort selection, kept as the
 // semantic reference for the quickselect replacement.
 func refTopKIndices(d []float32, k int) []int {
