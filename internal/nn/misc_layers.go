@@ -9,10 +9,13 @@ import (
 
 // Flatten reshapes [n, d1, d2, ...] into [n, d1*d2*...]. It bridges the
 // convolutional trunk and the dense classifier head. Its output is a
-// view of its input, and for Backward it caches only the input shape.
+// view of its input in a header the layer reuses, valid until the next
+// Forward (Backward's result likewise), and for Backward it caches only
+// the input shape.
 type Flatten struct {
 	name    string
-	inShape []int // backward cache; empty after an eval Forward
+	inShape []int          // backward cache; empty after an eval Forward
+	out, dx *tensor.Tensor // view headers over the last input and gradient
 }
 
 var _ Layer = (*Flatten)(nil)
@@ -35,7 +38,8 @@ func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 	}
 	n := x.Dim(0)
-	return x.Reshape(n, x.Size()/n)
+	f.out = x.ReshapeInto(f.out, n, x.Size()/n)
+	return f.out
 }
 
 // Backward restores the cached input shape.
@@ -43,7 +47,8 @@ func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if len(f.inShape) == 0 {
 		panic(fmt.Sprintf("nn: %s: Backward before train-mode Forward", f.name))
 	}
-	return grad.Reshape(f.inShape...)
+	f.dx = grad.ReshapeInto(f.dx, f.inShape...)
+	return f.dx
 }
 
 // Params returns nil.

@@ -13,6 +13,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -109,17 +110,32 @@ func (t *Tensor) offset(idx []int) int {
 // Reshape returns a view of t with a new shape of equal volume. The view
 // shares storage with t.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
+	return t.ReshapeInto(nil, shape...)
+}
+
+// ReshapeInto is Reshape into a header the caller keeps: dst (a fresh
+// one when nil) becomes the view, reusing its shape storage, so a layer
+// that returns a reshaped input on every call stops allocating once
+// warm.
+func (t *Tensor) ReshapeInto(dst *Tensor, shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", shape))
+			// Cloned so that shape itself never escapes: the caller's
+			// variadic array stays on its stack.
+			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", slices.Clone(shape)))
 		}
 		n *= d
 	}
 	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (volume %d) to %v (volume %d)", t.shape, len(t.data), shape, n))
+		panic(fmt.Sprintf("tensor: cannot reshape %v (volume %d) to %v (volume %d)", t.shape, len(t.data), slices.Clone(shape), n))
 	}
-	return &Tensor{shape: append([]int(nil), shape...), data: t.data}
+	if dst == nil {
+		dst = new(Tensor)
+	}
+	dst.shape = append(dst.shape[:0], shape...)
+	dst.data = t.data
+	return dst
 }
 
 // Clone returns a deep copy of t.
