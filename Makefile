@@ -28,7 +28,7 @@ BENCH_PATTERN ?= BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm
 # drive real goroutine-per-party sessions (including the
 # relaxed-consistency differential suite), and the nn layers, whose
 # Conv2D fans samples out over layer-owned scratch.
-RACE_PKGS = ./internal/core/... ./internal/transport/... ./internal/simnet/... ./internal/paramserver/... ./internal/tensor/... ./internal/nn/... ./internal/wal/... ./internal/serve/... ./internal/experiment/...
+RACE_PKGS = ./internal/core/... ./internal/transport/... ./internal/simnet/... ./internal/paramserver/... ./internal/tensor/... ./internal/nn/... ./internal/wal/... ./internal/serve/... ./internal/experiment/... ./internal/dataset/...
 
 # Minimum statement coverage the cover target enforces for the engine's
 # load-bearing packages. The scenario-matrix, simnet and WAL suites
@@ -92,7 +92,7 @@ fmt-check:
 # (mirrors CI's purego job).
 purego-test:
 	$(GO) build -tags purego ./...
-	$(GO) test -tags purego ./internal/tensor/... ./internal/compress/ ./internal/nn/
+	$(GO) test -tags purego ./internal/tensor/... ./internal/compress/ ./internal/nn/ ./internal/rng/ ./internal/dataset/ ./internal/models/
 	$(GO) test -tags purego -run TestRoundModeDigests ./internal/core/
 
 # Cross-compile the full module for arm64 and vet the kernel layer,
