@@ -8,8 +8,13 @@ import (
 )
 
 // fillNormalParallel is the element count from which FillNormal fans
-// out: about 0.2 ms of draws, far above a goroutine's start-up.
-const fillNormalParallel = 1 << 13
+// out: about 4 ms of draws on a 2-core Xeon. A fan-out gains only where
+// cores are idle. Where the process is busy, the chunks queue behind
+// its other work and the fill can end later than the serial loop
+// would. The serving tier builds its tenants' models concurrently, and
+// fanning out VGG-lite's 65 536-element fc1 weight there made the fill
+// take 2.0–13 ms (about 2 ms serially) and the set-up longer.
+const fillNormalParallel = 1 << 17
 
 // FillNormal fills t with N(mean, std) variates drawn from r, in element
 // order. Large tensors fan out over internal/parallel's workers, bit for

@@ -14,7 +14,7 @@ import (
 // Box-Muller variate cached.
 func TestFillNormalMatchesSerial(t *testing.T) {
 	defer func(w int) { parallel.ForcedWorkers = w }(parallel.ForcedWorkers)
-	for _, n := range []int{1, 2, 7, 1000, 1 << 15, 1<<16 + 3, 196608} {
+	for _, n := range []int{1, 2, 7, 1000, fillNormalParallel - 1, fillNormalParallel + 3, 196608} {
 		for _, cached := range []bool{false, true} {
 			for _, workers := range []int{1, 2, 3, 4} {
 				parallel.ForcedWorkers = workers
