@@ -178,6 +178,8 @@ func newSynthGen(cfg SynthConfig) *synthGen {
 	}
 	// Labels cycle through the classes (split), so a split of n samples
 	// uses exactly the first min(n, Classes) of them.
+	// A canvas or a sample is tens of microseconds of work, so any two
+	// are worth a fan-out (here and in split).
 	canvases := make([][]float32, min(cfg.Classes, max(cfg.Train, cfg.Test)))
 	parallel.For(len(canvases), len(canvases), 2, func(c0, c1 int) {
 		for c := c0; c < c1; c++ {
