@@ -91,7 +91,8 @@ func rangeOf(d []float32) (lo, hi float32) {
 	// One chunk per worker; the partials are reduced in chunk order with
 	// the serial pass's strict comparisons, so the first-seen value wins
 	// among equals (±0) as it does serially.
-	size := (len(d) + parallel.Workers() - 1) / parallel.Workers()
+	w := parallel.Workers()
+	size := (len(d) + w - 1) / w
 	parts := make([][2]float32, (len(d)+size-1)/size)
 	parallel.For(len(parts), len(d), parallelThreshold, func(c0, c1 int) {
 		for c := c0; c < c1; c++ {
