@@ -12,8 +12,8 @@ import (
 // cores are idle. Where the process is busy, the chunks queue behind
 // its other work and the fill can end later than the serial loop
 // would. The serving tier builds its tenants' models concurrently, and
-// fanning out VGG-lite's 65 536-element fc1 weight there made the fill
-// take 2.0–13 ms (about 2 ms serially) and the set-up longer.
+// fanning out VGG-lite's 65 536-element fc1 weight there lengthened its
+// set-up by about a tenth.
 const fillNormalParallel = 1 << 17
 
 // FillNormal fills t with N(mean, std) variates drawn from r, in element
