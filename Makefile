@@ -49,13 +49,15 @@ COVER_MIN_paramserver = 82
 # engine's determinism contract (the round-mode digest table, both
 # modes' wire order, concat's fused steps and the compute gate) must
 # also hold at one core, where the parallel kernels take their serial
-# path.
+# path. So must the pins on what every session starts from: synthetic
+# data and fresh weights, and the block draws behind them.
 test:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'Batch|Flush|IdleSlot|Overload|Expired|Lane|Wake' ./internal/serve/
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestRoundModeDigests|TestServerRoundRobinOrdering|TestConcat|TestComputeGate' ./internal/core/
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestSkipNormMatchesNorm|TestNormFloat32sMatchesNorm|TestSynthCIFARPins|TestFreshModelPins|TestFillNormalMatchesSerial' ./internal/rng/ ./internal/dataset/ ./internal/models/ ./internal/tensor/
 
 # The repository benchmark (BENCHMARK.json) is a Go module of its own
 # under bench/ (`replace medsplit => ../`), so `go build ./...` and
@@ -117,6 +119,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecodeStepRecord' -fuzztime 10s ./internal/core/
 	$(GO) test -run NONE -fuzz 'FuzzWALDecode' -fuzztime 10s ./internal/wal/
 	$(GO) test -run NONE -fuzz 'FuzzSelectKernels' -fuzztime 10s ./internal/tensor/kernels/
+	$(GO) test -run NONE -fuzz 'FuzzBoxMuller' -fuzztime 10s ./internal/tensor/kernels/
 	@echo fuzz-smoke ok
 
 # Coverage summary for the engine core (the session/checkpoint/recovery

@@ -170,9 +170,7 @@ func run(o inferOpts) error {
 	var lastLogits *tensor.Tensor
 	start := time.Now()
 	for i := 0; i < o.requests; i++ {
-		for j := range data {
-			data[j] = r.NormFloat32()
-		}
+		r.NormFloat32s(data)
 		t0 := time.Now()
 		y, ierr := client.Infer(x)
 		if ierr != nil {

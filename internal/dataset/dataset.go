@@ -248,9 +248,10 @@ func (g *synthGen) split(n int, r *rng.RNG) *Dataset {
 	xd := x.Data()
 	parallel.For(n, n, 2, func(i0, i1 int) {
 		var noise rng.RNG
+		scratch := make([]float32, samplePixels)
 		for i := i0; i < i1; i++ {
 			noise.Restore(jobs[i].noise)
-			g.render(xd[i*samplePixels:(i+1)*samplePixels], &jobs[i], &noise)
+			g.render(xd[i*samplePixels:(i+1)*samplePixels], &jobs[i], &noise, scratch)
 		}
 	})
 	return &Dataset{X: x, Labels: labels, Classes: g.cfg.Classes}
@@ -258,17 +259,24 @@ func (g *synthGen) split(n int, r *rng.RNG) *Dataset {
 
 // render draws one sample into dst (3*32*32 floats): its class template
 // under the job's translation and brightness, plus noise drawn from r.
-func (g *synthGen) render(dst []float32, j *sampleJob, r *rng.RNG) {
+// The sample's noise is drawn into scratch (samplePixels floats) in one
+// call, in the order the pixel loop consumes it: pixel by pixel, the
+// three channels of each in turn.
+func (g *synthGen) render(dst []float32, j *sampleJob, r *rng.RNG, scratch []float32) {
 	t := g.templates[j.class]
 	canvas := g.canvases[j.class]
 	brightness := j.brightness
+	n := scratch[:samplePixels]
+	r.NormFloat32s(n)
+	k := 0
 	for y := 0; y < synthSize; y++ {
 		row := canvas[(y+j.dy+synthShift)*canvasSize+j.dx+synthShift:]
 		for x := 0; x < synthSize; x++ {
 			base := row[x]
 			for ch := 0; ch < 3; ch++ {
-				v := brightness*base*t.colors[ch] + g.cfg.Noise*r.NormFloat32()
+				v := brightness*base*t.colors[ch] + g.cfg.Noise*n[k]
 				dst[ch*synthSize*synthSize+y*synthSize+x] = v
+				k++
 			}
 		}
 	}

@@ -340,10 +340,7 @@ func runChaosClient(lc ServeLoadConfig, k int, conn transport.Conn, wan *simnet.
 		// The input stream advances once per logical request no matter
 		// how the previous one ended, so outcome i is byte-comparable
 		// across runs with different fault scripts.
-		data := x.Data()
-		for j := range data {
-			data[j] = r.NormFloat32()
-		}
+		r.NormFloat32s(x.Data())
 		y, err := client.Infer(x)
 		if err != nil {
 			*out = append(*out, requestOutcome{err: err})

@@ -217,10 +217,7 @@ func runServeClient(cfg ServeLoadConfig, k int, conn transport.Conn, out *[]time
 	shape := append([]int{cfg.RequestRows}, m.InputShape...)
 	x := tensor.New(shape...)
 	for i := 0; i < cfg.RequestsPerPlatform; i++ {
-		data := x.Data()
-		for j := range data {
-			data[j] = r.NormFloat32()
-		}
+		r.NormFloat32s(x.Data())
 		t0 := time.Now()
 		y, err := client.Infer(x)
 		lat := time.Since(t0)

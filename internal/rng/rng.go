@@ -14,10 +14,17 @@
 // order (each starts from a snapshot taken after skipping its
 // predecessors' share). It replays Norm's draw pattern: any change to
 // how Norm consumes the stream must update SkipNorm with it, and
-// TestSkipNormMatchesNorm fails until it does.
+// TestSkipNormMatchesNorm fails until it does. NormFloat32s, which
+// draws Norm's uniforms in blocks and transforms them with one kernel
+// call, must track the same draw pattern, and TestNormFloat32sMatchesNorm
+// holds it to it.
 package rng
 
-import "math"
+import (
+	"math"
+
+	"medsplit/internal/tensor/kernels"
+)
 
 // RNG is a deterministic SplitMix64 pseudo-random number generator.
 // The zero value is a valid generator seeded with 0; prefer New so the
@@ -76,7 +83,11 @@ const gamma = 0x9e3779b97f4a7c15
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += gamma
-	z := r.state
+	return mix(r.state)
+}
+
+// mix is SplitMix64's output finalizer.
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -175,6 +186,47 @@ func (r *RNG) SkipNorm(n int) {
 // NormFloat32 returns a standard normal variate as float32.
 func (r *RNG) NormFloat32() float32 {
 	return float32(r.Norm())
+}
+
+// normBlock is how many (u, v) pairs NormFloat32s draws per kernel
+// call: 4 KB of stack, one synthetic sample's noise in three calls.
+const normBlock = 256
+
+// NormFloat32s fills dst with what len(dst) calls to NormFloat32 would
+// return, and leaves r where they would, spare variate and all. A
+// pending spare comes first. Every pair but the last is then drawn as
+// Norm draws it, u redrawn while zero, into blocks on the stack, and
+// transformed by kernels.BoxMuller32, which computes Norm's bits four
+// pairs at a time. The last pair goes through Norm itself, as in
+// SkipNorm, so the spare it leaves (or the consumed spare's stale
+// value) is the serial loop's.
+func (r *RNG) NormFloat32s(dst []float32) {
+	if len(dst) > 0 && r.hasCachedNorm {
+		r.hasCachedNorm = false
+		dst[0] = float32(r.cachedNorm)
+		dst = dst[1:]
+	}
+	var u, v [normBlock]float64
+	for len(dst) > 2 {
+		n := min(normBlock, (len(dst)-1)/2)
+		s := r.state
+		for i := range u[:n] {
+			z := uint64(0)
+			for z == 0 { // Float64() == 0: Norm's u retry
+				s += gamma
+				z = mix(s) >> 11
+			}
+			s += gamma
+			u[i] = float64(z) / (1 << 53)
+			v[i] = float64(mix(s)>>11) / (1 << 53)
+		}
+		r.state = s
+		kernels.BoxMuller32(dst[:2*n], u[:n], v[:n])
+		dst = dst[2*n:]
+	}
+	for i := range dst {
+		dst[i] = float32(r.Norm())
+	}
 }
 
 // Perm returns a pseudo-random permutation of [0, n) using Fisher-Yates.

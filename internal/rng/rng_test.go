@@ -236,6 +236,18 @@ func BenchmarkNorm(b *testing.B) {
 	}
 }
 
+// BenchmarkNormFloat32s draws one synthetic sample's noise, 3072
+// variates, per op.
+func BenchmarkNormFloat32s(b *testing.B) {
+	r := New(1)
+	dst := make([]float32, 3072)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.NormFloat32s(dst)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(dst)*b.N), "ns/variate")
+}
+
 func BenchmarkSkipNorm(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
@@ -302,6 +314,25 @@ func unmix(z uint64) uint64 {
 	return unshift(z, 30)
 }
 
+type streamStart struct {
+	name  string
+	state uint64
+}
+
+// zeroUStarts returns two plain seeds and streams with an output
+// planted at each of the first twelve draws. Outputs below 2^11 make
+// Float64 return 0, so Norm redraws them as u; 2^11 is the smallest
+// that it keeps.
+func zeroUStarts() []streamStart {
+	starts := []streamStart{{"seed 1", 1}, {"seed 0xdead", 0xdead}}
+	for _, z := range []uint64{0, 1<<11 - 1, 1 << 11} {
+		for d := 0; d < 12; d++ {
+			starts = append(starts, streamStart{fmt.Sprintf("output %d at draw %d", z, d), unmix(z) - uint64(d+1)*gamma})
+		}
+	}
+	return starts
+}
+
 // TestSkipNormMatchesNorm holds SkipNorm(n) to n Norm calls: the same
 // snapshot afterwards, and the same bits from a mixed run of draws.
 // Starts cover a cached and an uncached spare, odd and even n, and
@@ -312,18 +343,7 @@ func TestSkipNormMatchesNorm(t *testing.T) {
 	if got := New(unmix(0) - gamma).Uint64(); got != 0 {
 		t.Fatalf("unmix(0) does not invert the finalizer: draw %#x", got)
 	}
-	type start struct {
-		name  string
-		state uint64
-	}
-	starts := []start{{"seed 1", 1}, {"seed 0xdead", 0xdead}}
-	// Outputs below 2^11 make Float64 return 0, so Norm redraws them as
-	// u; 2^11 is the smallest that it keeps.
-	for _, z := range []uint64{0, 1<<11 - 1, 1 << 11} {
-		for d := 0; d < 12; d++ {
-			starts = append(starts, start{fmt.Sprintf("output %d at draw %d", z, d), unmix(z) - uint64(d+1)*gamma})
-		}
-	}
+	starts := zeroUStarts()
 	mixed := func(r *RNG) []uint64 {
 		var out []uint64
 		for i := 0; i < 9; i++ {
@@ -361,6 +381,39 @@ func TestSkipNormMatchesNorm(t *testing.T) {
 		}
 		if skip.Snapshot() != serial.Snapshot() {
 			t.Fatalf("n=%d: SkipNorm left %+v, Norm %+v", n, skip.Snapshot(), serial.Snapshot())
+		}
+	}
+}
+
+// TestNormFloat32sMatchesNorm holds NormFloat32s to as many NormFloat32
+// calls: the same bits out and the same snapshot after. Lengths cover
+// every tail up to 21 and one synthetic sample's 3072 with a variate
+// either side, which span several kernel blocks; starts cover a cached
+// and an uncached spare and the planted zero u's of zeroUStarts.
+func TestNormFloat32sMatchesNorm(t *testing.T) {
+	lengths := []int{3071, 3072, 3073}
+	for n := 0; n <= 21; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, s := range zeroUStarts() {
+		for _, cached := range []bool{false, true} {
+			for _, n := range lengths {
+				got, want := New(s.state), New(s.state)
+				if cached {
+					got.Norm()
+					want.Norm()
+				}
+				dst := make([]float32, n)
+				got.NormFloat32s(dst)
+				for i, v := range dst {
+					if w := want.NormFloat32(); math.Float32bits(v) != math.Float32bits(w) {
+						t.Fatalf("%s, cached %v, n=%d: variate %d = %v, NormFloat32 %v", s.name, cached, n, i, v, w)
+					}
+				}
+				if got.Snapshot() != want.Snapshot() {
+					t.Fatalf("%s, cached %v, n=%d: NormFloat32s left %+v, NormFloat32 %+v", s.name, cached, n, got.Snapshot(), want.Snapshot())
+				}
+			}
 		}
 	}
 }

@@ -180,3 +180,25 @@ var (
 	sink  float32
 	sinkI int32
 )
+
+// BenchmarkBoxMuller times one synthetic sample's noise, 3072 variates
+// from 1536 (u, v) pairs, on every arm that has its own Box-Muller
+// code; ns per variate is the custom metric.
+func BenchmarkBoxMuller(b *testing.B) {
+	const pairs = 1536
+	benchArms(b, vectorArms(), func(b *testing.B) {
+		state := uint64(1)
+		u, v := make([]float64, pairs), make([]float64, pairs)
+		for i := range u {
+			u[i] = float64(splitMix64(&state)>>11+1) / (1 << 53)
+			v[i] = float64(splitMix64(&state)>>11) / (1 << 53)
+		}
+		dst := make([]float32, 2*pairs)
+		b.SetBytes(4 * 2 * pairs)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			BoxMuller32(dst, u, v)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*pairs*b.N), "ns/variate")
+	})
+}

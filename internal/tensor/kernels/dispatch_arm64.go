@@ -11,7 +11,10 @@ package kernels
 // instruction words cannot be differentially tested on amd64-only CI.
 // The ReLU and max-pool kernels stay generic as well, for a different
 // reason: FMAX and FMAXNM do not keep the operand a strict > select
-// keeps when a NaN meets a number (see the package doc).
+// keeps when a NaN meets a number (see the package doc). So does the
+// Box-Muller transform: its reference is the math package, whose
+// arm64 Log is pure Go and whose multiply-adds gc may fuse, so a NEON
+// copy would have to track the compiler (see the package doc).
 //
 // FMA note: gc compiles the generic reference's `u += a*b` to FMADD on
 // arm64, so the NEON kernels use VFMLA — one fused rounding per
@@ -34,6 +37,7 @@ const (
 	clampStride  = 1
 	outerStride  = 1
 	selectStride = 1
+	bmStride     = 1
 )
 
 const (
@@ -44,6 +48,7 @@ const (
 	hasClampASM  = false
 	hasOuterASM  = false
 	hasSelectASM = false
+	hasBMASM     = false
 	hasAVX512    = false
 )
 
@@ -89,6 +94,10 @@ func maxPool2x2Vec(dst, x *float32, units, blocks, span, half, below int) {
 
 func maxPool2x2GradVec(dx, dy, x *float32, units, blocks, span, half, below int) {
 	panic("kernels: no ReLU or pool assembly on arm64")
+}
+
+func boxMullerVec(dst *float32, u, v *float64, nv int) {
+	panic("kernels: no Box-Muller assembly on arm64")
 }
 
 func dotI8Vec(a, b *int8, nv int) int32 { panic("kernels: no int8 assembly on arm64") }

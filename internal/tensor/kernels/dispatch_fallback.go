@@ -19,6 +19,7 @@ const (
 	clampStride  = 1
 	outerStride  = 1
 	selectStride = 1
+	bmStride     = 1
 )
 
 const (
@@ -29,6 +30,7 @@ const (
 	hasClampASM  = false
 	hasOuterASM  = false
 	hasSelectASM = false
+	hasBMASM     = false
 	hasAVX512    = false
 )
 
@@ -63,6 +65,10 @@ func maxPool2x2Vec(dst, x *float32, units, blocks, span, half, below int) {
 }
 
 func maxPool2x2GradVec(dx, dy, x *float32, units, blocks, span, half, below int) {
+	panic("kernels: no assembly in this build")
+}
+
+func boxMullerVec(dst *float32, u, v *float64, nv int) {
 	panic("kernels: no assembly in this build")
 }
 

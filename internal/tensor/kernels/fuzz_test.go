@@ -227,3 +227,38 @@ func FuzzSelectKernels(f *testing.F) {
 		checkSelectKernels(t, x, g, g[:n/4], rows, w)
 	})
 }
+
+// FuzzBoxMuller holds BoxMuller32 on every arm to the math package on
+// pairs read from the input, 16 bytes a pair. A u or v whose top bit
+// is clear lands on Norm's lattice of multiples of 2⁻⁵³ (a zero u
+// becomes 2⁻⁵³); one whose top bit is set is any normal float64 in
+// (0, 1), or [0, 1) for v, so the exponent bits log's frexp masks and
+// sin's octant reduction see are the fuzzer's too.
+func FuzzBoxMuller(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(make([]byte, 16*5))
+	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xef\xbf\x00\x00\x00\x00\x00\x00\xe0\xbf\x9e\x79\x66\x7f\xf3\xa0\xe6\xbf\x00\x00\x00\x00\x00\x00\xe8\xbf"))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over the lazy dog, and back"))
+	unit := func(x uint64, zero float64) float64 {
+		if x>>63 == 0 {
+			if y := float64(x>>11) / (1 << 53); y != 0 || zero == 0 {
+				return y
+			}
+			return zero
+		}
+		y := math.Float64frombits(x &^ (1 << 63) % 0x3FF0000000000000)
+		if y < 0x1p-1022 {
+			return zero
+		}
+		return y
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		n := len(raw) / 16
+		u, v := make([]float64, n), make([]float64, n)
+		for i := range u {
+			u[i] = unit(binary.LittleEndian.Uint64(raw[16*i:]), 0x1p-53)
+			v[i] = unit(binary.LittleEndian.Uint64(raw[16*i+8:]), 0)
+		}
+		checkBoxMuller(t, u, v)
+	})
+}

@@ -151,6 +151,19 @@ func outerStepGeneric(w, x, dy []float32, r0, r1, batch, in, out, j0 int, alpha,
 	}
 }
 
+// boxMullerGeneric is rng.Norm's transform, its expressions verbatim:
+// each (u, v) pair gives the cosine variate, which Norm returns, then
+// the sine variate, which it caches.
+func boxMullerGeneric(dst []float32, u, v []float64) {
+	dst = dst[:2*len(u)]
+	v = v[:len(u)]
+	for i, ui := range u {
+		mag := math.Sqrt(-2 * math.Log(ui))
+		dst[2*i] = float32(mag * math.Cos(2*math.Pi*v[i]))
+		dst[2*i+1] = float32(mag * math.Sin(2*math.Pi*v[i]))
+	}
+}
+
 // quantize8Generic maps src to uint8 codes against the [lo, lo+1/scale·255]
 // range: half-up rounding after clamping, matching the historical
 // internal/compress encoder exactly.

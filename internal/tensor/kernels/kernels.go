@@ -3,8 +3,8 @@
 // of dense primitives every hot loop in the repo reduces to — GEMM
 // inner panels, dot/axpy, symmetric clamp, the fused SGD outer step,
 // ReLU and its gradient, the 2×2 max pool and its gradient, f16↔f32
-// conversion, int8 dot with i32 accumulation, uint8 dequantize — each
-// with
+// conversion, int8 dot with i32 accumulation, uint8 dequantize, and
+// the Box-Muller transform behind every Gaussian draw — each with
 //
 //   - a pure-Go reference implementation (always compiled, used on
 //     unsupported architectures, under the `purego` build tag, and when
@@ -14,7 +14,7 @@
 //     detection. amd64 has assembly for every kernel but Quantize8;
 //     arm64 has it for GemmPanel/GemmPanelK, Dot and Axpy and runs
 //     Clamp, OuterStep, ReLU, ReLUGrad, MaxPool2x2, MaxPool2x2Grad,
-//     DotI8, Dequantize8 and the f16 converters generic.
+//     DotI8, Dequantize8, the f16 converters and BoxMuller32 generic.
 //   - on amd64 hosts with AVX-512, a third GEMM arm: one zmm tile,
 //     selected at init when CPUID.7 EBX bit 16 (AVX512F) is set and
 //     XCR0 enables XMM, YMM, opmask, ZMM_Hi256 and Hi16_ZMM state (bits
@@ -88,6 +88,17 @@
 //     splitting cannot change the result. Inputs must satisfy
 //     len ≤ 2¹⁶ to keep the i32 accumulator overflow-free at the
 //     int8 extremes.
+//   - BoxMuller32: bit-identical to rng.Norm's expressions, and so to
+//     NormFloat32, on Norm's inputs (u in (0, 1), v in [0, 1)). On
+//     amd64 those call math.Log, which is the assembly in
+//     math/log_amd64.s, the SQRTSD intrinsic, and sin.go's Sin and
+//     Cos. The AVX2 code repeats each of them operation for operation
+//     on four pairs, with separate VMULPD and VADDPD: gc never fuses
+//     a*b+c on amd64, so the standard library rounds every product
+//     and every sum, and one FMA would round differently. arm64 runs
+//     the generic arm. There math.Log is log.go, and gc fuses
+//     multiply-adds in log.go and sin.go where it chooses to, so a
+//     NEON copy would have to follow the compiler's choices.
 //   - Dot: reassociation is allowed (the assembly splits the sum across
 //     lanes), so results may differ from the sequential reference by a
 //     few ULP. Dot is therefore kept out of the bit-critical training
@@ -198,6 +209,10 @@ func activeOuter() bool { return hasOuterASM && !genericForced() }
 // activeSelect gates the ReLU and max-pool assembly: amd64 only (the
 // package doc says why arm64 keeps the select loops).
 func activeSelect() bool { return hasSelectASM && !genericForced() }
+
+// activeBM gates the Box-Muller assembly: amd64 only (the package doc
+// says why arm64 runs the math package).
+func activeBM() bool { return hasBMASM && !genericForced() }
 
 // Name reports which implementation dispatch selects right now:
 // "avx512", "avx2", "neon" or "generic". "avx512" names the GEMM
@@ -645,6 +660,31 @@ func Dequantize8(dst []float32, src []byte, lo, step float32) {
 	for ; i < len(src); i++ {
 		dst[i] = lo + float32(src[i])*step
 	}
+}
+
+// BoxMuller32 writes the Box-Muller transform of each (u[i], v[i])
+// pair to dst[2i] and dst[2i+1] as float32:
+//
+//	mag := math.Sqrt(-2 * math.Log(u[i]))
+//	dst[2i], dst[2i+1] = float32(mag·math.Cos(2π·v[i])), float32(mag·math.Sin(2π·v[i]))
+//
+// which is bit for bit what NormFloat32 returns for the pair and then
+// for its cached spare (panics unless len(u) == len(v) and len(dst) ==
+// 2·len(u)). The inputs are Norm's draws: u in (0, 1) and v in [0, 1).
+// The AVX2 arm computes four pairs at a time with the operations of
+// the amd64 standard library (see the package doc); every other arm
+// calls the math package.
+func BoxMuller32(dst []float32, u, v []float64) {
+	if len(u) != len(v) || len(dst) != 2*len(u) {
+		panic("kernels: BoxMuller32 length mismatch")
+	}
+	i := 0
+	if activeBM() && len(u) >= bmStride {
+		nv := len(u) &^ (bmStride - 1)
+		boxMullerVec(&dst[0], &u[0], &v[0], nv)
+		i = nv
+	}
+	boxMullerGeneric(dst[2*i:], u[i:], v[i:])
 }
 
 // Quantize8 maps float32 values to uint8 codes: clamp((src[i]-lo)*scale

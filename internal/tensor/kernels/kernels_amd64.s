@@ -734,3 +734,155 @@ dq8_loop:
 
 	VZEROUPPER
 	RET
+
+// BM(i) is boxMullerConsts[i], four lanes of one float64 constant.
+#define BM(i) ·boxMullerConsts+(i*32)(SB)
+
+// func boxMullerVec(dst *float32, u, v *float64, nv int)
+//
+// Four Box-Muller pairs per iteration: dst[2i], dst[2i+1] =
+// float32(mag·cos), float32(mag·sin) with mag = √(−2·log u[i]) and the
+// angle 2π·v[i]. Every lane runs the amd64 standard library's
+// operations in their order, with separate multiplies and adds as gc
+// emits them on amd64:
+//
+//   - log is math/log_amd64.s (archLog, which is math.Log on amd64):
+//     frexp by bit masks, k -= 1 and f1 *= 2 where CMPSD's NLT says
+//     !(HSqrt2 < f1), then its polynomial and final expression term by
+//     term. The exponent becomes a float64 through 2⁵²: OR its bits
+//     into 2⁵²'s mantissa and subtract 2⁵² plus the bias, exactly.
+//   - VSQRTPD is SQRTSD, the math.Sqrt intrinsic, lane by lane.
+//   - sin and cos are sin.go's for 0 ≤ x < 2π, below its trigReduce
+//     threshold: j = uint64(x·(4/π)) truncated (VROUNDPD $3), the odd
+//     j bumped through the integer bits of 2⁵² + j, the three-part π/4
+//     reduction, both polynomials in Go's left-to-right order, and the
+//     octant's polynomial swap and sign flips as sign-bit masks.
+//
+// VCVTPD2PS rounds to float32 as CVTSD2SS does. nv is a positive
+// multiple of 4; u must be positive and v in [0, 1).
+TEXT ·boxMullerVec(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ u+8(FP), SI
+	MOVQ v+16(FP), DX
+	MOVQ nv+24(FP), CX
+
+bm_loop:
+	// archLog(u), operation for operation.
+	VMOVUPD (SI), Y0
+	VANDPD  BM(0), Y0, Y2      // mantissa bits
+	VORPD   BM(1), Y2, Y2      // f1 in [0.5, 1)
+	VPSRLQ  $52, Y0, Y3        // biased exponent (u > 0: no sign bit)
+	VPOR    BM(2), Y3, Y3      // 2⁵² + exponent
+	VSUBPD  BM(3), Y3, Y3      // k
+	VMOVUPD BM(4), Y4
+	VCMPPD  $5, Y2, Y4, Y4     // !(HSqrt2 < f1)
+	VANDPD  BM(5), Y4, Y4      // 0 or 1
+	VSUBPD  Y4, Y3, Y3         // k -= 0 or 1
+	VADDPD  BM(5), Y4, Y4      // 1 or 2
+	VMULPD  Y4, Y2, Y2         // f1 *= 1 or 2
+	VSUBPD  BM(5), Y2, Y2      // f = f1 - 1
+	VADDPD  BM(6), Y2, Y5      // 2 + f
+	VDIVPD  Y5, Y2, Y5         // s = f / (2 + f)
+	VMULPD  Y5, Y5, Y6         // s2
+	VMULPD  Y6, Y6, Y7         // s4
+	VMULPD  BM(13), Y7, Y8     // L7·s4
+	VADDPD  BM(11), Y8, Y8     // + L5
+	VMULPD  Y7, Y8, Y8
+	VADDPD  BM(9), Y8, Y8      // + L3
+	VMULPD  Y7, Y8, Y8
+	VADDPD  BM(7), Y8, Y8      // + L1
+	VMULPD  Y8, Y6, Y6         // t1
+	VMULPD  BM(12), Y7, Y8     // L6·s4
+	VADDPD  BM(10), Y8, Y8     // + L4
+	VMULPD  Y7, Y8, Y8
+	VADDPD  BM(8), Y8, Y8      // + L2
+	VMULPD  Y8, Y7, Y7         // t2
+	VADDPD  Y7, Y6, Y6         // R = t1 + t2
+	VMULPD  BM(1), Y2, Y7      // 0.5·f
+	VMULPD  Y2, Y7, Y7         // hfsq = 0.5·f·f
+	VADDPD  Y7, Y6, Y6         // hfsq + R
+	VMULPD  Y6, Y5, Y5         // s·(hfsq + R)
+	VMULPD  BM(15), Y3, Y6     // k·Ln2Lo
+	VADDPD  Y6, Y5, Y5
+	VSUBPD  Y5, Y7, Y7         // hfsq - (s·(hfsq + R) + k·Ln2Lo)
+	VSUBPD  Y2, Y7, Y7         // ... - f
+	VMULPD  BM(14), Y3, Y3     // k·Ln2Hi
+	VSUBPD  Y7, Y3, Y3         // log u
+	VMULPD  BM(16), Y3, Y3     // -2·log u
+	VSQRTPD Y3, Y3             // mag
+
+	// sin.go's reduction of x = 2π·v.
+	VMOVUPD (DX), Y1
+	VMULPD  BM(17), Y1, Y1     // x
+	VMULPD  BM(18), Y1, Y4     // x·(4/π)
+	VROUNDPD $3, Y4, Y4        // float64(j), j truncated
+	VADDPD  BM(2), Y4, Y9      // bits of 2⁵² + j: j in the low bits
+	VANDPD  BM(19), Y9, Y10    // j&1
+	VPADDQ  Y10, Y9, Y9        // j++ where odd
+	VSUBPD  BM(2), Y9, Y4      // y = float64(j)
+	VPSLLQ  $62, Y9, Y10       // sign bit = j&2: the polynomials swap
+	VPSLLQ  $61, Y9, Y11
+	VANDPD  BM(20), Y11, Y11   // sign bit = j&4: sin's sign
+	VXORPD  Y10, Y11, Y12      // sign bit = j&4 xor j&2: cos's sign
+	VMULPD  BM(21), Y4, Y6     // y·PI4A
+	VSUBPD  Y6, Y1, Y1
+	VMULPD  BM(22), Y4, Y6     // y·PI4B
+	VSUBPD  Y6, Y1, Y1
+	VMULPD  BM(23), Y4, Y6     // y·PI4C
+	VSUBPD  Y6, Y1, Y1         // z
+	VMULPD  Y1, Y1, Y4         // zz
+
+	// z + z·zz·(((((_sin[0]·zz + _sin[1])·zz + ...)·zz + _sin[5])
+	VMULPD  BM(24), Y4, Y6
+	VADDPD  BM(25), Y6, Y6
+	VMULPD  Y4, Y6, Y6
+	VADDPD  BM(26), Y6, Y6
+	VMULPD  Y4, Y6, Y6
+	VADDPD  BM(27), Y6, Y6
+	VMULPD  Y4, Y6, Y6
+	VADDPD  BM(28), Y6, Y6
+	VMULPD  Y4, Y6, Y6
+	VADDPD  BM(29), Y6, Y6
+	VMULPD  Y4, Y1, Y7         // z·zz
+	VMULPD  Y6, Y7, Y7
+	VADDPD  Y7, Y1, Y7         // the sine polynomial
+
+	// 1 - 0.5·zz + zz·zz·(((((_cos[0]·zz + _cos[1])·zz + ...)·zz + _cos[5])
+	VMULPD  BM(30), Y4, Y6
+	VADDPD  BM(31), Y6, Y6
+	VMULPD  Y4, Y6, Y6
+	VADDPD  BM(32), Y6, Y6
+	VMULPD  Y4, Y6, Y6
+	VADDPD  BM(33), Y6, Y6
+	VMULPD  Y4, Y6, Y6
+	VADDPD  BM(34), Y6, Y6
+	VMULPD  Y4, Y6, Y6
+	VADDPD  BM(35), Y6, Y6
+	VMULPD  Y4, Y4, Y8         // zz·zz
+	VMULPD  Y6, Y8, Y8
+	VMULPD  BM(1), Y4, Y6      // 0.5·zz
+	VMOVUPD BM(5), Y13
+	VSUBPD  Y6, Y13, Y13       // 1 - 0.5·zz
+	VADDPD  Y8, Y13, Y13       // the cosine polynomial
+
+	// Octant: swap where j&2, then flip the signs.
+	VBLENDVPD Y10, Y13, Y7, Y14 // sin
+	VBLENDVPD Y10, Y7, Y13, Y15 // cos
+	VXORPD  Y11, Y14, Y14
+	VXORPD  Y12, Y15, Y15
+	VMULPD  Y15, Y3, Y15       // mag·cos
+	VMULPD  Y14, Y3, Y14       // mag·sin
+	VCVTPD2PSY Y15, X15
+	VCVTPD2PSY Y14, X14
+	VUNPCKLPS X14, X15, X0     // cos0 sin0 cos1 sin1
+	VUNPCKHPS X14, X15, X1     // cos2 sin2 cos3 sin3
+	VMOVUPS X0, (DI)
+	VMOVUPS X1, 16(DI)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JNZ  bm_loop
+
+	VZEROUPPER
+	RET

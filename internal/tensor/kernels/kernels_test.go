@@ -957,3 +957,116 @@ func TestSelectKernelsRejectBadShapes(t *testing.T) {
 		}()
 	}
 }
+
+// boxMullerRef is rng.Norm's transform of one (u, v) pair as
+// NormFloat32 returns it: the cosine variate, then the cached sine.
+func boxMullerRef(u, v float64) (c, s float32) {
+	mag := math.Sqrt(-2 * math.Log(u))
+	return float32(mag * math.Cos(2*math.Pi*v)), float32(mag * math.Sin(2*math.Pi*v))
+}
+
+// checkBoxMuller runs BoxMuller32 over the pairs on every arm and
+// holds each output bit-identical to boxMullerRef.
+func checkBoxMuller(t *testing.T, u, v []float64) {
+	t.Helper()
+	want := make([]float32, 2*len(u))
+	for i := range u {
+		want[2*i], want[2*i+1] = boxMullerRef(u[i], v[i])
+	}
+	got := make([]float32, len(want))
+	eachArm(func(arm string) {
+		clear(got)
+		BoxMuller32(got, u, v)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("BoxMuller32 [%s]: pair %d (u=%v %#x, v=%v %#x) out[%d] = %v, math %v",
+					arm, i/2, u[i/2], math.Float64bits(u[i/2]), v[i/2], math.Float64bits(v[i/2]),
+					i%2, got[i], want[i])
+			}
+		}
+	})
+}
+
+// boxMullerEdges returns the planted inputs: u at 2⁻⁵³ and 1−2⁻⁵³, at
+// every power of two in (0, 1) and at HSqrt2 (√2/2 rounded) times each,
+// with its float neighbours, where log's frexp decides between two
+// reductions; v at 0, 1−2⁻⁵³ and every octant boundary k/8 with its
+// neighbours, where sin and cos change polynomial and sign.
+func boxMullerEdges() (us, vs []float64) {
+	const hsqrt2 = 7.07106781186547524401e-01
+	us = []float64{0x1p-53, 1 - 0x1p-53, 0.5 - 0x1p-54, 0.5 + 0x1p-53}
+	for e := 0; e <= 53; e++ {
+		p := math.Ldexp(1, -e)
+		h := hsqrt2 * p
+		us = append(us, h, math.Nextafter(h, 0), math.Nextafter(h, 1))
+		if e > 0 {
+			us = append(us, p, math.Nextafter(p, 0), math.Nextafter(p, 1))
+		}
+	}
+	vs = []float64{0, 0x1p-53, 1 - 0x1p-53}
+	for k := 1; k < 8; k++ {
+		b := float64(k) / 8
+		lo, hi := b, b
+		vs = append(vs, b)
+		for s := 0; s < 3; s++ {
+			lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, 1)
+			vs = append(vs, lo, hi)
+		}
+	}
+	return us, vs
+}
+
+// splitMix64 is rng's generator, restated: this package's tests cannot
+// import rng, which imports this package.
+func splitMix64(state *uint64) uint64 {
+	*state += 0x9e3779b97f4a7c15
+	z := *state
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// TestBoxMullerMatchesMath holds every arm of BoxMuller32 bit for bit to
+// the math package: 2²² pairs drawn as Norm draws them, and every
+// planted u against every planted v at lengths that leave each tail
+// size behind the four-pair vector loop.
+func TestBoxMullerMatchesMath(t *testing.T) {
+	t.Logf("arms: %v", Arms())
+	us, vs := boxMullerEdges()
+	var u, v []float64
+	for _, a := range us {
+		for _, b := range vs {
+			u, v = append(u, a), append(v, b)
+		}
+	}
+	whole := len(u)&^3 - 4
+	for tail := 0; tail < 4; tail++ {
+		checkBoxMuller(t, u[:whole+tail], v[:whole+tail])
+	}
+	const pairs, block = 1 << 22, 1 << 14
+	u, v = make([]float64, block), make([]float64, block)
+	state := uint64(1)
+	for done := 0; done < pairs; done += block {
+		for i := range u {
+			for u[i] == 0 {
+				u[i] = float64(splitMix64(&state)>>11) / (1 << 53)
+			}
+			v[i] = float64(splitMix64(&state)>>11) / (1 << 53)
+		}
+		checkBoxMuller(t, u, v)
+		clear(u)
+	}
+}
+
+func TestBoxMullerRejectsBadLengths(t *testing.T) {
+	for _, c := range []struct{ dst, u, v int }{{8, 4, 3}, {7, 4, 4}, {10, 4, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("BoxMuller32(dst %d, u %d, v %d) did not panic", c.dst, c.u, c.v)
+				}
+			}()
+			BoxMuller32(make([]float32, c.dst), make([]float64, c.u), make([]float64, c.v))
+		}()
+	}
+}
