@@ -129,9 +129,17 @@ func checkGemmDst(op string, dst *Tensor, m, n int) {
 	}
 }
 
+// gemmRowGroup is the row granule of gemm's fan-out: the AVX-512
+// tile's eight rows, which the AVX2 tile's four divide. A chunk of
+// whole groups keeps every tile a one-worker product would run; 8 rows
+// split 4 and 4 would fall to the AVX2 tile on both workers.
+const gemmRowGroup = 8
+
 // gemm computes out [m,n] = op(a)·op(b), or adds it to out when acc is
 // set. op(a) is [m,k]: a is stored [m,k], or [k,m] with transA. op(b)
-// is [k,n]: b is stored [k,n], or [n,k] with transB.
+// is [k,n]: b is stored [k,n], or [n,k] with transB. Rows fan out in
+// whole gemmRowGroup groups; every output row keeps its own
+// accumulation chain, so the grouping changes no bit.
 func gemm(out, a, b []float32, m, k, n int, transA, transB, acc bool) {
 	if transB {
 		bt := Default.GetBuf(k * n)
@@ -140,12 +148,13 @@ func gemm(out, a, b []float32, m, k, n int, transA, transB, acc bool) {
 		Default.PutBuf(bt)
 		return
 	}
-	if serialRows(m, m*k*n) {
+	groups := (m + gemmRowGroup - 1) / gemmRowGroup
+	if serialRows(groups, m*k*n) {
 		gemmRange(out, a, b, m, k, n, transA, acc, 0, m)
 		return
 	}
-	parallelRows(m, m*k*n, func(r0, r1 int) {
-		gemmRange(out, a, b, m, k, n, transA, acc, r0, r1)
+	parallelRows(groups, m*k*n, func(g0, g1 int) {
+		gemmRange(out, a, b, m, k, n, transA, acc, g0*gemmRowGroup, min(g1*gemmRowGroup, m))
 	})
 }
 
