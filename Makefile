@@ -15,7 +15,9 @@ GO ?= go
 # movement layers at the VGG-lite benchmark's activation shapes (and,
 # under /eval/, the serving tier's eval forward at 8 rows), and
 # BenchmarkConvTrainStep its three conv layers' forward + backward.
-BENCH_PATTERN ?= BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkCodec|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkInputLayerUpdate|BenchmarkClipGrads|BenchmarkSGDStep|BenchmarkReLU|BenchmarkMaxPool2D|BenchmarkConvTrainStep
+# BenchmarkBuildData builds the training workloads' data (corpus and
+# shards) at the repository benchmark's MLP config.
+BENCH_PATTERN ?= BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkCodec|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkInputLayerUpdate|BenchmarkClipGrads|BenchmarkSGDStep|BenchmarkReLU|BenchmarkMaxPool2D|BenchmarkConvTrainStep|BenchmarkBuildData
 
 # Packages with concurrency worth racing: the session engine (one
 # goroutine per party, plus replication streams and rejoin brokers), the
@@ -50,14 +52,14 @@ COVER_MIN_paramserver = 82
 # modes' wire order, concat's fused steps and the compute gate) must
 # also hold at one core, where the parallel kernels take their serial
 # path. So must the pins on what every session starts from: synthetic
-# data and fresh weights, and the block draws behind them.
+# data, its shards and fresh weights, and the block draws behind them.
 test:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'Batch|Flush|IdleSlot|Overload|Expired|Lane|Wake' ./internal/serve/
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestRoundModeDigests|TestServerRoundRobinOrdering|TestConcat|TestComputeGate' ./internal/core/
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestSkipNormMatchesNorm|TestNormFloat32sMatchesNorm|TestSynthCIFARPins|TestFreshModelPins|TestFillNormalMatchesSerial' ./internal/rng/ ./internal/dataset/ ./internal/models/ ./internal/tensor/
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestSkipNormMatchesNorm|TestNormFloat32sMatchesNorm|TestSynthCIFARPins|TestSynthCIFARZeroU|TestSynthCIFARMatchesSerialLoop|TestBuildDataShardsAreSubsetViews|TestFreshModelPins|TestFillNormalMatchesSerial' ./internal/rng/ ./internal/dataset/ ./internal/experiment/ ./internal/models/ ./internal/tensor/
 
 # The repository benchmark (BENCHMARK.json) is a Go module of its own
 # under bench/ (`replace medsplit => ../`), so `go build ./...` and
@@ -94,7 +96,7 @@ fmt-check:
 # (mirrors CI's purego job).
 purego-test:
 	$(GO) build -tags purego ./...
-	$(GO) test -tags purego ./internal/tensor/... ./internal/compress/ ./internal/nn/ ./internal/rng/ ./internal/dataset/ ./internal/models/
+	$(GO) test -tags purego ./internal/tensor/... ./internal/compress/ ./internal/nn/ ./internal/rng/ ./internal/dataset/ ./internal/models/ ./internal/experiment/
 	$(GO) test -tags purego -run TestRoundModeDigests ./internal/core/
 
 # Cross-compile the full module for arm64 and vet the kernel layer,
@@ -119,7 +121,8 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDecodeStepRecord' -fuzztime 10s ./internal/core/
 	$(GO) test -run NONE -fuzz 'FuzzWALDecode' -fuzztime 10s ./internal/wal/
 	$(GO) test -run NONE -fuzz 'FuzzSelectKernels' -fuzztime 10s ./internal/tensor/kernels/
-	$(GO) test -run NONE -fuzz 'FuzzBoxMuller' -fuzztime 10s ./internal/tensor/kernels/
+	$(GO) test -run NONE -fuzz 'FuzzBoxMuller$$' -fuzztime 10s ./internal/tensor/kernels/
+	$(GO) test -run NONE -fuzz 'FuzzBoxMullerSplitMix' -fuzztime 10s ./internal/tensor/kernels/
 	@echo fuzz-smoke ok
 
 # Coverage summary for the engine core (the session/checkpoint/recovery
@@ -165,7 +168,7 @@ ci: fmt-check test bench-check race purego-test cross-arm64 bench-smoke bench-co
 # Human-readable benchmark sweep of the tensor engine, codecs and
 # training path.
 bench:
-	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem -run NONE ./internal/tensor/ ./internal/nn/ ./internal/compress/ .
+	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem -run NONE ./internal/tensor/ ./internal/nn/ ./internal/compress/ ./internal/experiment/ .
 
 # One-iteration benchmark pass piped through cmd/benchjson, which fails
 # on malformed output — the cheap guard that keeps BENCH_*.json
@@ -184,8 +187,8 @@ bench-smoke:
 # and the multi-iteration benchtime amortizes one-time pool warm-up
 # allocations that would otherwise inflate allocs/op vs the baselines.
 bench-compare:
-	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkInputLayerUpdate|BenchmarkClipGrads|BenchmarkSGDStep|BenchmarkReLU|BenchmarkMaxPool2D|BenchmarkConvTrainStep' -benchmem -benchtime 10x -run NONE \
-		./internal/tensor/ ./internal/tensor/kernels/ ./internal/nn/ . | $(GO) run ./cmd/benchjson -compare BENCH_tensor.json -skip-ns
+	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkMatMul|BenchmarkMatMulTA|BenchmarkMatMulTB|BenchmarkIm2Col$$|BenchmarkConvForward|BenchmarkSplitRound|BenchmarkKernel|BenchmarkDenseBackwardInputLayer|BenchmarkInputLayerUpdate|BenchmarkClipGrads|BenchmarkSGDStep|BenchmarkReLU|BenchmarkMaxPool2D|BenchmarkConvTrainStep|BenchmarkBuildData' -benchmem -benchtime 10x -run NONE \
+		./internal/tensor/ ./internal/tensor/kernels/ ./internal/nn/ ./internal/experiment/ . | $(GO) run ./cmd/benchjson -compare BENCH_tensor.json -skip-ns
 	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkCodec|BenchmarkSplitRound' -benchmem -benchtime 10x -run NONE \
 		./internal/compress/ . | $(GO) run ./cmd/benchjson -compare BENCH_wire.json -skip-ns
 	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkSimnetRound' -benchmem -benchtime 3x -run NONE . \
@@ -221,7 +224,7 @@ chaos-test:
 # committing (see README.md, "Performance methodology").
 bench-save-tensor:
 	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem -run NONE \
-		./internal/tensor/ ./internal/tensor/kernels/ ./internal/nn/ . | $(GO) run ./cmd/benchjson \
+		./internal/tensor/ ./internal/tensor/kernels/ ./internal/nn/ ./internal/experiment/ . | $(GO) run ./cmd/benchjson \
 		-note 'pre-kernel-layer baseline (PR8): BenchmarkMatMul/blocked/256 7.295 GFLOPS; the kernel layer (PR9) dispatches to AVX2/NEON microkernels, bit-identical to the generic arm by the differential tests in internal/tensor/kernels' \
 		-note 'BenchmarkKernel* sub-benchmarks report GFLOPS (GOPS for int8) as a custom metric; the /generic arm is the forced-fallback reference on the same machine' \
 		-note 'BenchmarkInputLayerUpdate: /unfused (ZeroGrads, Backward, ClipGrads, SGD.Step: five passes over the 3072x64 matrix) and /fused (nn.BackwardStep: one pass, the gradient untouched) are the before and after of the fused dense update, bit-identical by the nn differential tests' \

@@ -16,6 +16,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"medsplit/internal/parallel"
 	"medsplit/internal/rng"
@@ -121,14 +122,28 @@ func (c SynthConfig) withDefaults() SynthConfig {
 // bit-identical to one serial loop at any worker count: each class's
 // noiseless template is rendered once, over every offset a sample can
 // take, and one serial pass draws every sample's jitter and records
-// where its noise starts in the stream (rng.SkipNorm), so the samples
-// render independently from the same draws the serial loop would use.
+// where its noise starts in the stream, so the samples render
+// independently from the same draws the serial loop would use (see
+// split).
 func SynthCIFAR(cfg SynthConfig) (train, test *Dataset) {
 	cfg = cfg.withDefaults()
 	gen := newSynthGen(cfg)
-	train = gen.split(cfg.Train, rng.New(cfg.Seed+1))
-	test = gen.split(cfg.Test, rng.New(cfg.Seed+2))
-	return train, test
+	return gen.split(cfg.Train, cfg.Seed+1, nil)[0], gen.split(cfg.Test, cfg.Seed+2, nil)[0]
+}
+
+// SynthCIFARShards generates SynthCIFAR's corpus with its training
+// split dealt out to platforms in one pass. deal receives the training
+// labels and returns a partition of the sample indices [0, Train), as
+// ShardIID, ShardPowerLaw and ShardDirichlet return one; it is called
+// once, and SynthCIFARShards panics if its result is not a partition.
+// Shard k holds the samples of idx[k] in that order, bit for bit
+// train.Subset(idx[k]) of SynthCIFAR's train, but each sample is
+// rendered straight into its row: the shards are contiguous, disjoint
+// row ranges of one tensor, and no whole-corpus copy is ever made.
+func SynthCIFARShards(cfg SynthConfig, deal func(labels []int) [][]int) (shards []*Dataset, test *Dataset) {
+	cfg = cfg.withDefaults()
+	gen := newSynthGen(cfg)
+	return gen.split(cfg.Train, cfg.Seed+1, deal), gen.split(cfg.Test, cfg.Seed+2, nil)[0]
 }
 
 const (
@@ -218,20 +233,71 @@ func (t *classTemplate) canvas() []float32 {
 }
 
 // sampleJob is one sample's draws from the serial pass: its class, its
-// jitter, and the stream position its noise starts at.
+// jitter, the stream position its noise starts at, and the stream state
+// its noise ends at.
 type sampleJob struct {
 	class, dx, dy int
 	brightness    float32
 	noise         rng.Snapshot
+	end           uint64
 }
 
-// split generates n samples with labels cycling through classes so every
-// class is represented nearly equally (like CIFAR itself). It draws
-// everything but the noise serially, in the order one sample at a time
-// would, skipping each sample's noise draws; the samples then render in
-// parallel, each from its own noise start.
-func (g *synthGen) split(n int, r *rng.RNG) *Dataset {
+// split generates n samples from a stream seeded with seed, labels
+// cycling through the classes so every class is represented nearly
+// equally (like CIFAR itself), and returns them as one Dataset, or,
+// with a deal, as the shards it deals (see SynthCIFARShards).
+//
+// One serial pass draws everything but the noise, in the order one
+// sample at a time would, and steps over each sample's noise draws;
+// the samples then render in parallel, each from its own noise start,
+// into the rows their shards give them. The pass steps over a sample's
+// noise speculatively: 3072 Norm draws take exactly 3072 stream draws
+// unless a u among them is zero (probability 2⁻⁵³ a draw), which Norm
+// redraws, so the pass adds 3072 draws' worth to the state (rng.Skip)
+// instead of finding the zero u's (rng.SkipNorm). Each render checks
+// that its noise ended where the pass assumed. If one did not, the
+// pass was wrong from that sample on, and the split is drawn again
+// with SkipNorm and rendered again over the same rows. The labels come
+// before any noise, so both passes draw the same ones and deal sees
+// them once.
+func (g *synthGen) split(n int, seed uint64, deal func(labels []int) [][]int) []*Dataset {
+	jobs, labels := g.draw(n, seed, true)
+	var idx [][]int
+	var order []int // row r holds sample order[r]; nil for sample r
+	if deal != nil {
+		idx = deal(labels)
+		order = partitionOrder(idx, n)
+	}
 	x := tensor.New(n, 3, synthSize, synthSize)
+	if !g.renderRows(x.Data(), jobs, order) {
+		jobs, _ = g.draw(n, seed, false)
+		g.renderRows(x.Data(), jobs, order)
+	}
+	if idx == nil {
+		return []*Dataset{{X: x, Labels: labels, Classes: g.cfg.Classes}}
+	}
+	xd := x.Data()
+	shards := make([]*Dataset, len(idx))
+	row := 0
+	for k, rows := range idx {
+		shard := &Dataset{Labels: make([]int, len(rows)), Classes: g.cfg.Classes}
+		for j, i := range rows {
+			shard.Labels[j] = labels[i]
+		}
+		end := row + len(rows)
+		shard.X = tensor.FromSlice(xd[row*samplePixels:end*samplePixels:end*samplePixels], len(rows), 3, synthSize, synthSize)
+		shards[k] = shard
+		row = end
+	}
+	return shards
+}
+
+// draw is split's serial pass over a stream seeded with seed: every
+// sample's label and jitter, and where its noise starts and ends. With
+// speculate it steps over each sample's noise as if no u in it were
+// zero; otherwise it skips it exactly.
+func (g *synthGen) draw(n int, seed uint64, speculate bool) ([]sampleJob, []int) {
+	r := rng.New(seed)
 	labels := make([]int, n)
 	perm := r.Perm(n)
 	jobs := make([]sampleJob, n)
@@ -243,18 +309,59 @@ func (g *synthGen) split(n int, r *rng.RNG) *Dataset {
 		dy := r.Intn(2*synthShift+1) - synthShift
 		brightness := 0.8 + 0.4*r.Float32()
 		jobs[i] = sampleJob{class: class, dx: dx, dy: dy, brightness: brightness, noise: r.Snapshot()}
-		r.SkipNorm(samplePixels)
+		if speculate {
+			// samplePixels is even and no spare is pending, so every
+			// Norm pair is two draws.
+			r.Skip(samplePixels)
+		} else {
+			r.SkipNorm(samplePixels)
+		}
+		jobs[i].end = r.Snapshot().State
 	}
-	xd := x.Data()
-	parallel.For(n, n, 2, func(i0, i1 int) {
+	return jobs, labels
+}
+
+// renderRows renders the samples into xd, fanned out over the rows:
+// row r holds sample order[r], or sample r when order is nil. It
+// reports whether every sample's noise ended where its job says.
+func (g *synthGen) renderRows(xd []float32, jobs []sampleJob, order []int) bool {
+	var missed atomic.Bool
+	parallel.For(len(jobs), len(jobs), 2, func(r0, r1 int) {
 		var noise rng.RNG
 		scratch := make([]float32, samplePixels)
-		for i := i0; i < i1; i++ {
+		for row := r0; row < r1; row++ {
+			i := row
+			if order != nil {
+				i = order[row]
+			}
 			noise.Restore(jobs[i].noise)
-			g.render(xd[i*samplePixels:(i+1)*samplePixels], &jobs[i], &noise, scratch)
+			g.render(xd[row*samplePixels:(row+1)*samplePixels], &jobs[i], &noise, scratch)
+			if noise.Snapshot().State != jobs[i].end {
+				missed.Store(true)
+			}
 		}
 	})
-	return &Dataset{X: x, Labels: labels, Classes: g.cfg.Classes}
+	return !missed.Load()
+}
+
+// partitionOrder returns idx's indices in shard order, and panics
+// unless they hold every index of [0, n) exactly once.
+func partitionOrder(idx [][]int, n int) []int {
+	order := make([]int, 0, n)
+	seen := make([]bool, n)
+	for _, rows := range idx {
+		for _, i := range rows {
+			if i < 0 || i >= n || seen[i] {
+				panic(fmt.Sprintf("dataset: deal is not a partition of [0,%d): index %d", n, i))
+			}
+			seen[i] = true
+		}
+		order = append(order, rows...)
+	}
+	if len(order) != n {
+		panic(fmt.Sprintf("dataset: deal covers %d of %d samples", len(order), n))
+	}
+	return order
 }
 
 // render draws one sample into dst (3*32*32 floats): its class template

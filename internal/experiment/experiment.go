@@ -308,37 +308,40 @@ func BuildModel(c Config) (*models.Model, error) {
 // BuildData generates the corpus and shards it across platforms,
 // returning the per-platform training shards, the test set, and the
 // per-platform batch sizes. It is deterministic in cfg.Seed, so
-// separate processes derive identical shards.
+// separate processes derive identical shards. The sharding draws the
+// partition from its own stream; each shard is rendered straight into
+// its rows of one training tensor (dataset.SynthCIFARShards), bit for
+// bit the Subset of the training split the partition names.
 func BuildData(c Config) (shards []*dataset.Dataset, test *dataset.Dataset, batches []int, err error) {
-	train, test := dataset.SynthCIFAR(dataset.SynthConfig{
+	r := rng.New(c.Seed + 0x54A4D)
+	var deal func(labels []int) [][]int
+	switch c.Sharding {
+	case ShardingIID:
+		deal = func(labels []int) [][]int { return dataset.ShardIID(len(labels), c.Platforms, r) }
+	case ShardingPowerLaw:
+		deal = func(labels []int) [][]int { return dataset.ShardPowerLaw(len(labels), c.Platforms, c.Alpha, r) }
+	case ShardingDirichlet:
+		deal = func(labels []int) [][]int { return dataset.ShardDirichlet(labels, c.Classes, c.Platforms, c.Alpha, r) }
+	default:
+		return nil, nil, nil, fmt.Errorf("experiment: unknown sharding %q", c.Sharding)
+	}
+	shards, test = dataset.SynthCIFARShards(dataset.SynthConfig{
 		Classes: c.Classes,
 		Train:   c.TrainSamples,
 		Test:    c.TestSamples,
 		Noise:   c.Noise,
 		Seed:    c.Seed + 0xDA7A,
-	})
-	// MLP consumes flat vectors.
-	if c.Arch == ArchMLP {
-		train = flattenDataset(train)
-		test = flattenDataset(test)
-	}
-	r := rng.New(c.Seed + 0x54A4D)
-	var idx [][]int
-	switch c.Sharding {
-	case ShardingIID:
-		idx = dataset.ShardIID(train.Len(), c.Platforms, r)
-	case ShardingPowerLaw:
-		idx = dataset.ShardPowerLaw(train.Len(), c.Platforms, c.Alpha, r)
-	case ShardingDirichlet:
-		idx = dataset.ShardDirichlet(train.Labels, c.Classes, c.Platforms, c.Alpha, r)
-	default:
-		return nil, nil, nil, fmt.Errorf("experiment: unknown sharding %q", c.Sharding)
-	}
-	shards = make([]*dataset.Dataset, c.Platforms)
+	}, deal)
 	sizes := make([]int, c.Platforms)
-	for k := range idx {
-		shards[k] = train.Subset(idx[k])
-		sizes[k] = len(idx[k])
+	for k, shard := range shards {
+		// MLP consumes flat vectors.
+		if c.Arch == ArchMLP {
+			shards[k] = flattenDataset(shard)
+		}
+		sizes[k] = shard.Len()
+	}
+	if c.Arch == ArchMLP {
+		test = flattenDataset(test)
 	}
 	if c.Proportional {
 		batches = dataset.ProportionalBatches(sizes, c.TotalBatch)

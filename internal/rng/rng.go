@@ -162,6 +162,15 @@ func (r *RNG) Norm() float64 {
 	return mag * math.Cos(2*math.Pi*v)
 }
 
+// Skip advances r past n draws of Uint64 without computing them: the
+// state moves by a fixed increment per draw. A pending Norm spare stays
+// pending. From a start with no spare, Skip(n) for an even n leaves r
+// where n calls to Norm would if none of their u's were zero (Norm
+// redraws a zero u), stale spare aside; SkipNorm pays to check that.
+func (r *RNG) Skip(n int) {
+	r.state += uint64(n) * gamma
+}
+
 // SkipNorm advances r exactly as n calls to Norm would, leaving the
 // same state, spare variate and all, for a fraction of the cost: the
 // state moves by a fixed increment per draw, so each skipped pair's v
@@ -194,12 +203,14 @@ const normBlock = 256
 
 // NormFloat32s fills dst with what len(dst) calls to NormFloat32 would
 // return, and leaves r where they would, spare variate and all. A
-// pending spare comes first. Every pair but the last is then drawn as
-// Norm draws it, u redrawn while zero, into blocks on the stack, and
-// transformed by kernels.BoxMuller32, which computes Norm's bits four
-// pairs at a time. The last pair goes through Norm itself, as in
-// SkipNorm, so the spare it leaves (or the consumed spare's stale
-// value) is the serial loop's.
+// pending spare comes first. Every pair but the last then goes to
+// kernels.BoxMullerSplitMix32, which draws the pairs from the stream
+// itself and transforms them in zmm registers, in whole blocks up to
+// the first that holds a zero u. What it leaves is drawn as Norm draws
+// it, u redrawn while zero, into blocks on the stack, and transformed
+// by kernels.BoxMuller32; both kernels compute Norm's bits. The last
+// pair goes through Norm itself, as in SkipNorm, so the spare it
+// leaves (or the consumed spare's stale value) is the serial loop's.
 func (r *RNG) NormFloat32s(dst []float32) {
 	if len(dst) > 0 && r.hasCachedNorm {
 		r.hasCachedNorm = false
@@ -208,7 +219,13 @@ func (r *RNG) NormFloat32s(dst []float32) {
 	}
 	var u, v [normBlock]float64
 	for len(dst) > 2 {
-		n := min(normBlock, (len(dst)-1)/2)
+		n := (len(dst) - 1) / 2
+		if k := kernels.BoxMullerSplitMix32(dst[:2*n], r.state); k > 0 {
+			r.state += uint64(2*k) * gamma
+			dst = dst[2*k:]
+			continue
+		}
+		n = min(normBlock, n)
 		s := r.state
 		for i := range u[:n] {
 			z := uint64(0)

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"medsplit/internal/tensor/kernels"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -237,15 +239,21 @@ func BenchmarkNorm(b *testing.B) {
 }
 
 // BenchmarkNormFloat32s draws one synthetic sample's noise, 3072
-// variates, per op.
+// variates, per op, on every kernel arm of the host.
 func BenchmarkNormFloat32s(b *testing.B) {
-	r := New(1)
-	dst := make([]float32, 3072)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.NormFloat32s(dst)
+	defer kernels.UseArm("")
+	for _, arm := range kernels.Arms() {
+		b.Run(arm, func(b *testing.B) {
+			kernels.UseArm(arm)
+			r := New(1)
+			dst := make([]float32, 3072)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.NormFloat32s(dst)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(dst)*b.N), "ns/variate")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(dst)*b.N), "ns/variate")
 }
 
 func BenchmarkSkipNorm(b *testing.B) {
@@ -386,32 +394,44 @@ func TestSkipNormMatchesNorm(t *testing.T) {
 }
 
 // TestNormFloat32sMatchesNorm holds NormFloat32s to as many NormFloat32
-// calls: the same bits out and the same snapshot after. Lengths cover
-// every tail up to 21 and one synthetic sample's 3072 with a variate
-// either side, which span several kernel blocks; starts cover a cached
-// and an uncached spare and the planted zero u's of zeroUStarts.
+// calls: the same bits out and the same snapshot after, on every kernel
+// arm of the host. Lengths cover every tail up to 21 and one synthetic
+// sample's 3072 with a variate either side, which span several kernel
+// blocks; starts cover a cached and an uncached spare, the planted zero
+// u's of zeroUStarts, and a zero u at each lane of the zmm noise
+// kernel's second eight-pair block (pair 8+l's u is draw 16+2l of an
+// uncached start, and draw 17+2l of a cached one).
 func TestNormFloat32sMatchesNorm(t *testing.T) {
 	lengths := []int{3071, 3072, 3073}
 	for n := 0; n <= 21; n++ {
 		lengths = append(lengths, n)
 	}
-	for _, s := range zeroUStarts() {
-		for _, cached := range []bool{false, true} {
-			for _, n := range lengths {
-				got, want := New(s.state), New(s.state)
-				if cached {
-					got.Norm()
-					want.Norm()
-				}
-				dst := make([]float32, n)
-				got.NormFloat32s(dst)
-				for i, v := range dst {
-					if w := want.NormFloat32(); math.Float32bits(v) != math.Float32bits(w) {
-						t.Fatalf("%s, cached %v, n=%d: variate %d = %v, NormFloat32 %v", s.name, cached, n, i, v, w)
+	starts := zeroUStarts()
+	for d := 16; d < 32; d++ {
+		starts = append(starts, streamStart{fmt.Sprintf("output 0 at draw %d", d), unmix(0) - uint64(d+1)*gamma})
+	}
+	lengths = append(lengths, 33, 34, 35)
+	defer kernels.UseArm("")
+	for _, arm := range kernels.Arms() {
+		kernels.UseArm(arm)
+		for _, s := range starts {
+			for _, cached := range []bool{false, true} {
+				for _, n := range lengths {
+					got, want := New(s.state), New(s.state)
+					if cached {
+						got.Norm()
+						want.Norm()
 					}
-				}
-				if got.Snapshot() != want.Snapshot() {
-					t.Fatalf("%s, cached %v, n=%d: NormFloat32s left %+v, NormFloat32 %+v", s.name, cached, n, got.Snapshot(), want.Snapshot())
+					dst := make([]float32, n)
+					got.NormFloat32s(dst)
+					for i, v := range dst {
+						if w := want.NormFloat32(); math.Float32bits(v) != math.Float32bits(w) {
+							t.Fatalf("[%s] %s, cached %v, n=%d: variate %d = %v, NormFloat32 %v", arm, s.name, cached, n, i, v, w)
+						}
+					}
+					if got.Snapshot() != want.Snapshot() {
+						t.Fatalf("[%s] %s, cached %v, n=%d: NormFloat32s left %+v, NormFloat32 %+v", arm, s.name, cached, n, got.Snapshot(), want.Snapshot())
+					}
 				}
 			}
 		}

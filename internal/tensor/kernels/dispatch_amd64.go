@@ -8,10 +8,11 @@ import "math"
 // CPUID/XGETBV (no external cpu-feature dependency). The GEMM, dot,
 // axpy, clamp, ReLU, max-pool, int8, dequantize and Box-Muller
 // kernels need AVX2 plus OS-enabled YMM state; the f16 converters
-// additionally need F16C. GEMM panels with n ≥ 16 move up to the AVX-512 tile where the CPU has AVX512F
-// and the OS saves the opmask and full ZMM state. Every assembly
-// routine ends in VZEROUPPER so mixed SSE code pays no transition
-// penalty.
+// additionally need F16C. GEMM panels with n ≥ 16 move up to the
+// AVX-512 tile where the CPU has AVX512F and the OS saves the opmask
+// and full ZMM state, and BoxMullerSplitMix32 runs its zmm kernel where
+// the CPU also has AVX512DQ. Every assembly routine ends in VZEROUPPER
+// so mixed SSE code pays no transition penalty.
 
 const asmName = "avx2"
 
@@ -29,6 +30,7 @@ const (
 	outerStride  = 8 // outerStepVec: 8-column strips, four at a time where they fit
 	selectStride = 8
 	bmStride     = 4 // boxMullerVec: four (u, v) pairs per iteration
+	bmzStride    = 8 // boxMullerSplitMixVec: eight pairs per iteration
 )
 
 var (
@@ -41,6 +43,7 @@ var (
 	hasSelectASM bool
 	hasBMASM     bool
 	hasAVX512    bool
+	hasBMAVX512  bool
 )
 
 func init() {
@@ -74,6 +77,10 @@ func init() {
 	// 7) on top of XMM and YMM (bits 1 and 2).
 	const avx512f, zmmState = 1 << 16, 0xE6
 	hasAVX512 = hasASM && b7&avx512f != 0 && xlo&zmmState == zmmState
+	// AVX512DQ, CPUID.7 EBX bit 17, adds VPMULLQ and VCVTQQ2PD, the
+	// 64-bit multiply and conversion the SplitMix64 draws need.
+	const avx512dq = 1 << 17
+	hasBMAVX512 = hasAVX512 && b7&avx512dq != 0
 }
 
 // cpuid and xgetbv are implemented in cpu_amd64.s.
@@ -129,6 +136,22 @@ var boxMullerConsts = func() (c [36][4]float64) {
 	return c
 }()
 
+// splitMixConsts holds what boxMullerSplitMixVec reads of SplitMix64
+// (rng's generator), at the index its SM(i) macro takes: the
+// finalizer's two multipliers, the increment γ, 16γ (eight pairs'
+// draws), 2⁻⁵³ (Float64's scale) and, from index 5, the eight lanes'
+// u offsets (2i+1)γ.
+var splitMixConsts = func() (c [13]uint64) {
+	const gamma uint64 = 0x9e3779b97f4a7c15
+	c[0], c[1], c[2] = 0xbf58476d1ce4e5b9, 0x94d049bb133111eb, gamma
+	for i := range 8 {
+		c[5+i] = uint64(2*i+1) * gamma
+	}
+	c[3] = c[2] * 16
+	c[4] = math.Float64bits(0x1p-53)
+	return c
+}()
+
 // Assembly microkernels (kernels_amd64.s). All take counts that are
 // multiples of their stride and carry no alignment requirements.
 
@@ -164,6 +187,11 @@ func maxPool2x2GradVec(dx, dy, x *float32, units, blocks, span, half, below int)
 
 //go:noescape
 func boxMullerVec(dst *float32, u, v *float64, nv int)
+
+// boxMullerSplitMixVec is the zmm noise kernel (noise_avx512_amd64.s).
+//
+//go:noescape
+func boxMullerSplitMixVec(dst *float32, s uint64, np int) int
 
 //go:noescape
 func dotI8Vec(a, b *int8, nv int) int32

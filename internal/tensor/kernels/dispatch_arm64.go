@@ -38,6 +38,7 @@ const (
 	outerStride  = 1
 	selectStride = 1
 	bmStride     = 1
+	bmzStride    = 1
 )
 
 const (
@@ -50,6 +51,7 @@ const (
 	hasSelectASM = false
 	hasBMASM     = false
 	hasAVX512    = false
+	hasBMAVX512  = false
 )
 
 // Assembly microkernels (kernels_arm64.s). All take counts that are
@@ -98,6 +100,10 @@ func maxPool2x2GradVec(dx, dy, x *float32, units, blocks, span, half, below int)
 
 func boxMullerVec(dst *float32, u, v *float64, nv int) {
 	panic("kernels: no Box-Muller assembly on arm64")
+}
+
+func boxMullerSplitMixVec(dst *float32, s uint64, np int) int {
+	panic("kernels: no AVX-512 on arm64")
 }
 
 func dotI8Vec(a, b *int8, nv int) int32 { panic("kernels: no int8 assembly on arm64") }

@@ -20,6 +20,7 @@ const (
 	outerStride  = 1
 	selectStride = 1
 	bmStride     = 1
+	bmzStride    = 1
 )
 
 const (
@@ -32,6 +33,7 @@ const (
 	hasSelectASM = false
 	hasBMASM     = false
 	hasAVX512    = false
+	hasBMAVX512  = false
 )
 
 func gemmPanelKASM(out, arows, b []float32, r0, r1, k, n, lda, aoff int, acc bool) {
@@ -69,6 +71,10 @@ func maxPool2x2GradVec(dx, dy, x *float32, units, blocks, span, half, below int)
 }
 
 func boxMullerVec(dst *float32, u, v *float64, nv int) {
+	panic("kernels: no assembly in this build")
+}
+
+func boxMullerSplitMixVec(dst *float32, s uint64, np int) int {
 	panic("kernels: no assembly in this build")
 }
 

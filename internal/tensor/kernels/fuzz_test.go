@@ -262,3 +262,23 @@ func FuzzBoxMuller(f *testing.F) {
 		checkBoxMuller(t, u, v)
 	})
 }
+
+// FuzzBoxMullerSplitMix holds BoxMullerSplitMix32 on every arm to its
+// stream draws and the math package (checkBoxMullerSplitMix), from any
+// state with room for up to 511 pairs. A nonzero plant puts a zero u
+// at pair plant−1 of the room, from a finalizer output below 2¹¹ that
+// the state's top bits choose, so the fuzzer reaches the early stop at
+// every lane of every block.
+func FuzzBoxMullerSplitMix(f *testing.F) {
+	f.Add(uint64(1), uint16(24), uint8(0))
+	f.Add(uint64(0), uint16(64), uint8(13))
+	f.Add(uint64(0xffffffffffffffff), uint16(17), uint8(8))
+	f.Fuzz(func(t *testing.T, s uint64, room uint16, plant uint8) {
+		np := int(room % 512)
+		if plant != 0 && np > 0 {
+			p := int(plant-1) % np
+			s = unmixSplitMix(s>>53) - uint64(2*p+1)*0x9e3779b97f4a7c15
+		}
+		checkBoxMullerSplitMix(t, s, np)
+	})
+}

@@ -214,9 +214,14 @@ func activeSelect() bool { return hasSelectASM && !genericForced() }
 // says why arm64 runs the math package).
 func activeBM() bool { return hasBMASM && !genericForced() }
 
+// activeBMAVX512 gates BoxMullerSplitMix32's zmm kernel: the avx512 arm
+// on a host with AVX512DQ.
+func activeBMAVX512() bool { return hasBMAVX512 && pinned.Load() == pinAuto }
+
 // Name reports which implementation dispatch selects right now:
 // "avx512", "avx2", "neon" or "generic". "avx512" names the GEMM
-// arm; the other kernels have no AVX-512 code and run AVX2 under it.
+// arm and BoxMullerSplitMix32's zmm kernel; the other kernels have no
+// AVX-512 code and run AVX2 under it.
 func Name() string {
 	switch {
 	case activeAVX512():
@@ -685,6 +690,25 @@ func BoxMuller32(dst []float32, u, v []float64) {
 		i = nv
 	}
 	boxMullerGeneric(dst[2*i:], u[i:], v[i:])
+}
+
+// BoxMullerSplitMix32 draws Box-Muller pairs straight from a SplitMix64
+// stream (rng's generator) whose state is s. Pair i takes its u and v
+// from the stream's draws 2i+1 and 2i+2, scaled as rng.Float64 scales
+// them: u = (mix(s+(2i+1)γ)>>11)/2⁵³ and v = (mix(s+(2i+2)γ)>>11)/2⁵³.
+// It writes what BoxMuller32 writes for the pair to dst[2i] and
+// dst[2i+1], in whole blocks of eight pairs, as many as fit in dst,
+// and stops before the first block with a zero u, which rng.Norm would
+// redraw. It returns the pairs written, so the caller's stream goes on
+// at s + 2·pairs·γ. Only the avx512 arm on a host with AVX512DQ has
+// this kernel; everywhere else it writes nothing and returns 0, and
+// the caller draws the pairs itself and calls BoxMuller32.
+func BoxMullerSplitMix32(dst []float32, s uint64) (pairs int) {
+	np := len(dst) / 2 &^ (bmzStride - 1)
+	if !activeBMAVX512() || np == 0 {
+		return 0
+	}
+	return boxMullerSplitMixVec(&dst[0], s, np)
 }
 
 // Quantize8 maps float32 values to uint8 codes: clamp((src[i]-lo)*scale

@@ -1029,7 +1029,8 @@ func splitMix64(state *uint64) uint64 {
 // TestBoxMullerMatchesMath holds every arm of BoxMuller32 bit for bit to
 // the math package: 2²² pairs drawn as Norm draws them, and every
 // planted u against every planted v at lengths that leave each tail
-// size behind the four-pair vector loop.
+// size behind the four-pair vector loop. Then it holds
+// BoxMullerSplitMix32 to the same on its own stream draws.
 func TestBoxMullerMatchesMath(t *testing.T) {
 	t.Logf("arms: %v", Arms())
 	us, vs := boxMullerEdges()
@@ -1056,6 +1057,101 @@ func TestBoxMullerMatchesMath(t *testing.T) {
 		checkBoxMuller(t, u, v)
 		clear(u)
 	}
+
+	// The zmm noise kernel, which draws its own pairs: 2²² pairs of one
+	// stream, every room from 0 to 25 pairs, and a zero u planted at
+	// each lane of the first and second block from a finalizer output
+	// of 0 and of 2¹¹−1 (both a zero u after the shift), with 2¹¹ (u =
+	// 2⁻⁵³, which Norm keeps) beside them.
+	t.Logf("zmm noise kernel: %v", hasBMAVX512)
+	gamma := uint64(0x9e3779b97f4a7c15)
+	for np := 0; np <= 25; np++ {
+		checkBoxMullerSplitMix(t, 1, np)
+	}
+	s := uint64(7)
+	for done := 0; done < pairs; done += block {
+		checkBoxMullerSplitMix(t, s, block)
+		s += uint64(2*block) * gamma
+	}
+	for _, z := range []uint64{0, 1<<11 - 1, 1 << 11} {
+		for p := 0; p < 16; p++ {
+			checkBoxMullerSplitMix(t, unmixSplitMix(z)-uint64(2*p+1)*gamma, 32)
+		}
+	}
+}
+
+// unmixSplitMix inverts splitMix64's finalizer: the draw from state
+// unmixSplitMix(z) - γ is z. Every step of the finalizer is a bijection
+// (xor-shifts and odd multipliers), so a test can plant any output,
+// a zero u for instance, at any position of a stream.
+func unmixSplitMix(z uint64) uint64 {
+	unshift := func(y uint64, s uint) uint64 {
+		x := y
+		for i := uint(0); i < 64/s+1; i++ {
+			x = y ^ (x >> s)
+		}
+		return x
+	}
+	inverse := func(m uint64) uint64 { // Newton's iteration, mod 2^64
+		inv := m
+		for i := 0; i < 5; i++ {
+			inv *= 2 - m*inv
+		}
+		return inv
+	}
+	z = unshift(z, 31)
+	z *= inverse(0x94d049bb133111eb)
+	z = unshift(z, 27)
+	z *= inverse(0xbf58476d1ce4e5b9)
+	return unshift(z, 30)
+}
+
+// checkBoxMullerSplitMix runs BoxMullerSplitMix32 from state s with
+// room for np pairs on every arm. The zmm arm must write the whole
+// eight-pair blocks before the first block with a zero u, each pair bit
+// for bit boxMullerRef of its two stream draws, and leave the rest of
+// dst alone; every other arm must write nothing and return 0.
+func checkBoxMullerSplitMix(t *testing.T, s uint64, np int) {
+	t.Helper()
+	var want []float32
+	st := s
+	for blocks := np / 8; blocks > 0; blocks-- {
+		var block [16]float32
+		zero := false
+		for i := 0; i < 8; i++ {
+			u := float64(splitMix64(&st)>>11) / (1 << 53)
+			v := float64(splitMix64(&st)>>11) / (1 << 53)
+			zero = zero || u == 0
+			block[2*i], block[2*i+1] = boxMullerRef(u, v)
+		}
+		if zero {
+			break
+		}
+		want = append(want, block[:]...)
+	}
+	const canary = 0x7fc0dead
+	got := make([]float32, 2*np)
+	eachArm(func(arm string) {
+		for i := range got {
+			got[i] = math.Float32frombits(canary)
+		}
+		pairs := BoxMullerSplitMix32(got, s)
+		wantPairs := 0
+		if arm == "avx512" && hasBMAVX512 {
+			wantPairs = len(want) / 2
+		}
+		if pairs != wantPairs {
+			t.Fatalf("BoxMullerSplitMix32 [%s] from %#x, %d pairs of room: wrote %d pairs, want %d", arm, s, np, pairs, wantPairs)
+		}
+		for i, g := range got {
+			if i < 2*pairs && math.Float32bits(g) != math.Float32bits(want[i]) {
+				t.Fatalf("BoxMullerSplitMix32 [%s] from %#x: out[%d] = %v, math %v", arm, s, i, g, want[i])
+			}
+			if i >= 2*pairs && math.Float32bits(g) != canary {
+				t.Fatalf("BoxMullerSplitMix32 [%s] from %#x: wrote out[%d] past its %d pairs", arm, s, i, pairs)
+			}
+		}
+	})
 }
 
 func TestBoxMullerRejectsBadLengths(t *testing.T) {
