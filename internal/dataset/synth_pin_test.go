@@ -125,22 +125,6 @@ func TestSynthCIFARZeroU(t *testing.T) {
 	}
 }
 
-// TestSynthCIFARMatchesSerialLoop holds SynthCIFAR to the serial loop
-// on seeds whose streams have no zero u, where the speculative pass
-// stands.
-func TestSynthCIFARMatchesSerialLoop(t *testing.T) {
-	defer func(w int) { parallel.ForcedWorkers = w }(parallel.ForcedWorkers)
-	cfg := SynthConfig{Classes: 10, Train: 23, Test: 7, Noise: 0.35, Seed: 5}
-	g := newSynthGen(cfg.withDefaults())
-	want := synthDigest(serialSplit(g, cfg.Train, cfg.Seed+1), serialSplit(g, cfg.Test, cfg.Seed+2))
-	for _, workers := range []int{1, 2, 4} {
-		parallel.ForcedWorkers = workers
-		if got := synthDigest(SynthCIFAR(cfg)); got != want {
-			t.Errorf("%d workers: digest %#x, serial loop %#x", workers, got, want)
-		}
-	}
-}
-
 // TestSynthCIFARShardsRejectsNonPartition checks that a deal that
 // drops, repeats or invents an index panics.
 func TestSynthCIFARShardsRejectsNonPartition(t *testing.T) {

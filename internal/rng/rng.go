@@ -221,7 +221,7 @@ func (r *RNG) NormFloat32s(dst []float32) {
 	for len(dst) > 2 {
 		n := (len(dst) - 1) / 2
 		if k := kernels.BoxMullerSplitMix32(dst[:2*n], r.state); k > 0 {
-			r.state += uint64(2*k) * gamma
+			r.Skip(2 * k)
 			dst = dst[2*k:]
 			continue
 		}

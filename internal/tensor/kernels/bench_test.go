@@ -22,8 +22,9 @@ func benchArms(b *testing.B, arms []string, fn func(b *testing.B)) {
 	}
 }
 
-// vectorArms are the arms of the kernels other than the GEMM: AVX-512
-// is a GEMM arm only, and under it they run the AVX2 code.
+// vectorArms are the arms of the kernels other than the GEMM and
+// BoxMullerSplitMix32, the only kernels with zmm code: under AVX-512
+// the others run their AVX2 code.
 func vectorArms() []string {
 	return slices.DeleteFunc(Arms(), func(arm string) bool { return arm == "avx512" })
 }

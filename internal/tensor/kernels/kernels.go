@@ -26,6 +26,13 @@
 //     form of the tile reads its b rows through an offset table and
 //     adds a bias in its store (GemmTable); it has no AVX2 or NEON
 //     form, and outputs it cannot tile run its pure-Go reference.
+//     The arm also names the noise kernel, BoxMullerSplitMix32, where
+//     the CPU has AVX512DQ too (CPUID.7 EBX bit 17): it draws
+//     SplitMix64 uniforms in zmm registers, which needs DQ's 64-bit
+//     multiply VPMULLQ and its int64→float64 conversion VCVTQQ2PD
+//     (AVX2 has neither), and runs BoxMuller32's AVX2 operation
+//     sequence on eight pairs. Without DQ, and on every other arm, it
+//     writes nothing and the caller takes the BoxMuller32 path.
 //
 // UseArm pins any one arm Arms() lists, so the differential tests and
 // benchmarks run every arm of the host inside one binary.
@@ -88,12 +95,17 @@
 //     splitting cannot change the result. Inputs must satisfy
 //     len ≤ 2¹⁶ to keep the i32 accumulator overflow-free at the
 //     int8 extremes.
-//   - BoxMuller32: bit-identical to rng.Norm's expressions, and so to
-//     NormFloat32, on Norm's inputs (u in (0, 1), v in [0, 1)). On
+//   - BoxMuller32 and BoxMullerSplitMix32: bit-identical to rng.Norm's
+//     expressions, and so to NormFloat32, on Norm's inputs (u in
+//     (0, 1), v in [0, 1)); BoxMullerSplitMix32 draws those inputs as
+//     Float64 does, exactly, and stops before a block with a zero u. On
 //     amd64 those call math.Log, which is the assembly in
 //     math/log_amd64.s, the SQRTSD intrinsic, and sin.go's Sin and
 //     Cos. The AVX2 code repeats each of them operation for operation
-//     on four pairs, with separate VMULPD and VADDPD: gc never fuses
+//     on four pairs (eight in the zmm kernel, whose only additions to
+//     the sequence are a zeroing masked move for the 0-or-1 vector
+//     the ymm code gets from a compare mask, and VBLENDMPD for
+//     VBLENDVPD), with separate VMULPD and VADDPD: gc never fuses
 //     a*b+c on amd64, so the standard library rounds every product
 //     and every sum, and one FMA would round differently. arm64 runs
 //     the generic arm. There math.Log is log.go, and gc fuses
