@@ -60,6 +60,7 @@ type recoveryOpts struct {
 	recovery    bool // attach a RecoveryConfig + Redial at all
 	l1SyncEvery int
 	schedule    nn.Schedule
+	labelShare  bool // the two-message exchange: labels up, loss on the server
 	// wrapServer / wrapPlatform interpose on the victim's two pipe ends.
 	wrapServer   func(transport.Conn, *RejoinBroker) transport.Conn
 	wrapPlatform func(transport.Conn) transport.Conn
@@ -89,6 +90,7 @@ func recoveryRun(t *testing.T, o recoveryOpts) ([][]*nn.Param, []*PlatformStats)
 	scfg := ServerConfig{
 		Back: back, Opt: &nn.SGD{LR: 0.05}, Platforms: K, Rounds: o.rounds,
 		L1SyncEvery: o.l1SyncEvery, LRSchedule: o.schedule, Trace: o.trace,
+		LabelSharing: o.labelShare, Loss: nn.SoftmaxCrossEntropy{},
 	}
 	if o.recovery {
 		scfg.Recovery = &RecoveryConfig{Policy: o.policy, Window: 30 * time.Second, Broker: broker}
@@ -116,7 +118,7 @@ func recoveryRun(t *testing.T, o recoveryOpts) ([][]*nn.Param, []*PlatformStats)
 		pc := PlatformConfig{
 			ID: k, Front: fronts[k], Opt: &nn.SGD{LR: 0.05}, Loss: nn.SoftmaxCrossEntropy{},
 			Shard: flat.Subset(shards[k]), Batch: 8, Rounds: o.rounds,
-			L1SyncEvery: o.l1SyncEvery, Seed: uint64(300 + k),
+			L1SyncEvery: o.l1SyncEvery, Seed: uint64(300 + k), LabelSharing: o.labelShare,
 		}
 		if o.recovery && k == recoveryVictim {
 			gate := o.redialGate

@@ -262,6 +262,7 @@ type failoverOpts struct {
 	l1SyncEvery int
 	ckptEvery   int // exercises checkpoint-boundary WAL compaction
 	schedule    nn.Schedule
+	labelShare  bool
 	// segmentBytes, when positive, rolls both WALs' segments that small,
 	// so compaction drops whole segments and keeps pre-base records.
 	segmentBytes int
@@ -321,6 +322,7 @@ func failoverRun(t *testing.T, o failoverOpts) failoverResult {
 	scfg := ServerConfig{
 		Back: back, Opt: &nn.SGD{LR: 0.05}, Platforms: K, Rounds: o.rounds,
 		L1SyncEvery: o.l1SyncEvery, LRSchedule: o.schedule,
+		LabelSharing: o.labelShare, Loss: nn.SoftmaxCrossEntropy{},
 		Replication: &ReplicationConfig{Log: leaderLog, Followers: []transport.Conn{streamLeader}},
 	}
 	if o.ckptEvery > 0 {
@@ -361,7 +363,7 @@ func failoverRun(t *testing.T, o failoverOpts) failoverResult {
 		pc := PlatformConfig{
 			ID: k, Front: fronts[k], Opt: &nn.SGD{LR: 0.05}, Loss: nn.SoftmaxCrossEntropy{},
 			Shard: flat.Subset(shards[k]), Batch: 8, Rounds: o.rounds,
-			L1SyncEvery: o.l1SyncEvery, Seed: uint64(300 + k),
+			L1SyncEvery: o.l1SyncEvery, Seed: uint64(300 + k), LabelSharing: o.labelShare,
 			RejoinWindow: 30 * time.Second,
 			Redial: func() (transport.Conn, error) {
 				s2, c2 := transport.Pipe()
@@ -404,6 +406,7 @@ func failoverRun(t *testing.T, o failoverOpts) failoverResult {
 			Server: ServerConfig{
 				Back: followerBack, Opt: &nn.SGD{LR: 0.05}, Platforms: K,
 				Rounds: o.rounds, L1SyncEvery: o.l1SyncEvery, LRSchedule: o.schedule,
+				LabelSharing: o.labelShare, Loss: nn.SoftmaxCrossEntropy{},
 			},
 			Broker: broker,
 			Window: 30 * time.Second,
@@ -490,6 +493,7 @@ func replayOffline(t *testing.T, log *wal.Log, o failoverOpts, in int) (*Server,
 	srv, err := NewServer(ServerConfig{
 		Back: back, Opt: &nn.SGD{LR: 0.05}, Platforms: 2, Rounds: o.rounds,
 		L1SyncEvery: o.l1SyncEvery, LRSchedule: o.schedule,
+		LabelSharing: o.labelShare, Loss: nn.SoftmaxCrossEntropy{},
 	})
 	if err != nil {
 		t.Fatal(err)
