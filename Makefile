@@ -198,7 +198,7 @@ bench-compare:
 	{ GOMAXPROCS=1 $(GO) test -bench 'BenchmarkServeInfer' -benchmem -benchtime 200x -run NONE ./internal/serve/; \
 	  GOMAXPROCS=1 $(GO) test -bench 'BenchmarkServeLoadPrecision' -benchmem -benchtime 1x -run NONE .; } \
 		| $(GO) run ./cmd/benchjson -compare BENCH_serve.json -skip-ns
-	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkConsistencyModes' -benchmem -benchtime 2x -run NONE . \
+	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkConsistencyModes|BenchmarkRoundModes' -benchmem -benchtime 2x -run NONE . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_consistency.json -skip-ns
 	@echo bench-compare ok
 
@@ -272,15 +272,17 @@ bench-save-wal:
 	@echo wrote BENCH_wal.json
 
 # Refresh the consistency-spectrum baseline: one straggler-loaded
-# session per consistency setting over the simulated WAN. allocs/op is the gated
-# number; sim-ms/round and accuracy record the frontier shape on pinned
-# hardware (the full sweep is experiment.RunConsistencyFrontier, run
-# nightly via FRONTIER_SOAK=1).
+# session per consistency setting over the simulated WAN, plus the two
+# lockstep round modes (BenchmarkRoundModes, the only concat run).
+# allocs/op is the gated number; sim-ms/round and accuracy record the
+# frontier shape on pinned hardware (the full sweep is
+# experiment.RunConsistencyFrontier, run nightly via FRONTIER_SOAK=1).
 bench-save-consistency:
-	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkConsistencyModes' -benchmem -benchtime 2x -run NONE . \
+	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkConsistencyModes|BenchmarkRoundModes' -benchmem -benchtime 2x -run NONE . \
 		| $(GO) run ./cmd/benchjson \
 		-note '25 synthetic clinics (seed 23), 10% compute stragglers at 8x the 5ms base, 2ms server compute; sim-ms/round is virtual wall-clock per round' \
 		-note 'every arm reports measured virtual elapsed from the simnet clock and is deterministic (the pipelined arm and its analytic estimate were removed with the pipelined mode)' \
+		-note 'BenchmarkRoundModes: the server'"'"'s two lockstep schedules (sequential, concat) on the VGG-lite figure config (4 platforms, 24 rounds, 10 classes); the only benchmark that runs concat' \
 		> BENCH_consistency.json
 	@echo wrote BENCH_consistency.json
 
