@@ -552,28 +552,3 @@ func (p *Platform) RestoreSnapshot(snap *Snapshot) error {
 	}
 	return restoreOptimizer(cur, ts, p.cfg.Opt, p.cfg.Front.Params())
 }
-
-// maybeWriteCheckpoint writes a snapshot when the schedule says a
-// checkpoint is due at this boundary (completed rounds since start are
-// a multiple of every, or force is set for final checkpoints).
-func checkpointDue(every, completed int, force bool) bool {
-	if force {
-		return true
-	}
-	return every > 0 && completed > 0 && completed%every == 0
-}
-
-// ensureCheckpointDir creates a configured checkpoint directory, parents
-// included, when a party is constructed, so a path that cannot hold
-// checkpoints fails the constructor with ErrConfig instead of the
-// session at its first scheduled checkpoint, possibly hundreds of
-// rounds in.
-func ensureCheckpointDir(dir string) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("%w: checkpoint directory %q: %v", ErrConfig, dir, err)
-	}
-	return nil
-}

@@ -10,32 +10,8 @@ import (
 // killPointRound is the round every kill-point row breaks.
 const killPointRound = 5
 
-// killStep is one message of a train exchange: whether the platform
-// sends it, and its type.
-type killStep struct {
-	up  bool
-	typ wire.MsgType
-}
-
-// killPointSteps lists a label mode's train exchange in protocol order.
-func killPointSteps(labelShare bool) []killStep {
-	if labelShare {
-		return []killStep{
-			{true, wire.MsgActivations},
-			{true, wire.MsgLabels},
-			{false, wire.MsgCutGrad},
-		}
-	}
-	return []killStep{
-		{true, wire.MsgActivations},
-		{false, wire.MsgLogits},
-		{true, wire.MsgLossGrad},
-		{false, wire.MsgCutGrad},
-	}
-}
-
 // TestKillPointTable breaks the victim platform's exchange at every
-// step of both label modes' train exchanges and holds each recovered
+// step of both label modes' train tables and holds each recovered
 // session to the undisturbed run's weights bit for bit. A platform →
 // server step is severed on the platform's send (live rejoin under
 // WaitForRejoin); a server → platform step is swallowed on the server's
@@ -49,7 +25,7 @@ func TestKillPointTable(t *testing.T) {
 			name = "label-sharing"
 		}
 		baseline, _ := recoveryRun(t, recoveryOpts{rounds: rounds, labelShare: labelShare})
-		for _, st := range killPointSteps(labelShare) {
+		for _, st := range tableFor(labelShare) {
 			typ := st.typ
 			hit := func(m *wire.Message) bool { return m.Type == typ && m.Round == killPointRound }
 			row := name + "/" + typ.String()

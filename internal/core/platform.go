@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"medsplit/internal/dataset"
@@ -119,34 +117,16 @@ func (cfg *PlatformConfig) validate() error {
 	if cfg.Batch <= 0 {
 		return fmt.Errorf("%w: batch size %d", ErrConfig, cfg.Batch)
 	}
-	if cfg.Rounds <= 0 {
-		return fmt.Errorf("%w: %d rounds", ErrConfig, cfg.Rounds)
-	}
-	if cfg.StartRound < 0 || cfg.StartRound >= cfg.Rounds {
-		return fmt.Errorf("%w: start round %d of %d", ErrConfig, cfg.StartRound, cfg.Rounds)
-	}
 	if !cfg.LabelSharing && cfg.Loss == nil {
 		return fmt.Errorf("%w: label-private mode requires a platform-side loss", ErrConfig)
 	}
 	if cfg.EvalData != nil && cfg.EvalBatch == 0 {
 		cfg.EvalBatch = 64
 	}
-	if cfg.CheckpointEvery < 0 {
-		return fmt.Errorf("%w: checkpoint every %d rounds", ErrConfig, cfg.CheckpointEvery)
-	}
-	if cfg.CheckpointEvery > 0 && cfg.CheckpointDir == "" {
-		return fmt.Errorf("%w: CheckpointEvery without CheckpointDir", ErrConfig)
-	}
 	if (cfg.Redial != nil) != (cfg.RejoinWindow > 0) {
 		return fmt.Errorf("%w: Redial and RejoinWindow must be set together", ErrConfig)
 	}
-	if err := ensureCheckpointDir(cfg.CheckpointDir); err != nil {
-		return err
-	}
-	if cfg.Codec == nil {
-		cfg.Codec = wire.RawCodec{}
-	}
-	return nil
+	return validateSession(cfg.Rounds, cfg.StartRound, cfg.CheckpointEvery, cfg.CheckpointDir, &cfg.Codec)
 }
 
 // RoundStat records one round of local training.
@@ -181,18 +161,18 @@ func (s *PlatformStats) FinalLoss() float64 {
 
 // Platform runs the platform side of the split-learning protocol.
 type Platform struct {
+	walker  // the session position, stop request and boundary stash
 	cfg     PlatformConfig
+	table   trainTable // the label mode's train exchange
 	sampler *dataset.BatchSampler
-	stop    atomic.Bool
 
-	// stash is the in-memory boundary snapshot (CheckpointDir mode):
-	// the platform's complete state as of the last round boundary,
-	// written to disk if the session dies mid-round.
-	stash *Snapshot
+	// conn and stats belong to the session Run drives.
+	conn  transport.Conn
+	stats *PlatformStats
 
 	// Wire-path scratch (see wirebuf.go): decode targets for the two
 	// inbound training messages, reused round after round, and pooled
-	// encode buffers for the two outbound ones. Each message type is in
+	// encode buffers for the outbound ones. Each message type is in
 	// flight at most once per platform, so one slot per type suffices.
 	logitsDec []*tensor.Tensor
 	cutDec    []*tensor.Tensor
@@ -217,7 +197,15 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		indices[i] = i
 	}
 	return &Platform{
+		walker: walker{
+			sess:      newSession(sessionPlan{cfg.StartRound, cfg.Rounds, cfg.L1SyncEvery, cfg.EvalEvery}),
+			who:       fmt.Sprintf("platform %d", cfg.ID),
+			ckptDir:   cfg.CheckpointDir,
+			ckptEvery: cfg.CheckpointEvery,
+			stashPath: PlatformStashPath(cfg.CheckpointDir, cfg.ID),
+		},
 		cfg:     cfg,
+		table:   tableFor(cfg.LabelSharing),
 		sampler: dataset.NewBatchSampler(indices, cfg.Batch, rng.New(cfg.Seed^0x9e3779b97f4a7c15)),
 	}, nil
 }
@@ -228,201 +216,99 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 // any goroutine (the signal handlers in cmd/splitplatform do).
 func (p *Platform) Stop() { p.stop.Store(true) }
 
-// plan derives the deterministic session schedule from the config.
-// It must equal the server's (the handshake validates the inputs).
-func (p *Platform) plan() sessionPlan {
-	return sessionPlan{
-		start:       p.cfg.StartRound,
-		rounds:      p.cfg.Rounds,
-		l1SyncEvery: p.cfg.L1SyncEvery,
-		evalEvery:   p.cfg.EvalEvery,
-	}
-}
-
-// Run executes the full protocol against the server over conn:
-// handshake, the training rounds (with L1 sync and evaluation as
-// scheduled), and shutdown. It returns the platform's measurements.
-// The connection is not closed.
+// Run executes the full protocol against the server over conn — the
+// session walk (see walker.run) through the handshake, the training
+// rounds (with L1 sync and evaluation as scheduled), and shutdown — and
+// returns the platform's measurements. The connection is not closed.
 //
 // The platform's walk is the same in every server scheduling mode: the
 // modes differ only in how the server orders its side of the exchange.
 func (p *Platform) Run(conn transport.Conn) (*PlatformStats, error) {
 	if p.cfg.Redial != nil {
-		rc := transport.NewReconnectable(conn)
-		conn = rc
+		conn = transport.NewReconnectable(conn)
 	}
-	sess := newSession(p.plan())
-	if err := p.handshake(conn); err != nil {
+	p.conn, p.stats = conn, &PlatformStats{}
+	if err := p.run(p); err != nil {
 		return nil, err
 	}
-	p.refreshStash(sess.Round())
-	stats, err := p.run(conn, sess)
-	if err != nil && !errors.Is(err, ErrStopped) {
-		p.writeStashOnAbort()
-	}
-	return stats, err
+	return p.stats, nil
 }
 
-// run walks the session state machine, one round in flight at a time.
-func (p *Platform) run(conn transport.Conn, sess *Session) (*PlatformStats, error) {
-	stats := &PlatformStats{}
-	for {
-		switch sess.State() {
-		case StateTrain:
-			r := sess.Round()
-			nn.ApplySchedule(p.cfg.Opt, p.cfg.LRSchedule, r)
-			loss, batch, err := p.trainStep(conn, r)
-			var ff *fastForwardError
-			if errors.As(err, &ff) {
-				// The server proceeded without us while we were
-				// disconnected; realign at the round it assigned.
-				if serr := sess.SkipTo(ff.round); serr != nil {
-					return nil, serr
-				}
-				continue
-			}
-			if err != nil {
-				return nil, fmt.Errorf("core: platform %d round %d: %w", p.cfg.ID, r, err)
-			}
-			stats.Rounds = append(stats.Rounds, RoundStat{Round: r, Loss: loss, Batch: batch})
-		case StateL1Sync:
-			if err := p.l1Sync(conn, sess.Round()); err != nil {
-				return nil, fmt.Errorf("core: platform %d L1 sync round %d: %w", p.cfg.ID, sess.Round(), err)
-			}
-		case StateEval:
-			if err := p.evalPoint(conn, sess.Round(), stats); err != nil {
-				return nil, err
-			}
-		case StateDone:
-			if err := p.send(conn, &wire.Message{
-				Type:     wire.MsgBye,
-				Platform: uint32(p.cfg.ID),
-				Round:    uint32(p.cfg.Rounds),
-			}); err != nil {
-				return nil, err
-			}
-			return stats, nil
-		}
-		if err := p.advance(sess, conn); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// advance moves the session forward and runs the round-boundary hooks
-// (checkpoints, graceful stop, stash refresh).
-func (p *Platform) advance(sess *Session, conn transport.Conn) error {
-	prev := sess.Round()
-	st := sess.Advance()
-	if st == StateDone || (st == StateTrain && sess.Round() != prev) {
-		return p.atBoundary(sess, conn, prev+1)
+// checkpoint writes the scheduled checkpoint after completed rounds.
+func (p *Platform) checkpoint(completed int) error {
+	path := PlatformSnapshotPath(p.cfg.CheckpointDir, p.cfg.ID)
+	if err := SaveSnapshotFile(path, p.Snapshot(completed)); err != nil {
+		return fmt.Errorf("core: platform %d checkpoint at round %d: %w", p.cfg.ID, completed, err)
 	}
 	return nil
 }
 
-// atBoundary runs the platform's round-boundary hooks. completed is
-// the number of rounds fully finished.
-func (p *Platform) atBoundary(sess *Session, conn transport.Conn, completed int) error {
-	stopping := p.stop.Load() && sess.State() != StateDone
-	if p.cfg.CheckpointDir != "" {
-		if checkpointDue(p.cfg.CheckpointEvery, completed, false) {
-			path := PlatformSnapshotPath(p.cfg.CheckpointDir, p.cfg.ID)
-			if err := SaveSnapshotFile(path, p.Snapshot(completed)); err != nil {
-				return fmt.Errorf("core: platform %d checkpoint at round %d: %w", p.cfg.ID, completed, err)
-			}
-		}
-		p.refreshStash(completed)
+// stopNotice tells the server the platform is stopping. The notice is
+// best effort and non-blocking: the server surfaces it as a peer error
+// when it next serves this platform's slot, and the other platforms can
+// then save their own boundary stashes. The caller closes the
+// connection after Run returns, which reaps the goroutine if nobody
+// ever receives.
+func (p *Platform) stopNotice(completed int) error {
+	msg := &wire.Message{
+		Type:     wire.MsgErrorMsg,
+		Platform: uint32(p.cfg.ID),
+		Payload:  wire.EncodeText(fmt.Sprintf("platform %d stopping: checkpointed %d rounds", p.cfg.ID, completed)),
 	}
-	if stopping {
-		// The stop snapshot goes to the stash file (never the scheduled
-		// checkpoint, which must stay a matched set across parties).
-		if p.cfg.CheckpointDir != "" && p.stash != nil {
-			path := PlatformStashPath(p.cfg.CheckpointDir, p.cfg.ID)
-			if err := SaveSnapshotFile(path, p.stash); err != nil {
-				return fmt.Errorf("core: platform %d stop checkpoint: %w", p.cfg.ID, err)
-			}
-		}
-		// Best-effort, non-blocking notice: the server surfaces it as a
-		// peer error when it next serves this platform's slot, and the
-		// other platforms can then save their own boundary stashes. The
-		// caller closes the connection after Run returns, which reaps
-		// the goroutine if nobody ever receives.
-		msg := &wire.Message{
-			Type:     wire.MsgErrorMsg,
-			Platform: uint32(p.cfg.ID),
-			Payload:  wire.EncodeText(fmt.Sprintf("platform %d stopping: checkpointed %d rounds", p.cfg.ID, completed)),
-		}
-		go func() { _ = conn.Send(msg) }()
-		return fmt.Errorf("%w: platform %d after %d rounds", ErrStopped, p.cfg.ID, completed)
-	}
-	return nil
+	conn := p.conn
+	go func() { _ = conn.Send(msg) }()
+	return fmt.Errorf("%w: platform %d after %d rounds", ErrStopped, p.cfg.ID, completed)
 }
 
-// refreshStash captures the boundary snapshot kept in memory for
-// abort-time persistence. Only active in CheckpointDir mode.
-func (p *Platform) refreshStash(nextRound int) {
-	if p.cfg.CheckpointDir == "" {
-		return
-	}
-	p.stash = p.Snapshot(nextRound)
+// bye completes the session.
+func (p *Platform) bye() error {
+	return p.send(&wire.Message{Type: wire.MsgBye, Platform: uint32(p.cfg.ID), Round: uint32(p.cfg.Rounds)})
 }
 
-// writeStashOnAbort persists the last boundary snapshot after a fatal
-// mid-round error (best effort — the session is already failing, so a
-// save error is not allowed to mask the original one). It writes the
-// stash file, never the scheduled-checkpoint file: the peers did not
-// checkpoint this boundary, so overwriting the scheduled file would
-// destroy the last matched set and make resume impossible.
-func (p *Platform) writeStashOnAbort() {
-	if p.stash == nil || p.cfg.CheckpointDir == "" {
-		return
-	}
-	_ = SaveSnapshotFile(PlatformStashPath(p.cfg.CheckpointDir, p.cfg.ID), p.stash)
-}
-
-// evalPoint records one evaluation point (and, on the evaluator, runs
-// the accuracy exchange).
-func (p *Platform) evalPoint(conn transport.Conn, r int, stats *PlatformStats) error {
+// eval records one evaluation point (and, on the evaluator, runs the
+// accuracy exchange).
+func (p *Platform) eval(r int) error {
 	ev := EvalStat{Round: r, Accuracy: -1}
 	if p.cfg.Meter != nil {
 		ev.TrainingBytes = TrainingBytes(p.cfg.Meter)
 	}
 	if p.cfg.EvalData != nil {
-		acc, err := p.evalExchange(conn, r)
+		acc, err := p.evalExchange(r)
 		if err != nil {
-			return fmt.Errorf("core: platform %d eval round %d: %w", p.cfg.ID, r, err)
+			return err
 		}
 		ev.Accuracy = acc
 	}
-	stats.Evals = append(stats.Evals, ev)
+	p.stats.Evals = append(p.stats.Evals, ev)
 	return nil
 }
 
 // handshake declares the platform's configuration and waits for the
 // server's HelloAck. The ack's payload names the server's mode for
 // information only; the platform's walk does not depend on it.
-func (p *Platform) handshake(conn transport.Conn) error {
+func (p *Platform) handshake() error {
 	meta := helloBase(p.cfg.Rounds, p.cfg.LabelSharing, p.cfg.L1SyncEvery, p.cfg.EvalEvery, p.cfg.Codec.Name(), p.cfg.StartRound)
 	meta = fmt.Sprintf("%s;evaluator=%t", meta, p.cfg.EvalData != nil)
-	if err := p.send(conn, &wire.Message{
+	if err := p.send(&wire.Message{
 		Type:     wire.MsgHello,
 		Platform: uint32(p.cfg.ID),
 		Payload:  wire.EncodeText(meta),
 	}); err != nil {
 		return err
 	}
-	if _, err := p.recv(conn, wire.MsgHelloAck, -1); err != nil {
+	if _, err := p.recv(wire.MsgHelloAck, -1); err != nil {
 		return fmt.Errorf("core: platform %d handshake: %w", p.cfg.ID, err)
 	}
 	return nil
 }
 
-// trainStep performs one local minibatch through the split protocol as
-// an explicit stage machine and returns the training loss observed for
-// it. Compute (forward, loss, backward, step) is bound to stage
-// transitions, so a dropout recovery re-entering a wire stage never
-// recomputes; the L1 step applies exactly once per round.
-func (p *Platform) trainStep(conn transport.Conn, r int) (loss float64, batch int, err error) {
+// train runs round r's local minibatch along the label mode's train
+// table and records the training loss observed for it. Compute
+// (forward, loss, backward, step) is bound to the steps, so a dropout
+// recovery re-entering a wire step never recomputes; the L1 step
+// applies exactly once per round.
+func (p *Platform) train(r int) error {
+	nn.ApplySchedule(p.cfg.Opt, p.cfg.LRSchedule, r)
 	idx := p.sampler.Next()
 	x, labels := p.cfg.Shard.BatchInto(p.batchX, p.batchLabels, idx)
 	p.batchX, p.batchLabels = x, labels
@@ -432,136 +318,99 @@ func (p *Platform) trainStep(conn transport.Conn, r int) (loss float64, batch in
 
 	a := p.cfg.Front.Forward(x, true)
 	var da, dz *tensor.Tensor
-	pos := posActs
-	for pos != posDone {
+	var loss float64
+	for pos := posActs; pos != posDone; {
+		i := p.table.index(pos)
+		st := p.table[i]
 		var err error
-		switch pos {
-		case posActs:
-			err = p.send(conn, &wire.Message{
-				Type:     wire.MsgActivations,
-				Platform: uint32(p.cfg.ID),
-				Round:    uint32(r),
-				Payload:  p.encActs.encode(p.cfg.Codec, a),
-			})
-			if err == nil {
-				// Clear last round's gradients now, while the server
-				// runs its forward, not when the cut gradient is back
-				// and the server is waiting on this platform. A rejoin
-				// that replays this stage zeroes again, harmlessly.
-				// Only parameters that still materialize a gradient
-				// need it: BackwardStep leaves a dense layer's G
-				// untouched under plain SGD.
+		if st.up {
+			var payload []byte
+			switch pos {
+			case posActs:
+				payload = p.encActs.encode(p.cfg.Codec, a)
+			case posLabels:
+				payload = p.encLabels.encodeLabels(labels)
+			default: // posLossGrad
+				payload = p.encGrad.encode(p.cfg.Codec, dz)
+			}
+			err = p.send(&wire.Message{Type: st.typ, Platform: uint32(p.cfg.ID), Round: uint32(r), Payload: payload})
+			if err == nil && pos == posActs {
+				// Clear last round's gradients now, while the server runs
+				// its forward, not when the cut gradient is back and the
+				// server is waiting on this platform. A rejoin that
+				// replays this step zeroes again, harmlessly. Only
+				// parameters that still materialize a gradient need it:
+				// BackwardStep leaves a dense layer's G untouched under
+				// plain SGD.
 				nn.ZeroGrads(nn.GradParams(p.cfg.Front, p.cfg.Opt))
+			}
+		} else {
+			var ts []*tensor.Tensor
+			if pos == posLogits {
+				ts, err = p.recvTensors(st.typ, r, &p.logitsDec, 1)
+				if err == nil {
+					if ts[0].Dim(0) != len(labels) {
+						return fmt.Errorf("%w: %d logit rows for %d labels", ErrProtocol, ts[0].Dim(0), len(labels))
+					}
+					loss, dz = p.cfg.Loss.Loss(ts[0], labels)
+				}
+			} else {
+				// posCutGrad: the cut gradient, plus the loss scalar the
+				// server computed in label-sharing mode.
+				want := 1
 				if p.cfg.LabelSharing {
-					pos = posLabels
-				} else {
-					pos = posLogits
+					want = 2
 				}
-			}
-		case posLabels:
-			err = p.send(conn, &wire.Message{
-				Type:     wire.MsgLabels,
-				Platform: uint32(p.cfg.ID),
-				Round:    uint32(r),
-				Payload:  p.encLabels.encodeLabels(labels),
-			})
-			if err == nil {
-				pos = posCutGrad
-			}
-		case posLogits:
-			var z *tensor.Tensor
-			z, err = p.recvLogits(conn, r)
-			if err == nil {
-				if z.Dim(0) != len(labels) {
-					return 0, 0, fmt.Errorf("%w: %d logit rows for %d labels", ErrProtocol, z.Dim(0), len(labels))
+				if ts, err = p.recvTensors(st.typ, r, &p.cutDec, want); err == nil {
+					da = ts[0]
+					if p.cfg.LabelSharing {
+						loss = float64(ts[1].At())
+					}
 				}
-				loss, dz = p.cfg.Loss.Loss(z, labels)
-				pos = posLossGrad
-			}
-		case posLossGrad:
-			err = p.send(conn, &wire.Message{
-				Type:     wire.MsgLossGrad,
-				Platform: uint32(p.cfg.ID),
-				Round:    uint32(r),
-				Payload:  p.encGrad.encode(p.cfg.Codec, dz),
-			})
-			if err == nil {
-				pos = posCutGrad
-			}
-		case posCutGrad:
-			var lossVal float64
-			da, lossVal, err = p.recvCutGrad(conn, r)
-			if err == nil {
-				if p.cfg.LabelSharing {
-					loss = lossVal
-				}
-				pos = posDone
 			}
 		}
-		if err != nil {
-			resume, rerr := p.maybeRejoin(conn, r, pos, err)
-			if rerr != nil {
-				return 0, 0, rerr
-			}
-			pos = resume
+		if err == nil {
+			pos = p.table.next(i)
+			continue
+		}
+		if pos, err = p.maybeRejoin(r, pos, err); err != nil {
+			return err
 		}
 	}
 	if !tensor.SameShape(da, a) {
-		return 0, 0, fmt.Errorf("%w: cut-grad shape %v, activations %v", ErrProtocol, da.Shape(), a.Shape())
+		return fmt.Errorf("%w: cut-grad shape %v, activations %v", ErrProtocol, da.Shape(), a.Shape())
 	}
 
 	nn.BackwardStep(p.cfg.Front, da, p.cfg.Opt, p.cfg.ClipGrads)
-	return loss, len(labels), nil
+	p.stats.Rounds = append(p.stats.Rounds, RoundStat{Round: r, Loss: loss, Batch: len(labels)})
+	return nil
 }
 
-// recvLogits reads and decodes the round's logits.
-func (p *Platform) recvLogits(conn transport.Conn, r int) (*tensor.Tensor, error) {
-	m, err := p.recv(conn, wire.MsgLogits, r)
+// recvTensors reads the round's message of type typ and decodes its
+// want tensors through the decode scratch *dec.
+func (p *Platform) recvTensors(typ wire.MsgType, r int, dec *[]*tensor.Tensor, want int) ([]*tensor.Tensor, error) {
+	m, err := p.recv(typ, r)
 	if err != nil {
 		return nil, err
 	}
-	ts, derr := wire.DecodeInto(p.cfg.Codec, p.logitsDec, m.Payload)
-	if derr != nil || len(ts) != 1 {
-		return nil, fmt.Errorf("%w: bad logits payload", ErrProtocol)
+	ts, derr := wire.DecodeInto(p.cfg.Codec, *dec, m.Payload)
+	if derr != nil || len(ts) != want {
+		return nil, fmt.Errorf("%w: bad %s payload", ErrProtocol, typ)
 	}
-	p.logitsDec = ts
+	*dec = ts
 	releasePayload(m)
-	return ts[0], nil
-}
-
-// recvCutGrad reads and decodes the round's cut gradient (and the loss
-// scalar in label-sharing mode).
-func (p *Platform) recvCutGrad(conn transport.Conn, r int) (*tensor.Tensor, float64, error) {
-	m, err := p.recv(conn, wire.MsgCutGrad, r)
-	if err != nil {
-		return nil, 0, err
-	}
-	ts, derr := wire.DecodeInto(p.cfg.Codec, p.cutDec, m.Payload)
-	if p.cfg.LabelSharing {
-		if derr != nil || len(ts) != 2 {
-			return nil, 0, fmt.Errorf("%w: bad cut-grad payload (label sharing)", ErrProtocol)
-		}
-		p.cutDec = ts
-		releasePayload(m)
-		return ts[0], float64(ts[1].At()), nil
-	}
-	if derr != nil || len(ts) != 1 {
-		return nil, 0, fmt.Errorf("%w: bad cut-grad payload", ErrProtocol)
-	}
-	p.cutDec = ts
-	releasePayload(m)
-	return ts[0], 0, nil
+	return ts, nil
 }
 
 // l1Sync pushes L1 weights to the server and installs the weighted
 // average it returns.
-func (p *Platform) l1Sync(conn transport.Conn, r int) error {
+func (p *Platform) l1Sync(r int) error {
 	params := p.cfg.Front.Params()
 	weights := make([]*tensor.Tensor, len(params))
 	for i, prm := range params {
 		weights[i] = prm.W
 	}
-	if err := p.send(conn, &wire.Message{
+	if err := p.send(&wire.Message{
 		Type:     wire.MsgModelPush,
 		Platform: uint32(p.cfg.ID),
 		Round:    uint32(r),
@@ -569,7 +418,7 @@ func (p *Platform) l1Sync(conn transport.Conn, r int) error {
 	}); err != nil {
 		return err
 	}
-	m, err := p.recv(conn, wire.MsgModelPush, r)
+	m, err := p.recv(wire.MsgModelPush, r)
 	if err != nil {
 		return err
 	}
@@ -590,7 +439,7 @@ func (p *Platform) l1Sync(conn transport.Conn, r int) error {
 // (local L1 forward, remote L2…Lk forward) and returns test accuracy.
 // Labels never leave the platform: accuracy is computed locally from
 // the logits the server returns.
-func (p *Platform) evalExchange(conn transport.Conn, r int) (float64, error) {
+func (p *Platform) evalExchange(r int) (float64, error) {
 	data := p.cfg.EvalData
 	n := data.Len()
 	correct := 0
@@ -605,7 +454,7 @@ func (p *Platform) evalExchange(conn transport.Conn, r int) (float64, error) {
 		}
 		x, labels := data.Batch(idx)
 		a := p.cfg.Front.Forward(x, false)
-		if err := p.send(conn, &wire.Message{
+		if err := p.send(&wire.Message{
 			Type:     wire.MsgEvalActivations,
 			Platform: uint32(p.cfg.ID),
 			Round:    uint32(r),
@@ -613,7 +462,7 @@ func (p *Platform) evalExchange(conn transport.Conn, r int) (float64, error) {
 		}); err != nil {
 			return 0, err
 		}
-		m, err := p.recv(conn, wire.MsgEvalLogits, r)
+		m, err := p.recv(wire.MsgEvalLogits, r)
 		if err != nil {
 			return 0, err
 		}
@@ -631,7 +480,7 @@ func (p *Platform) evalExchange(conn transport.Conn, r int) (float64, error) {
 			}
 		}
 	}
-	if err := p.send(conn, &wire.Message{
+	if err := p.send(&wire.Message{
 		Type:     wire.MsgAck,
 		Platform: uint32(p.cfg.ID),
 		Round:    uint32(r),
@@ -641,16 +490,16 @@ func (p *Platform) evalExchange(conn transport.Conn, r int) (float64, error) {
 	return float64(correct) / float64(n), nil
 }
 
-func (p *Platform) send(conn transport.Conn, m *wire.Message) error {
-	if err := conn.Send(m); err != nil {
+func (p *Platform) send(m *wire.Message) error {
+	if err := p.conn.Send(m); err != nil {
 		return fmt.Errorf("core: platform %d send %s: %w", p.cfg.ID, m.Type, err)
 	}
 	p.trace("send", m)
 	return nil
 }
 
-func (p *Platform) recv(conn transport.Conn, want wire.MsgType, round int) (*wire.Message, error) {
-	m, err := recvExpect(conn, want, round)
+func (p *Platform) recv(want wire.MsgType, round int) (*wire.Message, error) {
+	m, err := recvExpect(p.conn, want, round)
 	if err != nil {
 		return nil, fmt.Errorf("core: platform %d: %w", p.cfg.ID, err)
 	}

@@ -30,9 +30,10 @@ import (
 //     be in flight when a link dies; comparing the server's position
 //     with the platform's identifies it, the ack tells the platform
 //     where to resume (round + position), and each side re-emits only
-//     what the other never received. Compute is bound to position
-//     *transitions* (see Server.advance / trainStep), so a replayed wire
-//     stage never re-runs a forward, backward or optimizer step.
+//     what the other never received (see Server.reconcile, which a
+//     failover promotion shares). Compute is bound to the steps of the
+//     train table (see Server.advance / Platform.train), so a replayed
+//     wire step never re-runs a forward, backward or optimizer step.
 //
 // Two policies govern a drop (RecoveryConfig.Policy):
 //
@@ -312,19 +313,48 @@ func (s *Server) handleDrop(k, r, pos int, cause error) (resume int, skip bool, 
 	return resume, false, nil
 }
 
-// adopt installs a replacement connection for platform k, reconciles
-// protocol positions, replies with the ack, and replays the cached cut
-// gradient when that is what the platform was missing. serverRound /
-// serverPos describe where the server's exchange for k stands; they
-// are the current round and posActs when adoption happens at a round
-// boundary (ProceedWithout).
+// adopt reconciles platform k's live rejoin against the server's
+// exchange for it, at round serverRound and wire position serverPos,
+// then installs the replacement connection and returns the position
+// the server resumes at. At a round boundary (ProceedWithout) the
+// position is the round's posActs.
 func (s *Server) adopt(ps *platformState, k, serverRound, serverPos int, offer *rejoinOffer) (resume int, err error) {
-	meta, err := wire.DecodeText(offer.rejoin.Payload)
+	resume, err = s.reconcile(offer, k, serverRound, serverPos, ps.lastCut, ps.lastCutRound, true)
 	if err != nil {
-		offer.conn.Close()
-		return 0, fmt.Errorf("core: platform %d rejoin meta: %w", k, err)
+		return 0, err
 	}
-	fields, err := parseMetaInts(meta, "next", "pos")
+	ps.rc.Swap(offer.conn).Close()
+	ps.status = PlatformActive
+	return resume, nil
+}
+
+// reconcile answers platform k's rejoin on offer's connection, live or
+// at a failover promotion. The server's exchange for k stands at round
+// serverRound and wire position serverPos; cut is the last cut-gradient
+// payload the server produced for k, in round cutRound. Exactly one
+// message can be in flight when a link dies, and comparing the
+// platform's announced position with the server's identifies it:
+//
+//   - Same round: the lost message is the earliest position either side
+//     still needs; both resume there.
+//   - The platform died waiting for the previous round's cut gradient,
+//     which the server has moved past: ack that position and replay the
+//     cached payload; the platform finishes that round and arrives at
+//     the server's position naturally.
+//   - With fastForward (live rejoin only), a platform further behind
+//     was dropped while the server proceeded: ack the server's round
+//     from the top, and the platform skips ahead.
+//
+// Anything else means the two sides disagree about history: refuse
+// loudly rather than train on divergent state. reconcile sends the ack
+// (and the replay) and returns the position the server resumes at; on
+// error it closes the offer's connection.
+func (s *Server) reconcile(offer *rejoinOffer, k, serverRound, serverPos int, cut []byte, cutRound int, fastForward bool) (resume int, err error) {
+	meta, err := wire.DecodeText(offer.rejoin.Payload)
+	var fields map[string]int
+	if err == nil {
+		fields, err = parseMetaInts(meta, "next", "pos")
+	}
 	if err != nil {
 		offer.conn.Close()
 		return 0, fmt.Errorf("core: platform %d rejoin meta: %w", k, err)
@@ -332,63 +362,38 @@ func (s *Server) adopt(ps *platformState, k, serverRound, serverPos int, offer *
 	pRound, pPos := fields["next"], fields["pos"]
 	s.trace("recv", offer.rejoin, k)
 
-	replayCut := false
-	var ackRound, ackPos int
+	ackRound, ackPos, replay := pRound, min(serverPos, pPos), false
+	resume = serverPos
 	switch {
-	case pRound == serverRound:
-		// Same round: the lost message is the earliest position either
-		// side still needs; both resume there.
-		ackRound = serverRound
-		ackPos = serverPos
-		if pPos < ackPos {
-			ackPos = pPos
-		}
+	case pRound == serverRound && (pPos == posDone || s.table.index(pPos) >= 0):
 		resume = ackPos
-	case pRound == serverRound-1 && pPos == posCutGrad && ps.lastCutRound == pRound:
-		// The platform died waiting for the previous round's cut
-		// gradient, which the server has already moved past. Replay the
-		// cached payload; the platform finishes that round and arrives
-		// at the server's current position naturally.
-		ackRound = pRound
-		ackPos = posCutGrad
-		replayCut = true
-		resume = serverPos
-	case pRound < serverRound:
-		// The platform is behind (it was dropped while the server
-		// proceeded): fast-forward it to the server's round.
-		ackRound = serverRound
-		ackPos = posActs
-		resume = serverPos
+	case pRound == serverRound-1 && pPos == posCutGrad && cut != nil && cutRound == pRound:
+		ackPos, replay = posCutGrad, true
+	case fastForward && pRound < serverRound:
+		ackRound, ackPos = serverRound, posActs
 	default:
 		offer.conn.Close()
 		return 0, fmt.Errorf("%w: platform %d rejoins at round %d pos %d, server at round %d pos %d",
 			ErrProtocol, k, pRound, pPos, serverRound, serverPos)
 	}
 
-	ack := &wire.Message{
+	err = s.send(offer.conn, &wire.Message{
 		Type:     wire.MsgRejoinAck,
 		Platform: uint32(k),
 		Round:    uint32(ackRound),
 		Payload:  wire.EncodeText(ackMeta(ackRound, ackPos)),
-	}
-	if err := offer.conn.Send(ack); err != nil {
-		offer.conn.Close()
-		return 0, fmt.Errorf("core: platform %d rejoin ack: %w", k, err)
-	}
-	s.trace("send", ack, k)
-	old := ps.rc.Swap(offer.conn)
-	old.Close()
-	ps.status = PlatformActive
-	if replayCut {
-		replay := &wire.Message{
+	}, k)
+	if err == nil && replay {
+		err = s.send(offer.conn, &wire.Message{
 			Type:     wire.MsgCutGrad,
 			Platform: uint32(k),
-			Round:    uint32(ps.lastCutRound),
-			Payload:  append([]byte(nil), ps.lastCut...),
-		}
-		if err := s.send(ps.conn, replay, k); err != nil {
-			return 0, err
-		}
+			Round:    uint32(cutRound),
+			Payload:  append([]byte(nil), cut...),
+		}, k)
+	}
+	if err != nil {
+		offer.conn.Close()
+		return 0, err
 	}
 	return resume, nil
 }
@@ -435,11 +440,11 @@ func (e *fastForwardError) Error() string {
 // it redials, performs the rejoin handshake, and returns the position
 // to resume at (or a fastForwardError that the scheduler turns into a
 // session skip). Otherwise the original error is returned.
-func (p *Platform) maybeRejoin(conn transport.Conn, r, pos int, cause error) (resume int, err error) {
+func (p *Platform) maybeRejoin(r, pos int, cause error) (resume int, err error) {
 	if p.cfg.Redial == nil || !recoverable(cause) {
 		return 0, cause
 	}
-	rc, ok := conn.(*transport.Reconnectable)
+	rc, ok := p.conn.(*transport.Reconnectable)
 	if !ok {
 		return 0, cause
 	}
@@ -478,12 +483,6 @@ func (p *Platform) maybeRejoin(conn transport.Conn, r, pos int, cause error) (re
 			p.sampler.Skip(ackRound - 1 - r)
 			return 0, &fastForwardError{round: ackRound}
 		}
-		if ackRound == r-1 && ackPos == posCutGrad {
-			// Stale-cut-grad replay only ever acks the round the
-			// platform announced; r is that round, so this arm is
-			// unreachable — kept as a guard against a confused server.
-			return 0, fmt.Errorf("%w: rejoin ack for finished round %d", ErrProtocol, ackRound)
-		}
 		if ackRound != r || ackPos > pos {
 			return 0, fmt.Errorf("%w: rejoin ack round %d pos %d, platform at round %d pos %d",
 				ErrProtocol, ackRound, ackPos, r, pos)
@@ -505,19 +504,9 @@ func (p *Platform) rejoinHandshake(conn transport.Conn, r, pos int) (ackRound, a
 		return 0, 0, err
 	}
 	p.trace("send", rejoin)
-	m, err := conn.Recv()
+	m, err := recvExpect(conn, wire.MsgRejoinAck, -1)
 	if err != nil {
 		return 0, 0, err
-	}
-	if m.Type == wire.MsgErrorMsg {
-		text, terr := wire.DecodeText(m.Payload)
-		if terr != nil {
-			text = "(unreadable)"
-		}
-		return 0, 0, fmt.Errorf("%w: peer error: %s", ErrProtocol, text)
-	}
-	if m.Type != wire.MsgRejoinAck {
-		return 0, 0, fmt.Errorf("%w: got %s, want rejoin-ack", ErrProtocol, m.Type)
 	}
 	p.trace("recv", m)
 	meta, err := wire.DecodeText(m.Payload)

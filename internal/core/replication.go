@@ -31,9 +31,9 @@ import (
 //   - On leader death the follower promotes: it installs the last base
 //     snapshot in its WAL, re-executes the step records after it,
 //     derives the exact round/step the leader died at, opens a rejoin
-//     window, and re-adopts every platform through the same
-//     rejoin-handshake vocabulary the dropout-recovery path uses —
-//     failover is a server-initiated rejoin in reverse.
+//     window, and re-adopts every platform through the reconciler the
+//     dropout-recovery path uses (Server.reconcile) — failover is a
+//     server-initiated rejoin in reverse.
 //
 // Record contents. A step record carries the step's inputs, not its
 // effect: the activations payload and the labels or loss-gradient
@@ -394,26 +394,29 @@ func (s *Server) replayWAL(log *wal.Log, rs *replicaState) error {
 	})
 }
 
-// replayStep re-executes one recorded step: the LR schedule for the
-// record's round, then the same forward and backward that advance
-// drives on live inputs.
+// replayStep re-executes one recorded step along the train table: the
+// LR schedule for the record's round, then the same decodes, forward
+// and backward that advance drives on live inputs.
 func (s *Server) replayStep(rec *stepRecord, rs *replicaState) error {
 	k := rec.platform
 	nn.ApplySchedule(s.cfg.Opt, s.cfg.LRSchedule, rec.round)
 	x := &s.ex[k]
-	*x = exchange{round: rec.round, pos: posActs}
-	if err := s.decodeInput(x, k, rec.acts); err != nil {
-		return err
+	*x = exchange{round: rec.round}
+	in := rec.acts
+	for _, st := range s.table {
+		x.pos = st.pos
+		switch {
+		case st.up:
+			if err := s.decodeInput(x, k, in); err != nil {
+				return err
+			}
+			in = rec.tail
+		case st.pos == posLogits:
+			s.forward(x)
+		default:
+			s.backward(x)
+		}
 	}
-	x.pos = posLabels
-	if !s.cfg.LabelSharing {
-		s.forward(x)
-		x.pos = posLossGrad
-	}
-	if err := s.decodeInput(x, k, rec.tail); err != nil {
-		return err
-	}
-	s.backward(x)
 	x.pos = posDone
 	if rec.round == rs.lastRound[k] {
 		rs.lastCut[k] = s.encodeCut(x.da, x.lossVal)
@@ -644,12 +647,14 @@ func (f *Follower) Promote(pc PromoteConfig) (*Server, []transport.Conn, error) 
 			closeAll(conns)
 			return nil, nil, fmt.Errorf("core: platform %d did not rejoin the promoted server within %v", k, pc.Window)
 		}
-		conn, aerr := adoptForPromotion(offer, k, rs)
-		if aerr != nil {
+		// The dead leader's exchange for k stands at the top of the round
+		// after k's last recorded step, whose cut payload the replay
+		// re-derived.
+		if _, err := srv.reconcile(offer, k, rs.lastRound[k]+1, posActs, rs.lastCut[k], rs.lastRound[k], false); err != nil {
 			closeAll(conns)
-			return nil, nil, aerr
+			return nil, nil, err
 		}
-		conns[k] = conn
+		conns[k] = offer.conn
 	}
 	return srv, conns, nil
 }
@@ -660,75 +665,6 @@ func closeAll(conns []transport.Conn) {
 			c.Close()
 		}
 	}
-}
-
-// adoptForPromotion reconciles one platform's rejoin against the
-// replayed record grammar. Exactly two shapes are legal:
-//
-//   - The platform announces the round of its last recorded step at
-//     the cut-grad position: the leader recorded the step but the cut
-//     gradient never arrived (it died between append and delivery, or
-//     the delivery died with it). Ack that position and replay the
-//     recorded payload; the platform finishes the round and arrives at
-//     the promoted server's round naturally.
-//   - The platform announces the round after its last recorded step:
-//     it holds everything the chain holds. Ack (round, posActs); the
-//     platform re-enters the round from the top, re-sending from its
-//     stage cache, and the server — which never recorded the step —
-//     recomputes it from bit-identical state.
-//
-// Anything else means the replica and the platform disagree about
-// history: refuse loudly rather than train on divergent state.
-func adoptForPromotion(offer *rejoinOffer, k int, rs *replicaState) (transport.Conn, error) {
-	meta, err := wire.DecodeText(offer.rejoin.Payload)
-	if err != nil {
-		offer.conn.Close()
-		return nil, fmt.Errorf("core: platform %d promotion rejoin meta: %w", k, err)
-	}
-	fields, err := parseMetaInts(meta, "next", "pos")
-	if err != nil {
-		offer.conn.Close()
-		return nil, fmt.Errorf("core: platform %d promotion rejoin meta: %w", k, err)
-	}
-	pRound, pPos := fields["next"], fields["pos"]
-	recorded := rs.lastRound[k]
-
-	var ackPos int
-	replayCut := false
-	switch {
-	case pRound == recorded && pPos == posCutGrad && rs.lastCut[k] != nil:
-		ackPos = posCutGrad
-		replayCut = true
-	case pRound == recorded+1 && pPos >= posActs && pPos <= posDone:
-		ackPos = posActs
-	default:
-		offer.conn.Close()
-		return nil, fmt.Errorf("%w: platform %d rejoins promoted server at round %d pos %d, last recorded round %d",
-			ErrProtocol, k, pRound, pPos, recorded)
-	}
-	ack := &wire.Message{
-		Type:     wire.MsgRejoinAck,
-		Platform: uint32(k),
-		Round:    uint32(pRound),
-		Payload:  wire.EncodeText(ackMeta(pRound, ackPos)),
-	}
-	if err := offer.conn.Send(ack); err != nil {
-		offer.conn.Close()
-		return nil, fmt.Errorf("core: platform %d promotion ack: %w", k, err)
-	}
-	if replayCut {
-		replay := &wire.Message{
-			Type:     wire.MsgCutGrad,
-			Platform: uint32(k),
-			Round:    uint32(pRound),
-			Payload:  append([]byte(nil), rs.lastCut[k]...),
-		}
-		if err := offer.conn.Send(replay); err != nil {
-			offer.conn.Close()
-			return nil, fmt.Errorf("core: platform %d promotion cut replay: %w", k, err)
-		}
-	}
-	return offer.conn, nil
 }
 
 // promoState carries what a promoted server must know about the round

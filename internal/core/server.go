@@ -1,10 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"medsplit/internal/nn"
 	"medsplit/internal/tensor"
@@ -110,12 +108,6 @@ func (cfg *ServerConfig) validate() error {
 	if cfg.Platforms <= 0 {
 		return fmt.Errorf("%w: %d platforms", ErrConfig, cfg.Platforms)
 	}
-	if cfg.Rounds <= 0 {
-		return fmt.Errorf("%w: %d rounds", ErrConfig, cfg.Rounds)
-	}
-	if cfg.StartRound < 0 || cfg.StartRound >= cfg.Rounds {
-		return fmt.Errorf("%w: start round %d of %d", ErrConfig, cfg.StartRound, cfg.Rounds)
-	}
 	if cfg.Mode == 0 {
 		cfg.Mode = RoundModeSequential
 	}
@@ -169,12 +161,6 @@ func (cfg *ServerConfig) validate() error {
 	if cfg.LabelSharing && cfg.Loss == nil {
 		return fmt.Errorf("%w: label sharing requires a server-side loss", ErrConfig)
 	}
-	if cfg.CheckpointEvery < 0 {
-		return fmt.Errorf("%w: checkpoint every %d rounds", ErrConfig, cfg.CheckpointEvery)
-	}
-	if cfg.CheckpointEvery > 0 && cfg.CheckpointDir == "" {
-		return fmt.Errorf("%w: CheckpointEvery without CheckpointDir", ErrConfig)
-	}
 	if cfg.CheckpointRetain < 0 {
 		return fmt.Errorf("%w: checkpoint retain %d", ErrConfig, cfg.CheckpointRetain)
 	}
@@ -191,13 +177,7 @@ func (cfg *ServerConfig) validate() error {
 			return err
 		}
 	}
-	if err := ensureCheckpointDir(cfg.CheckpointDir); err != nil {
-		return err
-	}
-	if cfg.Codec == nil {
-		cfg.Codec = wire.RawCodec{}
-	}
-	return nil
+	return validateSession(cfg.Rounds, cfg.StartRound, cfg.CheckpointEvery, cfg.CheckpointDir, &cfg.Codec)
 }
 
 // platformState is the server's per-platform connection state: the
@@ -222,24 +202,18 @@ type platformState struct {
 
 // Server runs the server side of the split-learning protocol.
 type Server struct {
+	walker    // the session position, stop request and boundary stash
 	cfg       ServerConfig
-	sess      *Session
+	table     trainTable // the label mode's train exchange
 	reg       *platformRegistry
 	lastBatch []int // most recent minibatch rows seen per platform
 	evaluator int   // platform id that runs eval phases; -1 if none
-	stop      atomic.Bool
 
 	// repl is the leader-side replication engine (nil when the
 	// replicated tier is off); promo is set only on a server built by
 	// Follower.Promote and describes the round it resumes inside.
 	repl  *replicator
 	promo *promoState
-
-	// stash is the in-memory boundary snapshot (CheckpointDir mode):
-	// the server's complete state as of the last round boundary,
-	// written to the stash file if the session dies mid-round, so a
-	// platform failure never costs more than the unfinished round.
-	stash *Snapshot
 
 	// ex holds each platform's training exchange in flight (see
 	// advance), reused round after round.
@@ -277,7 +251,15 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
+		walker: walker{
+			sess:      newSession(sessionPlan{cfg.StartRound, cfg.Rounds, cfg.L1SyncEvery, cfg.EvalEvery}),
+			who:       "server",
+			ckptDir:   cfg.CheckpointDir,
+			ckptEvery: cfg.CheckpointEvery,
+			stashPath: ServerStashPath(cfg.CheckpointDir),
+		},
 		cfg:       cfg,
+		table:     tableFor(cfg.LabelSharing),
 		lastBatch: make([]int, cfg.Platforms),
 		evaluator: -1,
 		ex:        make([]exchange, cfg.Platforms),
@@ -297,165 +279,70 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // from any goroutine (the signal handlers in cmd/splitserver do).
 func (s *Server) Stop() { s.stop.Store(true) }
 
-// plan derives the deterministic session schedule from the config.
-func (s *Server) plan() sessionPlan {
-	return sessionPlan{
-		start:       s.cfg.StartRound,
-		rounds:      s.cfg.Rounds,
-		l1SyncEvery: s.cfg.L1SyncEvery,
-		evalEvery:   s.cfg.EvalEvery,
-	}
-}
-
 // Serve drives the full protocol over the given per-platform
-// connections (conns[k] talks to platform k). It performs the
-// handshake, the training rounds with the scheduled L1-sync and
-// evaluation phases, and the shutdown, then returns. Connections are
-// not closed.
+// connections (conns[k] talks to platform k): the session walk (see
+// walker.run) through the handshake, the training rounds with the
+// scheduled L1-sync and evaluation phases, and the shutdown. The round
+// mode's schedule executes Train phases; every other phase is shared
+// across modes. Connections are not closed.
 func (s *Server) Serve(conns []transport.Conn) error {
 	if len(conns) != s.cfg.Platforms {
 		return fmt.Errorf("%w: %d connections for %d platforms", ErrConfig, len(conns), s.cfg.Platforms)
 	}
-	err := s.serve(conns)
-	if err != nil && !errors.Is(err, ErrStopped) {
-		// Mid-round failure: persist the last consistent boundary so the
-		// session can resume from it (graceful stops already wrote it).
-		s.writeStashOnAbort()
-	}
-	return err
-}
-
-// refreshStash captures the boundary snapshot kept in memory for
-// abort-time persistence. Only active in CheckpointDir mode.
-func (s *Server) refreshStash(nextRound int) {
-	if s.cfg.CheckpointDir == "" {
-		return
-	}
-	s.stash = s.Snapshot(nextRound)
-}
-
-// writeStashOnAbort persists the last boundary snapshot after a fatal
-// mid-round error (best effort: the session is already failing). It
-// writes the stash file, never the scheduled-checkpoint file — a crash
-// must not destroy the last matched checkpoint set.
-func (s *Server) writeStashOnAbort() {
-	if s.stash == nil || s.cfg.CheckpointDir == "" {
-		return
-	}
-	_ = SaveSnapshotFile(ServerStashPath(s.cfg.CheckpointDir), s.stash)
-}
-
-// serve walks the session state machine. The round mode's schedule
-// executes Train phases; everything else — handshake, L1 sync, eval, checkpoints,
-// graceful stop, shutdown — is shared across modes.
-func (s *Server) serve(conns []transport.Conn) error {
 	s.reg = newPlatformRegistry(conns, s.cfg.Recovery != nil)
-	s.sess = newSession(s.plan())
-	s.refreshStash(s.cfg.StartRound)
-	for {
-		switch s.sess.State() {
-		case StateHandshake:
-			if s.promo != nil {
-				// Promoted server: the platforms were validated by the dead
-				// leader's handshake and reconciled during Promote; install
-				// the session facts the handshake would have produced.
-				s.adoptPromotion()
-			} else if err := s.handshake(); err != nil {
-				return err
-			}
-			if s.repl != nil {
-				if err := s.repl.start(s); err != nil {
-					return err
-				}
-			}
-		case StateTrain:
-			r := s.sess.Round()
-			nn.ApplySchedule(s.cfg.Opt, s.cfg.LRSchedule, r)
-			s.adoptRejoiners(r)
-			train := s.windowRound
-			if s.cfg.Mode == RoundModeConcat {
-				train = s.concatRound
-			}
-			if err := train(r); err != nil {
-				return fmt.Errorf("core: server round %d: %w", r, err)
-			}
-		case StateL1Sync:
-			if err := s.l1Sync(s.sess.Round()); err != nil {
-				return fmt.Errorf("core: server L1 sync round %d: %w", s.sess.Round(), err)
-			}
-		case StateEval:
-			if err := s.evalIfPresent(s.sess.Round()); err != nil {
-				return fmt.Errorf("core: server eval round %d: %w", s.sess.Round(), err)
-			}
-		case StateDone:
-			return s.shutdown()
-		}
-		prev := s.sess.Round()
-		st := s.sess.Advance()
-		if st == StateDone || (st == StateTrain && s.sess.Round() != prev) {
-			if err := s.atBoundary(prev + 1); err != nil {
-				return err
-			}
-		}
-	}
+	return s.run(s)
 }
 
-// atBoundary runs the round-boundary hooks: scheduled checkpoints and
-// the graceful-stop check. completed is the number of rounds fully
-// finished (train + any sync/eval phases).
-func (s *Server) atBoundary(completed int) error {
-	stopping := s.stop.Load() && s.sess.State() != StateDone
-	if s.cfg.CheckpointDir != "" {
-		if checkpointDue(s.cfg.CheckpointEvery, completed, false) {
-			if err := SaveServerSnapshotGen(s.cfg.CheckpointDir, s.Snapshot(completed), s.cfg.CheckpointRetain); err != nil {
-				return fmt.Errorf("core: server checkpoint at round %d: %w", completed, err)
-			}
-			if s.repl != nil {
-				// The checkpoint generation is durable: re-anchor the WAL
-				// chain here and drop the records it subsumes.
-				if err := s.repl.atCheckpoint(s, completed); err != nil {
-					return err
-				}
-			}
-		}
-		s.refreshStash(completed)
+// train runs round r's Train phase under the configured round mode.
+func (s *Server) train(r int) error {
+	nn.ApplySchedule(s.cfg.Opt, s.cfg.LRSchedule, r)
+	s.adoptRejoiners(r)
+	if s.cfg.Mode == RoundModeConcat {
+		return s.concatRound(r)
 	}
-	if stopping {
-		// The stop snapshot goes to the stash file: the other parties
-		// did not checkpoint this boundary on their schedules, so the
-		// scheduled set must stay intact as a matched fallback.
-		if s.cfg.CheckpointDir != "" {
-			if err := SaveSnapshotFile(ServerStashPath(s.cfg.CheckpointDir), s.stash); err != nil {
-				return fmt.Errorf("core: server stop checkpoint at round %d: %w", completed, err)
-			}
-		}
-		// Best-effort, non-blocking notification: a platform already
-		// blocked sending its next round's activations cannot take this
-		// message (over the in-process pipe transport nobody is
-		// receiving), so a synchronous send here would deadlock. The
-		// caller closes the connections right after Serve returns, which
-		// both delivers the close to the platforms and reaps these
-		// goroutines.
-		_ = s.reg.eachActive(func(k int, ps *platformState) error {
-			// Raw send, no tracing: TraceFuncs are not required to be
-			// goroutine-safe and the session goroutine moves on.
-			msg := &wire.Message{
-				Type:     wire.MsgErrorMsg,
-				Platform: uint32(k),
-				Payload:  wire.EncodeText(fmt.Sprintf("server stopping: checkpointed %d rounds", completed)),
-			}
-			conn := ps.conn
-			go func() { _ = conn.Send(msg) }()
-			return nil
-		})
-		return fmt.Errorf("%w: after %d rounds", ErrStopped, completed)
+	return s.windowRound(r)
+}
+
+// checkpoint writes the scheduled checkpoint generation after completed
+// rounds and, when replicating, re-anchors the WAL chain on it.
+func (s *Server) checkpoint(completed int) error {
+	if err := SaveServerSnapshotGen(s.cfg.CheckpointDir, s.Snapshot(completed), s.cfg.CheckpointRetain); err != nil {
+		return fmt.Errorf("core: server checkpoint at round %d: %w", completed, err)
+	}
+	if s.repl != nil {
+		// The checkpoint generation is durable: re-anchor the WAL chain
+		// here and drop the records it subsumes.
+		return s.repl.atCheckpoint(s, completed)
 	}
 	return nil
 }
 
-// shutdown completes the session: every active platform says goodbye.
+// stopNotice tells every active platform the server is stopping.
+func (s *Server) stopNotice(completed int) error {
+	// Best-effort, non-blocking notification: a platform already blocked
+	// sending its next round's activations cannot take this message
+	// (over the in-process pipe transport nobody is receiving), so a
+	// synchronous send here would deadlock. The caller closes the
+	// connections right after Serve returns, which both delivers the
+	// close to the platforms and reaps these goroutines.
+	_ = s.reg.eachActive(func(k int, ps *platformState) error {
+		// Raw send, no tracing: TraceFuncs are not required to be
+		// goroutine-safe and the session goroutine moves on.
+		msg := &wire.Message{
+			Type:     wire.MsgErrorMsg,
+			Platform: uint32(k),
+			Payload:  wire.EncodeText(fmt.Sprintf("server stopping: checkpointed %d rounds", completed)),
+		}
+		conn := ps.conn
+		go func() { _ = conn.Send(msg) }()
+		return nil
+	})
+	return fmt.Errorf("%w: after %d rounds", ErrStopped, completed)
+}
+
+// bye completes the session: every active platform says goodbye.
 // Dropped platforms (ProceedWithout policy) have nothing to say.
-func (s *Server) shutdown() error {
+func (s *Server) bye() error {
 	return s.reg.eachActive(func(k int, ps *platformState) error {
 		if _, err := s.recv(ps.conn, wire.MsgBye, -1, k); err != nil {
 			return fmt.Errorf("core: platform %d shutdown: %w", k, err)
@@ -466,8 +353,15 @@ func (s *Server) shutdown() error {
 }
 
 // handshake validates every platform's declared configuration against
-// the server's, and learns which platform (if any) evaluates.
+// the server's, learns which platform (if any) evaluates, and starts
+// replication. A promoted server installs instead the session facts the
+// dead leader's handshake established: Promote already reconciled its
+// platforms.
 func (s *Server) handshake() error {
+	if s.promo != nil {
+		s.adoptPromotion()
+		return nil
+	}
 	want := helloBase(s.cfg.Rounds, s.cfg.LabelSharing, s.cfg.L1SyncEvery, s.cfg.EvalEvery, s.cfg.Codec.Name(), s.cfg.StartRound)
 	if err := s.reg.each(func(k int, ps *platformState) error {
 		conn := ps.conn
@@ -515,6 +409,9 @@ func (s *Server) handshake() error {
 	if s.cfg.EvalEvery > 0 && s.evaluator < 0 {
 		return fmt.Errorf("%w: EvalEvery=%d but no platform declared evaluator", ErrConfig, s.cfg.EvalEvery)
 	}
+	if s.repl != nil {
+		return s.repl.start(s)
+	}
 	return nil
 }
 
@@ -548,18 +445,6 @@ func parseHello(meta string) (base string, evaluator bool, err error) {
 	}
 }
 
-// Wire positions within one platform's train exchange, in protocol
-// order. Both parties number them identically; the rejoin handshake
-// exchanges positions to agree where a recovered round resumes.
-const (
-	posActs     = 0 // platform → server: activations
-	posLabels   = 1 // platform → server: labels (label-sharing mode)
-	posLogits   = 2 // server → platform: logits (label-private mode)
-	posLossGrad = 3 // platform → server: loss gradients (label-private mode)
-	posCutGrad  = 4 // server → platform: cut gradients
-	posDone     = 5 // exchange complete
-)
-
 // exchange is one platform's training exchange in flight: its round,
 // its wire position, and the values that carry from one stage to the
 // next. The server keeps one per platform and reuses it every round.
@@ -572,79 +457,57 @@ type exchange struct {
 	lossVal float64        // label-sharing loss scalar
 }
 
-// advance runs platform k's open exchange (see s.ex) as an explicit
-// stage machine until it completes or reaches position stop, where it
-// parks. Only a label-private exchange reaches posLogits and
-// posLossGrad, so a label-sharing exchange can park only at posCutGrad.
+// advance runs platform k's open exchange (see s.ex) along the label
+// mode's train table until it completes or reaches position stop, where
+// it parks. A label-sharing exchange has no posLogits or posLossGrad
+// step, so it can park only at posCutGrad.
 //
-// Compute runs when the exchange enters the stage that ships its
+// Compute runs when the exchange enters the step that ships its
 // result, and only if that result is not set yet: the forward at
 // posLogits (x.z), the backward and optimizer step at posCutGrad
-// (x.da). Re-entering a wire stage after a dropout recovery never
+// (x.da). Re-entering a wire step after a dropout recovery never
 // recomputes — BatchNorm statistics and optimizer state advance exactly
-// once per round however often the wire stages retry — and concat fills
+// once per round however often the wire steps retry — and concat fills
 // x.z and x.da for the parked exchanges itself (see fuse).
 func (s *Server) advance(k, stop int) error {
 	x := &s.ex[k]
 	ps := s.reg.state(k)
-	r := x.round
-	for x.pos != posDone {
-		if x.pos == stop {
-			return nil
-		}
+	for x.pos != posDone && x.pos != stop {
+		i := s.table.index(x.pos)
+		st := s.table[i]
 		var err error
-		switch x.pos {
-		case posActs:
-			err = s.recvInput(ps.conn, x, k)
-			if err == nil {
-				x.pos = posLogits
-				if s.cfg.LabelSharing {
-					x.pos = posLabels
-				}
-			}
-		case posLabels:
-			err = s.recvInput(ps.conn, x, k)
-			if err == nil {
-				x.pos = posCutGrad
-			}
-		case posLogits:
+		switch {
+		case st.up:
+			err = s.recvInput(ps.conn, x, k, st.typ)
+		case st.pos == posLogits:
 			if x.z == nil {
 				s.forward(x)
 			}
 			err = s.send(ps.conn, &wire.Message{
 				Type:     wire.MsgLogits,
 				Platform: uint32(k),
-				Round:    uint32(r),
+				Round:    uint32(x.round),
 				Payload:  s.encLogits.encode(s.cfg.Codec, x.z),
 			}, k)
-			if err == nil {
-				x.pos = posLossGrad
-			}
-		case posLossGrad:
-			err = s.recvInput(ps.conn, x, k)
-			if err == nil {
-				x.pos = posCutGrad
-			}
-		case posCutGrad:
+		default: // posCutGrad
 			if x.da == nil {
 				s.backward(x)
 			}
-			err = s.sendCutGrad(ps, k, r, x.da, x.lossVal)
-			if err == nil {
-				x.pos = posDone
-			}
+			err = s.sendCutGrad(ps, k, x.round, x.da, x.lossVal)
 		}
-		if err != nil {
-			resume, skip, rerr := s.handleDrop(k, r, x.pos, err)
-			if rerr != nil {
-				return rerr
-			}
-			if skip {
-				x.pos = posDone
-				return nil
-			}
-			x.pos = resume
+		if err == nil {
+			x.pos = s.table.next(i)
+			continue
 		}
+		resume, skip, rerr := s.handleDrop(k, x.round, x.pos, err)
+		if rerr != nil {
+			return rerr
+		}
+		if skip {
+			x.pos = posDone
+			return nil
+		}
+		x.pos = resume
 	}
 	return nil
 }
@@ -719,19 +582,11 @@ func (s *Server) encodeCut(da *tensor.Tensor, lossVal float64) []byte {
 	return s.encCut.encode(s.cfg.Codec, da, s.lossScalar)
 }
 
-// inputTypes names the message a platform sends at each inbound wire
-// position.
-var inputTypes = [...]wire.MsgType{
-	posActs:     wire.MsgActivations,
-	posLabels:   wire.MsgLabels,
-	posLossGrad: wire.MsgLossGrad,
-}
-
-// recvInput reads platform k's inbound payload at x's wire position and
-// decodes it into x. The replicator then copies the payload for the
-// step's record, and the frame is recycled.
-func (s *Server) recvInput(conn transport.Conn, x *exchange, k int) error {
-	m, err := s.recv(conn, inputTypes[x.pos], x.round, k)
+// recvInput reads platform k's inbound message of type typ at x's wire
+// position and decodes it into x. The replicator then copies the
+// payload for the step's record, and the frame is recycled.
+func (s *Server) recvInput(conn transport.Conn, x *exchange, k int, typ wire.MsgType) error {
+	m, err := s.recv(conn, typ, x.round, k)
 	if err != nil {
 		return err
 	}
@@ -835,9 +690,9 @@ func (s *Server) l1Sync(r int) error {
 	})
 }
 
-// evalIfPresent runs the evaluation phase when an evaluator exists and
-// is connected.
-func (s *Server) evalIfPresent(r int) error {
+// eval runs the evaluation phase when an evaluator exists and is
+// connected.
+func (s *Server) eval(r int) error {
 	if s.evaluator < 0 || s.reg.state(s.evaluator).status != PlatformActive {
 		return nil
 	}

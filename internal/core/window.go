@@ -113,9 +113,8 @@ func (s *Server) windowRound(r int) error {
 // a barrier phase runs).
 func (s *Server) windowEnd(r int) int {
 	end := min(r+s.cfg.Staleness, s.cfg.Rounds-1)
-	plan := s.plan()
 	for q := r; q < end; q++ {
-		if plan.syncRound(q) || plan.evalRound(q) {
+		if s.sess.plan.syncRound(q) || s.sess.plan.evalRound(q) {
 			return q
 		}
 	}
@@ -123,26 +122,34 @@ func (s *Server) windowEnd(r int) int {
 }
 
 // concatRound executes round r in concat mode: one optimizer step on
-// the union of every platform's minibatch. It moves every exchange one
-// stop at a time, platform by platform, and at each stop where a result
-// is due computes it once for all of them (see fuse). Concat refuses
-// recovery and replication, so every platform is active.
+// the union of every platform's minibatch. At each server → platform
+// step of the train table it parks every exchange where that step's
+// result is due, computes the result once for all of them (see fuse),
+// and then moves every exchange on to the step after it, platform by
+// platform. Concat refuses recovery and replication, so every platform
+// is active.
 func (s *Server) concatRound(r int) error {
 	for k := range s.ex {
 		s.ex[k] = exchange{round: r}
 	}
-	stops := []int{posLogits, posLossGrad, posCutGrad, posDone}
-	if s.cfg.LabelSharing {
-		stops = stops[2:]
-	}
-	for _, stop := range stops {
+	advanceAll := func(stop int) error {
 		for k := range s.ex {
 			if err := s.advance(k, stop); err != nil {
 				return err
 			}
 		}
-		if stop == posLogits || stop == posCutGrad {
-			s.fuse(stop)
+		return nil
+	}
+	for i, st := range s.table {
+		if st.up {
+			continue
+		}
+		if err := advanceAll(st.pos); err != nil {
+			return err
+		}
+		s.fuse(st.pos)
+		if err := advanceAll(s.table.next(i)); err != nil {
+			return err
 		}
 	}
 	return nil
