@@ -127,17 +127,10 @@ func NewInferenceServer(m *Manager, cfg InferConfig) (*InferenceServer, error) {
 		cfg:     cfg.withDefaults(),
 		serving: make(map[string]*tenantServing, len(m.tenants)),
 	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	if m.closed.Load() {
 		return nil, ErrManagerClosed
 	}
-	tenants := make([]*tenant, 0, len(m.tenants))
 	for _, t := range m.tenants {
-		tenants = append(tenants, t)
-	}
-	m.mu.Unlock()
-	for _, t := range tenants {
 		ts := &tenantServing{
 			is:   is,
 			t:    t,

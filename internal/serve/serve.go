@@ -5,9 +5,9 @@
 // snapshots such a session writes.
 //
 // A Manager holds the tenants and the compute budget they share. It
-// keeps per-tenant model and checkpoint state isolated (separate
-// tensor and payload pools, so one tenant's traffic never recycles
-// through another's buffers) and shares back-half compute fairly —
+// keeps per-tenant model and checkpoint state isolated (a separate
+// payload buffer pool, so one tenant's responses never recycle through
+// another's buffers) and shares back-half compute fairly —
 // round-robin over a fixed slot budget — across every tenant in the
 // process. InferenceServer (infer.go) batches each tenant's requests
 // dynamically and serves them from a warm model cache keyed by
@@ -17,10 +17,9 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"medsplit/internal/nn"
-	"medsplit/internal/tensor"
 	"medsplit/internal/wire"
 )
 
@@ -118,27 +117,24 @@ func (c *Config) validate() error {
 }
 
 // tenant is the Manager's per-tenant state: the config, the warm
-// inference cache, and the isolated pools the serving path draws
-// scratch from. Pool isolation is the memory-safety half of tenancy —
-// a tenant's decoded activations and encoded responses only ever
-// recycle through its own pools, so a sizing bug or a leaked buffer
-// stays contained to the tenant that caused it.
+// inference cache, and the isolated buffer pool the serving path
+// encodes responses into. Pool isolation is the memory-safety half of
+// tenancy — a tenant's encoded responses only ever recycle through its
+// own pool, so a sizing bug or a leaked buffer stays contained to the
+// tenant that caused it.
 type tenant struct {
 	cfg     TenantConfig
 	cache   *modelCache
-	pool    *tensor.Pool
 	buffers *wire.BufferPool
 }
 
 // Manager holds one process's tenants and the compute scheduler their
 // inference batchers draw slots from.
 type Manager struct {
-	cfg   Config
-	sched *computeScheduler
-
-	mu      sync.Mutex
-	tenants map[string]*tenant
-	closed  bool
+	cfg     Config
+	sched   *computeScheduler
+	tenants map[string]*tenant // fixed at NewManager
+	closed  atomic.Bool
 }
 
 // NewManager validates cfg and builds a Manager.
@@ -154,7 +150,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	for _, tc := range cfg.Tenants {
 		t := &tenant{
 			cfg:     tc,
-			pool:    &tensor.Pool{},
 			buffers: &wire.BufferPool{},
 		}
 		t.cache = &modelCache{name: tc.Name, build: tc.BuildBack, dir: tc.CheckpointDir, precision: tc.InferPrecision}
@@ -166,8 +161,4 @@ func NewManager(cfg Config) (*Manager, error) {
 // Close marks the Manager closed, so NewInferenceServer refuses it
 // from then on. An InferenceServer already built on it keeps serving
 // until its own Close drains it.
-func (m *Manager) Close() {
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
-}
+func (m *Manager) Close() { m.closed.Store(true) }

@@ -178,27 +178,6 @@ func TestSumRowsAcc(t *testing.T) {
 	}
 }
 
-func TestPoolGetZeroedAfterDirtyPut(t *testing.T) {
-	var p Pool
-	d := p.GetDirty(4, 8)
-	for i := range d.Data() {
-		d.Data()[i] = 123
-	}
-	p.Put(d)
-	z := p.Get(4, 8)
-	for i, v := range z.Data() {
-		if v != 0 {
-			t.Fatalf("pooled Get element %d = %v, want 0", i, v)
-		}
-	}
-	p.Put(z)
-	// A different shape of the same volume class must still work.
-	q := p.Get(31)
-	if q.Size() != 31 {
-		t.Fatalf("pooled Get size %d, want 31", q.Size())
-	}
-}
-
 func TestEnsureShapeReusesCapacity(t *testing.T) {
 	t1 := New(8, 8)
 	d1 := t1.Data()

@@ -6,23 +6,22 @@ import (
 	"unsafe"
 )
 
-// Pool recycles tensor backing storage through power-of-two size classes,
-// each backed by a sync.Pool. The training hot path allocates the same
-// handful of shapes every round (im2col columns, activation batches,
-// gradient matrices); routing those through a Pool turns per-round
-// allocations into constant-space buffer reuse and keeps GC pressure flat
-// as platforms × rounds grows.
+// Pool recycles float32 scratch buffers through power-of-two size
+// classes, each backed by a sync.Pool. The GEMM engine and conv
+// lowering draw the same handful of scratch sizes every call (packed
+// panels, transposes, im2col columns); routing those through a Pool
+// turns per-call allocations into constant-space buffer reuse and keeps
+// GC pressure flat as platforms × rounds grows.
 //
-// Put hands the tensor's storage back to the pool: the caller asserts
-// nothing else aliases it (no outstanding Reshape views, no retained
-// Data() slices). Violating that is a use-after-free-style aliasing bug,
-// so Put only belongs at points where ownership is unambiguous.
+// PutBuf hands a buffer back to the pool: the caller asserts nothing
+// else aliases it. Violating that is a use-after-free-style aliasing
+// bug, so PutBuf only belongs at points where ownership is unambiguous.
 type Pool struct {
 	classes [poolClasses]sync.Pool
 	// boxes recycles the *[]float32 wrappers the class pools store:
 	// putting a bare []float32 into a sync.Pool boxes the slice header
 	// into a freshly allocated interface value every time, which made
-	// every pooled GEMM scratch cost one small allocation per Put.
+	// every pooled GEMM scratch cost one small allocation per PutBuf.
 	boxes sync.Pool
 }
 
@@ -33,8 +32,7 @@ const poolClasses = 32
 // Default is the package-level pool; the GEMM engine draws its packing
 // and transpose scratch from it. (The nn layers and the split server
 // reuse long-lived buffers via EnsureShape instead — their scratch has
-// layer lifetime, not call lifetime.) Independent subsystems may still
-// construct private Pools to bound cross-talk.
+// layer lifetime, not call lifetime.)
 var Default Pool
 
 // sizeClass returns the bucket index for a buffer of n float32s: the
@@ -46,7 +44,7 @@ func sizeClass(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// Alignment guarantee: GetDirty and GetBuf hand out storage whose base
+// Alignment guarantee: GetBuf hands out storage whose base
 // address is 32-byte aligned, so the AVX2/NEON kernels' vector loads
 // never straddle a cache line at the buffer start. The guarantee costs
 // nothing structurally — allocation classes are already powers of two,
@@ -83,33 +81,11 @@ func alignedMake(n, capacity int) []float32 {
 	return make([]float32, n, capacity)
 }
 
-// Get returns a zero-filled tensor of the given shape, reusing pooled
-// storage when available.
-func (p *Pool) Get(shape ...int) *Tensor {
-	t := p.GetDirty(shape...)
-	t.Zero()
-	return t
-}
-
-// GetDirty returns a tensor of the given shape whose contents are
-// undefined. Use it for outputs that every kernel invocation fully
-// overwrites (MatMulInto, Im2ColInto); anything accumulated into must go
-// through Get instead. The backing storage is 32-byte aligned.
-func (p *Pool) GetDirty(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		if d <= 0 {
-			panic("tensor: non-positive dimension in pooled shape")
-		}
-		n *= d
-	}
-	return &Tensor{shape: append([]int(nil), shape...), data: p.getData(n)}
-}
-
-// getData is the shared storage path behind GetDirty and GetBuf:
-// pooled when an aligned buffer of the class is available, freshly
-// allocated otherwise.
-func (p *Pool) getData(n int) []float32 {
+// GetBuf returns a raw scratch buffer of exactly n float32s with
+// undefined contents: pooled when an aligned buffer of the class is
+// available, freshly allocated otherwise. The backing storage is
+// 32-byte aligned. Pair every GetBuf with a PutBuf.
+func (p *Pool) GetBuf(n int) []float32 {
 	cls := max(sizeClass(n), minClass)
 	if b, ok := p.classes[cls].Get().(*[]float32); ok && cap(*b) >= n && aligned32(*b) {
 		buf := *b
@@ -120,18 +96,10 @@ func (p *Pool) getData(n int) []float32 {
 	return alignedMake(n, 1<<cls)
 }
 
-// GetBuf returns a raw scratch buffer of exactly n float32s with
-// undefined contents, skipping the Tensor wrapper (and its two header
-// allocations) for kernels that only ever touch the flat storage. The
-// backing storage is 32-byte aligned. Pair every GetBuf with a PutBuf.
-func (p *Pool) GetBuf(n int) []float32 {
-	return p.getData(n)
-}
-
 // PutBuf returns a GetBuf buffer to the pool. The buffer must not be
 // used afterwards.
 func (p *Pool) PutBuf(buf []float32) {
-	// Sub-vector capacities are never handed out again (getData floors
+	// Sub-vector capacities are never handed out again (GetBuf floors
 	// at minClass), so don't retain them.
 	if cap(buf) < alignFloats || cap(buf)&(cap(buf)-1) != 0 {
 		return
@@ -142,30 +110,6 @@ func (p *Pool) PutBuf(buf []float32) {
 	}
 	*b = buf[:cap(buf)]
 	p.classes[sizeClass(cap(buf))].Put(b)
-}
-
-// Put returns t's storage to the pool. t must not be used afterwards.
-// Put(nil) is a no-op so callers can release optional scratch
-// unconditionally.
-func (p *Pool) Put(t *Tensor) {
-	if t == nil || cap(t.data) == 0 {
-		return
-	}
-	buf := t.data[:cap(t.data)]
-	// Only pool power-of-two capacities of at least one vector register:
-	// anything else (FromSlice-wrapped storage) would silently shrink its
-	// class on the next Get, and sub-vector buffers are never reissued.
-	if cap(buf) < alignFloats || cap(buf)&(cap(buf)-1) != 0 {
-		return
-	}
-	b, _ := p.boxes.Get().(*[]float32)
-	if b == nil {
-		b = new([]float32)
-	}
-	*b = buf
-	p.classes[sizeClass(cap(buf))].Put(b)
-	t.data = nil
-	t.shape = nil
 }
 
 // EnsureShape returns a tensor of exactly the given shape, reusing t's
