@@ -53,6 +53,8 @@ COVER_MIN_paramserver = 82
 # also hold at one core, where the parallel kernels take their serial
 # path. So must the pins on what every session starts from: synthetic
 # data, its shards and fresh weights, and the block draws behind them.
+# The kill-point table breaks every step of both label modes' train
+# tables and recovers bit-identically, three times over on one core.
 test:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -60,6 +62,7 @@ test:
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'Batch|Flush|IdleSlot|Overload|Expired|Lane|Wake' ./internal/serve/
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestRoundModeDigests|TestServerRoundRobinOrdering|TestConcat|TestComputeGate' ./internal/core/
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestSkipNormMatchesNorm|TestNormFloat32sMatchesNorm|TestSynthCIFARPins|TestSynthCIFARZeroU|TestBuildDataShardsAreSubsetViews|TestFreshModelPins|TestFillNormalMatchesSerial' ./internal/rng/ ./internal/dataset/ ./internal/experiment/ ./internal/models/ ./internal/tensor/
+	GOMAXPROCS=1 $(GO) test -count=3 -run 'TestKillPointTable' ./internal/core/
 
 # The repository benchmark (BENCHMARK.json) is a Go module of its own
 # under bench/ (`replace medsplit => ../`), so `go build ./...` and
