@@ -483,7 +483,7 @@ func (p *Platform) maybeRejoin(r, pos int, cause error) (resume int, err error) 
 			p.sampler.Skip(ackRound - 1 - r)
 			return 0, &fastForwardError{round: ackRound}
 		}
-		if ackRound != r || ackPos > pos {
+		if ackRound != r || ackPos > pos || p.table.index(ackPos) < 0 {
 			return 0, fmt.Errorf("%w: rejoin ack round %d pos %d, platform at round %d pos %d",
 				ErrProtocol, ackRound, ackPos, r, pos)
 		}

@@ -524,3 +524,49 @@ func TestRecoveryConfigValidation(t *testing.T) {
 		t.Fatal("Redial without RejoinWindow accepted")
 	}
 }
+
+// A rejoin position outside the label mode's train table is refused on
+// both sides: the server will not resume a label-sharing exchange at
+// the logits, and a label-sharing platform will not accept an ack that
+// sends it there.
+func TestRejoinRefusesPositionsOutsideTable(t *testing.T) {
+	train, _ := testData(t, 2, 16, 4, 175)
+	flat := flatten(train)
+	front, back := buildSplitMLP(t, 741, flat.X.Dim(1), 2)
+	share := func(c *ServerConfig) {
+		c.LabelSharing = true
+		c.Loss = nn.SoftmaxCrossEntropy{}
+	}
+	srv := defaultServer(t, back, 1, 6, share)
+	sEnd, cEnd := transport.Pipe()
+	defer cEnd.Close()
+	offer := &rejoinOffer{conn: sEnd, rejoin: &wire.Message{
+		Type: wire.MsgRejoin, Round: 3, Payload: wire.EncodeText(rejoinMeta(3, posLogits)),
+	}}
+	if _, err := srv.reconcile(offer, 0, 3, posCutGrad, nil, 0, true); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("server reconciled a label-sharing rejoin at the logits: %v", err)
+	}
+
+	plat := defaultPlatform(t, 0, front, flat, 6, func(c *PlatformConfig) {
+		c.LabelSharing = true
+		c.RejoinWindow = 30 * time.Second
+		c.Redial = func() (transport.Conn, error) {
+			s2, c2 := transport.Pipe()
+			go func() {
+				defer s2.Close()
+				if _, err := s2.Recv(); err != nil {
+					return
+				}
+				_ = s2.Send(&wire.Message{Type: wire.MsgRejoinAck, Round: 3, Payload: wire.EncodeText(ackMeta(3, posLogits))})
+			}()
+			return c2, nil
+		}
+	})
+	old, peer := transport.Pipe()
+	defer peer.Close()
+	plat.conn = transport.NewReconnectable(old)
+	defer plat.conn.Close()
+	if _, err := plat.maybeRejoin(3, posCutGrad, errors.New("link down")); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("label-sharing platform accepted an ack at the logits: %v", err)
+	}
+}

@@ -365,18 +365,20 @@ func (w *walker) phases(p party) error {
 				return err
 			}
 		case StateTrain:
-			err := p.train(r)
-			var ff *fastForwardError
-			if errors.As(err, &ff) {
+			if err := p.train(r); err != nil {
+				// ff is declared only on the error path: errors.As moves
+				// it to the heap, which would cost every round an
+				// allocation.
+				var ff *fastForwardError
+				if !errors.As(err, &ff) {
+					return fmt.Errorf("core: %s round %d: %w", w.who, r, err)
+				}
 				// The server proceeded without this platform while it was
 				// disconnected; realign at the round it assigned.
 				if err := w.sess.SkipTo(ff.round); err != nil {
 					return err
 				}
 				continue
-			}
-			if err != nil {
-				return fmt.Errorf("core: %s round %d: %w", w.who, r, err)
 			}
 		case StateL1Sync:
 			if err := p.l1Sync(r); err != nil {
