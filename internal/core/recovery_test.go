@@ -540,6 +540,13 @@ func TestRejoinRefusesPositionsOutsideTable(t *testing.T) {
 	srv := defaultServer(t, back, 1, 6, share)
 	sEnd, cEnd := transport.Pipe()
 	defer cEnd.Close()
+	go func() { // drain, so a wrongly accepted rejoin's ack cannot block
+		for {
+			if _, err := cEnd.Recv(); err != nil {
+				return
+			}
+		}
+	}()
 	offer := &rejoinOffer{conn: sEnd, rejoin: &wire.Message{
 		Type: wire.MsgRejoin, Round: 3, Payload: wire.EncodeText(rejoinMeta(3, posLogits)),
 	}}

@@ -647,3 +647,96 @@ func TestRecoverServerStateFromWAL(t *testing.T) {
 		}
 	}
 }
+
+// Promotion reconciles through the live-rejoin reconciler but keeps
+// its own, narrower grammar: with the log's base at round 3 (every
+// platform's last recorded round 2), a platform may rejoin only at the
+// top of round 3. A platform behind the log is refused, not
+// fast-forwarded, as are one that announces the recorded round away
+// from the cut gradient, one ahead of the log, and a position outside
+// the train table.
+func TestPromotionRefusesDivergentRejoins(t *testing.T) {
+	cases := []struct {
+		name      string
+		next, pos int
+		ok        bool
+	}{
+		{"top of the round after the log", 3, posActs, true},
+		{"mid-exchange of that round", 3, posLossGrad, true},
+		{"behind the log", 1, posActs, false},
+		{"recorded round away from the cut gradient", 2, posActs, false},
+		{"recorded round with no recorded cut", 2, posCutGrad, false},
+		{"ahead of the log", 4, posActs, false},
+		{"position outside the table", 3, posLabels, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := promoteWithRejoin(t, tc.next, tc.pos)
+			if tc.ok && err != nil {
+				t.Fatalf("promotion refused a consistent rejoin: %v", err)
+			}
+			if !tc.ok && !errors.Is(err, ErrProtocol) {
+				t.Fatalf("promotion returned %v, want ErrProtocol", err)
+			}
+		})
+	}
+}
+
+// promoteWithRejoin bootstraps a one-platform follower from a base
+// snapshot at round 3, lets the leader's stream end, and promotes it
+// while the platform rejoins announcing (next, pos).
+func promoteWithRejoin(t *testing.T, next, pos int) error {
+	t.Helper()
+	_, back := buildSplitMLP(t, 731, 8, 2)
+	leaderSrv, err := NewServer(ServerConfig{Back: back, Opt: &nn.SGD{}, Platforms: 1, Rounds: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, stream := transport.Pipe()
+	defer stream.Close()
+	f, err := NewFollower(FollowerConfig{Platforms: 1, Conn: stream, Log: openTestWAL(t, "promote")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- f.Run() }()
+	if err := leader.Send(&wire.Message{Type: wire.MsgReplBase, Payload: EncodeSnapshot(leaderSrv.Snapshot(3))}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := leader.Recv(); err != nil || m.Type != wire.MsgReplAck {
+		t.Fatalf("bootstrap ack: %v %v", m, err)
+	}
+	if err := leader.Send(&wire.Message{Type: wire.MsgReplMeta, Payload: wire.EncodeText("evaluator=-1;goarch=" + runtime.GOARCH)}); err != nil {
+		t.Fatal(err)
+	}
+	leader.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("follower: %v", err)
+	}
+
+	broker := NewRejoinBroker()
+	defer broker.Close()
+	s2, c2 := transport.Pipe()
+	defer c2.Close()
+	go func() {
+		if c2.Send(&wire.Message{Type: wire.MsgRejoin, Payload: wire.EncodeText(rejoinMeta(next, pos))}) != nil {
+			return
+		}
+		for { // drain the ack of an accepted rejoin
+			if _, err := c2.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+	if err := broker.Offer(s2); err != nil {
+		t.Fatal(err)
+	}
+	_, back2 := buildSplitMLP(t, 732, 8, 2)
+	_, conns, err := f.Promote(PromoteConfig{
+		Server: ServerConfig{Back: back2, Opt: &nn.SGD{}, Platforms: 1, Rounds: 6},
+		Broker: broker,
+		Window: time.Second,
+	})
+	closeAll(conns)
+	return err
+}
