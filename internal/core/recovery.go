@@ -298,7 +298,6 @@ func (s *Server) handleDrop(k, r, pos int, cause error) (resume int, skip bool, 
 	ps := s.reg.state(k)
 	if s.cfg.Recovery.Policy == ProceedWithout {
 		ps.status = PlatformDropped
-		ps.droppedRound = r
 		return 0, true, nil
 	}
 	offer := s.cfg.Recovery.Broker.await(k, s.cfg.Recovery.Window)

@@ -181,16 +181,12 @@ func (cfg *ServerConfig) validate() error {
 }
 
 // platformState is the server's per-platform connection state: the
-// transport endpoint, the connection status, and the recovery
-// bookkeeping the rejoin handshake needs.
+// transport endpoint, the connection status, and the cut-gradient
+// cache the rejoin reconciler replays from.
 type platformState struct {
 	conn   transport.Conn
 	rc     *transport.Reconnectable // == conn when recovery is enabled
 	status PlatformStatus
-
-	// droppedRound is the round during which the connection died
-	// (meaningful while status == PlatformDropped).
-	droppedRound int
 
 	// lastCut replays the most recent cut-gradient payload to a
 	// platform that died waiting for it (recovery mode only): by the
