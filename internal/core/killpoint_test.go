@@ -26,9 +26,8 @@ func TestKillPointTable(t *testing.T) {
 		}
 		baseline, _ := recoveryRun(t, recoveryOpts{rounds: rounds, labelShare: labelShare})
 		for _, st := range tableFor(labelShare) {
-			typ := st.typ
-			hit := func(m *wire.Message) bool { return m.Type == typ && m.Round == killPointRound }
-			row := name + "/" + typ.String()
+			hit := func(m *wire.Message) bool { return m.Type == st.typ && m.Round == killPointRound }
+			row := name + "/" + st.typ.String()
 			if st.up {
 				t.Run(row+"/sever", func(t *testing.T) {
 					params, stats := recoveryRun(t, recoveryOpts{
@@ -51,7 +50,7 @@ func TestKillPointTable(t *testing.T) {
 			t.Run(row+"/failover", func(t *testing.T) {
 				res := failoverRun(t, failoverOpts{
 					rounds: rounds, labelShare: labelShare,
-					kill: killOn(recoveryVictim, typ, killPointRound),
+					kill: killOn(recoveryVictim, st.typ, killPointRound),
 				})
 				assertParamsBitIdentical(t, row, baseline, res.params)
 				assertTrainedRounds(t, res.stats, rounds)
