@@ -35,9 +35,6 @@ func newPlatformRegistry(conns []transport.Conn, withRecovery bool) *platformReg
 	return reg
 }
 
-// len returns the number of registered platforms.
-func (reg *platformRegistry) len() int { return len(reg.states) }
-
 // state returns platform k's entry.
 func (reg *platformRegistry) state(k int) *platformState { return reg.states[k] }
 
